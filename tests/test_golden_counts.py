@@ -1,0 +1,81 @@
+"""Absolute operation counts of a small end-to-end generation, pinned.
+
+The toy model on ``configs/params_toy.json`` (n=64, B=8) generates 10
+tokens from a 5-token prompt, so the generated-token cache opens its second
+ciphertext at step 9.  The second run raises the refresh threshold to 170,
+which makes lazy refresh fire on every generated-cache part from step 2.
+A change in how many operations of any kind a kernel spends moves at least
+one of these numbers.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from cryptogen.backend import BackendParams, Context
+from cryptogen.model import generate, generate_toy_model, toy_config
+
+PARAMS_TOY = Path(__file__).resolve().parents[1] / "configs" / "params_toy.json"
+PROMPT = [3, 14, 15, 9, 26]
+TOKENS = [7, 55, 60, 28, 0, 45, 11, 63, 11, 63]
+STEP_KEYS = (
+    "mult_plain", "mult_cipher", "rotate", "add", "add_plain", "encrypt", "decrypt", "refresh_events",
+)
+
+PREFILL_COUNTERS = {
+    "mult_plain": 2432,
+    "mult_cipher": 832,
+    "rotate": 9663,
+    "add": 11647,
+    "add_plain": 1609,
+    "encrypt": 713,
+    "decrypt": 737,
+    "refresh_events": 0,
+}
+PREFILL_MPC_BYTES = 326136
+
+# per step: (STEP_KEYS counts, mpc_bytes)
+STEPS = {
+    None: [
+        ((656, 144, 1467, 1543, 120, 75, 59, 0), 29416),
+        ((656, 144, 1483, 1543, 120, 59, 59, 0), 29584),
+        ((656, 144, 1483, 1543, 120, 59, 59, 0), 29808),
+        ((656, 144, 1483, 1543, 120, 59, 59, 0), 29976),
+        ((656, 144, 1483, 1543, 120, 59, 59, 0), 30144),
+        ((656, 144, 1483, 1543, 120, 59, 59, 0), 30368),
+        ((656, 144, 1483, 1543, 120, 59, 59, 0), 30536),
+        ((656, 144, 1483, 1543, 120, 59, 59, 0), 30704),
+        ((656, 160, 1491, 1575, 136, 83, 67, 0), 34384),
+        ((656, 160, 1507, 1575, 136, 67, 67, 0), 34552),
+    ],
+    170: [
+        ((656, 144, 1467, 1543, 120, 75, 59, 0), 29416),
+        ((656, 144, 1483, 1543, 152, 75, 75, 16), 36496),
+        ((656, 144, 1483, 1543, 152, 75, 75, 16), 36720),
+        ((656, 144, 1483, 1543, 152, 75, 75, 16), 36888),
+        ((656, 144, 1483, 1543, 152, 75, 75, 16), 37056),
+        ((656, 144, 1483, 1543, 152, 75, 75, 16), 37280),
+        ((656, 144, 1483, 1543, 152, 75, 75, 16), 37448),
+        ((656, 144, 1483, 1543, 152, 75, 75, 16), 37616),
+        ((656, 160, 1491, 1575, 168, 99, 83, 16), 41296),
+        ((656, 160, 1507, 1575, 168, 83, 83, 16), 41464),
+    ],
+}
+
+
+@pytest.mark.parametrize("threshold", [None, 170])
+def test_golden_pipeline_counts(threshold):
+    params = BackendParams.from_json(PARAMS_TOY.read_text())
+    if threshold is not None:
+        params = dataclasses.replace(params, refresh_threshold=threshold)
+    model = generate_toy_model(toy_config(), seed=0)
+    tokens, report = generate(model, PROMPT, len(TOKENS), Context(params, seed=0), seed=0)
+
+    assert tokens == TOKENS
+    prefill = report["prefill"]
+    assert {k: prefill["counters"][k] for k in STEP_KEYS} == PREFILL_COUNTERS
+    assert prefill["mpc_bytes"] == PREFILL_MPC_BYTES
+    got = [(tuple(s["counters"][k] for k in STEP_KEYS), s["mpc_bytes"]) for s in report["steps"]]
+    assert got == STEPS[threshold]
+    assert [s["refresh_events"] for s in report["steps"]] == [c[-1] for c, _ in STEPS[threshold]]
