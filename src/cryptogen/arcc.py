@@ -1,17 +1,21 @@
 """Ciphertext-ciphertext attention kernels over the heterogeneous cache.
 
-Two complementary modes:
+Two complementary CTxCT modes:
 
   inner-inner   scalar-broadcast accumulation: each coefficient slot is
                 masked out, rotated to slot 0, duplicated across the slot
-                range, and multiplied against one stored vector.  Used for
-                query x prefill-keys and weights x generated-values (where
-                the stored rows act as the columns of the transpose).
+                range, and multiplied against one outer-packed column.
+                Used for query x prefill-keys.
 
   inner-outer   dot-product folding reduction: one SIMD multiplication per
                 stored ciphertext followed by a log-depth rotate-and-add
                 fold.  Used for query x generated-keys and weights x
                 prefill-values.
+
+Weights x generated-values takes neither: the softmax weights are already
+in the share domain, so each is duplicated across its d2-wide block there
+and re-encrypted as one coefficient ciphertext per cache ciphertext (one
+CTxCT mult each, then a fold over the blocks).
 
 Slot reductions and broadcasts inside the decode path always run at full
 slot width so per-step rotation counts do not depend on the prefill length.
@@ -86,70 +90,30 @@ def broadcast_slot(
     n = ctx.params.n_slots
     if not 0 <= j < n or not 1 <= width <= n:
         raise ParameterError(f"slot {j} / width {width} out of range for {n} slots")
-    out = ctx.rotate(ctx.mult_plain(a, _one_hot(ctx, j)), j)
-    filled = 1
-    while filled < width:
-        out = ctx.add(out, ctx.rotate(out, -filled))
-        filled *= 2
-    return out
+    return ctx.fold(ctx.rotate(ctx.mult_plain(a, _one_hot(ctx, j)), j), -1, width)
 
 
 def arcc_inner_inner(
     coeffs: SlotCiphertext, basis: PackedMatrix, ctx: Context
 ) -> ScoreVector:
-    """Weighted sum of stored vectors: sum_j coeffs[j] * vector_j.
+    """Weighted sum of stored columns: sum_j coeffs[j] * column_j.
 
-    With an outer-packed basis the stored vectors are its columns (one
-    ciphertext each: L broadcasts, L CTxCT mults).  With an inner-packed or
-    compacted basis the stored rows act as the columns of the transpose;
-    the compacted path relayouts the coefficients blockwise and spends one
-    CTxCT mult per cache ciphertext.
+    The basis is outer-packed (one column per ciphertext): L broadcasts
+    and L CTxCT mults, scores contiguous in slots 0..rows-1.
     """
     n = ctx.params.n_slots
     kind = basis.encoding.kind
     if not basis.encrypted:
         raise ParameterError("inner-inner basis must be encrypted")
-
-    if kind is EncodingKind.OUTER:
-        acc = None
-        for j, part in enumerate(basis.parts):
-            b = broadcast_slot(coeffs, j, n, ctx)
-            prod = ctx.mult_cipher(b, part)
-            acc = prod if acc is None else ctx.add(acc, prod)
-        if acc is None:
-            raise ParameterError("empty basis")
-        return ScoreVector([acc], basis.encoding.rows, ScoreLayout.PREFILL_ALIGNED)
-
-    if kind in (EncodingKind.INNER, EncodingKind.INNER_COMPACTED):
-        d = basis.encoding.cols
-        rows = basis.encoding.rows
-        if rows == 0:
-            raise ParameterError("empty basis")
-        if kind is EncodingKind.INNER:
-            acc = None
-            for r, part in enumerate(basis.parts):
-                b = broadcast_slot(coeffs, r, n, ctx)
-                prod = ctx.mult_cipher(b, part)
-                acc = prod if acc is None else ctx.add(acc, prod)
-            return ScoreVector([acc], d, ScoreLayout.PREFILL_ALIGNED)
-        B = basis.encoding.block
-        acc = None
-        for q, part in enumerate(basis.parts):
-            cq = None
-            for b in range(min(B, rows - q * B)):
-                piece = broadcast_slot(coeffs, q * B + b, d, ctx)
-                if b:
-                    piece = ctx.rotate(piece, -(b * d))
-                cq = piece if cq is None else ctx.add(cq, piece)
-            prod = ctx.mult_cipher(cq, part)
-            acc = prod if acc is None else ctx.add(acc, prod)
-        step = d
-        while step < n:
-            acc = ctx.add(acc, ctx.rotate(acc, step))
-            step *= 2
-        return ScoreVector([acc], d, ScoreLayout.PREFILL_ALIGNED)
-
-    raise ParameterError(f"inner-inner does not accept a {kind} basis")
+    if kind is not EncodingKind.OUTER:
+        raise ParameterError(f"inner-inner does not accept a {kind} basis")
+    if not basis.parts:
+        raise ParameterError("empty basis")
+    acc = ctx.sum(
+        ctx.mult_cipher(broadcast_slot(coeffs, j, n, ctx), part)
+        for j, part in enumerate(basis.parts)
+    )
+    return ScoreVector([acc], basis.encoding.rows, ScoreLayout.PREFILL_ALIGNED)
 
 
 def arcc_inner_outer(
@@ -157,42 +121,21 @@ def arcc_inner_outer(
 ) -> ScoreVector:
     """Per-row dot products <v, row_r>, one score per block boundary.
 
-    Compacted rows take one SIMD multiplication per cache ciphertext (after
-    tiling v across the blocks) plus a log2(d) fold; plain inner rows take
-    one multiplication each, with the scores masked into block positions.
+    The rows are compacted (B per ciphertext): v is tiled across the
+    blocks, then one SIMD multiplication per cache ciphertext plus a
+    log2(d) fold.
     """
-    n = ctx.params.n_slots
     kind = rows.encoding.kind
     if not rows.encrypted:
         raise ParameterError("inner-outer rows must be encrypted")
+    if kind is not EncodingKind.INNER_COMPACTED:
+        raise ParameterError(f"inner-outer does not accept a {kind} row set")
     if rows.encoding.rows == 0:
         raise ParameterError("empty row set")
     d = rows.encoding.cols
-
-    if kind is EncodingKind.INNER_COMPACTED:
-        B = rows.encoding.block
-        vt = tile_token(v, d, B, ctx)
-        parts = [fold_sum(ctx.mult_cipher(vt, part), d, ctx) for part in rows.parts]
-        return ScoreVector(parts, rows.encoding.rows, ScoreLayout.BLOCK_ALIGNED, block=d)
-
-    if kind is EncodingKind.INNER:
-        w = next_pow2(d)
-        per_ct = n // w
-        parts: list = []
-        acc = None
-        for r, row_ct in enumerate(rows.parts):
-            dot = fold_sum(ctx.mult_cipher(v, row_ct), w, ctx)
-            placed = ctx.mult_plain(dot, _one_hot(ctx, 0))
-            b = r % per_ct
-            if b:
-                placed = ctx.rotate(placed, -(b * w))
-            acc = placed if acc is None else ctx.add(acc, placed)
-            if b == per_ct - 1 or r == len(rows.parts) - 1:
-                parts.append(acc)
-                acc = None
-        return ScoreVector(parts, rows.encoding.rows, ScoreLayout.BLOCK_ALIGNED, block=w)
-
-    raise ParameterError(f"inner-outer does not accept a {kind} row set")
+    vt = tile_token(v, d, rows.encoding.block, ctx)
+    parts = [fold_sum(ctx.mult_cipher(vt, part), d, ctx) for part in rows.parts]
+    return ScoreVector(parts, rows.encoding.rows, ScoreLayout.BLOCK_ALIGNED, block=d)
 
 
 def compact_scores(s: ScoreVector, ctx: Context) -> ScoreVector:
@@ -203,14 +146,14 @@ def compact_scores(s: ScoreVector, ctx: Context) -> ScoreVector:
     if s.valid_len > n:
         raise ParameterError("too many scores for one ciphertext")
     per_ct = n // s.block
-    acc = None
-    for r in range(s.valid_len):
+
+    def piece(r: int) -> SlotCiphertext:
         q, b = divmod(r, per_ct)
         src = b * s.block
-        piece = ctx.mult_plain(s.parts[q], _one_hot(ctx, src))
-        if src != r:
-            piece = ctx.rotate(piece, src - r)
-        acc = piece if acc is None else ctx.add(acc, piece)
+        out = ctx.mult_plain(s.parts[q], _one_hot(ctx, src))
+        return ctx.rotate(out, src - r) if src != r else out
+
+    acc = ctx.sum(map(piece, range(s.valid_len)))
     return ScoreVector([acc], s.valid_len, ScoreLayout.PREFILL_ALIGNED)
 
 
@@ -274,11 +217,10 @@ def prefill_attention(
 
     diag_shares = []
     for r in range(w):
-        acc = None
-        for c in range(d2):
-            kr = ctx.rotate(k_cols[c], r) if r else k_cols[c]
-            prod = ctx.mult_cipher(Q.parts[c], kr)
-            acc = prod if acc is None else ctx.add(acc, prod)
+        acc = ctx.sum(
+            ctx.mult_cipher(Q.parts[c], ctx.rotate(k_cols[c], r) if r else k_cols[c])
+            for c in range(d2)
+        )
         diag_shares.append(he_to_shares(acc, ctx, mpc, length=m))
 
     # client role: reassemble the score matrix from its diagonals
@@ -306,10 +248,7 @@ def prefill_attention(
 
     out_parts = []
     for c in range(d2):
-        acc = None
-        for i in range(m):
-            piece = _dot_into_slot(a_rows[i], V.parts[c], i, ctx)
-            acc = piece if acc is None else ctx.add(acc, piece)
+        acc = ctx.sum(_dot_into_slot(a_rows[i], V.parts[c], i, ctx) for i in range(m))
         sp = truncate(he_to_shares(acc, ctx, mpc, length=m), fp, mpc)
         out_parts.append(shares_to_he(sp, ctx, mpc))
 
@@ -351,29 +290,27 @@ def attention_step(
     a = attention_weights(scores_2f, d2, fp)
     mpc.transfer("decode_softmax", m + t, trips=3 + fp.reciprocal_iters)
 
-    o = None
+    halves = []
     if m > 0:
         a_pref = shares_to_he(share_vector(a[:m], mpc), ctx, mpc)
-        acc = None
-        for c in range(d2):
-            piece = _dot_into_slot(a_pref, cache.prefill_V.parts[c], c, ctx)
-            acc = piece if acc is None else ctx.add(acc, piece)
-        o = acc
+        halves.append(
+            ctx.sum(
+                _dot_into_slot(a_pref, cache.prefill_V.parts[c], c, ctx)
+                for c in range(d2)
+            )
+        )
     if t > 0:
-        acc = None
-        for qi, part in enumerate(cache.auto_V.parts):
-            rows_here = min(B, t - qi * B)
-            dup = np.repeat(a[m + qi * B : m + qi * B + rows_here], d2)
-            coeff = np.zeros(n, dtype=np.int64)
-            coeff[: rows_here * d2] = dup
-            coeff_ct = shares_to_he(share_vector(coeff, mpc), ctx, mpc)
-            prod = ctx.mult_cipher(coeff_ct, part)
-            acc = prod if acc is None else ctx.add(acc, prod)
-        step = d2
-        while step < n:
-            acc = ctx.add(acc, ctx.rotate(acc, step))
-            step *= 2
-        o = acc if o is None else ctx.add(o, acc)
+        # B * d2 = n: generated weight r covers slots r*d2.. of the whole
+        # segment, so row q of `coeffs` is the coefficient vector of part q
+        parts = cache.auto_V.parts
+        coeffs = np.zeros(len(parts) * n, dtype=np.int64)
+        coeffs[: t * d2] = np.repeat(a[m:], d2)
+        acc = ctx.sum(
+            ctx.mult_cipher(shares_to_he(share_vector(coeff, mpc), ctx, mpc), part)
+            for coeff, part in zip(coeffs.reshape(-1, n), parts)
+        )
+        halves.append(ctx.fold(acc, d2, n))
+    o = ctx.sum(halves)
 
     sp = truncate(he_to_shares(o, ctx, mpc, length=d2), fp, mpc)
     return shares_to_he(sp, ctx, mpc)

@@ -243,7 +243,7 @@ _context_uid = itertools.count()
 
 
 class Context:
-    """Owns the op counter, the RNG stream, and ciphertext identity."""
+    """Owns the op counter, the seed sequence, and ciphertext identity."""
 
     def __init__(self, params: BackendParams, seed=0):
         self.params = params
@@ -252,7 +252,6 @@ class Context:
             self._seed_seq = seed
         else:
             self._seed_seq = np.random.SeedSequence(seed)
-        self.rng = np.random.default_rng(self._seed_seq)
         self._next_id = next(_context_uid) * 1_000_000_000
 
     # ------------------------------------------------------------------
@@ -275,9 +274,13 @@ class Context:
     def zeros(self) -> PlainVector:
         return np.zeros(self.params.n_slots, dtype=np.int64)
 
+    def spawn_seed(self) -> np.random.SeedSequence:
+        """A fresh child of this context's seed sequence (never repeats)."""
+        return self._seed_seq.spawn(1)[0]
+
     def fork(self) -> "Context":
         """Child context sharing params; counters merge at the join."""
-        return Context(self.params, self._seed_seq.spawn(1)[0])
+        return Context(self.params, self.spawn_seed())
 
     def join(self, child: "Context") -> None:
         self.counter.merge(child.counter)
@@ -362,6 +365,44 @@ class Context:
     def load_ciphertext(self, values, budget: int) -> SlotCiphertext:
         """Rehydrate a serialized ciphertext; not counted as an operation."""
         return self._emit(_as_slots(values, self.params).copy(), budget)
+
+    # ------------------------------------------------------------------
+    # composites (every step is one of the counted operations above)
+    # ------------------------------------------------------------------
+
+    def fold(self, a: SlotCiphertext, stride: int, stop: int) -> SlotCiphertext:
+        """Rotate-and-add doubling: a = a + rotate(a, s) for s = stride,
+        2*stride, 4*stride, ... while |s| < stop; ceil(log2(stop/|stride|))
+        rotations and as many additions (Halevi-Shoup totalSums/replicate).
+
+        A positive stride folds: slot i ends up holding the cyclic sum
+        a[i] + a[i+stride] + ... over next_pow2(stop/stride) terms.  A
+        negative stride replicates: a payload in slots 0..|stride|-1 (zero
+        elsewhere) is copied into that many |stride|-wide blocks from slot 0.
+        """
+        if stride == 0:
+            raise ParameterError("fold stride must be nonzero")
+        s = stride
+        while abs(s) < stop:
+            a = self.add(a, self.rotate(a, s))
+            s *= 2
+        return a
+
+    def sum(self, cts) -> SlotCiphertext:
+        """Left fold of ``add`` over an iterable of ciphertexts.
+
+        The iterable is consumed lazily: each term is produced only after
+        the previous addition, so a generator whose terms spend operations
+        interleaves them with the additions exactly as a hand-written
+        accumulator loop would.
+        """
+        it = iter(cts)
+        acc = next(it, None)
+        if acc is None:
+            raise ParameterError("sum of no ciphertexts")
+        for ct in it:
+            acc = self.add(acc, ct)
+        return acc
 
 
 def new_context(params: BackendParams, seed=0) -> Context:

@@ -208,12 +208,7 @@ def tile_token(x_ct: SlotCiphertext, d: int, B: int, ctx: Context) -> SlotCipher
             f"replication of {B} blocks rounds up to {next_pow2(B)}, "
             f"which would wrap in {n} slots"
         )
-    out = x_ct
-    copies = 1
-    while copies < B:
-        out = ctx.add(out, ctx.rotate(out, -(copies * d)))
-        copies *= 2
-    return out
+    return ctx.fold(x_ct, -d, B * d)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """CT x PT linear layers: batch CPMM for prefilling, per-token CPVM for
-decoding, and the rotate-and-accumulate folding sum they share.
+decoding, and ``fold_sum``, the block sum the attention kernels use.
 
 Both kernels consume plaintext weights in the row-first diagonal layout and
 an encrypted activation operand.  The CPMM internally stacks
@@ -34,12 +34,7 @@ def fold_sum(a: SlotCiphertext, block: int, ctx: Context) -> SlotCiphertext:
     n = ctx.params.n_slots
     if block < 1 or block > n or block & (block - 1) or n % block:
         raise ParameterError(f"block {block} must be a power of two dividing {n}")
-    out = a
-    step = 1
-    while step < block:
-        out = ctx.add(out, ctx.rotate(out, step))
-        step *= 2
-    return out
+    return ctx.fold(a, 1, block)
 
 
 def _diagonal_weights(W: PackedMatrix, ctx: Context) -> np.ndarray:
@@ -77,26 +72,28 @@ def cpmm_outer_diagonal(
         raise ParameterError(f"{m} rows do not fit {n} slots")
     group = n // w  # columns stacked per working ciphertext
 
-    work = []
-    for g in range(0, d1, group):
-        acc = X.parts[g]
-        for u in range(1, min(group, d1 - g)):
-            acc = ctx.add(acc, ctx.rotate(X.parts[g + u], -(u * w)))
-        work.append((g, acc))
+    starts = range(0, d1, group)
+    work = [
+        ctx.sum(
+            ctx.rotate(X.parts[g + u], -(u * w)) if u else X.parts[g]
+            for u in range(min(group, d1 - g))
+        )
+        for g in starts
+    ]
 
-    fold_steps = (group).bit_length() - 1
-    parts = []
-    for c in range(d2):
-        acc_c = None
-        for g, wct in work:
-            pt = np.zeros(n, dtype=np.int64)
-            for u in range(min(group, d1 - g)):
-                pt[u * w : u * w + m] = Wv[g + u, c]
-            prod = ctx.mult_plain(wct, pt)
-            for s in range(fold_steps):
-                prod = ctx.add(prod, ctx.rotate(prod, w << s))
-            acc_c = prod if acc_c is None else ctx.add(acc_c, prod)
-        parts.append(acc_c)
+    def column_weights(g: int, c: int) -> np.ndarray:
+        pt = np.zeros(n, dtype=np.int64)
+        for u in range(min(group, d1 - g)):
+            pt[u * w : u * w + m] = Wv[g + u, c]
+        return pt
+
+    parts = [
+        ctx.sum(
+            ctx.fold(ctx.mult_plain(wct, column_weights(g, c)), w, n)
+            for g, wct in zip(starts, work)
+        )
+        for c in range(d2)
+    ]
 
     enc = Encoding(EncodingKind.OUTER, m, d2)
     return PackedMatrix(enc, parts, encrypted=True, slot_period=w)
@@ -126,17 +123,16 @@ def cpvm_inner_diagonal(
 
     j = np.arange(wp)
     col = j % wd2
-    acc = None
-    for k in range(wd2):
+
+    def diagonal(k: int) -> np.ndarray:
         row = (j + k) % wp
         pt = np.zeros(n, dtype=np.int64)
         valid = (row < d1) & (col < d2)
         pt[:wp][valid] = Wv[row[valid], col[valid]]
-        xr = x_ext if k == 0 else ctx.rotate(x_ext, k)
-        prod = ctx.mult_plain(xr, pt)
-        acc = prod if acc is None else ctx.add(acc, prod)
+        return pt
 
-    steps = (wp // wd2).bit_length() - 1
-    for s in range(steps):
-        acc = ctx.add(acc, ctx.rotate(acc, wd2 << s))
-    return acc
+    acc = ctx.sum(
+        ctx.mult_plain(ctx.rotate(x_ext, k) if k else x_ext, diagonal(k))
+        for k in range(wd2)
+    )
+    return ctx.fold(acc, wd2, wp)

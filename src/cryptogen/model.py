@@ -21,7 +21,7 @@ import numpy as np
 
 from .arcc import attention_step, prefill_attention
 from .backend import Context, ParameterError
-from .encodings import EncodingKind, PackedMatrix, encode, load_matrix, save_matrix
+from .encodings import Encoding, EncodingKind, PackedMatrix, encode, load_matrix, save_matrix
 from .fixedpoint import (
     FixedPointParams,
     attention_weights,
@@ -348,42 +348,113 @@ def oracle_generate(model: Model, prompt: list, k: int, p: int) -> list:
 # ----------------------------------------------------------------------
 # encrypted pipeline
 # ----------------------------------------------------------------------
+#
+# A slab is an encrypted rows x cols PackedMatrix: prefill works on the
+# m x d prompt slab outer-packed (one ciphertext per column, m payload
+# slots), decode on a 1 x d token inner-packed (one ciphertext, d payload
+# slots).  The layer body below is written once over slabs; a stage
+# supplies the three steps that depend on the packing.
 
 
-def _matrix_roundtrip(parts, m, ctx, mpc, fn):
-    """Pull outer columns into the share domain, apply fn (m x d matrix ->
-    m x d matrix of signed scale-f ints), re-encrypt columns."""
-    cols = []
-    for part in parts:
-        sp = he_to_shares(part, ctx, mpc, length=m)
-        cols.append(reconstruct(sp))
-    M = np.stack(cols, axis=1)
-    out = fn(M)
-    return [shares_to_he(share_vector(out[:, j], mpc), ctx, mpc) for j in range(out.shape[1])]
+def _share_length(P: PackedMatrix) -> int:
+    """Payload slots per ciphertext: rows if outer-packed, cols if inner."""
+    return P.rows if P.encoding.kind is EncodingKind.OUTER else P.cols
 
 
-def _vector_roundtrip(ct, length, ctx, mpc, fn):
-    sp = he_to_shares(ct, ctx, mpc, length=length)
-    return shares_to_he(share_vector(fn(reconstruct(sp)), mpc), ctx, mpc)
+def _payloads(P: PackedMatrix, M: np.ndarray) -> np.ndarray:
+    """A rows x cols array as P's per-ciphertext payloads (its columns if
+    outer-packed, its rows if inner), and back: the map is its own inverse."""
+    return M.T if P.encoding.kind is EncodingKind.OUTER else M
 
 
-def _trunc_packed(P: PackedMatrix, fp, ctx, mpc) -> PackedMatrix:
+def _with_parts(P: PackedMatrix, parts: list) -> PackedMatrix:
+    return PackedMatrix(P.encoding, parts, encrypted=True)
+
+
+def _inner_row(ct, cols: int) -> PackedMatrix:
+    return PackedMatrix(Encoding(EncodingKind.INNER, 1, cols), [ct], encrypted=True)
+
+
+def _truncated(P: PackedMatrix, fp, ctx, mpc) -> PackedMatrix:
+    """Rescale by 2^f with the truncation protocol, one ciphertext at a time."""
+    length = _share_length(P)
     parts = [
-        shares_to_he(truncate(he_to_shares(part, ctx, mpc, length=P.encoding.rows), fp, mpc), ctx, mpc)
+        shares_to_he(truncate(he_to_shares(part, ctx, mpc, length=length), fp, mpc), ctx, mpc)
         for part in P.parts
     ]
-    return PackedMatrix(P.encoding, parts, encrypted=True, slot_period=None)
+    return _with_parts(P, parts)
 
 
-def _channels(ctx_seed, layers, heads, p):
-    root = np.random.SeedSequence([0x707, ctx_seed])
+def _roundtrip(P: PackedMatrix, fn, ctx, mpc) -> PackedMatrix:
+    """Pull the slab into the share domain, apply fn (rows x cols array of
+    signed scale-f ints -> same shape, row-wise), re-encrypt it."""
+    length = _share_length(P)
+    vals = [reconstruct(he_to_shares(part, ctx, mpc, length=length)) for part in P.parts]
+    out = _payloads(P, fn(_payloads(P, np.stack(vals))))
+    return _with_parts(P, [shares_to_he(share_vector(v, mpc), ctx, mpc) for v in out])
+
+
+def _add(A: PackedMatrix, B: PackedMatrix, ctx) -> PackedMatrix:
+    return _with_parts(A, [ctx.add(a, b) for a, b in zip(A.parts, B.parts)])
+
+
+def _add_bias(P: PackedMatrix, bias: np.ndarray, ctx) -> PackedMatrix:
+    """Add a plaintext bias row to every row of the slab."""
+    p = ctx.params.plain_modulus
+    rows = _payloads(P, np.broadcast_to(bias, (P.rows, P.cols)))
+    return _with_parts(
+        P, [ctx.add_plain(part, ctx.plain_from_dense(np.mod(v, p))) for part, v in zip(P.parts, rows)]
+    )
+
+
+def _layernorm_rows(model: Model, l: int, name: str, fp):
+    gain, bias = model.layer(l, f"{name}_g"), model.layer(l, f"{name}_b")
+    return lambda M: np.stack([fp_layernorm(row, gain, bias, fp) for row in M])
+
+
+class _Prefill:
+    """Prompt slab, outer-packed: CPMM projections, outer-outer attention,
+    and the outer-packed K/V it leaves behind as each head's cache."""
+
+    @staticmethod
+    def linear(X, W, ctx):
+        return cpmm_outer_diagonal(X, W, ctx)
+
+    @staticmethod
+    def attend(cache, q, k, v, fp, ctx, mpc):
+        return prefill_attention(q, k, v, fp, ctx, mpc, causal=True), init_cache(k, v, ctx)
+
+    @staticmethod
+    def concat(heads, ctx):
+        parts = [part for O in heads for part in O.parts]
+        return PackedMatrix(replace(heads[0].encoding, cols=len(parts)), parts, encrypted=True)
+
+
+class _Decode:
+    """One token, inner-packed: CPVM projections, a cache append, and
+    attention over the heterogeneous cache; heads concatenate by rotation."""
+
+    @staticmethod
+    def linear(x, W, ctx):
+        return _inner_row(cpvm_inner_diagonal(x.parts[0], W, ctx), W.cols)
+
+    @staticmethod
+    def attend(cache, q, k, v, fp, ctx, mpc):
+        cache = append_token(cache, k.parts[0], v.parts[0], ctx)
+        return _inner_row(attention_step(q.parts[0], cache, fp, ctx, mpc), q.cols), cache
+
+    @staticmethod
+    def concat(heads, ctx):
+        d = heads[0].cols
+        o = ctx.sum(ctx.rotate(O.parts[0], -(h * d)) if h else O.parts[0] for h, O in enumerate(heads))
+        return _inner_row(o, d * len(heads))
+
+
+def _channels(root: np.random.SeedSequence, layers, heads, p):
     kids = root.spawn(layers * heads + 1)
-    chans = {}
-    i = 0
-    for l in range(layers):
-        for h in range(heads):
-            chans[(l, h)] = MpcChannel(p, kids[i])
-            i += 1
+    chans = {
+        (l, h): MpcChannel(p, kids[l * heads + h]) for l in range(layers) for h in range(heads)
+    }
     chans["common"] = MpcChannel(p, kids[-1])
     return chans
 
@@ -400,111 +471,91 @@ def _run_heads(tasks, threads: int):
     return [fn() for fn in tasks]
 
 
+def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, ctx, chans, threads):
+    """One transformer layer on slab X: per-head projections and attention
+    (head h on a forked context and channel (l, h)), then wo, LN1, the FFN
+    and LN2 on the common channel.  Replaces caches[l] with the stage's
+    per-head caches."""
+    c = model.config
+    fp = model.fixed_point(ctx)
+
+    def head_task(h):
+        hctx = ctx.fork()
+
+        def run():
+            ch = chans[(l, h)]
+            q, k, v = [
+                _truncated(
+                    stage.linear(X, model.diag(f"{l}.{name}.{h}", model.head_slice(l, name, h), hctx), hctx),
+                    fp, hctx, ch,
+                )
+                for name in ("wq", "wk", "wv")
+            ]
+            out, cache = stage.attend(caches[l][h], q, k, v, fp, hctx, ch)
+            return hctx, out, cache
+
+        return run
+
+    results = _run_heads([head_task(h) for h in range(c.heads)], threads)
+    for h, (hctx, _, cache) in enumerate(results):
+        ctx.join(hctx)
+        caches[l][h] = cache
+    O = stage.concat([out for _, out, _ in results], ctx)
+
+    ch = chans["common"]
+
+    def dense(X, name):
+        return stage.linear(X, model.diag(f"{l}.{name}", model.layer(l, name), ctx), ctx)
+
+    attn = _truncated(dense(O, "wo"), fp, ctx, ch)
+    X = _roundtrip(_add(X, attn, ctx), _layernorm_rows(model, l, "ln1", fp), ctx, ch)
+    H = _add_bias(dense(X, "w1"), model.layer(l, "b1") << fp.f, ctx)
+    H = _roundtrip(H, lambda M: fp_gelu(fp_truncate(M, fp.f), fp), ctx, ch)
+    H = _add_bias(dense(H, "w2"), model.layer(l, "b2") << fp.f, ctx)
+    H = _roundtrip(H, lambda M: fp_truncate(M, fp.f), ctx, ch)
+    return _roundtrip(_add(X, H, ctx), _layernorm_rows(model, l, "ln2", fp), ctx, ch)
+
+
+def _logits(model: Model, x_ct, ctx: Context) -> np.ndarray:
+    """Client-side logits from an inner-packed final hidden state."""
+    p = ctx.params.plain_modulus
+    logits_ct = cpvm_inner_diagonal(x_ct, model.diag("unembed", model.weights["unembed"], ctx), ctx)
+    return fp_truncate(to_signed(ctx.decrypt(logits_ct), p)[: model.config.vocab], model.config.f)
+
+
 def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int = 1):
     """Batched prompt pass: outer-diagonal CPMM projections, outer-outer
-    attention, MPC nonlinears; leaves outer-packed K/V caches behind."""
+    attention, MPC nonlinears; leaves outer-packed K/V caches behind.
+    Without chans, fresh channels are seeded from the context."""
     c = model.config
     if not 1 <= len(prompt) <= c.max_seq:
         raise ParameterError("prompt length out of range")
     p = ctx.params.plain_modulus
-    fp = model.fixed_point(ctx)
     if chans is None:
-        chans = _channels(0, c.layers, c.heads, p)
+        chans = _channels(ctx.spawn_seed(), c.layers, c.heads, p)
     m = len(prompt)
 
     X = np.stack([_embed(model, t, i) for i, t in enumerate(prompt)])
-    X_enc = encode(np.mod(X, p), EncodingKind.OUTER, ctx)
-
+    X = encode(np.mod(X, p), EncodingKind.OUTER, ctx)
     caches = [[None] * c.heads for _ in range(c.layers)]
     for l in range(c.layers):
-        def head_task(h, l=l, X_enc=X_enc):
-            hctx = ctx.fork()
-
-            def run():
-                ch = chans[(l, h)]
-                Qh = _trunc_packed(
-                    cpmm_outer_diagonal(X_enc, model.diag(f"{l}.wq.{h}", model.head_slice(l, "wq", h), hctx), hctx),
-                    fp, hctx, ch,
-                )
-                Kh = _trunc_packed(
-                    cpmm_outer_diagonal(X_enc, model.diag(f"{l}.wk.{h}", model.head_slice(l, "wk", h), hctx), hctx),
-                    fp, hctx, ch,
-                )
-                Vh = _trunc_packed(
-                    cpmm_outer_diagonal(X_enc, model.diag(f"{l}.wv.{h}", model.head_slice(l, "wv", h), hctx), hctx),
-                    fp, hctx, ch,
-                )
-                Oh = prefill_attention(Qh, Kh, Vh, fp, hctx, ch, causal=True)
-                cache = init_cache(Kh, Vh, hctx)
-                return hctx, Oh, cache
-            return run
-
-        results = _run_heads([head_task(h) for h in range(c.heads)], threads)
-        o_parts = []
-        for h, (hctx, Oh, cache) in enumerate(results):
-            ctx.join(hctx)
-            caches[l][h] = cache
-            o_parts.extend(Oh.parts)
-        O_cat = PackedMatrix(
-            replace(X_enc.encoding, cols=c.d1), o_parts, encrypted=True, slot_period=None
-        )
-
-        ch = chans["common"]
-        attn = cpmm_outer_diagonal(O_cat, model.diag(f"{l}.wo", model.layer(l, "wo"), ctx), ctx)
-        attn = _trunc_packed(attn, fp, ctx, ch)
-        resid = [ctx.add(X_enc.parts[j], attn.parts[j]) for j in range(c.d1)]
-
-        g1, b1 = model.layer(l, "ln1_g"), model.layer(l, "ln1_b")
-        ln1 = _matrix_roundtrip(
-            resid, m, ctx, ch,
-            lambda M: np.stack([fp_layernorm(M[i], g1, b1, fp) for i in range(m)]),
-        )
-        X_enc = PackedMatrix(replace(X_enc.encoding, cols=c.d1), ln1, encrypted=True)
-
-        h1 = cpmm_outer_diagonal(X_enc, model.diag(f"{l}.w1", model.layer(l, "w1"), ctx), ctx)
-        b1v = model.layer(l, "b1") << fp.f
-        h1p = [
-            ctx.add_plain(part, ctx.plain_from_dense(np.full(m, b1v[j]) % p))
-            for j, part in enumerate(h1.parts)
-        ]
-        hact = _matrix_roundtrip(
-            h1p, m, ctx, ch, lambda M: fp_gelu(fp_truncate(M, fp.f), fp)
-        )
-        Hm = PackedMatrix(replace(X_enc.encoding, cols=c.ffn_dim), hact, encrypted=True)
-
-        h2 = cpmm_outer_diagonal(Hm, model.diag(f"{l}.w2", model.layer(l, "w2"), ctx), ctx)
-        b2v = model.layer(l, "b2") << fp.f
-        h2p = [
-            ctx.add_plain(part, ctx.plain_from_dense(np.full(m, b2v[j]) % p))
-            for j, part in enumerate(h2.parts)
-        ]
-        h2t = _matrix_roundtrip(h2p, m, ctx, ch, lambda M: fp_truncate(M, fp.f))
-        resid2 = [ctx.add(ln1[j], h2t[j]) for j in range(c.d1)]
-        g2, b2 = model.layer(l, "ln2_g"), model.layer(l, "ln2_b")
-        ln2 = _matrix_roundtrip(
-            resid2, m, ctx, ch,
-            lambda M: np.stack([fp_layernorm(M[i], g2, b2, fp) for i in range(m)]),
-        )
-        X_enc = PackedMatrix(replace(X_enc.encoding, cols=c.d1), ln2, encrypted=True)
+        X = _layer(model, l, X, _Prefill, caches, ctx, chans, threads)
 
     # last-position logits via the decode-side kernel
     ch = chans["common"]
-    last = np.array([reconstruct(he_to_shares(part, ctx, ch, length=m))[m - 1] for part in X_enc.parts])
+    last = np.array([reconstruct(he_to_shares(part, ctx, ch, length=m))[m - 1] for part in X.parts])
     x_last = shares_to_he(share_vector(last, ch), ctx, ch)
-    logits_ct = cpvm_inner_diagonal(x_last, model.diag("unembed", model.weights["unembed"], ctx), ctx)
-    logits = fp_truncate(to_signed(ctx.decrypt(logits_ct), p)[: c.vocab], fp.f)
-
-    return GenerationState(position=m, caches=caches, next_logits=logits)
+    return GenerationState(position=m, caches=caches, next_logits=_logits(model, x_last, ctx))
 
 
 def decode_step(model: Model, state: GenerationState, ctx: Context, chans=None, threads: int = 1):
     """Select the next token greedily, then run one single-token pass:
-    CPVM projections, refresh check, cache append, heterogeneous attention."""
+    CPVM projections, refresh check, cache append, heterogeneous attention.
+    Without chans, fresh channels are seeded from the context."""
     c = model.config
     p = ctx.params.plain_modulus
-    fp = model.fixed_point(ctx)
     if chans is None:
-        chans = _channels(0, c.layers, c.heads, p)
+        chans = _channels(ctx.spawn_seed(), c.layers, c.heads, p)
     token = int(np.argmax(state.next_logits))
     pos = state.position
     if pos >= c.max_seq:
@@ -516,59 +567,14 @@ def decode_step(model: Model, state: GenerationState, ctx: Context, chans=None, 
         for l in range(c.layers)
     ]
 
-    x = ctx.encrypt(ctx.plain_from_dense(np.mod(_embed(model, token, pos), p)))
+    X = encode(np.mod(_embed(model, token, pos), p)[None, :], EncodingKind.INNER, ctx)
     for l in range(c.layers):
-        def head_task(h, l=l, x=x):
-            hctx = ctx.fork()
-
-            def run():
-                ch = chans[(l, h)]
-                def proj(name):
-                    raw = cpvm_inner_diagonal(
-                        x, model.diag(f"{l}.{name}.{h}", model.head_slice(l, name, h), hctx), hctx
-                    )
-                    return shares_to_he(truncate(he_to_shares(raw, hctx, ch, length=c.d2), fp, ch), hctx, ch)
-                qh, kh, vh = proj("wq"), proj("wk"), proj("wv")
-                cache = append_token(caches[l][h], kh, vh, hctx)
-                oh = attention_step(qh, cache, fp, hctx, ch)
-                return hctx, oh, cache
-            return run
-
-        results = _run_heads([head_task(h) for h in range(c.heads)], threads)
-        o_cat = None
-        for h, (hctx, oh, cache) in enumerate(results):
-            ctx.join(hctx)
-            caches[l][h] = cache
-            placed = ctx.rotate(oh, -(h * c.d2)) if h else oh
-            o_cat = placed if o_cat is None else ctx.add(o_cat, placed)
-
-        ch = chans["common"]
-        attn = cpvm_inner_diagonal(o_cat, model.diag(f"{l}.wo", model.layer(l, "wo"), ctx), ctx)
-        attn = shares_to_he(truncate(he_to_shares(attn, ctx, ch, length=c.d1), fp, ch), ctx, ch)
-        g1, b1 = model.layer(l, "ln1_g"), model.layer(l, "ln1_b")
-        x = _vector_roundtrip(
-            ctx.add(x, attn), c.d1, ctx, ch, lambda v: fp_layernorm(v, g1, b1, fp)
-        )
-        h1 = cpvm_inner_diagonal(x, model.diag(f"{l}.w1", model.layer(l, "w1"), ctx), ctx)
-        h1 = ctx.add_plain(h1, ctx.plain_from_dense(np.mod(model.layer(l, "b1") << fp.f, p)))
-        h1 = _vector_roundtrip(
-            h1, c.ffn_dim, ctx, ch, lambda v: fp_gelu(fp_truncate(v, fp.f), fp)
-        )
-        h2 = cpvm_inner_diagonal(h1, model.diag(f"{l}.w2", model.layer(l, "w2"), ctx), ctx)
-        h2 = ctx.add_plain(h2, ctx.plain_from_dense(np.mod(model.layer(l, "b2") << fp.f, p)))
-        h2 = _vector_roundtrip(h2, c.d1, ctx, ch, lambda v: fp_truncate(v, fp.f))
-        g2, b2 = model.layer(l, "ln2_g"), model.layer(l, "ln2_b")
-        x = _vector_roundtrip(
-            ctx.add(x, h2), c.d1, ctx, ch, lambda v: fp_layernorm(v, g2, b2, fp)
-        )
-
-    logits_ct = cpvm_inner_diagonal(x, model.diag("unembed", model.weights["unembed"], ctx), ctx)
-    logits = fp_truncate(to_signed(ctx.decrypt(logits_ct), p)[: c.vocab], fp.f)
+        X = _layer(model, l, X, _Decode, caches, ctx, chans, threads)
 
     new_state = GenerationState(
         position=pos + 1,
         caches=caches,
-        next_logits=logits,
+        next_logits=_logits(model, X.parts[0], ctx),
         tokens=state.tokens + [token],
     )
     return token, new_state
@@ -579,12 +585,15 @@ def generate(model: Model, prompt: list, k: int, ctx: Context, seed: int = 0, th
     c = model.config
     if len(prompt) + k > c.max_seq:
         raise ParameterError("prompt + generation exceeds max_seq")
-    chans = _channels(seed, c.layers, c.heads, ctx.params.plain_modulus)
+    chans = _channels(np.random.SeedSequence([0x707, seed]), c.layers, c.heads, ctx.params.plain_modulus)
 
+    # MPC bytes are charged to the op counter as each phase ends, so every
+    # counter delta carries its phase's bytes and repeated runs add up
     before = ctx.counter.snapshot()
     state = prefill(model, prompt, ctx, chans, threads)
-    prefill_counters = ctx.counter.delta(before)
     prefill_bytes = _total_mpc_bytes(chans)
+    ctx.counter.mpc_bytes += prefill_bytes
+    prefill_counters = ctx.counter.delta(before)
 
     def total_refreshes(st):
         return sum(
@@ -601,20 +610,21 @@ def generate(model: Model, prompt: list, k: int, ctx: Context, seed: int = 0, th
         refreshes_before = total_refreshes(state)
         token, state = decode_step(model, state, ctx, chans, threads)
         tokens.append(token)
+        step_bytes = _total_mpc_bytes(chans) - bytes_before
+        ctx.counter.mpc_bytes += step_bytes
         stats = cache_stats(state.caches[0][0])
         steps.append(
             {
                 "step": len(tokens),
                 "token": token,
                 "counters": ctx.counter.delta(before),
-                "mpc_bytes": _total_mpc_bytes(chans) - bytes_before,
+                "mpc_bytes": step_bytes,
                 "refresh_events": total_refreshes(state) - refreshes_before,
                 "cache_auto_cts": stats["auto_ct_count"],
                 "cache_cts": stats["ct_count"],
             }
         )
 
-    ctx.counter.mpc_bytes = _total_mpc_bytes(chans)
     report = {
         "config": c.as_dict(),
         "prompt_len": len(prompt),
@@ -634,7 +644,7 @@ def bolt_reference_generate(model: Model, prompt: list, k: int, ctx: Context, se
     """Stateless baseline: reprocess the full prefix with the prefill
     kernels at every step (no KV reuse).  Same tokens, quadratic cost."""
     c = model.config
-    chans = _channels(seed, c.layers, c.heads, ctx.params.plain_modulus)
+    chans = _channels(np.random.SeedSequence([0x707, seed]), c.layers, c.heads, ctx.params.plain_modulus)
     tokens = []
     steps = []
     seq = list(prompt)

@@ -16,6 +16,7 @@ from cryptogen.model import (
     save_model,
     toy_config,
 )
+from cryptogen.nonlinear import MpcChannel
 
 P64 = default_plain_modulus(64, 26)
 
@@ -114,6 +115,44 @@ def test_threaded_execution_identical(toy):
     assert rep_serial["totals"] == rep_par["totals"]
     for a, b in zip(rep_serial["steps"], rep_par["steps"]):
         assert a["counters"] == b["counters"]
+
+
+def test_generate_mpc_bytes_add_up_across_runs(toy):
+    """MPC bytes accumulate in the op counter like every other tally, and
+    each counter delta carries its own phase's bytes."""
+    ctx = _ctx()
+    _, first = generate(toy, [1, 2, 3], 3, ctx)
+    _, second = generate(toy, [1, 2, 3], 3, ctx)
+    for rep in (first, second):
+        assert rep["prefill"]["counters"]["mpc_bytes"] == rep["prefill"]["mpc_bytes"] > 0
+        for s in rep["steps"]:
+            assert s["counters"]["mpc_bytes"] == s["mpc_bytes"] > 0
+    run_bytes = first["prefill"]["mpc_bytes"] + sum(s["mpc_bytes"] for s in first["steps"])
+    assert first["totals"]["mpc_bytes"] == run_bytes
+    assert second["totals"]["rotate"] == 2 * first["totals"]["rotate"]
+    assert second["totals"]["mpc_bytes"] == 2 * run_bytes
+
+
+def test_default_channels_never_reuse_masks(toy, monkeypatch):
+    """Without explicit channels, consecutive calls draw fresh share masks."""
+    masks = []
+    sample = MpcChannel.sample_mask
+
+    def spy(self, length):
+        out = sample(self, length)
+        masks.append(out.tobytes())
+        return out
+
+    monkeypatch.setattr(MpcChannel, "sample_mask", spy)
+    ctx = _ctx()
+    state = prefill(toy, [1, 2, 3], ctx)
+    per_step = []
+    for _ in range(2):
+        masks.clear()
+        _, state = decode_step(toy, state, ctx)
+        per_step.append(list(masks))
+    assert len(per_step[0]) == len(per_step[1]) > 0
+    assert not set(per_step[0]) & set(per_step[1])
 
 
 def test_bolt_reference_same_tokens_more_work(toy):
