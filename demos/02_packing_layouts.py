@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""The four packing layouts, side by side.
+"""The three packing layouts of encrypted matrices, side by side.
 
 outer            one column per ciphertext  (batch-parallel prefilling)
 inner            one row per ciphertext     (token-at-a-time decoding)
-diagonal         row-first wrapped diagonals (plaintext weights)
 inner_compacted  rows packed B = n/d per ciphertext (the generated cache)
+
+Plaintext weights have no layout of their own: the linear kernels take them
+as dense matrices (see 03_linear_kernels.py).
 
 Also shows the bit-exact matrix file format used for weights and cache
 snapshots.
@@ -23,18 +25,11 @@ A = np.array([[1, 2], [3, 4], [5, 6]])
 print("matrix:\n", A)
 
 for kind in EncodingKind:
-    P = encode(A, kind, ctx, encrypted=False)
+    P = encode(A, kind, ctx)
     print(f"\n{kind.value}: {len(P.parts)} ciphertext(s)")
     for i, part in enumerate(P.parts):
-        print(f"  part {i}: {part.tolist()}")
+        print(f"  part {i}: {ctx.decrypt(part).tolist()}")
     assert (decode(P, ctx) == A).all()
-
-# diagonal k holds A[i, (i+k) mod d] for every row i: the layout that lets a
-# vector-matrix product run as rotate / multiply / accumulate
-P = encode(A, EncodingKind.DIAGONAL, ctx, encrypted=False)
-for k in range(2):
-    want = [A[i, (i + k) % 2] for i in range(3)]
-    assert P.parts[k][:3].tolist() == want
 
 # compacted rows: ceil(r/B) ciphertexts hold r rows
 B = 8 // 2

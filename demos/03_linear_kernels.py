@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """CT x PT linear layers and why their costs differ by phase.
 
-The prefill kernel (CPMM) multiplies a batch of outer-packed activation
-columns by diagonal plaintext weights; it internally stacks columns so its
-plaintext-mult count follows m*d1*d2/n.  The decode kernel (CPVM) projects
+Both kernels take the plaintext weights as a dense matrix and build the
+plaintext vectors their own algorithm multiplies by.  The prefill kernel
+(CPMM) multiplies a batch of outer-packed activation columns by the
+weights; it internally stacks columns so its plaintext-mult count follows
+m*d1*d2/n.  The decode kernel (CPVM) projects
 one inner-packed token with a per-call cost that is independent of how long
 the prompt was.  Both reduce with the rotate-and-accumulate folding sum.
 """
@@ -30,9 +32,8 @@ print(f"fold_sum(8): slot0 = {ctx.decrypt(folded)[0]} with "
 X = rng.integers(0, p, (8, 16))
 W = rng.integers(0, p, (16, 4))
 Xp = encode(X, EncodingKind.OUTER, ctx)
-Wd = encode(W, EncodingKind.DIAGONAL, ctx, encrypted=False)
 start = ctx.counter.snapshot()
-Y = cpmm_outer_diagonal(Xp, Wd, ctx)
+Y = cpmm_outer_diagonal(Xp, W, ctx)
 d = ctx.counter.delta(start)
 assert (decode(Y, ctx) == (X @ W) % p).all()
 print(f"CPMM 8x16 @ 16x4 (n=64): mult_plain={d['mult_plain']} rotate={d['rotate']}")
@@ -41,14 +42,14 @@ print(f"CPMM 8x16 @ 16x4 (n=64): mult_plain={d['mult_plain']} rotate={d['rotate'
 for m in (4, 8, 16):
     Xp = encode(rng.integers(0, p, (m, 16)), EncodingKind.OUTER, ctx)
     start = ctx.counter.snapshot()
-    cpmm_outer_diagonal(Xp, Wd, ctx)
+    cpmm_outer_diagonal(Xp, W, ctx)
     print(f"  m={m:2d}: mult_plain={ctx.counter.delta(start)['mult_plain']}")
 
 # CPVM: one token, prompt-independent cost
 x = rng.integers(0, p, 16)
 xc = pack_token_inner(x, ctx)
 start = ctx.counter.snapshot()
-y = cpvm_inner_diagonal(xc, Wd, ctx)
+y = cpvm_inner_diagonal(xc, W, ctx)
 d = ctx.counter.delta(start)
 assert (ctx.decrypt(y)[:4] == (x @ W) % p).all()
 print(f"CPVM 16 -> 4: mult_plain={d['mult_plain']} rotate={d['rotate']} "

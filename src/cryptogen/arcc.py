@@ -103,8 +103,6 @@ def arcc_inner_inner(
     """
     n = ctx.params.n_slots
     kind = basis.encoding.kind
-    if not basis.encrypted:
-        raise ParameterError("inner-inner basis must be encrypted")
     if kind is not EncodingKind.OUTER:
         raise ParameterError(f"inner-inner does not accept a {kind} basis")
     if not basis.parts:
@@ -126,8 +124,6 @@ def arcc_inner_outer(
     log2(d) fold.
     """
     kind = rows.encoding.kind
-    if not rows.encrypted:
-        raise ParameterError("inner-outer rows must be encrypted")
     if kind is not EncodingKind.INNER_COMPACTED:
         raise ParameterError(f"inner-outer does not accept a {kind} row set")
     if rows.encoding.rows == 0:
@@ -205,8 +201,8 @@ def prefill_attention(
     dot-product reductions.  Output is outer-packed at scale f.
     """
     for name, P in (("Q", Q), ("K", K), ("V", V)):
-        if P.encoding.kind is not EncodingKind.OUTER or not P.encrypted:
-            raise ParameterError(f"{name} must be an encrypted outer packing")
+        if P.encoding.kind is not EncodingKind.OUTER:
+            raise ParameterError(f"{name} must be an outer packing")
     if not (Q.encoding == K.encoding == V.encoding):
         raise ParameterError("Q, K, V disagree on dimensions")
     m, d2 = Q.encoding.rows, Q.encoding.cols
@@ -252,8 +248,7 @@ def prefill_attention(
         sp = truncate(he_to_shares(acc, ctx, mpc, length=m), fp, mpc)
         out_parts.append(shares_to_he(sp, ctx, mpc))
 
-    enc = Q.encoding
-    return PackedMatrix(enc, out_parts, encrypted=True, slot_period=None)
+    return PackedMatrix(Q.encoding, out_parts)
 
 
 def attention_step(

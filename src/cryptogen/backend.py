@@ -258,10 +258,6 @@ class Context:
     # helpers
     # ------------------------------------------------------------------
 
-    def plain_vector(self, values) -> PlainVector:
-        """Validate and reduce a plaintext operand to Z_p^n."""
-        return _as_slots(values, self.params)
-
     def plain_from_dense(self, values) -> PlainVector:
         """Zero-pad a short vector into the first slots."""
         arr = np.asarray(values, dtype=np.int64)

@@ -93,12 +93,11 @@ def run_verification(model, params: BackendParams, seed: int, threads: int = 1) 
         d2 = int(rng.integers(1, 9))
         X = rng.integers(0, p, (m, d1))
         W = rng.integers(0, p, (d1, d2))
-        Wp = encode(W, EncodingKind.DIAGONAL, ctx, encrypted=False)
-        Y = cpmm_outer_diagonal(encode(X, EncodingKind.OUTER, ctx), Wp, ctx)
+        Y = cpmm_outer_diagonal(encode(X, EncodingKind.OUTER, ctx), W, ctx)
         ok &= bool((decode(Y, ctx) == (X @ W) % p).all())
         x = rng.integers(0, p, d1)
         xe = ctx.encrypt(ctx.plain_from_dense(x))
-        y = ctx.decrypt(cpvm_inner_diagonal(xe, Wp, ctx))[:d2]
+        y = ctx.decrypt(cpvm_inner_diagonal(xe, W, ctx))[:d2]
         ok &= bool((y == (x @ W) % p).all())
     check("kernel_oracle_equivalence", ok)
 
@@ -250,9 +249,9 @@ def cmd_costs(args) -> int:
             raise ParameterError("--dims expects m,d1,d2,n,k")
         for key, raw in zip(("m", "d1", "d2", "n", "k"), parts):
             dims[key] = int(raw)
-    rows1 = table1_rows(**dims, packing_density=args.density)
+    rows1 = table1_rows(**dims)
     rows2 = table2_rows()
-    flagged = reported_only(**dims, packing_density=args.density)
+    flagged = reported_only(**dims)
 
     outdir = Path(args.out or "costs_out")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -301,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     cst = sub.add_parser("costs", help="reproduce the complexity tables")
     cst.add_argument("--dims", help="m,d1,d2,n,k (default: reference dims)")
-    cst.add_argument("--density", type=float, default=1.0, help="prefill packing density knob")
     cst.add_argument("--out", help="output directory (default: costs_out)")
     cst.set_defaults(fn=cmd_costs)
     return ap

@@ -77,37 +77,37 @@ class CostTriple:
 # prefill formulas per method: (mult, rot, ct) as functions of the dims
 _PREFILL_FORMULAS = {
     "Gazelle": (
-        lambda m, d1, d2, n, dens: m * d1,
-        lambda m, d1, d2, n, dens: m * d1,
-        lambda m, d1, d2, n, dens: m * d1 // d2,
+        lambda m, d1, d2, n: m * d1,
+        lambda m, d1, d2, n: m * d1,
+        lambda m, d1, d2, n: m * d1 // d2,
     ),
     "IRON": (
-        lambda m, d1, d2, n, dens: m * d1 * d2 // n,
-        lambda m, d1, d2, n, dens: 0,
-        lambda m, d1, d2, n, dens: round(math.sqrt(m * d1 * d2 / n)),
+        lambda m, d1, d2, n: m * d1 * d2 // n,
+        lambda m, d1, d2, n: 0,
+        lambda m, d1, d2, n: round(math.sqrt(m * d1 * d2 / n)),
     ),
     "BOLT": (
-        lambda m, d1, d2, n, dens: m * d1 * d2 // n,
-        lambda m, d1, d2, n, dens: round(math.sqrt(m * m * d1 * d1 * d2 / (n * n))),
-        lambda m, d1, d2, n, dens: -(-(m * (d1 + d2)) // n),
+        lambda m, d1, d2, n: m * d1 * d2 // n,
+        lambda m, d1, d2, n: round(math.sqrt(m * m * d1 * d1 * d2 / (n * n))),
+        lambda m, d1, d2, n: -(-(m * (d1 + d2)) // n),
     ),
     "THOR": (
-        lambda m, d1, d2, n, dens: m * d1 * d2 // n,
-        lambda m, d1, d2, n, dens: d2 + m * d1 // n,
-        lambda m, d1, d2, n, dens: -(-(m * d1) // n),
+        lambda m, d1, d2, n: m * d1 * d2 // n,
+        lambda m, d1, d2, n: d2 + m * d1 // n,
+        lambda m, d1, d2, n: -(-(m * d1) // n),
     ),
     "CryptoGen": (
-        lambda m, d1, d2, n, dens: m * d1 * d2 // n,
-        lambda m, d1, d2, n, dens: round(math.sqrt(m * m * d1 * d1 * d2 / (n * n))),
-        lambda m, d1, d2, n, dens: -(-(m * d1) // int(n * dens)),
+        lambda m, d1, d2, n: m * d1 * d2 // n,
+        lambda m, d1, d2, n: round(math.sqrt(m * m * d1 * d1 * d2 / (n * n))),
+        lambda m, d1, d2, n: -(-(m * d1) // n),
     ),
 }
 
 # CryptoGen generates per token instead of re-running the prefill pass
 _CRYPTOGEN_GEN = (
-    lambda m, d1, d2, n, k, dens: (d1 * d2 // n) * k,
-    lambda m, d1, d2, n, k, dens: math.ceil(math.log2(d1)) * k,
-    lambda m, d1, d2, n, k, dens: -(-d1 // n) * k,
+    lambda m, d1, d2, n, k: (d1 * d2 // n) * k,
+    lambda m, d1, d2, n, k: math.ceil(math.log2(d1)) * k,
+    lambda m, d1, d2, n, k: -(-d1 // n) * k,
 )
 
 # published constants at REFERENCE_DIMS: {method: {stage: (mult, rot, ct)}}
@@ -132,14 +132,8 @@ def predict_costs(
     d2: int = 64,
     n: int = 8192,
     k: int = 5,
-    packing_density: float = 1.0,
 ) -> CostTriple:
-    """Evaluate one method/stage row of the CT x PT complexity table.
-
-    ``packing_density`` scales the effective slot utilisation of the
-    CryptoGen prefill ciphertext count (a knob for exploring how many
-    tokens share one ciphertext block).
-    """
+    """Evaluate one method/stage row of the CT x PT complexity table."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if stage not in STAGES:
@@ -148,9 +142,9 @@ def predict_costs(
         raise ValueError("dimensions must be positive and k >= 0")
 
     at_ref = _is_reference(m, d1, d2, n, k)
-    pre = [f(m, d1, d2, n, packing_density) for f in _PREFILL_FORMULAS[method]]
+    pre = [f(m, d1, d2, n) for f in _PREFILL_FORMULAS[method]]
     if method == "CryptoGen":
-        gen = [f(m, d1, d2, n, k, packing_density) for f in _CRYPTOGEN_GEN]
+        gen = [f(m, d1, d2, n, k) for f in _CRYPTOGEN_GEN]
     else:
         gen = [v * k for v in pre]
 

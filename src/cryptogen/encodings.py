@@ -1,11 +1,13 @@
 """Matrix/vector packing into SIMD slot vectors.
 
-Four layouts:
+Three layouts of encrypted matrices:
 
   outer           one matrix column per ciphertext, values in slots 0..m-1
   inner           one matrix row per ciphertext, values in slots 0..d-1
-  diagonal        row-first wrapped diagonals: part k holds A[i, (i+k) mod d]
   inner_compacted rows packed B = ceil(n/d) per ciphertext in d-wide blocks
+
+Plaintext weights are not packed here: the linear kernels take them as
+dense matrices and build the plaintext vectors their algorithms need.
 
 Unused slots are zero.  Kernels may additionally produce ciphertexts whose
 padding carries cyclic copies of the payload (tracked via
@@ -51,7 +53,6 @@ def next_pow2(x: int) -> int:
 class EncodingKind(Enum):
     OUTER = "outer"
     INNER = "inner"
-    DIAGONAL = "diagonal"
     INNER_COMPACTED = "inner_compacted"
 
 
@@ -71,16 +72,14 @@ class Encoding:
 
 @dataclass
 class PackedMatrix:
-    """A matrix realized as an ordered list of slot vectors.
+    """An encrypted matrix realized as an ordered list of ciphertexts.
 
-    ``parts`` holds SlotCiphertexts when ``encrypted`` else plain numpy
-    vectors.  ``slot_period`` records cyclic-copy padding produced by
-    kernels (None means canonical zero padding).
+    ``slot_period`` records cyclic-copy padding produced by kernels (None
+    means canonical zero padding).
     """
 
     encoding: Encoding
     parts: list
-    encrypted: bool
     slot_period: int | None = None
 
     @property
@@ -103,12 +102,8 @@ def block_capacity(n_slots: int, d: int) -> int:
     return -(-n_slots // d)
 
 
-def _emit(ctx: Context, vec: np.ndarray, encrypted: bool):
-    return ctx.encrypt(vec) if encrypted else ctx.plain_vector(vec)
-
-
-def encode(A, kind: EncodingKind, ctx: Context, encrypted: bool = True) -> PackedMatrix:
-    """Pack a matrix over Z_p into slot vectors under the given layout."""
+def encode(A, kind: EncodingKind, ctx: Context) -> PackedMatrix:
+    """Pack a matrix over Z_p into encrypted slot vectors under the given layout."""
     A = np.mod(np.asarray(A, dtype=np.int64), ctx.params.plain_modulus)
     if A.ndim != 2:
         raise ParameterError(f"expected a matrix, got shape {A.shape}")
@@ -121,7 +116,7 @@ def encode(A, kind: EncodingKind, ctx: Context, encrypted: bool = True) -> Packe
         for j in range(d):
             vec = np.zeros(n, dtype=np.int64)
             vec[:m] = A[:, j]
-            parts.append(_emit(ctx, vec, encrypted))
+            parts.append(ctx.encrypt(vec))
         enc = Encoding(EncodingKind.OUTER, m, d)
     elif kind is EncodingKind.INNER:
         if d > n:
@@ -129,32 +124,19 @@ def encode(A, kind: EncodingKind, ctx: Context, encrypted: bool = True) -> Packe
         for i in range(m):
             vec = np.zeros(n, dtype=np.int64)
             vec[:d] = A[i]
-            parts.append(_emit(ctx, vec, encrypted))
+            parts.append(ctx.encrypt(vec))
         enc = Encoding(EncodingKind.INNER, m, d)
-    elif kind is EncodingKind.DIAGONAL:
-        if d > n:
-            raise ParameterError(f"diagonal packing needs cols {d} <= n_slots {n}")
-        rows = np.arange(m)
-        for k in range(d):
-            vec = np.zeros(n, dtype=np.int64)
-            vec[:m] = A[rows, (rows + k) % d]
-            parts.append(_emit(ctx, vec, encrypted))
-        enc = Encoding(EncodingKind.DIAGONAL, m, d)
     elif kind is EncodingKind.INNER_COMPACTED:
         B = block_capacity(n, d)
         for q in range(-(-m // B) if m else 0):
             vec = np.zeros(n, dtype=np.int64)
             for b in range(min(B, m - q * B)):
                 vec[b * d : b * d + d] = A[q * B + b]
-            parts.append(_emit(ctx, vec, encrypted))
+            parts.append(ctx.encrypt(vec))
         enc = Encoding(EncodingKind.INNER_COMPACTED, m, d, block=B)
     else:
         raise ParameterError(f"unknown encoding kind {kind}")
-    return PackedMatrix(enc, parts, encrypted)
-
-
-def _part_values(P: PackedMatrix, ctx: Context, i: int) -> np.ndarray:
-    return ctx.decrypt(P.parts[i]) if P.encrypted else P.parts[i]
+    return PackedMatrix(enc, parts)
 
 
 def decode(P: PackedMatrix, ctx: Context) -> np.ndarray:
@@ -164,18 +146,14 @@ def decode(P: PackedMatrix, ctx: Context) -> np.ndarray:
     kind = P.encoding.kind
     if kind is EncodingKind.OUTER:
         for j in range(d):
-            A[:, j] = _part_values(P, ctx, j)[:m]
+            A[:, j] = ctx.decrypt(P.parts[j])[:m]
     elif kind is EncodingKind.INNER:
         for i in range(m):
-            A[i] = _part_values(P, ctx, i)[:d]
-    elif kind is EncodingKind.DIAGONAL:
-        rows = np.arange(m)
-        for k in range(d):
-            A[rows, (rows + k) % d] = _part_values(P, ctx, k)[:m]
+            A[i] = ctx.decrypt(P.parts[i])[:d]
     elif kind is EncodingKind.INNER_COMPACTED:
         B = P.encoding.block
         for q in range(len(P.parts)):
-            vals = _part_values(P, ctx, q)
+            vals = ctx.decrypt(P.parts[q])
             for b in range(min(B, m - q * B)):
                 A[q * B + b] = vals[b * d : b * d + d]
     else:

@@ -80,7 +80,7 @@ class KVCache:
 
 def _empty_auto(d2: int, B: int) -> PackedMatrix:
     enc = Encoding(EncodingKind.INNER_COMPACTED, 0, d2, block=B)
-    return PackedMatrix(enc, [], encrypted=True)
+    return PackedMatrix(enc, [])
 
 
 def init_cache(
@@ -93,8 +93,8 @@ def init_cache(
     if (K_pref is None) != (V_pref is None):
         raise ParameterError("prefill K and V must both be present or both absent")
     if K_pref is not None:
-        if K_pref.encoding.kind is not EncodingKind.OUTER or not K_pref.encrypted:
-            raise ParameterError("prefill segments must be encrypted outer packings")
+        if K_pref.encoding.kind is not EncodingKind.OUTER:
+            raise ParameterError("prefill segments must be outer packings")
         if K_pref.encoding != V_pref.encoding:
             raise ParameterError(
                 f"prefill K {K_pref.encoding} and V {V_pref.encoding} disagree"
@@ -122,7 +122,7 @@ def _append_one(
     else:
         parts[-1] = ctx.add(parts[-1], ct_new)
     enc = replace(seg.encoding, rows=seg.encoding.rows + 1)
-    return PackedMatrix(enc, parts, encrypted=True)
+    return PackedMatrix(enc, parts)
 
 
 def append_token(
@@ -181,9 +181,7 @@ def maybe_refresh(
                 ctx.counter.refresh_events += 1
                 changed = True
         if changed:
-            new_segments[name] = PackedMatrix(
-                seg.encoding, parts, encrypted=True, slot_period=seg.slot_period
-            )
+            new_segments[name] = PackedMatrix(seg.encoding, parts, slot_period=seg.slot_period)
     if not new_segments:
         return cache
     return replace(
@@ -248,11 +246,47 @@ def save_cache(cache: KVCache, path, ctx: Context) -> None:
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
-def load_cache(path, ctx: Context) -> KVCache:
-    path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
+def _check_manifest(manifest: dict, ctx: Context) -> None:
+    """Reject a snapshot whose bookkeeping disagrees with the layout that
+    ``append_token`` and the attention kernels assume."""
+
+    def need(d: dict, keys, where: str) -> None:
+        missing = [k for k in keys if k not in d]
+        if missing:
+            raise ParameterError(f"cache snapshot {where} lacks {missing}")
+
+    need(manifest, ("d2", "B", "m", "t_auto", "n_slots", "p", "segments", "refresh_log"), "manifest")
     if manifest["n_slots"] != ctx.params.n_slots or manifest["p"] != ctx.params.plain_modulus:
         raise ParameterError("cache snapshot was taken under different parameters")
+    d2, B, m, t_auto = (manifest[k] for k in ("d2", "B", "m", "t_auto"))
+    if B != block_capacity(ctx.params.n_slots, d2):
+        raise ParameterError(
+            f"cache snapshot block capacity {B} is not ceil({ctx.params.n_slots}/{d2})"
+        )
+    segments = manifest["segments"]
+    need(segments, ("auto_K", "auto_V"), "segments")
+    prefill = [name for name in ("prefill_K", "prefill_V") if name in segments]
+    if len(prefill) == 1 or (not prefill and m != 0):
+        raise ParameterError(f"cache snapshot has prefill segments {prefill} but m={m}")
+    for name in prefill + ["auto_K", "auto_V"]:
+        meta = segments[name]
+        need(meta, ("rows", "parts", "budgets"), name)
+        # prefill: one outer-packed column per part; auto: B rows per part
+        rows, parts = (m, d2) if name in prefill else (t_auto, -(-t_auto // B))
+        got = (meta["rows"], meta["parts"], len(meta["budgets"]))
+        if got != (rows, parts, parts):
+            raise ParameterError(
+                f"cache snapshot {name} has (rows, parts, budgets) {got}, "
+                f"expected {(rows, parts, parts)}"
+            )
+
+
+def load_cache(path, ctx: Context) -> KVCache:
+    """Restore a snapshot written by ``save_cache``; a manifest that does
+    not match its own layout raises ParameterError."""
+    path = Path(path)
+    manifest = json.loads((path / "manifest.json").read_text())
+    _check_manifest(manifest, ctx)
     d2, B = manifest["d2"], manifest["B"]
 
     def load_segment(name: str, kind: EncodingKind, block: int | None) -> PackedMatrix | None:
@@ -264,18 +298,16 @@ def load_cache(path, ctx: Context) -> KVCache:
             vals, _ = load_matrix(path / f"{name}_{i}.bin")
             parts.append(ctx.load_ciphertext(vals[0], budget))
         enc = Encoding(kind, meta["rows"], d2, block=block)
-        return PackedMatrix(enc, parts, encrypted=True, slot_period=meta.get("slot_period"))
+        return PackedMatrix(enc, parts, slot_period=meta.get("slot_period"))
 
-    has_prefill = "prefill_K" in manifest["segments"]
-    cache = KVCache(
+    return KVCache(
         d2=d2,
         B=B,
         m=manifest["m"],
         t_auto=manifest["t_auto"],
-        prefill_K=load_segment("prefill_K", EncodingKind.OUTER, None) if has_prefill else None,
-        prefill_V=load_segment("prefill_V", EncodingKind.OUTER, None) if has_prefill else None,
+        prefill_K=load_segment("prefill_K", EncodingKind.OUTER, None),
+        prefill_V=load_segment("prefill_V", EncodingKind.OUTER, None),
         auto_K=load_segment("auto_K", EncodingKind.INNER_COMPACTED, B),
         auto_V=load_segment("auto_V", EncodingKind.INNER_COMPACTED, B),
         refresh_log=tuple(RefreshEvent(**e) for e in manifest["refresh_log"]),
     )
-    return cache

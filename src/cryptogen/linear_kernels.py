@@ -1,8 +1,11 @@
 """CT x PT linear layers: batch CPMM for prefilling, per-token CPVM for
 decoding, and ``fold_sum``, the block sum the attention kernels use.
 
-Both kernels consume plaintext weights in the row-first diagonal layout and
-an encrypted activation operand.  The CPMM internally stacks
+Both kernels take the plaintext weights as a dense d1 x d2 integer matrix
+(signed or residues; reduced mod p here) and an encrypted activation
+operand, and each builds the plaintext vectors its own algorithm
+multiplies by: per-(group, column) vectors for the CPMM, generalized
+diagonals for the CPVM.  The CPMM internally stacks
 floor(n / next_pow2(m)) activation columns into each working ciphertext so
 its plaintext-multiplication count follows m*d1*d2/n; its outputs carry
 cyclic-copy padding with period next_pow2(m) (see ``PackedMatrix.slot_period``).
@@ -13,13 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .backend import Context, ParameterError, SlotCiphertext
-from .encodings import (
-    Encoding,
-    EncodingKind,
-    PackedMatrix,
-    decode,
-    next_pow2,
-)
+from .encodings import Encoding, EncodingKind, PackedMatrix, next_pow2
 
 __all__ = ["cpmm_outer_diagonal", "cpvm_inner_diagonal", "fold_sum"]
 
@@ -37,35 +34,34 @@ def fold_sum(a: SlotCiphertext, block: int, ctx: Context) -> SlotCiphertext:
     return ctx.fold(a, 1, block)
 
 
-def _diagonal_weights(W: PackedMatrix, ctx: Context) -> np.ndarray:
-    if W.encrypted or W.encoding.kind is not EncodingKind.DIAGONAL:
-        raise ParameterError("weights must be a plaintext diagonal PackedMatrix")
-    return decode(W, ctx)
+def _weights(W, ctx: Context) -> np.ndarray:
+    """Plaintext weights as a non-empty d1 x d2 matrix over Z_p."""
+    W = np.asarray(W)
+    if W.ndim != 2 or W.size == 0 or not np.issubdtype(W.dtype, np.integer):
+        raise ParameterError(
+            f"weights must be a non-empty integer matrix, got {W.dtype} of shape {W.shape}"
+        )
+    return np.mod(W.astype(np.int64, copy=False), ctx.params.plain_modulus)
 
 
-def cpmm_outer_diagonal(
-    X: PackedMatrix, W: PackedMatrix, ctx: Context
-) -> PackedMatrix:
-    """Prefill matrix product: outer-packed X (m x d1) times diagonal
-    plaintext W (d1 x d2), returning outer-packed X.W (m x d2).
+def cpmm_outer_diagonal(X: PackedMatrix, W, ctx: Context) -> PackedMatrix:
+    """Prefill matrix product: outer-packed X (m x d1) times plaintext
+    W (d1 x d2), returning outer-packed X.W (m x d2).
 
     Column ciphertexts are stacked floor(n/next_pow2(m)) to a working
     ciphertext, each working ciphertext is multiplied by one per-output-
     column plaintext, and the stacked blocks are folded back onto block 0.
     Output columns are replicated with period next_pow2(m).
     """
-    if X.encoding.kind is not EncodingKind.OUTER or not X.encrypted:
-        raise ParameterError("cpmm expects an encrypted outer-packed activation")
+    if X.encoding.kind is not EncodingKind.OUTER:
+        raise ParameterError("cpmm expects an outer-packed activation")
     if X.slot_period is not None:
         raise ParameterError("cpmm expects zero-padded input columns")
-    Wv = _diagonal_weights(W, ctx)
+    Wv = _weights(W, ctx)
     m, d1 = X.encoding.rows, X.encoding.cols
-    if d1 != W.encoding.rows:
-        raise ParameterError(
-            f"dimension mismatch: X is {m}x{d1}, W is "
-            f"{W.encoding.rows}x{W.encoding.cols}"
-        )
-    d2 = W.encoding.cols
+    if d1 != Wv.shape[0]:
+        raise ParameterError(f"dimension mismatch: X is {m}x{d1}, W is {Wv.shape}")
+    d2 = Wv.shape[1]
     n = ctx.params.n_slots
     w = next_pow2(m)
     if w > n:
@@ -96,14 +92,12 @@ def cpmm_outer_diagonal(
     ]
 
     enc = Encoding(EncodingKind.OUTER, m, d2)
-    return PackedMatrix(enc, parts, encrypted=True, slot_period=w)
+    return PackedMatrix(enc, parts, slot_period=w)
 
 
-def cpvm_inner_diagonal(
-    x: SlotCiphertext, W: PackedMatrix, ctx: Context
-) -> SlotCiphertext:
+def cpvm_inner_diagonal(x: SlotCiphertext, W, ctx: Context) -> SlotCiphertext:
     """Decode-phase vector product: inner-packed x (length d1) times
-    diagonal plaintext W (d1 x d2), returning x.W in slots 0..d2-1.
+    plaintext W (d1 x d2), returning x.W in slots 0..d2-1.
 
     Halevi-Shoup style evaluation over generalized diagonals of period
     wp = max(next_pow2(d1), next_pow2(d2)) with a single cyclic extension
@@ -111,8 +105,8 @@ def cpvm_inner_diagonal(
     Cost is independent of any prefix length; slots beyond next_pow2(d2)
     may hold fold residue.
     """
-    Wv = _diagonal_weights(W, ctx)
-    d1, d2 = W.encoding.rows, W.encoding.cols
+    Wv = _weights(W, ctx)
+    d1, d2 = Wv.shape
     n = ctx.params.n_slots
     wd1, wd2 = next_pow2(d1), next_pow2(d2)
     wp = max(wd1, wd2)

@@ -2,7 +2,7 @@
 plaintext fixed-point oracle it is verified against.
 
 Weights are stored as signed scale-f integers, so a model is independent of
-the backend modulus; quantization happens once at generation time.  The
+the backend modulus; the linear kernels reduce them mod p.  The
 encrypted pipeline and the oracle share the arithmetic in ``fixedpoint``
 (one implementation of truncation, GELU, softmax, layernorm), which is what
 makes token-exact equivalence checkable.
@@ -103,7 +103,6 @@ _LAYER_VECS = ("b1", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b")
 class Model:
     config: ModelConfig
     weights: dict  # name -> signed int64 array at scale f
-    _diag_cache: dict = field(default_factory=dict, repr=False)
 
     def layer(self, l: int, name: str) -> np.ndarray:
         return self.weights[f"layer{l}.{name}"]
@@ -111,15 +110,6 @@ class Model:
     def head_slice(self, l: int, name: str, h: int) -> np.ndarray:
         d2 = self.config.d2
         return self.layer(l, name)[:, h * d2 : (h + 1) * d2]
-
-    def diag(self, key: str, matrix: np.ndarray, ctx: Context) -> PackedMatrix:
-        """Plaintext diagonal encoding of a weight matrix, memoized per modulus."""
-        tag = (key, ctx.params.n_slots, ctx.params.plain_modulus)
-        got = self._diag_cache.get(tag)
-        if got is None:
-            got = encode(matrix, EncodingKind.DIAGONAL, ctx, encrypted=False)
-            self._diag_cache[tag] = got
-        return got
 
     def fixed_point(self, ctx: Context) -> FixedPointParams:
         return FixedPointParams(self.config.f, ctx.params.plain_modulus)
@@ -368,11 +358,11 @@ def _payloads(P: PackedMatrix, M: np.ndarray) -> np.ndarray:
 
 
 def _with_parts(P: PackedMatrix, parts: list) -> PackedMatrix:
-    return PackedMatrix(P.encoding, parts, encrypted=True)
+    return PackedMatrix(P.encoding, parts)
 
 
 def _inner_row(ct, cols: int) -> PackedMatrix:
-    return PackedMatrix(Encoding(EncodingKind.INNER, 1, cols), [ct], encrypted=True)
+    return PackedMatrix(Encoding(EncodingKind.INNER, 1, cols), [ct])
 
 
 def _truncated(P: PackedMatrix, fp, ctx, mpc) -> PackedMatrix:
@@ -427,7 +417,7 @@ class _Prefill:
     @staticmethod
     def concat(heads, ctx):
         parts = [part for O in heads for part in O.parts]
-        return PackedMatrix(replace(heads[0].encoding, cols=len(parts)), parts, encrypted=True)
+        return PackedMatrix(replace(heads[0].encoding, cols=len(parts)), parts)
 
 
 class _Decode:
@@ -436,7 +426,7 @@ class _Decode:
 
     @staticmethod
     def linear(x, W, ctx):
-        return _inner_row(cpvm_inner_diagonal(x.parts[0], W, ctx), W.cols)
+        return _inner_row(cpvm_inner_diagonal(x.parts[0], W, ctx), W.shape[1])
 
     @staticmethod
     def attend(cache, q, k, v, fp, ctx, mpc):
@@ -485,10 +475,7 @@ def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, ctx, chans, thr
         def run():
             ch = chans[(l, h)]
             q, k, v = [
-                _truncated(
-                    stage.linear(X, model.diag(f"{l}.{name}.{h}", model.head_slice(l, name, h), hctx), hctx),
-                    fp, hctx, ch,
-                )
+                _truncated(stage.linear(X, model.head_slice(l, name, h), hctx), fp, hctx, ch)
                 for name in ("wq", "wk", "wv")
             ]
             out, cache = stage.attend(caches[l][h], q, k, v, fp, hctx, ch)
@@ -505,7 +492,7 @@ def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, ctx, chans, thr
     ch = chans["common"]
 
     def dense(X, name):
-        return stage.linear(X, model.diag(f"{l}.{name}", model.layer(l, name), ctx), ctx)
+        return stage.linear(X, model.layer(l, name), ctx)
 
     attn = _truncated(dense(O, "wo"), fp, ctx, ch)
     X = _roundtrip(_add(X, attn, ctx), _layernorm_rows(model, l, "ln1", fp), ctx, ch)
@@ -519,7 +506,7 @@ def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, ctx, chans, thr
 def _logits(model: Model, x_ct, ctx: Context) -> np.ndarray:
     """Client-side logits from an inner-packed final hidden state."""
     p = ctx.params.plain_modulus
-    logits_ct = cpvm_inner_diagonal(x_ct, model.diag("unembed", model.weights["unembed"], ctx), ctx)
+    logits_ct = cpvm_inner_diagonal(x_ct, model.weights["unembed"], ctx)
     return fp_truncate(to_signed(ctx.decrypt(logits_ct), p)[: model.config.vocab], model.config.f)
 
 
@@ -650,7 +637,9 @@ def bolt_reference_generate(model: Model, prompt: list, k: int, ctx: Context, se
     seq = list(prompt)
     for _ in range(k):
         before = ctx.counter.snapshot()
+        bytes_before = _total_mpc_bytes(chans)
         state = prefill(model, seq, ctx, chans)
+        ctx.counter.mpc_bytes += _total_mpc_bytes(chans) - bytes_before
         token = int(np.argmax(state.next_logits))
         tokens.append(token)
         seq.append(token)

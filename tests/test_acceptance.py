@@ -76,12 +76,11 @@ def test_criterion_2_kernel_oracle_equivalence():
         m, d1, d2 = (int(v) for v in rng.integers(1, 17, 3))
         X = rng.integers(0, p, (m, d1))
         W = rng.integers(0, p, (d1, d2))
-        Wd = encode(W, EncodingKind.DIAGONAL, ctx, encrypted=False)
-        Y = cpmm_outer_diagonal(encode(X, EncodingKind.OUTER, ctx), Wd, ctx)
+        Y = cpmm_outer_diagonal(encode(X, EncodingKind.OUTER, ctx), W, ctx)
         assert (decode(Y, ctx) == (X @ W) % p).all()
 
         x = rng.integers(0, p, d1)
-        y = ctx.decrypt(cpvm_inner_diagonal(pack_token_inner(x, ctx), Wd, ctx))[:d2]
+        y = ctx.decrypt(cpvm_inner_diagonal(pack_token_inner(x, ctx), W, ctx))[:d2]
         assert (y == (x @ W) % p).all()
 
         R, L = (int(v) for v in rng.integers(1, 17, 2))
@@ -129,7 +128,7 @@ def test_criterion_3_table1_formula_cells():
 
     ctx = new_context(BackendParams(), seed=0)  # n=8192, p ~ 2^29
     rng = np.random.default_rng(0)
-    W = encode(rng.integers(0, 100, (768, 64)), EncodingKind.DIAGONAL, ctx, encrypted=False)
+    W = rng.integers(0, 100, (768, 64))
     measured = {}
     for m in (32, 64, 128):
         X = encode(rng.integers(0, 100, (m, 768)), EncodingKind.OUTER, ctx)

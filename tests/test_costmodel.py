@@ -93,11 +93,6 @@ def test_attention_orders():
     assert predict_attention_costs("CryptoGen", "prefill")["ctct_order"] == "m^2"
 
 
-def test_packing_density_knob():
-    dense = predict_costs("CryptoGen", "prefill", packing_density=2.0)
-    assert dense.ct.formula_value == 6  # twice the slot utilisation
-
-
 def test_regression_helpers():
     ks = np.array([8, 16, 32, 64])
     assert abs(loglog_exponent(ks, 3 * ks**2) - 2.0) < 1e-9

@@ -1,7 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
-from cryptogen.backend import BackendParams, default_plain_modulus, new_context, NoiseCosts
+from cryptogen.backend import (
+    BackendParams,
+    NoiseCosts,
+    ParameterError,
+    default_plain_modulus,
+    new_context,
+)
 from cryptogen.encodings import EncodingKind, decode, encode, pack_token_inner
 from cryptogen.kv_cache import (
     append_token,
@@ -264,3 +272,40 @@ def test_cache_checkpoint_roundtrip(tmp_path, rng):
     a = ctx.decrypt(attention_step(q, cache, fp, ctx, MpcChannel(p, seed=5)))
     b = ctx.decrypt(attention_step(q, loaded, fp, ctx, MpcChannel(p, seed=6)))
     assert (a == b).all()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m.update(B=4),
+        lambda m: m.pop("d2"),
+        lambda m: m["segments"].pop("auto_V"),
+        lambda m: m["segments"]["auto_K"].pop("rows"),
+        lambda m: m["segments"]["auto_K"].update(rows=9, parts=2),
+        lambda m: m["segments"]["auto_V"].update(parts=2),
+        lambda m: m["segments"]["prefill_K"].update(parts=3),
+        lambda m: m["segments"].pop("prefill_V"),
+        lambda m: m.update(m=3),
+        lambda m: m.update(t_auto=9),
+    ],
+    ids=[
+        "B", "missing_d2", "missing_segment", "missing_rows", "auto_rows",
+        "auto_parts", "prefill_parts", "half_prefill", "m", "t_auto",
+    ],
+)
+def test_load_cache_rejects_tampered_manifest(tmp_path, edit):
+    """A snapshot whose bookkeeping disagrees with its layout never loads:
+    a wrong B or t_auto would make the next append write at a wrong offset."""
+    ctx = new_context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)
+    d2 = 8
+    Kp = encode(np.ones((2, d2), dtype=np.int64), EncodingKind.OUTER, ctx)
+    cache = init_cache(Kp, Kp, ctx)
+    for _ in range(5):
+        cache = append_token(cache, _tok(ctx, range(d2)), _tok(ctx, range(d2)), ctx)
+    save_cache(cache, tmp_path, ctx)
+    assert cache_stats(load_cache(tmp_path, ctx)) == cache_stats(cache)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    edit(manifest)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ParameterError):
+        load_cache(tmp_path, ctx)

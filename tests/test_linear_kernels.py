@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cryptogen.backend import BackendParams, ParameterError, default_plain_modulus, new_context
 from cryptogen.encodings import EncodingKind, decode, encode, pack_token_inner
 from cryptogen.linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal, fold_sum
-
-
-def _diag(W, ctx):
-    return encode(W, EncodingKind.DIAGONAL, ctx, encrypted=False)
 
 
 def test_fold_sum_block1_is_identity(ctx16):
@@ -49,16 +48,14 @@ def test_fold_sum_rejects_bad_block(ctx16):
 
 def test_cpmm_identity_weights(ctx16, rng):
     X = rng.integers(0, 97, (3, 4))
-    Y = cpmm_outer_diagonal(
-        encode(X, EncodingKind.OUTER, ctx16), _diag(np.eye(4, dtype=np.int64), ctx16), ctx16
-    )
+    Y = cpmm_outer_diagonal(encode(X, EncodingKind.OUTER, ctx16), np.eye(4, dtype=np.int64), ctx16)
     assert (decode(Y, ctx16) == X).all()
 
 
 def test_cpmm_hand_example(ctx16):
     X = np.array([[1, 2], [3, 4]])
     W = np.array([[5, 6], [7, 8]])
-    Y = cpmm_outer_diagonal(encode(X, EncodingKind.OUTER, ctx16), _diag(W, ctx16), ctx16)
+    Y = cpmm_outer_diagonal(encode(X, EncodingKind.OUTER, ctx16), W, ctx16)
     assert (decode(Y, ctx16) == [[19, 22], [43, 50]]).all()
 
 
@@ -68,7 +65,7 @@ def test_cpmm_random_oracle(ctx64, rng):
         m, d1, d2 = (int(v) for v in rng.integers(1, 17, 3))
         X = rng.integers(0, p, (m, d1))
         W = rng.integers(0, p, (d1, d2))
-        Y = cpmm_outer_diagonal(encode(X, EncodingKind.OUTER, ctx64), _diag(W, ctx64), ctx64)
+        Y = cpmm_outer_diagonal(encode(X, EncodingKind.OUTER, ctx64), W, ctx64)
         assert (decode(Y, ctx64) == (X @ W) % p).all()
 
 
@@ -81,7 +78,7 @@ def test_cpmm_mult_count_scales_with_m(ctx64, rng):
         W = rng.integers(0, 97, (d1, d2))
         Xp = encode(X, EncodingKind.OUTER, ctx64)
         start = ctx64.counter.snapshot()
-        cpmm_outer_diagonal(Xp, _diag(W, ctx64), ctx64)
+        cpmm_outer_diagonal(Xp, W, ctx64)
         counts[m] = ctx64.counter.delta(start)["mult_plain"]
         assert counts[m] == -(-d1 // (n // m)) * d2
     assert counts[8] == 2 * counts[4]
@@ -90,21 +87,63 @@ def test_cpmm_mult_count_scales_with_m(ctx64, rng):
 
 def test_cpmm_rejects_mismatched_dims(ctx16, rng):
     X = encode(rng.integers(0, 97, (2, 3)), EncodingKind.OUTER, ctx16)
-    W = _diag(rng.integers(0, 97, (4, 2)), ctx16)
+    W = rng.integers(0, 97, (4, 2))
     with pytest.raises(ParameterError):
         cpmm_outer_diagonal(X, W, ctx16)
 
 
+def test_cpmm_accepts_more_weight_rows_than_slots(ctx16, rng):
+    """d1 is bounded by the activation's column count, not by n_slots."""
+    p = ctx16.params.plain_modulus
+    X = rng.integers(0, p, (2, 20))
+    W = rng.integers(-p + 1, p, (20, 3))
+    Y = cpmm_outer_diagonal(encode(X, EncodingKind.OUTER, ctx16), W, ctx16)
+    assert (decode(Y, ctx16) == (X @ W) % p).all()
+
+
+@pytest.mark.parametrize(
+    "W",
+    [np.arange(4), np.zeros((0, 2), dtype=np.int64), np.zeros((4, 0), dtype=np.int64), np.ones((4, 2))],
+    ids=["1d", "no_rows", "no_cols", "float"],
+)
+def test_kernels_reject_malformed_weights(ctx16, W):
+    """Only a non-empty 2-D integer matrix is a weight; rejected before any op."""
+    X = encode(np.ones((2, 4), dtype=np.int64), EncodingKind.OUTER, ctx16)
+    x = pack_token_inner([1, 2, 3, 4], ctx16)
+    start = ctx16.counter.snapshot()
+    with pytest.raises(ParameterError):
+        cpmm_outer_diagonal(X, W, ctx16)
+    with pytest.raises(ParameterError):
+        cpvm_inner_diagonal(x, W, ctx16)
+    assert not any(ctx16.counter.delta(start).values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernels_match_signed_matmul_mod_p(p16, p64, data):
+    """Signed weights (the model's scale-f integers) reduce mod p in both kernels."""
+    n, p = data.draw(st.sampled_from([(16, p16), (64, p64)]), label="n, p")
+    m, d1, d2 = (data.draw(st.integers(1, 16), label=name) for name in ("m", "d1", "d2"))
+    W = data.draw(hnp.arrays(np.int64, (d1, d2), elements=st.integers(-p + 1, p - 1)), label="W")
+    W[data.draw(st.integers(0, d1 - 1)), data.draw(st.integers(0, d2 - 1))] = data.draw(
+        st.integers(-p + 1, -1), label="negative entry"
+    )
+    X = data.draw(hnp.arrays(np.int64, (m, d1), elements=st.integers(0, p - 1)), label="X")
+    ctx = new_context(BackendParams(n_slots=n, plain_modulus=p), seed=0)
+    want = (X @ W) % p
+    assert (decode(cpmm_outer_diagonal(encode(X, EncodingKind.OUTER, ctx), W, ctx), ctx) == want).all()
+    y = ctx.decrypt(cpvm_inner_diagonal(pack_token_inner(X[-1], ctx), W, ctx))[:d2]
+    assert (y == want[-1]).all()
+
+
 def test_cpvm_identity(ctx16):
     x = np.array([9, 4, 7, 1])
-    y = cpvm_inner_diagonal(pack_token_inner(x, ctx16), _diag(np.eye(4, dtype=np.int64), ctx16), ctx16)
+    y = cpvm_inner_diagonal(pack_token_inner(x, ctx16), np.eye(4, dtype=np.int64), ctx16)
     assert (ctx16.decrypt(y)[:4] == x).all()
 
 
 def test_cpvm_hand_example(ctx16):
-    y = cpvm_inner_diagonal(
-        pack_token_inner([1, 2], ctx16), _diag(np.array([[5, 6], [7, 8]]), ctx16), ctx16
-    )
+    y = cpvm_inner_diagonal(pack_token_inner([1, 2], ctx16), np.array([[5, 6], [7, 8]]), ctx16)
     assert (ctx16.decrypt(y)[:2] == [19, 22]).all()
 
 
@@ -114,7 +153,7 @@ def test_cpvm_random_oracle(ctx64, rng):
         d1, d2 = (int(v) for v in rng.integers(1, 17, 2))
         x = rng.integers(0, p, d1)
         W = rng.integers(0, p, (d1, d2))
-        y = cpvm_inner_diagonal(pack_token_inner(x, ctx64), _diag(W, ctx64), ctx64)
+        y = cpvm_inner_diagonal(pack_token_inner(x, ctx64), W, ctx64)
         assert (ctx64.decrypt(y)[:d2] == (x @ W) % p).all()
 
 
@@ -125,7 +164,7 @@ def test_cpvm_cost_depends_only_on_dims(ctx64, rng):
     for _ in range(3):
         x = pack_token_inner(rng.integers(0, 97, 8), ctx64)
         start = ctx64.counter.snapshot()
-        cpvm_inner_diagonal(x, _diag(W, ctx64), ctx64)
+        cpvm_inner_diagonal(x, W, ctx64)
         deltas.append(ctx64.counter.delta(start))
     assert deltas[0] == deltas[1] == deltas[2]
 
@@ -141,7 +180,7 @@ def test_cpvm_rotation_growth_logarithmic(rng):
         x = pack_token_inner(xv, ctx)
         W = rng.integers(0, p, (d1, d2))
         start = ctx.counter.snapshot()
-        y = cpvm_inner_diagonal(x, encode(W, EncodingKind.DIAGONAL, ctx, encrypted=False), ctx)
+        y = cpvm_inner_diagonal(x, W, ctx)
         rots[d1] = ctx.counter.delta(start)["rotate"]
         assert (ctx.decrypt(y)[:d2] == (xv @ W) % p).all()
     for lo, hi in ((64, 128), (128, 256), (256, 512)):
@@ -151,7 +190,7 @@ def test_cpvm_rotation_growth_logarithmic(rng):
 def test_cpvm_single_output_ciphertext(ctx64, rng):
     x = pack_token_inner(rng.integers(0, 97, 8), ctx64)
     W = rng.integers(0, 97, (8, 4))
-    y = cpvm_inner_diagonal(x, _diag(W, ctx64), ctx64)
+    y = cpvm_inner_diagonal(x, W, ctx64)
     assert y.n_slots == 64  # one ciphertext carries the whole projection
 
 
@@ -160,5 +199,5 @@ def test_cpvm_mult_count_is_padded_output_width(ctx64, rng):
         x = pack_token_inner(rng.integers(0, 97, 8), ctx64)
         W = rng.integers(0, 97, (8, d2))
         start = ctx64.counter.snapshot()
-        cpvm_inner_diagonal(x, _diag(W, ctx64), ctx64)
+        cpvm_inner_diagonal(x, W, ctx64)
         assert ctx64.counter.delta(start)["mult_plain"] == want

@@ -169,6 +169,16 @@ def test_bolt_reference_same_tokens_more_work(toy):
     assert cg[-1] == cg[0]
 
 
+def test_bolt_reference_charges_mpc_bytes(toy):
+    """Each stateless step charges its prefill pass's share traffic."""
+    _, report = generate(toy, [1, 2, 3], 0, _ctx())
+    _, bolt = bolt_reference_generate(toy, [1, 2, 3], 2, _ctx())
+    per_step = [s["counters"]["mpc_bytes"] for s in bolt["steps"]]
+    assert per_step[0] == report["prefill"]["mpc_bytes"] > 0
+    assert per_step[1] > per_step[0]
+    assert bolt["totals"]["mpc_bytes"] == sum(per_step)
+
+
 def test_generation_bounds(toy):
     with pytest.raises(ParameterError):
         generate(toy, list(range(200)), 1, _ctx())
