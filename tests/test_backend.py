@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryptogen.backend import (
     BackendParams,
@@ -117,6 +121,52 @@ def test_rotate_composes_additively(ctx16, rng):
         two = ctx16.rotate(ctx16.rotate(a, int(i)), int(j))
         one = ctx16.rotate(a, int(i + j))
         assert (two.slots == one.slots).all()
+
+
+# one modulus for every n <= 1024: p = 1 (mod 2048) is 1 mod 2n for all of them
+_P1024 = default_plain_modulus(1024, 20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rotate_property(data):
+    """rotate(a, k) is np.roll(slots, -k) for any k, in a fresh read-only
+    array, for exactly one counted rotation and its noise cost."""
+    n = data.draw(st.sampled_from([1 << e for e in range(1, 11)]), label="n")
+    k = data.draw(
+        st.one_of(st.integers(-3 * n, 3 * n), st.sampled_from([j * n for j in range(-3, 4)])),
+        label="k",
+    )
+    ctx = new_context(BackendParams(n_slots=n, plain_modulus=_P1024), seed=0)
+    slots = np.asarray(data.draw(st.lists(st.integers(0, _P1024 - 1), min_size=n, max_size=n)))
+    a = ctx.encrypt(slots)
+    before = ctx.counter.snapshot()
+    out = ctx.rotate(a, k)
+    assert (out.slots == np.roll(slots, -k)).all()
+    assert not out.slots.flags.writeable
+    assert not np.shares_memory(out.slots, a.slots)
+    assert ctx.counter.delta(before) == {**OpCounter().as_dict(), "rotate": 1}
+    assert out.noise_budget == a.noise_budget - ctx.params.noise_costs.rotate
+
+
+def test_check_accepts_equal_params_and_rejects_unequal():
+    """Ciphertexts pass between contexts whose params are equal, even as
+    distinct objects; unequal params raise before any op is counted."""
+    params = BackendParams(n_slots=16, plain_modulus=default_plain_modulus(16, 20))
+    ctx = new_context(params, seed=0)
+    twin = new_context(BackendParams.from_json(params.to_json()), seed=1)
+    assert twin.params is not params and twin.params == params
+    a, b = ctx.encrypt(np.arange(16)), twin.encrypt(np.arange(16) + 1)
+    assert (ctx.decrypt(ctx.add(a, b)) == 2 * np.arange(16) + 1).all()
+    assert (ctx.decrypt(ctx.mult_cipher(b, a)) == np.arange(16) * (np.arange(16) + 1)).all()
+
+    other = new_context(dataclasses.replace(params, refresh_threshold=params.refresh_threshold + 1), seed=2)
+    c = other.encrypt(np.arange(16))
+    before = ctx.counter.snapshot()
+    for op in (lambda: ctx.add(a, c), lambda: ctx.mult_cipher(c, a), lambda: ctx.rotate(c, 1)):
+        with pytest.raises(ParameterError, match="incompatible context"):
+            op()
+    assert ctx.counter.delta(before) == OpCounter().as_dict()
 
 
 def test_budget_exhaustion_and_decrypt_failure(ctx16):

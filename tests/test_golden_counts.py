@@ -9,6 +9,7 @@ one of these numbers.
 """
 
 import dataclasses
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,26 @@ def test_golden_pipeline_counts(threshold):
     got = [(tuple(s["counters"][k] for k in STEP_KEYS), s["mpc_bytes"]) for s in report["steps"]]
     assert got == STEPS[threshold]
     assert [s["refresh_events"] for s in report["steps"]] == [c[-1] for c, _ in STEPS[threshold]]
+
+# sha256 of every counted op (name, operand ids, result id, result budget),
+# ids renumbered by first appearance (``tools/op_digest.py``), and the op
+# count: a change in which ciphertexts an operation reads or writes, or in
+# the noise it spends, moves the digest even where the counts above hold
+OP_SEQUENCE = {
+    None: ("3073d3ad5ef27ba51246892cecf9ad4ae94fcbf32ac23a459ba75e0e930b8897", 68481),
+    170: ("b89580b8613d7a9b31bc65fbaafb37e4021d7185f4838db51dc5e09b82b25385", 69057),
+}
+
+
+@pytest.mark.parametrize("threshold", [None, 170])
+def test_golden_op_sequence(threshold):
+    spec = importlib.util.spec_from_file_location("op_digest", PARAMS_TOY.parents[1] / "tools" / "op_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    params = BackendParams.from_json(PARAMS_TOY.read_text())
+    if threshold is not None:
+        params = dataclasses.replace(params, refresh_threshold=threshold)
+    model = generate_toy_model(toy_config(), seed=0)
+    digest, tokens, ops = tool.op_digest(model, PROMPT, len(TOKENS), params)
+    assert tokens == TOKENS
+    assert (digest, ops) == OP_SEQUENCE[threshold]
