@@ -288,7 +288,9 @@ class Context:
 
     def _check(self, *cts: SlotCiphertext) -> None:
         for ct in cts:
-            if ct.params != self.params:
+            # identity first: the field-wise comparison runs only for
+            # ciphertexts of another context (whose params may be equal)
+            if ct.params is not self.params and ct.params != self.params:
                 raise ParameterError("ciphertext belongs to an incompatible context")
 
     def _spend(self, budget: int, cost: int) -> int:
@@ -346,12 +348,17 @@ class Context:
         return self._emit((a.slots * b.slots) % self.params.plain_modulus, budget)
 
     def rotate(self, a: SlotCiphertext, k: int) -> SlotCiphertext:
-        """Cyclic left shift by k slots (k may be negative or >= n)."""
+        """Cyclic left shift by k slots (k may be negative or >= n).
+
+        The result's slots are a fresh array (also for k = 0 mod n) that
+        shares no memory with ``a``.
+        """
         self._check(a)
         budget = self._spend(a.noise_budget, self.params.noise_costs.rotate)
         self.counter.rotate += 1
-        k = k % self.params.n_slots
-        return self._emit(np.roll(a.slots, -k), budget)
+        k %= self.params.n_slots
+        s = a.slots
+        return self._emit(np.concatenate((s[k:], s[:k])), budget)
 
     def with_budget(self, ct: SlotCiphertext, budget: int) -> SlotCiphertext:
         """Test hook: same values, explicit budget.  Not an HE operation."""

@@ -279,6 +279,11 @@ def _check_manifest(manifest: dict, ctx: Context) -> None:
                 f"cache snapshot {name} has (rows, parts, budgets) {got}, "
                 f"expected {(rows, parts, parts)}"
             )
+        # save_cache decrypts every part, so a saved budget is at least 1
+        top = ctx.params.initial_noise_budget
+        bad = [b for b in meta["budgets"] if type(b) is not int or not 1 <= b <= top]
+        if bad:
+            raise ParameterError(f"cache snapshot {name} has budgets {bad} outside [1, {top}]")
 
 
 def load_cache(path, ctx: Context) -> KVCache:

@@ -77,16 +77,22 @@ def cpmm_outer_diagonal(X: PackedMatrix, W, ctx: Context) -> PackedMatrix:
         for g in starts
     ]
 
-    def column_weights(g: int, c: int) -> np.ndarray:
-        pt = np.zeros(n, dtype=np.int64)
-        for u in range(min(group, d1 - g)):
-            pt[u * w : u * w + m] = Wv[g + u, c]
-        return pt
+    # the plaintext of (group g, column c) holds W[g+u, c] in slots
+    # u*w .. u*w+m-1 of each stacked block u and zero elsewhere; one
+    # (groups, n) array per column keeps the extra memory at the size of
+    # the working ciphertexts
+    Wg = np.zeros((len(work) * group, d2), dtype=np.int64)
+    Wg[:d1] = Wv
+    Wg = Wg.reshape(len(work), group, d2)
+    in_block = np.arange(w) < m
+
+    def column_weights(c: int) -> np.ndarray:
+        return (Wg[:, :, c, None] * in_block).reshape(len(work), n)
 
     parts = [
         ctx.sum(
-            ctx.fold(ctx.mult_plain(wct, column_weights(g, c)), w, n)
-            for g, wct in zip(starts, work)
+            ctx.fold(ctx.mult_plain(wct, pt), w, n)
+            for wct, pt in zip(work, column_weights(c))
         )
         for c in range(d2)
     ]
@@ -115,18 +121,17 @@ def cpvm_inner_diagonal(x: SlotCiphertext, W, ctx: Context) -> SlotCiphertext:
 
     x_ext = x if wp == n else ctx.add(x, ctx.rotate(x, -wp))
 
+    # generalized diagonal k holds W[(j + k) mod wp, j mod wd2] in slot
+    # j < wp, zero outside W: all wd2 of them in one gather from W
+    # zero-padded to wp x wd2
+    Wpad = np.zeros((wp, wd2), dtype=np.int64)
+    Wpad[:d1, :d2] = Wv
     j = np.arange(wp)
-    col = j % wd2
-
-    def diagonal(k: int) -> np.ndarray:
-        row = (j + k) % wp
-        pt = np.zeros(n, dtype=np.int64)
-        valid = (row < d1) & (col < d2)
-        pt[:wp][valid] = Wv[row[valid], col[valid]]
-        return pt
+    diagonals = np.zeros((wd2, n), dtype=np.int64)
+    diagonals[:, :wp] = Wpad[(j + np.arange(wd2)[:, None]) % wp, j % wd2]
 
     acc = ctx.sum(
-        ctx.mult_plain(ctx.rotate(x_ext, k) if k else x_ext, diagonal(k))
+        ctx.mult_plain(ctx.rotate(x_ext, k) if k else x_ext, diagonals[k])
         for k in range(wd2)
     )
     return ctx.fold(acc, wd2, wp)

@@ -309,3 +309,22 @@ def test_load_cache_rejects_tampered_manifest(tmp_path, edit):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ParameterError):
         load_cache(tmp_path, ctx)
+
+
+@pytest.mark.parametrize("budget", [10**9, -5, 7.5], ids=["huge", "negative", "fractional"])
+def test_load_cache_rejects_impossible_budgets(tmp_path, budget):
+    """A budget outside [1, initial_noise_budget] or not an integer would
+    bypass the noise ledger (a huge one is never refreshed) or fail later,
+    inside maybe_refresh; it is refused at load."""
+    ctx = new_context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)
+    d2 = 8
+    Kp = encode(np.ones((2, d2), dtype=np.int64), EncodingKind.OUTER, ctx)
+    cache = init_cache(Kp, Kp, ctx)
+    for _ in range(3):
+        cache = append_token(cache, _tok(ctx, range(d2)), _tok(ctx, range(d2)), ctx)
+    save_cache(cache, tmp_path, ctx)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["segments"]["auto_K"]["budgets"][0] = budget
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ParameterError, match="budgets"):
+        load_cache(tmp_path, ctx)
