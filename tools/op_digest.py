@@ -33,8 +33,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
-OPS = ("encrypt", "decrypt", "add", "add_plain", "mult_plain", "mult_cipher", "rotate")
-# operations whose leading arguments are ciphertexts: how many of them
+# the counted operations and how many of their leading arguments are ciphertexts
 CT_OPERANDS = {"encrypt": 0, "decrypt": 1, "add": 2, "add_plain": 1, "mult_plain": 1, "mult_cipher": 2, "rotate": 1}
 
 # (params file, prompt length, tokens generated, refresh threshold or None)
@@ -71,7 +70,7 @@ class OpDigest:
     def installed(self, ctx_cls):
         """Wrap the counted operations of ``ctx_cls`` (every instance,
         forked children included) for the duration of the block."""
-        orig = {op: getattr(ctx_cls, op) for op in OPS}
+        orig = {op: getattr(ctx_cls, op) for op in CT_OPERANDS}
 
         def spy(op, fn):
             def wrapped(self_, *args, **kwargs):
