@@ -122,16 +122,21 @@ def cpvm_inner_diagonal(x: SlotCiphertext, W, ctx: Context) -> SlotCiphertext:
     x_ext = x if wp == n else ctx.add(x, ctx.rotate(x, -wp))
 
     # generalized diagonal k holds W[(j + k) mod wp, j mod wd2] in slot
-    # j < wp, zero outside W: all wd2 of them in one gather from W
-    # zero-padded to wp x wd2
+    # j < wp, zero outside W: one gather from W zero-padded to wp x wd2,
+    # built as the product needs it so the extra memory stays at one
+    # ciphertext
     Wpad = np.zeros((wp, wd2), dtype=np.int64)
     Wpad[:d1, :d2] = Wv
     j = np.arange(wp)
-    diagonals = np.zeros((wd2, n), dtype=np.int64)
-    diagonals[:, :wp] = Wpad[(j + np.arange(wd2)[:, None]) % wp, j % wd2]
+    rows, cols = np.tile(j, 2), j % wd2  # rows[k + j] == (j + k) mod wp
+
+    def diagonal(k: int) -> np.ndarray:
+        pt = np.zeros(n, dtype=np.int64)
+        pt[:wp] = Wpad[rows[k : k + wp], cols]
+        return pt
 
     acc = ctx.sum(
-        ctx.mult_plain(ctx.rotate(x_ext, k) if k else x_ext, diagonals[k])
+        ctx.mult_plain(ctx.rotate(x_ext, k) if k else x_ext, diagonal(k))
         for k in range(wd2)
     )
     return ctx.fold(acc, wd2, wp)

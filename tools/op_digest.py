@@ -16,8 +16,9 @@ the check that a performance change moved no operation.
     python3 tools/op_digest.py --shape decode_long     # n=64, prompt 8, k=144
     python3 tools/op_digest.py --shape refresh_churn   # threshold 170, prompt 32, k=112
 
-The prompt is drawn from ``--seed`` (default 1); the ``Context`` and the
-``generate`` seed are 0.  Run from a checkout: ``src/`` is put on the path.
+The run uses ``configs/params_toy.json`` and the toy model; the prompt is
+drawn with seed 1, the ``Context`` and the ``generate`` seed are 0.  Run
+from a checkout: ``src/`` is put on the path.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # the counted operations and how many of their leading arguments are ciphertexts
 CT_OPERANDS = {"encrypt": 0, "decrypt": 1, "add": 2, "add_plain": 1, "mult_plain": 1, "mult_cipher": 2, "rotate": 1}
 
-# (params file, prompt length, tokens generated, refresh threshold or None)
+# (prompt length, tokens generated, refresh threshold or None)
 SHAPES = {
-    "decode_long": ("configs/params_toy.json", 8, 144, None),
-    "refresh_churn": ("configs/params_toy.json", 32, 112, 170),
+    "decode_long": (8, 144, None),
+    "refresh_churn": (32, 112, 170),
 }
 
 
@@ -89,36 +90,35 @@ class OpDigest:
                 setattr(ctx_cls, op, fn)
 
 
-def op_digest(model, prompt, k: int, params, seed: int = 0):
+def op_digest(model, prompt, k: int, params):
     """(hex digest, tokens, op count) of ``generate`` on a fresh Context."""
     from cryptogen.backend import Context
     from cryptogen.model import generate
 
     spy = OpDigest()
     with spy.installed(Context):
-        tokens, _ = generate(model, prompt, k, Context(params, seed=seed), seed=seed)
+        tokens, _ = generate(model, prompt, k, Context(params, seed=0), seed=0)
     return spy.hexdigest(), tokens, spy.ops
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--shape", choices=sorted(SHAPES), required=True)
-    ap.add_argument("--seed", type=int, default=1, help="seed of the prompt tokens")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "src"))
     from cryptogen.backend import BackendParams
     from cryptogen.model import generate_toy_model, toy_config
 
-    params_file, prompt_len, k, threshold = SHAPES[args.shape]
-    params = BackendParams.from_json((ROOT / params_file).read_text())
+    prompt_len, k, threshold = SHAPES[args.shape]
+    params = BackendParams.from_json((ROOT / "configs" / "params_toy.json").read_text())
     if threshold is not None:
         params = dataclasses.replace(params, refresh_threshold=threshold)
     model = generate_toy_model(toy_config(), seed=0)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(1)
     prompt = [int(t) for t in rng.integers(0, model.config.vocab, prompt_len)]
     digest, tokens, ops = op_digest(model, prompt, k, params)
-    print(f"shape {args.shape}  seed {args.seed}  ops {ops}")
+    print(f"shape {args.shape}  ops {ops}")
     print(f"tokens {tokens}")
     print(f"sha256 {digest}")
     return 0
