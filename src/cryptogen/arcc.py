@@ -34,7 +34,7 @@ import numpy as np
 
 from .backend import Context, ParameterError, SlotCiphertext
 from .encodings import EncodingKind, PackedMatrix, next_pow2, tile_token
-from .fixedpoint import FixedPointParams, attention_weights, causal_attention_weights
+from .fixedpoint import RECIPROCAL_ITERS, FixedPointParams, attention_weights, causal_attention_weights
 from .kv_cache import KVCache
 from .linear_kernels import fold_sum
 from .nonlinear import (
@@ -170,20 +170,6 @@ def _dot_into_slot(
     return ctx.mult_plain(total, _one_hot(ctx, slot))
 
 
-def _column_period(
-    P: PackedMatrix, idx: int, period: int, ctx: Context
-) -> SlotCiphertext:
-    """A column ciphertext tiled to the given cyclic period."""
-    col = P.parts[idx]
-    if P.slot_period == period:
-        return col
-    if P.slot_period is None:
-        return tile_token(col, period, ctx.params.n_slots // period, ctx)
-    raise ParameterError(
-        f"column padding period {P.slot_period} incompatible with {period}"
-    )
-
-
 def prefill_attention(
     Q: PackedMatrix,
     K: PackedMatrix,
@@ -191,7 +177,6 @@ def prefill_attention(
     fp: FixedPointParams,
     ctx: Context,
     mpc: MpcChannel,
-    causal: bool = True,
 ) -> PackedMatrix:
     """Batched attention over outer-packed projections.
 
@@ -209,7 +194,8 @@ def prefill_attention(
     n = ctx.params.n_slots
     w = next_pow2(m)
 
-    k_cols = [_column_period(K, c, w, ctx) for c in range(d2)]
+    # each key column tiled to period w, so rotations stay inside a period
+    k_cols = [tile_token(col, w, n // w, ctx) for col in K.parts]
 
     diag_shares = []
     for r in range(w):
@@ -230,13 +216,8 @@ def prefill_attention(
 
     A = np.zeros((m, m), dtype=np.int64)
     for i in range(m):
-        row = S[i]
-        A[i] = (
-            causal_attention_weights(row, i, d2, fp)
-            if causal
-            else attention_weights(row, d2, fp)
-        )
-    mpc.transfer("prefill_softmax", m * m, trips=3 + fp.reciprocal_iters)
+        A[i] = causal_attention_weights(S[i], i, d2, fp)
+    mpc.transfer("prefill_softmax", m * m, trips=3 + RECIPROCAL_ITERS)
 
     a_rows = [
         shares_to_he(share_vector(A[i], mpc), ctx, mpc) for i in range(m)
@@ -283,7 +264,7 @@ def attention_step(
     scores_2f = np.concatenate(pieces)
 
     a = attention_weights(scores_2f, d2, fp)
-    mpc.transfer("decode_softmax", m + t, trips=3 + fp.reciprocal_iters)
+    mpc.transfer("decode_softmax", m + t, trips=3 + RECIPROCAL_ITERS)
 
     halves = []
     if m > 0:

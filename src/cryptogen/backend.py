@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -104,13 +104,7 @@ class NoiseCosts:
     add_plain: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "mult_plain": self.mult_plain,
-            "mult_cipher": self.mult_cipher,
-            "rotate": self.rotate,
-            "add": self.add,
-            "add_plain": self.add_plain,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -154,14 +148,7 @@ class BackendParams:
         return self.n_slots * self.modulus_bits // 8
 
     def to_json(self) -> str:
-        d = {
-            "n_slots": self.n_slots,
-            "plain_modulus": self.plain_modulus,
-            "initial_noise_budget": self.initial_noise_budget,
-            "noise_costs": self.noise_costs.as_dict(),
-            "refresh_threshold": self.refresh_threshold,
-        }
-        return json.dumps(d, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "BackendParams":
@@ -184,30 +171,18 @@ class OpCounter:
     refresh_events: int = 0
     mpc_bytes: int = 0
 
-    _FIELDS = (
-        "mult_plain",
-        "mult_cipher",
-        "rotate",
-        "add",
-        "add_plain",
-        "encrypt",
-        "decrypt",
-        "refresh_events",
-        "mpc_bytes",
-    )
-
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self._FIELDS}
+        return asdict(self)
 
     def merge(self, other: "OpCounter") -> None:
-        for k in self._FIELDS:
-            setattr(self, k, getattr(self, k) + getattr(other, k))
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def snapshot(self) -> "OpCounter":
         return OpCounter(**self.as_dict())
 
     def delta(self, since: "OpCounter") -> dict:
-        return {k: getattr(self, k) - getattr(since, k) for k in self._FIELDS}
+        return {k: v - getattr(since, k) for k, v in self.as_dict().items()}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)

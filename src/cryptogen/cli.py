@@ -45,13 +45,10 @@ log = logging.getLogger("cryptogen")
 _HE_COUNTERS = ("mult_plain", "mult_cipher", "rotate", "add", "add_plain", "encrypt", "decrypt")
 
 
-def _toy_params(n_slots: int = 64) -> BackendParams:
-    return BackendParams(n_slots=n_slots, plain_modulus=default_plain_modulus(n_slots, 26))
-
-
-def _load_params(path: str | None, n_slots: int | None = None) -> BackendParams:
+def _load_params(path: str | None) -> BackendParams:
+    """Parameters from a JSON file, or the toy n=64 parameters without one."""
     if path is None:
-        return _toy_params(n_slots or 64)
+        return BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26))
     return BackendParams.from_json(Path(path).read_text())
 
 

@@ -9,18 +9,20 @@ Three layouts of encrypted matrices:
 Plaintext weights are not packed here: the linear kernels take them as
 dense matrices and build the plaintext vectors their algorithms need.
 
-Unused slots are zero.  Kernels may additionally produce ciphertexts whose
-padding carries cyclic copies of the payload (tracked via
-``PackedMatrix.slot_period``); ``decode`` only ever reads the payload slots
-so both paddings decode identically.
+Each layout is one geometry: a payload vector (a column if outer-packed,
+a row otherwise) is ``width`` slots wide and ``per_part`` of them sit side
+by side in each ciphertext, so ``encode`` and ``decode`` are one loop over
+payload vectors.  ``encode`` leaves every slot outside the payload zero.
+Kernel outputs may carry other values there (the CPMM leaves cyclic copies
+of period next_pow2(m)); ``decode`` reads only the payload slots, so any
+padding decodes identically.
 
-Also houses the matrix file formats: JSON arrays and a flat binary format
-(little-endian 64-bit words, row-major, 8-word header: magic, m, d, p).
+Also houses the flat binary matrix file format (little-endian 64-bit
+words, row-major, 8-word header: magic, m, d, p).
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -64,6 +66,8 @@ class Encoding:
     block: int | None = None  # block capacity B, inner_compacted only
 
     def __post_init__(self):
+        if not isinstance(self.kind, EncodingKind):
+            raise ParameterError(f"unknown encoding kind {self.kind}")
         if self.rows < 0 or self.cols <= 0:
             raise ParameterError(f"bad encoding dims {self.rows}x{self.cols}")
         if self.kind is EncodingKind.INNER_COMPACTED and not self.block:
@@ -72,15 +76,10 @@ class Encoding:
 
 @dataclass
 class PackedMatrix:
-    """An encrypted matrix realized as an ordered list of ciphertexts.
-
-    ``slot_period`` records cyclic-copy padding produced by kernels (None
-    means canonical zero padding).
-    """
+    """An encrypted matrix realized as an ordered list of ciphertexts."""
 
     encoding: Encoding
     parts: list
-    slot_period: int | None = None
 
     @property
     def rows(self) -> int:
@@ -89,6 +88,22 @@ class PackedMatrix:
     @property
     def cols(self) -> int:
         return self.encoding.cols
+
+    @property
+    def width(self) -> int:
+        """Slots per payload vector: rows if outer-packed, cols otherwise."""
+        return self.rows if self.encoding.kind is EncodingKind.OUTER else self.cols
+
+    @property
+    def per_part(self) -> int:
+        """Payload vectors per ciphertext: the block capacity if compacted."""
+        return self.encoding.block or 1
+
+    def payloads(self, M: np.ndarray) -> np.ndarray:
+        """A rows x cols array as its payload vectors (its columns if
+        outer-packed, its rows otherwise), and back: the map is its own
+        inverse and returns a view."""
+        return M.T if self.encoding.kind is EncodingKind.OUTER else M
 
 
 def block_capacity(n_slots: int, d: int) -> int:
@@ -103,61 +118,33 @@ def block_capacity(n_slots: int, d: int) -> int:
 
 
 def encode(A, kind: EncodingKind, ctx: Context) -> PackedMatrix:
-    """Pack a matrix over Z_p into encrypted slot vectors under the given layout."""
+    """Pack a matrix over Z_p into encrypted slot vectors under the given
+    layout: one ``encrypt`` per ciphertext, zero outside the payload."""
     A = np.mod(np.asarray(A, dtype=np.int64), ctx.params.plain_modulus)
     if A.ndim != 2:
         raise ParameterError(f"expected a matrix, got shape {A.shape}")
     m, d = A.shape
     n = ctx.params.n_slots
-    parts = []
-    if kind is EncodingKind.OUTER:
-        if m > n:
-            raise ParameterError(f"outer packing needs rows {m} <= n_slots {n}")
-        for j in range(d):
-            vec = np.zeros(n, dtype=np.int64)
-            vec[:m] = A[:, j]
-            parts.append(ctx.encrypt(vec))
-        enc = Encoding(EncodingKind.OUTER, m, d)
-    elif kind is EncodingKind.INNER:
-        if d > n:
-            raise ParameterError(f"inner packing needs cols {d} <= n_slots {n}")
-        for i in range(m):
-            vec = np.zeros(n, dtype=np.int64)
-            vec[:d] = A[i]
-            parts.append(ctx.encrypt(vec))
-        enc = Encoding(EncodingKind.INNER, m, d)
-    elif kind is EncodingKind.INNER_COMPACTED:
-        B = block_capacity(n, d)
-        for q in range(-(-m // B) if m else 0):
-            vec = np.zeros(n, dtype=np.int64)
-            for b in range(min(B, m - q * B)):
-                vec[b * d : b * d + d] = A[q * B + b]
-            parts.append(ctx.encrypt(vec))
-        enc = Encoding(EncodingKind.INNER_COMPACTED, m, d, block=B)
-    else:
-        raise ParameterError(f"unknown encoding kind {kind}")
-    return PackedMatrix(enc, parts)
+    block = block_capacity(n, d) if kind is EncodingKind.INNER_COMPACTED else None
+    P = PackedMatrix(Encoding(kind, m, d, block=block), [])
+    if P.width > n:
+        raise ParameterError(f"{kind.value} packing needs width {P.width} <= n_slots {n}")
+    vectors, B = P.payloads(A), P.per_part
+    for q in range(0, len(vectors), B):
+        vec = np.zeros(n, dtype=np.int64)
+        payload = vectors[q : q + B].ravel()
+        vec[: payload.size] = payload
+        P.parts.append(ctx.encrypt(vec))
+    return P
 
 
 def decode(P: PackedMatrix, ctx: Context) -> np.ndarray:
     """Exact inverse of encode; reads only payload slots."""
-    m, d = P.encoding.rows, P.encoding.cols
-    A = np.zeros((m, d), dtype=np.int64)
-    kind = P.encoding.kind
-    if kind is EncodingKind.OUTER:
-        for j in range(d):
-            A[:, j] = ctx.decrypt(P.parts[j])[:m]
-    elif kind is EncodingKind.INNER:
-        for i in range(m):
-            A[i] = ctx.decrypt(P.parts[i])[:d]
-    elif kind is EncodingKind.INNER_COMPACTED:
-        B = P.encoding.block
-        for q in range(len(P.parts)):
-            vals = ctx.decrypt(P.parts[q])
-            for b in range(min(B, m - q * B)):
-                A[q * B + b] = vals[b * d : b * d + d]
-    else:
-        raise ParameterError(f"unknown encoding kind {kind}")
+    A = np.zeros((P.rows, P.cols), dtype=np.int64)
+    vectors, B = P.payloads(A), P.per_part  # a view: filling it fills A
+    for q, part in enumerate(P.parts):
+        payload = vectors[q * B : (q + 1) * B]
+        payload[...] = ctx.decrypt(part)[: payload.size].reshape(payload.shape)
     return A
 
 
@@ -194,30 +181,19 @@ def tile_token(x_ct: SlotCiphertext, d: int, B: int, ctx: Context) -> SlotCipher
 # ----------------------------------------------------------------------
 
 
-def save_matrix(path, A, p: int, fmt: str = "bin") -> None:
-    """Write a Z_p matrix as JSON or the flat binary format."""
+def save_matrix(path, A, p: int) -> None:
+    """Write a Z_p matrix in the flat binary format."""
     A = np.asarray(A, dtype=np.int64)
-    path = Path(path)
-    if fmt == "json":
-        path.write_text(
-            json.dumps({"m": A.shape[0], "d": A.shape[1], "p": p, "data": A.tolist()})
-        )
-        return
-    if fmt != "bin":
-        raise ParameterError(f"unknown matrix format {fmt!r}")
     m, d = A.shape
     header = struct.pack("<8Q", MATRIX_MAGIC, m, d, p, 0, 0, 0, 0)
     body = A.astype("<u8").tobytes(order="C")
-    path.write_bytes(header + body)
+    Path(path).write_bytes(header + body)
 
 
 def load_matrix(path) -> tuple[np.ndarray, int]:
     """Read a matrix written by save_matrix; returns (matrix, modulus)."""
     path = Path(path)
     raw = path.read_bytes()
-    if raw[:1] == b"{":
-        d = json.loads(raw.decode())
-        return np.asarray(d["data"], dtype=np.int64), int(d["p"])
     if len(raw) < 64:
         raise ParameterError(f"{path}: truncated matrix file")
     magic, m, dcols, p, *_ = struct.unpack("<8Q", raw[:64])

@@ -23,6 +23,7 @@ __all__ = [
     "CAUSAL_MASK_EXPONENT",
     "FixedPointParams",
     "GELU_CLIP",
+    "RECIPROCAL_ITERS",
     "attention_weights",
     "causal_attention_weights",
     "fp_encode",
@@ -55,6 +56,8 @@ _E_C0 = 0.9982613301
 
 _Z_SHIFT_CAP = 48  # int64-safe right-shift bound; payloads are far smaller
 
+RECIPROCAL_ITERS = 4  # Newton steps of the softmax reciprocal
+
 
 @dataclass(frozen=True)
 class FixedPointParams:
@@ -62,7 +65,6 @@ class FixedPointParams:
 
     f: int
     p: int
-    reciprocal_iters: int = 4
 
     def __post_init__(self):
         if self.f < 1:
@@ -71,8 +73,6 @@ class FixedPointParams:
             raise ParameterError(
                 f"need 2^(2f+6) < p for product headroom; f={self.f} p={self.p}"
             )
-        if self.reciprocal_iters < 1:
-            raise ParameterError("reciprocal needs at least one iteration")
 
     @property
     def scale(self) -> int:
@@ -128,18 +128,19 @@ def fp_gelu(x, fp: FixedPointParams) -> np.ndarray:
     return np.where(np.abs(x) > clip, outside, inside)
 
 
-def fp_reciprocal(s: int, fp: FixedPointParams, work_bits: int | None = None) -> tuple[int, int]:
+def fp_reciprocal(s: int, fp: FixedPointParams) -> tuple[int, int]:
     """Newton reciprocal of a positive scale-f integer.
 
-    Returns (y, q) with y ~ 2^(f+q)/s, i.e. a scale-q encoding of 1/s_real.
-    The initial guess comes from the bit length of s (always a lower bound,
-    so the iteration converges from below).
+    Returns (y, q) with q = 2f and y ~ 2^(f+q)/s, i.e. a scale-q encoding
+    of 1/s_real, after RECIPROCAL_ITERS steps.  The initial guess comes
+    from the bit length of s (always a lower bound, so the iteration
+    converges from below).
     """
     if s <= 0:
         raise ParameterError("reciprocal needs a positive input")
-    q = 2 * fp.f if work_bits is None else work_bits
+    q = 2 * fp.f
     y = 1 << max(0, fp.f + q - int(s).bit_length())
-    for _ in range(fp.reciprocal_iters):
+    for _ in range(RECIPROCAL_ITERS):
         t = (s * y) >> fp.f
         y = (y * ((1 << (q + 1)) - t)) >> q
     return y, q
@@ -175,16 +176,16 @@ def fp_softmax(s, fp: FixedPointParams) -> np.ndarray:
     return (e * rec + (1 << (q - 1))) >> q
 
 
-def _fp_inv_sqrt(var: int, f: int, iters: int = 3) -> int:
+def _fp_inv_sqrt(var: int, f: int) -> int:
     """Newton inverse square root: var at scale 2f -> 1/sigma at scale f.
 
     Seeded from the integer square root (a pure bit-length power of two can
     start up to sqrt(2) off, which three iterations cannot always repair to
-    the advertised tolerance); the iterations polish the seed.
+    the advertised tolerance); three iterations polish the seed.
     """
     y = (1 << (2 * f)) // max(math.isqrt(var), 1)
     three = 3 << f
-    for _ in range(iters):
+    for _ in range(3):
         t1 = (var * y) >> (2 * f)
         t2 = (t1 * y) >> f
         y = (y * (three - t2)) >> (f + 1)

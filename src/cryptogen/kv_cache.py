@@ -159,11 +159,10 @@ def maybe_refresh(
     """Round-trip every part at or below the refresh threshold (all parts
     when forced).  Decoded values are unchanged; budgets reset to full."""
     threshold = ctx.params.refresh_threshold
-    new_segments = {}
+    segments = {}
     events = []
     for name, seg in cache.segments():
         parts = list(seg.parts)
-        changed = False
         for i, part in enumerate(parts):
             if force or part.noise_budget <= threshold:
                 events.append(
@@ -179,19 +178,11 @@ def maybe_refresh(
                 )
                 parts[i] = _refresh_part(part, ctx, ch)
                 ctx.counter.refresh_events += 1
-                changed = True
-        if changed:
-            new_segments[name] = PackedMatrix(seg.encoding, parts, slot_period=seg.slot_period)
-    if not new_segments:
+        segments[name] = PackedMatrix(seg.encoding, parts)
+    if not events:
         return cache
-    return replace(
-        cache,
-        prefill_K=new_segments.get("prefill_K", cache.prefill_K),
-        prefill_V=new_segments.get("prefill_V", cache.prefill_V),
-        auto_K=new_segments.get("auto_K", cache.auto_K),
-        auto_V=new_segments.get("auto_V", cache.auto_V),
-        refresh_log=cache.refresh_log + tuple(events),
-    )
+    # segment names are the KVCache field names
+    return replace(cache, **segments, refresh_log=cache.refresh_log + tuple(events))
 
 
 def cache_stats(cache: KVCache) -> dict:
@@ -241,7 +232,6 @@ def save_cache(cache: KVCache, path, ctx: Context) -> None:
             "rows": seg.encoding.rows,
             "parts": len(seg.parts),
             "budgets": budgets,
-            "slot_period": seg.slot_period,
         }
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
@@ -303,7 +293,7 @@ def load_cache(path, ctx: Context) -> KVCache:
             vals, _ = load_matrix(path / f"{name}_{i}.bin")
             parts.append(ctx.load_ciphertext(vals[0], budget))
         enc = Encoding(kind, meta["rows"], d2, block=block)
-        return PackedMatrix(enc, parts, slot_period=meta.get("slot_period"))
+        return PackedMatrix(enc, parts)
 
     return KVCache(
         d2=d2,

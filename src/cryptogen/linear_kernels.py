@@ -7,8 +7,11 @@ operand, and each builds the plaintext vectors its own algorithm
 multiplies by: per-(group, column) vectors for the CPMM, generalized
 diagonals for the CPVM.  The CPMM internally stacks
 floor(n / next_pow2(m)) activation columns into each working ciphertext so
-its plaintext-multiplication count follows m*d1*d2/n; its outputs carry
-cyclic-copy padding with period next_pow2(m) (see ``PackedMatrix.slot_period``).
+its plaintext-multiplication count follows m*d1*d2/n.  It needs
+zero-padded input columns (slots m.. zero, as ``encode`` and every share
+round trip leave them) and leaves cyclic copies of period next_pow2(m) in
+its output columns, so its output goes through the share domain before
+another CPMM reads it.
 """
 
 from __future__ import annotations
@@ -51,12 +54,12 @@ def cpmm_outer_diagonal(X: PackedMatrix, W, ctx: Context) -> PackedMatrix:
     Column ciphertexts are stacked floor(n/next_pow2(m)) to a working
     ciphertext, each working ciphertext is multiplied by one per-output-
     column plaintext, and the stacked blocks are folded back onto block 0.
-    Output columns are replicated with period next_pow2(m).
+    The input columns must be zero from slot m on (a nonzero slot would
+    leak into the stacked block after it); output columns are replicated
+    with period next_pow2(m).
     """
     if X.encoding.kind is not EncodingKind.OUTER:
         raise ParameterError("cpmm expects an outer-packed activation")
-    if X.slot_period is not None:
-        raise ParameterError("cpmm expects zero-padded input columns")
     Wv = _weights(W, ctx)
     m, d1 = X.encoding.rows, X.encoding.cols
     if d1 != Wv.shape[0]:
@@ -97,8 +100,7 @@ def cpmm_outer_diagonal(X: PackedMatrix, W, ctx: Context) -> PackedMatrix:
         for c in range(d2)
     ]
 
-    enc = Encoding(EncodingKind.OUTER, m, d2)
-    return PackedMatrix(enc, parts, slot_period=w)
+    return PackedMatrix(Encoding(EncodingKind.OUTER, m, d2), parts)
 
 
 def cpvm_inner_diagonal(x: SlotCiphertext, W, ctx: Context) -> SlotCiphertext:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,24 +79,12 @@ class ModelConfig:
         return self.d1 // self.heads
 
     def as_dict(self) -> dict:
-        return {
-            "layers": self.layers,
-            "d1": self.d1,
-            "heads": self.heads,
-            "ffn_dim": self.ffn_dim,
-            "vocab": self.vocab,
-            "max_seq": self.max_seq,
-            "f": self.f,
-        }
+        return asdict(self)
 
 
 def toy_config() -> ModelConfig:
     """The bundled toy fixture: 2 layers, d1=32, 4 heads, vocab 64."""
     return ModelConfig(layers=2, d1=32, heads=4, ffn_dim=64, vocab=64, max_seq=160, f=8)
-
-
-_LAYER_MATS = ("wq", "wk", "wv", "wo", "w1", "w2")
-_LAYER_VECS = ("b1", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b")
 
 
 @dataclass
@@ -115,37 +103,39 @@ class Model:
         return FixedPointParams(self.config.f, ctx.params.plain_modulus)
 
 
+def _weight_spec(c: ModelConfig) -> dict:
+    """Every weight in draw order: name -> (shape, mean, std) of its normal."""
+    vec, gain = ((c.d1,), 0.0, 0.05), ((c.d1,), 1.0, 0.05)
+    layer = {
+        **dict.fromkeys(("wq", "wk", "wv", "wo"), ((c.d1, c.d1), 0.0, 0.9 / np.sqrt(c.d1))),
+        "w1": ((c.d1, c.ffn_dim), 0.0, 1.0 / np.sqrt(c.d1)),
+        "w2": ((c.ffn_dim, c.d1), 0.0, 1.0 / np.sqrt(c.ffn_dim)),
+        "b1": ((c.ffn_dim,), 0.0, 0.05),
+        "b2": vec,
+        "ln1_g": gain,
+        "ln1_b": vec,
+        "ln2_g": gain,
+        "ln2_b": vec,
+    }
+    return {
+        "tok_emb": ((c.vocab, c.d1), 0.0, 0.8),
+        "pos_emb": ((c.max_seq, c.d1), 0.0, 0.8),
+        **{f"layer{l}.{k}": v for l in range(c.layers) for k, v in layer.items()},
+        # untied unembedding keeps greedy streams from locking onto one token
+        "unembed": ((c.d1, c.vocab), 0.0, 0.6),
+    }
+
+
 def generate_toy_model(config: ModelConfig, seed: int = 0) -> Model:
     """Deterministic random weights, quantized to scale-f integers."""
     rng = np.random.default_rng(np.random.SeedSequence([0xC0DE, seed]))
-    c = config
-    scale = 1 << c.f
-
-    def q(x):
-        return np.round(np.asarray(x) * scale).astype(np.int64)
-
-    w = {
-        "tok_emb": q(rng.normal(0.0, 0.8, (c.vocab, c.d1))),
-        "pos_emb": q(rng.normal(0.0, 0.8, (c.max_seq, c.d1))),
-    }
-    for l in range(c.layers):
-        pre = f"layer{l}."
-        s_attn = 0.9 / np.sqrt(c.d1)
-        w[pre + "wq"] = q(rng.normal(0.0, s_attn, (c.d1, c.d1)))
-        w[pre + "wk"] = q(rng.normal(0.0, s_attn, (c.d1, c.d1)))
-        w[pre + "wv"] = q(rng.normal(0.0, s_attn, (c.d1, c.d1)))
-        w[pre + "wo"] = q(rng.normal(0.0, s_attn, (c.d1, c.d1)))
-        w[pre + "w1"] = q(rng.normal(0.0, 1.0 / np.sqrt(c.d1), (c.d1, c.ffn_dim)))
-        w[pre + "w2"] = q(rng.normal(0.0, 1.0 / np.sqrt(c.ffn_dim), (c.ffn_dim, c.d1)))
-        w[pre + "b1"] = q(rng.normal(0.0, 0.05, c.ffn_dim))
-        w[pre + "b2"] = q(rng.normal(0.0, 0.05, c.d1))
-        w[pre + "ln1_g"] = q(1.0 + rng.normal(0.0, 0.05, c.d1))
-        w[pre + "ln1_b"] = q(rng.normal(0.0, 0.05, c.d1))
-        w[pre + "ln2_g"] = q(1.0 + rng.normal(0.0, 0.05, c.d1))
-        w[pre + "ln2_b"] = q(rng.normal(0.0, 0.05, c.d1))
-    # untied unembedding keeps greedy streams from locking onto one token
-    w["unembed"] = q(rng.normal(0.0, 0.6, (c.d1, c.vocab)))
-    return Model(config, w)
+    return Model(
+        config,
+        {
+            name: np.round(rng.normal(mean, std, shape) * (1 << config.f)).astype(np.int64)
+            for name, (shape, mean, std) in _weight_spec(config).items()
+        },
+    )
 
 
 def save_model(model: Model, path) -> None:
@@ -163,30 +153,6 @@ def save_model(model: Model, path) -> None:
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _expected_shape(name: str, c: ModelConfig) -> tuple:
-    if name == "tok_emb":
-        return (c.vocab, c.d1)
-    if name == "pos_emb":
-        return (c.max_seq, c.d1)
-    if name == "unembed":
-        return (c.d1, c.vocab)
-    base = name.split(".", 1)[1]
-    return {
-        "wq": (c.d1, c.d1),
-        "wk": (c.d1, c.d1),
-        "wv": (c.d1, c.d1),
-        "wo": (c.d1, c.d1),
-        "w1": (c.d1, c.ffn_dim),
-        "w2": (c.ffn_dim, c.d1),
-        "b1": (c.ffn_dim,),
-        "b2": (c.d1,),
-        "ln1_g": (c.d1,),
-        "ln1_b": (c.d1,),
-        "ln2_g": (c.d1,),
-        "ln2_b": (c.d1,),
-    }[base]
-
-
 def load_model(path) -> Model:
     """Load and schema-check a saved model directory."""
     path = Path(path)
@@ -200,22 +166,18 @@ def load_model(path) -> Model:
     except (KeyError, TypeError, ValueError) as e:
         raise ParameterError(f"{path}: malformed manifest ({e})") from e
 
-    expected = {"tok_emb", "pos_emb", "unembed"}
-    for l in range(config.layers):
-        expected |= {f"layer{l}.{k}" for k in _LAYER_MATS + _LAYER_VECS}
-    if set(entries) != expected:
+    spec = _weight_spec(config)
+    if set(entries) != set(spec):
         raise ParameterError(
-            f"{path}: weight set mismatch (missing {sorted(expected - set(entries))[:3]}...)"
+            f"{path}: weight set mismatch (missing {sorted(set(spec) - set(entries))[:3]}...)"
         )
 
     weights = {}
     for name, meta in entries.items():
         mat, _ = load_matrix(path / meta["file"])
         shape = tuple(meta["shape"])
-        if shape != _expected_shape(name, config):
-            raise ParameterError(
-                f"{path}: {name} has shape {shape}, expected {_expected_shape(name, config)}"
-            )
+        if shape != spec[name][0]:
+            raise ParameterError(f"{path}: {name} has shape {shape}, expected {spec[name][0]}")
         weights[name] = mat.reshape(shape)
     return Model(config, weights)
 
@@ -346,55 +308,37 @@ def oracle_generate(model: Model, prompt: list, k: int, p: int) -> list:
 # supplies the three steps that depend on the packing.
 
 
-def _share_length(P: PackedMatrix) -> int:
-    """Payload slots per ciphertext: rows if outer-packed, cols if inner."""
-    return P.rows if P.encoding.kind is EncodingKind.OUTER else P.cols
-
-
-def _payloads(P: PackedMatrix, M: np.ndarray) -> np.ndarray:
-    """A rows x cols array as P's per-ciphertext payloads (its columns if
-    outer-packed, its rows if inner), and back: the map is its own inverse."""
-    return M.T if P.encoding.kind is EncodingKind.OUTER else M
-
-
-def _with_parts(P: PackedMatrix, parts: list) -> PackedMatrix:
-    return PackedMatrix(P.encoding, parts)
-
-
 def _inner_row(ct, cols: int) -> PackedMatrix:
     return PackedMatrix(Encoding(EncodingKind.INNER, 1, cols), [ct])
 
 
 def _truncated(P: PackedMatrix, fp, ctx, mpc) -> PackedMatrix:
     """Rescale by 2^f with the truncation protocol, one ciphertext at a time."""
-    length = _share_length(P)
     parts = [
-        shares_to_he(truncate(he_to_shares(part, ctx, mpc, length=length), fp, mpc), ctx, mpc)
+        shares_to_he(truncate(he_to_shares(part, ctx, mpc, length=P.width), fp, mpc), ctx, mpc)
         for part in P.parts
     ]
-    return _with_parts(P, parts)
+    return PackedMatrix(P.encoding, parts)
 
 
 def _roundtrip(P: PackedMatrix, fn, ctx, mpc) -> PackedMatrix:
     """Pull the slab into the share domain, apply fn (rows x cols array of
     signed scale-f ints -> same shape, row-wise), re-encrypt it."""
-    length = _share_length(P)
-    vals = [reconstruct(he_to_shares(part, ctx, mpc, length=length)) for part in P.parts]
-    out = _payloads(P, fn(_payloads(P, np.stack(vals))))
-    return _with_parts(P, [shares_to_he(share_vector(v, mpc), ctx, mpc) for v in out])
+    vals = [reconstruct(he_to_shares(part, ctx, mpc, length=P.width)) for part in P.parts]
+    out = P.payloads(fn(P.payloads(np.stack(vals))))
+    return PackedMatrix(P.encoding, [shares_to_he(share_vector(v, mpc), ctx, mpc) for v in out])
 
 
 def _add(A: PackedMatrix, B: PackedMatrix, ctx) -> PackedMatrix:
-    return _with_parts(A, [ctx.add(a, b) for a, b in zip(A.parts, B.parts)])
+    return PackedMatrix(A.encoding, [ctx.add(a, b) for a, b in zip(A.parts, B.parts)])
 
 
 def _add_bias(P: PackedMatrix, bias: np.ndarray, ctx) -> PackedMatrix:
     """Add a plaintext bias row to every row of the slab."""
     p = ctx.params.plain_modulus
-    rows = _payloads(P, np.broadcast_to(bias, (P.rows, P.cols)))
-    return _with_parts(
-        P, [ctx.add_plain(part, ctx.plain_from_dense(np.mod(v, p))) for part, v in zip(P.parts, rows)]
-    )
+    rows = P.payloads(np.broadcast_to(np.mod(bias, p), (P.rows, P.cols)))
+    parts = [ctx.add_plain(part, ctx.plain_from_dense(v)) for part, v in zip(P.parts, rows)]
+    return PackedMatrix(P.encoding, parts)
 
 
 def _layernorm_rows(model: Model, l: int, name: str, fp):
@@ -412,7 +356,7 @@ class _Prefill:
 
     @staticmethod
     def attend(cache, q, k, v, fp, ctx, mpc):
-        return prefill_attention(q, k, v, fp, ctx, mpc, causal=True), init_cache(k, v, ctx)
+        return prefill_attention(q, k, v, fp, ctx, mpc), init_cache(k, v, ctx)
 
     @staticmethod
     def concat(heads, ctx):
@@ -582,31 +526,25 @@ def generate(model: Model, prompt: list, k: int, ctx: Context, seed: int = 0, th
     ctx.counter.mpc_bytes += prefill_bytes
     prefill_counters = ctx.counter.delta(before)
 
-    def total_refreshes(st):
-        return sum(
-            len(st.caches[l][h].refresh_log)
-            for l in range(c.layers)
-            for h in range(c.heads)
-        )
-
     steps = []
     tokens = []
     for _ in range(k):
         before = ctx.counter.snapshot()
         bytes_before = _total_mpc_bytes(chans)
-        refreshes_before = total_refreshes(state)
         token, state = decode_step(model, state, ctx, chans, threads)
         tokens.append(token)
         step_bytes = _total_mpc_bytes(chans) - bytes_before
         ctx.counter.mpc_bytes += step_bytes
         stats = cache_stats(state.caches[0][0])
+        # maybe_refresh counts each event it fires on the counter
+        counters = ctx.counter.delta(before)
         steps.append(
             {
                 "step": len(tokens),
                 "token": token,
-                "counters": ctx.counter.delta(before),
+                "counters": counters,
                 "mpc_bytes": step_bytes,
-                "refresh_events": total_refreshes(state) - refreshes_before,
+                "refresh_events": counters["refresh_events"],
                 "cache_auto_cts": stats["auto_ct_count"],
                 "cache_cts": stats["ct_count"],
             }

@@ -22,6 +22,7 @@ import numpy as np
 
 from .backend import Context, ParameterError, SlotCiphertext
 from .fixedpoint import (
+    RECIPROCAL_ITERS,
     FixedPointParams,
     fp_gelu,
     fp_layernorm,
@@ -106,9 +107,6 @@ def share_vector(values, ch: MpcChannel) -> SharePair:
     return SharePair(client, r, ch.p, secret.shape[0])
 
 
-_reshare = share_vector
-
-
 def he_to_shares(
     ct: SlotCiphertext, ctx: Context, ch: MpcChannel, length: int | None = None
 ) -> SharePair:
@@ -141,7 +139,7 @@ def truncate(s: SharePair, fp: FixedPointParams, ch: MpcChannel) -> SharePair:
     """Fixed-point rescale: reconstruction is floor-divided by 2^f."""
     out = fp_truncate(reconstruct(s), fp.f)
     ch.transfer("truncate", s.length, trips=1 + 2)
-    return _reshare(out, ch)
+    return share_vector(out, ch)
 
 
 def mpc_gelu(s: SharePair, fp: FixedPointParams, ch: MpcChannel) -> SharePair:
@@ -149,7 +147,7 @@ def mpc_gelu(s: SharePair, fp: FixedPointParams, ch: MpcChannel) -> SharePair:
     exact linear/zero passthrough outside, negative side by symmetry."""
     out = fp_gelu(reconstruct(s), fp)
     ch.transfer("gelu", s.length, trips=2 + 2)
-    return _reshare(out, ch)
+    return share_vector(out, ch)
 
 
 def mpc_softmax(s: SharePair, fp: FixedPointParams, ch: MpcChannel) -> SharePair:
@@ -157,8 +155,8 @@ def mpc_softmax(s: SharePair, fp: FixedPointParams, ch: MpcChannel) -> SharePair
     if s.length < 1:
         raise ParameterError("softmax needs at least one score")
     out = fp_softmax(reconstruct(s), fp)
-    ch.transfer("softmax", s.length, trips=3 + fp.reciprocal_iters + 2)
-    return _reshare(out, ch)
+    ch.transfer("softmax", s.length, trips=3 + RECIPROCAL_ITERS + 2)
+    return share_vector(out, ch)
 
 
 def mpc_layernorm(
@@ -167,4 +165,4 @@ def mpc_layernorm(
     """LayerNorm with plaintext gain/bias (already scale-f integers)."""
     out = fp_layernorm(reconstruct(s), gain, bias, fp)
     ch.transfer("layernorm", s.length, trips=5 + 2)
-    return _reshare(out, ch)
+    return share_vector(out, ch)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from cryptogen.backend import ParameterError
+from cryptogen.backend import BackendParams, ParameterError, default_plain_modulus, new_context
 from cryptogen.encodings import (
     EncodingKind,
     decode,
@@ -27,16 +30,38 @@ def test_inner_example(ctx16):
     assert (ctx16.decrypt(P.parts[1])[:3] == [3, 4, 0]).all()
 
 
+_CTX = {
+    n: new_context(BackendParams(n_slots=n, plain_modulus=default_plain_modulus(n, 20)))
+    for n in (16, 64)
+}
+
+
 @pytest.mark.parametrize("kind", list(EncodingKind))
-def test_roundtrip_all_kinds(ctx16, rng, kind):
-    p = ctx16.params.plain_modulus
-    for m, d in [(1, 1), (3, 4), (4, 2), (6, 8)]:
-        if kind is EncodingKind.INNER_COMPACTED and 16 % d:
-            continue
-        A = rng.integers(0, p, (m, d))
-        assert (decode(encode(A, kind, ctx16), ctx16) == A).all()
-    Z = np.zeros((2, 2), dtype=np.int64)
-    assert not decode(encode(Z, kind, ctx16), ctx16).any()
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_roundtrip_all_kinds(kind, data):
+    """decode(encode(A)) == A mod p with one encrypt per part, ceil(m/B)
+    parts (B = 1 unless compacted; d parts if outer) and zero slots outside
+    the payload, for every kind, m in 0..8 and every d that fits n."""
+    n = data.draw(st.sampled_from(sorted(_CTX)), label="n")
+    ctx = _CTX[n]
+    p = ctx.params.plain_modulus
+    m = data.draw(st.integers(0, 8), label="m")
+    if kind is EncodingKind.INNER_COMPACTED:
+        d = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]), label="d")
+    else:
+        d = data.draw(st.integers(1, n), label="d")
+    A = data.draw(hnp.arrays(np.int64, (m, d), elements=st.integers(-p, 2 * p)), label="A")
+    start = ctx.counter.snapshot()
+    P = encode(A, kind, ctx)
+    assert ctx.counter.delta(start)["encrypt"] == len(P.parts)
+    B = n // d if kind is EncodingKind.INNER_COMPACTED else 1
+    assert len(P.parts) == (d if kind is EncodingKind.OUTER else -(-m // B))
+    # payload slots of each part: the columns (outer) or B d-wide rows (inner)
+    for q, part in enumerate(P.parts):
+        filled = m if kind is EncodingKind.OUTER else min(B, m - q * B) * d
+        assert not ctx.decrypt(part)[filled:].any()
+    assert (decode(P, ctx) == np.mod(A, p)).all()
 
 
 def test_inner_compacted_block_layout():
@@ -105,11 +130,10 @@ def test_dimension_errors(ctx16):
 
 def test_matrix_file_roundtrips(tmp_path, rng):
     A = rng.integers(0, 1000, (3, 5))
-    for fmt in ("bin", "json"):
-        path = tmp_path / f"m.{fmt}"
-        save_matrix(path, A, p=97, fmt=fmt)
-        B, p = load_matrix(path)
-        assert p == 97 and (B == A).all()
+    path = tmp_path / "m.bin"
+    save_matrix(path, A, p=97)
+    B, p = load_matrix(path)
+    assert p == 97 and (B == A).all()
 
 
 def test_matrix_binary_layout(tmp_path):

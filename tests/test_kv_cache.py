@@ -311,6 +311,28 @@ def test_load_cache_rejects_tampered_manifest(tmp_path, edit):
         load_cache(tmp_path, ctx)
 
 
+def test_load_cache_reads_snapshot_with_slot_period_key(tmp_path):
+    """Older snapshots carry ``"slot_period": null`` in every segment's
+    metadata; they still load, to the same values and budgets."""
+    ctx = new_context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)
+    d2 = 8
+    Kp = encode(np.arange(2 * d2).reshape(2, d2), EncodingKind.OUTER, ctx)
+    cache = init_cache(Kp, Kp, ctx)
+    for _ in range(3):
+        cache = append_token(cache, _tok(ctx, range(d2)), _tok(ctx, range(d2)), ctx)
+    save_cache(cache, tmp_path, ctx)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    for meta in manifest["segments"].values():
+        meta["slot_period"] = None
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    loaded = load_cache(tmp_path, ctx)
+    assert cache_stats(loaded) == cache_stats(cache)
+    for (_, seg), (_, got) in zip(cache.segments(), loaded.segments()):
+        assert got.encoding == seg.encoding
+        assert [c.noise_budget for c in got.parts] == [c.noise_budget for c in seg.parts]
+        assert all((a.slots == b.slots).all() for a, b in zip(got.parts, seg.parts))
+
+
 @pytest.mark.parametrize("budget", [10**9, -5, 7.5], ids=["huge", "negative", "fractional"])
 def test_load_cache_rejects_impossible_budgets(tmp_path, budget):
     """A budget outside [1, initial_noise_budget] or not an integer would

@@ -86,6 +86,27 @@ def test_generate_k0_prefill_only(toy):
     assert report["prefill"]["counters"]["mult_plain"] > 0
 
 
+def test_cpmm_inputs_are_zero_padded(toy, monkeypatch):
+    """The CPMM stacks input columns side by side, so a nonzero slot from
+    ``rows`` on would leak into the next stacked block.  Every input the
+    pipeline hands it is zero there: its cyclic-copy outputs always pass
+    through the share domain before another CPMM reads them."""
+    import cryptogen.model as model_mod
+
+    cpmm = model_mod.cpmm_outer_diagonal
+    inputs = []
+
+    def spy(X, W, ctx):
+        inputs.append(X)
+        return cpmm(X, W, ctx)
+
+    monkeypatch.setattr(model_mod, "cpmm_outer_diagonal", spy)
+    for m in (5, 8):
+        generate(toy, list(range(1, m + 1)), 1, _ctx())
+    assert len(inputs) == 2 * 2 * (3 * 4 + 3)  # runs x layers x (q/k/v per head, wo, w1, w2)
+    assert not any(part.slots[X.rows :].any() for X in inputs for part in X.parts)
+
+
 def test_decode_step_increments_cache(toy):
     ctx = _ctx()
     state = prefill(toy, [5, 6, 7], ctx)
