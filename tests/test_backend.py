@@ -169,6 +169,80 @@ def test_check_accepts_equal_params_and_rejects_unequal():
     assert ctx.counter.delta(before) == OpCounter().as_dict()
 
 
+_OPS = ("encrypt", "decrypt", "add", "add_plain", "mult_plain", "mult_cipher", "rotate")
+_P16 = default_plain_modulus(16, 20)
+
+
+@pytest.mark.parametrize("op", _OPS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_op_contract(op, data):
+    """The contract of each counted op under random noise costs and operand
+    budgets.  The result's budget is min(operand budgets) - cost and it
+    takes the next id.  An op that would go below zero raises
+    NoiseBudgetExhausted, and a ciphertext of an incompatible context raises
+    ParameterError in any operand position; neither moves the counter or
+    the next id."""
+    costs = NoiseCosts(**{f.name: data.draw(st.integers(0, 64), label=f.name) for f in dataclasses.fields(NoiseCosts)})
+    params = BackendParams(n_slots=16, plain_modulus=_P16, noise_costs=costs)
+    ctx = new_context(params, seed=0)
+    other = new_context(dataclasses.replace(params, refresh_threshold=params.refresh_threshold + 1), seed=1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="values seed"))
+    x, y = rng.integers(0, _P16, 16), rng.integers(0, _P16, 16)
+    budgets = [data.draw(st.integers(0, params.initial_noise_budget), label=f"budget {i}") for i in range(2)]
+    k = data.draw(st.integers(-40, 40), label="k")
+    # (call, ciphertext operands, noise cost, expected slots)
+    p = _P16
+    spec = {
+        "encrypt": (lambda: ctx.encrypt(y), 0, 0, y),
+        "decrypt": (lambda a: ctx.decrypt(a), 1, None, x),
+        "add": (lambda a, b: ctx.add(a, b), 2, costs.add, (x + y) % p),
+        "add_plain": (lambda a: ctx.add_plain(a, y), 1, costs.add_plain, (x + y) % p),
+        "mult_plain": (lambda a: ctx.mult_plain(a, y), 1, costs.mult_plain, x * y % p),
+        "mult_cipher": (lambda a, b: ctx.mult_cipher(a, b), 2, costs.mult_cipher, x * y % p),
+        "rotate": (lambda a: ctx.rotate(a, k), 1, costs.rotate, np.roll(x, -k)),
+    }
+    call, n_operands, cost, want = spec[op]
+    operands = [ctx.with_budget(ctx.encrypt(v), bud) for v, bud in zip((x, y), budgets)][:n_operands]
+    foreign = data.draw(st.sampled_from([None, *range(n_operands)]), label="foreign position")
+    if foreign is not None:
+        operands[foreign] = other.with_budget(other.encrypt(x), budgets[foreign])
+    next_id = ctx.encrypt(x).id + 1
+    before = ctx.counter.snapshot()
+    nothing = OpCounter().as_dict()
+
+    def untouched():
+        assert ctx.counter.delta(before) == nothing
+        assert ctx.encrypt(x).id == next_id
+
+    if foreign is not None:
+        with pytest.raises(ParameterError, match="incompatible context"):
+            call(*operands)
+        return untouched()
+    if op == "decrypt":
+        if budgets[0] <= 0:
+            with pytest.raises(DecryptionFailure):
+                call(*operands)
+            return untouched()
+        assert (call(*operands) == want).all()
+        assert ctx.counter.delta(before) == {**nothing, "decrypt": 1}
+        assert ctx.encrypt(x).id == next_id
+        return
+    budget = min((ct.noise_budget for ct in operands), default=params.initial_noise_budget)
+    if budget < cost:
+        with pytest.raises(NoiseBudgetExhausted) as exc:
+            call(*operands)
+        assert str(exc.value) == f"operation needs {cost} bits but only {budget} remain"
+        return untouched()
+    out = call(*operands)
+    assert out.noise_budget == budget - cost
+    assert out.id == next_id
+    assert out.params is params
+    assert (out.slots == want).all()
+    assert ctx.counter.delta(before) == {**nothing, op: 1}
+    assert ctx.encrypt(x).id == next_id + 1
+
+
 def test_budget_exhaustion_and_decrypt_failure(ctx16):
     params = ctx16.params
     a = ctx16.encrypt(ctx16.plain_from_dense([1]))
