@@ -10,13 +10,23 @@ Noise is modelled as a bit ledger: every ciphertext starts with a fixed
 budget and each operation subtracts a configured cost.  Decryption of a
 ciphertext whose budget has reached zero raises, mirroring the correctness
 failure of a real scheme.
+
+A ciphertext is a ``SlotCiphertext``, a read-only 4-tuple ``(slots,
+noise_budget, id, params)`` with named fields.  A ``Context`` issues
+every ciphertext and counts every operation on it; the seven counted
+operations are ``Context`` methods, looked up on the class at each call,
+so a tool can wrap them there.  At small slot counts the Python cost of
+each operation, not the slot arithmetic, sets the run time, which is why
+a ciphertext is a plain tuple and the three most frequent operations
+(``add``, ``rotate``, ``mult_plain``) do their checks inline.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -188,24 +198,41 @@ class OpCounter:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class SlotCiphertext:
-    """An n-slot vector over Z_p with a noise budget.  Immutable."""
+class SlotCiphertext(tuple):
+    """An n-slot vector over Z_p with a noise budget: a read-only 4-tuple
+    ``(slots, noise_budget, id, params)`` with named fields.
 
-    slots: np.ndarray
-    noise_budget: int
-    id: int
-    params: BackendParams
+    ``slots`` is made read-only on construction, and pickle and copy
+    rebuild a ciphertext through ``__new__``, so an unpickled or copied
+    ciphertext is read-only too.  Fields cannot be assigned.  A tuple
+    because every operation builds one, and a tuple is the cheapest
+    immutable record to build.
+    """
 
-    def __post_init__(self):
-        self.slots.setflags(write=False)
+    __slots__ = ()
+
+    def __new__(cls, slots: np.ndarray, noise_budget: int, id: int, params: BackendParams):
+        slots.setflags(write=False)
+        return tuple.__new__(cls, (slots, noise_budget, id, params))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    slots = property(itemgetter(0), doc="The slot values, a read-only int64 array.")
+    noise_budget = property(itemgetter(1), doc="Noise budget left, in bits.")
+    id = property(itemgetter(2), doc="Unique among the ciphertexts of its Context.")
+    params = property(itemgetter(3), doc="The BackendParams of the Context that made it.")
 
     @property
     def n_slots(self) -> int:
-        return self.params.n_slots
+        return self[3].n_slots
 
 
 def _as_slots(values, params: BackendParams) -> np.ndarray:
+    if isinstance(values, SlotCiphertext):
+        raise ParameterError(
+            "a SlotCiphertext was passed where a plaintext vector is expected"
+        )
     arr = np.asarray(values, dtype=np.int64)
     if arr.ndim != 1 or arr.shape[0] != params.n_slots:
         raise ParameterError(
@@ -215,19 +242,31 @@ def _as_slots(values, params: BackendParams) -> np.ndarray:
 
 
 _context_uid = itertools.count()
+_new_tuple = tuple.__new__
+_INCOMPATIBLE = "ciphertext belongs to an incompatible context"
 
 
 class Context:
     """Owns the op counter, the seed sequence, and ciphertext identity."""
 
     def __init__(self, params: BackendParams, seed=0):
-        self.params = params
+        self._params = params
+        # read once for the hot ops; params is frozen and read-only here
+        self._p = params.plain_modulus
+        self._n = params.n_slots
+        costs = params.noise_costs
+        self._add_cost, self._rotate_cost, self._mult_plain_cost = costs.add, costs.rotate, costs.mult_plain
         self.counter = OpCounter()
         if isinstance(seed, np.random.SeedSequence):
             self._seed_seq = seed
         else:
             self._seed_seq = np.random.SeedSequence(seed)
         self._next_id = next(_context_uid) * 1_000_000_000
+
+    @property
+    def params(self) -> BackendParams:
+        """The parameters every ciphertext of this context is checked against."""
+        return self._params
 
     # ------------------------------------------------------------------
     # helpers
@@ -257,7 +296,8 @@ class Context:
         self.counter.merge(child.counter)
 
     def _emit(self, slots: np.ndarray, budget: int) -> SlotCiphertext:
-        ct = SlotCiphertext(slots, budget, self._next_id, self.params)
+        slots.setflags(write=False)
+        ct = _new_tuple(SlotCiphertext, (slots, budget, self._next_id, self._params))
         self._next_id += 1
         return ct
 
@@ -265,8 +305,8 @@ class Context:
         for ct in cts:
             # identity first: the field-wise comparison runs only for
             # ciphertexts of another context (whose params may be equal)
-            if ct.params is not self.params and ct.params != self.params:
-                raise ParameterError("ciphertext belongs to an incompatible context")
+            if ct.params is not self._params and ct.params != self._params:
+                raise ParameterError(_INCOMPATIBLE)
 
     def _spend(self, budget: int, cost: int) -> int:
         left = budget - cost
@@ -278,6 +318,10 @@ class Context:
 
     # ------------------------------------------------------------------
     # operations
+    #
+    # add, rotate and mult_plain are nine in ten of all ops, so each does
+    # the params check, the budget spend, the count and the build of its
+    # result inline (the same steps as _check, _spend and _emit).
     # ------------------------------------------------------------------
 
     def encrypt(self, v) -> SlotCiphertext:
@@ -295,24 +339,43 @@ class Context:
         return ct.slots.copy()
 
     def add(self, a: SlotCiphertext, b: SlotCiphertext) -> SlotCiphertext:
-        self._check(a, b)
-        budget = self._spend(min(a.noise_budget, b.noise_budget), self.params.noise_costs.add)
+        sa, ba, _, pa = a
+        sb, bb, _, pb = b
+        params = self._params
+        if pa is not params and pa != params or pb is not params and pb != params:
+            raise ParameterError(_INCOMPATIBLE)
+        have, cost = ba if ba < bb else bb, self._add_cost
+        if have < cost:
+            raise NoiseBudgetExhausted(f"operation needs {cost} bits but only {have} remain")
         self.counter.add += 1
-        return self._emit((a.slots + b.slots) % self.params.plain_modulus, budget)
+        slots = (sa + sb) % self._p
+        slots.setflags(write=False)
+        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params))
+        self._next_id += 1
+        return ct
 
     def add_plain(self, a: SlotCiphertext, v) -> SlotCiphertext:
         self._check(a)
         slots = _as_slots(v, self.params)
         budget = self._spend(a.noise_budget, self.params.noise_costs.add_plain)
         self.counter.add_plain += 1
-        return self._emit((a.slots + slots) % self.params.plain_modulus, budget)
+        return self._emit((a.slots + slots) % self._p, budget)
 
     def mult_plain(self, a: SlotCiphertext, v) -> SlotCiphertext:
-        self._check(a)
-        slots = _as_slots(v, self.params)
-        budget = self._spend(a.noise_budget, self.params.noise_costs.mult_plain)
+        sa, have, _, pa = a
+        params = self._params
+        if pa is not params and pa != params:
+            raise ParameterError(_INCOMPATIBLE)
+        v = _as_slots(v, params)
+        cost = self._mult_plain_cost
+        if have < cost:
+            raise NoiseBudgetExhausted(f"operation needs {cost} bits but only {have} remain")
         self.counter.mult_plain += 1
-        return self._emit((a.slots * slots) % self.params.plain_modulus, budget)
+        slots = (sa * v) % self._p
+        slots.setflags(write=False)
+        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params))
+        self._next_id += 1
+        return ct
 
     def mult_cipher(self, a: SlotCiphertext, b: SlotCiphertext) -> SlotCiphertext:
         self._check(a, b)
@@ -320,7 +383,7 @@ class Context:
             min(a.noise_budget, b.noise_budget), self.params.noise_costs.mult_cipher
         )
         self.counter.mult_cipher += 1
-        return self._emit((a.slots * b.slots) % self.params.plain_modulus, budget)
+        return self._emit((a.slots * b.slots) % self._p, budget)
 
     def rotate(self, a: SlotCiphertext, k: int) -> SlotCiphertext:
         """Cyclic left shift by k slots (k may be negative or >= n).
@@ -328,17 +391,25 @@ class Context:
         The result's slots are a fresh array (also for k = 0 mod n) that
         shares no memory with ``a``.
         """
-        self._check(a)
-        budget = self._spend(a.noise_budget, self.params.noise_costs.rotate)
+        s, have, _, pa = a
+        params = self._params
+        if pa is not params and pa != params:
+            raise ParameterError(_INCOMPATIBLE)
+        cost = self._rotate_cost
+        if have < cost:
+            raise NoiseBudgetExhausted(f"operation needs {cost} bits but only {have} remain")
         self.counter.rotate += 1
-        k %= self.params.n_slots
-        s = a.slots
-        return self._emit(np.concatenate((s[k:], s[:k])), budget)
+        k %= self._n
+        slots = np.concatenate((s[k:], s[:k]))
+        slots.setflags(write=False)
+        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params))
+        self._next_id += 1
+        return ct
 
     def with_budget(self, ct: SlotCiphertext, budget: int) -> SlotCiphertext:
         """Test hook: same values, explicit budget.  Not an HE operation."""
         self._check(ct)
-        return replace(ct, noise_budget=budget)
+        return SlotCiphertext(ct.slots, budget, ct.id, ct.params)
 
     def load_ciphertext(self, values, budget: int) -> SlotCiphertext:
         """Rehydrate a serialized ciphertext; not counted as an operation."""

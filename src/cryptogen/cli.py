@@ -32,10 +32,12 @@ from .encodings import EncodingKind, decode, encode
 from .kv_cache import maybe_refresh
 from .linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal
 from .model import (
+    decode_step,
     generate,
     generate_toy_model,
     load_model,
     oracle_generate,
+    prefill,
     toy_config,
 )
 from .nonlinear import MpcChannel
@@ -121,8 +123,6 @@ def run_verification(model, params: BackendParams, seed: int, threads: int = 1) 
 
     # forced refresh transparency
     ctx = new_context(params, seed=seed)
-    from .model import decode_step, prefill
-
     state = prefill(model, prompt, ctx)
     ch = MpcChannel(p, seed)
     refreshed = [

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from cryptogen.backend import (
     NoiseCosts,
     OpCounter,
     ParameterError,
+    SlotCiphertext,
     default_plain_modulus,
     is_prime,
     new_context,
@@ -337,6 +340,47 @@ def test_ciphertexts_are_immutable(ctx16):
     ct = ctx16.encrypt(ctx16.plain_from_dense([1, 2]))
     with pytest.raises(ValueError):
         ct.slots[0] = 5
+
+
+@pytest.mark.parametrize(
+    "roundtrip", [lambda ct: pickle.loads(pickle.dumps(ct)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_ciphertext_copies_stay_immutable(ctx16, roundtrip):
+    """An unpickled or deep-copied ciphertext keeps its values, budget, id
+    and params, and is as read-only as the original."""
+    ct = ctx16.with_budget(ctx16.encrypt(np.arange(16)), 77)
+    b = roundtrip(ct)
+    assert type(b) is SlotCiphertext
+    assert (b.slots == np.arange(16)).all()
+    assert (b.noise_budget, b.id, b.params, b.n_slots) == (77, ct.id, ctx16.params, 16)
+    assert not b.slots.flags.writeable
+    with pytest.raises(ValueError):
+        b.slots[0] = 99
+    for c in (ct, b):
+        for name in ("slots", "noise_budget", "id", "params", "n_slots"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, None)
+
+
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("op", ["encrypt", "add_plain", "mult_plain"])
+def test_ciphertext_rejected_as_plaintext(op, n):
+    """A ciphertext where a plaintext vector belongs is a ParameterError
+    naming the misuse, also when n equals the number of ciphertext fields."""
+    ctx = new_context(BackendParams(n_slots=n, plain_modulus=_P16), seed=0)
+    a = ctx.encrypt(np.arange(n))
+    call = {"encrypt": lambda: ctx.encrypt(a), "add_plain": lambda: ctx.add_plain(a, a), "mult_plain": lambda: ctx.mult_plain(a, a)}[op]
+    before = ctx.counter.snapshot()
+    with pytest.raises(ParameterError, match="SlotCiphertext was passed where a plaintext"):
+        call()
+    assert ctx.counter.delta(before) == OpCounter().as_dict()
+
+
+def test_context_params_is_read_only(ctx16):
+    """The hot ops read the modulus and costs once, so params cannot be
+    rebound under them."""
+    with pytest.raises(AttributeError):
+        ctx16.params = BackendParams(n_slots=16, plain_modulus=97)
 
 
 def test_params_json_roundtrip():
