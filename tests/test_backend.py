@@ -194,7 +194,7 @@ def test_op_contract(op, data):
     x, y = rng.integers(0, _P16, 16), rng.integers(0, _P16, 16)
     budgets = [data.draw(st.integers(0, params.initial_noise_budget), label=f"budget {i}") for i in range(2)]
     k = data.draw(st.integers(-40, 40), label="k")
-    # (call, ciphertext operands, noise cost, expected slots)
+    # op -> (call, number of ciphertext operands, noise cost, expected slots)
     p = _P16
     spec = {
         "encrypt": (lambda: ctx.encrypt(y), 0, 0, y),
