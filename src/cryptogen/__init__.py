@@ -56,10 +56,8 @@ from .fixedpoint import FixedPointParams
 from .nonlinear import (
     MpcChannel,
     SharePair,
+    attention_softmax,
     he_to_shares,
-    mpc_gelu,
-    mpc_layernorm,
-    mpc_softmax,
     reconstruct,
     shares_to_he,
     truncate,

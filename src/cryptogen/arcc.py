@@ -21,8 +21,10 @@ Slot reductions and broadcasts inside the decode path always run at full
 slot width so per-step rotation counts do not depend on the prefill length.
 
 Softmax, the 1/sqrt(d2) scaling, and the causal mask all run in the
-MPC-emulation domain on shares; score segments are concatenated there as
-well (client-side reassembly), never by ciphertext slot surgery.
+MPC-emulation domain as one ``nonlinear.attention_softmax`` call per
+attention, which charges its rounds; score segments are concatenated in
+that domain as well (client-side reassembly), never by ciphertext slot
+surgery.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ import numpy as np
 
 from .backend import Context, ParameterError, SlotCiphertext
 from .encodings import EncodingKind, PackedMatrix, next_pow2, tile_token
-from .fixedpoint import RECIPROCAL_ITERS, FixedPointParams, attention_weights, causal_attention_weights
+from .fixedpoint import FixedPointParams
 from .kv_cache import KVCache
 from .linear_kernels import fold_sum
 from .nonlinear import (
     MpcChannel,
+    attention_softmax,
     he_to_shares,
     reconstruct,
     share_vector,
@@ -214,11 +217,7 @@ def prefill_attention(
             if j < m:
                 S[i, j] = vals[i]
 
-    A = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        A[i] = causal_attention_weights(S[i], i, d2, fp)
-    mpc.transfer("prefill_softmax", m * m, trips=3 + RECIPROCAL_ITERS)
-
+    A = attention_softmax(S, d2, fp, mpc)
     a_rows = [
         shares_to_he(share_vector(A[i], mpc), ctx, mpc) for i in range(m)
     ]
@@ -261,10 +260,7 @@ def attention_step(
             vals = reconstruct(he_to_shares(part, ctx, mpc))
             rows_here = min(B, t - qi * B)
             pieces.append(vals[np.arange(rows_here) * d2])
-    scores_2f = np.concatenate(pieces)
-
-    a = attention_weights(scores_2f, d2, fp)
-    mpc.transfer("decode_softmax", m + t, trips=3 + RECIPROCAL_ITERS)
+    a = attention_softmax(np.concatenate(pieces), d2, fp, mpc)
 
     halves = []
     if m > 0:

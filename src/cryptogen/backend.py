@@ -128,6 +128,11 @@ class BackendParams:
     refresh_threshold: int = 60
 
     def __post_init__(self):
+        costs = self.noise_costs.as_dict()
+        ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "noise_costs"]
+        for name, v in ints + [(f"noise_costs.{k}", v) for k, v in costs.items()]:
+            if type(v) is not int:
+                raise ParameterError(f"{name} must be an int, got {v!r}")
         n, p = self.n_slots, self.plain_modulus
         if n < 2 or n & (n - 1):
             raise ParameterError(f"n_slots must be a power of two >= 2, got {n}")
@@ -141,7 +146,6 @@ class BackendParams:
             raise ParameterError(
                 f"plain_modulus {p} exceeds the int64-safe emulation bound 2^31"
             )
-        costs = self.noise_costs.as_dict()
         if any(v < 0 for v in costs.values()):
             raise ParameterError(f"noise costs must be >= 0, got {costs}")
         if not 0 <= self.refresh_threshold < self.initial_noise_budget:
@@ -162,9 +166,21 @@ class BackendParams:
 
     @classmethod
     def from_json(cls, text: str) -> "BackendParams":
+        """Parse ``to_json`` output; omitted keys take their defaults."""
         d = json.loads(text)
-        costs = NoiseCosts(**d.pop("noise_costs", {}))
-        return cls(noise_costs=costs, **d)
+        _check_keys(d, cls, "backend parameters")
+        costs = d.pop("noise_costs", {})
+        _check_keys(costs, NoiseCosts, "noise_costs")
+        return cls(noise_costs=NoiseCosts(**costs), **d)
+
+
+def _check_keys(d, cls, what: str) -> None:
+    """``d`` must be a JSON object whose keys are fields of ``cls``."""
+    if not isinstance(d, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ParameterError(f"unknown {what} key(s) {unknown}")
 
 
 @dataclass
@@ -257,10 +273,7 @@ class Context:
         costs = params.noise_costs
         self._add_cost, self._rotate_cost, self._mult_plain_cost = costs.add, costs.rotate, costs.mult_plain
         self.counter = OpCounter()
-        if isinstance(seed, np.random.SeedSequence):
-            self._seed_seq = seed
-        else:
-            self._seed_seq = np.random.SeedSequence(seed)
+        self._seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._next_id = next(_context_uid) * 1_000_000_000
 
     @property

@@ -7,9 +7,10 @@ the incoming token is rotated to its block, masked, and added, so a fresh
 ciphertext is opened only every B tokens.
 
 Noise is handled lazily: before each decode step, any part whose budget has
-fallen to the refresh threshold makes a masked round trip through the
-client role (subtract random r, decrypt, re-encrypt, add r back), which
-restores a full budget without revealing the payload.
+fallen to the refresh threshold makes the share round trip of
+``nonlinear`` (server subtracts a random mask r, client decrypts its share
+and re-encrypts it, server adds r back), which restores a full budget
+without revealing the payload.
 
 Cache values are immutable; append and refresh return new cache objects.
 """
@@ -31,7 +32,7 @@ from .encodings import (
     load_matrix,
     save_matrix,
 )
-from .nonlinear import MpcChannel
+from .nonlinear import MpcChannel, he_to_shares, shares_to_he
 
 __all__ = [
     "KVCache",
@@ -143,16 +144,6 @@ def append_token(
     return replace(cache, t_auto=cache.t_auto + 1, auto_K=auto_K, auto_V=auto_V)
 
 
-def _refresh_part(part: SlotCiphertext, ctx: Context, ch: MpcChannel) -> SlotCiphertext:
-    p = ctx.params.plain_modulus
-    r = ch.sample_mask(ctx.params.n_slots)
-    masked = ctx.add_plain(part, (p - r) % p)
-    client_view = ctx.decrypt(masked)
-    fresh = ctx.encrypt(client_view)
-    ch.transfer("refresh", ctx.params.n_slots, trips=2)
-    return ctx.add_plain(fresh, r)
-
-
 def maybe_refresh(
     cache: KVCache, ctx: Context, ch: MpcChannel, force: bool = False
 ) -> KVCache:
@@ -165,6 +156,9 @@ def maybe_refresh(
         parts = list(seg.parts)
         for i, part in enumerate(parts):
             if force or part.noise_budget <= threshold:
+                sent = ch.bytes_sent
+                parts[i] = shares_to_he(he_to_shares(part, ctx, ch), ctx, ch)
+                ctx.counter.refresh_events += 1
                 events.append(
                     RefreshEvent(
                         step=cache.t_auto,
@@ -172,12 +166,10 @@ def maybe_refresh(
                         part_index=i,
                         part_id=part.id,
                         budget_before=part.noise_budget,
-                        mpc_bytes=2 * ctx.params.ciphertext_bytes(),
+                        mpc_bytes=ch.bytes_sent - sent,
                         forced=force and part.noise_budget > threshold,
                     )
                 )
-                parts[i] = _refresh_part(part, ctx, ch)
-                ctx.counter.refresh_events += 1
         segments[name] = PackedMatrix(seg.encoding, parts)
     if not events:
         return cache

@@ -163,6 +163,8 @@ def load_model(path) -> Model:
         manifest = json.loads(manifest_file.read_text())
         config = ModelConfig(**manifest["config"])
         entries = manifest["weights"]
+        if not isinstance(entries, dict):
+            raise TypeError("weights is not an object")
     except (KeyError, TypeError, ValueError) as e:
         raise ParameterError(f"{path}: malformed manifest ({e})") from e
 
@@ -174,8 +176,11 @@ def load_model(path) -> Model:
 
     weights = {}
     for name, meta in entries.items():
-        mat, _ = load_matrix(path / meta["file"])
-        shape = tuple(meta["shape"])
+        file, shape = (meta.get("file"), meta.get("shape")) if isinstance(meta, dict) else (None, None)
+        if not (isinstance(file, str) and isinstance(shape, list)):
+            raise ParameterError(f"{path}: weight entry {name} is not an object with a file and a shape")
+        mat, _ = load_matrix(path / file)
+        shape = tuple(shape)
         if shape != spec[name][0]:
             raise ParameterError(f"{path}: {name} has shape {shape}, expected {spec[name][0]}")
         weights[name] = mat.reshape(shape)
@@ -393,8 +398,19 @@ def _channels(root: np.random.SeedSequence, layers, heads, p):
     return chans
 
 
-def _total_mpc_bytes(chans) -> int:
-    return sum(ch.bytes_sent for ch in chans.values())
+def _charged(ctx, chans, fn, *args):
+    """Call fn(*args) and charge the MPC bytes it moved on chans to the op
+    counter, so every counter delta carries its phase's bytes and repeated
+    runs add up.  Returns fn's result and the counter delta."""
+    before, sent = ctx.counter.snapshot(), sum(ch.bytes_sent for ch in chans.values())
+    out = fn(*args)
+    ctx.counter.mpc_bytes += sum(ch.bytes_sent for ch in chans.values()) - sent
+    return out, ctx.counter.delta(before)
+
+
+def _check_length(c: ModelConfig, prompt: list, k: int) -> None:
+    if len(prompt) + k > c.max_seq:
+        raise ParameterError("prompt + generation exceeds max_seq")
 
 
 def _run_heads(tasks, threads: int):
@@ -514,36 +530,23 @@ def decode_step(model: Model, state: GenerationState, ctx: Context, chans=None, 
 def generate(model: Model, prompt: list, k: int, ctx: Context, seed: int = 0, threads: int = 1):
     """Encrypted prefill + k greedy decode steps; returns (tokens, report)."""
     c = model.config
-    if len(prompt) + k > c.max_seq:
-        raise ParameterError("prompt + generation exceeds max_seq")
+    _check_length(c, prompt, k)
     chans = _channels(np.random.SeedSequence([0x707, seed]), c.layers, c.heads, ctx.params.plain_modulus)
-
-    # MPC bytes are charged to the op counter as each phase ends, so every
-    # counter delta carries its phase's bytes and repeated runs add up
-    before = ctx.counter.snapshot()
-    state = prefill(model, prompt, ctx, chans, threads)
-    prefill_bytes = _total_mpc_bytes(chans)
-    ctx.counter.mpc_bytes += prefill_bytes
-    prefill_counters = ctx.counter.delta(before)
+    state, prefill_counters = _charged(ctx, chans, prefill, model, prompt, ctx, chans, threads)
 
     steps = []
     tokens = []
     for _ in range(k):
-        before = ctx.counter.snapshot()
-        bytes_before = _total_mpc_bytes(chans)
-        token, state = decode_step(model, state, ctx, chans, threads)
-        tokens.append(token)
-        step_bytes = _total_mpc_bytes(chans) - bytes_before
-        ctx.counter.mpc_bytes += step_bytes
-        stats = cache_stats(state.caches[0][0])
         # maybe_refresh counts each event it fires on the counter
-        counters = ctx.counter.delta(before)
+        (token, state), counters = _charged(ctx, chans, decode_step, model, state, ctx, chans, threads)
+        tokens.append(token)
+        stats = cache_stats(state.caches[0][0])
         steps.append(
             {
                 "step": len(tokens),
                 "token": token,
                 "counters": counters,
-                "mpc_bytes": step_bytes,
+                "mpc_bytes": counters["mpc_bytes"],
                 "refresh_events": counters["refresh_events"],
                 "cache_auto_cts": stats["auto_ct_count"],
                 "cache_cts": stats["ct_count"],
@@ -558,7 +561,7 @@ def generate(model: Model, prompt: list, k: int, ctx: Context, seed: int = 0, th
             "n_slots": ctx.params.n_slots,
             "plain_modulus": ctx.params.plain_modulus,
         },
-        "prefill": {"counters": prefill_counters, "mpc_bytes": prefill_bytes},
+        "prefill": {"counters": prefill_counters, "mpc_bytes": prefill_counters["mpc_bytes"]},
         "steps": steps,
         "totals": ctx.counter.as_dict(),
     }
@@ -569,17 +572,15 @@ def bolt_reference_generate(model: Model, prompt: list, k: int, ctx: Context, se
     """Stateless baseline: reprocess the full prefix with the prefill
     kernels at every step (no KV reuse).  Same tokens, quadratic cost."""
     c = model.config
+    _check_length(c, prompt, k)
     chans = _channels(np.random.SeedSequence([0x707, seed]), c.layers, c.heads, ctx.params.plain_modulus)
     tokens = []
     steps = []
     seq = list(prompt)
     for _ in range(k):
-        before = ctx.counter.snapshot()
-        bytes_before = _total_mpc_bytes(chans)
-        state = prefill(model, seq, ctx, chans)
-        ctx.counter.mpc_bytes += _total_mpc_bytes(chans) - bytes_before
+        state, counters = _charged(ctx, chans, prefill, model, seq, ctx, chans)
         token = int(np.argmax(state.next_logits))
         tokens.append(token)
         seq.append(token)
-        steps.append({"step": len(tokens), "token": token, "counters": ctx.counter.delta(before)})
+        steps.append({"step": len(tokens), "token": token, "counters": counters})
     return tokens, {"steps": steps, "totals": ctx.counter.as_dict()}

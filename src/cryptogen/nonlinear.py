@@ -1,16 +1,26 @@
-"""Single-process two-role emulation of the MPC side.
+"""Single-process two-role emulation of the MPC side, and the one module
+that charges MPC traffic.
 
-HE ciphertexts convert to additive shares by server-side masking; protocols
-reconstruct, evaluate the shared fixed-point function, and re-share under a
-fresh mask, so each share in isolation stays uniform.  A channel object
-tallies the bytes and rounds the real protocol would move; the tallies
-depend only on shapes, never on values.
+HE ciphertexts convert to additive shares by server-side masking; the
+client evaluates the shared fixed-point function on the reconstruction
+and re-shares it under a fresh mask, so each share in isolation stays
+uniform.  A channel object tallies the bytes and rounds the real protocol
+would move; the tallies depend only on shapes, never on values.
 
-Byte model (elements are modulus-bit words, integer-divided into bytes):
-ciphertext transfers cost n_slots words; a protocol on L values costs its
-entry and exit transfers (2L words) plus a per-protocol number of L-word
-interaction rounds: gelu 2, truncate 1, softmax 3 + reciprocal iterations,
-layernorm 5.
+Byte model, as the pipeline charges it (elements are modulus-bit words,
+integer-divided into bytes):
+
+  ciphertext transfer   n_slots words, one round, each way
+                        (``he_to_shares``, ``shares_to_he``); a KV-cache
+                        refresh is one of each, 2n words in 2 rounds
+  truncate              3 trips of L words on L values
+  attention_softmax     3 + RECIPROCAL_ITERS trips over all the scores
+  LayerNorm, GELU       no rounds: evaluated on the reconstruction between
+                        the two ciphertext transfers around them
+
+Two known gaps (ROADMAP item 5): 2 of truncate's 3 trips are entry/exit
+transfers that the ciphertext transfers around every call already charge,
+and LayerNorm/GELU charge none of their protocol rounds.
 """
 
 from __future__ import annotations
@@ -24,9 +34,8 @@ from .backend import Context, ParameterError, SlotCiphertext
 from .fixedpoint import (
     RECIPROCAL_ITERS,
     FixedPointParams,
-    fp_gelu,
-    fp_layernorm,
-    fp_softmax,
+    attention_weights,
+    causal_attention_weights,
     fp_truncate,
     from_signed,
     to_signed,
@@ -36,10 +45,8 @@ __all__ = [
     "FixedPointParams",
     "MpcChannel",
     "SharePair",
+    "attention_softmax",
     "he_to_shares",
-    "mpc_gelu",
-    "mpc_layernorm",
-    "mpc_softmax",
     "reconstruct",
     "share_vector",
     "shares_to_he",
@@ -62,17 +69,15 @@ class SharePair:
 
 
 class MpcChannel:
-    """Byte/round accounting plus the mask RNG for one serial conversation."""
+    """Byte/round accounting plus the mask RNG for one serial conversation.
+    Only the protocols of this module call ``transfer``."""
 
     def __init__(self, p: int, seed=0):
         self.p = p
         self.word_bits = p.bit_length()
         self.bytes_sent = 0
         self.rounds = 0
-        if isinstance(seed, np.random.SeedSequence):
-            self.rng = np.random.default_rng(seed)
-        else:
-            self.rng = np.random.default_rng(np.random.SeedSequence(seed))
+        self.rng = np.random.default_rng(seed)  # an int or a SeedSequence
         self.transcript: list = []
 
     def vector_bytes(self, elements: int) -> int:
@@ -142,27 +147,20 @@ def truncate(s: SharePair, fp: FixedPointParams, ch: MpcChannel) -> SharePair:
     return share_vector(out, ch)
 
 
-def mpc_gelu(s: SharePair, fp: FixedPointParams, ch: MpcChannel) -> SharePair:
-    """GELU: frozen quartic inside [-3.2, 3.2] (two multiplication rounds),
-    exact linear/zero passthrough outside, negative side by symmetry."""
-    out = fp_gelu(reconstruct(s), fp)
-    ch.transfer("gelu", s.length, trips=2 + 2)
-    return share_vector(out, ch)
+def attention_softmax(
+    scores_2f: np.ndarray, d2: int, fp: FixedPointParams, ch: MpcChannel
+) -> np.ndarray:
+    """Scale-f softmax weights of scale-2f attention scores.
 
-
-def mpc_softmax(s: SharePair, fp: FixedPointParams, ch: MpcChannel) -> SharePair:
-    """Integer-only softmax over the shared scores (scale f in, scale f out)."""
-    if s.length < 1:
-        raise ParameterError("softmax needs at least one score")
-    out = fp_softmax(reconstruct(s), fp)
-    ch.transfer("softmax", s.length, trips=3 + RECIPROCAL_ITERS + 2)
-    return share_vector(out, ch)
-
-
-def mpc_layernorm(
-    s: SharePair, gain, bias, fp: FixedPointParams, ch: MpcChannel
-) -> SharePair:
-    """LayerNorm with plaintext gain/bias (already scale-f integers)."""
-    out = fp_layernorm(reconstruct(s), gain, bias, fp)
-    ch.transfer("layernorm", s.length, trips=5 + 2)
-    return share_vector(out, ch)
+    A score vector (one decode query) takes ``attention_weights``; an
+    m x m matrix (the prompt pass) takes ``causal_attention_weights`` row
+    by row.  Either way the protocol is 3 + RECIPROCAL_ITERS trips over
+    all the scores.
+    """
+    S = np.asarray(scores_2f, dtype=np.int64)
+    if S.ndim == 1:
+        out = attention_weights(S, d2, fp)
+    else:
+        out = np.stack([causal_attention_weights(row, i, d2, fp) for i, row in enumerate(S)])
+    ch.transfer("softmax", S.size, trips=3 + RECIPROCAL_ITERS)
+    return out

@@ -3,7 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cryptogen.model import generate_toy_model, save_model, toy_config
+
+PARAMS_TOY = Path(__file__).resolve().parents[1] / "configs" / "params_toy.json"
 
 
 def run_cli(*args, cwd=None):
@@ -42,6 +46,43 @@ def test_verify_corrupted_model_exits_nonzero(tmp_path):
     out = run_cli("verify", "--model", str(mdir))
     assert out.returncode == 2
     assert "error" in out.stderr.lower()
+
+
+def _malformed_params(edit):
+    def write(tmp_path):
+        d = json.loads(PARAMS_TOY.read_text())
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(edit(d)))
+        return ["bench", "--params", str(path), "--prefill", "2", "--gen", "1", "--out", str(tmp_path / "b")]
+
+    return write
+
+
+def _model_entry_without_file(tmp_path):
+    mdir = tmp_path / "model"
+    save_model(generate_toy_model(toy_config(), seed=0), mdir)
+    manifest = json.loads((mdir / "manifest.json").read_text())
+    del manifest["weights"]["unembed"]["file"]
+    (mdir / "manifest.json").write_text(json.dumps(manifest))
+    return ["verify", "--model", str(mdir)]
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        _malformed_params(lambda d: {**d, "n_slot": 64}),
+        _malformed_params(lambda d: {**d, "noise_costs": {**d["noise_costs"], "rotat": 2}}),
+        _malformed_params(lambda d: []),
+        _malformed_params(lambda d: {**d, "n_slots": "64"}),
+        _model_entry_without_file,
+    ],
+    ids=["unknown_key", "unknown_noise_cost", "top_level_list", "string_n_slots", "weight_without_file"],
+)
+def test_malformed_input_files_are_config_errors(tmp_path, make_args):
+    out = run_cli(*make_args(tmp_path))
+    assert out.returncode == 2, out.stderr
+    assert "error:" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_bench_csv_columns_and_compaction(tmp_path):

@@ -200,6 +200,20 @@ def test_bolt_reference_charges_mpc_bytes(toy):
     assert bolt["totals"]["mpc_bytes"] == sum(per_step)
 
 
+def test_bolt_reference_rejects_overlong_runs_before_any_op():
+    """Like generate, the stateless baseline rejects prompt + k > max_seq
+    up front instead of dying mid-generation."""
+    cfg = ModelConfig(layers=1, d1=8, heads=2, ffn_dim=8, vocab=16, max_seq=6)
+    model = generate_toy_model(cfg, seed=0)
+    for k in (4, 6):
+        ctx = _ctx()
+        with pytest.raises(ParameterError, match="prompt \\+ generation exceeds max_seq"):
+            bolt_reference_generate(model, [1, 2, 3], k, ctx)
+        assert not any(ctx.counter.as_dict().values())
+    tokens, _ = generate(model, [1, 2, 3], 3, _ctx())
+    assert bolt_reference_generate(model, [1, 2, 3], 3, _ctx())[0] == tokens
+
+
 def test_generation_bounds(toy):
     with pytest.raises(ParameterError):
         generate(toy, list(range(200)), 1, _ctx())

@@ -1,30 +1,38 @@
+import dataclasses
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cryptogen.backend import ParameterError, default_plain_modulus
+from cryptogen.backend import BackendParams, ParameterError, default_plain_modulus, new_context
 from cryptogen.fixedpoint import (
+    RECIPROCAL_ITERS,
     FixedPointParams,
+    attention_weights,
+    causal_attention_weights,
     fp_encode,
     fp_decode,
     fp_gelu,
     fp_layernorm,
     fp_softmax,
+    fp_truncate,
 )
 from cryptogen.nonlinear import (
     MpcChannel,
     SharePair,
+    attention_softmax,
     he_to_shares,
-    mpc_gelu,
-    mpc_layernorm,
-    mpc_softmax,
     reconstruct,
+    share_vector,
     shares_to_he,
     truncate,
 )
+from cryptogen.model import generate, generate_toy_model, toy_config
 
+PARAMS_TOY = Path(__file__).resolve().parents[1] / "configs" / "params_toy.json"
 P_BIG = default_plain_modulus(8192, 29)
 FP = FixedPointParams(11, P_BIG)
 
@@ -33,6 +41,11 @@ def _share(values, fp, ch):
     secret = np.mod(fp_encode(values, fp), ch.p)
     r = ch.sample_mask(len(secret))
     return SharePair((secret - r) % ch.p, r, ch.p, len(secret))
+
+
+def _scores(values, fp):
+    """Signed attention scores at scale 2f."""
+    return fp_encode(values, fp) << fp.f
 
 
 def _gelu_ref(x):
@@ -104,8 +117,7 @@ def test_truncate_examples():
 
 
 def test_gelu_point_values():
-    ch = MpcChannel(P_BIG, seed=0)
-    out = reconstruct(mpc_gelu(_share([0.0, 10.0, -10.0, 1.0], FP, ch), FP, ch))
+    out = fp_gelu(fp_encode([0.0, 10.0, -10.0, 1.0], FP), FP)
     vals = fp_decode(out, FP)
     assert vals[0] == 0.0
     assert vals[1] == 10.0
@@ -123,17 +135,15 @@ def test_gelu_grid_error_and_outside():
 
 
 def test_softmax_singleton_and_uniform():
-    ch = MpcChannel(P_BIG, seed=0)
-    one = reconstruct(mpc_softmax(_share([2.5], FP, ch), FP, ch))
+    one = fp_softmax(fp_encode([2.5], FP), FP)
     assert one[0] == FP.scale
-    uni = fp_decode(reconstruct(mpc_softmax(_share([0.3] * 4, FP, ch), FP, ch)), FP)
+    uni = fp_decode(fp_softmax(fp_encode([0.3] * 4, FP), FP), FP)
     assert len(set(uni.tolist())) == 1
     assert abs(uni.sum() - 1.0) <= 4 * 2.0 ** -FP.f
 
 
 def test_softmax_reference_values():
-    ch = MpcChannel(P_BIG, seed=0)
-    out = fp_decode(reconstruct(mpc_softmax(_share([2.0, 1.0, 0.0], FP, ch), FP, ch)), FP)
+    out = fp_decode(fp_softmax(fp_encode([2.0, 1.0, 0.0], FP), FP), FP)
     ref = np.array([0.6652, 0.2447, 0.0900])
     assert np.max(np.abs(out - ref)) <= 4 * 2.0 ** -FP.f
 
@@ -152,15 +162,14 @@ def test_softmax_sum_and_argmax_properties(rng):
 
 
 def test_layernorm_cases():
-    ch = MpcChannel(P_BIG, seed=0)
     gain = fp_encode(np.ones(4), FP)
     bias = fp_encode(np.array([0.5, -0.5, 0.25, 0.0]), FP)
-    const = reconstruct(mpc_layernorm(_share([2.0] * 4, FP, ch), gain, bias, FP, ch))
+    const = fp_layernorm(fp_encode([2.0] * 4, FP), gain, bias, FP)
     assert (const == bias).all()
 
     g2 = fp_encode(np.ones(2), FP)
     b2 = fp_encode(np.zeros(2), FP)
-    out = fp_decode(reconstruct(mpc_layernorm(_share([1.0, -1.0], FP, ch), g2, b2, FP, ch)), FP)
+    out = fp_decode(fp_layernorm(fp_encode([1.0, -1.0], FP), g2, b2, FP), FP)
     assert np.max(np.abs(out - [1.0, -1.0])) <= 2.0 ** -(FP.f - 2)
 
 
@@ -179,9 +188,10 @@ def test_protocol_bytes_depend_only_on_shape(rng):
     for seed in (0, 1):
         ch = MpcChannel(P_BIG, seed=seed)
         vals = rng.uniform(-2, 2, 16)
-        mpc_gelu(_share(vals, FP, ch), FP, ch)
-        mpc_softmax(_share(vals, FP, ch), FP, ch)
-        totals.append(ch.bytes_sent)
+        truncate(_share(vals, FP, ch), FP, ch)
+        attention_softmax(_scores(vals, FP), 8, FP, ch)
+        attention_softmax(_scores(vals, FP).reshape(4, 4), 8, FP, ch)
+        totals.append((ch.bytes_sent, ch.rounds))
     assert totals[0] == totals[1]
 
 
@@ -194,14 +204,45 @@ def test_transcript_json(ctx16):
 
 
 def test_share_completeness_on_protocol_boundaries(rng):
+    """Each protocol's output equals the fixed-point function of the
+    reconstruction of its shared input."""
     ch = MpcChannel(P_BIG, seed=9)
-    for fn, extra in ((mpc_gelu, ()), (mpc_softmax, ())):
-        vals = rng.uniform(-3, 3, 8)
-        sp = _share(vals, FP, ch)
-        out = fn(sp, FP, ch)
-        direct = (
-            fp_gelu(fp_encode(vals, FP), FP)
-            if fn is mpc_gelu
-            else fp_softmax(fp_encode(vals, FP), FP)
-        )
-        assert (reconstruct(out) == direct).all()
+    vals = rng.uniform(-3, 3, 8)
+    sp = _share(vals, FP, ch)
+    assert (reconstruct(truncate(sp, FP, ch)) == fp_truncate(fp_encode(vals, FP), FP.f)).all()
+    scores = _scores(vals, FP)
+    sp = share_vector(scores, ch)
+    assert (attention_softmax(reconstruct(sp), 8, FP, ch) == attention_weights(scores, 8, FP)).all()
+
+
+def test_attention_softmax_matches_fixedpoint_and_charges_all_scores(rng):
+    trips = 3 + RECIPROCAL_ITERS
+    vec = _scores(rng.uniform(-3, 3, 5), FP)
+    ch = MpcChannel(P_BIG, seed=0)
+    assert (attention_softmax(vec, 8, FP, ch) == attention_weights(vec, 8, FP)).all()
+    assert (ch.bytes_sent, ch.rounds) == (trips * ch.vector_bytes(vec.size), trips)
+
+    S = _scores(rng.uniform(-3, 3, 16), FP).reshape(4, 4)
+    ch = MpcChannel(P_BIG, seed=0)
+    A = attention_softmax(S, 8, FP, ch)
+    assert A.shape == (4, 4)
+    for i in range(4):
+        assert (A[i] == causal_attention_weights(S[i], i, 8, FP)).all()
+    assert (ch.bytes_sent, ch.rounds) == (trips * ch.vector_bytes(S.size), trips)
+
+
+def test_only_nonlinear_charges_mpc_traffic(monkeypatch):
+    """Every channel transfer of a toy generation whose cache refreshes
+    every step is made by a protocol of the nonlinear module."""
+    callers = set()
+    transfer = MpcChannel.transfer
+
+    def spy(ch, *args, **kwargs):
+        callers.add(sys._getframe(1).f_globals["__name__"])
+        return transfer(ch, *args, **kwargs)
+
+    monkeypatch.setattr(MpcChannel, "transfer", spy)
+    params = dataclasses.replace(BackendParams.from_json(PARAMS_TOY.read_text()), refresh_threshold=170)
+    _, report = generate(generate_toy_model(toy_config(), seed=0), [3, 14, 15, 9, 26], 2, new_context(params, seed=0))
+    assert report["totals"]["refresh_events"] > 0
+    assert callers == {"cryptogen.nonlinear"}
