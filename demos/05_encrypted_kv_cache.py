@@ -22,7 +22,7 @@ ctx = new_context(BackendParams(n_slots=16, plain_modulus=p), seed=0)
 d2 = 4
 
 cache = init_cache(None, None, ctx, d2=d2)
-print(f"B = ceil(n/d2) = {cache.B}")
+print(f"B = n/d2 = {cache.B}")
 for t in range(9):
     tok = pack_token_inner(np.full(d2, t + 1), ctx)
     cache = append_token(cache, tok, tok, ctx)

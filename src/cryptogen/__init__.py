@@ -33,7 +33,6 @@ from .encodings import (
 )
 from .linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal, fold_sum
 from .arcc import (
-    ScoreLayout,
     ScoreVector,
     arcc_inner_inner,
     arcc_inner_outer,

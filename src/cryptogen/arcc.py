@@ -30,7 +30,6 @@ surgery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -50,7 +49,6 @@ from .nonlinear import (
 )
 
 __all__ = [
-    "ScoreLayout",
     "ScoreVector",
     "arcc_inner_inner",
     "arcc_inner_outer",
@@ -61,17 +59,13 @@ __all__ = [
 ]
 
 
-class ScoreLayout(Enum):
-    PREFILL_ALIGNED = "prefill_aligned"  # scores contiguous in slots 0..len-1
-    BLOCK_ALIGNED = "block_aligned"  # one score at the start of each block
-
-
 @dataclass
 class ScoreVector:
     parts: list
     valid_len: int
-    layout: ScoreLayout
-    block: int | None = None  # block width, BLOCK_ALIGNED only
+    # None: scores contiguous in slots 0..valid_len-1; an int: block-aligned,
+    # one score at the start of each block of that width
+    block: int | None = None
 
     @property
     def ct(self) -> SlotCiphertext:
@@ -114,7 +108,7 @@ def arcc_inner_inner(
         ctx.mult_cipher(broadcast_slot(coeffs, j, n, ctx), part)
         for j, part in enumerate(basis.parts)
     )
-    return ScoreVector([acc], basis.encoding.rows, ScoreLayout.PREFILL_ALIGNED)
+    return ScoreVector([acc], basis.encoding.rows)
 
 
 def arcc_inner_outer(
@@ -134,12 +128,12 @@ def arcc_inner_outer(
     d = rows.encoding.cols
     vt = tile_token(v, d, rows.encoding.block, ctx)
     parts = [fold_sum(ctx.mult_cipher(vt, part), d, ctx) for part in rows.parts]
-    return ScoreVector(parts, rows.encoding.rows, ScoreLayout.BLOCK_ALIGNED, block=d)
+    return ScoreVector(parts, rows.encoding.rows, block=d)
 
 
 def compact_scores(s: ScoreVector, ctx: Context) -> ScoreVector:
     """Realign block-boundary scores into contiguous slots 0..valid_len-1."""
-    if s.layout is not ScoreLayout.BLOCK_ALIGNED:
+    if s.block is None:
         raise ParameterError("compact_scores expects a block-aligned input")
     n = ctx.params.n_slots
     if s.valid_len > n:
@@ -153,7 +147,7 @@ def compact_scores(s: ScoreVector, ctx: Context) -> ScoreVector:
         return ctx.rotate(out, src - r) if src != r else out
 
     acc = ctx.sum(map(piece, range(s.valid_len)))
-    return ScoreVector([acc], s.valid_len, ScoreLayout.PREFILL_ALIGNED)
+    return ScoreVector([acc], s.valid_len)
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +239,7 @@ def attention_step(
     runs there, and the weights return split per segment for value
     aggregation.  Output is inner-packed, length d2, scale f.
     """
-    m, t, d2, B = cache.m, cache.t_auto, cache.d2, cache.B
+    m, t, d2 = cache.m, cache.t_auto, cache.d2
     n = ctx.params.n_slots
     if m + t == 0:
         raise ParameterError("attention over an empty cache")
@@ -255,11 +249,11 @@ def attention_step(
         sv = arcc_inner_inner(q, cache.prefill_K, ctx)
         pieces.append(reconstruct(he_to_shares(sv.ct, ctx, mpc, length=m)))
     if t > 0:
+        # B * d2 = n: generated score r sits at slot r*d2 of the parts laid
+        # end to end
         sv = arcc_inner_outer(q, cache.auto_K, ctx)
-        for qi, part in enumerate(sv.parts):
-            vals = reconstruct(he_to_shares(part, ctx, mpc))
-            rows_here = min(B, t - qi * B)
-            pieces.append(vals[np.arange(rows_here) * d2])
+        vals = [reconstruct(he_to_shares(part, ctx, mpc)) for part in sv.parts]
+        pieces.append(np.concatenate(vals)[: t * d2 : d2])
     a = attention_softmax(np.concatenate(pieces), d2, fp, mpc)
 
     halves = []

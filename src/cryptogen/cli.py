@@ -28,7 +28,7 @@ from .costmodel import (
     table2_rows,
     validate_against_counts,
 )
-from .encodings import EncodingKind, decode, encode
+from .encodings import EncodingKind, block_capacity, decode, encode
 from .kv_cache import maybe_refresh
 from .linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal
 from .model import (
@@ -108,7 +108,7 @@ def run_verification(model, params: BackendParams, seed: int, threads: int = 1) 
     check("oracle_token_exactness", tokens == want, f"got {tokens} want {want}")
 
     # compaction law from the run report
-    B = -(-params.n_slots // cfg.d2)
+    B = block_capacity(params.n_slots, cfg.d2)
     ok = all(s["cache_auto_cts"] == -(-s["step"] // B) for s in report["steps"])
     check("cache_compaction_law", ok, f"B={B}")
 
@@ -193,6 +193,8 @@ def _bench_run(model, params, m, k, seed, threads):
 
 
 def cmd_bench(args) -> int:
+    if args.sweep and args.gen < 1:
+        raise ParameterError(f"--sweep needs --gen >= 1 for its m sweep, got {args.gen}")
     params = _load_params(args.params)
     model = _get_model(args)
     out = Path(args.out or "bench")

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encodings import block_capacity
+
 __all__ = [
     "CostCell",
     "CostTriple",
@@ -292,9 +294,8 @@ def validate_against_counts(report: dict) -> dict:
     steps = report["steps"]
     if len(steps) < 4:
         raise ValueError("need at least 4 decode steps to fit growth orders")
-    n = report["backend"]["n_slots"]
     d2 = report["config"]["d1"] // report["config"]["heads"]
-    B = -(-n // d2)
+    B = block_capacity(report["backend"]["n_slots"], d2)
 
     checks = []
 

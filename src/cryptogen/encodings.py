@@ -4,7 +4,7 @@ Three layouts of encrypted matrices:
 
   outer           one matrix column per ciphertext, values in slots 0..m-1
   inner           one matrix row per ciphertext, values in slots 0..d-1
-  inner_compacted rows packed B = ceil(n/d) per ciphertext in d-wide blocks
+  inner_compacted rows packed B = n/d per ciphertext in d-wide blocks
 
 Plaintext weights are not packed here: the linear kernels take them as
 dense matrices and build the plaintext vectors their algorithms need.
@@ -107,14 +107,14 @@ class PackedMatrix:
 
 
 def block_capacity(n_slots: int, d: int) -> int:
-    """Rows per ciphertext for d-wide blocks: B = ceil(n/d)."""
+    """Rows per ciphertext for d-wide blocks: B = n/d, with d dividing n."""
     if d <= 0 or d > n_slots:
         raise ParameterError(f"block width {d} does not fit {n_slots} slots")
     if n_slots % d != 0:
         raise ParameterError(
             f"block width {d} must divide the slot count {n_slots}"
         )
-    return -(-n_slots // d)
+    return n_slots // d
 
 
 def encode(A, kind: EncodingKind, ctx: Context) -> PackedMatrix:

@@ -2,9 +2,13 @@
 
 The prefill segment keeps keys/values outer-packed (one feature column per
 ciphertext); generated tokens are appended into compacted inner-packed
-ciphertexts holding B = ceil(n/d2) tokens each.  Appends are slot-aware:
+ciphertexts holding B = n/d2 tokens each.  Appends are slot-aware:
 the incoming token is rotated to its block, masked, and added, so a fresh
 ciphertext is opened only every B tokens.
+
+A cache is its four segments: its geometry (d2, B, the prompt length m and
+the generated count t_auto) is read off their encodings, never stored
+beside them.
 
 Noise is handled lazily: before each decode step, any part whose budget has
 fallen to the refresh threshold makes the share round trip of
@@ -59,24 +63,31 @@ class RefreshEvent:
 
 @dataclass(frozen=True)
 class KVCache:
-    d2: int
-    B: int
-    m: int
-    t_auto: int
     prefill_K: PackedMatrix | None
     prefill_V: PackedMatrix | None
     auto_K: PackedMatrix
     auto_V: PackedMatrix
     refresh_log: tuple = field(default_factory=tuple)
 
+    @property
+    def d2(self) -> int:
+        return self.auto_K.cols
+
+    @property
+    def B(self) -> int:
+        return self.auto_K.per_part
+
+    @property
+    def m(self) -> int:
+        return self.prefill_K.rows if self.prefill_K is not None else 0
+
+    @property
+    def t_auto(self) -> int:
+        return self.auto_K.rows
+
     def segments(self):
-        pairs = []
-        if self.prefill_K is not None:
-            pairs.append(("prefill_K", self.prefill_K))
-            pairs.append(("prefill_V", self.prefill_V))
-        pairs.append(("auto_K", self.auto_K))
-        pairs.append(("auto_V", self.auto_V))
-        return pairs
+        names = ("prefill_K", "prefill_V", "auto_K", "auto_V")
+        return [(name, getattr(self, name)) for name in names if getattr(self, name) is not None]
 
 
 def _empty_auto(d2: int, B: int) -> PackedMatrix:
@@ -100,16 +111,13 @@ def init_cache(
             raise ParameterError(
                 f"prefill K {K_pref.encoding} and V {V_pref.encoding} disagree"
             )
-        m, d2_eff = K_pref.encoding.rows, K_pref.encoding.cols
-        if d2 is not None and d2 != d2_eff:
-            raise ParameterError(f"d2 {d2} does not match prefill width {d2_eff}")
-        d2 = d2_eff
-    else:
-        if d2 is None:
-            raise ParameterError("an empty cache needs an explicit d2")
-        m = 0
+        if d2 is not None and d2 != K_pref.cols:
+            raise ParameterError(f"d2 {d2} does not match prefill width {K_pref.cols}")
+        d2 = K_pref.cols
+    elif d2 is None:
+        raise ParameterError("an empty cache needs an explicit d2")
     B = block_capacity(ctx.params.n_slots, d2)
-    return KVCache(d2, B, m, 0, K_pref, V_pref, _empty_auto(d2, B), _empty_auto(d2, B))
+    return KVCache(K_pref, V_pref, _empty_auto(d2, B), _empty_auto(d2, B))
 
 
 def _append_one(
@@ -141,7 +149,7 @@ def append_token(
     mask[pos : pos + cache.d2] = 1
     auto_K = _append_one(cache.auto_K, k_new, pos, mask, ctx, fresh)
     auto_V = _append_one(cache.auto_V, v_new, pos, mask, ctx, fresh)
-    return replace(cache, t_auto=cache.t_auto + 1, auto_K=auto_K, auto_V=auto_V)
+    return replace(cache, auto_K=auto_K, auto_V=auto_V)
 
 
 def maybe_refresh(
@@ -288,10 +296,6 @@ def load_cache(path, ctx: Context) -> KVCache:
         return PackedMatrix(enc, parts)
 
     return KVCache(
-        d2=d2,
-        B=B,
-        m=manifest["m"],
-        t_auto=manifest["t_auto"],
         prefill_K=load_segment("prefill_K", EncodingKind.OUTER, None),
         prefill_V=load_segment("prefill_V", EncodingKind.OUTER, None),
         auto_K=load_segment("auto_K", EncodingKind.INNER_COMPACTED, B),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +69,10 @@ class ModelConfig:
     f: int = 8  # fraction bits of the fixed-point embedding
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if type(v) is not int:
+                raise ParameterError(f"{f.name} must be an int, got {v!r}")
         if min(self.layers, self.d1, self.heads, self.ffn_dim, self.vocab, self.max_seq) < 1:
             raise ParameterError("all model dimensions must be positive")
         if self.d1 % self.heads:
@@ -208,14 +212,13 @@ def _modmul(x: np.ndarray, W: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass
 class GenerationState:
-    position: int
     caches: list  # [layer][head] -> KVCache
     next_logits: np.ndarray
-    tokens: list = field(default_factory=list)
 
     @property
-    def t_auto(self) -> int:
-        return self.caches[0][0].t_auto
+    def position(self) -> int:
+        """Tokens processed so far: the prompt plus every generated token."""
+        return self.caches[0][0].m + self.caches[0][0].t_auto
 
 
 # ----------------------------------------------------------------------
@@ -279,6 +282,8 @@ def oracle_generate(model: Model, prompt: list, k: int, p: int) -> list:
     """Greedy generation in plain fixed-point arithmetic; ground truth for
     every equivalence test."""
     c = model.config
+    if k < 0:
+        raise ParameterError(f"cannot generate {k} tokens")
     if not 1 <= len(prompt) <= c.max_seq or len(prompt) + k > c.max_seq:
         raise ParameterError("prompt/generation length exceeds max_seq")
     fp = FixedPointParams(c.f, p)
@@ -340,8 +345,7 @@ def _add(A: PackedMatrix, B: PackedMatrix, ctx) -> PackedMatrix:
 
 def _add_bias(P: PackedMatrix, bias: np.ndarray, ctx) -> PackedMatrix:
     """Add a plaintext bias row to every row of the slab."""
-    p = ctx.params.plain_modulus
-    rows = P.payloads(np.broadcast_to(np.mod(bias, p), (P.rows, P.cols)))
+    rows = P.payloads(np.broadcast_to(bias, (P.rows, P.cols)))
     parts = [ctx.add_plain(part, ctx.plain_from_dense(v)) for part, v in zip(P.parts, rows)]
     return PackedMatrix(P.encoding, parts)
 
@@ -409,6 +413,8 @@ def _charged(ctx, chans, fn, *args):
 
 
 def _check_length(c: ModelConfig, prompt: list, k: int) -> None:
+    if k < 0:
+        raise ParameterError(f"cannot generate {k} tokens")
     if len(prompt) + k > c.max_seq:
         raise ParameterError("prompt + generation exceeds max_seq")
 
@@ -477,13 +483,13 @@ def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int =
     c = model.config
     if not 1 <= len(prompt) <= c.max_seq:
         raise ParameterError("prompt length out of range")
-    p = ctx.params.plain_modulus
+    model.fixed_point(ctx)  # a modulus without fixed-point headroom fails before any op
     if chans is None:
-        chans = _channels(ctx.spawn_seed(), c.layers, c.heads, p)
+        chans = _channels(ctx.spawn_seed(), c.layers, c.heads, ctx.params.plain_modulus)
     m = len(prompt)
 
     X = np.stack([_embed(model, t, i) for i, t in enumerate(prompt)])
-    X = encode(np.mod(X, p), EncodingKind.OUTER, ctx)
+    X = encode(X, EncodingKind.OUTER, ctx)
     caches = [[None] * c.heads for _ in range(c.layers)]
     for l in range(c.layers):
         X = _layer(model, l, X, _Prefill, caches, ctx, chans, threads)
@@ -492,7 +498,7 @@ def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int =
     ch = chans["common"]
     last = np.array([reconstruct(he_to_shares(part, ctx, ch, length=m))[m - 1] for part in X.parts])
     x_last = shares_to_he(share_vector(last, ch), ctx, ch)
-    return GenerationState(position=m, caches=caches, next_logits=_logits(model, x_last, ctx))
+    return GenerationState(caches=caches, next_logits=_logits(model, x_last, ctx))
 
 
 def decode_step(model: Model, state: GenerationState, ctx: Context, chans=None, threads: int = 1):
@@ -500,9 +506,8 @@ def decode_step(model: Model, state: GenerationState, ctx: Context, chans=None, 
     CPVM projections, refresh check, cache append, heterogeneous attention.
     Without chans, fresh channels are seeded from the context."""
     c = model.config
-    p = ctx.params.plain_modulus
     if chans is None:
-        chans = _channels(ctx.spawn_seed(), c.layers, c.heads, p)
+        chans = _channels(ctx.spawn_seed(), c.layers, c.heads, ctx.params.plain_modulus)
     token = int(np.argmax(state.next_logits))
     pos = state.position
     if pos >= c.max_seq:
@@ -514,17 +519,11 @@ def decode_step(model: Model, state: GenerationState, ctx: Context, chans=None, 
         for l in range(c.layers)
     ]
 
-    X = encode(np.mod(_embed(model, token, pos), p)[None, :], EncodingKind.INNER, ctx)
+    X = encode(_embed(model, token, pos)[None, :], EncodingKind.INNER, ctx)
     for l in range(c.layers):
         X = _layer(model, l, X, _Decode, caches, ctx, chans, threads)
 
-    new_state = GenerationState(
-        position=pos + 1,
-        caches=caches,
-        next_logits=_logits(model, X.parts[0], ctx),
-        tokens=state.tokens + [token],
-    )
-    return token, new_state
+    return token, GenerationState(caches=caches, next_logits=_logits(model, X.parts[0], ctx))
 
 
 def generate(model: Model, prompt: list, k: int, ctx: Context, seed: int = 0, threads: int = 1):

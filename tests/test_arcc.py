@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cryptogen.arcc import (
-    ScoreLayout,
     arcc_inner_inner,
     arcc_inner_outer,
     attention_step,
@@ -41,7 +40,7 @@ def test_inner_inner_identity_keys(ctx16):
     q = pack_token_inner([5, 9], ctx16)
     K = encode(np.eye(2, dtype=np.int64), EncodingKind.OUTER, ctx16)
     sv = arcc_inner_inner(q, K, ctx16)
-    assert sv.layout is ScoreLayout.PREFILL_ALIGNED
+    assert sv.block is None
     assert (ctx16.decrypt(sv.ct)[:2] == [5, 9]).all()
 
 
@@ -81,7 +80,7 @@ def test_inner_outer_hand_examples(ctx16):
     v = pack_token_inner([1, 1], ctx16)
     row = encode(np.array([[2, 3]]), EncodingKind.INNER_COMPACTED, ctx16)
     sv = arcc_inner_outer(v, row, ctx16)
-    assert sv.layout is ScoreLayout.BLOCK_ALIGNED
+    assert sv.block == 2
     assert ctx16.decrypt(sv.parts[0])[0] == 5
 
     e0 = pack_token_inner([1, 0], ctx16)

@@ -67,6 +67,15 @@ def _model_entry_without_file(tmp_path):
     return ["verify", "--model", str(mdir)]
 
 
+def _model_with_float_dimension(tmp_path):
+    mdir = tmp_path / "model"
+    save_model(generate_toy_model(toy_config(), seed=0), mdir)
+    manifest = json.loads((mdir / "manifest.json").read_text())
+    manifest["config"]["d1"] = 32.0
+    (mdir / "manifest.json").write_text(json.dumps(manifest))
+    return ["verify", "--model", str(mdir)]
+
+
 @pytest.mark.parametrize(
     "make_args",
     [
@@ -75,14 +84,29 @@ def _model_entry_without_file(tmp_path):
         _malformed_params(lambda d: []),
         _malformed_params(lambda d: {**d, "n_slots": "64"}),
         _model_entry_without_file,
+        _model_with_float_dimension,
     ],
-    ids=["unknown_key", "unknown_noise_cost", "top_level_list", "string_n_slots", "weight_without_file"],
+    ids=[
+        "unknown_key", "unknown_noise_cost", "top_level_list", "string_n_slots", "weight_without_file",
+        "float_model_dimension",
+    ],
 )
 def test_malformed_input_files_are_config_errors(tmp_path, make_args):
     out = run_cli(*make_args(tmp_path))
     assert out.returncode == 2, out.stderr
     assert "error:" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "gen_args", [["--gen", "-3"], ["--sweep", "--gen", "0"]], ids=["negative_gen", "sweep_gen_0"]
+)
+def test_bench_rejects_bad_gen_before_any_run(tmp_path, gen_args):
+    out = run_cli("bench", "--prefill", "2", *gen_args, "--out", str(tmp_path / "b"))
+    assert out.returncode == 2, out.stderr
+    assert "error:" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_bench_csv_columns_and_compaction(tmp_path):

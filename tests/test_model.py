@@ -219,6 +219,30 @@ def test_generation_bounds(toy):
         generate(toy, list(range(200)), 1, _ctx())
     with pytest.raises(ParameterError):
         oracle_generate(toy, [1], 1000, P64)
+    # a negative token count is rejected before any op, not run as k = 0
+    for run in (generate, bolt_reference_generate):
+        ctx = _ctx()
+        with pytest.raises(ParameterError):
+            run(toy, [1, 2], -1, ctx)
+        assert not any(ctx.counter.as_dict().values())
+    with pytest.raises(ParameterError):
+        oracle_generate(toy, [1, 2], -1, P64)
+
+
+def test_fixed_point_headroom_rejected_before_any_op():
+    """A scale that leaves no product headroom under the modulus
+    (2^(2f+6) >= p) is rejected before the prompt is encrypted."""
+    model = generate_toy_model(ModelConfig(**{**toy_config().as_dict(), "f": 11}), seed=0)
+    runs = {
+        "generate": lambda ctx: generate(model, [1, 2], 1, ctx),
+        "bolt_reference_generate": lambda ctx: bolt_reference_generate(model, [1, 2], 1, ctx),
+        "prefill": lambda ctx: prefill(model, [1, 2], ctx),
+    }
+    for name, run in runs.items():
+        ctx = _ctx()
+        with pytest.raises(ParameterError, match="headroom"):
+            run(ctx)
+        assert not any(ctx.counter.as_dict().values()), name
 
 
 def _float_reference_logits(model, prompt):

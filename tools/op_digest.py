@@ -7,7 +7,9 @@ add, add_plain, mult_plain, mult_cipher, rotate) is recorded as
 has no result ciphertext and records ``None`` for both.  Ciphertext ids are
 renumbered in order of first appearance, so the digest does not depend on
 how many contexts the process created before the run.  The sha256 of the
-records is printed next to the tokens and the operation count.
+records is printed next to the tokens and the operation count, and
+compared with the digest and count pinned for the shape: the script exits 1
+when they differ.
 
 Two changes that keep the digest compute the same operations on the same
 ciphertexts in the same order and spend the same noise, so the digest is
@@ -37,10 +39,17 @@ ROOT = Path(__file__).resolve().parents[1]
 # the counted operations and how many of their leading arguments are ciphertexts
 CT_OPERANDS = {"encrypt": 0, "decrypt": 1, "add": 2, "add_plain": 1, "mult_plain": 1, "mult_cipher": 2, "rotate": 1}
 
-# (prompt length, tokens generated, refresh threshold or None)
+# (prompt length, tokens generated, refresh threshold or None,
+#  expected sha256, expected op count)
 SHAPES = {
-    "decode_long": (8, 144, None),
-    "refresh_churn": (32, 112, 170),
+    "decode_long": (
+        8, 144, None,
+        "cffddb9c279b3c14c7088ce9939dee4172520dcbb473f6f66211c155132258f1", 743_073,
+    ),
+    "refresh_churn": (
+        32, 112, 170,
+        "6ec7e354cfff2a6955c9653f5e9c62d1df5ba92343feaf713627a4f1ae83642d", 612_129,
+    ),
 }
 
 
@@ -110,7 +119,7 @@ def main(argv=None) -> int:
     from cryptogen.backend import BackendParams
     from cryptogen.model import generate_toy_model, toy_config
 
-    prompt_len, k, threshold = SHAPES[args.shape]
+    prompt_len, k, threshold, want_digest, want_ops = SHAPES[args.shape]
     params = BackendParams.from_json((ROOT / "configs" / "params_toy.json").read_text())
     if threshold is not None:
         params = dataclasses.replace(params, refresh_threshold=threshold)
@@ -121,7 +130,9 @@ def main(argv=None) -> int:
     print(f"shape {args.shape}  ops {ops}")
     print(f"tokens {tokens}")
     print(f"sha256 {digest}")
-    return 0
+    match = (digest, ops) == (want_digest, want_ops)
+    print(f"matches pinned digest: {'yes' if match else f'no (want {want_digest}, {want_ops} ops)'}")
+    return 0 if match else 1
 
 
 if __name__ == "__main__":
