@@ -32,11 +32,10 @@ for kind in EncodingKind:
     assert (decode(P, ctx) == A).all()
 
 # compacted rows: ceil(r/B) ciphertexts hold r rows
-B = 8 // 2
 for r in (1, 3, 4, 5):
     M = np.arange(2 * r).reshape(r, 2)
     packed = encode(M, EncodingKind.INNER_COMPACTED, ctx)
-    print(f"rows={r}: B={B} -> {len(packed.parts)} cache ciphertext(s)")
+    print(f"rows={r}: B={packed.per_part} -> {len(packed.parts)} cache ciphertext(s)")
 
 with tempfile.TemporaryDirectory() as d:
     path = Path(d) / "weights.bin"

@@ -38,7 +38,6 @@ print("inner-inner scores:", ctx.decrypt(sv.ct)[:m].tolist())
 assert (ctx.decrypt(sv.ct)[:m] == (K @ q) % p).all()
 
 # inner-outer: q . K^T against the compacted generated segment
-B = 64 // d2
 t = 21  # tokens in the generated segment -> ceil(21/16) = 2 cache ciphertexts
 K_auto = rng.integers(0, p, (t, d2))
 packed = encode(K_auto, EncodingKind.INNER_COMPACTED, ctx)
@@ -46,7 +45,7 @@ start = ctx.counter.snapshot()
 sv = arcc_inner_outer(pack_token_inner(q, ctx), packed, ctx)
 d = ctx.counter.delta(start)
 print(f"inner-outer over {t} cached tokens: {d['mult_cipher']} CTxCT mults "
-      f"({len(packed.parts)} cache ciphertexts, B={B}), {d['rotate']} rotations")
+      f"({len(packed.parts)} cache ciphertexts, B={packed.per_part}), {d['rotate']} rotations")
 
 flat = compact_scores(sv, ctx)
 assert (ctx.decrypt(flat.ct)[:t] == (K_auto @ q) % p).all()

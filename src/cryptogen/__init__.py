@@ -16,6 +16,7 @@ from .backend import (
     NoiseCosts,
     OpCounter,
     ParameterError,
+    Plaintext,
     SlotCiphertext,
     default_plain_modulus,
     new_context,
@@ -31,7 +32,7 @@ from .encodings import (
     save_matrix,
     tile_token,
 )
-from .linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal, fold_sum
+from .linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal, cpvm_plaintexts, fold_sum
 from .arcc import (
     ScoreVector,
     arcc_inner_inner,

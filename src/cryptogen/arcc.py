@@ -72,12 +72,6 @@ class ScoreVector:
         return self.parts[0]
 
 
-def _one_hot(ctx: Context, slot: int) -> np.ndarray:
-    v = np.zeros(ctx.params.n_slots, dtype=np.int64)
-    v[slot] = 1
-    return v
-
-
 def broadcast_slot(
     a: SlotCiphertext, j: int, width: int, ctx: Context
 ) -> SlotCiphertext:
@@ -87,7 +81,7 @@ def broadcast_slot(
     n = ctx.params.n_slots
     if not 0 <= j < n or not 1 <= width <= n:
         raise ParameterError(f"slot {j} / width {width} out of range for {n} slots")
-    return ctx.fold(ctx.rotate(ctx.mult_plain(a, _one_hot(ctx, j)), j), -1, width)
+    return ctx.fold(ctx.rotate(ctx.mult_plain(a, ctx.block_mask(j, 1)), j), -1, width)
 
 
 def arcc_inner_inner(
@@ -143,7 +137,7 @@ def compact_scores(s: ScoreVector, ctx: Context) -> ScoreVector:
     def piece(r: int) -> SlotCiphertext:
         q, b = divmod(r, per_ct)
         src = b * s.block
-        out = ctx.mult_plain(s.parts[q], _one_hot(ctx, src))
+        out = ctx.mult_plain(s.parts[q], ctx.block_mask(src, 1))
         return ctx.rotate(out, src - r) if src != r else out
 
     acc = ctx.sum(map(piece, range(s.valid_len)))
@@ -164,7 +158,7 @@ def _dot_into_slot(
     """<weights, column> placed at one slot: SIMD mult, full fold, mask."""
     prod = ctx.mult_cipher(weights_ct, column_ct)
     total = fold_sum(prod, ctx.params.n_slots, ctx)
-    return ctx.mult_plain(total, _one_hot(ctx, slot))
+    return ctx.mult_plain(total, ctx.block_mask(slot, 1))
 
 
 def prefill_attention(

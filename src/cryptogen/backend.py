@@ -12,13 +12,22 @@ ciphertext whose budget has reached zero raises, mirroring the correctness
 failure of a real scheme.
 
 A ciphertext is a ``SlotCiphertext``, a read-only 4-tuple ``(slots,
-noise_budget, id, params)`` with named fields.  A ``Context`` issues
-every ciphertext and counts every operation on it; the seven counted
-operations are ``Context`` methods, looked up on the class at each call,
-so a tool can wrap them there.  At small slot counts the Python cost of
-each operation, not the slot arithmetic, sets the run time, which is why
-a ciphertext is a plain tuple and the three most frequent operations
-(``add``, ``rotate``, ``mult_plain``) do their checks inline.
+noise_budget, id, params)`` with named fields.  A plaintext operand is a
+``Plaintext``, a read-only 2-tuple ``(slots, params)`` whose slots are
+already reduced mod p; only ``Context.plain`` and ``Context.plains`` make
+one, so a plaintext that is used many times (a weight diagonal, a mask)
+is checked and reduced once, when it is made.  The plaintext positions of
+the operations (``encrypt``, ``add_plain``, ``mult_plain``,
+``load_ciphertext``) take a ``Plaintext`` as is, after the params check,
+and pass any other vector through ``Context.plain`` first.
+
+A ``Context`` issues every ciphertext and counts every operation on it;
+the seven counted operations are ``Context`` methods, looked up on the
+class at each call, so a tool can wrap them there.  At small slot counts
+the Python cost of each operation, not the slot arithmetic, sets the run
+time, which is why both records are plain tuples and the four most
+frequent operations (``add``, ``rotate``, ``mult_plain``, ``add_plain``)
+do their checks inline.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ __all__ = [
     "OpCounter",
     "ParameterError",
     "PlainVector",
+    "Plaintext",
     "SlotCiphertext",
     "default_plain_modulus",
     "is_prime",
@@ -244,22 +254,37 @@ class SlotCiphertext(tuple):
         return self[3].n_slots
 
 
-def _as_slots(values, params: BackendParams) -> np.ndarray:
-    if isinstance(values, SlotCiphertext):
-        raise ParameterError(
-            "a SlotCiphertext was passed where a plaintext vector is expected"
-        )
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.ndim != 1 or arr.shape[0] != params.n_slots:
-        raise ParameterError(
-            f"expected a vector of length {params.n_slots}, got shape {arr.shape}"
-        )
-    return np.mod(arr, params.plain_modulus)
+class Plaintext(tuple):
+    """An encoded plaintext operand: a read-only 2-tuple ``(slots,
+    params)`` with named fields, whose slots are a read-only int64 array
+    of ``params.n_slots`` residues mod ``params.plain_modulus``.
+
+    Made only by ``Context.plain`` and ``Context.plains``; calling the
+    class raises ``TypeError``.  Pickle and copy rebuild the same record,
+    read-only.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("a Plaintext is made by Context.plain or Context.plains")
+
+    def __reduce__(self):
+        return _plaintext, tuple(self)
+
+    slots = property(itemgetter(0), doc="The reduced slot values, a read-only int64 array.")
+    params = property(itemgetter(1), doc="The BackendParams of the Context that made it.")
 
 
 _context_uid = itertools.count()
 _new_tuple = tuple.__new__
 _INCOMPATIBLE = "ciphertext belongs to an incompatible context"
+_INCOMPATIBLE_PLAIN = "plaintext belongs to an incompatible context"
+
+
+def _plaintext(slots: np.ndarray, params: BackendParams) -> Plaintext:
+    slots.setflags(write=False)
+    return _new_tuple(Plaintext, (slots, params))
 
 
 class Context:
@@ -271,10 +296,12 @@ class Context:
         self._p = params.plain_modulus
         self._n = params.n_slots
         costs = params.noise_costs
-        self._add_cost, self._rotate_cost, self._mult_plain_cost = costs.add, costs.rotate, costs.mult_plain
+        self._add_cost, self._add_plain_cost = costs.add, costs.add_plain
+        self._rotate_cost, self._mult_plain_cost = costs.rotate, costs.mult_plain
         self.counter = OpCounter()
         self._seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._next_id = next(_context_uid) * 1_000_000_000
+        self._masks: dict = {}  # (start, width) -> Plaintext, shared with forks
 
     @property
     def params(self) -> BackendParams:
@@ -285,25 +312,83 @@ class Context:
     # helpers
     # ------------------------------------------------------------------
 
-    def plain_from_dense(self, values) -> PlainVector:
-        """Zero-pad a short vector into the first slots."""
+    def plain(self, v) -> Plaintext:
+        """Encode one n-slot integer vector (signed or residues): checked
+        and reduced mod p, in a fresh read-only array.  A ``Plaintext`` of
+        this context's params is returned as is; one of other params, a
+        ciphertext or a vector of the wrong shape raises ParameterError."""
+        params = self._params
+        if type(v) is Plaintext:
+            if v[1] is not params and v[1] != params:
+                raise ParameterError(_INCOMPATIBLE_PLAIN)
+            return v
+        if isinstance(v, SlotCiphertext):
+            raise ParameterError(
+                "a SlotCiphertext was passed where a plaintext vector is expected"
+            )
+        arr = np.asarray(v, dtype=np.int64)
+        if arr.ndim != 1 or arr.shape[0] != self._n:
+            raise ParameterError(
+                f"expected a vector of length {self._n}, got shape {arr.shape}"
+            )
+        return _plaintext(np.mod(arr, self._p), params)
+
+    def plains(self, rows) -> list:
+        """Encode the rows of a k x n integer matrix, reduced mod p in one
+        numpy call; one ``Plaintext`` per row, each a view of its row.
+
+        An int64 array is reduced in place and made read-only, so a matrix
+        built for this call is never copied; any other input is converted
+        to a fresh int64 array first.
+        """
+        M = np.asarray(rows)
+        if M.ndim != 2 or M.shape[1] != self._n or not np.issubdtype(M.dtype, np.integer):
+            raise ParameterError(
+                f"expected an integer matrix of {self._n} columns, got {M.dtype} of shape {M.shape}"
+            )
+        if M.dtype != np.int64 or not M.flags.writeable:
+            M = M.astype(np.int64)
+        np.mod(M, self._p, out=M)
+        M.setflags(write=False)
+        params = self._params
+        return [_new_tuple(Plaintext, (row, params)) for row in M]
+
+    def plain_from_dense(self, values) -> Plaintext:
+        """Zero-pad a short vector into the first slots and encode it."""
         arr = np.asarray(values, dtype=np.int64)
-        if arr.shape[0] > self.params.n_slots:
+        if arr.shape[0] > self._n:
             raise ParameterError("vector longer than slot count")
-        out = np.zeros(self.params.n_slots, dtype=np.int64)
+        out = np.zeros(self._n, dtype=np.int64)
         out[: arr.shape[0]] = arr
-        return np.mod(out, self.params.plain_modulus)
+        return _plaintext(np.mod(out, self._p, out=out), self._params)
 
     def zeros(self) -> PlainVector:
         return np.zeros(self.params.n_slots, dtype=np.int64)
+
+    def block_mask(self, start: int, width: int) -> Plaintext:
+        """The plaintext with ones in slots start..start+width-1 and zero
+        elsewhere (a one-hot mask at width 1), encoded on first use and
+        kept for this context and its forks."""
+        # forks on threads that miss together each build the same mask;
+        # whichever is stored last is kept
+        mask = self._masks.get((start, width))
+        if mask is None:
+            if not 0 <= start < start + width <= self._n:
+                raise ParameterError(f"mask of {width} slots from slot {start} does not fit {self._n} slots")
+            v = np.zeros(self._n, dtype=np.int64)
+            v[start : start + width] = 1
+            mask = self._masks[start, width] = self.plain(v)
+        return mask
 
     def spawn_seed(self) -> np.random.SeedSequence:
         """A fresh child of this context's seed sequence (never repeats)."""
         return self._seed_seq.spawn(1)[0]
 
     def fork(self) -> "Context":
-        """Child context sharing params; counters merge at the join."""
-        return Context(self.params, self.spawn_seed())
+        """Child context sharing params and masks; counters merge at the join."""
+        child = Context(self.params, self.spawn_seed())
+        child._masks = self._masks
+        return child
 
     def join(self, child: "Context") -> None:
         self.counter.merge(child.counter)
@@ -332,15 +417,16 @@ class Context:
     # ------------------------------------------------------------------
     # operations
     #
-    # add, rotate and mult_plain are nine in ten of all ops, so each does
-    # the params check, the budget spend, the count and the build of its
-    # result inline (the same steps as _check, _spend and _emit).
+    # add, rotate and mult_plain are nine in ten of all ops, and add_plain
+    # masks every share conversion, so each of them does the params check,
+    # the budget spend, the count and the build of its result inline (the
+    # same steps as _check, _spend and _emit).
     # ------------------------------------------------------------------
 
     def encrypt(self, v) -> SlotCiphertext:
-        slots = _as_slots(v, self.params)
+        slots = self.plain(v)[0]
         self.counter.encrypt += 1
-        return self._emit(slots.copy(), self.params.initial_noise_budget)
+        return self._emit(slots, self._params.initial_noise_budget)
 
     def decrypt(self, ct: SlotCiphertext) -> PlainVector:
         self._check(ct)
@@ -368,18 +454,31 @@ class Context:
         return ct
 
     def add_plain(self, a: SlotCiphertext, v) -> SlotCiphertext:
-        self._check(a)
-        slots = _as_slots(v, self.params)
-        budget = self._spend(a.noise_budget, self.params.noise_costs.add_plain)
+        sa, have, _, pa = a
+        params = self._params
+        if pa is not params and pa != params:
+            raise ParameterError(_INCOMPATIBLE)
+        v, pv = v if type(v) is Plaintext else self.plain(v)
+        if pv is not params and pv != params:
+            raise ParameterError(_INCOMPATIBLE_PLAIN)
+        cost = self._add_plain_cost
+        if have < cost:
+            raise NoiseBudgetExhausted(f"operation needs {cost} bits but only {have} remain")
         self.counter.add_plain += 1
-        return self._emit((a.slots + slots) % self._p, budget)
+        slots = (sa + v) % self._p
+        slots.setflags(write=False)
+        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params))
+        self._next_id += 1
+        return ct
 
     def mult_plain(self, a: SlotCiphertext, v) -> SlotCiphertext:
         sa, have, _, pa = a
         params = self._params
         if pa is not params and pa != params:
             raise ParameterError(_INCOMPATIBLE)
-        v = _as_slots(v, params)
+        v, pv = v if type(v) is Plaintext else self.plain(v)
+        if pv is not params and pv != params:
+            raise ParameterError(_INCOMPATIBLE_PLAIN)
         cost = self._mult_plain_cost
         if have < cost:
             raise NoiseBudgetExhausted(f"operation needs {cost} bits but only {have} remain")
@@ -426,7 +525,7 @@ class Context:
 
     def load_ciphertext(self, values, budget: int) -> SlotCiphertext:
         """Rehydrate a serialized ciphertext; not counted as an operation."""
-        return self._emit(_as_slots(values, self.params).copy(), budget)
+        return self._emit(self.plain(values)[0], budget)
 
     # ------------------------------------------------------------------
     # composites (every step is one of the counted operations above)

@@ -120,7 +120,7 @@ def block_capacity(n_slots: int, d: int) -> int:
 def encode(A, kind: EncodingKind, ctx: Context) -> PackedMatrix:
     """Pack a matrix over Z_p into encrypted slot vectors under the given
     layout: one ``encrypt`` per ciphertext, zero outside the payload."""
-    A = np.mod(np.asarray(A, dtype=np.int64), ctx.params.plain_modulus)
+    A = np.asarray(A, dtype=np.int64)
     if A.ndim != 2:
         raise ParameterError(f"expected a matrix, got shape {A.shape}")
     m, d = A.shape
@@ -130,11 +130,11 @@ def encode(A, kind: EncodingKind, ctx: Context) -> PackedMatrix:
     if P.width > n:
         raise ParameterError(f"{kind.value} packing needs width {P.width} <= n_slots {n}")
     vectors, B = P.payloads(A), P.per_part
-    for q in range(0, len(vectors), B):
-        vec = np.zeros(n, dtype=np.int64)
-        payload = vectors[q : q + B].ravel()
+    plain = np.zeros((-(-len(vectors) // B), n), dtype=np.int64)
+    for q, vec in enumerate(plain):
+        payload = vectors[q * B : (q + 1) * B].ravel()
         vec[: payload.size] = payload
-        P.parts.append(ctx.encrypt(vec))
+    P.parts.extend(ctx.encrypt(pt) for pt in ctx.plains(plain))
     return P
 
 

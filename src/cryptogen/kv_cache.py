@@ -25,8 +25,6 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from .backend import Context, ParameterError, SlotCiphertext
 from .encodings import (
     Encoding,
@@ -145,8 +143,7 @@ def append_token(
     b = cache.t_auto % cache.B
     pos = b * cache.d2
     fresh = b == 0
-    mask = np.zeros(ctx.params.n_slots, dtype=np.int64)
-    mask[pos : pos + cache.d2] = 1
+    mask = ctx.block_mask(pos, cache.d2)
     auto_K = _append_one(cache.auto_K, k_new, pos, mask, ctx, fresh)
     auto_V = _append_one(cache.auto_V, v_new, pos, mask, ctx, fresh)
     return replace(cache, auto_K=auto_K, auto_V=auto_V)
@@ -251,7 +248,7 @@ def _check_manifest(manifest: dict, ctx: Context) -> None:
     d2, B, m, t_auto = (manifest[k] for k in ("d2", "B", "m", "t_auto"))
     if B != block_capacity(ctx.params.n_slots, d2):
         raise ParameterError(
-            f"cache snapshot block capacity {B} is not ceil({ctx.params.n_slots}/{d2})"
+            f"cache snapshot block capacity {B} is not {ctx.params.n_slots}/{d2}"
         )
     segments = manifest["segments"]
     need(segments, ("auto_K", "auto_V"), "segments")

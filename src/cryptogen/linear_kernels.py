@@ -2,10 +2,14 @@
 decoding, and ``fold_sum``, the block sum the attention kernels use.
 
 Both kernels take the plaintext weights as a dense d1 x d2 integer matrix
-(signed or residues; reduced mod p here) and an encrypted activation
-operand, and each builds the plaintext vectors its own algorithm
-multiplies by: per-(group, column) vectors for the CPMM, generalized
-diagonals for the CPVM.  The CPMM internally stacks
+(signed or residues) and an encrypted activation operand, and each
+encodes the plaintexts its own algorithm multiplies by with one
+``Context.plains`` call, which reduces them mod p: per-group vectors for
+each output column of the CPMM, the wd2 generalized diagonals for the
+CPVM.  The CPVM also takes its diagonals prepared by ``cpvm_plaintexts``,
+so a caller that multiplies by the same weights every decode step (the
+server holds them) encodes them once; they take wd2 * n words per matrix,
+wd2 = next_pow2(d2).  The CPMM internally stacks
 floor(n / next_pow2(m)) activation columns into each working ciphertext so
 its plaintext-multiplication count follows m*d1*d2/n.  It needs
 zero-padded input columns (slots m.. zero, as ``encode`` and every share
@@ -16,12 +20,20 @@ another CPMM reads it.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .backend import Context, ParameterError, SlotCiphertext
 from .encodings import Encoding, EncodingKind, PackedMatrix, next_pow2
 
-__all__ = ["cpmm_outer_diagonal", "cpvm_inner_diagonal", "fold_sum"]
+__all__ = [
+    "CpvmPlaintexts",
+    "cpmm_outer_diagonal",
+    "cpvm_inner_diagonal",
+    "cpvm_plaintexts",
+    "fold_sum",
+]
 
 
 def fold_sum(a: SlotCiphertext, block: int, ctx: Context) -> SlotCiphertext:
@@ -37,14 +49,14 @@ def fold_sum(a: SlotCiphertext, block: int, ctx: Context) -> SlotCiphertext:
     return ctx.fold(a, 1, block)
 
 
-def _weights(W, ctx: Context) -> np.ndarray:
-    """Plaintext weights as a non-empty d1 x d2 matrix over Z_p."""
+def _weights(W) -> np.ndarray:
+    """Plaintext weights as a non-empty d1 x d2 int64 matrix."""
     W = np.asarray(W)
     if W.ndim != 2 or W.size == 0 or not np.issubdtype(W.dtype, np.integer):
         raise ParameterError(
             f"weights must be a non-empty integer matrix, got {W.dtype} of shape {W.shape}"
         )
-    return np.mod(W.astype(np.int64, copy=False), ctx.params.plain_modulus)
+    return W.astype(np.int64, copy=False)
 
 
 def cpmm_outer_diagonal(X: PackedMatrix, W, ctx: Context) -> PackedMatrix:
@@ -60,7 +72,7 @@ def cpmm_outer_diagonal(X: PackedMatrix, W, ctx: Context) -> PackedMatrix:
     """
     if X.encoding.kind is not EncodingKind.OUTER:
         raise ParameterError("cpmm expects an outer-packed activation")
-    Wv = _weights(W, ctx)
+    Wv = _weights(W)
     m, d1 = X.encoding.rows, X.encoding.cols
     if d1 != Wv.shape[0]:
         raise ParameterError(f"dimension mismatch: X is {m}x{d1}, W is {Wv.shape}")
@@ -82,20 +94,20 @@ def cpmm_outer_diagonal(X: PackedMatrix, W, ctx: Context) -> PackedMatrix:
 
     # the plaintext of (group g, column c) holds W[g+u, c] in slots
     # u*w .. u*w+m-1 of each stacked block u and zero elsewhere; one
-    # (groups, n) array per column keeps the extra memory at the size of
-    # the working ciphertexts
+    # (groups, n) matrix of plaintexts per column keeps the extra memory at
+    # the size of the working ciphertexts
     Wg = np.zeros((len(work) * group, d2), dtype=np.int64)
     Wg[:d1] = Wv
     Wg = Wg.reshape(len(work), group, d2)
     in_block = np.arange(w) < m
 
-    def column_weights(c: int) -> np.ndarray:
-        return (Wg[:, :, c, None] * in_block).reshape(len(work), n)
+    def column_plaintexts(c: int) -> list:
+        return ctx.plains((Wg[:, :, c, None] * in_block).reshape(len(work), n))
 
     parts = [
         ctx.sum(
             ctx.fold(ctx.mult_plain(wct, pt), w, n)
-            for wct, pt in zip(work, column_weights(c))
+            for wct, pt in zip(work, column_plaintexts(c))
         )
         for c in range(d2)
     ]
@@ -103,17 +115,20 @@ def cpmm_outer_diagonal(X: PackedMatrix, W, ctx: Context) -> PackedMatrix:
     return PackedMatrix(Encoding(EncodingKind.OUTER, m, d2), parts)
 
 
-def cpvm_inner_diagonal(x: SlotCiphertext, W, ctx: Context) -> SlotCiphertext:
-    """Decode-phase vector product: inner-packed x (length d1) times
-    plaintext W (d1 x d2), returning x.W in slots 0..d2-1.
+class CpvmPlaintexts(NamedTuple):
+    """The encoded generalized diagonals of a d1 x d2 CPVM weight matrix."""
 
-    Halevi-Shoup style evaluation over generalized diagonals of period
-    wp = max(next_pow2(d1), next_pow2(d2)) with a single cyclic extension
-    of x, next_pow2(d2) plaintext multiplications, and a log-depth fold.
-    Cost is independent of any prefix length; slots beyond next_pow2(d2)
-    may hold fold residue.
-    """
-    Wv = _weights(W, ctx)
+    shape: tuple  # (d1, d2) of the weight matrix
+    period: int  # wp = max(next_pow2(d1), next_pow2(d2))
+    diagonals: list  # next_pow2(d2) Plaintexts, diagonal k at index k
+
+
+def cpvm_plaintexts(W, ctx: Context) -> CpvmPlaintexts:
+    """Encode the generalized diagonals of plaintext W (d1 x d2) for
+    ``cpvm_inner_diagonal``: wd2 = next_pow2(d2) plaintexts of n slots,
+    built in one wd2 x n matrix and encoded with one ``plains`` call, with
+    no second copy of that matrix."""
+    Wv = _weights(W)
     d1, d2 = Wv.shape
     n = ctx.params.n_slots
     wd1, wd2 = next_pow2(d1), next_pow2(d2)
@@ -121,24 +136,41 @@ def cpvm_inner_diagonal(x: SlotCiphertext, W, ctx: Context) -> SlotCiphertext:
     if wp > n:
         raise ParameterError(f"operand width {wp} exceeds {n} slots")
 
-    x_ext = x if wp == n else ctx.add(x, ctx.rotate(x, -wp))
-
     # generalized diagonal k holds W[(j + k) mod wp, j mod wd2] in slot
-    # j < wp, zero outside W: one gather from W zero-padded to wp x wd2,
-    # built as the product needs it so the extra memory stays at one
-    # ciphertext
+    # j < wp, zero outside W: one gather per diagonal from W zero-padded
+    # to wp x wd2
     Wpad = np.zeros((wp, wd2), dtype=np.int64)
     Wpad[:d1, :d2] = Wv
     j = np.arange(wp)
     rows, cols = np.tile(j, 2), j % wd2  # rows[k + j] == (j + k) mod wp
+    D = np.zeros((wd2, n), dtype=np.int64)
+    for k, diagonal in enumerate(D):
+        diagonal[:wp] = Wpad[rows[k : k + wp], cols]
+    return CpvmPlaintexts((d1, d2), wp, ctx.plains(D))
 
-    def diagonal(k: int) -> np.ndarray:
-        pt = np.zeros(n, dtype=np.int64)
-        pt[:wp] = Wpad[rows[k : k + wp], cols]
-        return pt
 
+def cpvm_inner_diagonal(x: SlotCiphertext, W, ctx: Context) -> SlotCiphertext:
+    """Decode-phase vector product: inner-packed x (length d1) times
+    plaintext W (d1 x d2), returning x.W in slots 0..d2-1.
+
+    W is a dense matrix or its ``cpvm_plaintexts``.  Halevi-Shoup style
+    evaluation over generalized diagonals of period
+    wp = max(next_pow2(d1), next_pow2(d2)) with a single cyclic extension
+    of x, next_pow2(d2) plaintext multiplications, and a log-depth fold.
+    Cost is independent of any prefix length; slots beyond next_pow2(d2)
+    may hold fold residue.
+    """
+    if not isinstance(W, CpvmPlaintexts):
+        W = cpvm_plaintexts(W, ctx)
+    wp, diagonals = W.period, W.diagonals
+    params = diagonals[0].params
+    if params is not ctx.params and params != ctx.params:
+        raise ParameterError("CPVM plaintexts were encoded under other parameters")
+    n = ctx.params.n_slots
+
+    x_ext = x if wp == n else ctx.add(x, ctx.rotate(x, -wp))
     acc = ctx.sum(
-        ctx.mult_plain(ctx.rotate(x_ext, k) if k else x_ext, diagonal(k))
-        for k in range(wd2)
+        ctx.mult_plain(ctx.rotate(x_ext, k) if k else x_ext, pt)
+        for k, pt in enumerate(diagonals)
     )
-    return ctx.fold(acc, wd2, wp)
+    return ctx.fold(acc, len(diagonals), wp)

@@ -1,8 +1,11 @@
 """Toy decoder-only transformer wired through every kernel, plus the
 plaintext fixed-point oracle it is verified against.
 
-Weights are stored as signed scale-f integers, so a model is independent of
-the backend modulus; the linear kernels reduce them mod p.  The
+Weights are stored as signed scale-f integers in read-only arrays, so a
+model is independent of the backend modulus; the linear kernels reduce
+them mod p.  A model keeps the CPVM plaintexts of each weight it has
+multiplied by during decoding, per backend parameters, and reuses them for
+every later token, as a server holding the weights would.  The
 encrypted pipeline and the oracle share the arithmetic in ``fixedpoint``
 (one implementation of truncation, GELU, softmax, layernorm), which is what
 makes token-exact equivalence checkable.
@@ -32,7 +35,7 @@ from .fixedpoint import (
     to_signed,
 )
 from .kv_cache import append_token, cache_stats, init_cache, maybe_refresh
-from .linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal
+from .linear_kernels import CpvmPlaintexts, cpmm_outer_diagonal, cpvm_inner_diagonal, cpvm_plaintexts
 from .nonlinear import (
     MpcChannel,
     he_to_shares,
@@ -93,15 +96,45 @@ def toy_config() -> ModelConfig:
 
 @dataclass
 class Model:
+    """A model's config and weights.  The weight arrays are made read-only
+    here, so the CPVM plaintexts memoized from them can never go stale; a
+    copy or an unpickled model is made the same way, with no memo."""
+
     config: ModelConfig
     weights: dict  # name -> signed int64 array at scale f
+
+    def __post_init__(self):
+        for W in self.weights.values():
+            W.setflags(write=False)
+        # (weight name, head or None, BackendParams) -> CpvmPlaintexts
+        self._cpvm: dict = {}
+
+    def __getstate__(self):
+        return {"config": self.config, "weights": self.weights}
+
+    def __setstate__(self, state):
+        self.__init__(**state)
 
     def layer(self, l: int, name: str) -> np.ndarray:
         return self.weights[f"layer{l}.{name}"]
 
-    def head_slice(self, l: int, name: str, h: int) -> np.ndarray:
+    def weight(self, name: str, head: int | None = None) -> np.ndarray:
+        """Weight ``name``, or head ``head``'s d2 columns of it."""
+        W = self.weights[name]
         d2 = self.config.d2
-        return self.layer(l, name)[:, h * d2 : (h + 1) * d2]
+        return W if head is None else W[:, head * d2 : (head + 1) * d2]
+
+    def head_slice(self, l: int, name: str, h: int) -> np.ndarray:
+        return self.weight(f"layer{l}.{name}", h)
+
+    def cpvm_weights(self, name: str, head: int | None, ctx: Context) -> CpvmPlaintexts:
+        """The CPVM plaintexts of ``weight(name, head)`` under ctx's
+        params, encoded on first use and kept for every later call."""
+        key = (name, head, ctx.params)
+        prepared = self._cpvm.get(key)
+        if prepared is None:
+            prepared = self._cpvm[key] = cpvm_plaintexts(self.weight(name, head), ctx)
+        return prepared
 
     def fixed_point(self, ctx: Context) -> FixedPointParams:
         return FixedPointParams(self.config.f, ctx.params.plain_modulus)
@@ -360,8 +393,8 @@ class _Prefill:
     and the outer-packed K/V it leaves behind as each head's cache."""
 
     @staticmethod
-    def linear(X, W, ctx):
-        return cpmm_outer_diagonal(X, W, ctx)
+    def linear(X, model, name, head, ctx):
+        return cpmm_outer_diagonal(X, model.weight(name, head), ctx)
 
     @staticmethod
     def attend(cache, q, k, v, fp, ctx, mpc):
@@ -378,7 +411,8 @@ class _Decode:
     attention over the heterogeneous cache; heads concatenate by rotation."""
 
     @staticmethod
-    def linear(x, W, ctx):
+    def linear(x, model, name, head, ctx):
+        W = model.cpvm_weights(name, head, ctx)
         return _inner_row(cpvm_inner_diagonal(x.parts[0], W, ctx), W.shape[1])
 
     @staticmethod
@@ -441,7 +475,7 @@ def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, ctx, chans, thr
         def run():
             ch = chans[(l, h)]
             q, k, v = [
-                _truncated(stage.linear(X, model.head_slice(l, name, h), hctx), fp, hctx, ch)
+                _truncated(stage.linear(X, model, f"layer{l}.{name}", h, hctx), fp, hctx, ch)
                 for name in ("wq", "wk", "wv")
             ]
             out, cache = stage.attend(caches[l][h], q, k, v, fp, hctx, ch)
@@ -458,7 +492,7 @@ def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, ctx, chans, thr
     ch = chans["common"]
 
     def dense(X, name):
-        return stage.linear(X, model.layer(l, name), ctx)
+        return stage.linear(X, model, f"layer{l}.{name}", None, ctx)
 
     attn = _truncated(dense(O, "wo"), fp, ctx, ch)
     X = _roundtrip(_add(X, attn, ctx), _layernorm_rows(model, l, "ln1", fp), ctx, ch)
@@ -472,7 +506,7 @@ def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, ctx, chans, thr
 def _logits(model: Model, x_ct, ctx: Context) -> np.ndarray:
     """Client-side logits from an inner-packed final hidden state."""
     p = ctx.params.plain_modulus
-    logits_ct = cpvm_inner_diagonal(x_ct, model.weights["unembed"], ctx)
+    logits_ct = cpvm_inner_diagonal(x_ct, model.cpvm_weights("unembed", None, ctx), ctx)
     return fp_truncate(to_signed(ctx.decrypt(logits_ct), p)[: model.config.vocab], model.config.f)
 
 

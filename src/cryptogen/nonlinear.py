@@ -5,7 +5,9 @@ HE ciphertexts convert to additive shares by server-side masking; the
 client evaluates the shared fixed-point function on the reconstruction
 and re-shares it under a fresh mask, so each share in isolation stays
 uniform.  A channel object tallies the bytes and rounds the real protocol
-would move; the tallies depend only on shapes, never on values.
+would move; the tallies depend only on shapes, never on values.  It also
+draws the share masks: blocks of ``MASK_BLOCK`` uniform words from its own
+generator, handed out as read-only slices, each word once.
 
 Byte model, as the pipeline charges it (elements are modulus-bit words,
 integer-divided into bytes):
@@ -43,6 +45,7 @@ from .fixedpoint import (
 
 __all__ = [
     "FixedPointParams",
+    "MASK_BLOCK",
     "MpcChannel",
     "SharePair",
     "attention_softmax",
@@ -52,6 +55,10 @@ __all__ = [
     "shares_to_he",
     "truncate",
 ]
+
+
+# words of mask drawn per generator call; a longer mask is drawn whole
+MASK_BLOCK = 4096
 
 
 @dataclass
@@ -79,6 +86,8 @@ class MpcChannel:
         self.rounds = 0
         self.rng = np.random.default_rng(seed)  # an int or a SeedSequence
         self.transcript: list = []
+        self._masks = np.empty(0, dtype=np.int64)  # the current block
+        self._used = 0  # words of it handed out
 
     def vector_bytes(self, elements: int) -> int:
         return elements * self.word_bits // 8
@@ -90,7 +99,17 @@ class MpcChannel:
         self.transcript.append({"op": op, "elements": elements, "trips": trips, "bytes": nbytes})
 
     def sample_mask(self, length: int) -> np.ndarray:
-        return self.rng.integers(0, self.p, size=length, dtype=np.int64)
+        """``length`` uniform words of Z_p, read-only, never handed out
+        before: the next words of the current block, or of a fresh block
+        of max(length, MASK_BLOCK) words when too few are left."""
+        start = self._used
+        if start + length > self._masks.shape[0]:
+            self._masks = self.rng.integers(0, self.p, size=max(length, MASK_BLOCK), dtype=np.int64)
+            start = 0
+        self._used = start + length
+        mask = self._masks[start : start + length]
+        mask.setflags(write=False)
+        return mask
 
     def transcript_json(self) -> str:
         return json.dumps(
@@ -122,7 +141,7 @@ def he_to_shares(
         raise ParameterError(f"share length {length} out of range")
     p = ctx.params.plain_modulus
     r = ch.sample_mask(n)
-    masked = ctx.add_plain(ct, (p - r) % p)
+    masked = ctx.add_plain(ct, p - r)  # -r, reduced by the encoder
     client_full = ctx.decrypt(masked)
     ch.transfer("he_to_shares", n)
     return SharePair(client_full[:length].copy(), r[:length].copy(), p, length)

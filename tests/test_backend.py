@@ -14,6 +14,7 @@ from cryptogen.backend import (
     NoiseCosts,
     OpCounter,
     ParameterError,
+    Plaintext,
     SlotCiphertext,
     default_plain_modulus,
     is_prime,
@@ -244,6 +245,134 @@ def test_op_contract(op, data):
     assert (out.slots == want).all()
     assert ctx.counter.delta(before) == {**nothing, op: 1}
     assert ctx.encrypt(x).id == next_id + 1
+
+
+_PLAIN_OPS = {
+    "encrypt": lambda ctx, a, v: ctx.encrypt(v),
+    "add_plain": lambda ctx, a, v: ctx.add_plain(a, v),
+    "mult_plain": lambda ctx, a, v: ctx.mult_plain(a, v),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_plain_encodes_or_rejects(data):
+    """ctx.plain of a signed, unreduced, wrong-length or ciphertext input
+    either raises ParameterError or gives the residues mod p in a fresh
+    read-only int64 array, without moving the counter."""
+    ctx = new_context(BackendParams(n_slots=16, plain_modulus=_P16), seed=0)
+    kind = data.draw(st.sampled_from(["list", "array", "ciphertext", "matrix"]), label="kind")
+    length = data.draw(st.sampled_from([16, 16, 0, 1, 15, 17, 32]), label="length")
+    vals = data.draw(st.lists(st.integers(-(2**62), 2**62), min_size=length, max_size=length), label="values")
+    v = {
+        "list": vals,
+        "array": np.array(vals, dtype=np.int64),
+        "ciphertext": ctx.encrypt(np.arange(16)),
+        "matrix": np.array(vals, dtype=np.int64).reshape(1, -1),
+    }[kind]
+    before = ctx.counter.snapshot()
+    if kind in ("ciphertext", "matrix") or length != 16:
+        with pytest.raises(ParameterError):
+            ctx.plain(v)
+    else:
+        pt = ctx.plain(v)
+        assert type(pt) is Plaintext and pt.params is ctx.params
+        assert pt.slots.dtype == np.int64 and not pt.slots.flags.writeable
+        assert (pt.slots == np.mod(np.array(vals, dtype=np.int64), _P16)).all()
+        assert not np.shares_memory(pt.slots, v)
+        assert ctx.plain(pt) is pt
+    assert ctx.counter.delta(before) == OpCounter().as_dict()
+
+
+@pytest.mark.parametrize("op", sorted(_PLAIN_OPS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_plaintext_operand_matches_raw_vector(op, data):
+    """encrypt, add_plain and mult_plain give the same slots, budget, id
+    and counts for a raw vector v and for ctx.plain(v), and raise the same
+    way when the budget is short."""
+    costs = NoiseCosts(**{f.name: data.draw(st.integers(0, 64), label=f.name) for f in dataclasses.fields(NoiseCosts)})
+    params = BackendParams(n_slots=16, plain_modulus=_P16, noise_costs=costs)
+    v = np.array(data.draw(st.lists(st.integers(-(2**40), 2**40), min_size=16, max_size=16), label="v"))
+    budget = data.draw(st.integers(0, params.initial_noise_budget), label="budget")
+    outcomes = []
+    for encoded in (False, True):
+        ctx = new_context(params, seed=0)
+        a = ctx.with_budget(ctx.encrypt(np.arange(16) * 7919), budget)
+        operand = ctx.plain(v) if encoded else v
+        before = ctx.counter.snapshot()
+        try:
+            out = _PLAIN_OPS[op](ctx, a, operand)
+            outcomes.append((out.slots.tolist(), out.noise_budget, out.id - a.id, ctx.counter.delta(before)))
+        except NoiseBudgetExhausted as e:
+            outcomes.append((str(e), ctx.counter.delta(before)))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("op", [*sorted(_PLAIN_OPS), "load_ciphertext", "plain"])
+def test_foreign_plaintext_rejected(op):
+    """A Plaintext of a context with other params raises ParameterError in
+    every plaintext position, before any count or id moves; one of a
+    context with equal params is accepted."""
+    params = BackendParams(n_slots=16, plain_modulus=_P16)
+    ctx = new_context(params, seed=0)
+    other = new_context(dataclasses.replace(params, refresh_threshold=params.refresh_threshold + 1), seed=1)
+    twin = new_context(BackendParams.from_json(params.to_json()), seed=2)
+    call = {
+        **_PLAIN_OPS,
+        "load_ciphertext": lambda ctx, a, v: ctx.load_ciphertext(v, 5),
+        "plain": lambda ctx, a, v: ctx.plain(v),
+    }[op]
+    a = ctx.encrypt(np.arange(16))
+    next_id = ctx.encrypt(np.arange(16)).id + 1
+    before = ctx.counter.snapshot()
+    with pytest.raises(ParameterError, match="plaintext belongs to an incompatible context"):
+        call(ctx, a, other.plain(np.arange(16)))
+    assert ctx.counter.delta(before) == OpCounter().as_dict()
+    assert ctx.encrypt(np.arange(16)).id == next_id
+    call(ctx, a, twin.plain(np.arange(16)))
+
+
+def test_plains_reduces_a_matrix_once_and_wraps_its_rows(ctx16):
+    """plains reduces an int64 matrix in place and hands out read-only
+    views of its rows; any other input is copied first; a wrong shape
+    raises."""
+    p = ctx16.params.plain_modulus
+    M = np.arange(-48, 48, dtype=np.int64).reshape(6, 16) * (p // 3)
+    want = np.mod(M, p)
+    pts = ctx16.plains(M)
+    assert len(pts) == 6 and all(type(pt) is Plaintext for pt in pts)
+    assert (M == want).all() and not M.flags.writeable
+    assert all(np.shares_memory(pt.slots, M) and (pt.slots == row).all() for pt, row in zip(pts, want))
+    rows = want.tolist()
+    assert [pt.slots.tolist() for pt in ctx16.plains(rows)] == rows
+    for bad in (np.zeros(16, dtype=np.int64), np.zeros((2, 8), dtype=np.int64), np.zeros((2, 16))):
+        with pytest.raises(ParameterError):
+            ctx16.plains(bad)
+
+
+@pytest.mark.parametrize(
+    "roundtrip", [lambda pt: pickle.loads(pickle.dumps(pt)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_plaintext_is_made_only_by_the_context(ctx16, roundtrip):
+    """The class cannot be called; a copy is an equal, read-only Plaintext."""
+    with pytest.raises(TypeError):
+        Plaintext((np.zeros(16, dtype=np.int64), ctx16.params))
+    pt = ctx16.plain(np.arange(16) - 8)
+    b = roundtrip(pt)
+    assert type(b) is Plaintext and b.params == ctx16.params
+    assert (b.slots == pt.slots).all() and not b.slots.flags.writeable
+    with pytest.raises(AttributeError):
+        b.slots = None
+
+
+def test_block_mask_is_encoded_once_per_context_family(ctx16):
+    mask = ctx16.block_mask(3, 2)
+    assert mask.slots.tolist() == [0, 0, 0, 1, 1] + [0] * 11
+    assert ctx16.block_mask(3, 2) is mask and ctx16.fork().block_mask(3, 2) is mask
+    for start, width in ((-1, 1), (15, 2), (0, 0), (0, 17)):
+        with pytest.raises(ParameterError):
+            ctx16.block_mask(start, width)
 
 
 def test_budget_exhaustion_and_decrypt_failure(ctx16):

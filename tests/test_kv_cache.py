@@ -275,25 +275,25 @@ def test_cache_checkpoint_roundtrip(tmp_path, rng):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, message",
     [
-        lambda m: m.update(B=4),
-        lambda m: m.pop("d2"),
-        lambda m: m["segments"].pop("auto_V"),
-        lambda m: m["segments"]["auto_K"].pop("rows"),
-        lambda m: m["segments"]["auto_K"].update(rows=9, parts=2),
-        lambda m: m["segments"]["auto_V"].update(parts=2),
-        lambda m: m["segments"]["prefill_K"].update(parts=3),
-        lambda m: m["segments"].pop("prefill_V"),
-        lambda m: m.update(m=3),
-        lambda m: m.update(t_auto=9),
+        (lambda m: m.update(B=4), r"block capacity 4 is not 64/8$"),
+        (lambda m: m.pop("d2"), None),
+        (lambda m: m["segments"].pop("auto_V"), None),
+        (lambda m: m["segments"]["auto_K"].pop("rows"), None),
+        (lambda m: m["segments"]["auto_K"].update(rows=9, parts=2), None),
+        (lambda m: m["segments"]["auto_V"].update(parts=2), None),
+        (lambda m: m["segments"]["prefill_K"].update(parts=3), None),
+        (lambda m: m["segments"].pop("prefill_V"), None),
+        (lambda m: m.update(m=3), None),
+        (lambda m: m.update(t_auto=9), None),
     ],
     ids=[
         "B", "missing_d2", "missing_segment", "missing_rows", "auto_rows",
         "auto_parts", "prefill_parts", "half_prefill", "m", "t_auto",
     ],
 )
-def test_load_cache_rejects_tampered_manifest(tmp_path, edit):
+def test_load_cache_rejects_tampered_manifest(tmp_path, edit, message):
     """A snapshot whose bookkeeping disagrees with its layout never loads:
     a wrong B or t_auto would make the next append write at a wrong offset."""
     ctx = new_context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)
@@ -307,7 +307,7 @@ def test_load_cache_rejects_tampered_manifest(tmp_path, edit):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     edit(manifest)
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=message):
         load_cache(tmp_path, ctx)
 
 

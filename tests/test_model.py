@@ -1,4 +1,7 @@
+import copy
+import gc
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from cryptogen.model import (
     save_model,
     toy_config,
 )
+from cryptogen import model as model_mod
 from cryptogen.nonlinear import MpcChannel
 
 P64 = default_plain_modulus(64, 26)
@@ -136,6 +140,49 @@ def test_threaded_execution_identical(toy):
     assert rep_serial["totals"] == rep_par["totals"]
     for a, b in zip(rep_serial["steps"], rep_par["steps"]):
         assert a["counters"] == b["counters"]
+
+
+def test_cpvm_plaintexts_follow_their_model():
+    """The CPVM plaintexts a model keeps are its own: two toy models of
+    different weight seeds, each built, used and dropped in turn with a
+    collection in between, generate the tokens of their own oracle."""
+    prompt = [3, 1, 4, 1]
+    streams = []
+    for seed in (1, 2):
+        model = generate_toy_model(toy_config(), seed=seed)
+        tokens, _ = generate(model, prompt, 4, _ctx())
+        assert tokens == oracle_generate(model, prompt, 4, P64)
+        streams.append(tokens)
+        del model
+        gc.collect()
+    assert streams[0] != streams[1]
+
+
+def test_model_weights_are_read_only(tmp_path, toy):
+    save_model(toy, tmp_path)
+    for model in (toy, load_model(tmp_path), copy.deepcopy(toy), pickle.loads(pickle.dumps(toy))):
+        for name, W in model.weights.items():
+            with pytest.raises(ValueError):
+                W[(0,) * W.ndim] = 1
+
+
+def test_decoding_encodes_each_weight_once(monkeypatch):
+    """The first decode step encodes the CPVM diagonals of every weight
+    (one matrix per head for wq/wk/wv); later steps and runs under the same
+    params reuse them, and other params get their own."""
+    model = generate_toy_model(toy_config(), seed=0)
+    c = model.config
+    built = []
+    real = model_mod.cpvm_plaintexts
+    monkeypatch.setattr(model_mod, "cpvm_plaintexts", lambda W, ctx: built.append(W.shape) or real(W, ctx))
+    tokens, _ = generate(model, [5, 6], 3, _ctx())
+    assert len(built) == c.layers * (3 * c.heads + 3) + 1
+    built.clear()
+    assert generate(model, [5, 6], 3, _ctx(seed=1))[0] == tokens
+    assert built == []
+    params = BackendParams(n_slots=64, plain_modulus=P64, refresh_threshold=59)
+    assert generate(model, [5, 6], 3, new_context(params))[0] == tokens
+    assert len(built) == c.layers * (3 * c.heads + 3) + 1
 
 
 def test_generate_mpc_bytes_add_up_across_runs(toy):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryptogen.backend import BackendParams, ParameterError, default_plain_modulus, new_context
 from cryptogen.fixedpoint import (
@@ -21,6 +23,7 @@ from cryptogen.fixedpoint import (
     fp_truncate,
 )
 from cryptogen.nonlinear import (
+    MASK_BLOCK,
     MpcChannel,
     SharePair,
     attention_softmax,
@@ -85,6 +88,29 @@ def test_zero_secret_shares_are_negations(ctx16):
     sp = he_to_shares(ctx16.encrypt(ctx16.zeros()), ctx16, ch)
     assert (np.mod(sp.client + sp.server, sp.p) == 0).all()
     assert (sp.client == (sp.p - sp.server) % sp.p).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(
+        st.one_of(st.integers(1, 80), st.integers(MASK_BLOCK - 80, 3 * MASK_BLOCK)), min_size=1, max_size=12
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pooled_masks_never_reuse_a_word(lengths, seed):
+    """Masks of any length sequence, also longer than a block, are
+    read-only words of [0, p) that share no memory with each other; a
+    channel of another seed draws other masks."""
+    p = P_BIG
+    ch, other = MpcChannel(p, seed), MpcChannel(p, seed + 1)
+    masks = [ch.sample_mask(n) for n in lengths]
+    for mask, n in zip(masks, lengths):
+        assert mask.shape == (n,) and mask.dtype == np.int64
+        assert not mask.flags.writeable
+        assert 0 <= mask.min() and mask.max() < p
+    for i, a in enumerate(masks):
+        assert not any(np.shares_memory(a, b) for b in masks[i + 1 :])
+    assert (np.concatenate(masks) != np.concatenate([other.sample_mask(n) for n in lengths])).any()
 
 
 def test_channel_bytes_per_direction(ctx16):

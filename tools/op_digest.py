@@ -8,8 +8,10 @@ has no result ciphertext and records ``None`` for both.  Ciphertext ids are
 renumbered in order of first appearance, so the digest does not depend on
 how many contexts the process created before the run.  The sha256 of the
 records is printed next to the tokens and the operation count, and
-compared with the digest and count pinned for the shape: the script exits 1
-when they differ.
+compared with the digest, count and tokens pinned for the shape: the
+script exits 1 when any of them differs.  The digest does not cover slot
+values, so the pinned tokens are the check that the values still decode
+to the same generation.
 
 Two changes that keep the digest compute the same operations on the same
 ciphertexts in the same order and spend the same noise, so the digest is
@@ -40,15 +42,30 @@ ROOT = Path(__file__).resolve().parents[1]
 CT_OPERANDS = {"encrypt": 0, "decrypt": 1, "add": 2, "add_plain": 1, "mult_plain": 1, "mult_cipher": 2, "rotate": 1}
 
 # (prompt length, tokens generated, refresh threshold or None,
-#  expected sha256, expected op count)
+#  expected sha256, expected op count, expected tokens)
 SHAPES = {
     "decode_long": (
         8, 144, None,
         "cffddb9c279b3c14c7088ce9939dee4172520dcbb473f6f66211c155132258f1", 743_073,
+        [
+            28, 9, 15, 12, 58, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 26, 63, 34, 58, 27, 27, 27, 15, 12,
+            10, 55, 27, 27, 27, 55, 11, 63, 23, 44, 58, 27, 27, 27, 27, 27, 27, 55, 55, 12, 58, 27, 55, 47,
+            11, 63, 55, 27, 27, 27, 55, 57, 27, 55, 27, 27, 55, 11, 58, 27, 41, 15, 12, 44, 28, 63, 34, 63,
+            55, 11, 63, 12, 9, 4, 55, 27, 55, 52, 27, 27, 27, 27, 27, 27, 27, 27, 3, 43, 58, 63, 27, 27,
+            27, 27, 55, 10, 55, 11, 63, 34, 63, 52, 58, 33, 58, 58, 48, 55, 27, 27, 27, 55, 27, 55, 27, 55,
+            55, 27, 27, 55, 27, 58, 27, 27, 27, 55, 43, 58, 27, 55, 27, 27, 55, 63, 12, 58, 58, 27, 44, 33,
+        ],
     ),
     "refresh_churn": (
         32, 112, 170,
         "6ec7e354cfff2a6955c9653f5e9c62d1df5ba92343feaf713627a4f1ae83642d", 612_129,
+        [
+            55, 27, 27, 27, 27, 55, 11, 63, 29, 56, 60, 44, 9, 46, 12, 14, 49, 60, 26, 12, 58, 27, 55, 47,
+            11, 63, 57, 27, 27, 27, 55, 11, 63, 55, 27, 27, 55, 11, 63, 34, 58, 27, 27, 27, 55, 27, 27, 27,
+            55, 11, 63, 12, 9, 4, 55, 27, 55, 11, 36, 15, 27, 27, 27, 27, 27, 27, 3, 43, 58, 63, 27, 27,
+            27, 27, 55, 10, 55, 11, 63, 34, 63, 52, 58, 33, 58, 58, 27, 34, 63, 27, 27, 55, 27, 55, 27, 55,
+            55, 27, 27, 55, 27, 58, 27, 27, 27, 55, 43, 58, 27, 55, 27, 27,
+        ],
     ),
 }
 
@@ -119,7 +136,7 @@ def main(argv=None) -> int:
     from cryptogen.backend import BackendParams
     from cryptogen.model import generate_toy_model, toy_config
 
-    prompt_len, k, threshold, want_digest, want_ops = SHAPES[args.shape]
+    prompt_len, k, threshold, want_digest, want_ops, want_tokens = SHAPES[args.shape]
     params = BackendParams.from_json((ROOT / "configs" / "params_toy.json").read_text())
     if threshold is not None:
         params = dataclasses.replace(params, refresh_threshold=threshold)
@@ -132,7 +149,9 @@ def main(argv=None) -> int:
     print(f"sha256 {digest}")
     match = (digest, ops) == (want_digest, want_ops)
     print(f"matches pinned digest: {'yes' if match else f'no (want {want_digest}, {want_ops} ops)'}")
-    return 0 if match else 1
+    same_tokens = tokens == want_tokens
+    print(f"matches pinned tokens: {'yes' if same_tokens else f'no (want {want_tokens})'}")
+    return 0 if match and same_tokens else 1
 
 
 if __name__ == "__main__":
