@@ -205,7 +205,7 @@ def prefill_attention(
             if j < m:
                 S[i, j] = vals[i]
 
-    A = attention_softmax(S, d2, fp, mpc)
+    A = attention_softmax(S, d2, fp, ctx, mpc)
     a_rows = [
         shares_to_he(share_vector(A[i], mpc), ctx, mpc) for i in range(m)
     ]
@@ -213,7 +213,7 @@ def prefill_attention(
     out_parts = []
     for c in range(d2):
         acc = ctx.sum(_dot_into_slot(a_rows[i], V.parts[c], i, ctx) for i in range(m))
-        sp = truncate(he_to_shares(acc, ctx, mpc, length=m), fp, mpc)
+        sp = truncate(he_to_shares(acc, ctx, mpc, length=m), fp, ctx, mpc)
         out_parts.append(shares_to_he(sp, ctx, mpc))
 
     return PackedMatrix(Q.encoding, out_parts)
@@ -248,7 +248,7 @@ def attention_step(
         sv = arcc_inner_outer(q, cache.auto_K, ctx)
         vals = [reconstruct(he_to_shares(part, ctx, mpc)) for part in sv.parts]
         pieces.append(np.concatenate(vals)[: t * d2 : d2])
-    a = attention_softmax(np.concatenate(pieces), d2, fp, mpc)
+    a = attention_softmax(np.concatenate(pieces), d2, fp, ctx, mpc)
 
     halves = []
     if m > 0:
@@ -272,5 +272,5 @@ def attention_step(
         halves.append(ctx.fold(acc, d2, n))
     o = ctx.sum(halves)
 
-    sp = truncate(he_to_shares(o, ctx, mpc, length=d2), fp, mpc)
+    sp = truncate(he_to_shares(o, ctx, mpc, length=d2), fp, ctx, mpc)
     return shares_to_he(sp, ctx, mpc)

@@ -163,14 +163,6 @@ class BackendParams:
                 "refresh_threshold must lie in [0, initial_noise_budget)"
             )
 
-    @property
-    def modulus_bits(self) -> int:
-        return self.plain_modulus.bit_length()
-
-    def ciphertext_bytes(self) -> int:
-        """Modelled wire size of one ciphertext transfer."""
-        return self.n_slots * self.modulus_bits // 8
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 

@@ -161,7 +161,7 @@ def maybe_refresh(
         parts = list(seg.parts)
         for i, part in enumerate(parts):
             if force or part.noise_budget <= threshold:
-                sent = ch.bytes_sent
+                sent = ctx.counter.mpc_bytes
                 parts[i] = shares_to_he(he_to_shares(part, ctx, ch), ctx, ch)
                 ctx.counter.refresh_events += 1
                 events.append(
@@ -171,7 +171,7 @@ def maybe_refresh(
                         part_index=i,
                         part_id=part.id,
                         budget_before=part.noise_budget,
-                        mpc_bytes=ch.bytes_sent - sent,
+                        mpc_bytes=ctx.counter.mpc_bytes - sent,
                         forced=force and part.noise_budget > threshold,
                     )
                 )

@@ -358,7 +358,7 @@ def _inner_row(ct, cols: int) -> PackedMatrix:
 def _truncated(P: PackedMatrix, fp, ctx, mpc) -> PackedMatrix:
     """Rescale by 2^f with the truncation protocol, one ciphertext at a time."""
     parts = [
-        shares_to_he(truncate(he_to_shares(part, ctx, mpc, length=P.width), fp, mpc), ctx, mpc)
+        shares_to_he(truncate(he_to_shares(part, ctx, mpc, length=P.width), fp, ctx, mpc), ctx, mpc)
         for part in P.parts
     ]
     return PackedMatrix(P.encoding, parts)
@@ -427,23 +427,26 @@ class _Decode:
         return _inner_row(o, d * len(heads))
 
 
-def _channels(root: np.random.SeedSequence, layers, heads, p):
-    kids = root.spawn(layers * heads + 1)
-    chans = {
-        (l, h): MpcChannel(p, kids[l * heads + h]) for l in range(layers) for h in range(heads)
-    }
-    chans["common"] = MpcChannel(p, kids[-1])
+def _channels(ctx: Context, c: ModelConfig, chans=None, root=None) -> dict:
+    """``chans``, each checked against the context's modulus.  Without them,
+    one channel per (layer, head) and a "common" one, seeded from ``root``,
+    or from a fresh child of the context's seed when it is None."""
+    p = ctx.params.plain_modulus
+    if chans is None:
+        kids = (root or ctx.spawn_seed()).spawn(c.layers * c.heads + 1)
+        chans = {(l, h): MpcChannel(p, kids[l * c.heads + h]) for l in range(c.layers) for h in range(c.heads)}
+        chans["common"] = MpcChannel(p, kids[-1])
+    for key, ch in chans.items():
+        if ch.p != p:
+            raise ParameterError(f"MPC channel {key!r} is over modulus {ch.p}, the context over {p}")
     return chans
 
 
-def _charged(ctx, chans, fn, *args):
-    """Call fn(*args) and charge the MPC bytes it moved on chans to the op
-    counter, so every counter delta carries its phase's bytes and repeated
-    runs add up.  Returns fn's result and the counter delta."""
-    before, sent = ctx.counter.snapshot(), sum(ch.bytes_sent for ch in chans.values())
-    out = fn(*args)
-    ctx.counter.mpc_bytes += sum(ch.bytes_sent for ch in chans.values()) - sent
-    return out, ctx.counter.delta(before)
+def _charged(ctx, fn, *args):
+    """Call fn(*args); returns its result and the op counter delta, which
+    carries the MPC bytes the protocols charged."""
+    before = ctx.counter.snapshot()
+    return fn(*args), ctx.counter.delta(before)
 
 
 def _check_length(c: ModelConfig, prompt: list, k: int) -> None:
@@ -518,8 +521,7 @@ def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int =
     if not 1 <= len(prompt) <= c.max_seq:
         raise ParameterError("prompt length out of range")
     model.fixed_point(ctx)  # a modulus without fixed-point headroom fails before any op
-    if chans is None:
-        chans = _channels(ctx.spawn_seed(), c.layers, c.heads, ctx.params.plain_modulus)
+    chans = _channels(ctx, c, chans)
     m = len(prompt)
 
     X = np.stack([_embed(model, t, i) for i, t in enumerate(prompt)])
@@ -540,8 +542,7 @@ def decode_step(model: Model, state: GenerationState, ctx: Context, chans=None, 
     CPVM projections, refresh check, cache append, heterogeneous attention.
     Without chans, fresh channels are seeded from the context."""
     c = model.config
-    if chans is None:
-        chans = _channels(ctx.spawn_seed(), c.layers, c.heads, ctx.params.plain_modulus)
+    chans = _channels(ctx, c, chans)
     token = int(np.argmax(state.next_logits))
     pos = state.position
     if pos >= c.max_seq:
@@ -564,14 +565,14 @@ def generate(model: Model, prompt: list, k: int, ctx: Context, seed: int = 0, th
     """Encrypted prefill + k greedy decode steps; returns (tokens, report)."""
     c = model.config
     _check_length(c, prompt, k)
-    chans = _channels(np.random.SeedSequence([0x707, seed]), c.layers, c.heads, ctx.params.plain_modulus)
-    state, prefill_counters = _charged(ctx, chans, prefill, model, prompt, ctx, chans, threads)
+    chans = _channels(ctx, c, root=np.random.SeedSequence([0x707, seed]))
+    state, prefill_counters = _charged(ctx, prefill, model, prompt, ctx, chans, threads)
 
     steps = []
     tokens = []
     for _ in range(k):
         # maybe_refresh counts each event it fires on the counter
-        (token, state), counters = _charged(ctx, chans, decode_step, model, state, ctx, chans, threads)
+        (token, state), counters = _charged(ctx, decode_step, model, state, ctx, chans, threads)
         tokens.append(token)
         stats = cache_stats(state.caches[0][0])
         steps.append(
@@ -606,12 +607,12 @@ def bolt_reference_generate(model: Model, prompt: list, k: int, ctx: Context, se
     kernels at every step (no KV reuse).  Same tokens, quadratic cost."""
     c = model.config
     _check_length(c, prompt, k)
-    chans = _channels(np.random.SeedSequence([0x707, seed]), c.layers, c.heads, ctx.params.plain_modulus)
+    chans = _channels(ctx, c, root=np.random.SeedSequence([0x707, seed]))
     tokens = []
     steps = []
     seq = list(prompt)
     for _ in range(k):
-        state, counters = _charged(ctx, chans, prefill, model, seq, ctx, chans)
+        state, counters = _charged(ctx, prefill, model, seq, ctx, chans)
         token = int(np.argmax(state.next_logits))
         tokens.append(token)
         seq.append(token)

@@ -1,5 +1,5 @@
 """Single-process two-role emulation of the MPC side, and the one module
-that charges MPC traffic.
+that sizes and charges MPC traffic.
 
 HE ciphertexts convert to additive shares by server-side masking; the
 client evaluates the shared fixed-point function on the reconstruction
@@ -7,7 +7,9 @@ and re-shares it under a fresh mask, so each share in isolation stays
 uniform.  A channel object tallies the bytes and rounds the real protocol
 would move; the tallies depend only on shapes, never on values.  It also
 draws the share masks: blocks of ``MASK_BLOCK`` uniform words from its own
-generator, handed out as read-only slices, each word once.
+generator, handed out as read-only slices, each word once.  Each protocol
+charges the bytes of its transfers to ``ctx.counter.mpc_bytes`` of the
+context it runs on, so every call's counter delta carries its traffic.
 
 Byte model, as the pipeline charges it (elements are modulus-bit words,
 integer-divided into bytes):
@@ -20,9 +22,12 @@ integer-divided into bytes):
   LayerNorm, GELU       no rounds: evaluated on the reconstruction between
                         the two ciphertext transfers around them
 
-Two known gaps (ROADMAP item 5): 2 of truncate's 3 trips are entry/exit
-transfers that the ciphertext transfers around every call already charge,
-and LayerNorm/GELU charge none of their protocol rounds.
+Three known gaps (ROADMAP item 5): 2 of truncate's 3 trips are entry/exit
+transfers that the ciphertext transfers around every call already charge;
+LayerNorm/GELU charge none of their protocol rounds; and the FFN outputs
+are rescaled on the reconstruction (``fp_truncate`` in ``model._layer``'s
+round trips) with no trips, while wq/wk/wv/wo and the attention outputs
+charge truncate's 3.
 """
 
 from __future__ import annotations
@@ -92,11 +97,13 @@ class MpcChannel:
     def vector_bytes(self, elements: int) -> int:
         return elements * self.word_bits // 8
 
-    def transfer(self, op: str, elements: int, trips: int = 1) -> None:
+    def transfer(self, op: str, elements: int, trips: int = 1) -> int:
+        """Tally ``trips`` rounds of ``elements`` words; returns the bytes."""
         nbytes = trips * self.vector_bytes(elements)
         self.bytes_sent += nbytes
         self.rounds += trips
         self.transcript.append({"op": op, "elements": elements, "trips": trips, "bytes": nbytes})
+        return nbytes
 
     def sample_mask(self, length: int) -> np.ndarray:
         """``length`` uniform words of Z_p, read-only, never handed out
@@ -143,7 +150,7 @@ def he_to_shares(
     r = ch.sample_mask(n)
     masked = ctx.add_plain(ct, p - r)  # -r, reduced by the encoder
     client_full = ctx.decrypt(masked)
-    ch.transfer("he_to_shares", n)
+    ctx.counter.mpc_bytes += ch.transfer("he_to_shares", n)
     return SharePair(client_full[:length].copy(), r[:length].copy(), p, length)
 
 
@@ -155,19 +162,19 @@ def shares_to_he(s: SharePair, ctx: Context, ch: MpcChannel) -> SlotCiphertext:
     """
     enc = ctx.encrypt(ctx.plain_from_dense(s.client))
     out = ctx.add_plain(enc, ctx.plain_from_dense(s.server))
-    ch.transfer("shares_to_he", ctx.params.n_slots)
+    ctx.counter.mpc_bytes += ch.transfer("shares_to_he", ctx.params.n_slots)
     return out
 
 
-def truncate(s: SharePair, fp: FixedPointParams, ch: MpcChannel) -> SharePair:
+def truncate(s: SharePair, fp: FixedPointParams, ctx: Context, ch: MpcChannel) -> SharePair:
     """Fixed-point rescale: reconstruction is floor-divided by 2^f."""
     out = fp_truncate(reconstruct(s), fp.f)
-    ch.transfer("truncate", s.length, trips=1 + 2)
+    ctx.counter.mpc_bytes += ch.transfer("truncate", s.length, trips=1 + 2)
     return share_vector(out, ch)
 
 
 def attention_softmax(
-    scores_2f: np.ndarray, d2: int, fp: FixedPointParams, ch: MpcChannel
+    scores_2f: np.ndarray, d2: int, fp: FixedPointParams, ctx: Context, ch: MpcChannel
 ) -> np.ndarray:
     """Scale-f softmax weights of scale-2f attention scores.
 
@@ -181,5 +188,5 @@ def attention_softmax(
         out = attention_weights(S, d2, fp)
     else:
         out = np.stack([causal_attention_weights(row, i, d2, fp) for i, row in enumerate(S)])
-    ch.transfer("softmax", S.size, trips=3 + RECIPROCAL_ITERS)
+    ctx.counter.mpc_bytes += ch.transfer("softmax", S.size, trips=3 + RECIPROCAL_ITERS)
     return out

@@ -12,6 +12,7 @@ from cryptogen.arcc import (
 from cryptogen.backend import BackendParams, ParameterError, default_plain_modulus, new_context
 from cryptogen.encodings import EncodingKind, decode, encode, pack_token_inner
 from cryptogen.fixedpoint import (
+    RECIPROCAL_ITERS,
     FixedPointParams,
     fp_encode,
     fp_softmax,
@@ -198,7 +199,7 @@ def test_attention_step_matches_oracle_any_segmentation(split, rng):
 
 def test_attention_step_rotation_count_prefix_independent(rng):
     d2 = 4
-    deltas = {}
+    deltas, softmax = {}, {}
     for m in (2, 4, 8):
         ctx = _fp_ctx(seed=1)
         ch = MpcChannel(P64, seed=1)
@@ -209,7 +210,13 @@ def test_attention_step_rotation_count_prefix_independent(rng):
         start = ctx.counter.snapshot()
         attention_step(q, cache, FP, ctx, ch)
         deltas[m] = ctx.counter.delta(start)
-    assert deltas[2] == deltas[4] == deltas[8]
+        softmax[m] = (3 + RECIPROCAL_ITERS) * ch.vector_bytes(m + 1)  # over the m + 1 scores
+    he_ops = ("mult_plain", "mult_cipher", "rotate", "add", "add_plain", "encrypt", "decrypt")
+    he = {m: {k: d[k] for k in he_ops} for m, d in deltas.items()}
+    assert he[2] == he[4] == he[8]
+    # the bytes move with the prefix by the softmax charge only
+    assert len({d["mpc_bytes"] - softmax[m] for m, d in deltas.items()}) == 1
+    assert len({d["mpc_bytes"] for d in deltas.values()}) == 3
 
 
 def test_prefill_attention_single_row(rng):

@@ -165,3 +165,38 @@ def test_custom_dims_consistent(tmp_path):
     assert out.returncode == 0
     table = (tmp_path / "c" / "table1.csv").read_text()
     assert "reported" not in table  # constants only apply at reference dims
+
+
+def test_verify_refresh_check_fails_on_a_corrupting_refresh(monkeypatch):
+    """The refresh_transparency check compares the logits that decoding
+    from refreshed caches returns, so a refresh that changes the cached
+    values fails it."""
+    import dataclasses
+
+    import numpy as np
+
+    from cryptogen import cli
+    from cryptogen.backend import BackendParams
+    from cryptogen.encodings import PackedMatrix
+    from cryptogen.kv_cache import maybe_refresh
+
+    def corrupting(cache, ctx, ch, force=False):
+        out = maybe_refresh(cache, ctx, ch, force=force)
+        if not force:
+            return out
+        bump = ctx.plain(np.full(ctx.params.n_slots, 12345))
+        return dataclasses.replace(
+            out,
+            **{
+                name: PackedMatrix(seg.encoding, [ctx.add_plain(part, bump) for part in seg.parts])
+                for name, seg in out.segments()
+            },
+        )
+
+    monkeypatch.setattr(cli, "maybe_refresh", corrupting)
+    params = BackendParams.from_json(PARAMS_TOY.read_text())
+    summary = cli.run_verification(generate_toy_model(toy_config(), seed=0), params, seed=3)
+    checks = {c["name"]: c for c in summary["checks"]}
+    assert checks["oracle_token_exactness"]["passed"]
+    assert not checks["refresh_transparency"]["passed"]
+    assert not summary["passed"]

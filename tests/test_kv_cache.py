@@ -128,6 +128,7 @@ def test_refresh_restores_budget_and_values():
     weak = ctx.with_budget(cache.auto_K.parts[0], 50)
     cache.auto_K.parts[0] = weak
     before_vals = weak.slots.copy()
+    before = ctx.counter.snapshot()
     out = maybe_refresh(cache, ctx, ch)
     part = out.auto_K.parts[0]
     assert part.noise_budget == ctx.params.initial_noise_budget
@@ -136,7 +137,8 @@ def test_refresh_restores_budget_and_values():
     ev = out.refresh_log[0]
     assert ev.segment == "auto_K" and not ev.forced
     assert ev.budget_before <= ctx.params.refresh_threshold
-    assert ev.mpc_bytes == 2 * ctx.params.ciphertext_bytes()
+    assert ev.mpc_bytes == 2 * ch.vector_bytes(ctx.params.n_slots)
+    assert ctx.counter.delta(before)["mpc_bytes"] == ev.mpc_bytes == ch.bytes_sent
     # untouched parts keep their ids
     assert out.auto_V.parts[0].id == cache.auto_V.parts[0].id
 

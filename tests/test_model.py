@@ -1,10 +1,14 @@
 import copy
+import dataclasses
 import gc
 import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryptogen.backend import BackendParams, ParameterError, default_plain_modulus, new_context
 from cryptogen.model import (
@@ -23,6 +27,7 @@ from cryptogen import model as model_mod
 from cryptogen.nonlinear import MpcChannel
 
 P64 = default_plain_modulus(64, 26)
+PARAMS_TOY = Path(__file__).resolve().parents[1] / "configs" / "params_toy.json"
 
 
 def _ctx(seed=0, n=64):
@@ -221,6 +226,99 @@ def test_default_channels_never_reuse_masks(toy, monkeypatch):
         per_step.append(list(masks))
     assert len(per_step[0]) == len(per_step[1]) > 0
     assert not set(per_step[0]) & set(per_step[1])
+
+
+def _explicit_channels(config, p):
+    chans = {(l, h): MpcChannel(p, l * config.heads + h) for l in range(config.layers) for h in range(config.heads)}
+    chans["common"] = MpcChannel(p, config.layers * config.heads)
+    return chans
+
+
+def test_direct_calls_charge_their_mpc_bytes(toy):
+    """A prefill or decode step called on its own charges the bytes its
+    channels moved; on the golden prompt (test_golden_counts) these are the
+    prefill's and first step's pinned figures."""
+    params = BackendParams.from_json(PARAMS_TOY.read_text())
+    ctx = new_context(params, seed=0)
+    chans = _explicit_channels(toy.config, params.plain_modulus)
+    charged = []
+    for call in (
+        lambda: prefill(toy, [3, 14, 15, 9, 26], ctx, chans),
+        lambda: decode_step(toy, state, ctx, chans)[1],
+    ):
+        before, sent = ctx.counter.snapshot(), sum(ch.bytes_sent for ch in chans.values())
+        state = call()
+        moved = sum(ch.bytes_sent for ch in chans.values()) - sent
+        assert ctx.counter.delta(before)["mpc_bytes"] == moved
+        charged.append(moved)
+    assert charged == [326_136, 29_416]
+
+
+def test_channels_over_another_modulus_rejected_before_any_op(toy):
+    """Channels built for another plaintext modulus would share and
+    reconstruct in the wrong ring; prefill and decode_step name the
+    offending channel and spend nothing."""
+    params = BackendParams.from_json(PARAMS_TOY.read_text())
+    p = params.plain_modulus
+    other = default_plain_modulus(64, 27)
+    ctx = new_context(params, seed=0)
+    bad = {**_explicit_channels(toy.config, p), "common": MpcChannel(other, 0)}
+    with pytest.raises(ParameterError, match="'common'"):
+        prefill(toy, [1, 2, 3], ctx, bad)
+    assert not any(ctx.counter.as_dict().values())
+
+    state = prefill(toy, [1, 2, 3], ctx, _explicit_channels(toy.config, p))
+    before = ctx.counter.snapshot()
+    bad = {**_explicit_channels(toy.config, p), (1, 2): MpcChannel(other, 0)}
+    with pytest.raises(ParameterError, match="\\(1, 2\\)"):
+        decode_step(toy, state, ctx, bad)
+    assert not any(ctx.counter.delta(before).values())
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    layers=st.integers(1, 2),
+    heads=st.integers(1, 2),
+    d1=st.sampled_from([4, 8]),
+    m=st.integers(1, 6),
+    k=st.integers(0, 4),
+    threshold=st.sampled_from([60, 170]),
+)
+def test_every_call_charges_exactly_its_transfers(layers, heads, d1, m, k, threshold):
+    """Driven call by call, each prefill and decode step's counter delta
+    carries exactly the bytes its channel transfers returned, and a thread
+    pool over the heads charges the same counters as serial execution."""
+    config = ModelConfig(layers=layers, d1=d1, heads=heads, ffn_dim=8, vocab=16, max_seq=12)
+    model = generate_toy_model(config, seed=0)
+    params = BackendParams.from_json(PARAMS_TOY.read_text())
+    params = dataclasses.replace(params, refresh_threshold=threshold)
+    prompt = [(5 * i + 3) % config.vocab for i in range(m)]
+    moved = []
+    transfer = MpcChannel.transfer
+
+    def spy(ch, *args, **kwargs):
+        nbytes = transfer(ch, *args, **kwargs)
+        moved.append(nbytes)
+        return nbytes
+
+    def run(threads):
+        ctx = new_context(params, seed=0)
+        calls = [lambda: (None, prefill(model, prompt, ctx, None, threads))]
+        calls += [lambda: decode_step(model, state, ctx, None, threads)] * k
+        tokens, counters = [], []
+        for call in calls:
+            moved.clear()
+            before = ctx.counter.snapshot()
+            token, state = call()
+            delta = ctx.counter.delta(before)
+            assert delta["mpc_bytes"] == sum(moved) > 0
+            tokens.append(token)
+            counters.append(delta)
+        return tokens, counters
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MpcChannel, "transfer", spy)
+        assert run(1) == run(2)
 
 
 def test_bolt_reference_same_tokens_more_work(toy):

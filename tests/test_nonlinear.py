@@ -40,6 +40,11 @@ P_BIG = default_plain_modulus(8192, 29)
 FP = FixedPointParams(11, P_BIG)
 
 
+def _ctx():
+    """A context to charge protocol bytes to; the protocols here read only its counter."""
+    return new_context(BackendParams(n_slots=16, plain_modulus=P_BIG))
+
+
 def _share(values, fp, ch):
     secret = np.mod(fp_encode(values, fp), ch.p)
     r = ch.sample_mask(len(secret))
@@ -116,30 +121,33 @@ def test_pooled_masks_never_reuse_a_word(lengths, seed):
 def test_channel_bytes_per_direction(ctx16):
     ch = MpcChannel(ctx16.params.plain_modulus, seed=0)
     ct = ctx16.encrypt(ctx16.zeros())
-    per_ct = ctx16.params.ciphertext_bytes()
+    per_ct = ch.vector_bytes(ctx16.params.n_slots)
+    before = ctx16.counter.snapshot()
     sp = he_to_shares(ct, ctx16, ch)
     assert ch.bytes_sent == per_ct
     shares_to_he(sp, ctx16, ch)
     assert ch.bytes_sent == 2 * per_ct
     assert ch.rounds == 2
+    assert ctx16.counter.delta(before)["mpc_bytes"] == ch.bytes_sent
 
 
 def test_truncate_examples():
-    ch = MpcChannel(P_BIG, seed=0)
+    ch, ctx = MpcChannel(P_BIG, seed=0), _ctx()
     one = fp_encode(1.0, FP)
     sq = SharePair(
         np.array([int(one) * int(one) % P_BIG]), np.array([0]), P_BIG, 1
     )
-    out = reconstruct(truncate(sq, FP, ch))
+    out = reconstruct(truncate(sq, FP, ctx, ch))
     assert out[0] == one
 
     half = fp_encode(0.5, FP)
     sq = SharePair(np.array([int(half) ** 2 % P_BIG]), np.array([0]), P_BIG, 1)
-    got = reconstruct(truncate(sq, FP, ch))[0]
+    got = reconstruct(truncate(sq, FP, ctx, ch))[0]
     assert abs(got - fp_encode(0.25, FP)) <= 1
 
     zero = SharePair(np.array([0]), np.array([0]), P_BIG, 1)
-    assert reconstruct(truncate(zero, FP, ch))[0] == 0
+    assert reconstruct(truncate(zero, FP, ctx, ch))[0] == 0
+    assert ctx.counter.mpc_bytes == ch.bytes_sent == 3 * 3 * ch.vector_bytes(1)
 
 
 def test_gelu_point_values():
@@ -212,12 +220,12 @@ def test_layernorm_statistics(rng):
 def test_protocol_bytes_depend_only_on_shape(rng):
     totals = []
     for seed in (0, 1):
-        ch = MpcChannel(P_BIG, seed=seed)
+        ch, ctx = MpcChannel(P_BIG, seed=seed), _ctx()
         vals = rng.uniform(-2, 2, 16)
-        truncate(_share(vals, FP, ch), FP, ch)
-        attention_softmax(_scores(vals, FP), 8, FP, ch)
-        attention_softmax(_scores(vals, FP).reshape(4, 4), 8, FP, ch)
-        totals.append((ch.bytes_sent, ch.rounds))
+        truncate(_share(vals, FP, ch), FP, ctx, ch)
+        attention_softmax(_scores(vals, FP), 8, FP, ctx, ch)
+        attention_softmax(_scores(vals, FP).reshape(4, 4), 8, FP, ctx, ch)
+        totals.append((ch.bytes_sent, ch.rounds, ctx.counter.mpc_bytes))
     assert totals[0] == totals[1]
 
 
@@ -232,29 +240,31 @@ def test_transcript_json(ctx16):
 def test_share_completeness_on_protocol_boundaries(rng):
     """Each protocol's output equals the fixed-point function of the
     reconstruction of its shared input."""
-    ch = MpcChannel(P_BIG, seed=9)
+    ch, ctx = MpcChannel(P_BIG, seed=9), _ctx()
     vals = rng.uniform(-3, 3, 8)
     sp = _share(vals, FP, ch)
-    assert (reconstruct(truncate(sp, FP, ch)) == fp_truncate(fp_encode(vals, FP), FP.f)).all()
+    assert (reconstruct(truncate(sp, FP, ctx, ch)) == fp_truncate(fp_encode(vals, FP), FP.f)).all()
     scores = _scores(vals, FP)
     sp = share_vector(scores, ch)
-    assert (attention_softmax(reconstruct(sp), 8, FP, ch) == attention_weights(scores, 8, FP)).all()
+    assert (attention_softmax(reconstruct(sp), 8, FP, ctx, ch) == attention_weights(scores, 8, FP)).all()
 
 
 def test_attention_softmax_matches_fixedpoint_and_charges_all_scores(rng):
     trips = 3 + RECIPROCAL_ITERS
     vec = _scores(rng.uniform(-3, 3, 5), FP)
-    ch = MpcChannel(P_BIG, seed=0)
-    assert (attention_softmax(vec, 8, FP, ch) == attention_weights(vec, 8, FP)).all()
+    ch, ctx = MpcChannel(P_BIG, seed=0), _ctx()
+    assert (attention_softmax(vec, 8, FP, ctx, ch) == attention_weights(vec, 8, FP)).all()
     assert (ch.bytes_sent, ch.rounds) == (trips * ch.vector_bytes(vec.size), trips)
+    assert ctx.counter.mpc_bytes == ch.bytes_sent
 
     S = _scores(rng.uniform(-3, 3, 16), FP).reshape(4, 4)
-    ch = MpcChannel(P_BIG, seed=0)
-    A = attention_softmax(S, 8, FP, ch)
+    ch, ctx = MpcChannel(P_BIG, seed=0), _ctx()
+    A = attention_softmax(S, 8, FP, ctx, ch)
     assert A.shape == (4, 4)
     for i in range(4):
         assert (A[i] == causal_attention_weights(S[i], i, 8, FP)).all()
     assert (ch.bytes_sent, ch.rounds) == (trips * ch.vector_bytes(S.size), trips)
+    assert ctx.counter.mpc_bytes == ch.bytes_sent
 
 
 def test_only_nonlinear_charges_mpc_traffic(monkeypatch):

@@ -7,11 +7,12 @@ add, add_plain, mult_plain, mult_cipher, rotate) is recorded as
 has no result ciphertext and records ``None`` for both.  Ciphertext ids are
 renumbered in order of first appearance, so the digest does not depend on
 how many contexts the process created before the run.  The sha256 of the
-records is printed next to the tokens and the operation count, and
-compared with the digest, count and tokens pinned for the shape: the
-script exits 1 when any of them differs.  The digest does not cover slot
-values, so the pinned tokens are the check that the values still decode
-to the same generation.
+records is printed next to the tokens, the operation count and the run's
+total MPC bytes (``mpc_bytes`` of the op counter), and compared with the
+digest, count, tokens and bytes pinned for the shape: the script exits 1
+when any of them differs.  The digest does not cover slot values, so the
+pinned tokens are the check that the values still decode to the same
+generation.
 
 Two changes that keep the digest compute the same operations on the same
 ciphertexts in the same order and spend the same noise, so the digest is
@@ -42,7 +43,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CT_OPERANDS = {"encrypt": 0, "decrypt": 1, "add": 2, "add_plain": 1, "mult_plain": 1, "mult_cipher": 2, "rotate": 1}
 
 # (prompt length, tokens generated, refresh threshold or None,
-#  expected sha256, expected op count, expected tokens)
+#  expected sha256, expected op count, expected tokens, expected MPC bytes)
 SHAPES = {
     "decode_long": (
         8, 144, None,
@@ -55,6 +56,7 @@ SHAPES = {
             27, 27, 55, 10, 55, 11, 63, 34, 63, 52, 58, 33, 58, 58, 48, 55, 27, 27, 27, 55, 27, 55, 27, 55,
             55, 27, 27, 55, 27, 58, 27, 27, 27, 55, 43, 58, 27, 55, 27, 27, 55, 63, 12, 58, 58, 27, 44, 33,
         ],
+        10_841_400,
     ),
     "refresh_churn": (
         32, 112, 170,
@@ -66,6 +68,7 @@ SHAPES = {
             27, 27, 55, 10, 55, 11, 63, 34, 63, 52, 58, 33, 58, 58, 27, 34, 63, 27, 27, 55, 27, 55, 27, 55,
             55, 27, 27, 55, 27, 58, 27, 27, 27, 55, 43, 58, 27, 55, 27, 27,
         ],
+        9_014_392,
     ),
 }
 
@@ -116,15 +119,20 @@ class OpDigest:
                 setattr(ctx_cls, op, fn)
 
 
-def op_digest(model, prompt, k: int, params):
-    """(hex digest, tokens, op count) of ``generate`` on a fresh Context."""
+def digest_run(model, prompt, k: int, params):
+    """(hex digest, tokens, op count, MPC bytes) of ``generate`` on a fresh Context."""
     from cryptogen.backend import Context
     from cryptogen.model import generate
 
     spy = OpDigest()
     with spy.installed(Context):
-        tokens, _ = generate(model, prompt, k, Context(params, seed=0), seed=0)
-    return spy.hexdigest(), tokens, spy.ops
+        tokens, report = generate(model, prompt, k, Context(params, seed=0), seed=0)
+    return spy.hexdigest(), tokens, spy.ops, report["totals"]["mpc_bytes"]
+
+
+def op_digest(model, prompt, k: int, params):
+    """(hex digest, tokens, op count) of ``generate`` on a fresh Context."""
+    return digest_run(model, prompt, k, params)[:3]
 
 
 def main(argv=None) -> int:
@@ -136,22 +144,24 @@ def main(argv=None) -> int:
     from cryptogen.backend import BackendParams
     from cryptogen.model import generate_toy_model, toy_config
 
-    prompt_len, k, threshold, want_digest, want_ops, want_tokens = SHAPES[args.shape]
+    prompt_len, k, threshold, want_digest, want_ops, want_tokens, want_bytes = SHAPES[args.shape]
     params = BackendParams.from_json((ROOT / "configs" / "params_toy.json").read_text())
     if threshold is not None:
         params = dataclasses.replace(params, refresh_threshold=threshold)
     model = generate_toy_model(toy_config(), seed=0)
     rng = np.random.default_rng(1)
     prompt = [int(t) for t in rng.integers(0, model.config.vocab, prompt_len)]
-    digest, tokens, ops = op_digest(model, prompt, k, params)
-    print(f"shape {args.shape}  ops {ops}")
+    digest, tokens, ops, mpc_bytes = digest_run(model, prompt, k, params)
+    print(f"shape {args.shape}  ops {ops}  mpc_bytes {mpc_bytes}")
     print(f"tokens {tokens}")
     print(f"sha256 {digest}")
     match = (digest, ops) == (want_digest, want_ops)
     print(f"matches pinned digest: {'yes' if match else f'no (want {want_digest}, {want_ops} ops)'}")
     same_tokens = tokens == want_tokens
     print(f"matches pinned tokens: {'yes' if same_tokens else f'no (want {want_tokens})'}")
-    return 0 if match and same_tokens else 1
+    same_bytes = mpc_bytes == want_bytes
+    print(f"matches pinned MPC bytes: {'yes' if same_bytes else f'no (want {want_bytes})'}")
+    return 0 if match and same_tokens and same_bytes else 1
 
 
 if __name__ == "__main__":
