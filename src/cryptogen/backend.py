@@ -25,13 +25,18 @@ A ``Context`` issues every ciphertext and counts every operation on it;
 the seven counted operations are ``Context`` methods, looked up on the
 class at each call, so a tool can wrap them there.  At small slot counts
 the Python cost of each operation, not the slot arithmetic, sets the run
-time, which is why both records are plain tuples and the four most
-frequent operations (``add``, ``rotate``, ``mult_plain``, ``add_plain``)
-do their checks inline.
+time, which is why both records are plain tuples and five operations
+(``add``, ``rotate``, ``mult_plain``, ``add_plain``, ``mult_cipher``) do
+their checks inline.  ``rotate`` has two forms, picked by n when the
+context is made: up to 512 slots it gathers the slots through an index
+table (0.7 µs at n=64, against 2.0 µs for two slices), above that it
+concatenates two slices, which beat the gather from n=1024 on
+(``ROTATE_GATHER_MAX_SLOTS``).
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 from dataclasses import asdict, dataclass, field, fields
@@ -58,6 +63,15 @@ __all__ = [
 # int64 products must not wrap: (p-1)^2 < 2^63 requires p < 2^31.5; we keep
 # a power-of-two margin.
 MAX_PLAIN_MODULUS = 1 << 31
+
+# rotate gathers through an index table up to this slot count and slices
+# above it.  µs per rotation by n//3, concat of two slices vs one gather
+# (median of 21 timeit loops of 5000, int64 slots, numpy 2.4.6, Python
+# 3.11, 2-vCPU x86-64 host):
+#   n       64    256   512   1024  2048  8192
+#   concat  1.98  1.97  1.95  2.08  2.40  4.42
+#   gather  0.70  1.11  1.76  2.69  4.69  14.6
+ROTATE_GATHER_MAX_SLOTS = 512
 
 PlainVector = np.ndarray
 
@@ -230,7 +244,7 @@ class SlotCiphertext(tuple):
     __slots__ = ()
 
     def __new__(cls, slots: np.ndarray, noise_budget: int, id: int, params: BackendParams):
-        slots.setflags(write=False)
+        slots.setflags(False)
         return tuple.__new__(cls, (slots, noise_budget, id, params))
 
     def __getnewargs__(self):
@@ -275,7 +289,7 @@ _INCOMPATIBLE_PLAIN = "plaintext belongs to an incompatible context"
 
 
 def _plaintext(slots: np.ndarray, params: BackendParams) -> Plaintext:
-    slots.setflags(write=False)
+    slots.setflags(False)
     return _new_tuple(Plaintext, (slots, params))
 
 
@@ -290,10 +304,17 @@ class Context:
         costs = params.noise_costs
         self._add_cost, self._add_plain_cost = costs.add, costs.add_plain
         self._rotate_cost, self._mult_plain_cost = costs.rotate, costs.mult_plain
+        self._mult_cipher_cost = costs.mult_cipher
         self.counter = OpCounter()
         self._seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._next_id = next(_context_uid) * 1_000_000_000
         self._masks: dict = {}  # (start, width) -> Plaintext, shared with forks
+        # slots 0..n-1 laid out twice, read-only: rotate by k gathers
+        # [k, k+n) of it; None above the crossover, where rotate slices
+        self._rotation = None
+        if self._n <= ROTATE_GATHER_MAX_SLOTS:
+            self._rotation = np.tile(np.arange(self._n), 2)
+            self._rotation.setflags(False)
 
     @property
     def params(self) -> BackendParams:
@@ -318,12 +339,12 @@ class Context:
             raise ParameterError(
                 "a SlotCiphertext was passed where a plaintext vector is expected"
             )
-        arr = np.asarray(v, dtype=np.int64)
-        if arr.ndim != 1 or arr.shape[0] != self._n:
+        arr = np.asarray(v)
+        if arr.ndim != 1 or arr.shape[0] != self._n or arr.dtype.kind not in "iu":
             raise ParameterError(
-                f"expected a vector of length {self._n}, got shape {arr.shape}"
+                f"expected an integer vector of length {self._n}, got {arr.dtype} of shape {arr.shape}"
             )
-        return _plaintext(np.mod(arr, self._p), params)
+        return _plaintext(np.mod(arr.astype(np.int64, copy=False), self._p), params)
 
     def plains(self, rows) -> list:
         """Encode the rows of a k x n integer matrix, reduced mod p in one
@@ -334,20 +355,23 @@ class Context:
         to a fresh int64 array first.
         """
         M = np.asarray(rows)
-        if M.ndim != 2 or M.shape[1] != self._n or not np.issubdtype(M.dtype, np.integer):
+        if M.ndim != 2 or M.shape[1] != self._n or M.dtype.kind not in "iu":
             raise ParameterError(
                 f"expected an integer matrix of {self._n} columns, got {M.dtype} of shape {M.shape}"
             )
         if M.dtype != np.int64 or not M.flags.writeable:
             M = M.astype(np.int64)
         np.mod(M, self._p, out=M)
-        M.setflags(write=False)
+        M.setflags(False)
         params = self._params
         return [_new_tuple(Plaintext, (row, params)) for row in M]
 
     def plain_from_dense(self, values) -> Plaintext:
-        """Zero-pad a short vector into the first slots and encode it."""
-        arr = np.asarray(values, dtype=np.int64)
+        """Zero-pad a short integer vector into the first slots and encode
+        it; any other input raises ParameterError, as in ``plain``."""
+        arr = np.asarray(values)
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise ParameterError(f"expected an integer vector, got {arr.dtype} of shape {arr.shape}")
         if arr.shape[0] > self._n:
             raise ParameterError("vector longer than slot count")
         out = np.zeros(self._n, dtype=np.int64)
@@ -377,42 +401,37 @@ class Context:
         return self._seed_seq.spawn(1)[0]
 
     def fork(self) -> "Context":
-        """Child context sharing params and masks; counters merge at the join."""
-        child = Context(self.params, self.spawn_seed())
-        child._masks = self._masks
+        """Child context sharing params, masks and the rotation index, with
+        its own counter, seed and ids; counters merge at the join."""
+        child = copy.copy(self)
+        child.counter = OpCounter()
+        child._seed_seq = self.spawn_seed()
+        child._next_id = next(_context_uid) * 1_000_000_000
         return child
 
     def join(self, child: "Context") -> None:
         self.counter.merge(child.counter)
 
     def _emit(self, slots: np.ndarray, budget: int) -> SlotCiphertext:
-        slots.setflags(write=False)
+        slots.setflags(False)
         ct = _new_tuple(SlotCiphertext, (slots, budget, self._next_id, self._params))
         self._next_id += 1
         return ct
 
-    def _check(self, *cts: SlotCiphertext) -> None:
-        for ct in cts:
-            # identity first: the field-wise comparison runs only for
-            # ciphertexts of another context (whose params may be equal)
-            if ct.params is not self._params and ct.params != self._params:
-                raise ParameterError(_INCOMPATIBLE)
-
-    def _spend(self, budget: int, cost: int) -> int:
-        left = budget - cost
-        if left < 0:
-            raise NoiseBudgetExhausted(
-                f"operation needs {cost} bits but only {budget} remain"
-            )
-        return left
+    def _check(self, ct: SlotCiphertext) -> None:
+        # identity first: the field-wise comparison runs only for
+        # ciphertexts of another context (whose params may be equal)
+        if ct.params is not self._params and ct.params != self._params:
+            raise ParameterError(_INCOMPATIBLE)
 
     # ------------------------------------------------------------------
     # operations
     #
-    # add, rotate and mult_plain are nine in ten of all ops, and add_plain
-    # masks every share conversion, so each of them does the params check,
-    # the budget spend, the count and the build of its result inline (the
-    # same steps as _check, _spend and _emit).
+    # add, rotate and mult_plain are nine in ten of all ops, add_plain
+    # masks every share conversion and mult_cipher is every CT x CT
+    # product, so each of them does the params check, the budget spend,
+    # the count and the build of its result inline (the same steps as
+    # _check and _emit).
     # ------------------------------------------------------------------
 
     def encrypt(self, v) -> SlotCiphertext:
@@ -440,7 +459,7 @@ class Context:
             raise NoiseBudgetExhausted(f"operation needs {cost} bits but only {have} remain")
         self.counter.add += 1
         slots = (sa + sb) % self._p
-        slots.setflags(write=False)
+        slots.setflags(False)
         ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params))
         self._next_id += 1
         return ct
@@ -458,7 +477,7 @@ class Context:
             raise NoiseBudgetExhausted(f"operation needs {cost} bits but only {have} remain")
         self.counter.add_plain += 1
         slots = (sa + v) % self._p
-        slots.setflags(write=False)
+        slots.setflags(False)
         ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params))
         self._next_id += 1
         return ct
@@ -476,24 +495,35 @@ class Context:
             raise NoiseBudgetExhausted(f"operation needs {cost} bits but only {have} remain")
         self.counter.mult_plain += 1
         slots = (sa * v) % self._p
-        slots.setflags(write=False)
+        slots.setflags(False)
         ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params))
         self._next_id += 1
         return ct
 
     def mult_cipher(self, a: SlotCiphertext, b: SlotCiphertext) -> SlotCiphertext:
-        self._check(a, b)
-        budget = self._spend(
-            min(a.noise_budget, b.noise_budget), self.params.noise_costs.mult_cipher
-        )
+        sa, ba, _, pa = a
+        sb, bb, _, pb = b
+        params = self._params
+        if pa is not params and pa != params or pb is not params and pb != params:
+            raise ParameterError(_INCOMPATIBLE)
+        have, cost = ba if ba < bb else bb, self._mult_cipher_cost
+        if have < cost:
+            raise NoiseBudgetExhausted(f"operation needs {cost} bits but only {have} remain")
         self.counter.mult_cipher += 1
-        return self._emit((a.slots * b.slots) % self._p, budget)
+        slots = (sa * sb) % self._p
+        slots.setflags(False)
+        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params))
+        self._next_id += 1
+        return ct
 
     def rotate(self, a: SlotCiphertext, k: int) -> SlotCiphertext:
         """Cyclic left shift by k slots (k may be negative or >= n).
 
         The result's slots are a fresh array (also for k = 0 mod n) that
-        shares no memory with ``a``.
+        shares no memory with ``a``: up to ``ROTATE_GATHER_MAX_SLOTS``
+        slots one gather of ``a``'s slots through the context's doubled
+        index table, above it the concatenation of two slices, whichever
+        is faster at that n.
         """
         s, have, _, pa = a
         params = self._params
@@ -504,8 +534,9 @@ class Context:
             raise NoiseBudgetExhausted(f"operation needs {cost} bits but only {have} remain")
         self.counter.rotate += 1
         k %= self._n
-        slots = np.concatenate((s[k:], s[:k]))
-        slots.setflags(write=False)
+        idx = self._rotation
+        slots = np.concatenate((s[k:], s[:k])) if idx is None else s[idx[k : k + self._n]]
+        slots.setflags(False)
         ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params))
         self._next_id += 1
         return ct

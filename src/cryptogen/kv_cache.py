@@ -22,7 +22,7 @@ Cache values are immutable; append and refresh return new cache objects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .backend import Context, ParameterError, SlotCiphertext
@@ -245,6 +245,9 @@ def _check_manifest(manifest: dict, ctx: Context) -> None:
     need(manifest, ("d2", "B", "m", "t_auto", "n_slots", "p", "segments", "refresh_log"), "manifest")
     if manifest["n_slots"] != ctx.params.n_slots or manifest["p"] != ctx.params.plain_modulus:
         raise ParameterError("cache snapshot was taken under different parameters")
+    log, keys = manifest["refresh_log"], {f.name for f in fields(RefreshEvent)}
+    if type(log) is not list or any(type(e) is not dict or e.keys() != keys for e in log):
+        raise ParameterError(f"cache snapshot refresh_log is not a list of events with keys {sorted(keys)}")
     d2, B, m, t_auto = (manifest[k] for k in ("d2", "B", "m", "t_auto"))
     if B != block_capacity(ctx.params.n_slots, d2):
         raise ParameterError(

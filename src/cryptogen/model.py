@@ -105,7 +105,7 @@ class Model:
 
     def __post_init__(self):
         for W in self.weights.values():
-            W.setflags(write=False)
+            W.setflags(False)
         # (weight name, head or None, BackendParams) -> CpvmPlaintexts
         self._cpvm: dict = {}
 

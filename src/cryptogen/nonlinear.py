@@ -115,7 +115,7 @@ class MpcChannel:
             start = 0
         self._used = start + length
         mask = self._masks[start : start + length]
-        mask.setflags(write=False)
+        mask.setflags(False)
         return mask
 
     def transcript_json(self) -> str:
@@ -151,7 +151,7 @@ def he_to_shares(
     masked = ctx.add_plain(ct, p - r)  # -r, reduced by the encoder
     client_full = ctx.decrypt(masked)
     ctx.counter.mpc_bytes += ch.transfer("he_to_shares", n)
-    return SharePair(client_full[:length].copy(), r[:length].copy(), p, length)
+    return SharePair(client_full[:length], r[:length], p, length)
 
 
 def shares_to_he(s: SharePair, ctx: Context, ch: MpcChannel) -> SlotCiphertext:
@@ -160,9 +160,15 @@ def shares_to_he(s: SharePair, ctx: Context, ch: MpcChannel) -> SlotCiphertext:
     The result decrypts to the reconstruction in slots 0..length-1 (zeros
     beyond) and carries a fresh noise budget.
     """
-    enc = ctx.encrypt(ctx.plain_from_dense(s.client))
-    out = ctx.add_plain(enc, ctx.plain_from_dense(s.server))
-    ctx.counter.mpc_bytes += ch.transfer("shares_to_he", ctx.params.n_slots)
+    n = ctx.params.n_slots
+    if s.length > n:
+        raise ParameterError("vector longer than slot count")
+    shares = np.zeros((2, n), dtype=np.int64)
+    shares[0, : s.length] = s.client
+    shares[1, : s.length] = s.server
+    client, server = ctx.plains(shares)
+    out = ctx.add_plain(ctx.encrypt(client), server)
+    ctx.counter.mpc_bytes += ch.transfer("shares_to_he", n)
     return out
 
 

@@ -153,6 +153,28 @@ def test_rotate_property(data):
     assert out.noise_budget == a.noise_budget - ctx.params.noise_costs.rotate
 
 
+@pytest.mark.parametrize("n", [2, 64, 512, 1024, 8192])
+def test_rotate_forms_match_roll(n):
+    """Both forms of rotate, the index gather up to ROTATE_GATHER_MAX_SLOTS
+    slots and the two slices above it, equal np.roll for every k in
+    [-n, 2n) (a fixed sample at n=8192), each in a fresh read-only array;
+    a forked context rotates identically."""
+    ctx = new_context(BackendParams(n_slots=n), seed=0)  # p = 1 mod 16384
+    child = ctx.fork()
+    slots = np.random.default_rng(n).integers(0, ctx.params.plain_modulus, n)
+    a = ctx.encrypt(slots)
+    if n <= 1024:
+        ks = range(-n, 2 * n)
+    else:
+        ks = [-n, -n + 1, -1, 0, 1, 2, 63, 512, 513, 1024, n // 2, n - 1, n, n + 1, 2 * n - 1]
+    for k in ks:
+        out = ctx.rotate(a, k)
+        assert (out.slots == np.roll(slots, -k)).all()
+        assert not out.slots.flags.writeable
+        assert not np.shares_memory(out.slots, a.slots)
+        assert (child.rotate(a, k).slots == out.slots).all()
+
+
 def test_check_accepts_equal_params_and_rejects_unequal():
     """Ciphertexts pass between contexts whose params are equal, even as
     distinct objects; unequal params raise before any op is counted."""
@@ -282,6 +304,30 @@ def test_plain_encodes_or_rejects(data):
         assert not np.shares_memory(pt.slots, v)
         assert ctx.plain(pt) is pt
     assert ctx.counter.delta(before) == OpCounter().as_dict()
+
+
+@pytest.mark.parametrize(
+    "method, value",
+    [
+        ("plain", [1.5] * 16),
+        ("plain", np.full(16, 2.0)),
+        ("plain", np.ones(16, dtype=bool)),
+        ("encrypt", [1.5] * 16),
+        ("plain_from_dense", [1.5, 2.5]),
+        ("plain_from_dense", [True, False]),
+        ("plain_from_dense", 5),
+        ("plain_from_dense", np.ones((2, 2), dtype=np.int64)),
+    ],
+    ids=["float_list", "float_array", "bool", "encrypt_float", "dense_float", "dense_bool", "dense_scalar", "dense_matrix"],
+)
+def test_plain_rejects_what_plains_rejects(ctx16, method, value):
+    """plain and plain_from_dense take the rule of plains: an integer
+    vector, never truncated from floats; a float, bool, scalar or matrix
+    input raises ParameterError without moving the counter."""
+    before = ctx16.counter.snapshot()
+    with pytest.raises(ParameterError):
+        getattr(ctx16, method)(value)
+    assert ctx16.counter.delta(before) == OpCounter().as_dict()
 
 
 @pytest.mark.parametrize("op", sorted(_PLAIN_OPS))

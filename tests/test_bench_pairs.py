@@ -1,0 +1,89 @@
+"""The summary of tools/bench_pairs.py on fixed, synthetic results; no
+benchmark is run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "step_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "tokens_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "ops", "unit": "count", "better": "lower", "bound": 0.01},
+]
+
+
+def _run(step_ms, tokens_per_s, ops, correct=True, failed=0):
+    values = {"step_ms": step_ms, "tokens_per_s": tokens_per_s, "ops": ops}
+    metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in END_TO_END}
+    return {"correct": correct, "attempted": 1, "failed": failed, "metrics": metrics}
+
+
+def _rows(parent, change):
+    return {r["metric"]: r for r in bench_pairs.summarize(parent, change, END_TO_END)}
+
+
+def test_summary_counts_wins_in_each_direction_and_applies_both_rules():
+    # parent step_ms 10..19 (IQR 4.5); the change is 3 ms faster in nine
+    # pairs and 1 ms slower in the last; tokens_per_s is the inverse story
+    parent = [_run(10 + i, 100 + i, 500) for i in range(10)]
+    change = [_run(7 + i, 103 + i, 500) for i in range(9)] + [_run(20, 108, 500)]
+    rows = _rows(parent, change)
+    step = rows["step_ms"]
+    assert step["parent"] == (14.5, 12.25, 16.75)
+    assert step["change"] == (11.5, 9.25, 13.75)
+    assert step["wins"] == 9 and step["pairs"] == 10
+    assert step["pct"] == pytest.approx(100 * (11.5 - 14.5) / 14.5)
+    # a 3 ms gain is below the parent's 4.5 ms IQR: no gain, no regression
+    assert not step["gain"] and step["no_regression"]
+    tps = rows["tokens_per_s"]
+    assert tps["wins"] == 9 and tps["no_regression"] and not tps["gain"]
+    # an unchanged count wins no pair and does not regress
+    assert rows["ops"]["wins"] == 0 and not rows["ops"]["gain"] and rows["ops"]["no_regression"]
+
+
+def test_gain_needs_nine_wins_and_a_median_shift_beyond_the_iqr():
+    parent = [_run(10 + 0.1 * i, 100, 500) for i in range(10)]  # IQR 0.45
+    ten = [_run(9 + 0.1 * i, 100, 500) for i in range(10)]
+    assert _rows(parent, ten)["step_ms"]["gain"]
+    eight = ten[:8] + [_run(11, 100, 500), _run(11, 100, 500)]
+    assert _rows(parent, eight)["step_ms"]["wins"] == 8
+    assert not _rows(parent, eight)["step_ms"]["gain"]
+    # a slower change never counts as a gain, however consistent
+    slower = [_run(11 + 0.1 * i, 100, 500) for i in range(10)]
+    assert not _rows(parent, slower)["step_ms"]["gain"]
+
+
+def test_no_regression_rule_is_the_bound_on_the_parent_median():
+    parent = [_run(10, 100, 500) for _ in range(4)]
+    rows = _rows(parent, [_run(12.5, 75, 505) for _ in range(4)])
+    assert rows["step_ms"]["no_regression"] and rows["tokens_per_s"]["no_regression"]
+    assert rows["ops"]["no_regression"]
+    rows = _rows(parent, [_run(12.6, 74, 506) for _ in range(4)])
+    assert not rows["step_ms"]["no_regression"] and not rows["tokens_per_s"]["no_regression"]
+    assert not rows["ops"]["no_regression"]
+
+
+def test_incorrect_or_failed_runs_are_reported():
+    good = _run(10, 100, 500)
+    runs = {
+        "w1": {"parent": [good, good], "change": [good, _run(10, 100, 500, correct=False)]},
+        "w2": {"parent": [_run(10, 100, 500, failed=2), good], "change": [good, good]},
+        "w3": {"parent": [good], "change": [good]},
+    }
+    bad = bench_pairs.bad_runs(runs)
+    assert [(w, side, i) for w, side, i, _ in bad] == [("w1", "change", 1), ("w2", "parent", 0)]
+
+
+def test_table_has_one_line_per_metric():
+    rows = bench_pairs.summarize([_run(10, 100, 500)], [_run(9, 110, 500)], END_TO_END)
+    table = bench_pairs.format_table("w", rows)
+    lines = table.splitlines()
+    assert len(lines) == 4 + len(END_TO_END)
+    assert "| `step_ms` (ms) | 10 [10, 10] | 9 [9, 9] | -10.0% | 1/1 |" in lines[4]

@@ -289,10 +289,15 @@ def test_cache_checkpoint_roundtrip(tmp_path, rng):
         (lambda m: m["segments"].pop("prefill_V"), None),
         (lambda m: m.update(m=3), None),
         (lambda m: m.update(t_auto=9), None),
+        (lambda m: m.update(refresh_log=5), "refresh_log"),
+        (lambda m: m.update(refresh_log=None), "refresh_log"),
+        (lambda m: m.update(refresh_log=[{"foo": 1}]), "refresh_log"),
+        (lambda m: m.update(refresh_log=[{"step": 0}]), "refresh_log"),
     ],
     ids=[
         "B", "missing_d2", "missing_segment", "missing_rows", "auto_rows",
         "auto_parts", "prefill_parts", "half_prefill", "m", "t_auto",
+        "log_int", "log_null", "log_unknown_key", "log_missing_keys",
     ],
 )
 def test_load_cache_rejects_tampered_manifest(tmp_path, edit, message):

@@ -1,0 +1,161 @@
+#!/usr/bin/env python3
+"""Run and tabulate alternating parent/change pairs of the benchmark.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --pairs 10
+
+PARENT and CHANGE are two checkouts of the repository.  Pair i (seed i,
+from 1) runs the command of ``BENCHMARK.json`` (``python3
+perfbench/run.py``) with ``--workload W --seed i --seconds S`` once in
+each tree, the parent first in odd pairs and the change first in even
+ones, for every workload W of CHANGE's ``BENCHMARK.json``, S being its
+``run_seconds``.  Each run's last line of standard output is its JSON
+result.
+
+For every workload and end-to-end metric the tool prints each side's
+median [q1, q3], the change of the median in %, the pairs the change won
+in the metric's ``better`` direction, whether the gain rule holds (the
+change wins at least nine pairs in ten and its median differs from the
+parent's by more than the parent's interquartile range) and whether the
+no-regression rule holds (the change's median is not worse than the
+parent's by more than the metric's ``bound``, a fraction of the parent's
+median).  A run that reports ``correct: false`` or ``failed > 0``, or
+that gives no result, is printed instead of its workload's table, and
+the tool exits 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+
+
+def run_once(tree: Path, command: list, workload: str, seed: int, seconds) -> dict:
+    """One benchmark run in ``tree``; its JSON result, or a failed record
+    when the run exits nonzero or prints no JSON."""
+    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if proc.returncode or not isinstance(result, dict):
+        tail = proc.stderr.strip().splitlines()[-1:] or ["no output"]
+        return {"correct": False, "failed": 1, "metrics": {}, "error": f"exit {proc.returncode}: {tail[0]}"}
+    return result
+
+
+def run_pairs(parent: Path, change: Path, pairs: int, bench: dict) -> dict:
+    """workload -> {"parent": [result, ...], "change": [result, ...]}, in
+    pair order."""
+    trees = dict(zip(SIDES, (parent, change)))
+    runs = {}
+    for w in bench["workloads"]:
+        name = w["name"]
+        runs[name] = {side: [] for side in SIDES}
+        for seed in range(1, pairs + 1):
+            order = SIDES if seed % 2 else SIDES[::-1]
+            for side in order:
+                r = run_once(trees[side], bench["command"], name, seed, bench["run_seconds"])
+                runs[name][side].append(r)
+                print(f"{name} seed {seed} {side}: correct={r.get('correct')} failed={r.get('failed')}",
+                      file=sys.stderr, flush=True)
+    return runs
+
+
+def bad_runs(runs: dict) -> list:
+    """(workload, side, pair index, result) of every run that is not
+    correct or reports failed operations."""
+    return [
+        (w, side, i, r)
+        for w, by_side in runs.items()
+        for side in SIDES
+        for i, r in enumerate(by_side[side])
+        if r.get("correct") is not True or r.get("failed", 1) > 0
+    ]
+
+
+def _quartiles(values) -> tuple:
+    q1, med, q3 = np.percentile(np.asarray(values, dtype=float), [25, 50, 75])
+    return float(med), float(q1), float(q3)
+
+
+def summarize(parent_runs: list, change_runs: list, end_to_end: list) -> list:
+    """One row per end-to-end metric over paired runs (pair i is
+    ``parent_runs[i]`` and ``change_runs[i]``): each side's median and
+    quartiles, the change in %, the pairs won and the two rules."""
+    rows = []
+    for m in end_to_end:
+        name, lower = m["name"], m["better"] == "lower"
+        p = [r["metrics"][name]["value"] for r in parent_runs]
+        c = [r["metrics"][name]["value"] for r in change_runs]
+        (pm, pq1, pq3), (cm, cq1, cq3) = _quartiles(p), _quartiles(c)
+        wins = sum(cv < pv if lower else cv > pv for pv, cv in zip(p, c))
+        improved = cm < pm if lower else cm > pm
+        limit = pm * (1 + m["bound"]) if lower else pm * (1 - m["bound"])
+        rows.append({
+            "metric": name,
+            "unit": m["unit"],
+            "parent": (pm, pq1, pq3),
+            "change": (cm, cq1, cq3),
+            "pct": 100 * (cm - pm) / pm if pm else None,
+            "wins": wins,
+            "pairs": len(p),
+            "gain": improved and 10 * wins >= 9 * len(p) and abs(cm - pm) > pq3 - pq1,
+            "no_regression": cm <= limit if lower else cm >= limit,
+        })
+    return rows
+
+
+def format_table(workload: str, rows: list) -> str:
+    """A markdown table of ``summarize`` rows."""
+
+    def cell(stats) -> str:
+        med, q1, q3 = stats
+        return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
+
+    out = [
+        workload,
+        "",
+        "| metric | parent median [q1, q3] | change median [q1, q3] | change | pairs won | gain rule | no regression |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    for r in rows:
+        pct = "n/a" if r["pct"] is None else f"{r['pct']:+.1f}%"
+        out.append(
+            f"| `{r['metric']}` ({r['unit']}) | {cell(r['parent'])} | {cell(r['change'])} | {pct} "
+            f"| {r['wins']}/{r['pairs']} | {'yes' if r['gain'] else 'no'} "
+            f"| {'yes' if r['no_regression'] else 'NO'} |"
+        )
+    return "\n".join(out)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--pairs", type=int, required=True, help="number of alternating pairs per workload")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    runs = run_pairs(args.parent.resolve(), args.change.resolve(), args.pairs, bench)
+    bad = bad_runs(runs)
+    for w, side, i, r in bad:
+        print(f"{w} pair {i + 1} {side}: correct={r.get('correct')} failed={r.get('failed')} {r.get('error', '')}")
+    for w, by_side in runs.items():
+        if all(b[0] != w for b in bad):
+            print(format_table(w, summarize(by_side["parent"], by_side["change"], bench["end_to_end"])))
+            print()
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
