@@ -43,8 +43,6 @@ from .model import (
 )
 from .nonlinear import MpcChannel
 
-log = logging.getLogger("cryptogen")
-
 _HE_COUNTERS = ("mult_plain", "mult_cipher", "rotate", "add", "add_plain", "encrypt", "decrypt")
 
 
@@ -312,7 +310,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ParameterError, OSError, json.JSONDecodeError, ValueError) as e:
-        log.error("%s", e)
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -149,12 +149,8 @@ def decode(P: PackedMatrix, ctx: Context) -> np.ndarray:
 
 
 def pack_token_inner(x, ctx: Context) -> SlotCiphertext:
-    """Encrypt one row vector into slots 0..d-1 (inner layout)."""
-    x = np.asarray(x, dtype=np.int64)
-    if x.ndim != 1 or x.shape[0] > ctx.params.n_slots:
-        raise ParameterError(
-            f"token of length {x.shape} does not fit {ctx.params.n_slots} slots"
-        )
+    """Encrypt one integer row vector into slots 0..d-1 (inner layout);
+    any other input raises ParameterError, as in ``plain_from_dense``."""
     return ctx.encrypt(ctx.plain_from_dense(x))
 
 

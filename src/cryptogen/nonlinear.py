@@ -4,12 +4,14 @@ that sizes and charges MPC traffic.
 HE ciphertexts convert to additive shares by server-side masking; the
 client evaluates the shared fixed-point function on the reconstruction
 and re-shares it under a fresh mask, so each share in isolation stays
-uniform.  A channel object tallies the bytes and rounds the real protocol
-would move; the tallies depend only on shapes, never on values.  It also
-draws the share masks: blocks of ``MASK_BLOCK`` uniform words from its own
-generator, handed out as read-only slices, each word once.  Each protocol
-charges the bytes of its transfers to ``ctx.counter.mpc_bytes`` of the
-context it runs on, so every call's counter delta carries its traffic.
+uniform.  A channel object is a mask source plus two tallies.  It draws
+the share masks: blocks of ``MASK_BLOCK`` uniform words from its own
+generator, handed out as read-only slices, each word once.  It counts the
+bytes and rounds the real protocol would move in ``bytes_sent`` and
+``rounds``, which depend only on shapes, never on values; it keeps no
+per-transfer record.  Each protocol also charges the bytes of its
+transfers to ``ctx.counter.mpc_bytes`` of the context it runs on, so
+every call's counter delta carries its traffic.
 
 Byte model, as the pipeline charges it (elements are modulus-bit words,
 integer-divided into bytes):
@@ -32,7 +34,6 @@ charge truncate's 3.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,11 @@ class SharePair:
 
 
 class MpcChannel:
-    """Byte/round accounting plus the mask RNG for one serial conversation.
-    Only the protocols of this module call ``transfer``."""
+    """The mask RNG plus the ``bytes_sent``/``rounds`` tallies of one serial
+    conversation.  Only the protocols of this module call ``transfer``.
+    ``transcript`` is always empty; it is kept for the benchmark harness
+    alone, which identifies each channel's list when it pickles call
+    arguments."""
 
     def __init__(self, p: int, seed=0):
         self.p = p
@@ -90,19 +94,18 @@ class MpcChannel:
         self.bytes_sent = 0
         self.rounds = 0
         self.rng = np.random.default_rng(seed)  # an int or a SeedSequence
-        self.transcript: list = []
+        self.transcript: list = []  # stays empty; one list per channel, told apart by id
         self._masks = np.empty(0, dtype=np.int64)  # the current block
         self._used = 0  # words of it handed out
 
     def vector_bytes(self, elements: int) -> int:
         return elements * self.word_bits // 8
 
-    def transfer(self, op: str, elements: int, trips: int = 1) -> int:
+    def transfer(self, elements: int, trips: int = 1) -> int:
         """Tally ``trips`` rounds of ``elements`` words; returns the bytes."""
         nbytes = trips * self.vector_bytes(elements)
         self.bytes_sent += nbytes
         self.rounds += trips
-        self.transcript.append({"op": op, "elements": elements, "trips": trips, "bytes": nbytes})
         return nbytes
 
     def sample_mask(self, length: int) -> np.ndarray:
@@ -117,12 +120,6 @@ class MpcChannel:
         mask = self._masks[start : start + length]
         mask.setflags(False)
         return mask
-
-    def transcript_json(self) -> str:
-        return json.dumps(
-            {"bytes_sent": self.bytes_sent, "rounds": self.rounds, "log": self.transcript},
-            indent=2,
-        )
 
 
 def reconstruct(s: SharePair) -> np.ndarray:
@@ -150,7 +147,7 @@ def he_to_shares(
     r = ch.sample_mask(n)
     masked = ctx.add_plain(ct, p - r)  # -r, reduced by the encoder
     client_full = ctx.decrypt(masked)
-    ctx.counter.mpc_bytes += ch.transfer("he_to_shares", n)
+    ctx.counter.mpc_bytes += ch.transfer(n)
     return SharePair(client_full[:length], r[:length], p, length)
 
 
@@ -160,22 +157,15 @@ def shares_to_he(s: SharePair, ctx: Context, ch: MpcChannel) -> SlotCiphertext:
     The result decrypts to the reconstruction in slots 0..length-1 (zeros
     beyond) and carries a fresh noise budget.
     """
-    n = ctx.params.n_slots
-    if s.length > n:
-        raise ParameterError("vector longer than slot count")
-    shares = np.zeros((2, n), dtype=np.int64)
-    shares[0, : s.length] = s.client
-    shares[1, : s.length] = s.server
-    client, server = ctx.plains(shares)
-    out = ctx.add_plain(ctx.encrypt(client), server)
-    ctx.counter.mpc_bytes += ch.transfer("shares_to_he", n)
+    out = ctx.add_plain(ctx.encrypt(ctx.plain_from_dense(s.client)), ctx.plain_from_dense(s.server))
+    ctx.counter.mpc_bytes += ch.transfer(ctx.params.n_slots)
     return out
 
 
 def truncate(s: SharePair, fp: FixedPointParams, ctx: Context, ch: MpcChannel) -> SharePair:
     """Fixed-point rescale: reconstruction is floor-divided by 2^f."""
     out = fp_truncate(reconstruct(s), fp.f)
-    ctx.counter.mpc_bytes += ch.transfer("truncate", s.length, trips=1 + 2)
+    ctx.counter.mpc_bytes += ch.transfer(s.length, trips=1 + 2)
     return share_vector(out, ch)
 
 
@@ -194,5 +184,5 @@ def attention_softmax(
         out = attention_weights(S, d2, fp)
     else:
         out = np.stack([causal_attention_weights(row, i, d2, fp) for i, row in enumerate(S)])
-    ctx.counter.mpc_bytes += ch.transfer("softmax", S.size, trips=3 + RECIPROCAL_ITERS)
+    ctx.counter.mpc_bytes += ch.transfer(S.size, trips=3 + RECIPROCAL_ITERS)
     return out

@@ -106,6 +106,7 @@ def test_bench_rejects_bad_gen_before_any_run(tmp_path, gen_args):
     assert out.returncode == 2, out.stderr
     assert "error:" in out.stderr
     assert "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1, out.stderr
     assert not list(tmp_path.glob("*.csv"))
 
 

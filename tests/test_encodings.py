@@ -103,8 +103,9 @@ def test_pack_token_inner(ctx16):
     assert (ctx.decrypt(ct) == [1, 2, 3, 4, 0, 0, 0, 0]).all()
     zero = pack_token_inner([0, 0], ctx)
     assert not ctx.decrypt(zero).any()
-    with pytest.raises(ParameterError):
-        pack_token_inner(list(range(9)), ctx)
+    for bad in (list(range(9)), [1.5, 2.5, -0.7]):
+        with pytest.raises(ParameterError):
+            pack_token_inner(bad, ctx)
 
 
 def test_tile_token(ctx16):

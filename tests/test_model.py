@@ -228,6 +228,34 @@ def test_default_channels_never_reuse_masks(toy, monkeypatch):
     assert not set(per_step[0]) & set(per_step[1])
 
 
+def test_generate_calls_keep_the_replay_conventions(toy, monkeypatch):
+    """generate calls prefill and decode_step with the model plus exactly
+    four positional arguments (input, context, channels, threads) and no
+    keywords, and leaves each channel with its own empty ``transcript``
+    list: replaying a call from its pickled arguments relies on both."""
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            calls.append((fn.__name__, args, kwargs))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("prefill", "decode_step"):
+        monkeypatch.setattr(model_mod, name, spy(getattr(model_mod, name)))
+    ctx = _ctx()
+    generate(toy, [1, 2, 3], 2, ctx)
+    assert [name for name, _, _ in calls] == ["prefill", "decode_step", "decode_step"]
+    chans = calls[0][1][3]
+    for _, args, kwargs in calls:
+        assert len(args) == 5 and kwargs == {}
+        assert args[0] is toy and args[2] is ctx and args[3] is chans and args[4] == 1
+    transcripts = [ch.transcript for ch in chans.values()]
+    assert all(type(t) is list and not t for t in transcripts)
+    assert len({id(t) for t in transcripts}) == len(transcripts)
+
+
 def _explicit_channels(config, p):
     chans = {(l, h): MpcChannel(p, l * config.heads + h) for l in range(config.layers) for h in range(config.heads)}
     chans["common"] = MpcChannel(p, config.layers * config.heads)

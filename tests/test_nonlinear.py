@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -227,14 +226,6 @@ def test_protocol_bytes_depend_only_on_shape(rng):
         attention_softmax(_scores(vals, FP).reshape(4, 4), 8, FP, ctx, ch)
         totals.append((ch.bytes_sent, ch.rounds, ctx.counter.mpc_bytes))
     assert totals[0] == totals[1]
-
-
-def test_transcript_json(ctx16):
-    ch = MpcChannel(ctx16.params.plain_modulus, seed=0)
-    he_to_shares(ctx16.encrypt(ctx16.zeros()), ctx16, ch)
-    log = json.loads(ch.transcript_json())
-    assert log["bytes_sent"] == ch.bytes_sent
-    assert log["log"][0]["op"] == "he_to_shares"
 
 
 def test_share_completeness_on_protocol_boundaries(rng):
