@@ -42,10 +42,12 @@ from .nonlinear import (
     MpcChannel,
     attention_softmax,
     he_to_shares,
+    he_to_values,
     reconstruct,
     share_vector,
     shares_to_he,
     truncate,
+    values_to_he,
 )
 
 __all__ = [
@@ -206,9 +208,7 @@ def prefill_attention(
                 S[i, j] = vals[i]
 
     A = attention_softmax(S, d2, fp, ctx, mpc)
-    a_rows = [
-        shares_to_he(share_vector(A[i], mpc), ctx, mpc) for i in range(m)
-    ]
+    a_rows = list(values_to_he(A, ctx, mpc))
 
     out_parts = []
     for c in range(d2):
@@ -246,8 +246,7 @@ def attention_step(
         # B * d2 = n: generated score r sits at slot r*d2 of the parts laid
         # end to end
         sv = arcc_inner_outer(q, cache.auto_K, ctx)
-        vals = [reconstruct(he_to_shares(part, ctx, mpc)) for part in sv.parts]
-        pieces.append(np.concatenate(vals)[: t * d2 : d2])
+        pieces.append(he_to_values(sv.parts, ctx, mpc).reshape(-1)[: t * d2 : d2])
     a = attention_softmax(np.concatenate(pieces), d2, fp, ctx, mpc)
 
     halves = []
@@ -265,9 +264,9 @@ def attention_step(
         parts = cache.auto_V.parts
         coeffs = np.zeros(len(parts) * n, dtype=np.int64)
         coeffs[: t * d2] = np.repeat(a[m:], d2)
+        # each coefficient ciphertext is made just before its product
         acc = ctx.sum(
-            ctx.mult_cipher(shares_to_he(share_vector(coeff, mpc), ctx, mpc), part)
-            for coeff, part in zip(coeffs.reshape(-1, n), parts)
+            map(ctx.mult_cipher, values_to_he(coeffs.reshape(-1, n), ctx, mpc), parts)
         )
         halves.append(ctx.fold(acc, d2, n))
     o = ctx.sum(halves)

@@ -28,8 +28,9 @@ the Python cost of each operation, not the slot arithmetic, sets the run
 time, which is why both records are plain tuples and five operations
 (``add``, ``rotate``, ``mult_plain``, ``add_plain``, ``mult_cipher``) do
 their checks inline.  ``rotate`` has two forms, picked by n when the
-context is made: up to 512 slots it gathers the slots through an index
-table (0.7 µs at n=64, against 2.0 µs for two slices), above that it
+context is made: up to 512 slots it gathers the slots through the index
+array of its shift, one of n built once per n and shared by every context
+(0.7 µs at n=64, against 2.0 µs for two slices), above that it
 concatenates two slices, which beat the gather from n=1024 on
 (``ROTATE_GATHER_MAX_SLOTS``).
 """
@@ -37,6 +38,7 @@ concatenates two slices, which beat the gather from n=1024 on
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import json
 from dataclasses import asdict, dataclass, field, fields
@@ -288,6 +290,25 @@ _INCOMPATIBLE = "ciphertext belongs to an incompatible context"
 _INCOMPATIBLE_PLAIN = "plaintext belongs to an incompatible context"
 
 
+class _RotationTable(tuple):
+    """The gather index of each shift k of rotate at n slots, k..k+n-1 mod
+    n: read-only views of one doubled arange.  Pickles as its n, so an
+    unpickled context shares the table of its process too."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return _rotation_table, (len(self),)
+
+
+@functools.cache
+def _rotation_table(n: int) -> _RotationTable:
+    """The rotate index table of every n-slot context, built on first use."""
+    doubled = np.tile(np.arange(n), 2)
+    doubled.setflags(False)
+    return _RotationTable(doubled[k : k + n] for k in range(n))
+
+
 def _plaintext(slots: np.ndarray, params: BackendParams) -> Plaintext:
     slots.setflags(False)
     return _new_tuple(Plaintext, (slots, params))
@@ -309,12 +330,8 @@ class Context:
         self._seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._next_id = next(_context_uid) * 1_000_000_000
         self._masks: dict = {}  # (start, width) -> Plaintext, shared with forks
-        # slots 0..n-1 laid out twice, read-only: rotate by k gathers
-        # [k, k+n) of it; None above the crossover, where rotate slices
-        self._rotation = None
-        if self._n <= ROTATE_GATHER_MAX_SLOTS:
-            self._rotation = np.tile(np.arange(self._n), 2)
-            self._rotation.setflags(False)
+        # None above the crossover, where rotate slices
+        self._rotation = _rotation_table(self._n) if self._n <= ROTATE_GATHER_MAX_SLOTS else None
 
     @property
     def params(self) -> BackendParams:
@@ -401,7 +418,7 @@ class Context:
         return self._seed_seq.spawn(1)[0]
 
     def fork(self) -> "Context":
-        """Child context sharing params, masks and the rotation index, with
+        """Child context sharing params, masks and the rotation table, with
         its own counter, seed and ids; counters merge at the join."""
         child = copy.copy(self)
         child.counter = OpCounter()
@@ -521,8 +538,8 @@ class Context:
 
         The result's slots are a fresh array (also for k = 0 mod n) that
         shares no memory with ``a``: up to ``ROTATE_GATHER_MAX_SLOTS``
-        slots one gather of ``a``'s slots through the context's doubled
-        index table, above it the concatenation of two slices, whichever
+        slots one gather of ``a``'s slots through the index array of
+        shift k, above it the concatenation of two slices, whichever
         is faster at that n.
         """
         s, have, _, pa = a
@@ -535,7 +552,7 @@ class Context:
         self.counter.rotate += 1
         k %= self._n
         idx = self._rotation
-        slots = np.concatenate((s[k:], s[:k])) if idx is None else s[idx[k : k + self._n]]
+        slots = np.concatenate((s[k:], s[:k])) if idx is None else s[idx[k]]
         slots.setflags(False)
         ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params))
         self._next_id += 1

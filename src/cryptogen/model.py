@@ -39,10 +39,11 @@ from .linear_kernels import CpvmPlaintexts, cpmm_outer_diagonal, cpvm_inner_diag
 from .nonlinear import (
     MpcChannel,
     he_to_shares,
-    reconstruct,
+    he_to_values,
     share_vector,
     shares_to_he,
     truncate,
+    values_to_he,
 )
 
 __all__ = [
@@ -367,9 +368,9 @@ def _truncated(P: PackedMatrix, fp, ctx, mpc) -> PackedMatrix:
 def _roundtrip(P: PackedMatrix, fn, ctx, mpc) -> PackedMatrix:
     """Pull the slab into the share domain, apply fn (rows x cols array of
     signed scale-f ints -> same shape, row-wise), re-encrypt it."""
-    vals = [reconstruct(he_to_shares(part, ctx, mpc, length=P.width)) for part in P.parts]
-    out = P.payloads(fn(P.payloads(np.stack(vals))))
-    return PackedMatrix(P.encoding, [shares_to_he(share_vector(v, mpc), ctx, mpc) for v in out])
+    vals = he_to_values(P.parts, ctx, mpc, length=P.width)
+    out = P.payloads(fn(P.payloads(vals)))
+    return PackedMatrix(P.encoding, list(values_to_he(out, ctx, mpc)))
 
 
 def _add(A: PackedMatrix, B: PackedMatrix, ctx) -> PackedMatrix:
@@ -532,7 +533,7 @@ def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int =
 
     # last-position logits via the decode-side kernel
     ch = chans["common"]
-    last = np.array([reconstruct(he_to_shares(part, ctx, ch, length=m))[m - 1] for part in X.parts])
+    last = he_to_values(X.parts, ctx, ch, length=m)[:, m - 1]
     x_last = shares_to_he(share_vector(last, ch), ctx, ch)
     return GenerationState(caches=caches, next_logits=_logits(model, x_last, ctx))
 

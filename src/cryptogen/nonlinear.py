@@ -4,7 +4,12 @@ that sizes and charges MPC traffic.
 HE ciphertexts convert to additive shares by server-side masking; the
 client evaluates the shared fixed-point function on the reconstruction
 and re-shares it under a fresh mask, so each share in isolation stays
-uniform.  A channel object is a mask source plus two tallies.  It draws
+uniform.  A list of ciphertexts (a cache segment's score parts, a
+slab's columns) converts in one call of a batch form, ``he_to_values``
+out and ``values_to_he`` in: the masks and share arithmetic of the whole
+list are one numpy pass, while every HE op is still one ``Context`` call
+per ciphertext, in the order the single-ciphertext pair would spend
+them.  A channel object is a mask source plus two tallies.  It draws
 the share masks: blocks of ``MASK_BLOCK`` uniform words from its own
 generator, handed out as read-only slices, each word once.  It counts the
 bytes and rounds the real protocol would move in ``bytes_sent`` and
@@ -17,7 +22,8 @@ Byte model, as the pipeline charges it (elements are modulus-bit words,
 integer-divided into bytes):
 
   ciphertext transfer   n_slots words, one round, each way
-                        (``he_to_shares``, ``shares_to_he``); a KV-cache
+                        (``he_to_shares``, ``shares_to_he``), also per
+                        ciphertext of the batch forms; a KV-cache
                         refresh is one of each, 2n words in 2 rounds
   truncate              3 trips of L words on L values
   attention_softmax     3 + RECIPROCAL_ITERS trips over all the scores
@@ -56,10 +62,12 @@ __all__ = [
     "SharePair",
     "attention_softmax",
     "he_to_shares",
+    "he_to_values",
     "reconstruct",
     "share_vector",
     "shares_to_he",
     "truncate",
+    "values_to_he",
 ]
 
 
@@ -160,6 +168,58 @@ def shares_to_he(s: SharePair, ctx: Context, ch: MpcChannel) -> SlotCiphertext:
     out = ctx.add_plain(ctx.encrypt(ctx.plain_from_dense(s.client)), ctx.plain_from_dense(s.server))
     ctx.counter.mpc_bytes += ch.transfer(ctx.params.n_slots)
     return out
+
+
+def he_to_values(cts, ctx: Context, ch: MpcChannel, length: int | None = None) -> np.ndarray:
+    """``he_to_shares`` then ``reconstruct`` of each ciphertext of a list:
+    the signed values of their slots 0..length-1, as a k x length array.
+
+    The k masks are one draw of k*n words, negated and encoded in one
+    ``plains`` call; each ciphertext is then masked and decrypted in list
+    order, and charged one n-word transfer, as ``he_to_shares`` would.
+    """
+    n = ctx.params.n_slots
+    length = n if length is None else length
+    if not 0 < length <= n:
+        raise ParameterError(f"share length {length} out of range")
+    p = ctx.params.plain_modulus
+    r = ch.sample_mask(len(cts) * n).reshape(-1, n)
+    client = np.empty((len(cts), length), dtype=np.int64)
+    for i, (ct, neg) in enumerate(zip(cts, ctx.plains(p - r))):
+        client[i] = ctx.decrypt(ctx.add_plain(ct, neg))[:length]
+        ctx.counter.mpc_bytes += ch.transfer(n)
+    client += r[:, :length]
+    return to_signed(client % p, p)
+
+
+def values_to_he(rows, ctx: Context, ch: MpcChannel):
+    """``share_vector`` then ``shares_to_he`` of each row of a k x L matrix
+    of values (signed or residues), as an iterator of k ciphertexts.
+
+    The rows are shared at the call, under one draw of k*L mask words,
+    and both shares of every row are encoded in one ``plains`` call.  The
+    HE ops are spent lazily: each ciphertext is encrypted, unmasked and
+    charged one n-word transfer only when the iterator yields it, so a
+    consumer's own ops interleave with them as with ``shares_to_he``.
+    """
+    secret = from_signed(rows, ch.p)
+    n = ctx.params.n_slots
+    if secret.ndim != 2 or secret.shape[1] > n:
+        raise ParameterError(f"expected a matrix of at most {n} columns, got shape {secret.shape}")
+    k, length = secret.shape
+    r = ch.sample_mask(k * length).reshape(k, length)
+    shares = np.zeros((2 * k, n), dtype=np.int64)
+    shares[:k, :length] = secret - r  # reduced mod p by plains
+    shares[k:, :length] = r
+    encoded = ctx.plains(shares)
+
+    def ciphertexts():
+        for client, server in zip(encoded[:k], encoded[k:]):
+            ct = ctx.add_plain(ctx.encrypt(client), server)
+            ctx.counter.mpc_bytes += ch.transfer(n)
+            yield ct
+
+    return ciphertexts()
 
 
 def truncate(s: SharePair, fp: FixedPointParams, ctx: Context, ch: MpcChannel) -> SharePair:

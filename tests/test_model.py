@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cryptogen.backend import BackendParams, ParameterError, default_plain_modulus, new_context
+from cryptogen.backend import BackendParams, Context, ParameterError, default_plain_modulus, new_context
 from cryptogen.model import (
     ModelConfig,
     bolt_reference_generate,
@@ -254,6 +254,32 @@ def test_generate_calls_keep_the_replay_conventions(toy, monkeypatch):
     transcripts = [ch.transcript for ch in chans.values()]
     assert all(type(t) is list and not t for t in transcripts)
     assert len({id(t) for t in transcripts}) == len(transcripts)
+
+
+def test_every_tally_is_one_wrapped_call(toy, monkeypatch):
+    """Each op the counter tallies is one call of its ``Context`` method and
+    each MPC byte comes back from one ``MpcChannel.transfer``, so wrappers
+    installed on the classes (as a tracing harness installs them) see the
+    report's totals exactly, refreshes and multi-part cache segments included."""
+    seen = dict.fromkeys(("mult_plain", "mult_cipher", "rotate", "add", "add_plain", "encrypt", "decrypt"), 0)
+    seen["mpc_bytes"] = 0
+
+    def tally(name, fn):
+        def wrapped(self, *args, **kwargs):
+            out = fn(self, *args, **kwargs)
+            seen[name] += out if name == "mpc_bytes" else 1
+            return out
+
+        return wrapped
+
+    for op in seen:
+        if op != "mpc_bytes":
+            monkeypatch.setattr(Context, op, tally(op, getattr(Context, op)))
+    monkeypatch.setattr(MpcChannel, "transfer", tally("mpc_bytes", MpcChannel.transfer))
+    params = dataclasses.replace(BackendParams.from_json(PARAMS_TOY.read_text()), refresh_threshold=170)
+    _, report = generate(toy, [1, 2, 3], 10, new_context(params, seed=0))
+    assert report["totals"]["refresh_events"] > 0
+    assert seen == {name: report["totals"][name] for name in seen}
 
 
 def _explicit_channels(config, p):

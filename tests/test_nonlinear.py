@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cryptogen.backend import BackendParams, ParameterError, default_plain_modulus, new_context
+from cryptogen.backend import (
+    BackendParams,
+    Context,
+    ParameterError,
+    default_plain_modulus,
+    new_context,
+)
 from cryptogen.fixedpoint import (
     RECIPROCAL_ITERS,
     FixedPointParams,
@@ -20,6 +27,7 @@ from cryptogen.fixedpoint import (
     fp_layernorm,
     fp_softmax,
     fp_truncate,
+    to_signed,
 )
 from cryptogen.nonlinear import (
     MASK_BLOCK,
@@ -27,10 +35,12 @@ from cryptogen.nonlinear import (
     SharePair,
     attention_softmax,
     he_to_shares,
+    he_to_values,
     reconstruct,
     share_vector,
     shares_to_he,
     truncate,
+    values_to_he,
 )
 from cryptogen.model import generate, generate_toy_model, toy_config
 
@@ -128,6 +138,136 @@ def test_channel_bytes_per_direction(ctx16):
     assert ch.bytes_sent == 2 * per_ct
     assert ch.rounds == 2
     assert ctx16.counter.delta(before)["mpc_bytes"] == ch.bytes_sent
+
+
+# the counted Context operations and how many leading arguments are ciphertexts
+CT_OPERANDS = {"encrypt": 0, "decrypt": 1, "add": 2, "add_plain": 1, "mult_plain": 1, "mult_cipher": 2, "rotate": 1}
+P16 = default_plain_modulus(16, 20)
+
+
+@contextmanager
+def _spied():
+    """Record every counted op as (op, operand ids renumbered in order of
+    first appearance) and every mask a channel hands out, while installed."""
+    log, masks, ids = [], [], {}
+    orig = {op: getattr(Context, op) for op in CT_OPERANDS}
+    sample = MpcChannel.sample_mask
+
+    def spy(op, fn):
+        def wrapped(self, *args, **kwargs):
+            ins = tuple(ids.setdefault(ct.id, len(ids)) for ct in args[: CT_OPERANDS[op]])
+            out = fn(self, *args, **kwargs)
+            log.append((op, ins))
+            return out
+
+        return wrapped
+
+    def sampled(ch, length):
+        out = sample(ch, length)
+        masks.append(out)
+        return out
+
+    for op, fn in orig.items():
+        setattr(Context, op, spy(op, fn))
+    MpcChannel.sample_mask = sampled
+    try:
+        yield log, masks
+    finally:
+        for op, fn in orig.items():
+            setattr(Context, op, fn)
+        MpcChannel.sample_mask = sample
+
+
+def _tallies(ctx, ch, before):
+    return ch.bytes_sent, ch.rounds, ctx.counter.delta(before)["mpc_bytes"]
+
+
+def _fresh_words(masks) -> int:
+    """The words the masks hold, after checking that no two share one."""
+    for i, a in enumerate(masks):
+        assert not any(np.shares_memory(a, b) for b in masks[i + 1 :])
+    return sum(m.size for m in masks)
+
+
+_rows = st.integers(1, 6).flatmap(
+    lambda k: st.lists(st.lists(st.integers(0, P16 - 1), min_size=16, max_size=16), min_size=k, max_size=k)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(slots=_rows, length=st.one_of(st.none(), st.integers(1, 16)), prefix=st.integers(0, MASK_BLOCK))
+def test_he_to_values_is_the_per_ciphertext_composition(slots, length, prefix):
+    """One batch call gives the values, HE op sequence, bytes, rounds and
+    mask words of reconstruct(he_to_shares(ct)) over the list, with no mask
+    word handed out twice; ``prefix`` places the batch mask anywhere in a
+    block."""
+    runs = []
+    for batch in (True, False):
+        ctx = new_context(BackendParams(n_slots=16, plain_modulus=P16), seed=1)
+        ch = MpcChannel(P16, seed=2)
+        cts = [ctx.encrypt(v) for v in slots]
+        with _spied() as (log, masks):
+            ch.sample_mask(prefix)
+            before = ctx.counter.snapshot()
+            if batch:
+                vals = he_to_values(cts, ctx, ch, length)
+            else:
+                vals = np.stack([reconstruct(he_to_shares(ct, ctx, ch, length)) for ct in cts])
+            ch.sample_mask(16)
+        runs.append((vals, log, _tallies(ctx, ch, before) + (_fresh_words(masks),)))
+    (vals, log, tallies), (want_vals, want_log, want_tallies) = runs
+    stop = 16 if length is None else length
+    assert (vals == want_vals).all() and (vals == to_signed(np.array(slots)[:, :stop], P16)).all()
+    assert log == want_log and tallies == want_tallies
+
+
+@settings(max_examples=40, deadline=None)
+@given(slots=_rows, length=st.integers(1, 16), prefix=st.integers(0, MASK_BLOCK))
+def test_values_to_he_is_the_per_row_composition(slots, length, prefix):
+    """Consumed with an op between ciphertexts, the lazy batch form spends
+    the HE op sequence, bytes, rounds and mask words of
+    shares_to_he(share_vector(row)) row by row, with no mask word handed
+    out twice, and yields ciphertexts
+    of the same slots and budget; it spends no HE op before it is consumed."""
+    rows = to_signed(np.array(slots)[:, :length], P16)
+    runs = []
+    for batch in (True, False):
+        ctx = new_context(BackendParams(n_slots=16, plain_modulus=P16), seed=1)
+        ch = MpcChannel(P16, seed=2)
+        with _spied() as (log, masks):
+            ch.sample_mask(prefix)
+            before = ctx.counter.snapshot()
+            if batch:
+                produced = values_to_he(rows, ctx, ch)
+                assert not log and not any(ctx.counter.delta(before).values())
+            else:
+                produced = (shares_to_he(share_vector(row, ch), ctx, ch) for row in rows)
+            cts = []
+            for ct in produced:
+                cts.append(ct)
+                ctx.rotate(ct, 1)
+            ch.sample_mask(16)
+        runs.append((cts, log, _tallies(ctx, ch, before) + (_fresh_words(masks),)))
+    (cts, log, tallies), (want_cts, want_log, want_tallies) = runs
+    padded = np.zeros((len(rows), 16), dtype=np.int64)
+    padded[:, :length] = np.mod(rows, P16)
+    for got in (cts, want_cts):
+        assert (np.array([ct.slots for ct in got]) == padded).all()
+    assert [ct.noise_budget for ct in cts] == [ct.noise_budget for ct in want_cts]
+    assert log == want_log and tallies == want_tallies
+
+
+def test_batch_forms_reject_bad_shapes(ctx16):
+    ch = MpcChannel(ctx16.params.plain_modulus, seed=0)
+    ct = ctx16.encrypt(ctx16.zeros())
+    before = ctx16.counter.snapshot()
+    for length in (0, 17):
+        with pytest.raises(ParameterError, match="out of range"):
+            he_to_values([ct], ctx16, ch, length)
+    for rows in (np.zeros(4, dtype=np.int64), np.zeros((2, 17), dtype=np.int64)):
+        with pytest.raises(ParameterError, match="16 columns"):
+            values_to_he(rows, ctx16, ch)
+    assert not any(ctx16.counter.delta(before).values()) and ch.bytes_sent == 0
 
 
 def test_truncate_examples():
