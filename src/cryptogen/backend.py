@@ -11,8 +11,21 @@ budget and each operation subtracts a configured cost.  Decryption of a
 ciphertext whose budget has reached zero raises, mirroring the correctness
 failure of a real scheme.
 
-A ciphertext is a ``SlotCiphertext``, a read-only 4-tuple ``(slots,
-noise_budget, id, params)`` with named fields.  A plaintext operand is a
+A ciphertext is a ``SlotCiphertext``, a read-only 5-tuple ``(slots,
+noise_budget, id, params, bound)`` with named fields.  Its raw slots are
+reduced lazily (Harvey, J. Symb. Comp. 2014): they lie in [0, bound * p)
+and are reduced mod p only where an operation needs residues.  ``add``
+and ``add_plain`` return the plain sum, whose bound is the sum of the
+operands' bounds (a plaintext counts 1), and ``rotate`` passes the bound
+through, so none of them reduces.  ``mult_plain`` and ``mult_cipher``
+reduce their product in place and return bound 1; when the product of
+the operand bounds could wrap int64 (above (2^63 - 1) // p^2: 2,047 at
+p ~ 2^26, 31 at p ~ 2^29, 2 at p ~ 2^31), they reduce the unreduced
+operands first.  A sum whose bound would pass (2^63 - 1) // p - 1
+reduces its operands first and has bound 2.  ``decrypt`` and the
+``slots`` property give residues; ``encrypt``, ``load_ciphertext`` and
+every product give bound 1.  The op sequence, ids, budgets and counts do
+not depend on the bounds.  A plaintext operand is a
 ``Plaintext``, a read-only 2-tuple ``(slots, params)`` whose slots are
 already reduced mod p; only ``Context.plain`` and ``Context.plains`` make
 one, so a plaintext that is used many times (a weight diagonal, a mask)
@@ -233,29 +246,45 @@ class OpCounter:
 
 
 class SlotCiphertext(tuple):
-    """An n-slot vector over Z_p with a noise budget: a read-only 4-tuple
-    ``(slots, noise_budget, id, params)`` with named fields.
+    """An n-slot vector over Z_p with a noise budget: a read-only 5-tuple
+    ``(slots, noise_budget, id, params, bound)`` with named fields.
 
-    ``slots`` is made read-only on construction, and pickle and copy
-    rebuild a ciphertext through ``__new__``, so an unpickled or copied
-    ciphertext is read-only too.  Fields cannot be assigned.  A tuple
-    because every operation builds one, and a tuple is the cheapest
-    immutable record to build.
+    The tuple's first item holds the raw, possibly unreduced slot values,
+    with ``0 <= raw < bound * p``; the ``slots`` property gives them
+    reduced mod p.  ``bound`` defaults to 1 (fully reduced), so a
+    ciphertext built from four fields, or unpickled from the 4-tuple
+    form, is a reduced one.
+
+    The raw array is made read-only on construction, and pickle and copy
+    rebuild a ciphertext through ``__new__`` with its bound, so an
+    unpickled or copied ciphertext is read-only too.  Fields cannot be
+    assigned.  A tuple because every operation builds one, and a tuple is
+    the cheapest immutable record to build.
     """
 
     __slots__ = ()
 
-    def __new__(cls, slots: np.ndarray, noise_budget: int, id: int, params: BackendParams):
+    def __new__(cls, slots: np.ndarray, noise_budget: int, id: int, params: BackendParams, bound: int = 1):
         slots.setflags(False)
-        return tuple.__new__(cls, (slots, noise_budget, id, params))
+        return tuple.__new__(cls, (slots, noise_budget, id, params, bound))
 
     def __getnewargs__(self):
         return tuple(self)
 
-    slots = property(itemgetter(0), doc="The slot values, a read-only int64 array.")
+    @property
+    def slots(self) -> np.ndarray:
+        """The slot values reduced mod p, a read-only int64 array."""
+        raw, bound = self[0], self[4]
+        if bound == 1:
+            return raw
+        reduced = raw % self[3].plain_modulus
+        reduced.setflags(False)
+        return reduced
+
     noise_budget = property(itemgetter(1), doc="Noise budget left, in bits.")
     id = property(itemgetter(2), doc="Unique among the ciphertexts of its Context.")
     params = property(itemgetter(3), doc="The BackendParams of the Context that made it.")
+    bound = property(itemgetter(4), doc="The raw slots lie in [0, bound * p).")
 
     @property
     def n_slots(self) -> int:
@@ -326,6 +355,10 @@ class Context:
         self._add_cost, self._add_plain_cost = costs.add, costs.add_plain
         self._rotate_cost, self._mult_plain_cost = costs.rotate, costs.mult_plain
         self._mult_cipher_cost = costs.mult_cipher
+        # largest bound of a sum, and largest product of two bounds, whose
+        # raw slot values cannot wrap int64
+        self._add_cap = (2**63 - 1) // self._p - 1
+        self._mult_cap = (2**63 - 1) // self._p**2
         self.counter = OpCounter()
         self._seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._next_id = next(_context_uid) * 1_000_000_000
@@ -431,7 +464,7 @@ class Context:
 
     def _emit(self, slots: np.ndarray, budget: int) -> SlotCiphertext:
         slots.setflags(False)
-        ct = _new_tuple(SlotCiphertext, (slots, budget, self._next_id, self._params))
+        ct = _new_tuple(SlotCiphertext, (slots, budget, self._next_id, self._params, 1))
         self._next_id += 1
         return ct
 
@@ -457,17 +490,19 @@ class Context:
         return self._emit(slots, self._params.initial_noise_budget)
 
     def decrypt(self, ct: SlotCiphertext) -> PlainVector:
+        """The slot values reduced mod p, in a fresh writable array."""
         self._check(ct)
         if ct.noise_budget <= 0:
             raise DecryptionFailure(
                 "noise budget exhausted: decryption would be incorrect"
             )
         self.counter.decrypt += 1
-        return ct.slots.copy()
+        raw = ct[0]
+        return raw % self._p if ct[4] > 1 else raw.copy()
 
     def add(self, a: SlotCiphertext, b: SlotCiphertext) -> SlotCiphertext:
-        sa, ba, _, pa = a
-        sb, bb, _, pb = b
+        sa, ba, _, pa, ka = a
+        sb, bb, _, pb, kb = b
         params = self._params
         if pa is not params and pa != params or pb is not params and pb != params:
             raise ParameterError(_INCOMPATIBLE)
@@ -475,14 +510,18 @@ class Context:
         if have < cost:
             raise NoiseBudgetExhausted(f"operation needs {cost} bits but only {have} remain")
         self.counter.add += 1
-        slots = (sa + sb) % self._p
+        bound = ka + kb
+        if bound > self._add_cap:
+            slots, bound = sa % self._p + sb % self._p, 2
+        else:
+            slots = sa + sb
         slots.setflags(False)
-        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params))
+        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params, bound))
         self._next_id += 1
         return ct
 
     def add_plain(self, a: SlotCiphertext, v) -> SlotCiphertext:
-        sa, have, _, pa = a
+        sa, have, _, pa, ka = a
         params = self._params
         if pa is not params and pa != params:
             raise ParameterError(_INCOMPATIBLE)
@@ -493,14 +532,18 @@ class Context:
         if have < cost:
             raise NoiseBudgetExhausted(f"operation needs {cost} bits but only {have} remain")
         self.counter.add_plain += 1
-        slots = (sa + v) % self._p
+        bound = ka + 1
+        if bound > self._add_cap:
+            slots, bound = sa % self._p + v, 2
+        else:
+            slots = sa + v
         slots.setflags(False)
-        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params))
+        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params, bound))
         self._next_id += 1
         return ct
 
     def mult_plain(self, a: SlotCiphertext, v) -> SlotCiphertext:
-        sa, have, _, pa = a
+        sa, have, _, pa, ka = a
         params = self._params
         if pa is not params and pa != params:
             raise ParameterError(_INCOMPATIBLE)
@@ -511,15 +554,19 @@ class Context:
         if have < cost:
             raise NoiseBudgetExhausted(f"operation needs {cost} bits but only {have} remain")
         self.counter.mult_plain += 1
-        slots = (sa * v) % self._p
+        p = self._p
+        if ka > self._mult_cap:
+            sa = sa % p
+        slots = sa * v
+        np.remainder(slots, p, out=slots)
         slots.setflags(False)
-        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params))
+        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params, 1))
         self._next_id += 1
         return ct
 
     def mult_cipher(self, a: SlotCiphertext, b: SlotCiphertext) -> SlotCiphertext:
-        sa, ba, _, pa = a
-        sb, bb, _, pb = b
+        sa, ba, _, pa, ka = a
+        sb, bb, _, pb, kb = b
         params = self._params
         if pa is not params and pa != params or pb is not params and pb != params:
             raise ParameterError(_INCOMPATIBLE)
@@ -527,9 +574,16 @@ class Context:
         if have < cost:
             raise NoiseBudgetExhausted(f"operation needs {cost} bits but only {have} remain")
         self.counter.mult_cipher += 1
-        slots = (sa * sb) % self._p
+        p = self._p
+        if ka * kb > self._mult_cap:
+            if ka > 1:
+                sa = sa % p
+            if kb > 1:
+                sb = sb % p
+        slots = sa * sb
+        np.remainder(slots, p, out=slots)
         slots.setflags(False)
-        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params))
+        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params, 1))
         self._next_id += 1
         return ct
 
@@ -542,7 +596,7 @@ class Context:
         shift k, above it the concatenation of two slices, whichever
         is faster at that n.
         """
-        s, have, _, pa = a
+        s, have, _, pa, bound = a
         params = self._params
         if pa is not params and pa != params:
             raise ParameterError(_INCOMPATIBLE)
@@ -554,14 +608,14 @@ class Context:
         idx = self._rotation
         slots = np.concatenate((s[k:], s[:k])) if idx is None else s[idx[k]]
         slots.setflags(False)
-        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params))
+        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params, bound))
         self._next_id += 1
         return ct
 
     def with_budget(self, ct: SlotCiphertext, budget: int) -> SlotCiphertext:
         """Test hook: same values, explicit budget.  Not an HE operation."""
         self._check(ct)
-        return SlotCiphertext(ct.slots, budget, ct.id, ct.params)
+        return SlotCiphertext(ct[0], budget, ct.id, ct.params, ct.bound)
 
     def load_ciphertext(self, values, budget: int) -> SlotCiphertext:
         """Rehydrate a serialized ciphertext; not counted as an operation."""

@@ -378,9 +378,12 @@ def _add(A: PackedMatrix, B: PackedMatrix, ctx) -> PackedMatrix:
 
 
 def _add_bias(P: PackedMatrix, bias: np.ndarray, ctx) -> PackedMatrix:
-    """Add a plaintext bias row to every row of the slab."""
+    """Add a plaintext bias row to every row of the slab; the payload of
+    every part is encoded in one ``plains`` call."""
     rows = P.payloads(np.broadcast_to(bias, (P.rows, P.cols)))
-    parts = [ctx.add_plain(part, ctx.plain_from_dense(v)) for part, v in zip(P.parts, rows)]
+    padded = np.zeros((rows.shape[0], ctx.params.n_slots), dtype=np.int64)
+    padded[:, : rows.shape[1]] = rows
+    parts = [ctx.add_plain(part, v) for part, v in zip(P.parts, ctx.plains(padded))]
     return PackedMatrix(P.encoding, parts)
 
 

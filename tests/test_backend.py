@@ -570,3 +570,123 @@ def test_counter_json_export(ctx16):
 
     d = json.loads(ctx16.counter.to_json())
     assert d["encrypt"] == 1 and d["mpc_bytes"] == 0
+
+
+# the toy and reference moduli and the largest prime below 2^31 that is
+# 1 mod 128, all admissible at n=64
+_P_TOY, _P_REF, _P_LARGEST = 67109633, 536903681, 2_147_483_137
+_INT64_MAX = 2**63 - 1
+
+
+def _caps(p: int) -> tuple:
+    """(largest bound of a sum, largest product of two operand bounds)."""
+    return _INT64_MAX // p - 1, _INT64_MAX // p**2
+
+
+@st.composite
+def _bounded_operands(draw):
+    """A context at a drawn modulus, two ciphertexts at drawn bounds near
+    both caps and one plaintext, every raw slot at its largest value
+    bound * p - 1 but one drawn slot anywhere in [0, bound * p)."""
+    p = draw(st.sampled_from([_P_TOY, _P_REF, default_plain_modulus(64, 30), _P_LARGEST]))
+    n = 64
+    ctx = new_context(BackendParams(n_slots=n, plain_modulus=p), seed=0)
+    add_cap, mult_cap = _caps(p)
+    near = st.sampled_from(sorted({1, 2, 3, mult_cap, mult_cap + 1, add_cap // 2, add_cap - 1, add_cap}))
+
+    def operand(tag):
+        bound = draw(near, label=f"bound {tag}")
+        raw = np.full(n, bound * p - 1, dtype=np.int64)
+        raw[draw(st.integers(0, n - 1))] = draw(st.integers(0, bound * p - 1))
+        return SlotCiphertext(raw, 100, draw(st.integers(0, 10**6)), ctx.params, bound)
+
+    a, b = operand("a"), operand("b")
+    v = np.full(n, p - 1, dtype=np.int64)
+    v[0] = draw(st.integers(0, p - 1))
+    return ctx, a, b, ctx.plain(v)
+
+
+def _residues(ct) -> list:
+    """The reference value of a ciphertext: its raw slots mod p, in Python ints."""
+    p = ct.params.plain_modulus
+    return [int(x) % p for x in ct[0]]
+
+
+def _assert_reduced_view(ct) -> None:
+    """The raw slots keep the bound invariant; ``slots`` and ``decrypt``
+    give the residues, ``slots`` read-only."""
+    p = ct.params.plain_modulus
+    assert 1 <= ct.bound <= _caps(p)[0]
+    assert all(0 <= int(x) < ct.bound * p for x in ct[0])
+    assert not ct[0].flags.writeable and not ct.slots.flags.writeable
+    assert ct.slots.tolist() == _residues(ct)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bounded_operands(), st.integers(-70, 70))
+def test_lazy_reduction_matches_integer_reference_near_both_caps(case, k):
+    """Every op on operands at bounds around the add cap ((2^63 - 1) // p - 1)
+    and the product cap ((2^63 - 1) // p^2), with every slot at its
+    largest raw value, equals Python-int arithmetic mod p, and its result
+    keeps the bound invariant: no int64 value wraps, from the toy modulus
+    up to the largest admissible one."""
+    ctx, a, b, v = case
+    p = ctx.params.plain_modulus
+    ra, rb, rv = _residues(a), _residues(b), [int(x) for x in v.slots]
+    want = {
+        "add": [(x + y) % p for x, y in zip(ra, rb)],
+        "add_plain": [(x + y) % p for x, y in zip(ra, rv)],
+        "mult_plain": [x * y % p for x, y in zip(ra, rv)],
+        "mult_cipher": [x * y % p for x, y in zip(ra, rb)],
+        "rotate": ra[k % 64 :] + ra[: k % 64],
+    }
+    got = {
+        "add": ctx.add(a, b),
+        "add_plain": ctx.add_plain(a, v),
+        "mult_plain": ctx.mult_plain(a, v),
+        "mult_cipher": ctx.mult_cipher(a, b),
+        "rotate": ctx.rotate(a, k),
+    }
+    for op, ct in got.items():
+        _assert_reduced_view(ct)
+        assert ct.slots.tolist() == want[op], op
+        plain = ctx.decrypt(ct)
+        assert plain.tolist() == want[op] and plain.flags.writeable, op
+    assert got["mult_plain"].bound == got["mult_cipher"].bound == 1
+    assert got["rotate"].bound == a.bound
+    for ct in (a, b):
+        _assert_reduced_view(ct)
+        assert ctx.decrypt(ct).tolist() == _residues(ct)
+    # the sum's bound carries into a further sum and into products
+    s = got["add"]
+    twice = ctx.add(s, s)
+    _assert_reduced_view(twice)
+    assert twice.slots.tolist() == [2 * x % p for x in want["add"]]
+    assert ctx.mult_cipher(s, twice).slots.tolist() == [2 * x * x % p for x in want["add"]]
+    assert ctx.mult_plain(twice, v).slots.tolist() == [2 * x * y % p for x, y in zip(want["add"], rv)]
+
+
+@pytest.mark.parametrize(
+    "roundtrip", [lambda ct: pickle.loads(pickle.dumps(ct)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_ciphertext_copies_keep_the_bound(roundtrip):
+    ctx = new_context(BackendParams(n_slots=64, plain_modulus=_P_LARGEST), seed=0)
+    raw = np.full(64, 3 * _P_LARGEST - 1, dtype=np.int64)
+    ct = SlotCiphertext(raw, 50, 7, ctx.params, 3)
+    b = roundtrip(ct)
+    assert type(b) is SlotCiphertext and b.bound == 3 and (b[0] == raw).all()
+    assert b.slots.tolist() == [_P_LARGEST - 1] * 64 and not b.slots.flags.writeable
+    assert ctx.decrypt(b).tolist() == [_P_LARGEST - 1] * 64
+    assert ctx.with_budget(b, 9).bound == 3
+
+
+def test_four_field_ciphertexts_are_reduced(ctx16, monkeypatch):
+    """The constructor's bound defaults to 1, and a pickle of the 4-tuple
+    form (no bound) loads as a reduced ciphertext."""
+    ct = SlotCiphertext(np.arange(16), 9, 1, ctx16.params)
+    assert ct.bound == 1 and len(ct) == 5
+    monkeypatch.setattr(SlotCiphertext, "__getnewargs__", lambda self: tuple(self)[:4])
+    data = pickle.dumps(ct)
+    monkeypatch.undo()
+    old = pickle.loads(data)
+    assert old.bound == 1 and (old.slots == np.arange(16)).all()

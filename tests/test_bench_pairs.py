@@ -87,3 +87,11 @@ def test_table_has_one_line_per_metric():
     lines = table.splitlines()
     assert len(lines) == 4 + len(END_TO_END)
     assert "| `step_ms` (ms) | 10 [10, 10] | 9 [9, 9] | -10.0% | 1/1 |" in lines[4]
+
+
+def test_progress_line_shows_each_end_to_end_value():
+    line = bench_pairs.format_progress("w", 3, "change", _run(12.345678, 81.25, 30561), END_TO_END)
+    assert line == "w seed 3 change: correct=True failed=0 step_ms=12.3457 tokens_per_s=81.25 ops=30561"
+    # a failed run has no metrics: the line stops after its status
+    failed = {"correct": False, "failed": 1, "metrics": {}, "error": "exit 1: boom"}
+    assert bench_pairs.format_progress("w", 1, "parent", failed, END_TO_END) == "w seed 1 parent: correct=False failed=1"

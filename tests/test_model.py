@@ -88,6 +88,17 @@ def test_generate_matches_oracle(toy):
     assert report["totals"]["mult_cipher"] > 0
 
 
+def test_generate_matches_oracle_at_the_largest_modulus(toy):
+    """The largest admissible p for n=64 (2,147,483,137, just below 2^31)
+    leaves int64 the least headroom: there a product of two operands of
+    bound 2 would already wrap."""
+    p = 2_147_483_137
+    prompt = [3, 14, 15, 9, 26]
+    want = oracle_generate(toy, prompt, 6, p)
+    tokens, _ = generate(toy, prompt, 6, new_context(BackendParams(n_slots=64, plain_modulus=p), seed=0))
+    assert tokens == want == [7, 55, 60, 28, 0, 45]
+
+
 def test_generate_k0_prefill_only(toy):
     tokens, report = generate(toy, [1, 2, 3, 4], 0, _ctx())
     assert tokens == []

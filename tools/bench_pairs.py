@@ -11,6 +11,10 @@ ones, for every workload W of CHANGE's ``BENCHMARK.json``, S being its
 ``run_seconds``.  Each run's last line of standard output is its JSON
 result.
 
+As each run ends, a progress line on standard error gives its workload,
+seed, side, correctness and the value of every end-to-end metric it
+reports, so one slow run can be told from a steady difference.
+
 For every workload and end-to-end metric the tool prints each side's
 median [q1, q3], the change of the median in %, the pairs the change won
 in the metric's ``better`` direction, whether the gain rule holds (the
@@ -65,9 +69,20 @@ def run_pairs(parent: Path, change: Path, pairs: int, bench: dict) -> dict:
             for side in order:
                 r = run_once(trees[side], bench["command"], name, seed, bench["run_seconds"])
                 runs[name][side].append(r)
-                print(f"{name} seed {seed} {side}: correct={r.get('correct')} failed={r.get('failed')}",
-                      file=sys.stderr, flush=True)
+                print(format_progress(name, seed, side, r, bench["end_to_end"]), file=sys.stderr, flush=True)
     return runs
+
+
+def format_progress(workload: str, seed: int, side: str, result: dict, end_to_end: list) -> str:
+    """One run's progress line: its correctness and the value of each
+    end-to-end metric it reports, so a single slow run stands out among
+    the pairs."""
+    metrics = result.get("metrics", {})
+    values = " ".join(
+        f"{m['name']}={metrics[m['name']]['value']:.6g}" for m in end_to_end if m["name"] in metrics
+    )
+    line = f"{workload} seed {seed} {side}: correct={result.get('correct')} failed={result.get('failed')}"
+    return f"{line} {values}" if values else line
 
 
 def bad_runs(runs: dict) -> list:
