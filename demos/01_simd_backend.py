@@ -9,10 +9,10 @@ so you can watch both the values and the ledger.
 
 import numpy as np
 
-from cryptogen import BackendParams, DecryptionFailure, new_context
+from cryptogen import BackendParams, Context, DecryptionFailure
 
 params = BackendParams(n_slots=16, plain_modulus=12289)  # 12289 = 1 mod 32
-ctx = new_context(params, seed=0)
+ctx = Context(params, seed=0)
 print(f"context: n={params.n_slots} p={params.plain_modulus} budget={params.initial_noise_budget}")
 
 a = ctx.encrypt(np.arange(16))

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from cryptogen import BackendParams, EncodingKind, decode, encode, new_context
+from cryptogen import BackendParams, Context, EncodingKind, decode, encode
 from cryptogen.encodings import load_matrix, save_matrix
 
-ctx = new_context(BackendParams(n_slots=8, plain_modulus=17), seed=0)
+ctx = Context(BackendParams(n_slots=8, plain_modulus=17), seed=0)
 A = np.array([[1, 2], [3, 4], [5, 6]])
 print("matrix:\n", A)
 

@@ -12,12 +12,12 @@ the prompt was.  Both reduce with the rotate-and-accumulate folding sum.
 
 import numpy as np
 
-from cryptogen import BackendParams, EncodingKind, decode, encode, new_context
+from cryptogen import BackendParams, Context, EncodingKind, decode, encode
 from cryptogen.backend import default_plain_modulus
 from cryptogen.encodings import pack_token_inner
 from cryptogen.linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal, fold_sum
 
-ctx = new_context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)
+ctx = Context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)
 p = ctx.params.plain_modulus
 rng = np.random.default_rng(0)
 

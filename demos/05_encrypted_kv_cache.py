@@ -11,14 +11,14 @@ profile makes that happen quickly so you can watch it.
 
 import numpy as np
 
-from cryptogen import BackendParams, new_context
+from cryptogen import BackendParams, Context
 from cryptogen.backend import NoiseCosts, default_plain_modulus
 from cryptogen.encodings import decode, pack_token_inner
 from cryptogen.kv_cache import append_token, cache_stats, init_cache, maybe_refresh
 from cryptogen.nonlinear import MpcChannel
 
 p = default_plain_modulus(16, 20)
-ctx = new_context(BackendParams(n_slots=16, plain_modulus=p), seed=0)
+ctx = Context(BackendParams(n_slots=16, plain_modulus=p), seed=0)
 d2 = 4
 
 cache = init_cache(None, None, ctx, d2=d2)
@@ -35,7 +35,7 @@ print("decoded rows:", decode(cache.auto_K, ctx)[:, 0].tolist())
 stress = BackendParams(
     n_slots=16, plain_modulus=p, noise_costs=NoiseCosts(add=15), initial_noise_budget=100
 )
-ctx = new_context(stress, seed=0)
+ctx = Context(stress, seed=0)
 ch = MpcChannel(p, seed=0)
 cache = init_cache(None, None, ctx, d2=d2)
 print(f"\nstress run (add costs 15 bits, threshold {stress.refresh_threshold}):")

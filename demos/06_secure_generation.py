@@ -12,14 +12,14 @@ value-exact.
 
 import numpy as np
 
-from cryptogen import BackendParams, new_context
+from cryptogen import BackendParams, Context
 from cryptogen.backend import default_plain_modulus
 from cryptogen.model import generate, generate_toy_model, oracle_generate, toy_config
 
 cfg = toy_config()
 model = generate_toy_model(cfg, seed=0)
 p = default_plain_modulus(64, 26)
-ctx = new_context(BackendParams(n_slots=64, plain_modulus=p), seed=0)
+ctx = Context(BackendParams(n_slots=64, plain_modulus=p), seed=0)
 
 prompt = [3, 14, 15, 9, 26, 5, 35, 41]
 k = 16

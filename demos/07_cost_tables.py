@@ -9,7 +9,7 @@ The validator then checks a real run report against the growth laws.
 
 import numpy as np
 
-from cryptogen import BackendParams, new_context
+from cryptogen import BackendParams, Context
 from cryptogen.backend import default_plain_modulus
 from cryptogen.costmodel import (
     predict_attention_costs,
@@ -43,7 +43,7 @@ print(f"  m=32 d1=128 d2=16 n=512: mult={t.mult.render()} ct={t.ct.render()}")
 print("\nvalidating an instrumented run against the laws:")
 model = generate_toy_model(toy_config(), seed=0)
 p = default_plain_modulus(512, 26)
-ctx = new_context(BackendParams(n_slots=512, plain_modulus=p), seed=0)
+ctx = Context(BackendParams(n_slots=512, plain_modulus=p), seed=0)
 _, report = generate(model, [5], 16, ctx)
 result = validate_against_counts(report)
 for check in result["checks"]:

@@ -19,7 +19,6 @@ from .backend import (
     Plaintext,
     SlotCiphertext,
     default_plain_modulus,
-    new_context,
 )
 from .encodings import (
     Encoding,
@@ -55,10 +54,9 @@ from .kv_cache import (
 from .fixedpoint import FixedPointParams
 from .nonlinear import (
     MpcChannel,
-    SharePair,
     attention_softmax,
     he_to_shares,
-    reconstruct,
+    refresh,
     shares_to_he,
     truncate,
 )

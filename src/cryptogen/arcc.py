@@ -38,17 +38,7 @@ from .encodings import EncodingKind, PackedMatrix, next_pow2, tile_token
 from .fixedpoint import FixedPointParams
 from .kv_cache import KVCache
 from .linear_kernels import fold_sum
-from .nonlinear import (
-    MpcChannel,
-    attention_softmax,
-    he_to_shares,
-    he_to_values,
-    reconstruct,
-    share_vector,
-    shares_to_he,
-    truncate,
-    values_to_he,
-)
+from .nonlinear import MpcChannel, attention_softmax, he_to_shares, shares_to_he, truncate
 
 __all__ = [
     "ScoreVector",
@@ -190,31 +180,27 @@ def prefill_attention(
     # each key column tiled to period w, so rotations stay inside a period
     k_cols = [tile_token(col, w, n // w, ctx) for col in K.parts]
 
-    diag_shares = []
+    # client role: assemble the score matrix from its diagonals, score
+    # (i, (i + r) mod w) at slot i of diagonal r
+    S = np.zeros((m, m), dtype=np.int64)
+    rows = np.arange(m)
     for r in range(w):
         acc = ctx.sum(
             ctx.mult_cipher(Q.parts[c], ctx.rotate(k_cols[c], r) if r else k_cols[c])
             for c in range(d2)
         )
-        diag_shares.append(he_to_shares(acc, ctx, mpc, length=m))
-
-    # client role: reassemble the score matrix from its diagonals
-    S = np.zeros((m, m), dtype=np.int64)
-    for r, sp in enumerate(diag_shares):
-        vals = reconstruct(sp)
-        for i in range(m):
-            j = (i + r) % w
-            if j < m:
-                S[i, j] = vals[i]
+        cols = (rows + r) % w
+        inside = cols < m
+        S[rows[inside], cols[inside]] = he_to_shares([acc], ctx, mpc, m)[0][inside]
 
     A = attention_softmax(S, d2, fp, ctx, mpc)
-    a_rows = list(values_to_he(A, ctx, mpc))
+    a_rows = list(shares_to_he(A, ctx, mpc))
 
     out_parts = []
     for c in range(d2):
         acc = ctx.sum(_dot_into_slot(a_rows[i], V.parts[c], i, ctx) for i in range(m))
-        sp = truncate(he_to_shares(acc, ctx, mpc, length=m), fp, ctx, mpc)
-        out_parts.append(shares_to_he(sp, ctx, mpc))
+        vals = truncate(he_to_shares([acc], ctx, mpc, m), fp, ctx, mpc)
+        out_parts.append(next(shares_to_he(vals, ctx, mpc)))
 
     return PackedMatrix(Q.encoding, out_parts)
 
@@ -241,17 +227,17 @@ def attention_step(
     pieces = []
     if m > 0:
         sv = arcc_inner_inner(q, cache.prefill_K, ctx)
-        pieces.append(reconstruct(he_to_shares(sv.ct, ctx, mpc, length=m)))
+        pieces.append(he_to_shares([sv.ct], ctx, mpc, m)[0])
     if t > 0:
         # B * d2 = n: generated score r sits at slot r*d2 of the parts laid
         # end to end
         sv = arcc_inner_outer(q, cache.auto_K, ctx)
-        pieces.append(he_to_values(sv.parts, ctx, mpc).reshape(-1)[: t * d2 : d2])
+        pieces.append(he_to_shares(sv.parts, ctx, mpc).reshape(-1)[: t * d2 : d2])
     a = attention_softmax(np.concatenate(pieces), d2, fp, ctx, mpc)
 
     halves = []
     if m > 0:
-        a_pref = shares_to_he(share_vector(a[:m], mpc), ctx, mpc)
+        a_pref = next(shares_to_he(a[None, :m], ctx, mpc))
         halves.append(
             ctx.sum(
                 _dot_into_slot(a_pref, cache.prefill_V.parts[c], c, ctx)
@@ -266,10 +252,8 @@ def attention_step(
         coeffs[: t * d2] = np.repeat(a[m:], d2)
         # each coefficient ciphertext is made just before its product
         acc = ctx.sum(
-            map(ctx.mult_cipher, values_to_he(coeffs.reshape(-1, n), ctx, mpc), parts)
+            map(ctx.mult_cipher, shares_to_he(coeffs.reshape(-1, n), ctx, mpc), parts)
         )
         halves.append(ctx.fold(acc, d2, n))
-    o = ctx.sum(halves)
-
-    sp = truncate(he_to_shares(o, ctx, mpc, length=d2), fp, ctx, mpc)
-    return shares_to_he(sp, ctx, mpc)
+    o = truncate(he_to_shares([ctx.sum(halves)], ctx, mpc, d2), fp, ctx, mpc)
+    return next(shares_to_he(o, ctx, mpc))

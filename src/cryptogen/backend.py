@@ -72,7 +72,6 @@ __all__ = [
     "SlotCiphertext",
     "default_plain_modulus",
     "is_prime",
-    "new_context",
 ]
 
 # int64 products must not wrap: (p-1)^2 < 2^63 requires p < 2^31.5; we keep
@@ -658,7 +657,3 @@ class Context:
         for ct in it:
             acc = self.add(acc, ct)
         return acc
-
-
-def new_context(params: BackendParams, seed=0) -> Context:
-    return Context(params, seed)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import BackendParams, ParameterError, default_plain_modulus, new_context
+from .backend import BackendParams, Context, ParameterError, default_plain_modulus
 from .costmodel import (
     REFERENCE_DIMS,
     loglog_exponent,
@@ -83,7 +83,7 @@ def run_verification(model, params: BackendParams, seed: int, threads: int = 1) 
     cfg = model.config
 
     # kernel oracle spot checks
-    ctx = new_context(params, seed=seed)
+    ctx = Context(params, seed=seed)
     ok = True
     for _ in range(20):
         m = int(rng.integers(1, 9))
@@ -101,7 +101,7 @@ def run_verification(model, params: BackendParams, seed: int, threads: int = 1) 
 
     # oracle lockstep generation
     prompt = [int(t) for t in rng.integers(0, cfg.vocab, 8)]
-    ctx = new_context(params, seed=seed)
+    ctx = Context(params, seed=seed)
     tokens, report = generate(model, prompt, 8, ctx, seed=seed, threads=threads)
     want = oracle_generate(model, prompt, 8, p)
     check("oracle_token_exactness", tokens == want, f"got {tokens} want {want}")
@@ -114,14 +114,14 @@ def run_verification(model, params: BackendParams, seed: int, threads: int = 1) 
     # prefix independence of per-step HE counters
     deltas = {}
     for m in (4, 8):
-        ctx = new_context(params, seed=seed)
+        ctx = Context(params, seed=seed)
         pm = [int(t) for t in rng.integers(0, cfg.vocab, m)]
         _, rep = generate(model, pm, 3, ctx, seed=seed, threads=threads)
         deltas[m] = [{k: s["counters"][k] for k in _HE_COUNTERS} for s in rep["steps"]]
     check("decode_prefix_independence", deltas[4] == deltas[8])
 
     # forced refresh transparency
-    ctx = new_context(params, seed=seed)
+    ctx = Context(params, seed=seed)
     state = prefill(model, prompt, ctx)
     ch = MpcChannel(p, seed)
     refreshed = [[maybe_refresh(cache, ctx, ch, force=True) for cache in row] for row in state.caches]
@@ -181,7 +181,7 @@ def _report_csv(report: dict) -> str:
 
 
 def _bench_run(model, params, m, k, seed, threads):
-    ctx = new_context(params, seed=seed)
+    ctx = Context(params, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence([0xB3, seed]))
     prompt = [int(t) for t in rng.integers(0, model.config.vocab, m)]
     _, report = generate(model, prompt, k, ctx, seed=seed, threads=threads)

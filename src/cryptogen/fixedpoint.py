@@ -33,7 +33,6 @@ __all__ = [
     "fp_reciprocal",
     "fp_softmax",
     "fp_truncate",
-    "from_signed",
     "to_signed",
 ]
 
@@ -86,10 +85,6 @@ def to_signed(v, p: int):
     """Map Z_p residues to signed representatives in (-p/2, p/2]."""
     v = np.asarray(v, dtype=np.int64)
     return np.where(v > p // 2, v - p, v)
-
-
-def from_signed(v, p: int):
-    return np.mod(np.asarray(v, dtype=np.int64), p)
 
 
 def fp_encode(x, fp: FixedPointParams) -> np.ndarray:

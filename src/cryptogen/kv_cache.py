@@ -11,10 +11,10 @@ the generated count t_auto) is read off their encodings, never stored
 beside them.
 
 Noise is handled lazily: before each decode step, any part whose budget has
-fallen to the refresh threshold makes the share round trip of
-``nonlinear`` (server subtracts a random mask r, client decrypts its share
-and re-encrypts it, server adds r back), which restores a full budget
-without revealing the payload.
+fallen to the refresh threshold is re-encrypted by ``nonlinear.refresh``
+(server subtracts a random mask r, client decrypts its share and
+re-encrypts it, server adds r back), which restores a full budget without
+revealing the payload.
 
 Cache values are immutable; append and refresh return new cache objects.
 """
@@ -34,7 +34,7 @@ from .encodings import (
     load_matrix,
     save_matrix,
 )
-from .nonlinear import MpcChannel, he_to_shares, shares_to_he
+from .nonlinear import MpcChannel, refresh
 
 __all__ = [
     "KVCache",
@@ -162,7 +162,7 @@ def maybe_refresh(
         for i, part in enumerate(parts):
             if force or part.noise_budget <= threshold:
                 sent = ctx.counter.mpc_bytes
-                parts[i] = shares_to_he(he_to_shares(part, ctx, ch), ctx, ch)
+                parts[i] = refresh(part, ctx, ch)
                 ctx.counter.refresh_events += 1
                 events.append(
                     RefreshEvent(

@@ -36,15 +36,7 @@ from .fixedpoint import (
 )
 from .kv_cache import append_token, cache_stats, init_cache, maybe_refresh
 from .linear_kernels import CpvmPlaintexts, cpmm_outer_diagonal, cpvm_inner_diagonal, cpvm_plaintexts
-from .nonlinear import (
-    MpcChannel,
-    he_to_shares,
-    he_to_values,
-    share_vector,
-    shares_to_he,
-    truncate,
-    values_to_he,
-)
+from .nonlinear import MpcChannel, he_to_shares, shares_to_he, truncate
 
 __all__ = [
     "GenerationState",
@@ -359,7 +351,7 @@ def _inner_row(ct, cols: int) -> PackedMatrix:
 def _truncated(P: PackedMatrix, fp, ctx, mpc) -> PackedMatrix:
     """Rescale by 2^f with the truncation protocol, one ciphertext at a time."""
     parts = [
-        shares_to_he(truncate(he_to_shares(part, ctx, mpc, length=P.width), fp, ctx, mpc), ctx, mpc)
+        next(shares_to_he(truncate(he_to_shares([part], ctx, mpc, P.width), fp, ctx, mpc), ctx, mpc))
         for part in P.parts
     ]
     return PackedMatrix(P.encoding, parts)
@@ -368,9 +360,9 @@ def _truncated(P: PackedMatrix, fp, ctx, mpc) -> PackedMatrix:
 def _roundtrip(P: PackedMatrix, fn, ctx, mpc) -> PackedMatrix:
     """Pull the slab into the share domain, apply fn (rows x cols array of
     signed scale-f ints -> same shape, row-wise), re-encrypt it."""
-    vals = he_to_values(P.parts, ctx, mpc, length=P.width)
+    vals = he_to_shares(P.parts, ctx, mpc, P.width)
     out = P.payloads(fn(P.payloads(vals)))
-    return PackedMatrix(P.encoding, list(values_to_he(out, ctx, mpc)))
+    return PackedMatrix(P.encoding, list(shares_to_he(out, ctx, mpc)))
 
 
 def _add(A: PackedMatrix, B: PackedMatrix, ctx) -> PackedMatrix:
@@ -432,14 +424,18 @@ class _Decode:
 
 
 def _channels(ctx: Context, c: ModelConfig, chans=None, root=None) -> dict:
-    """``chans``, each checked against the context's modulus.  Without them,
-    one channel per (layer, head) and a "common" one, seeded from ``root``,
-    or from a fresh child of the context's seed when it is None."""
+    """``chans``, checked to hold every (layer, head) key and "common", each
+    over the context's modulus.  Without them, one channel per key, seeded
+    from ``root``, or from a fresh child of the context's seed when it is
+    None."""
     p = ctx.params.plain_modulus
+    keys = [(l, h) for l in range(c.layers) for h in range(c.heads)] + ["common"]
     if chans is None:
-        kids = (root or ctx.spawn_seed()).spawn(c.layers * c.heads + 1)
-        chans = {(l, h): MpcChannel(p, kids[l * c.heads + h]) for l in range(c.layers) for h in range(c.heads)}
-        chans["common"] = MpcChannel(p, kids[-1])
+        kids = (root or ctx.spawn_seed()).spawn(len(keys))
+        chans = {key: MpcChannel(p, kid) for key, kid in zip(keys, kids)}
+    missing = [key for key in keys if key not in chans]
+    if missing:
+        raise ParameterError(f"no MPC channel for {', '.join(map(repr, missing))}")
     for key, ch in chans.items():
         if ch.p != p:
             raise ParameterError(f"MPC channel {key!r} is over modulus {ch.p}, the context over {p}")
@@ -536,8 +532,8 @@ def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int =
 
     # last-position logits via the decode-side kernel
     ch = chans["common"]
-    last = he_to_values(X.parts, ctx, ch, length=m)[:, m - 1]
-    x_last = shares_to_he(share_vector(last, ch), ctx, ch)
+    last = he_to_shares(X.parts, ctx, ch, m)[:, m - 1]
+    x_last = next(shares_to_he(last[None], ctx, ch))
     return GenerationState(caches=caches, next_logits=_logits(model, x_last, ctx))
 
 

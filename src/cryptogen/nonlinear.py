@@ -2,45 +2,42 @@
 that sizes and charges MPC traffic.
 
 HE ciphertexts convert to additive shares by server-side masking; the
-client evaluates the shared fixed-point function on the reconstruction
-and re-shares it under a fresh mask, so each share in isolation stays
-uniform.  A list of ciphertexts (a cache segment's score parts, a
-slab's columns) converts in one call of a batch form, ``he_to_values``
-out and ``values_to_he`` in: the masks and share arithmetic of the whole
-list are one numpy pass, while every HE op is still one ``Context`` call
-per ciphertext, in the order the single-ciphertext pair would spend
-them.  A channel object is a mask source plus two tallies.  It draws
-the share masks: blocks of ``MASK_BLOCK`` uniform words from its own
-generator, handed out as read-only slices, each word once.  It counts the
-bytes and rounds the real protocol would move in ``bytes_sent`` and
-``rounds``, which depend only on shapes, never on values; it keeps no
-per-transfer record.  Each protocol also charges the bytes of its
-transfers to ``ctx.counter.mpc_bytes`` of the context it runs on, so
-every call's counter delta carries its traffic.
+client evaluates the shared fixed-point function on the values the shares
+add up to and re-shares the result under a fresh mask, so each share in
+isolation stays uniform.  There is one conversion each way, over a list:
+``he_to_shares`` takes k ciphertexts to a k x length array of signed
+values, ``shares_to_he`` takes a k x L array back to k ciphertexts.  The
+masks and share arithmetic of the whole list are one numpy pass, while
+every HE op is still one ``Context`` call per ciphertext, in list order; a
+single ciphertext is a list of one.  A channel object is a mask source
+plus two tallies.  It draws the share masks: blocks of ``MASK_BLOCK``
+uniform words from its own generator, handed out as read-only slices,
+each word once.  It counts the bytes and rounds the real protocol would
+move in ``bytes_sent`` and ``rounds``, which depend only on shapes, never
+on values; it keeps no per-transfer record.  Each protocol also charges
+the bytes of its transfers to ``ctx.counter.mpc_bytes`` of the context it
+runs on, so every call's counter delta carries its traffic.
 
 Byte model, as the pipeline charges it (elements are modulus-bit words,
 integer-divided into bytes):
 
-  ciphertext transfer   n_slots words, one round, each way
-                        (``he_to_shares``, ``shares_to_he``), also per
-                        ciphertext of the batch forms; a KV-cache
-                        refresh is one of each, 2n words in 2 rounds
-  truncate              3 trips of L words on L values
+  he_to_shares          n_slots words, one round, per ciphertext
+  shares_to_he          n_slots words, one round, per ciphertext
+  refresh               one of each: 2n words in 2 rounds
+  truncate              3 trips of L words per row of L values
   attention_softmax     3 + RECIPROCAL_ITERS trips over all the scores
-  LayerNorm, GELU       no rounds: evaluated on the reconstruction between
+  LayerNorm, GELU       no rounds: evaluated on the shared values between
                         the two ciphertext transfers around them
 
 Three known gaps (ROADMAP item 5): 2 of truncate's 3 trips are entry/exit
 transfers that the ciphertext transfers around every call already charge;
 LayerNorm/GELU charge none of their protocol rounds; and the FFN outputs
-are rescaled on the reconstruction (``fp_truncate`` in ``model._layer``'s
+are rescaled on the shared values (``fp_truncate`` in ``model._layer``'s
 round trips) with no trips, while wq/wk/wv/wo and the attention outputs
 charge truncate's 3.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,42 +48,22 @@ from .fixedpoint import (
     attention_weights,
     causal_attention_weights,
     fp_truncate,
-    from_signed,
-    to_signed,
 )
 
 __all__ = [
     "FixedPointParams",
     "MASK_BLOCK",
     "MpcChannel",
-    "SharePair",
     "attention_softmax",
     "he_to_shares",
-    "he_to_values",
-    "reconstruct",
-    "share_vector",
+    "refresh",
     "shares_to_he",
     "truncate",
-    "values_to_he",
 ]
 
 
 # words of mask drawn per generator call; a longer mask is drawn whole
 MASK_BLOCK = 4096
-
-
-@dataclass
-class SharePair:
-    """Additive shares in Z_p held by the client and server roles."""
-
-    client: np.ndarray
-    server: np.ndarray
-    p: int
-    length: int
-
-    def __post_init__(self):
-        if self.client.shape != (self.length,) or self.server.shape != (self.length,):
-            raise ParameterError("share arrays must match the declared length")
 
 
 class MpcChannel:
@@ -130,53 +107,14 @@ class MpcChannel:
         return mask
 
 
-def reconstruct(s: SharePair) -> np.ndarray:
-    """Signed plaintext values of a share pair."""
-    return to_signed((s.client + s.server) % s.p, s.p)
-
-
-def share_vector(values, ch: MpcChannel) -> SharePair:
-    """Split plaintext values (signed or residues) under a fresh mask."""
-    secret = from_signed(values, ch.p)
-    r = ch.sample_mask(secret.shape[0])
-    client = (secret - r) % ch.p
-    return SharePair(client, r, ch.p, secret.shape[0])
-
-
-def he_to_shares(
-    ct: SlotCiphertext, ctx: Context, ch: MpcChannel, length: int | None = None
-) -> SharePair:
-    """Server masks the ciphertext and ships it; client decrypts its share."""
-    n = ctx.params.n_slots
-    length = n if length is None else length
-    if not 0 < length <= n:
-        raise ParameterError(f"share length {length} out of range")
-    p = ctx.params.plain_modulus
-    r = ch.sample_mask(n)
-    masked = ctx.add_plain(ct, p - r)  # -r, reduced by the encoder
-    client_full = ctx.decrypt(masked)
-    ctx.counter.mpc_bytes += ch.transfer(n)
-    return SharePair(client_full[:length], r[:length], p, length)
-
-
-def shares_to_he(s: SharePair, ctx: Context, ch: MpcChannel) -> SlotCiphertext:
-    """Client encrypts its share; server homomorphically adds its own.
-
-    The result decrypts to the reconstruction in slots 0..length-1 (zeros
-    beyond) and carries a fresh noise budget.
-    """
-    out = ctx.add_plain(ctx.encrypt(ctx.plain_from_dense(s.client)), ctx.plain_from_dense(s.server))
-    ctx.counter.mpc_bytes += ch.transfer(ctx.params.n_slots)
-    return out
-
-
-def he_to_values(cts, ctx: Context, ch: MpcChannel, length: int | None = None) -> np.ndarray:
-    """``he_to_shares`` then ``reconstruct`` of each ciphertext of a list:
-    the signed values of their slots 0..length-1, as a k x length array.
+def he_to_shares(cts, ctx: Context, ch: MpcChannel, length: int | None = None) -> np.ndarray:
+    """Server masks each ciphertext of a list and ships it; the client
+    decrypts its share.  Returns the signed values of their slots
+    0..length-1, as a k x length array.
 
     The k masks are one draw of k*n words, negated and encoded in one
     ``plains`` call; each ciphertext is then masked and decrypted in list
-    order, and charged one n-word transfer, as ``he_to_shares`` would.
+    order, one n-word transfer each.
     """
     n = ctx.params.n_slots
     length = n if length is None else length
@@ -184,49 +122,66 @@ def he_to_values(cts, ctx: Context, ch: MpcChannel, length: int | None = None) -
         raise ParameterError(f"share length {length} out of range")
     p = ctx.params.plain_modulus
     r = ch.sample_mask(len(cts) * n).reshape(-1, n)
-    client = np.empty((len(cts), length), dtype=np.int64)
-    for i, (ct, neg) in enumerate(zip(cts, ctx.plains(p - r))):
-        client[i] = ctx.decrypt(ctx.add_plain(ct, neg))[:length]
-        ctx.counter.mpc_bytes += ch.transfer(n)
-    client += r[:, :length]
-    return to_signed(client % p, p)
+    # share + r + half, reduced mod p, less half: the signed value, p odd
+    half = p // 2
+    values = r[:, :length] + half
+    for i, (ct, neg) in enumerate(zip(cts, ctx.plains(-r))):
+        values[i] += ctx.decrypt(ctx.add_plain(ct, neg))[:length]
+    ctx.counter.mpc_bytes += ch.transfer(n, trips=len(cts))
+    values %= p
+    values -= half
+    return values
 
 
-def values_to_he(rows, ctx: Context, ch: MpcChannel):
-    """``share_vector`` then ``shares_to_he`` of each row of a k x L matrix
-    of values (signed or residues), as an iterator of k ciphertexts.
+def shares_to_he(rows, ctx: Context, ch: MpcChannel):
+    """Share each row of a k x L matrix of values (signed or residues) and
+    return an iterator of k ciphertexts: the client encrypts its share, the
+    server adds its own.  Each decrypts to its row in slots 0..L-1 (zeros
+    beyond) and carries a fresh noise budget.
 
     The rows are shared at the call, under one draw of k*L mask words,
     and both shares of every row are encoded in one ``plains`` call.  The
     HE ops are spent lazily: each ciphertext is encrypted, unmasked and
     charged one n-word transfer only when the iterator yields it, so a
-    consumer's own ops interleave with them as with ``shares_to_he``.
+    consumer's own ops interleave with them.
     """
-    secret = from_signed(rows, ch.p)
+    secret = np.asarray(rows, dtype=np.int64)
     n = ctx.params.n_slots
     if secret.ndim != 2 or secret.shape[1] > n:
         raise ParameterError(f"expected a matrix of at most {n} columns, got shape {secret.shape}")
     k, length = secret.shape
     r = ch.sample_mask(k * length).reshape(k, length)
     shares = np.zeros((2 * k, n), dtype=np.int64)
-    shares[:k, :length] = secret - r  # reduced mod p by plains
+    np.subtract(secret, r, out=shares[:k, :length])  # reduced mod p by plains
     shares[k:, :length] = r
     encoded = ctx.plains(shares)
 
-    def ciphertexts():
-        for client, server in zip(encoded[:k], encoded[k:]):
-            ct = ctx.add_plain(ctx.encrypt(client), server)
-            ctx.counter.mpc_bytes += ch.transfer(n)
-            yield ct
+    def unmask(client, server):
+        ct = ctx.add_plain(ctx.encrypt(client), server)
+        ctx.counter.mpc_bytes += ch.transfer(n)
+        return ct
 
-    return ciphertexts()
+    return map(unmask, encoded[:k], encoded[k:])
 
 
-def truncate(s: SharePair, fp: FixedPointParams, ctx: Context, ch: MpcChannel) -> SharePair:
-    """Fixed-point rescale: reconstruction is floor-divided by 2^f."""
-    out = fp_truncate(reconstruct(s), fp.f)
-    ctx.counter.mpc_bytes += ch.transfer(s.length, trips=1 + 2)
-    return share_vector(out, ch)
+def refresh(ct: SlotCiphertext, ctx: Context, ch: MpcChannel) -> SlotCiphertext:
+    """A fresh encryption of the ciphertext's slots: the server masks it
+    with r, the client decrypts its share and re-encrypts it, the server
+    adds r back.  Four HE ops, one n-word transfer each way, n mask words."""
+    p = ctx.params.plain_modulus
+    r = ch.sample_mask(ctx.params.n_slots)
+    share = ctx.decrypt(ctx.add_plain(ct, p - r))
+    out = ctx.add_plain(ctx.encrypt(share), r)
+    ctx.counter.mpc_bytes += ch.transfer(r.shape[0], trips=2)
+    return out
+
+
+def truncate(values, fp: FixedPointParams, ctx: Context, ch: MpcChannel) -> np.ndarray:
+    """Fixed-point rescale of a k x L matrix of shared values: each is
+    floor-divided by 2^f, at 3 trips of L words per row."""
+    k, length = values.shape
+    ctx.counter.mpc_bytes += ch.transfer(length, trips=3 * k)
+    return fp_truncate(values, fp.f)
 
 
 def attention_softmax(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cryptogen.backend import BackendParams, default_plain_modulus, new_context
+from cryptogen.backend import BackendParams, Context, default_plain_modulus
 
 
 @pytest.fixture(scope="session")
@@ -16,12 +16,12 @@ def p64():
 
 @pytest.fixture
 def ctx16(p16):
-    return new_context(BackendParams(n_slots=16, plain_modulus=p16), seed=1)
+    return Context(BackendParams(n_slots=16, plain_modulus=p16), seed=1)
 
 
 @pytest.fixture
 def ctx64(p64):
-    return new_context(BackendParams(n_slots=64, plain_modulus=p64), seed=1)
+    return Context(BackendParams(n_slots=64, plain_modulus=p64), seed=1)
 
 
 @pytest.fixture

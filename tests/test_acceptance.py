@@ -15,10 +15,10 @@ import pytest
 from cryptogen.arcc import arcc_inner_inner, arcc_inner_outer, compact_scores
 from cryptogen.backend import (
     BackendParams,
+    Context,
     DecryptionFailure,
     NoiseCosts,
     default_plain_modulus,
-    new_context,
 )
 from cryptogen.costmodel import (
     loglog_exponent,
@@ -57,7 +57,7 @@ def test_criterion_1_oracle_token_exactness():
     for seed in range(20):
         model = generate_toy_model(cfg, seed=seed)
         prompt = [int(t) for t in np.random.default_rng(1000 + seed).integers(0, cfg.vocab, 8)]
-        ctx = new_context(BackendParams(n_slots=64, plain_modulus=P64), seed=seed)
+        ctx = Context(BackendParams(n_slots=64, plain_modulus=P64), seed=seed)
         tokens, _ = generate(model, prompt, 16, ctx, seed=seed)
         want = oracle_generate(model, prompt, 16, P64)
         assert tokens == want, f"seed {seed}: {tokens} != {want}"
@@ -70,7 +70,7 @@ def test_criterion_2_kernel_oracle_equivalence():
     """CPMM, CPVM, inner-inner, inner-outer: 200 random instances each."""
     t0 = time.time()
     rng = np.random.default_rng(42)
-    ctx = new_context(BackendParams(n_slots=64, plain_modulus=P64), seed=0)
+    ctx = Context(BackendParams(n_slots=64, plain_modulus=P64), seed=0)
     p = P64
     for _ in range(200):
         m, d1, d2 = (int(v) for v in rng.integers(1, 17, 3))
@@ -126,7 +126,7 @@ def test_criterion_3_table1_formula_cells():
                 if cell.reproduced is False:
                     assert (method, stage, metric) in flagged
 
-    ctx = new_context(BackendParams(), seed=0)  # n=8192, p ~ 2^29
+    ctx = Context(BackendParams(), seed=0)  # n=8192, p ~ 2^29
     rng = np.random.default_rng(0)
     W = rng.integers(0, 100, (768, 64))
     measured = {}
@@ -156,7 +156,7 @@ def test_criterion_4_linear_vs_quadratic_scaling():
     prompt = [5]
     ks = [8, 16, 32, 64]
 
-    ctx = new_context(params, seed=0)
+    ctx = Context(params, seed=0)
     _, report = generate(model, prompt, 64, ctx)
     cum = np.cumsum([s["counters"]["mult_cipher"] for s in report["steps"]])
     cg_exp = loglog_exponent(ks, [int(cum[k - 1]) for k in ks])
@@ -164,7 +164,7 @@ def test_criterion_4_linear_vs_quadratic_scaling():
     c2 = quadratic_coefficient(np.arange(1, 65), cum)
     assert abs(c2) < 1e-6, c2
 
-    ctx = new_context(params, seed=0)
+    ctx = Context(params, seed=0)
     btok, breport = bolt_reference_generate(model, prompt, 64, ctx)
     bcum = np.cumsum([s["counters"]["mult_cipher"] for s in breport["steps"]])
     bolt_exp = loglog_exponent(ks, [int(bcum[k - 1]) for k in ks])
@@ -180,7 +180,7 @@ def test_criterion_5_decode_cost_prefix_independence():
     model = generate_toy_model(toy_config(), seed=0)
     per_m = {}
     for m in (16, 32, 64):
-        ctx = new_context(BackendParams(n_slots=64, plain_modulus=P64), seed=0)
+        ctx = Context(BackendParams(n_slots=64, plain_modulus=P64), seed=0)
         prompt = [int(t) for t in np.random.default_rng(m).integers(0, 64, m)]
         _, report = generate(model, prompt, 6, ctx)
         per_m[m] = [{k: s["counters"][k] for k in HE_COUNTERS} for s in report["steps"]]
@@ -199,7 +199,7 @@ def test_criterion_6_cache_compaction_law(n_slots, d2, min_bits):
     """Auto-segment ciphertext count is exactly ceil(k/B)."""
     t0 = time.time()
     p = default_plain_modulus(n_slots, min_bits)
-    ctx = new_context(BackendParams(n_slots=n_slots, plain_modulus=p), seed=0)
+    ctx = Context(BackendParams(n_slots=n_slots, plain_modulus=p), seed=0)
     B = n_slots // d2
     cache = init_cache(None, None, ctx, d2=d2)
     assert cache.B == B
@@ -226,7 +226,7 @@ def test_criterion_7_refresh_liveness_and_transparency():
     p = default_plain_modulus(64, 22)
     params = BackendParams(n_slots=64, plain_modulus=p)
 
-    ctx = new_context(params, seed=0)
+    ctx = Context(params, seed=0)
     try:
         tokens, report = generate(model, [1, 2, 3], 512, ctx)
     except DecryptionFailure as e:  # pragma: no cover - would fail the criterion
@@ -235,13 +235,13 @@ def test_criterion_7_refresh_liveness_and_transparency():
     assert sum(s["refresh_events"] for s in report["steps"]) == 0  # healthy budgets stay lazy
 
     # forced mid-run refresh leaves the remaining stream unchanged
-    ctx_a = new_context(params, seed=1)
+    ctx_a = Context(params, seed=1)
     state_a = prefill(model, [1, 2, 3], ctx_a)
     plain_run = []
     for _ in range(24):
         tok, state_a = decode_step(model, state_a, ctx_a)
         plain_run.append(tok)
-    ctx_b = new_context(params, seed=1)
+    ctx_b = Context(params, seed=1)
     state_b = prefill(model, [1, 2, 3], ctx_b)
     forced_run = []
     ch = MpcChannel(p, seed=99)
@@ -264,7 +264,7 @@ def test_criterion_7_refresh_liveness_and_transparency():
         noise_costs=NoiseCosts(add=15),
         initial_noise_budget=100,
     )
-    sctx = new_context(stress, seed=0)
+    sctx = Context(stress, seed=0)
     sch = MpcChannel(stress.plain_modulus, seed=0)
     cache = init_cache(None, None, sctx, d2=4)
     observed = []

@@ -9,7 +9,7 @@ from cryptogen.arcc import (
     compact_scores,
     prefill_attention,
 )
-from cryptogen.backend import BackendParams, ParameterError, default_plain_modulus, new_context
+from cryptogen.backend import BackendParams, Context, ParameterError, default_plain_modulus
 from cryptogen.encodings import EncodingKind, decode, encode, pack_token_inner
 from cryptogen.fixedpoint import (
     RECIPROCAL_ITERS,
@@ -105,7 +105,7 @@ def test_inner_outer_random_oracle(ctx64, rng):
 def test_inner_outer_compacted_mult_count():
     """R=300 rows at B=128 cost ceil(300/128)=3 CTxCT mults, not 300."""
     params = BackendParams()
-    ctx = new_context(params, seed=0)
+    ctx = Context(params, seed=0)
     rng = np.random.default_rng(1)
     M = rng.integers(0, 97, (300, 64))
     Mp = encode(M, EncodingKind.INNER_COMPACTED, ctx)
@@ -118,7 +118,7 @@ def test_inner_outer_compacted_mult_count():
 
 def test_compact_scores_examples():
     params = BackendParams(n_slots=128, plain_modulus=default_plain_modulus(128, 22))
-    ctx = new_context(params, seed=0)
+    ctx = Context(params, seed=0)
     rng = np.random.default_rng(2)
     # scores at block starts {0, 64} with d2=64 land at slots {0, 1}
     M = rng.integers(0, 97, (2, 64))
@@ -140,7 +140,7 @@ P64 = default_plain_modulus(64, 26)
 
 
 def _fp_ctx(seed=0):
-    return new_context(BackendParams(n_slots=64, plain_modulus=P64), seed=seed)
+    return Context(BackendParams(n_slots=64, plain_modulus=P64), seed=seed)
 
 
 FP = FixedPointParams(8, P64)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cryptogen.backend import (
     BackendParams,
+    Context,
     DecryptionFailure,
     NoiseBudgetExhausted,
     NoiseCosts,
@@ -18,7 +19,6 @@ from cryptogen.backend import (
     SlotCiphertext,
     default_plain_modulus,
     is_prime,
-    new_context,
 )
 
 
@@ -33,14 +33,14 @@ def test_default_modulus_matches_batching_constraint():
 
 
 def test_default_params_valid_context():
-    ctx = new_context(BackendParams(), seed=0)
+    ctx = Context(BackendParams(), seed=0)
     assert ctx.params.n_slots == 8192
     assert ctx.counter.as_dict()["encrypt"] == 0
 
 
 def test_small_valid_modulus():
     # 97 is prime and 97 = 1 mod 32
-    ctx = new_context(BackendParams(n_slots=16, plain_modulus=97), seed=0)
+    ctx = Context(BackendParams(n_slots=16, plain_modulus=97), seed=0)
     assert ctx.params.plain_modulus == 97
 
 
@@ -104,7 +104,7 @@ def test_mult_cipher_values_and_budget(ctx16):
 
 
 def test_rotate_semantics(ctx16):
-    ctx4 = new_context(BackendParams(n_slots=4, plain_modulus=17), seed=0)
+    ctx4 = Context(BackendParams(n_slots=4, plain_modulus=17), seed=0)
     full = ctx4.encrypt([1, 2, 3, 4])
     assert (ctx4.decrypt(ctx4.rotate(full, 1)) == [2, 3, 4, 1]).all()
     a = ctx16.encrypt(ctx16.plain_from_dense([1, 2, 3, 4]))
@@ -141,7 +141,7 @@ def test_rotate_property(data):
         st.one_of(st.integers(-3 * n, 3 * n), st.sampled_from([j * n for j in range(-3, 4)])),
         label="k",
     )
-    ctx = new_context(BackendParams(n_slots=n, plain_modulus=_P1024), seed=0)
+    ctx = Context(BackendParams(n_slots=n, plain_modulus=_P1024), seed=0)
     slots = np.asarray(data.draw(st.lists(st.integers(0, _P1024 - 1), min_size=n, max_size=n)))
     a = ctx.encrypt(slots)
     before = ctx.counter.snapshot()
@@ -159,7 +159,7 @@ def test_rotate_forms_match_roll(n):
     slots and the two slices above it, equal np.roll for every k in
     [-n, 2n) (a fixed sample at n=8192), each in a fresh read-only array;
     a forked context rotates identically."""
-    ctx = new_context(BackendParams(n_slots=n), seed=0)  # p = 1 mod 16384
+    ctx = Context(BackendParams(n_slots=n), seed=0)  # p = 1 mod 16384
     child = ctx.fork()
     slots = np.random.default_rng(n).integers(0, ctx.params.plain_modulus, n)
     a = ctx.encrypt(slots)
@@ -179,14 +179,14 @@ def test_check_accepts_equal_params_and_rejects_unequal():
     """Ciphertexts pass between contexts whose params are equal, even as
     distinct objects; unequal params raise before any op is counted."""
     params = BackendParams(n_slots=16, plain_modulus=default_plain_modulus(16, 20))
-    ctx = new_context(params, seed=0)
-    twin = new_context(BackendParams.from_json(params.to_json()), seed=1)
+    ctx = Context(params, seed=0)
+    twin = Context(BackendParams.from_json(params.to_json()), seed=1)
     assert twin.params is not params and twin.params == params
     a, b = ctx.encrypt(np.arange(16)), twin.encrypt(np.arange(16) + 1)
     assert (ctx.decrypt(ctx.add(a, b)) == 2 * np.arange(16) + 1).all()
     assert (ctx.decrypt(ctx.mult_cipher(b, a)) == np.arange(16) * (np.arange(16) + 1)).all()
 
-    other = new_context(dataclasses.replace(params, refresh_threshold=params.refresh_threshold + 1), seed=2)
+    other = Context(dataclasses.replace(params, refresh_threshold=params.refresh_threshold + 1), seed=2)
     c = other.encrypt(np.arange(16))
     before = ctx.counter.snapshot()
     for op in (lambda: ctx.add(a, c), lambda: ctx.mult_cipher(c, a), lambda: ctx.rotate(c, 1)):
@@ -211,8 +211,8 @@ def test_op_contract(op, data):
     the next id."""
     costs = NoiseCosts(**{f.name: data.draw(st.integers(0, 64), label=f.name) for f in dataclasses.fields(NoiseCosts)})
     params = BackendParams(n_slots=16, plain_modulus=_P16, noise_costs=costs)
-    ctx = new_context(params, seed=0)
-    other = new_context(dataclasses.replace(params, refresh_threshold=params.refresh_threshold + 1), seed=1)
+    ctx = Context(params, seed=0)
+    other = Context(dataclasses.replace(params, refresh_threshold=params.refresh_threshold + 1), seed=1)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="values seed"))
     x, y = rng.integers(0, _P16, 16), rng.integers(0, _P16, 16)
     budgets = [data.draw(st.integers(0, params.initial_noise_budget), label=f"budget {i}") for i in range(2)]
@@ -282,7 +282,7 @@ def test_plain_encodes_or_rejects(data):
     """ctx.plain of a signed, unreduced, wrong-length or ciphertext input
     either raises ParameterError or gives the residues mod p in a fresh
     read-only int64 array, without moving the counter."""
-    ctx = new_context(BackendParams(n_slots=16, plain_modulus=_P16), seed=0)
+    ctx = Context(BackendParams(n_slots=16, plain_modulus=_P16), seed=0)
     kind = data.draw(st.sampled_from(["list", "array", "ciphertext", "matrix"]), label="kind")
     length = data.draw(st.sampled_from([16, 16, 0, 1, 15, 17, 32]), label="length")
     vals = data.draw(st.lists(st.integers(-(2**62), 2**62), min_size=length, max_size=length), label="values")
@@ -343,7 +343,7 @@ def test_plaintext_operand_matches_raw_vector(op, data):
     budget = data.draw(st.integers(0, params.initial_noise_budget), label="budget")
     outcomes = []
     for encoded in (False, True):
-        ctx = new_context(params, seed=0)
+        ctx = Context(params, seed=0)
         a = ctx.with_budget(ctx.encrypt(np.arange(16) * 7919), budget)
         operand = ctx.plain(v) if encoded else v
         before = ctx.counter.snapshot()
@@ -361,9 +361,9 @@ def test_foreign_plaintext_rejected(op):
     every plaintext position, before any count or id moves; one of a
     context with equal params is accepted."""
     params = BackendParams(n_slots=16, plain_modulus=_P16)
-    ctx = new_context(params, seed=0)
-    other = new_context(dataclasses.replace(params, refresh_threshold=params.refresh_threshold + 1), seed=1)
-    twin = new_context(BackendParams.from_json(params.to_json()), seed=2)
+    ctx = Context(params, seed=0)
+    other = Context(dataclasses.replace(params, refresh_threshold=params.refresh_threshold + 1), seed=1)
+    twin = Context(BackendParams.from_json(params.to_json()), seed=2)
     call = {
         **_PLAIN_OPS,
         "load_ciphertext": lambda ctx, a, v: ctx.load_ciphertext(v, 5),
@@ -542,7 +542,7 @@ def test_ciphertext_copies_stay_immutable(ctx16, roundtrip):
 def test_ciphertext_rejected_as_plaintext(op, n):
     """A ciphertext where a plaintext vector belongs is a ParameterError
     naming the misuse, also when n equals the number of ciphertext fields."""
-    ctx = new_context(BackendParams(n_slots=n, plain_modulus=_P16), seed=0)
+    ctx = Context(BackendParams(n_slots=n, plain_modulus=_P16), seed=0)
     a = ctx.encrypt(np.arange(n))
     call = {"encrypt": lambda: ctx.encrypt(a), "add_plain": lambda: ctx.add_plain(a, a), "mult_plain": lambda: ctx.mult_plain(a, a)}[op]
     before = ctx.counter.snapshot()
@@ -590,7 +590,7 @@ def _bounded_operands(draw):
     bound * p - 1 but one drawn slot anywhere in [0, bound * p)."""
     p = draw(st.sampled_from([_P_TOY, _P_REF, default_plain_modulus(64, 30), _P_LARGEST]))
     n = 64
-    ctx = new_context(BackendParams(n_slots=n, plain_modulus=p), seed=0)
+    ctx = Context(BackendParams(n_slots=n, plain_modulus=p), seed=0)
     add_cap, mult_cap = _caps(p)
     near = st.sampled_from(sorted({1, 2, 3, mult_cap, mult_cap + 1, add_cap // 2, add_cap - 1, add_cap}))
 
@@ -670,7 +670,7 @@ def test_lazy_reduction_matches_integer_reference_near_both_caps(case, k):
     "roundtrip", [lambda ct: pickle.loads(pickle.dumps(ct)), copy.deepcopy], ids=["pickle", "deepcopy"]
 )
 def test_ciphertext_copies_keep_the_bound(roundtrip):
-    ctx = new_context(BackendParams(n_slots=64, plain_modulus=_P_LARGEST), seed=0)
+    ctx = Context(BackendParams(n_slots=64, plain_modulus=_P_LARGEST), seed=0)
     raw = np.full(64, 3 * _P_LARGEST - 1, dtype=np.int64)
     ct = SlotCiphertext(raw, 50, 7, ctx.params, 3)
     b = roundtrip(ct)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cryptogen.backend import BackendParams, ParameterError, default_plain_modulus, new_context
+from cryptogen.backend import BackendParams, Context, ParameterError, default_plain_modulus
 from cryptogen.encodings import (
     EncodingKind,
     decode,
@@ -31,7 +31,7 @@ def test_inner_example(ctx16):
 
 
 _CTX = {
-    n: new_context(BackendParams(n_slots=n, plain_modulus=default_plain_modulus(n, 20)))
+    n: Context(BackendParams(n_slots=n, plain_modulus=default_plain_modulus(n, 20)))
     for n in (16, 64)
 }
 
@@ -65,9 +65,9 @@ def test_roundtrip_all_kinds(kind, data):
 
 
 def test_inner_compacted_block_layout():
-    from cryptogen.backend import BackendParams, new_context
+    from cryptogen.backend import BackendParams, Context
 
-    ctx = new_context(BackendParams(n_slots=8, plain_modulus=17), seed=0)
+    ctx = Context(BackendParams(n_slots=8, plain_modulus=17), seed=0)
     A = np.array([[1, 2], [3, 4], [5, 6]])
     P = encode(A, EncodingKind.INNER_COMPACTED, ctx)
     assert P.encoding.block == 4
@@ -96,9 +96,9 @@ def test_transpose_duality(ctx16, rng):
 
 
 def test_pack_token_inner(ctx16):
-    from cryptogen.backend import BackendParams, new_context
+    from cryptogen.backend import BackendParams, Context
 
-    ctx = new_context(BackendParams(n_slots=8, plain_modulus=17), seed=0)
+    ctx = Context(BackendParams(n_slots=8, plain_modulus=17), seed=0)
     ct = pack_token_inner([1, 2, 3, 4], ctx)
     assert (ctx.decrypt(ct) == [1, 2, 3, 4, 0, 0, 0, 0]).all()
     zero = pack_token_inner([0, 0], ctx)

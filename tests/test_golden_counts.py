@@ -91,15 +91,39 @@ OP_SEQUENCE = {
 }
 
 
-@pytest.mark.parametrize("threshold", [None, 170])
-def test_golden_op_sequence(threshold):
+def _digest_tool():
     spec = importlib.util.spec_from_file_location("op_digest", PARAMS_TOY.parents[1] / "tools" / "op_digest.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def _toy_params(threshold):
     params = BackendParams.from_json(PARAMS_TOY.read_text())
     if threshold is not None:
         params = dataclasses.replace(params, refresh_threshold=threshold)
+    return params
+
+
+@pytest.mark.parametrize("threshold", [None, 170])
+def test_golden_op_sequence(threshold):
     model = generate_toy_model(toy_config(), seed=0)
-    digest, tokens, ops = tool.op_digest(model, PROMPT, len(TOKENS), params)
+    digest, tokens, ops = _digest_tool().op_digest(model, PROMPT, len(TOKENS), _toy_params(threshold))
     assert tokens == TOKENS
     assert (digest, ops) == OP_SEQUENCE[threshold]
+
+
+# sha256 of every mask word the channels hand out (int64 bytes in draw
+# order, ``tools/op_digest.py``), the number of draws and of words: a change
+# that moves, adds or drops a mask word moves it
+MASK_STREAM = {
+    None: ("e76f36c9dae6d21f98d8eb58f2ff182d45fc9d11b5eccde75484b8efd9ab7baf", 1890, 101624),
+    170: ("e168cdfa248d9d7d224b8b8d87b164acbc95909c9a9a7d7f56471d437d6adba2", 2034, 110840),
+}
+
+
+@pytest.mark.parametrize("threshold", [None, 170])
+def test_golden_mask_stream(threshold):
+    model = generate_toy_model(toy_config(), seed=0)
+    *_, masks = _digest_tool().digest_run(model, PROMPT, len(TOKENS), _toy_params(threshold))
+    assert masks == MASK_STREAM[threshold]

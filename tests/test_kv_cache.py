@@ -5,10 +5,10 @@ import pytest
 
 from cryptogen.backend import (
     BackendParams,
+    Context,
     NoiseCosts,
     ParameterError,
     default_plain_modulus,
-    new_context,
 )
 from cryptogen.encodings import EncodingKind, decode, encode, pack_token_inner
 from cryptogen.kv_cache import (
@@ -24,7 +24,7 @@ from cryptogen.nonlinear import MpcChannel
 
 def _ctx(n=16, p=None, **kw):
     p = p or default_plain_modulus(n, 20)
-    return new_context(BackendParams(n_slots=n, plain_modulus=p, **kw), seed=0)
+    return Context(BackendParams(n_slots=n, plain_modulus=p, **kw), seed=0)
 
 
 def _empty(ctx, d2):
@@ -36,7 +36,7 @@ def _tok(ctx, vals):
 
 
 def test_block_capacity_formula():
-    ctx = new_context(BackendParams(), seed=0)
+    ctx = Context(BackendParams(), seed=0)
     assert init_cache(None, None, ctx, d2=64).B == 128
     ctx8 = _ctx(8)
     assert init_cache(None, None, ctx8, d2=2).B == 4
@@ -149,7 +149,7 @@ def test_refresh_is_attention_invisible(rng):
 
     p = default_plain_modulus(64, 26)
     fp = FixedPointParams(8, p)
-    ctx = new_context(BackendParams(n_slots=64, plain_modulus=p), seed=0)
+    ctx = Context(BackendParams(n_slots=64, plain_modulus=p), seed=0)
     ch = MpcChannel(p, seed=0)
     d2 = 4
     cache = _empty(ctx, d2)
@@ -198,7 +198,7 @@ def test_refresh_count_matches_ledger_simulation():
     params = BackendParams(
         n_slots=16, plain_modulus=p, noise_costs=costs, initial_noise_budget=100
     )
-    ctx = new_context(params, seed=0)
+    ctx = Context(params, seed=0)
     ch = MpcChannel(p, seed=0)
     cache = _empty(ctx, 4)
     B, steps = 4, 14
@@ -259,7 +259,7 @@ def test_cache_checkpoint_roundtrip(tmp_path, rng):
 
     p = default_plain_modulus(64, 26)
     fp = FixedPointParams(8, p)
-    ctx = new_context(BackendParams(n_slots=64, plain_modulus=p), seed=0)
+    ctx = Context(BackendParams(n_slots=64, plain_modulus=p), seed=0)
     d2 = 4
     Kp = encode(np.mod(fp_encode(rng.uniform(-1, 1, (2, d2)), fp), p), EncodingKind.OUTER, ctx)
     Vp = encode(np.mod(fp_encode(rng.uniform(-1, 1, (2, d2)), fp), p), EncodingKind.OUTER, ctx)
@@ -303,7 +303,7 @@ def test_cache_checkpoint_roundtrip(tmp_path, rng):
 def test_load_cache_rejects_tampered_manifest(tmp_path, edit, message):
     """A snapshot whose bookkeeping disagrees with its layout never loads:
     a wrong B or t_auto would make the next append write at a wrong offset."""
-    ctx = new_context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)
+    ctx = Context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)
     d2 = 8
     Kp = encode(np.ones((2, d2), dtype=np.int64), EncodingKind.OUTER, ctx)
     cache = init_cache(Kp, Kp, ctx)
@@ -321,7 +321,7 @@ def test_load_cache_rejects_tampered_manifest(tmp_path, edit, message):
 def test_load_cache_reads_snapshot_with_slot_period_key(tmp_path):
     """Older snapshots carry ``"slot_period": null`` in every segment's
     metadata; they still load, to the same values and budgets."""
-    ctx = new_context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)
+    ctx = Context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)
     d2 = 8
     Kp = encode(np.arange(2 * d2).reshape(2, d2), EncodingKind.OUTER, ctx)
     cache = init_cache(Kp, Kp, ctx)
@@ -345,7 +345,7 @@ def test_load_cache_rejects_impossible_budgets(tmp_path, budget):
     """A budget outside [1, initial_noise_budget] or not an integer would
     bypass the noise ledger (a huge one is never refreshed) or fail later,
     inside maybe_refresh; it is refused at load."""
-    ctx = new_context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)
+    ctx = Context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)
     d2 = 8
     Kp = encode(np.ones((2, d2), dtype=np.int64), EncodingKind.OUTER, ctx)
     cache = init_cache(Kp, Kp, ctx)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cryptogen.backend import BackendParams, ParameterError, default_plain_modulus, new_context
+from cryptogen.backend import BackendParams, Context, ParameterError, default_plain_modulus
 from cryptogen.encodings import EncodingKind, decode, encode, pack_token_inner
 from cryptogen.linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal, fold_sum
 
@@ -129,7 +129,7 @@ def test_kernels_match_signed_matmul_mod_p(p16, p64, data):
         st.integers(-p + 1, -1), label="negative entry"
     )
     X = data.draw(hnp.arrays(np.int64, (m, d1), elements=st.integers(0, p - 1)), label="X")
-    ctx = new_context(BackendParams(n_slots=n, plain_modulus=p), seed=0)
+    ctx = Context(BackendParams(n_slots=n, plain_modulus=p), seed=0)
     want = (X @ W) % p
     assert (decode(cpmm_outer_diagonal(encode(X, EncodingKind.OUTER, ctx), W, ctx), ctx) == want).all()
     y = ctx.decrypt(cpvm_inner_diagonal(pack_token_inner(X[-1], ctx), W, ctx))[:d2]
@@ -172,7 +172,7 @@ def test_cpvm_cost_depends_only_on_dims(ctx64, rng):
 def test_cpvm_rotation_growth_logarithmic(rng):
     """Doubling d1 adds at most one rotation (fold depth grows by one)."""
     p = default_plain_modulus(512, 26)
-    ctx = new_context(BackendParams(n_slots=512, plain_modulus=p), seed=0)
+    ctx = Context(BackendParams(n_slots=512, plain_modulus=p), seed=0)
     d2 = 8
     rots = {}
     for d1 in (64, 128, 256, 512):

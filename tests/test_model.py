@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cryptogen.backend import BackendParams, Context, ParameterError, default_plain_modulus, new_context
+from cryptogen.backend import BackendParams, Context, ParameterError, default_plain_modulus
 from cryptogen.model import (
     ModelConfig,
     bolt_reference_generate,
@@ -32,7 +32,7 @@ PARAMS_TOY = Path(__file__).resolve().parents[1] / "configs" / "params_toy.json"
 
 def _ctx(seed=0, n=64):
     p = P64 if n == 64 else default_plain_modulus(n, 26)
-    return new_context(BackendParams(n_slots=n, plain_modulus=p), seed=seed)
+    return Context(BackendParams(n_slots=n, plain_modulus=p), seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ def test_generate_matches_oracle_at_the_largest_modulus(toy):
     p = 2_147_483_137
     prompt = [3, 14, 15, 9, 26]
     want = oracle_generate(toy, prompt, 6, p)
-    tokens, _ = generate(toy, prompt, 6, new_context(BackendParams(n_slots=64, plain_modulus=p), seed=0))
+    tokens, _ = generate(toy, prompt, 6, Context(BackendParams(n_slots=64, plain_modulus=p), seed=0))
     assert tokens == want == [7, 55, 60, 28, 0, 45]
 
 
@@ -197,7 +197,7 @@ def test_decoding_encodes_each_weight_once(monkeypatch):
     assert generate(model, [5, 6], 3, _ctx(seed=1))[0] == tokens
     assert built == []
     params = BackendParams(n_slots=64, plain_modulus=P64, refresh_threshold=59)
-    assert generate(model, [5, 6], 3, new_context(params))[0] == tokens
+    assert generate(model, [5, 6], 3, Context(params))[0] == tokens
     assert len(built) == c.layers * (3 * c.heads + 3) + 1
 
 
@@ -288,7 +288,7 @@ def test_every_tally_is_one_wrapped_call(toy, monkeypatch):
             monkeypatch.setattr(Context, op, tally(op, getattr(Context, op)))
     monkeypatch.setattr(MpcChannel, "transfer", tally("mpc_bytes", MpcChannel.transfer))
     params = dataclasses.replace(BackendParams.from_json(PARAMS_TOY.read_text()), refresh_threshold=170)
-    _, report = generate(toy, [1, 2, 3], 10, new_context(params, seed=0))
+    _, report = generate(toy, [1, 2, 3], 10, Context(params, seed=0))
     assert report["totals"]["refresh_events"] > 0
     assert seen == {name: report["totals"][name] for name in seen}
 
@@ -304,7 +304,7 @@ def test_direct_calls_charge_their_mpc_bytes(toy):
     channels moved; on the golden prompt (test_golden_counts) these are the
     prefill's and first step's pinned figures."""
     params = BackendParams.from_json(PARAMS_TOY.read_text())
-    ctx = new_context(params, seed=0)
+    ctx = Context(params, seed=0)
     chans = _explicit_channels(toy.config, params.plain_modulus)
     charged = []
     for call in (
@@ -320,13 +320,13 @@ def test_direct_calls_charge_their_mpc_bytes(toy):
 
 
 def test_channels_over_another_modulus_rejected_before_any_op(toy):
-    """Channels built for another plaintext modulus would share and
-    reconstruct in the wrong ring; prefill and decode_step name the
-    offending channel and spend nothing."""
+    """Channels built for another plaintext modulus would share and open
+    values in the wrong ring; prefill and decode_step name the offending
+    channel and spend nothing."""
     params = BackendParams.from_json(PARAMS_TOY.read_text())
     p = params.plain_modulus
     other = default_plain_modulus(64, 27)
-    ctx = new_context(params, seed=0)
+    ctx = Context(params, seed=0)
     bad = {**_explicit_channels(toy.config, p), "common": MpcChannel(other, 0)}
     with pytest.raises(ParameterError, match="'common'"):
         prefill(toy, [1, 2, 3], ctx, bad)
@@ -336,6 +336,27 @@ def test_channels_over_another_modulus_rejected_before_any_op(toy):
     before = ctx.counter.snapshot()
     bad = {**_explicit_channels(toy.config, p), (1, 2): MpcChannel(other, 0)}
     with pytest.raises(ParameterError, match="\\(1, 2\\)"):
+        decode_step(toy, state, ctx, bad)
+    assert not any(ctx.counter.delta(before).values())
+
+
+def test_missing_channels_rejected_before_any_op(toy):
+    """A channel map without a (layer, head) key or without "common" is
+    rejected by prefill and decode_step before any op, naming every key
+    it lacks."""
+    params = BackendParams.from_json(PARAMS_TOY.read_text())
+    p = params.plain_modulus
+    ctx = Context(params, seed=0)
+    chans = _explicit_channels(toy.config, p)
+    bad = {key: ch for key, ch in chans.items() if key not in ((0, 1), (1, 3))}
+    with pytest.raises(ParameterError, match="\\(0, 1\\), \\(1, 3\\)"):
+        prefill(toy, [1, 2, 3], ctx, bad)
+    assert not any(ctx.counter.as_dict().values())
+
+    state = prefill(toy, [1, 2, 3], ctx, chans)
+    before = ctx.counter.snapshot()
+    bad = {key: ch for key, ch in chans.items() if key != "common"}
+    with pytest.raises(ParameterError, match="'common'"):
         decode_step(toy, state, ctx, bad)
     assert not any(ctx.counter.delta(before).values())
 
@@ -367,7 +388,7 @@ def test_every_call_charges_exactly_its_transfers(layers, heads, d1, m, k, thres
         return nbytes
 
     def run(threads):
-        ctx = new_context(params, seed=0)
+        ctx = Context(params, seed=0)
         calls = [lambda: (None, prefill(model, prompt, ctx, None, threads))]
         calls += [lambda: decode_step(model, state, ctx, None, threads)] * k
         tokens, counters = [], []

@@ -14,7 +14,6 @@ from cryptogen.backend import (
     Context,
     ParameterError,
     default_plain_modulus,
-    new_context,
 )
 from cryptogen.fixedpoint import (
     RECIPROCAL_ITERS,
@@ -32,15 +31,11 @@ from cryptogen.fixedpoint import (
 from cryptogen.nonlinear import (
     MASK_BLOCK,
     MpcChannel,
-    SharePair,
     attention_softmax,
     he_to_shares,
-    he_to_values,
-    reconstruct,
-    share_vector,
+    refresh,
     shares_to_he,
     truncate,
-    values_to_he,
 )
 from cryptogen.model import generate, generate_toy_model, toy_config
 
@@ -51,13 +46,7 @@ FP = FixedPointParams(11, P_BIG)
 
 def _ctx():
     """A context to charge protocol bytes to; the protocols here read only its counter."""
-    return new_context(BackendParams(n_slots=16, plain_modulus=P_BIG))
-
-
-def _share(values, fp, ch):
-    secret = np.mod(fp_encode(values, fp), ch.p)
-    r = ch.sample_mask(len(secret))
-    return SharePair((secret - r) % ch.p, r, ch.p, len(secret))
+    return Context(BackendParams(n_slots=16, plain_modulus=P_BIG))
 
 
 def _scores(values, fp):
@@ -69,6 +58,47 @@ def _gelu_ref(x):
     return np.array([v * 0.5 * (1 + math.erf(v / math.sqrt(2))) for v in np.atleast_1d(x)])
 
 
+# the counted Context operations and how many leading arguments are ciphertexts
+CT_OPERANDS = {"encrypt": 0, "decrypt": 1, "add": 2, "add_plain": 1, "mult_plain": 1, "mult_cipher": 2, "rotate": 1}
+P16 = default_plain_modulus(16, 20)
+
+
+@contextmanager
+def _spied():
+    """Record every counted op as (op, operand ids renumbered in order of
+    first appearance), every mask a channel hands out and every vector the
+    client decrypts, while installed."""
+    log, masks, opened, ids = [], [], [], {}
+    orig = {op: getattr(Context, op) for op in CT_OPERANDS}
+    sample = MpcChannel.sample_mask
+
+    def spy(op, fn):
+        def wrapped(self, *args, **kwargs):
+            ins = tuple(ids.setdefault(ct.id, len(ids)) for ct in args[: CT_OPERANDS[op]])
+            out = fn(self, *args, **kwargs)
+            log.append((op, ins))
+            if op == "decrypt":
+                opened.append(out.copy())
+            return out
+
+        return wrapped
+
+    def sampled(ch, length):
+        out = sample(ch, length)
+        masks.append(out)
+        return out
+
+    for op, fn in orig.items():
+        setattr(Context, op, spy(op, fn))
+    MpcChannel.sample_mask = sampled
+    try:
+        yield log, masks, opened
+    finally:
+        for op, fn in orig.items():
+            setattr(Context, op, fn)
+        MpcChannel.sample_mask = sample
+
+
 def test_fixed_point_params_headroom():
     with pytest.raises(ParameterError):
         FixedPointParams(14, P_BIG)  # 2^(2f+6) >= p
@@ -78,30 +108,35 @@ def test_fixed_point_params_headroom():
 def test_he_share_roundtrip(ctx16):
     ch = MpcChannel(ctx16.params.plain_modulus, seed=3)
     v = np.arange(16)
-    ct = ctx16.encrypt(v)
-    sp = he_to_shares(ct, ctx16, ch)
-    assert (np.mod(sp.client + sp.server, sp.p) == v).all()
-    back = shares_to_he(sp, ctx16, ch)
-    assert (ctx16.decrypt(back) == v).all()
-    assert back.noise_budget == ctx16.params.initial_noise_budget
+    vals = he_to_shares([ctx16.encrypt(v), ctx16.encrypt(v[::-1])], ctx16, ch)
+    assert (vals == [v, v[::-1]]).all()
+    back = list(shares_to_he(vals, ctx16, ch))
+    assert [list(ctx16.decrypt(ct)) for ct in back] == [list(v), list(v[::-1])]
+    assert all(ct.noise_budget == ctx16.params.initial_noise_budget for ct in back)
+    assert (he_to_shares([back[0]], ctx16, ch, 5) == v[:5]).all()
 
 
 def test_shares_differ_across_seeds_same_secret(ctx16):
+    """The client decrypts a masked share: neither the slots nor the share
+    another channel seed gives for the same ciphertext."""
     v = np.arange(16)
-    clients = []
-    for seed in (1, 2):
-        ch = MpcChannel(ctx16.params.plain_modulus, seed=seed)
-        sp = he_to_shares(ctx16.encrypt(v), ctx16, ch)
-        clients.append(sp.client.copy())
-        assert (np.mod(sp.client + sp.server, sp.p) == v).all()
-    assert (clients[0] != clients[1]).any()
+    ct = ctx16.encrypt(v)
+    with _spied() as (_, _, seen):
+        for seed in (1, 2):
+            assert (he_to_shares([ct], ctx16, MpcChannel(ctx16.params.plain_modulus, seed=seed)) == v).all()
+    assert len(seen) == 2
+    assert (seen[0] != v).any() and (seen[1] != v).any()
+    assert (seen[0] != seen[1]).any()
 
 
 def test_zero_secret_shares_are_negations(ctx16):
-    ch = MpcChannel(ctx16.params.plain_modulus, seed=0)
-    sp = he_to_shares(ctx16.encrypt(ctx16.zeros()), ctx16, ch)
-    assert (np.mod(sp.client + sp.server, sp.p) == 0).all()
-    assert (sp.client == (sp.p - sp.server) % sp.p).all()
+    """For a zero secret the client's share is p - r of the server's mask r."""
+    p = ctx16.params.plain_modulus
+    ch = MpcChannel(p, seed=0)
+    with _spied() as (_, masks, seen):
+        assert not he_to_shares([ctx16.encrypt(ctx16.zeros())], ctx16, ch).any()
+    (share,), (r,) = seen, masks
+    assert (share == (p - r) % p).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,61 +167,11 @@ def test_channel_bytes_per_direction(ctx16):
     ct = ctx16.encrypt(ctx16.zeros())
     per_ct = ch.vector_bytes(ctx16.params.n_slots)
     before = ctx16.counter.snapshot()
-    sp = he_to_shares(ct, ctx16, ch)
-    assert ch.bytes_sent == per_ct
-    shares_to_he(sp, ctx16, ch)
-    assert ch.bytes_sent == 2 * per_ct
-    assert ch.rounds == 2
+    vals = he_to_shares([ct, ct, ct], ctx16, ch, 4)
+    assert (ch.bytes_sent, ch.rounds) == (3 * per_ct, 3)
+    list(shares_to_he(vals[:2], ctx16, ch))
+    assert (ch.bytes_sent, ch.rounds) == (5 * per_ct, 5)
     assert ctx16.counter.delta(before)["mpc_bytes"] == ch.bytes_sent
-
-
-# the counted Context operations and how many leading arguments are ciphertexts
-CT_OPERANDS = {"encrypt": 0, "decrypt": 1, "add": 2, "add_plain": 1, "mult_plain": 1, "mult_cipher": 2, "rotate": 1}
-P16 = default_plain_modulus(16, 20)
-
-
-@contextmanager
-def _spied():
-    """Record every counted op as (op, operand ids renumbered in order of
-    first appearance) and every mask a channel hands out, while installed."""
-    log, masks, ids = [], [], {}
-    orig = {op: getattr(Context, op) for op in CT_OPERANDS}
-    sample = MpcChannel.sample_mask
-
-    def spy(op, fn):
-        def wrapped(self, *args, **kwargs):
-            ins = tuple(ids.setdefault(ct.id, len(ids)) for ct in args[: CT_OPERANDS[op]])
-            out = fn(self, *args, **kwargs)
-            log.append((op, ins))
-            return out
-
-        return wrapped
-
-    def sampled(ch, length):
-        out = sample(ch, length)
-        masks.append(out)
-        return out
-
-    for op, fn in orig.items():
-        setattr(Context, op, spy(op, fn))
-    MpcChannel.sample_mask = sampled
-    try:
-        yield log, masks
-    finally:
-        for op, fn in orig.items():
-            setattr(Context, op, fn)
-        MpcChannel.sample_mask = sample
-
-
-def _tallies(ctx, ch, before):
-    return ch.bytes_sent, ch.rounds, ctx.counter.delta(before)["mpc_bytes"]
-
-
-def _fresh_words(masks) -> int:
-    """The words the masks hold, after checking that no two share one."""
-    for i, a in enumerate(masks):
-        assert not any(np.shares_memory(a, b) for b in masks[i + 1 :])
-    return sum(m.size for m in masks)
 
 
 _rows = st.integers(1, 6).flatmap(
@@ -195,66 +180,37 @@ _rows = st.integers(1, 6).flatmap(
 
 
 @settings(max_examples=40, deadline=None)
-@given(slots=_rows, length=st.one_of(st.none(), st.integers(1, 16)), prefix=st.integers(0, MASK_BLOCK))
-def test_he_to_values_is_the_per_ciphertext_composition(slots, length, prefix):
-    """One batch call gives the values, HE op sequence, bytes, rounds and
-    mask words of reconstruct(he_to_shares(ct)) over the list, with no mask
-    word handed out twice; ``prefix`` places the batch mask anywhere in a
-    block."""
-    runs = []
-    for batch in (True, False):
-        ctx = new_context(BackendParams(n_slots=16, plain_modulus=P16), seed=1)
-        ch = MpcChannel(P16, seed=2)
-        cts = [ctx.encrypt(v) for v in slots]
-        with _spied() as (log, masks):
-            ch.sample_mask(prefix)
-            before = ctx.counter.snapshot()
-            if batch:
-                vals = he_to_values(cts, ctx, ch, length)
-            else:
-                vals = np.stack([reconstruct(he_to_shares(ct, ctx, ch, length)) for ct in cts])
-            ch.sample_mask(16)
-        runs.append((vals, log, _tallies(ctx, ch, before) + (_fresh_words(masks),)))
-    (vals, log, tallies), (want_vals, want_log, want_tallies) = runs
-    stop = 16 if length is None else length
-    assert (vals == want_vals).all() and (vals == to_signed(np.array(slots)[:, :stop], P16)).all()
-    assert log == want_log and tallies == want_tallies
-
-
-@settings(max_examples=40, deadline=None)
 @given(slots=_rows, length=st.integers(1, 16), prefix=st.integers(0, MASK_BLOCK))
-def test_values_to_he_is_the_per_row_composition(slots, length, prefix):
-    """Consumed with an op between ciphertexts, the lazy batch form spends
-    the HE op sequence, bytes, rounds and mask words of
-    shares_to_he(share_vector(row)) row by row, with no mask word handed
-    out twice, and yields ciphertexts
-    of the same slots and budget; it spends no HE op before it is consumed."""
-    rows = to_signed(np.array(slots)[:, :length], P16)
-    runs = []
-    for batch in (True, False):
-        ctx = new_context(BackendParams(n_slots=16, plain_modulus=P16), seed=1)
-        ch = MpcChannel(P16, seed=2)
-        with _spied() as (log, masks):
-            ch.sample_mask(prefix)
-            before = ctx.counter.snapshot()
-            if batch:
-                produced = values_to_he(rows, ctx, ch)
-                assert not log and not any(ctx.counter.delta(before).values())
-            else:
-                produced = (shares_to_he(share_vector(row, ch), ctx, ch) for row in rows)
-            cts = []
-            for ct in produced:
-                cts.append(ct)
-                ctx.rotate(ct, 1)
-            ch.sample_mask(16)
-        runs.append((cts, log, _tallies(ctx, ch, before) + (_fresh_words(masks),)))
-    (cts, log, tallies), (want_cts, want_log, want_tallies) = runs
-    padded = np.zeros((len(rows), 16), dtype=np.int64)
-    padded[:, :length] = np.mod(rows, P16)
-    for got in (cts, want_cts):
-        assert (np.array([ct.slots for ct in got]) == padded).all()
-    assert [ct.noise_budget for ct in cts] == [ct.noise_budget for ct in want_cts]
-    assert log == want_log and tallies == want_tallies
+def test_conversions_spend_per_ciphertext_ops_in_list_order(slots, length, prefix):
+    """he_to_shares masks and decrypts each ciphertext in list order under
+    one draw of k*n mask words; shares_to_he draws k*L words at the call
+    and spends no HE op until consumed, then encrypts and unmasks one
+    ciphertext per item, so a consumer's ops interleave with its own.
+    ``prefix`` places the masks anywhere in a block."""
+    ctx = Context(BackendParams(n_slots=16, plain_modulus=P16), seed=1)
+    ch = MpcChannel(P16, seed=2)
+    cts = [ctx.encrypt(v) for v in slots]
+    k = len(cts)
+    ch.sample_mask(prefix)
+    with _spied() as (log, masks, _):
+        vals = he_to_shares(cts, ctx, ch, length)
+        # ciphertext i masked into 2i+1, which is decrypted
+        assert log == [rec for i in range(k) for rec in (("add_plain", (2 * i,)), ("decrypt", (2 * i + 1,)))]
+        assert (vals == to_signed(np.array(slots)[:, :length], P16)).all()
+        log.clear()
+        produced = shares_to_he(vals, ctx, ch)
+        assert not log and ch.rounds == k
+        back = []
+        for ct in produced:
+            back.append(ct)
+            ctx.rotate(ct, 1)
+    assert [op for op, _ in log] == ["encrypt", "add_plain", "rotate"] * k
+    assert [m.size for m in masks] == [k * 16, k * length]
+    assert not np.shares_memory(masks[0], masks[1])
+    padded = np.zeros((k, 16), dtype=np.int64)
+    padded[:, :length] = np.array(slots)[:, :length]
+    assert (np.array([ct.slots for ct in back]) == padded).all()
+    assert ch.rounds == 2 * k and ch.bytes_sent == 2 * k * ch.vector_bytes(16)
 
 
 def test_batch_forms_reject_bad_shapes(ctx16):
@@ -263,30 +219,43 @@ def test_batch_forms_reject_bad_shapes(ctx16):
     before = ctx16.counter.snapshot()
     for length in (0, 17):
         with pytest.raises(ParameterError, match="out of range"):
-            he_to_values([ct], ctx16, ch, length)
+            he_to_shares([ct], ctx16, ch, length)
     for rows in (np.zeros(4, dtype=np.int64), np.zeros((2, 17), dtype=np.int64)):
         with pytest.raises(ParameterError, match="16 columns"):
-            values_to_he(rows, ctx16, ch)
+            shares_to_he(rows, ctx16, ch)
     assert not any(ctx16.counter.delta(before).values()) and ch.bytes_sent == 0
 
 
+def test_refresh_resets_the_budget_at_four_ops(ctx16):
+    """A refresh keeps the slots, restores the full budget and spends four
+    HE ops, one n-word transfer each way and one n-word mask."""
+    p, n = ctx16.params.plain_modulus, ctx16.params.n_slots
+    ch = MpcChannel(p, seed=4)
+    v = np.arange(n) * 7 % p
+    ct = ctx16.mult_plain(ctx16.encrypt(v), ctx16.plain(np.ones(n, dtype=np.int64)))
+    assert ct.noise_budget < ctx16.params.initial_noise_budget
+    before = ctx16.counter.snapshot()
+    with _spied() as (log, masks, _):
+        out = refresh(ct, ctx16, ch)
+    assert [op for op, _ in log] == ["add_plain", "decrypt", "encrypt", "add_plain"]
+    assert [m.size for m in masks] == [n]
+    assert (ctx16.decrypt(out) == v).all()
+    assert out.noise_budget == ctx16.params.initial_noise_budget - ctx16.params.noise_costs.add_plain
+    assert (ch.rounds, ch.bytes_sent) == (2, 2 * ch.vector_bytes(n))
+    assert ctx16.counter.delta(before)["mpc_bytes"] == ch.bytes_sent
+
+
 def test_truncate_examples():
+    """Truncation rescales the shared values, charges 3 trips per row and
+    draws no mask: the conversion back into HE shares its result."""
     ch, ctx = MpcChannel(P_BIG, seed=0), _ctx()
-    one = fp_encode(1.0, FP)
-    sq = SharePair(
-        np.array([int(one) * int(one) % P_BIG]), np.array([0]), P_BIG, 1
-    )
-    out = reconstruct(truncate(sq, FP, ctx, ch))
-    assert out[0] == one
-
-    half = fp_encode(0.5, FP)
-    sq = SharePair(np.array([int(half) ** 2 % P_BIG]), np.array([0]), P_BIG, 1)
-    got = reconstruct(truncate(sq, FP, ctx, ch))[0]
-    assert abs(got - fp_encode(0.25, FP)) <= 1
-
-    zero = SharePair(np.array([0]), np.array([0]), P_BIG, 1)
-    assert reconstruct(truncate(zero, FP, ctx, ch))[0] == 0
+    one, half = fp_encode(1.0, FP), fp_encode(0.5, FP)
+    with _spied() as (log, masks, _):
+        got = truncate(np.array([[int(one) ** 2], [int(half) ** 2], [0]]), FP, ctx, ch)[:, 0]
+    assert got[0] == one and abs(got[1] - fp_encode(0.25, FP)) <= 1 and got[2] == 0
+    assert not log and not masks
     assert ctx.counter.mpc_bytes == ch.bytes_sent == 3 * 3 * ch.vector_bytes(1)
+    assert ch.rounds == 9
 
 
 def test_gelu_point_values():
@@ -361,7 +330,7 @@ def test_protocol_bytes_depend_only_on_shape(rng):
     for seed in (0, 1):
         ch, ctx = MpcChannel(P_BIG, seed=seed), _ctx()
         vals = rng.uniform(-2, 2, 16)
-        truncate(_share(vals, FP, ch), FP, ctx, ch)
+        truncate(fp_encode(vals, FP).reshape(2, 8), FP, ctx, ch)
         attention_softmax(_scores(vals, FP), 8, FP, ctx, ch)
         attention_softmax(_scores(vals, FP).reshape(4, 4), 8, FP, ctx, ch)
         totals.append((ch.bytes_sent, ch.rounds, ctx.counter.mpc_bytes))
@@ -369,15 +338,17 @@ def test_protocol_bytes_depend_only_on_shape(rng):
 
 
 def test_share_completeness_on_protocol_boundaries(rng):
-    """Each protocol's output equals the fixed-point function of the
-    reconstruction of its shared input."""
-    ch, ctx = MpcChannel(P_BIG, seed=9), _ctx()
+    """Values converted out of HE, run through a protocol and converted
+    back decrypt to the fixed-point function of the encrypted input."""
+    ctx = Context(BackendParams(n_slots=16, plain_modulus=P_BIG), seed=0)
+    ch = MpcChannel(P_BIG, seed=9)
     vals = rng.uniform(-3, 3, 8)
-    sp = _share(vals, FP, ch)
-    assert (reconstruct(truncate(sp, FP, ctx, ch)) == fp_truncate(fp_encode(vals, FP), FP.f)).all()
     scores = _scores(vals, FP)
-    sp = share_vector(scores, ch)
-    assert (attention_softmax(reconstruct(sp), 8, FP, ctx, ch) == attention_weights(scores, 8, FP)).all()
+    cts = [ctx.plain_from_dense(np.mod(row, P_BIG)) for row in (fp_encode(vals, FP), scores)]
+    x, s = he_to_shares([ctx.encrypt(pt) for pt in cts], ctx, ch, 8)
+    (out,) = shares_to_he(truncate(x[None], FP, ctx, ch), ctx, ch)
+    assert (to_signed(ctx.decrypt(out), P_BIG)[:8] == fp_truncate(fp_encode(vals, FP), FP.f)).all()
+    assert (attention_softmax(s, 8, FP, ctx, ch) == attention_weights(scores, 8, FP)).all()
 
 
 def test_attention_softmax_matches_fixedpoint_and_charges_all_scores(rng):
@@ -410,6 +381,6 @@ def test_only_nonlinear_charges_mpc_traffic(monkeypatch):
 
     monkeypatch.setattr(MpcChannel, "transfer", spy)
     params = dataclasses.replace(BackendParams.from_json(PARAMS_TOY.read_text()), refresh_threshold=170)
-    _, report = generate(generate_toy_model(toy_config(), seed=0), [3, 14, 15, 9, 26], 2, new_context(params, seed=0))
+    _, report = generate(generate_toy_model(toy_config(), seed=0), [3, 14, 15, 9, 26], 2, Context(params, seed=0))
     assert report["totals"]["refresh_events"] > 0
     assert callers == {"cryptogen.nonlinear"}

@@ -8,15 +8,18 @@ has no result ciphertext and records ``None`` for both.  Ciphertext ids are
 renumbered in order of first appearance, so the digest does not depend on
 how many contexts the process created before the run.  The sha256 of the
 records is printed next to the tokens, the operation count and the run's
-total MPC bytes (``mpc_bytes`` of the op counter), and compared with the
-digest, count, tokens and bytes pinned for the shape: the script exits 1
+total MPC bytes (``mpc_bytes`` of the op counter).  A second sha256 covers
+the mask stream: every array ``MpcChannel.sample_mask`` hands out, as int64
+bytes in draw order, with the number of draws and of words.  All of them
+are compared with the values pinned for the shape: the script exits 1
 when any of them differs.  The digest does not cover slot values, so the
 pinned tokens are the check that the values still decode to the same
 generation.
 
 Two changes that keep the digest compute the same operations on the same
 ciphertexts in the same order and spend the same noise, so the digest is
-the check that a performance change moved no operation.
+the check that a performance change moved no operation; the mask stream
+is the check that it moved no mask word.
 
     python3 tools/op_digest.py --shape decode_long     # n=64, prompt 8, k=144
     python3 tools/op_digest.py --shape refresh_churn   # threshold 170, prompt 32, k=112
@@ -43,7 +46,8 @@ ROOT = Path(__file__).resolve().parents[1]
 CT_OPERANDS = {"encrypt": 0, "decrypt": 1, "add": 2, "add_plain": 1, "mult_plain": 1, "mult_cipher": 2, "rotate": 1}
 
 # (prompt length, tokens generated, refresh threshold or None,
-#  expected sha256, expected op count, expected tokens, expected MPC bytes)
+#  expected sha256, expected op count, expected tokens, expected MPC bytes,
+#  expected mask stream: sha256, draws, words)
 SHAPES = {
     "decode_long": (
         8, 144, None,
@@ -57,6 +61,7 @@ SHAPES = {
             55, 27, 27, 55, 27, 58, 27, 27, 27, 55, 43, 58, 27, 55, 27, 27, 55, 63, 12, 58, 58, 27, 44, 33,
         ],
         10_841_400,
+        ("979e79db51392ce4677c9e238979b0174c6712b2c3e2cd8cae360176aa9c47bf", 17_434, 2_015_776),
     ),
     "refresh_churn": (
         32, 112, 170,
@@ -69,6 +74,7 @@ SHAPES = {
             55, 27, 27, 55, 27, 58, 27, 27, 27, 55, 43, 58, 27, 55, 27, 27,
         ],
         9_014_392,
+        ("ab8188fa04a847bbc9844f26c7ebda41c0b36cc77de572369ba96f4896704fef", 15_690, 1_520_672),
     ),
 }
 
@@ -119,15 +125,47 @@ class OpDigest:
                 setattr(ctx_cls, op, fn)
 
 
+class MaskStream:
+    """sha256 over the int64 bytes of every mask a channel hands out while
+    installed, in draw order, plus the number of draws and of words."""
+
+    def __init__(self):
+        self._hash = hashlib.sha256()
+        self.draws = 0
+        self.words = 0
+
+    def fingerprint(self) -> tuple:
+        return self._hash.hexdigest(), self.draws, self.words
+
+    @contextmanager
+    def installed(self, ch_cls):
+        sample = ch_cls.sample_mask
+
+        def wrapped(ch, length):
+            mask = sample(ch, length)
+            self._hash.update(mask.tobytes())
+            self.draws += 1
+            self.words += mask.size
+            return mask
+
+        ch_cls.sample_mask = wrapped
+        try:
+            yield self
+        finally:
+            ch_cls.sample_mask = sample
+
+
 def digest_run(model, prompt, k: int, params):
-    """(hex digest, tokens, op count, MPC bytes) of ``generate`` on a fresh Context."""
+    """(hex digest, tokens, op count, MPC bytes, mask stream fingerprint)
+    of ``generate`` on a fresh Context."""
     from cryptogen.backend import Context
     from cryptogen.model import generate
+    from cryptogen.nonlinear import MpcChannel
 
-    spy = OpDigest()
-    with spy.installed(Context):
+    spy, masks = OpDigest(), MaskStream()
+    with spy.installed(Context), masks.installed(MpcChannel):
         tokens, report = generate(model, prompt, k, Context(params, seed=0), seed=0)
-    return spy.hexdigest(), tokens, spy.ops, report["totals"]["mpc_bytes"]
+    return spy.hexdigest(), tokens, spy.ops, report["totals"]["mpc_bytes"], masks.fingerprint()
 
 
 def op_digest(model, prompt, k: int, params):
@@ -144,24 +182,27 @@ def main(argv=None) -> int:
     from cryptogen.backend import BackendParams
     from cryptogen.model import generate_toy_model, toy_config
 
-    prompt_len, k, threshold, want_digest, want_ops, want_tokens, want_bytes = SHAPES[args.shape]
+    prompt_len, k, threshold, want_digest, want_ops, want_tokens, want_bytes, want_masks = SHAPES[args.shape]
     params = BackendParams.from_json((ROOT / "configs" / "params_toy.json").read_text())
     if threshold is not None:
         params = dataclasses.replace(params, refresh_threshold=threshold)
     model = generate_toy_model(toy_config(), seed=0)
     rng = np.random.default_rng(1)
     prompt = [int(t) for t in rng.integers(0, model.config.vocab, prompt_len)]
-    digest, tokens, ops, mpc_bytes = digest_run(model, prompt, k, params)
+    digest, tokens, ops, mpc_bytes, masks = digest_run(model, prompt, k, params)
     print(f"shape {args.shape}  ops {ops}  mpc_bytes {mpc_bytes}")
     print(f"tokens {tokens}")
     print(f"sha256 {digest}")
+    print(f"mask stream sha256 {masks[0]}  draws {masks[1]}  words {masks[2]}")
     match = (digest, ops) == (want_digest, want_ops)
     print(f"matches pinned digest: {'yes' if match else f'no (want {want_digest}, {want_ops} ops)'}")
     same_tokens = tokens == want_tokens
     print(f"matches pinned tokens: {'yes' if same_tokens else f'no (want {want_tokens})'}")
     same_bytes = mpc_bytes == want_bytes
     print(f"matches pinned MPC bytes: {'yes' if same_bytes else f'no (want {want_bytes})'}")
-    return 0 if match and same_tokens and same_bytes else 1
+    same_masks = masks == want_masks
+    print(f"matches pinned mask stream: {'yes' if same_masks else f'no (want {want_masks})'}")
+    return 0 if match and same_tokens and same_bytes and same_masks else 1
 
 
 if __name__ == "__main__":
