@@ -17,15 +17,28 @@ reduced lazily (Harvey, J. Symb. Comp. 2014): they lie in [0, bound * p)
 and are reduced mod p only where an operation needs residues.  ``add``
 and ``add_plain`` return the plain sum, whose bound is the sum of the
 operands' bounds (a plaintext counts 1), and ``rotate`` passes the bound
-through, so none of them reduces.  ``mult_plain`` and ``mult_cipher``
-reduce their product in place and return bound 1; when the product of
-the operand bounds could wrap int64 (above (2^63 - 1) // p^2: 2,047 at
-p ~ 2^26, 31 at p ~ 2^29, 2 at p ~ 2^31), they reduce the unreduced
-operands first.  A sum whose bound would pass (2^63 - 1) // p - 1
-reduces its operands first and has bound 2.  ``decrypt`` and the
-``slots`` property give residues; ``encrypt``, ``load_ciphertext`` and
-every product give bound 1.  The op sequence, ids, budgets and counts do
-not depend on the bounds.  A plaintext operand is a
+through, so none of them reduces.  A sum whose bound would pass the add
+cap (2^63 - 1) // p - 1 reduces its operands first and has bound 2.
+
+A product of operands at bounds ka and kb (a plaintext counts 1) has
+raw slots below ka * kb * p^2, so bound ka * kb * p.  When ka * kb
+passes the product cap (2^63 - 1) // p^2 (2,047 at p ~ 2^26, 31 at
+p ~ 2^29, 2 at p ~ 2^31) the product could wrap int64, so the operand of
+the larger bound is reduced first and the other only if the product
+still could.  The product then stays unreduced while
+``LAZY_PRODUCT_HEADROOM`` products of its bound still sum under the add
+cap, which leaves room for the sums and folds that follow it; otherwise
+it is reduced in place and has bound 1.  The add cap is about 2^63 / p,
+so the room a p-bounded product leaves, about 2^63 / p^2 such terms,
+depends on p: at p ~ 2^26 (2,047 terms) a product of operand bounds up
+to 31 stays lazy (the CPVM, mask and cache-append products), while from
+p ~ 2^29 on (under 32 terms), where a 4,096-term CPVM sum of lazy
+products would keep taking the add-cap fallback, every product is
+reduced.  Every reduction divides by p held
+as a 0-d int64 array (``Context.modulus``), built once per context.
+``decrypt`` and the ``slots`` property give residues; ``encrypt`` and
+``load_ciphertext`` give bound 1.  The op sequence, ids, budgets and
+counts do not depend on the bounds.  A plaintext operand is a
 ``Plaintext``, a read-only 2-tuple ``(slots, params)`` whose slots are
 already reduced mod p; only ``Context.plain`` and ``Context.plains`` make
 one, so a plaintext that is used many times (a weight diagonal, a mask)
@@ -86,6 +99,16 @@ MAX_PLAIN_MODULUS = 1 << 31
 #   concat  1.98  1.97  1.95  2.08  2.40  4.42
 #   gather  0.70  1.11  1.76  2.69  4.69  14.6
 ROTATE_GATHER_MAX_SLOTS = 512
+
+# a product stays unreduced only while this many products of its bound
+# still sum under the add cap, so the sums and folds after it rarely take
+# the add-cap fallback.  A p-bounded product leaves room for about
+# 2^63 / p^2 terms, so at p ~ 2^26 (2,047) a product of operand bounds up
+# to 31 stays lazy, and at p >= 2^29 (under 32) every product is reduced.  At 16, 64 and 256
+# alike, toy decode steps (n=64, p ~ 2^26) took 2-3% less time than with
+# every product reduced (in-process A/B of 100 interleaved steps, 2-core
+# x86-64 host).
+LAZY_PRODUCT_HEADROOM = 64
 
 PlainVector = np.ndarray
 
@@ -250,9 +273,12 @@ class SlotCiphertext(tuple):
 
     The tuple's first item holds the raw, possibly unreduced slot values,
     with ``0 <= raw < bound * p``; the ``slots`` property gives them
-    reduced mod p.  ``bound`` defaults to 1 (fully reduced), so a
-    ciphertext built from four fields, or unpickled from the 4-tuple
-    form, is a reduced one.
+    reduced mod p.  A sum or rotation keeps its operands' bounds unreduced,
+    and so does a product while ``LAZY_PRODUCT_HEADROOM`` products of its
+    bound fit the add cap, which at p ~ 2^26 holds for operand bounds up to
+    31 and from p ~ 2^29 on for none (see the module docstring).
+    ``bound`` defaults to 1 (fully reduced), so a ciphertext built from
+    four fields, or unpickled from the 4-tuple form, is a reduced one.
 
     The raw array is made read-only on construction, and pickle and copy
     rebuild a ciphertext through ``__new__`` with its bound, so an
@@ -314,6 +340,7 @@ class Plaintext(tuple):
 
 _context_uid = itertools.count()
 _new_tuple = tuple.__new__
+_INT64 = np.dtype(np.int64)
 _INCOMPATIBLE = "ciphertext belongs to an incompatible context"
 _INCOMPATIBLE_PLAIN = "plaintext belongs to an incompatible context"
 
@@ -358,6 +385,14 @@ class Context:
         # raw slot values cannot wrap int64
         self._add_cap = (2**63 - 1) // self._p - 1
         self._mult_cap = (2**63 - 1) // self._p**2
+        # largest product of operand bounds whose product stays unreduced:
+        # its bound times LAZY_PRODUCT_HEADROOM still fits the add cap
+        self._lazy_cap = self._add_cap // LAZY_PRODUCT_HEADROOM // self._p
+        # every reduction divides by p as a 0-d int64 array, which numpy
+        # takes faster than a Python int (0.6-0.7 against 1.0 µs at n=64,
+        # numpy 2.4.6, 2-core x86-64 host)
+        self._modulus = np.array(self._p, dtype=np.int64)
+        self._modulus.setflags(False)
         self.counter = OpCounter()
         self._seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._next_id = next(_context_uid) * 1_000_000_000
@@ -369,6 +404,12 @@ class Context:
     def params(self) -> BackendParams:
         """The parameters every ciphertext of this context is checked against."""
         return self._params
+
+    @property
+    def modulus(self) -> np.ndarray:
+        """The plain modulus p as a read-only 0-d int64 array, the divisor
+        of every reduction mod p."""
+        return self._modulus
 
     # ------------------------------------------------------------------
     # helpers
@@ -388,12 +429,14 @@ class Context:
             raise ParameterError(
                 "a SlotCiphertext was passed where a plaintext vector is expected"
             )
-        arr = np.asarray(v)
-        if arr.ndim != 1 or arr.shape[0] != self._n or arr.dtype.kind not in "iu":
+        arr = v if type(v) is np.ndarray else np.asarray(v)
+        if arr.ndim != 1 or arr.shape[0] != self._n or arr.dtype is not _INT64 and arr.dtype.kind not in "iu":
             raise ParameterError(
                 f"expected an integer vector of length {self._n}, got {arr.dtype} of shape {arr.shape}"
             )
-        return _plaintext(np.mod(arr.astype(np.int64, copy=False), self._p), params)
+        if arr.dtype is not _INT64:
+            arr = arr.astype(np.int64)
+        return _plaintext(arr % self._modulus, params)
 
     def plains(self, rows) -> list:
         """Encode the rows of a k x n integer matrix, reduced mod p in one
@@ -403,14 +446,14 @@ class Context:
         built for this call is never copied; any other input is converted
         to a fresh int64 array first.
         """
-        M = np.asarray(rows)
-        if M.ndim != 2 or M.shape[1] != self._n or M.dtype.kind not in "iu":
+        M = rows if type(rows) is np.ndarray else np.asarray(rows)
+        if M.ndim != 2 or M.shape[1] != self._n or M.dtype is not _INT64 and M.dtype.kind not in "iu":
             raise ParameterError(
                 f"expected an integer matrix of {self._n} columns, got {M.dtype} of shape {M.shape}"
             )
-        if M.dtype != np.int64 or not M.flags.writeable:
+        if M.dtype is not _INT64 or not M.flags.writeable:
             M = M.astype(np.int64)
-        np.mod(M, self._p, out=M)
+        np.remainder(M, self._modulus, M)
         M.setflags(False)
         params = self._params
         return [_new_tuple(Plaintext, (row, params)) for row in M]
@@ -425,7 +468,7 @@ class Context:
             raise ParameterError("vector longer than slot count")
         out = np.zeros(self._n, dtype=np.int64)
         out[: arr.shape[0]] = arr
-        return _plaintext(np.mod(out, self._p, out=out), self._params)
+        return _plaintext(np.remainder(out, self._modulus, out), self._params)
 
     def zeros(self) -> PlainVector:
         return np.zeros(self.params.n_slots, dtype=np.int64)
@@ -450,11 +493,11 @@ class Context:
         return self._seed_seq.spawn(1)[0]
 
     def fork(self) -> "Context":
-        """Child context sharing params, masks and the rotation table, with
-        its own counter, seed and ids; counters merge at the join."""
+        """Child context sharing params, masks, the rotation table and the
+        seed sequence, with its own counter and ids; counters merge at the
+        join.  Seeds spawned from a context and its forks never repeat."""
         child = copy.copy(self)
         child.counter = OpCounter()
-        child._seed_seq = self.spawn_seed()
         child._next_id = next(_context_uid) * 1_000_000_000
         return child
 
@@ -497,7 +540,7 @@ class Context:
             )
         self.counter.decrypt += 1
         raw = ct[0]
-        return raw % self._p if ct[4] > 1 else raw.copy()
+        return raw % self._modulus if ct[4] > 1 else raw.copy()
 
     def add(self, a: SlotCiphertext, b: SlotCiphertext) -> SlotCiphertext:
         sa, ba, _, pa, ka = a
@@ -511,7 +554,8 @@ class Context:
         self.counter.add += 1
         bound = ka + kb
         if bound > self._add_cap:
-            slots, bound = sa % self._p + sb % self._p, 2
+            p = self._modulus
+            slots, bound = sa % p + sb % p, 2
         else:
             slots = sa + sb
         slots.setflags(False)
@@ -533,7 +577,7 @@ class Context:
         self.counter.add_plain += 1
         bound = ka + 1
         if bound > self._add_cap:
-            slots, bound = sa % self._p + v, 2
+            slots, bound = sa % self._modulus + v, 2
         else:
             slots = sa + v
         slots.setflags(False)
@@ -553,13 +597,16 @@ class Context:
         if have < cost:
             raise NoiseBudgetExhausted(f"operation needs {cost} bits but only {have} remain")
         self.counter.mult_plain += 1
-        p = self._p
         if ka > self._mult_cap:
-            sa = sa % p
+            sa, ka = sa % self._modulus, 1
         slots = sa * v
-        np.remainder(slots, p, out=slots)
+        if ka > self._lazy_cap:
+            np.remainder(slots, self._modulus, slots)
+            bound = 1
+        else:
+            bound = ka * self._p
         slots.setflags(False)
-        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params, 1))
+        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params, bound))
         self._next_id += 1
         return ct
 
@@ -573,16 +620,23 @@ class Context:
         if have < cost:
             raise NoiseBudgetExhausted(f"operation needs {cost} bits but only {have} remain")
         self.counter.mult_cipher += 1
-        p = self._p
-        if ka * kb > self._mult_cap:
-            if ka > 1:
-                sa = sa % p
-            if kb > 1:
-                sb = sb % p
+        k = ka * kb
+        if k > self._mult_cap:
+            # reduce the operand of the larger bound, the other only if
+            # the product could still wrap
+            if ka < kb:
+                sa, sb, ka, kb = sb, sa, kb, ka
+            sa, k = sa % self._modulus, kb
+            if k > self._mult_cap:
+                sb, k = sb % self._modulus, 1
         slots = sa * sb
-        np.remainder(slots, p, out=slots)
+        if k > self._lazy_cap:
+            np.remainder(slots, self._modulus, slots)
+            bound = 1
+        else:
+            bound = k * self._p
         slots.setflags(False)
-        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params, 1))
+        ct = _new_tuple(SlotCiphertext, (slots, have - cost, self._next_id, params, bound))
         self._next_id += 1
         return ct
 

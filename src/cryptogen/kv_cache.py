@@ -153,14 +153,22 @@ def maybe_refresh(
     cache: KVCache, ctx: Context, ch: MpcChannel, force: bool = False
 ) -> KVCache:
     """Round-trip every part at or below the refresh threshold (all parts
-    when forced).  Decoded values are unchanged; budgets reset to full."""
+    when forced).  Decoded values are unchanged; budgets reset to full.
+    A cache with no such part is returned as is."""
     threshold = ctx.params.refresh_threshold
+
+    def due(part) -> bool:
+        return force or part.noise_budget <= threshold
+
+    stale = [(name, seg) for name, seg in cache.segments() if any(map(due, seg.parts))]
+    if not stale:
+        return cache
     segments = {}
     events = []
-    for name, seg in cache.segments():
+    for name, seg in stale:
         parts = list(seg.parts)
         for i, part in enumerate(parts):
-            if force or part.noise_budget <= threshold:
+            if due(part):
                 sent = ctx.counter.mpc_bytes
                 parts[i] = refresh(part, ctx, ch)
                 ctx.counter.refresh_events += 1
@@ -176,8 +184,6 @@ def maybe_refresh(
                     )
                 )
         segments[name] = PackedMatrix(seg.encoding, parts)
-    if not events:
-        return cache
     # segment names are the KVCache field names
     return replace(cache, **segments, refresh_log=cache.refresh_log + tuple(events))
 

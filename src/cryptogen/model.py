@@ -4,8 +4,9 @@ plaintext fixed-point oracle it is verified against.
 Weights are stored as signed scale-f integers in read-only arrays, so a
 model is independent of the backend modulus; the linear kernels reduce
 them mod p.  A model keeps the CPVM plaintexts of each weight it has
-multiplied by during decoding, per backend parameters, and reuses them for
-every later token, as a server holding the weights would.  The
+multiplied by during decoding, and the plaintext of each bias it has added
+to a decoded token, per backend parameters, and reuses them for every
+later token, as a server holding the weights would.  The
 encrypted pipeline and the oracle share the arithmetic in ``fixedpoint``
 (one implementation of truncation, GELU, softmax, layernorm), which is what
 makes token-exact equivalence checkable.
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .arcc import attention_step, prefill_attention
-from .backend import Context, ParameterError
+from .backend import Context, ParameterError, Plaintext
 from .encodings import Encoding, EncodingKind, PackedMatrix, encode, load_matrix, save_matrix
 from .fixedpoint import (
     FixedPointParams,
@@ -90,8 +91,8 @@ def toy_config() -> ModelConfig:
 @dataclass
 class Model:
     """A model's config and weights.  The weight arrays are made read-only
-    here, so the CPVM plaintexts memoized from them can never go stale; a
-    copy or an unpickled model is made the same way, with no memo."""
+    here, so the plaintexts memoized from them can never go stale; a copy
+    or an unpickled model is made the same way, with no memo."""
 
     config: ModelConfig
     weights: dict  # name -> signed int64 array at scale f
@@ -101,6 +102,8 @@ class Model:
             W.setflags(False)
         # (weight name, head or None, BackendParams) -> CpvmPlaintexts
         self._cpvm: dict = {}
+        # (bias name, BackendParams) -> Plaintext
+        self._bias: dict = {}
 
     def __getstate__(self):
         return {"config": self.config, "weights": self.weights}
@@ -128,6 +131,16 @@ class Model:
         if prepared is None:
             prepared = self._cpvm[key] = cpvm_plaintexts(self.weight(name, head), ctx)
         return prepared
+
+    def token_bias(self, name: str, ctx: Context) -> Plaintext:
+        """Bias row ``name`` at scale 2f, in the first slots of a plaintext
+        under ctx's params, as an inner-packed token's projection takes it;
+        encoded on first use and kept for every later call."""
+        key = (name, ctx.params)
+        bias = self._bias.get(key)
+        if bias is None:
+            bias = self._bias[key] = ctx.plain_from_dense(self.weights[name] << self.config.f)
+        return bias
 
     def fixed_point(self, ctx: Context) -> FixedPointParams:
         return FixedPointParams(self.config.f, ctx.params.plain_modulus)
@@ -341,7 +354,7 @@ def oracle_generate(model: Model, prompt: list, k: int, p: int) -> list:
 # m x d prompt slab outer-packed (one ciphertext per column, m payload
 # slots), decode on a 1 x d token inner-packed (one ciphertext, d payload
 # slots).  The layer body below is written once over slabs; a stage
-# supplies the three steps that depend on the packing.
+# supplies the four steps that depend on the packing.
 
 
 def _inner_row(ct, cols: int) -> PackedMatrix:
@@ -369,16 +382,6 @@ def _add(A: PackedMatrix, B: PackedMatrix, ctx) -> PackedMatrix:
     return PackedMatrix(A.encoding, [ctx.add(a, b) for a, b in zip(A.parts, B.parts)])
 
 
-def _add_bias(P: PackedMatrix, bias: np.ndarray, ctx) -> PackedMatrix:
-    """Add a plaintext bias row to every row of the slab; the payload of
-    every part is encoded in one ``plains`` call."""
-    rows = P.payloads(np.broadcast_to(bias, (P.rows, P.cols)))
-    padded = np.zeros((rows.shape[0], ctx.params.n_slots), dtype=np.int64)
-    padded[:, : rows.shape[1]] = rows
-    parts = [ctx.add_plain(part, v) for part, v in zip(P.parts, ctx.plains(padded))]
-    return PackedMatrix(P.encoding, parts)
-
-
 def _layernorm_rows(model: Model, l: int, name: str, fp):
     gain, bias = model.layer(l, f"{name}_g"), model.layer(l, f"{name}_b")
     return lambda M: np.stack([fp_layernorm(row, gain, bias, fp) for row in M])
@@ -395,6 +398,18 @@ class _Prefill:
     @staticmethod
     def attend(cache, q, k, v, fp, ctx, mpc):
         return prefill_attention(q, k, v, fp, ctx, mpc), init_cache(k, v, ctx)
+
+    @staticmethod
+    def bias(P, model, name, ctx):
+        """Add bias row ``name`` to every row of the slab.  The payloads
+        depend on m, so they are encoded per call, every part's in one
+        ``plains`` call."""
+        bias = model.weights[name] << model.config.f
+        rows = P.payloads(np.broadcast_to(bias, (P.rows, P.cols)))
+        padded = np.zeros((rows.shape[0], ctx.params.n_slots), dtype=np.int64)
+        padded[:, : rows.shape[1]] = rows
+        parts = [ctx.add_plain(part, v) for part, v in zip(P.parts, ctx.plains(padded))]
+        return PackedMatrix(P.encoding, parts)
 
     @staticmethod
     def concat(heads, ctx):
@@ -415,6 +430,10 @@ class _Decode:
     def attend(cache, q, k, v, fp, ctx, mpc):
         cache = append_token(cache, k.parts[0], v.parts[0], ctx)
         return _inner_row(attention_step(q.parts[0], cache, fp, ctx, mpc), q.cols), cache
+
+    @staticmethod
+    def bias(x, model, name, ctx):
+        return _inner_row(ctx.add_plain(x.parts[0], model.token_bias(name, ctx)), x.cols)
 
     @staticmethod
     def concat(heads, ctx):
@@ -499,9 +518,9 @@ def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, ctx, chans, thr
 
     attn = _truncated(dense(O, "wo"), fp, ctx, ch)
     X = _roundtrip(_add(X, attn, ctx), _layernorm_rows(model, l, "ln1", fp), ctx, ch)
-    H = _add_bias(dense(X, "w1"), model.layer(l, "b1") << fp.f, ctx)
+    H = stage.bias(dense(X, "w1"), model, f"layer{l}.b1", ctx)
     H = _roundtrip(H, lambda M: fp_gelu(fp_truncate(M, fp.f), fp), ctx, ch)
-    H = _add_bias(dense(H, "w2"), model.layer(l, "b2") << fp.f, ctx)
+    H = stage.bias(dense(H, "w2"), model, f"layer{l}.b2", ctx)
     H = _roundtrip(H, lambda M: fp_truncate(M, fp.f), ctx, ch)
     return _roundtrip(_add(X, H, ctx), _layernorm_rows(model, l, "ln2", fp), ctx, ch)
 

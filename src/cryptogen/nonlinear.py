@@ -128,7 +128,7 @@ def he_to_shares(cts, ctx: Context, ch: MpcChannel, length: int | None = None) -
     for i, (ct, neg) in enumerate(zip(cts, ctx.plains(-r))):
         values[i] += ctx.decrypt(ctx.add_plain(ct, neg))[:length]
     ctx.counter.mpc_bytes += ch.transfer(n, trips=len(cts))
-    values %= p
+    np.remainder(values, ctx.modulus, values)
     values -= half
     return values
 
@@ -167,11 +167,12 @@ def shares_to_he(rows, ctx: Context, ch: MpcChannel):
 def refresh(ct: SlotCiphertext, ctx: Context, ch: MpcChannel) -> SlotCiphertext:
     """A fresh encryption of the ciphertext's slots: the server masks it
     with r, the client decrypts its share and re-encrypts it, the server
-    adds r back.  Four HE ops, one n-word transfer each way, n mask words."""
-    p = ctx.params.plain_modulus
+    adds r back.  Four HE ops, one n-word transfer each way, n mask words;
+    -r and r are encoded in one ``plains`` call."""
     r = ch.sample_mask(ctx.params.n_slots)
-    share = ctx.decrypt(ctx.add_plain(ct, p - r))
-    out = ctx.add_plain(ctx.encrypt(share), r)
+    neg, pos = ctx.plains(np.stack((-r, r)))
+    share = ctx.decrypt(ctx.add_plain(ct, neg))
+    out = ctx.add_plain(ctx.encrypt(share), pos)
     ctx.counter.mpc_bytes += ch.transfer(r.shape[0], trips=2)
     return out
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryptogen.backend import (
+    LAZY_PRODUCT_HEADROOM,
     BackendParams,
     Context,
     DecryptionFailure,
@@ -511,6 +512,16 @@ def test_counter_merge_and_fork(ctx16):
     assert merged.mult_plain == 3 and merged.rotate == 5
 
 
+def test_forks_share_the_seed_sequence_and_never_repeat_a_spawn(ctx16):
+    """A fork spawns from its parent's seed sequence, so a parent and two
+    forks spawn three distinct seeds, and forking spawns none."""
+    first, second = ctx16.fork(), ctx16.fork()
+    seeds = [ctx.spawn_seed() for ctx in (ctx16, first, second)]
+    states = {tuple(s.generate_state(4)) for s in seeds}
+    assert len(states) == 3
+    assert [s.spawn_key for s in seeds] == [(0,), (1,), (2,)]
+
+
 def test_ciphertexts_are_immutable(ctx16):
     ct = ctx16.encrypt(ctx16.plain_from_dense([1, 2]))
     with pytest.raises(ValueError):
@@ -583,16 +594,36 @@ def _caps(p: int) -> tuple:
     return _INT64_MAX // p - 1, _INT64_MAX // p**2
 
 
+def _product_bound(p: int, ka: int, kb: int) -> int:
+    """The bound of a product of operands at bounds ka and kb (a plaintext
+    counts 1): past the product cap the operand of the larger bound is
+    reduced, then the other if still needed; the product keeps its
+    bound ka * kb * p while LAZY_PRODUCT_HEADROOM such products fit the
+    add cap, and is reduced to bound 1 otherwise."""
+    add_cap, mult_cap = _caps(p)
+    if ka * kb > mult_cap:
+        ka, kb = min(ka, kb), 1
+        if ka > mult_cap:
+            ka = 1
+    k = ka * kb * p
+    return k if k * LAZY_PRODUCT_HEADROOM <= add_cap else 1
+
+
 @st.composite
 def _bounded_operands(draw):
     """A context at a drawn modulus, two ciphertexts at drawn bounds near
     both caps and one plaintext, every raw slot at its largest value
     bound * p - 1 but one drawn slot anywhere in [0, bound * p)."""
-    p = draw(st.sampled_from([_P_TOY, _P_REF, default_plain_modulus(64, 30), _P_LARGEST]))
+    p = draw(st.sampled_from(
+        [default_plain_modulus(64, 20), _P_TOY, _P_REF, default_plain_modulus(64, 30), _P_LARGEST]
+    ))
     n = 64
     ctx = Context(BackendParams(n_slots=n, plain_modulus=p), seed=0)
     add_cap, mult_cap = _caps(p)
-    near = st.sampled_from(sorted({1, 2, 3, mult_cap, mult_cap + 1, add_cap // 2, add_cap - 1, add_cap}))
+    lazy = add_cap // LAZY_PRODUCT_HEADROOM // p  # largest ka * kb of a lazy product
+    near = st.sampled_from(
+        sorted({1, 2, 3, lazy, lazy + 1, mult_cap, mult_cap + 1, add_cap // 2, add_cap - 1, add_cap} - {0})
+    )
 
     def operand(tag):
         bound = draw(near, label=f"bound {tag}")
@@ -625,11 +656,13 @@ def _assert_reduced_view(ct) -> None:
 @settings(max_examples=200, deadline=None)
 @given(_bounded_operands(), st.integers(-70, 70))
 def test_lazy_reduction_matches_integer_reference_near_both_caps(case, k):
-    """Every op on operands at bounds around the add cap ((2^63 - 1) // p - 1)
-    and the product cap ((2^63 - 1) // p^2), with every slot at its
-    largest raw value, equals Python-int arithmetic mod p, and its result
-    keeps the bound invariant: no int64 value wraps, from the toy modulus
-    up to the largest admissible one."""
+    """Every op on operands at bounds around the add cap ((2^63 - 1) // p - 1),
+    the product cap ((2^63 - 1) // p^2) and the largest bound product of
+    a lazy product, with every slot at its largest raw value, equals
+    Python-int arithmetic mod p, and its result keeps the bound invariant:
+    no int64 value wraps, from a 2^20 modulus up to the largest admissible
+    one.  A product's bound is the one the lazy-product rule gives, so
+    from p ~ 2^29 on every product is reduced."""
     ctx, a, b, v = case
     p = ctx.params.plain_modulus
     ra, rb, rv = _residues(a), _residues(b), [int(x) for x in v.slots]
@@ -652,7 +685,10 @@ def test_lazy_reduction_matches_integer_reference_near_both_caps(case, k):
         assert ct.slots.tolist() == want[op], op
         plain = ctx.decrypt(ct)
         assert plain.tolist() == want[op] and plain.flags.writeable, op
-    assert got["mult_plain"].bound == got["mult_cipher"].bound == 1
+    assert got["mult_plain"].bound == _product_bound(p, a.bound, 1)
+    assert got["mult_cipher"].bound == _product_bound(p, a.bound, b.bound)
+    if p > 2**29:
+        assert got["mult_plain"].bound == got["mult_cipher"].bound == 1
     assert got["rotate"].bound == a.bound
     for ct in (a, b):
         _assert_reduced_view(ct)
@@ -664,6 +700,15 @@ def test_lazy_reduction_matches_integer_reference_near_both_caps(case, k):
     assert twice.slots.tolist() == [2 * x % p for x in want["add"]]
     assert ctx.mult_cipher(s, twice).slots.tolist() == [2 * x * x % p for x in want["add"]]
     assert ctx.mult_plain(twice, v).slots.tolist() == [2 * x * y % p for x, y in zip(want["add"], rv)]
+    # a possibly lazy product carries its bound into the next product
+    mp, mc = got["mult_plain"], got["mult_cipher"]
+    for ct, want_slots, bound in [
+        (ctx.mult_cipher(mp, mc), [x * y % p for x, y in zip(want["mult_plain"], want["mult_cipher"])],
+         _product_bound(p, mp.bound, mc.bound)),
+        (ctx.mult_plain(mc, v), [x * y % p for x, y in zip(want["mult_cipher"], rv)], _product_bound(p, mc.bound, 1)),
+    ]:
+        _assert_reduced_view(ct)
+        assert ct.slots.tolist() == want_slots and ct.bound == bound
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from cryptogen.backend import BackendParams, Context
-from cryptogen.model import generate, generate_toy_model, toy_config
+from cryptogen.model import generate, generate_toy_model, oracle_generate, toy_config
 
 PARAMS_TOY = Path(__file__).resolve().parents[1] / "configs" / "params_toy.json"
 PROMPT = [3, 14, 15, 9, 26]
@@ -127,3 +127,28 @@ def test_golden_mask_stream(threshold):
     model = generate_toy_model(toy_config(), seed=0)
     *_, masks = _digest_tool().digest_run(model, PROMPT, len(TOKENS), _toy_params(threshold))
     assert masks == MASK_STREAM[threshold]
+
+
+# the toy model at the reference modulus (n=8192, p = 536,903,681), where
+# every product is reduced and the rotations slice: 43,301 HE ops
+PARAMS_REFERENCE = PARAMS_TOY.parent / "params_reference.json"
+REFERENCE_TOTALS = {
+    "mult_plain": 2736,
+    "mult_cipher": 944,
+    "rotate": 17682,
+    "add": 18230,
+    "add_plain": 1929,
+    "encrypt": 898,
+    "decrypt": 882,
+    "refresh_events": 0,
+    "mpc_bytes": 53024256,
+}
+
+
+def test_golden_counts_at_the_reference_modulus():
+    params = BackendParams.from_json(PARAMS_REFERENCE.read_text())
+    model = generate_toy_model(toy_config(), seed=0)
+    prompt = PROMPT[:4]
+    tokens, report = generate(model, prompt, 3, Context(params, seed=0), seed=0)
+    assert tokens == oracle_generate(model, prompt, 3, params.plain_modulus) == [45, 11, 63]
+    assert report["totals"] == REFERENCE_TOTALS

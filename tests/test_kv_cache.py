@@ -134,6 +134,7 @@ def test_refresh_restores_budget_and_values():
     assert part.noise_budget == ctx.params.initial_noise_budget
     assert (part.slots == before_vals).all()
     assert len(out.refresh_log) == 1
+    assert out.auto_V is cache.auto_V  # a segment with no part due is kept
     ev = out.refresh_log[0]
     assert ev.segment == "auto_K" and not ev.forced
     assert ev.budget_before <= ctx.params.refresh_threshold

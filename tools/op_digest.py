@@ -23,10 +23,17 @@ is the check that it moved no mask word.
 
     python3 tools/op_digest.py --shape decode_long     # n=64, prompt 8, k=144
     python3 tools/op_digest.py --shape refresh_churn   # threshold 170, prompt 32, k=112
+    python3 tools/op_digest.py --shape paper1          # n=8192, one paper-width layer, k=2
 
-The run uses ``configs/params_toy.json`` and the toy model; the prompt is
-drawn with seed 1, the ``Context`` and the ``generate`` seed are 0.  Run
-from a checkout: ``src/`` is put on the path.
+The toy shapes run the toy model on ``configs/params_toy.json``, with the
+first 8 or 32 tokens that ``numpy.random.default_rng(1)`` draws over its
+vocabulary as the prompt.  ``paper1`` runs one layer at the paper's width
+(d1=768, 12 heads, ffn 3072, vocab 64, weights drawn with seed 0) on
+``configs/params_reference.json`` (n=8192, p = 536,903,681) with prompt
+[1, 2, 3, 4]: the one pinned pipeline that reaches the sliced rotation
+above 512 slots and the reduction caps of the reference modulus (about
+20 s on a 2-core x86-64 host).  The ``Context`` and the ``generate`` seed
+are 0.  Run from a checkout: ``src/`` is put on the path.
 """
 
 from __future__ import annotations
@@ -37,20 +44,36 @@ import hashlib
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # the counted operations and how many of their leading arguments are ciphertexts
 CT_OPERANDS = {"encrypt": 0, "decrypt": 1, "add": 2, "add_plain": 1, "mult_plain": 1, "mult_cipher": 2, "rotate": 1}
 
-# (prompt length, tokens generated, refresh threshold or None,
-#  expected sha256, expected op count, expected tokens, expected MPC bytes,
-#  expected mask stream: sha256, draws, words)
+TOY_PROMPT = (30, 32, 48, 60, 2, 9, 52, 60, 15, 19, 55, 27, 17, 52, 16, 26,
+              41, 35, 5, 1, 55, 48, 53, 34, 52, 21, 28, 50, 7, 19, 7, 29)
+PAPER1_MODEL = {"layers": 1, "d1": 768, "heads": 12, "ffn_dim": 3072, "vocab": 64, "max_seq": 16, "f": 8}
+
+
+class Shape(NamedTuple):
+    model: dict | None  # ModelConfig fields, or None for toy_config(); generate_toy_model weights, seed 0
+    params: str  # file under configs/
+    threshold: int | None  # refresh threshold in place of the file's
+    prompt: tuple
+    k: int  # tokens generated
+    # pinned: op sequence sha256, op count, tokens, MPC bytes, and the mask
+    # stream (sha256, draws, words)
+    digest: str
+    ops: int
+    tokens: list
+    mpc_bytes: int
+    masks: tuple
+
+
 SHAPES = {
-    "decode_long": (
-        8, 144, None,
+    "decode_long": Shape(
+        None, "params_toy.json", None, TOY_PROMPT[:8], 144,
         "cffddb9c279b3c14c7088ce9939dee4172520dcbb473f6f66211c155132258f1", 743_073,
         [
             28, 9, 15, 12, 58, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 26, 63, 34, 58, 27, 27, 27, 15, 12,
@@ -63,8 +86,8 @@ SHAPES = {
         10_841_400,
         ("979e79db51392ce4677c9e238979b0174c6712b2c3e2cd8cae360176aa9c47bf", 17_434, 2_015_776),
     ),
-    "refresh_churn": (
-        32, 112, 170,
+    "refresh_churn": Shape(
+        None, "params_toy.json", 170, TOY_PROMPT, 112,
         "6ec7e354cfff2a6955c9653f5e9c62d1df5ba92343feaf713627a4f1ae83642d", 612_129,
         [
             55, 27, 27, 27, 27, 55, 11, 63, 29, 56, 60, 44, 9, 46, 12, 14, 49, 60, 26, 12, 58, 27, 55, 47,
@@ -75,6 +98,13 @@ SHAPES = {
         ],
         9_014_392,
         ("ab8188fa04a847bbc9844f26c7ebda41c0b36cc77de572369ba96f4896704fef", 15_690, 1_520_672),
+    ),
+    "paper1": Shape(
+        PAPER1_MODEL, "params_reference.json", None, (1, 2, 3, 4), 2,
+        "bdc8347c9405b7bdeef13d37d7219c1def127ea777e17a5cecbc904cfdef65c1", 544_491,
+        [49, 39],
+        602_533_200,
+        ("9602d7fe67228d8cc6ba09533ff17a0ac1070b0a74b76a14f14abbc01c40adae", 8_058, 83_696_672),
     ),
 }
 
@@ -180,28 +210,27 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(ROOT / "src"))
     from cryptogen.backend import BackendParams
-    from cryptogen.model import generate_toy_model, toy_config
+    from cryptogen.model import ModelConfig, generate_toy_model, toy_config
 
-    prompt_len, k, threshold, want_digest, want_ops, want_tokens, want_bytes, want_masks = SHAPES[args.shape]
-    params = BackendParams.from_json((ROOT / "configs" / "params_toy.json").read_text())
-    if threshold is not None:
-        params = dataclasses.replace(params, refresh_threshold=threshold)
-    model = generate_toy_model(toy_config(), seed=0)
-    rng = np.random.default_rng(1)
-    prompt = [int(t) for t in rng.integers(0, model.config.vocab, prompt_len)]
-    digest, tokens, ops, mpc_bytes, masks = digest_run(model, prompt, k, params)
+    shape = SHAPES[args.shape]
+    params = BackendParams.from_json((ROOT / "configs" / shape.params).read_text())
+    if shape.threshold is not None:
+        params = dataclasses.replace(params, refresh_threshold=shape.threshold)
+    config = toy_config() if shape.model is None else ModelConfig(**shape.model)
+    model = generate_toy_model(config, seed=0)
+    digest, tokens, ops, mpc_bytes, masks = digest_run(model, list(shape.prompt), shape.k, params)
     print(f"shape {args.shape}  ops {ops}  mpc_bytes {mpc_bytes}")
     print(f"tokens {tokens}")
     print(f"sha256 {digest}")
     print(f"mask stream sha256 {masks[0]}  draws {masks[1]}  words {masks[2]}")
-    match = (digest, ops) == (want_digest, want_ops)
-    print(f"matches pinned digest: {'yes' if match else f'no (want {want_digest}, {want_ops} ops)'}")
-    same_tokens = tokens == want_tokens
-    print(f"matches pinned tokens: {'yes' if same_tokens else f'no (want {want_tokens})'}")
-    same_bytes = mpc_bytes == want_bytes
-    print(f"matches pinned MPC bytes: {'yes' if same_bytes else f'no (want {want_bytes})'}")
-    same_masks = masks == want_masks
-    print(f"matches pinned mask stream: {'yes' if same_masks else f'no (want {want_masks})'}")
+    match = (digest, ops) == (shape.digest, shape.ops)
+    print(f"matches pinned digest: {'yes' if match else f'no (want {shape.digest}, {shape.ops} ops)'}")
+    same_tokens = tokens == shape.tokens
+    print(f"matches pinned tokens: {'yes' if same_tokens else f'no (want {shape.tokens})'}")
+    same_bytes = mpc_bytes == shape.mpc_bytes
+    print(f"matches pinned MPC bytes: {'yes' if same_bytes else f'no (want {shape.mpc_bytes})'}")
+    same_masks = masks == shape.masks
+    print(f"matches pinned mask stream: {'yes' if same_masks else f'no (want {shape.masks})'}")
     return 0 if match and same_tokens and same_bytes and same_masks else 1
 
 
