@@ -9,7 +9,7 @@ so you can watch both the values and the ledger.
 
 import numpy as np
 
-from cryptogen import BackendParams, Context, DecryptionFailure
+from cryptogen.backend import BackendParams, Context, DecryptionFailure
 
 params = BackendParams(n_slots=16, plain_modulus=12289)  # 12289 = 1 mod 32
 ctx = Context(params, seed=0)

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from cryptogen import BackendParams, Context, EncodingKind, decode, encode
-from cryptogen.encodings import load_matrix, save_matrix
+from cryptogen.backend import BackendParams, Context
+from cryptogen.encodings import EncodingKind, decode, encode, load_matrix, save_matrix
 
 ctx = Context(BackendParams(n_slots=8, plain_modulus=17), seed=0)
 A = np.array([[1, 2], [3, 4], [5, 6]])

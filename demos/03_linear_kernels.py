@@ -12,9 +12,8 @@ the prompt was.  Both reduce with the rotate-and-accumulate folding sum.
 
 import numpy as np
 
-from cryptogen import BackendParams, Context, EncodingKind, decode, encode
-from cryptogen.backend import default_plain_modulus
-from cryptogen.encodings import pack_token_inner
+from cryptogen.backend import BackendParams, Context, default_plain_modulus
+from cryptogen.encodings import EncodingKind, decode, encode, pack_token_inner
 from cryptogen.linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal, fold_sum
 
 ctx = Context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)

@@ -13,10 +13,9 @@ cache ciphertext, not per token.
 
 import numpy as np
 
-from cryptogen import BackendParams, Context, EncodingKind, encode
 from cryptogen.arcc import arcc_inner_inner, arcc_inner_outer, broadcast_slot, compact_scores
-from cryptogen.backend import default_plain_modulus
-from cryptogen.encodings import pack_token_inner
+from cryptogen.backend import BackendParams, Context, default_plain_modulus
+from cryptogen.encodings import EncodingKind, encode, pack_token_inner
 
 ctx = Context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)
 p = ctx.params.plain_modulus

@@ -11,8 +11,7 @@ profile makes that happen quickly so you can watch it.
 
 import numpy as np
 
-from cryptogen import BackendParams, Context
-from cryptogen.backend import NoiseCosts, default_plain_modulus
+from cryptogen.backend import BackendParams, Context, NoiseCosts, default_plain_modulus
 from cryptogen.encodings import decode, pack_token_inner
 from cryptogen.kv_cache import append_token, cache_stats, init_cache, maybe_refresh
 from cryptogen.nonlinear import MpcChannel

@@ -12,8 +12,7 @@ value-exact.
 
 import numpy as np
 
-from cryptogen import BackendParams, Context
-from cryptogen.backend import default_plain_modulus
+from cryptogen.backend import BackendParams, Context, default_plain_modulus
 from cryptogen.model import generate, generate_toy_model, oracle_generate, toy_config
 
 cfg = toy_config()

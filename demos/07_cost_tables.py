@@ -9,8 +9,7 @@ The validator then checks a real run report against the growth laws.
 
 import numpy as np
 
-from cryptogen import BackendParams, Context
-from cryptogen.backend import default_plain_modulus
+from cryptogen.backend import BackendParams, Context, default_plain_modulus
 from cryptogen.costmodel import (
     predict_attention_costs,
     predict_costs,

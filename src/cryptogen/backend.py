@@ -80,9 +80,9 @@ __all__ = [
     "NoiseCosts",
     "OpCounter",
     "ParameterError",
-    "PlainVector",
     "Plaintext",
     "SlotCiphertext",
+    "as_int64",
     "default_plain_modulus",
     "is_prime",
 ]
@@ -109,8 +109,6 @@ ROTATE_GATHER_MAX_SLOTS = 512
 # every product reduced (in-process A/B of 100 interleaved steps, 2-core
 # x86-64 host).
 LAZY_PRODUCT_HEADROOM = 64
-
-PlainVector = np.ndarray
 
 
 class ParameterError(ValueError):
@@ -345,6 +343,20 @@ _INCOMPATIBLE = "ciphertext belongs to an incompatible context"
 _INCOMPATIBLE_PLAIN = "plaintext belongs to an incompatible context"
 
 
+def as_int64(values) -> np.ndarray:
+    """An integer array as int64, every value kept exactly: an int64 array
+    is returned as is.  Floats, bools and objects, and unsigned values
+    from 2^63 on, which int64 would wrap, raise ParameterError."""
+    arr = np.asarray(values)
+    if arr.dtype is _INT64:
+        return arr
+    if arr.dtype.kind not in "iu":
+        raise ParameterError(f"expected integers, got {arr.dtype} of shape {arr.shape}")
+    if arr.dtype.itemsize == 8 and arr.dtype.kind == "u" and arr.size and arr.max() >= 2**63:
+        raise ParameterError("unsigned values from 2^63 on do not fit int64: reduce them mod p first")
+    return arr.astype(np.int64)
+
+
 class _RotationTable(tuple):
     """The gather index of each shift k of rotate at n slots, k..k+n-1 mod
     n: read-only views of one doubled arange.  Pickles as its n, so an
@@ -429,30 +441,24 @@ class Context:
             raise ParameterError(
                 "a SlotCiphertext was passed where a plaintext vector is expected"
             )
-        arr = v if type(v) is np.ndarray else np.asarray(v)
-        if arr.ndim != 1 or arr.shape[0] != self._n or arr.dtype is not _INT64 and arr.dtype.kind not in "iu":
-            raise ParameterError(
-                f"expected an integer vector of length {self._n}, got {arr.dtype} of shape {arr.shape}"
-            )
-        if arr.dtype is not _INT64:
-            arr = arr.astype(np.int64)
+        arr = as_int64(v)
+        if arr.ndim != 1 or arr.shape[0] != self._n:
+            raise ParameterError(f"expected an integer vector of length {self._n}, got shape {arr.shape}")
         return _plaintext(arr % self._modulus, params)
 
     def plains(self, rows) -> list:
         """Encode the rows of a k x n integer matrix, reduced mod p in one
         numpy call; one ``Plaintext`` per row, each a view of its row.
 
-        An int64 array is reduced in place and made read-only, so a matrix
-        built for this call is never copied; any other input is converted
-        to a fresh int64 array first.
+        A writable int64 array is reduced in place and made read-only, so
+        a matrix built for this call is never copied; any other input is
+        converted to a fresh int64 array first, as ``as_int64`` takes it.
         """
-        M = rows if type(rows) is np.ndarray else np.asarray(rows)
-        if M.ndim != 2 or M.shape[1] != self._n or M.dtype is not _INT64 and M.dtype.kind not in "iu":
-            raise ParameterError(
-                f"expected an integer matrix of {self._n} columns, got {M.dtype} of shape {M.shape}"
-            )
-        if M.dtype is not _INT64 or not M.flags.writeable:
-            M = M.astype(np.int64)
+        M = as_int64(rows)
+        if M.ndim != 2 or M.shape[1] != self._n:
+            raise ParameterError(f"expected an integer matrix of {self._n} columns, got shape {M.shape}")
+        if not M.flags.writeable:
+            M = M.copy()
         np.remainder(M, self._modulus, M)
         M.setflags(False)
         params = self._params
@@ -461,16 +467,16 @@ class Context:
     def plain_from_dense(self, values) -> Plaintext:
         """Zero-pad a short integer vector into the first slots and encode
         it; any other input raises ParameterError, as in ``plain``."""
-        arr = np.asarray(values)
-        if arr.ndim != 1 or arr.dtype.kind not in "iu":
-            raise ParameterError(f"expected an integer vector, got {arr.dtype} of shape {arr.shape}")
+        arr = as_int64(values)
+        if arr.ndim != 1:
+            raise ParameterError(f"expected an integer vector, got shape {arr.shape}")
         if arr.shape[0] > self._n:
             raise ParameterError("vector longer than slot count")
         out = np.zeros(self._n, dtype=np.int64)
         out[: arr.shape[0]] = arr
         return _plaintext(np.remainder(out, self._modulus, out), self._params)
 
-    def zeros(self) -> PlainVector:
+    def zeros(self) -> np.ndarray:
         return np.zeros(self.params.n_slots, dtype=np.int64)
 
     def block_mask(self, start: int, width: int) -> Plaintext:
@@ -531,7 +537,7 @@ class Context:
         self.counter.encrypt += 1
         return self._emit(slots, self._params.initial_noise_budget)
 
-    def decrypt(self, ct: SlotCiphertext) -> PlainVector:
+    def decrypt(self, ct: SlotCiphertext) -> np.ndarray:
         """The slot values reduced mod p, in a fresh writable array."""
         self._check(ct)
         if ct.noise_budget <= 0:

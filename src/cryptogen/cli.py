@@ -71,7 +71,7 @@ def _emit(text: str, out: str | None) -> None:
 # ----------------------------------------------------------------------
 
 
-def run_verification(model, params: BackendParams, seed: int, threads: int = 1) -> dict:
+def run_verification(model, params: BackendParams, seed: int) -> dict:
     """Oracle-equivalence and invariant checks; deterministic given seed."""
     checks = []
 
@@ -102,7 +102,7 @@ def run_verification(model, params: BackendParams, seed: int, threads: int = 1) 
     # oracle lockstep generation
     prompt = [int(t) for t in rng.integers(0, cfg.vocab, 8)]
     ctx = Context(params, seed=seed)
-    tokens, report = generate(model, prompt, 8, ctx, seed=seed, threads=threads)
+    tokens, report = generate(model, prompt, 8, ctx, seed=seed)
     want = oracle_generate(model, prompt, 8, p)
     check("oracle_token_exactness", tokens == want, f"got {tokens} want {want}")
 
@@ -116,7 +116,7 @@ def run_verification(model, params: BackendParams, seed: int, threads: int = 1) 
     for m in (4, 8):
         ctx = Context(params, seed=seed)
         pm = [int(t) for t in rng.integers(0, cfg.vocab, m)]
-        _, rep = generate(model, pm, 3, ctx, seed=seed, threads=threads)
+        _, rep = generate(model, pm, 3, ctx, seed=seed)
         deltas[m] = [{k: s["counters"][k] for k in _HE_COUNTERS} for s in rep["steps"]]
     check("decode_prefix_independence", deltas[4] == deltas[8])
 
@@ -137,7 +137,7 @@ def run_verification(model, params: BackendParams, seed: int, threads: int = 1) 
 def cmd_verify(args) -> int:
     params = _load_params(args.params)
     model = _get_model(args)
-    summary = run_verification(model, params, args.seed, args.threads)
+    summary = run_verification(model, params, args.seed)
     _emit(json.dumps(summary, indent=2, sort_keys=True) + "\n", args.out)
     return 0 if summary["passed"] else 1
 
@@ -180,11 +180,11 @@ def _report_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bench_run(model, params, m, k, seed, threads):
+def _bench_run(model, params, m, k, seed):
     ctx = Context(params, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence([0xB3, seed]))
     prompt = [int(t) for t in rng.integers(0, model.config.vocab, m)]
-    _, report = generate(model, prompt, k, ctx, seed=seed, threads=threads)
+    _, report = generate(model, prompt, k, ctx, seed=seed)
     return report
 
 
@@ -197,7 +197,7 @@ def cmd_bench(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
 
     if not args.sweep:
-        report = _bench_run(model, params, args.prefill, args.gen, args.seed, args.threads)
+        report = _bench_run(model, params, args.prefill, args.gen, args.seed)
         csv_path = out.with_suffix(".csv")
         csv_path.write_text(_report_csv(report))
         validation = validate_against_counts(report) if args.gen >= 4 else None
@@ -207,7 +207,7 @@ def cmd_bench(args) -> int:
 
     summary = {"k_sweep": {}, "m_sweep": {}}
     for k in (8, 16, 32, 64):
-        report = _bench_run(model, params, args.prefill, k, args.seed, args.threads)
+        report = _bench_run(model, params, args.prefill, k, args.seed)
         path = Path(f"{out}_k{k}.csv")
         path.write_text(_report_csv(report))
         cum = np.cumsum([s["counters"]["mult_cipher"] for s in report["steps"]])
@@ -217,7 +217,7 @@ def cmd_bench(args) -> int:
         loglog_exponent(ks, [summary["k_sweep"][k]["cumulative_ctct"] for k in ks]), 4
     )
     for m in (16, 32, 64):
-        report = _bench_run(model, params, m, args.gen, args.seed, args.threads)
+        report = _bench_run(model, params, m, args.gen, args.seed)
         path = Path(f"{out}_m{m}.csv")
         path.write_text(_report_csv(report))
         summary["m_sweep"][m] = {
@@ -278,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--model", help="model directory (default: bundled toy model)")
     v.add_argument("--params", help="backend parameter JSON file")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--threads", type=int, default=1)
     v.add_argument("--out", help="write the JSON summary here instead of stdout")
     v.set_defaults(fn=cmd_verify)
 
@@ -289,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--gen", type=int, default=16, metavar="K")
     b.add_argument("--sweep", action="store_true", help="sweep k and m grids")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--threads", type=int, default=1)
     b.add_argument("--out", help="output file stem (default: bench)")
     b.set_defaults(fn=cmd_bench)
 

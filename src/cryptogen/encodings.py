@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import Context, ParameterError, SlotCiphertext
+from .backend import Context, ParameterError, SlotCiphertext, as_int64
 
 __all__ = [
     "Encoding",
@@ -118,9 +118,10 @@ def block_capacity(n_slots: int, d: int) -> int:
 
 
 def encode(A, kind: EncodingKind, ctx: Context) -> PackedMatrix:
-    """Pack a matrix over Z_p into encrypted slot vectors under the given
-    layout: one ``encrypt`` per ciphertext, zero outside the payload."""
-    A = np.asarray(A, dtype=np.int64)
+    """Pack an integer matrix, reduced mod p, into encrypted slot vectors
+    under the given layout: one ``encrypt`` per ciphertext, zero outside
+    the payload.  Any other input raises ParameterError, as in ``as_int64``."""
+    A = as_int64(A)
     if A.ndim != 2:
         raise ParameterError(f"expected a matrix, got shape {A.shape}")
     m, d = A.shape

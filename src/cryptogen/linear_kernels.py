@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .backend import Context, ParameterError, SlotCiphertext
+from .backend import Context, ParameterError, SlotCiphertext, as_int64
 from .encodings import Encoding, EncodingKind, PackedMatrix, next_pow2
 
 __all__ = [
@@ -51,12 +51,10 @@ def fold_sum(a: SlotCiphertext, block: int, ctx: Context) -> SlotCiphertext:
 
 def _weights(W) -> np.ndarray:
     """Plaintext weights as a non-empty d1 x d2 int64 matrix."""
-    W = np.asarray(W)
-    if W.ndim != 2 or W.size == 0 or not np.issubdtype(W.dtype, np.integer):
-        raise ParameterError(
-            f"weights must be a non-empty integer matrix, got {W.dtype} of shape {W.shape}"
-        )
-    return W.astype(np.int64, copy=False)
+    W = as_int64(W)
+    if W.ndim != 2 or W.size == 0:
+        raise ParameterError(f"weights must be a non-empty integer matrix, got shape {W.shape}")
+    return W
 
 
 def cpmm_outer_diagonal(X: PackedMatrix, W, ctx: Context) -> PackedMatrix:

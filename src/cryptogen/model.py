@@ -111,17 +111,11 @@ class Model:
     def __setstate__(self, state):
         self.__init__(**state)
 
-    def layer(self, l: int, name: str) -> np.ndarray:
-        return self.weights[f"layer{l}.{name}"]
-
     def weight(self, name: str, head: int | None = None) -> np.ndarray:
         """Weight ``name``, or head ``head``'s d2 columns of it."""
         W = self.weights[name]
         d2 = self.config.d2
         return W if head is None else W[:, head * d2 : (head + 1) * d2]
-
-    def head_slice(self, l: int, name: str, h: int) -> np.ndarray:
-        return self.weight(f"layer{l}.{name}", h)
 
     def cpvm_weights(self, name: str, head: int | None, ctx: Context) -> CpvmPlaintexts:
         """The CPVM plaintexts of ``weight(name, head)`` under ctx's
@@ -279,11 +273,13 @@ def _oracle_block(model, l, X, fp, p, caches, causal_rows):
     mask annihilates future positions in integer arithmetic.
     """
     c = model.config
+    prefix = f"layer{l}."
+    W = {name.removeprefix(prefix): w for name, w in model.weights.items() if name.startswith(prefix)}
     heads_out = []
     for h in range(c.heads):
-        Q = fp_truncate(_modmul(X, model.head_slice(l, "wq", h), p), fp.f)
-        K = fp_truncate(_modmul(X, model.head_slice(l, "wk", h), p), fp.f)
-        V = fp_truncate(_modmul(X, model.head_slice(l, "wv", h), p), fp.f)
+        Q, K, V = (
+            fp_truncate(_modmul(X, model.weight(prefix + name, h), p), fp.f) for name in ("wq", "wk", "wv")
+        )
         caches[l][h].K.extend(K)
         caches[l][h].V.extend(V)
         Kall = np.asarray(caches[l][h].K)
@@ -297,34 +293,20 @@ def _oracle_block(model, l, X, fp, p, caches, causal_rows):
                 a = attention_weights(s, c.d2, fp)
             O[i] = fp_truncate(to_signed(np.mod(a @ Vall, p), p), fp.f)
         heads_out.append(O)
-    attn = fp_truncate(_modmul(np.concatenate(heads_out, axis=1), model.layer(l, "wo"), p), fp.f)
-    X = np.stack(
-        [
-            fp_layernorm(X[i] + attn[i], model.layer(l, "ln1_g"), model.layer(l, "ln1_b"), fp)
-            for i in range(X.shape[0])
-        ]
-    )
-    h1 = _modmul(X, model.layer(l, "w1"), p) + (model.layer(l, "b1") << fp.f)
+    attn = fp_truncate(_modmul(np.concatenate(heads_out, axis=1), W["wo"], p), fp.f)
+    X = np.stack([fp_layernorm(X[i] + attn[i], W["ln1_g"], W["ln1_b"], fp) for i in range(X.shape[0])])
+    h1 = _modmul(X, W["w1"], p) + (W["b1"] << fp.f)
     hact = fp_gelu(fp_truncate(h1, fp.f), fp)
-    h2 = _modmul(hact, model.layer(l, "w2"), p) + (model.layer(l, "b2") << fp.f)
+    h2 = _modmul(hact, W["w2"], p) + (W["b2"] << fp.f)
     h2 = fp_truncate(h2, fp.f)
-    X = np.stack(
-        [
-            fp_layernorm(X[i] + h2[i], model.layer(l, "ln2_g"), model.layer(l, "ln2_b"), fp)
-            for i in range(X.shape[0])
-        ]
-    )
-    return X
+    return np.stack([fp_layernorm(X[i] + h2[i], W["ln2_g"], W["ln2_b"], fp) for i in range(X.shape[0])])
 
 
 def oracle_generate(model: Model, prompt: list, k: int, p: int) -> list:
     """Greedy generation in plain fixed-point arithmetic; ground truth for
     every equivalence test."""
     c = model.config
-    if k < 0:
-        raise ParameterError(f"cannot generate {k} tokens")
-    if not 1 <= len(prompt) <= c.max_seq or len(prompt) + k > c.max_seq:
-        raise ParameterError("prompt/generation length exceeds max_seq")
+    _check_length(c, prompt, k)
     fp = FixedPointParams(c.f, p)
     caches = [[_OracleCache() for _ in range(c.heads)] for _ in range(c.layers)]
 
@@ -383,7 +365,7 @@ def _add(A: PackedMatrix, B: PackedMatrix, ctx) -> PackedMatrix:
 
 
 def _layernorm_rows(model: Model, l: int, name: str, fp):
-    gain, bias = model.layer(l, f"{name}_g"), model.layer(l, f"{name}_b")
+    gain, bias = model.weights[f"layer{l}.{name}_g"], model.weights[f"layer{l}.{name}_b"]
     return lambda M: np.stack([fp_layernorm(row, gain, bias, fp) for row in M])
 
 
@@ -469,8 +451,11 @@ def _charged(ctx, fn, *args):
 
 
 def _check_length(c: ModelConfig, prompt: list, k: int) -> None:
+    """A prompt of at least one token and k >= 0 tokens after it fit max_seq."""
     if k < 0:
         raise ParameterError(f"cannot generate {k} tokens")
+    if len(prompt) < 1:
+        raise ParameterError("empty prompt")
     if len(prompt) + k > c.max_seq:
         raise ParameterError("prompt + generation exceeds max_seq")
 
@@ -537,8 +522,7 @@ def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int =
     attention, MPC nonlinears; leaves outer-packed K/V caches behind.
     Without chans, fresh channels are seeded from the context."""
     c = model.config
-    if not 1 <= len(prompt) <= c.max_seq:
-        raise ParameterError("prompt length out of range")
+    _check_length(c, prompt, 0)
     model.fixed_point(ctx)  # a modulus without fixed-point headroom fails before any op
     chans = _channels(ctx, c, chans)
     m = len(prompt)

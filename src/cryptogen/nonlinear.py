@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import Context, ParameterError, SlotCiphertext
+from .backend import Context, ParameterError, SlotCiphertext, as_int64
 from .fixedpoint import (
     RECIPROCAL_ITERS,
     FixedPointParams,
@@ -51,7 +51,6 @@ from .fixedpoint import (
 )
 
 __all__ = [
-    "FixedPointParams",
     "MASK_BLOCK",
     "MpcChannel",
     "attention_softmax",
@@ -134,10 +133,11 @@ def he_to_shares(cts, ctx: Context, ch: MpcChannel, length: int | None = None) -
 
 
 def shares_to_he(rows, ctx: Context, ch: MpcChannel):
-    """Share each row of a k x L matrix of values (signed or residues) and
-    return an iterator of k ciphertexts: the client encrypts its share, the
-    server adds its own.  Each decrypts to its row in slots 0..L-1 (zeros
-    beyond) and carries a fresh noise budget.
+    """Share each row of a k x L integer matrix (signed or residues; any
+    other input raises ParameterError, as in ``as_int64``) and return an
+    iterator of k ciphertexts: the client encrypts its share, the server
+    adds its own.  Each decrypts to its row in slots 0..L-1 (zeros beyond)
+    and carries a fresh noise budget.
 
     The rows are shared at the call, under one draw of k*L mask words,
     and both shares of every row are encoded in one ``plains`` call.  The
@@ -145,7 +145,7 @@ def shares_to_he(rows, ctx: Context, ch: MpcChannel):
     charged one n-word transfer only when the iterator yields it, so a
     consumer's own ops interleave with them.
     """
-    secret = np.asarray(rows, dtype=np.int64)
+    secret = as_int64(rows)
     n = ctx.params.n_slots
     if secret.ndim != 2 or secret.shape[1] > n:
         raise ParameterError(f"expected a matrix of at most {n} columns, got shape {secret.shape}")

@@ -21,6 +21,9 @@ from cryptogen.backend import (
     default_plain_modulus,
     is_prime,
 )
+from cryptogen.encodings import EncodingKind, encode
+from cryptogen.linear_kernels import cpmm_outer_diagonal, cpvm_plaintexts
+from cryptogen.nonlinear import MpcChannel, shares_to_he
 
 
 def test_default_modulus_matches_batching_constraint():
@@ -318,17 +321,60 @@ def test_plain_encodes_or_rejects(data):
         ("plain_from_dense", [True, False]),
         ("plain_from_dense", 5),
         ("plain_from_dense", np.ones((2, 2), dtype=np.int64)),
+        ("encode", [[1.7, 2.9]]),
+        ("shares_to_he", [[1.9, -2.5]]),
     ],
-    ids=["float_list", "float_array", "bool", "encrypt_float", "dense_float", "dense_bool", "dense_scalar", "dense_matrix"],
+    ids=[
+        "float_list",
+        "float_array",
+        "bool",
+        "encrypt_float",
+        "dense_float",
+        "dense_bool",
+        "dense_scalar",
+        "dense_matrix",
+        "encode_float",
+        "shares_float",
+    ],
 )
 def test_plain_rejects_what_plains_rejects(ctx16, method, value):
-    """plain and plain_from_dense take the rule of plains: an integer
-    vector, never truncated from floats; a float, bool, scalar or matrix
-    input raises ParameterError without moving the counter."""
+    """plain, plain_from_dense, encode and shares_to_he take the rule of
+    plains: integers, never truncated from floats; a float, bool, scalar
+    or matrix input raises ParameterError without moving the counter."""
+    call = {
+        "encode": lambda v: encode(v, EncodingKind.OUTER, ctx16),
+        "shares_to_he": lambda v: shares_to_he(v, ctx16, MpcChannel(ctx16.params.plain_modulus, 0)),
+    }.get(method) or getattr(ctx16, method)
     before = ctx16.counter.snapshot()
     with pytest.raises(ParameterError):
-        getattr(ctx16, method)(value)
+        call(value)
     assert ctx16.counter.delta(before) == OpCounter().as_dict()
+
+
+# each takes a context, an outer-packed 4 x 4 activation and a 4 x 4 input
+_UINT64_ENTRIES = {
+    "plain": lambda ctx, X, W: ctx.plain(W.ravel()),
+    "plains": lambda ctx, X, W: ctx.plains(W.reshape(1, 16)),
+    "plain_from_dense": lambda ctx, X, W: ctx.plain_from_dense(W[0]),
+    "encode": lambda ctx, X, W: encode(W, EncodingKind.OUTER, ctx),
+    "shares_to_he": lambda ctx, X, W: shares_to_he(W, ctx, MpcChannel(97, 0)),
+    "cpvm_weights": lambda ctx, X, W: cpvm_plaintexts(W, ctx),
+    "cpmm_weights": lambda ctx, X, W: cpmm_outer_diagonal(X, W, ctx),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_UINT64_ENTRIES))
+def test_uint64_input_is_exact_or_rejected(entry):
+    """uint64 input below 2^63 is taken; from 2^63 on, where a cast to
+    int64 wraps (2^64 - 1 would encode as -1, 96 mod 97, not 60), every
+    way into a plaintext raises ParameterError before any op."""
+    ctx = Context(BackendParams(n_slots=16, plain_modulus=97))
+    X = encode(np.eye(4, dtype=np.int64), EncodingKind.OUTER, ctx)
+    _UINT64_ENTRIES[entry](ctx, X, np.full((4, 4), 2**63 - 1, dtype=np.uint64))
+    before = ctx.counter.snapshot()
+    with pytest.raises(ParameterError, match="2\\^63"):
+        _UINT64_ENTRIES[entry](ctx, X, np.full((4, 4), 2**64 - 1, dtype=np.uint64))
+    assert ctx.counter.delta(before) == OpCounter().as_dict()
 
 
 @pytest.mark.parametrize("op", sorted(_PLAIN_OPS))

@@ -1,8 +1,13 @@
 import copy
 import dataclasses
 import gc
+import importlib.util
 import json
+import os
 import pickle
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +32,8 @@ from cryptogen import model as model_mod
 from cryptogen.nonlinear import MpcChannel
 
 P64 = default_plain_modulus(64, 26)
-PARAMS_TOY = Path(__file__).resolve().parents[1] / "configs" / "params_toy.json"
+ROOT = Path(__file__).resolve().parents[1]
+PARAMS_TOY = ROOT / "configs" / "params_toy.json"
 
 
 def _ctx(seed=0, n=64):
@@ -265,6 +271,45 @@ def test_generate_calls_keep_the_replay_conventions(toy, monkeypatch):
     transcripts = [ch.transcript for ch in chans.values()]
     assert all(type(t) is list and not t for t in transcripts)
     assert len({id(t) for t in transcripts}) == len(transcripts)
+
+
+def test_bare_package_import_binds_what_the_benchmark_reads():
+    """A fresh ``import cryptogen`` binds every ``cg.<module>.<name>`` the
+    benchmark harness in perfbench/ reads off the package, and every
+    function its tracer wraps.  It runs in its own interpreter, because
+    the imports of this process have already bound the submodules."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = {f"{mod}.{name}" for mod, fns in tracer.SPAN_FUNCTIONS.items() for name in fns}
+    for path in (ROOT / "perfbench").glob("*.py"):
+        names.update(re.findall(r"\bcg\.(\w+\.\w+)", path.read_text()))
+    assert {"backend.Context", "model.generate", "nonlinear.MpcChannel"} <= names
+    code = f"import operator, cryptogen; operator.attrgetter(*{sorted(names)!r})(cryptogen)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model, prompt: oracle_generate(model, prompt, 0, P64),
+        lambda model, prompt: prefill(model, prompt, _ctx()),
+        lambda model, prompt: generate(model, prompt, 0, _ctx()),
+        lambda model, prompt: bolt_reference_generate(model, prompt, 1, _ctx()),
+    ],
+    ids=["oracle_generate", "prefill", "generate", "bolt_reference_generate"],
+)
+def test_prompt_length_rule_is_shared(call):
+    """Every entry point takes a prompt of 1 to max_seq tokens and rejects
+    an empty or overlong one with the same ParameterError."""
+    model = generate_toy_model(ModelConfig(layers=1, d1=8, heads=2, ffn_dim=8, vocab=16, max_seq=4), seed=0)
+    with pytest.raises(ParameterError, match="empty prompt"):
+        call(model, [])
+    with pytest.raises(ParameterError, match="exceeds max_seq"):
+        call(model, [1] * 5)
 
 
 def test_every_tally_is_one_wrapped_call(toy, monkeypatch):
