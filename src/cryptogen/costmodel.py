@@ -1,5 +1,6 @@
 """Closed-form Mult/Rot/Ct cost predictions per method and stage, and a
-validator comparing predictions against instrumented run reports.
+validator checking instrumented run reports against the exact decode cost
+laws.
 
 Each table cell evaluates its asymptotic formula at the requested
 dimensions.  At the reference dimensions (m=128, d1=768, d2=64, n=8192,
@@ -28,7 +29,6 @@ __all__ = [
     "METHODS",
     "REFERENCE_DIMS",
     "loglog_exponent",
-    "predict_attention_costs",
     "predict_costs",
     "quadratic_coefficient",
     "reported_only",
@@ -54,14 +54,6 @@ class CostCell:
         if self.reported is None:
             return None
         return self.formula_value == self.reported
-
-    @property
-    def value(self) -> int:
-        """Best available number: the formula when it reproduces the paper's
-        constant (or no constant applies), else the reported constant."""
-        if self.reported is not None and self.formula_value != self.reported:
-            return self.reported
-        return self.formula_value
 
     def render(self) -> str:
         if self.reported is None or self.formula_value == self.reported:
@@ -122,10 +114,6 @@ _REPORTED = {
 }
 
 
-def _is_reference(m, d1, d2, n, k) -> bool:
-    return (m, d1, d2, n, k) == tuple(REFERENCE_DIMS.values())
-
-
 def predict_costs(
     method: str,
     stage: str,
@@ -143,7 +131,7 @@ def predict_costs(
     if min(m, d1, d2, n) <= 0 or k < 0:
         raise ValueError("dimensions must be positive and k >= 0")
 
-    at_ref = _is_reference(m, d1, d2, n, k)
+    at_ref = (m, d1, d2, n, k) == tuple(REFERENCE_DIMS.values())
     pre = [f(m, d1, d2, n) for f in _PREFILL_FORMULAS[method]]
     if method == "CryptoGen":
         gen = [f(m, d1, d2, n, k) for f in _CRYPTOGEN_GEN]
@@ -202,19 +190,6 @@ _ATTENTION_ORDERS = {
 }
 
 
-def predict_attention_costs(method: str, stage: str) -> dict:
-    """Asymptotic rotation / CTxCT classes of the attention kernels."""
-    if method not in _ATTENTION_ORDERS:
-        raise ValueError(
-            f"no attention cost model for {method!r}; choose from "
-            f"{tuple(_ATTENTION_ORDERS)}"
-        )
-    if stage not in ("prefill", "gen"):
-        raise ValueError(f"unknown stage {stage!r}")
-    rot, ctct = _ATTENTION_ORDERS[method][stage]
-    return {"rotation_order": rot, "ctct_order": ctct}
-
-
 # ----------------------------------------------------------------------
 # table rendering
 # ----------------------------------------------------------------------
@@ -233,17 +208,17 @@ def table1_rows(**dims) -> list[dict]:
 
 
 def table2_rows() -> list[dict]:
+    """Asymptotic rotation / CTxCT classes of the attention kernels."""
     rows = []
-    for method in _ATTENTION_ORDERS:
-        pre = predict_attention_costs(method, "prefill")
-        gen = predict_attention_costs(method, "gen")
+    for method, orders in _ATTENTION_ORDERS.items():
+        (pre_rot, pre_ctct), (gen_rot, gen_ctct) = orders["prefill"], orders["gen"]
         rows.append(
             {
                 "method": method,
-                "prefill_rotation": f"O({pre['rotation_order']})",
-                "prefill_ctct": f"O({pre['ctct_order']})",
-                "gen_rotation": f"O({gen['rotation_order']})",
-                "gen_ctct": f"O({gen['ctct_order']})",
+                "prefill_rotation": f"O({pre_rot})",
+                "prefill_ctct": f"O({pre_ctct})",
+                "gen_rotation": f"O({gen_rot})",
+                "gen_ctct": f"O({gen_ctct})",
             }
         )
     return rows
@@ -285,52 +260,40 @@ def quadratic_coefficient(xs, ys) -> float:
 
 
 def validate_against_counts(report: dict) -> dict:
-    """Compare a model.generate run report against the cost laws.
+    """Check a model.generate run report against the exact decode cost
+    laws at every step t, with B = block_capacity(n_slots, d2):
 
-    Exact checks where a formula applies (cache compaction); order fits for
-    the asymptotic claims (linear CTxCT growth, per-step CTxPT flatness).
-    Discrepancies are listed, never silently passed.
+      per_step_ctct           mult_cipher == 2*layers*heads*(d2 + ceil(t/B)):
+                              an inner-inner and a value product per prefill
+                              column (a prompt has at least one token) and
+                              per generated-cache ciphertext
+      per_step_ctpt_constant  mult_plain equals step 1's
+      cache_compaction_law    cache_auto_cts == ceil(t/B)
+
+    Nothing is fitted.  A failed check lists the steps it fails at in
+    ``measured``.  Raises ValueError for a report with no steps.
     """
     steps = report["steps"]
-    if len(steps) < 4:
-        raise ValueError("need at least 4 decode steps to fit growth orders")
-    d2 = report["config"]["d1"] // report["config"]["heads"]
+    if not steps:
+        raise ValueError("the report has no decode steps to check")
+    cfg = report["config"]
+    d2 = cfg["d1"] // cfg["heads"]
     B = block_capacity(report["backend"]["n_slots"], d2)
+    products = 2 * cfg["layers"] * cfg["heads"]
+    mult_plain_1 = steps[0]["counters"]["mult_plain"]
 
-    checks = []
+    def law(name, predicted, holds):
+        failed = [s["step"] for s in steps if not holds(s)]
+        measured = f"fails at steps {failed}" if failed else "exact"
+        return {"name": name, "predicted": predicted, "measured": measured, "passed": not failed}
 
-    ks = [s["step"] for s in steps]
-    cum_ctct = np.cumsum([s["counters"]["mult_cipher"] for s in steps])
-    exp = loglog_exponent(ks, cum_ctct)
-    checks.append(
-        {
-            "name": "cumulative_ctct_exponent",
-            "predicted": 1.0,
-            "measured": round(exp, 4),
-            "passed": abs(exp - 1.0) <= 0.1,
-        }
-    )
-
-    mp = [s["counters"]["mult_plain"] for s in steps]
-    mean_mp = float(np.mean(mp))
-    slope = float(np.polyfit(ks, mp, 1)[0])
-    checks.append(
-        {
-            "name": "per_step_ctpt_flat",
-            "predicted": 0.0,
-            "measured": round(slope, 6),
-            "passed": abs(slope) <= 0.01 * max(mean_mp, 1.0),
-        }
-    )
-
-    compaction_ok = all(s["cache_auto_cts"] == -(-s["step"] // B) for s in steps)
-    checks.append(
-        {
-            "name": "cache_compaction_law",
-            "predicted": f"ceil(step/{B})",
-            "measured": "exact" if compaction_ok else "violated",
-            "passed": compaction_ok,
-        }
-    )
-
+    checks = [
+        law(
+            "per_step_ctct",
+            f"{products}*({d2} + ceil(step/{B}))",
+            lambda s: s["counters"]["mult_cipher"] == products * (d2 + -(-s["step"] // B)),
+        ),
+        law("per_step_ctpt_constant", mult_plain_1, lambda s: s["counters"]["mult_plain"] == mult_plain_1),
+        law("cache_compaction_law", f"ceil(step/{B})", lambda s: s["cache_auto_cts"] == -(-s["step"] // B)),
+    ]
     return {"checks": checks, "passed": all(c["passed"] for c in checks)}

@@ -179,8 +179,8 @@ def tile_token(x_ct: SlotCiphertext, d: int, B: int, ctx: Context) -> SlotCipher
 
 
 def save_matrix(path, A, p: int) -> None:
-    """Write a Z_p matrix in the flat binary format."""
-    A = np.asarray(A, dtype=np.int64)
+    """Write an integer matrix, exact in int64 (``as_int64``), in the flat binary format."""
+    A = as_int64(A)
     m, d = A.shape
     header = struct.pack("<8Q", MATRIX_MAGIC, m, d, p, 0, 0, 0, 0)
     body = A.astype("<u8").tobytes(order="C")

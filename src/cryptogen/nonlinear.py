@@ -152,7 +152,7 @@ def shares_to_he(rows, ctx: Context, ch: MpcChannel):
     k, length = secret.shape
     r = ch.sample_mask(k * length).reshape(k, length)
     shares = np.zeros((2 * k, n), dtype=np.int64)
-    np.subtract(secret, r, out=shares[:k, :length])  # reduced mod p by plains
+    np.subtract(secret % ctx.modulus, r, out=shares[:k, :length])  # in (-p, p): no int64 wrap
     shares[k:, :length] = r
     encoded = ctx.plains(shares)
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -111,8 +112,11 @@ def test_bench_rejects_bad_gen_before_any_run(tmp_path, gen_args):
 
 
 def test_bench_csv_columns_and_compaction(tmp_path):
-    out = run_cli("bench", "--prefill", "4", "--gen", "8", "--out", str(tmp_path / "b"))
+    out = run_cli("bench", "--prefill", "4", "--gen", "12", "--out", str(tmp_path / "b"))
     assert out.returncode == 0, out.stderr
+    validation = json.loads(out.stdout)["validation"]
+    assert validation["passed"] is True
+    assert [c["measured"] for c in validation["checks"]] == ["exact"] * 3
     lines = (tmp_path / "b.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert header == [
@@ -142,8 +146,45 @@ def test_bench_sweep_reports_m_independence(tmp_path):
     assert set(summary["k_sweep"]) == {"8", "16", "32", "64"} or set(
         summary["k_sweep"]
     ) == {8, 16, 32, 64}
+    assert all(run["laws_hold"] for run in [*summary["k_sweep"].values(), *summary["m_sweep"].values()])
     for k in (8, 16, 32, 64):
         assert Path(f"{tmp_path/'s'}_k{k}.csv").exists()
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep"]], ids=["single", "sweep"])
+def test_bench_exits_1_when_a_law_fails(tmp_path, monkeypatch, capsys, sweep):
+    """A run whose report breaks the CTxCT law at step 3 fails bench."""
+    from cryptogen import cli
+
+    def generate_one_extra_product(*args, **kwargs):
+        tokens, report = cli_generate(*args, **kwargs)
+        report["steps"][2]["counters"]["mult_cipher"] += 1
+        return tokens, report
+
+    cli_generate = cli.generate
+    monkeypatch.setattr(cli, "generate", generate_one_extra_product)
+    assert cli.main(["bench", "--prefill", "2", "--gen", "3", *sweep, "--out", str(tmp_path / "b")]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    if sweep:
+        runs = [*summary["k_sweep"].values(), *summary["m_sweep"].values()]
+        assert not any(run["laws_hold"] for run in runs)
+    else:
+        checks = {c["name"]: c for c in summary["validation"]["checks"]}
+        assert checks["per_step_ctct"]["measured"] == "fails at steps [3]"
+        assert checks["cache_compaction_law"]["passed"]
+
+
+def test_unknown_log_level_is_a_usage_error(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-m", "cryptogen", "costs", "--out", str(tmp_path / "c")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "CRYPTOGEN_LOG": "foo"},
+        timeout=600,
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and len(out.stderr.splitlines()) == 1, out.stderr
+    assert not (tmp_path / "c").exists()
 
 
 def test_costs_outputs_tables(tmp_path):

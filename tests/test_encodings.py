@@ -150,6 +150,11 @@ def test_matrix_binary_layout(tmp_path):
 
 
 def test_matrix_file_errors(tmp_path):
+    # values int64 cannot hold exactly are refused, not truncated or wrapped
+    for A in (np.array([[1.7, -2.9]]), np.array([[2**64 - 1]], dtype=np.uint64)):
+        with pytest.raises(ParameterError):
+            save_matrix(tmp_path / "inexact.bin", A, p=97)
+    assert not (tmp_path / "inexact.bin").exists()
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"\x00" * 16)
     with pytest.raises(ParameterError):

@@ -116,6 +116,16 @@ def test_he_share_roundtrip(ctx16):
     assert (he_to_shares([back[0]], ctx16, ch, 5) == v[:5]).all()
 
 
+def test_shares_to_he_reduces_before_masking_near_int64_min():
+    """secret - r would wrap in int64 for a secret near -2^63; the shared
+    row must still decrypt to the secret mod p."""
+    p = 97
+    ctx = Context(BackendParams(n_slots=4, plain_modulus=p))
+    low = np.iinfo(np.int64).min
+    (ct,) = shares_to_he([[low, low + 1, low + 96, -1]], ctx, MpcChannel(p, seed=0))
+    assert list(ctx.decrypt(ct)) == [low % p, (low + 1) % p, (low + 96) % p, p - 1] == [18, 19, 17, 96]
+
+
 def test_shares_differ_across_seeds_same_secret(ctx16):
     """The client decrypts a masked share: neither the slots nor the share
     another channel seed gives for the same ciphertext."""
