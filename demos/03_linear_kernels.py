@@ -21,7 +21,7 @@ p = ctx.params.plain_modulus
 rng = np.random.default_rng(0)
 
 # folding sum: log2(block) rotations collapse a block into its first slot
-v = ctx.encrypt(ctx.plain_from_dense([1, 2, 3, 4, 5, 6, 7, 8]))
+v = ctx.encrypt(ctx.plains([[1, 2, 3, 4, 5, 6, 7, 8]])[0])
 start = ctx.counter.snapshot()
 folded = fold_sum(v, 8, ctx)
 print(f"fold_sum(8): slot0 = {ctx.decrypt(folded)[0]} with "

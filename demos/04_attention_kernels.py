@@ -22,7 +22,7 @@ p = ctx.params.plain_modulus
 rng = np.random.default_rng(1)
 
 # broadcast: the slot-duplication primitive behind inner-inner
-a = ctx.encrypt(ctx.plain_from_dense([7, 9, 4]))
+a = ctx.encrypt(ctx.plains([[7, 9, 4]])[0])
 start = ctx.counter.snapshot()
 b = broadcast_slot(a, 1, 8, ctx)
 print(f"broadcast slot 1 -> {ctx.decrypt(b)[:8].tolist()} "

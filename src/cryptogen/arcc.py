@@ -196,13 +196,9 @@ def prefill_attention(
     A = attention_softmax(S, d2, fp, ctx, mpc)
     a_rows = list(shares_to_he(A, ctx, mpc))
 
-    out_parts = []
-    for c in range(d2):
-        acc = ctx.sum(_dot_into_slot(a_rows[i], V.parts[c], i, ctx) for i in range(m))
-        vals = truncate(he_to_shares([acc], ctx, mpc, m), fp, ctx, mpc)
-        out_parts.append(next(shares_to_he(vals, ctx, mpc)))
-
-    return PackedMatrix(Q.encoding, out_parts)
+    # each output column is rescaled before the next one is summed
+    cols = (ctx.sum(_dot_into_slot(a_rows[i], V.parts[c], i, ctx) for i in range(m)) for c in range(d2))
+    return PackedMatrix(Q.encoding, truncate(cols, m, fp, ctx, mpc))
 
 
 def attention_step(
@@ -255,5 +251,4 @@ def attention_step(
             map(ctx.mult_cipher, shares_to_he(coeffs.reshape(-1, n), ctx, mpc), parts)
         )
         halves.append(ctx.fold(acc, d2, n))
-    o = truncate(he_to_shares([ctx.sum(halves)], ctx, mpc, d2), fp, ctx, mpc)
-    return next(shares_to_he(o, ctx, mpc))
+    return truncate([ctx.sum(halves)], d2, fp, ctx, mpc)[0]

@@ -14,35 +14,30 @@ failure of a real scheme.
 A ciphertext is a ``SlotCiphertext``, a read-only 5-tuple ``(slots,
 noise_budget, id, params, bound)`` with named fields.  Its raw slots are
 reduced lazily (Harvey, J. Symb. Comp. 2014): they lie in [0, bound * p)
-and are reduced mod p only where an operation needs residues.  ``add``
-and ``add_plain`` return the plain sum, whose bound is the sum of the
-operands' bounds (a plaintext counts 1), and ``rotate`` passes the bound
-through, so none of them reduces.  A sum whose bound would pass the add
-cap (2^63 - 1) // p - 1 reduces its operands first and has bound 2.
+and are reduced mod p only where an operation needs residues; ``decrypt``
+and the ``slots`` property give residues, ``encrypt`` and
+``load_ciphertext`` give bound 1.  ``add`` and ``add_plain`` return the
+plain sum, whose bound is the sum of the operands' bounds (a plaintext
+counts 1), and ``rotate`` passes the bound through.  A sum whose bound
+would pass the add cap (2^63 - 1) // p - 1 reduces its operands first and
+has bound 2.  A product of operand bounds ka and kb has bound ka * kb * p.
+When ka * kb passes the product cap (2^63 - 1) // p^2 (2,047 at p ~ 2^26,
+31 at p ~ 2^29, 2 at p ~ 2^31), the operand of the larger bound is
+reduced first and the other only if the product still could wrap.  The
+product stays unreduced while ``LAZY_PRODUCT_HEADROOM`` products of its
+bound still sum under the add cap, which leaves room for the sums and
+folds after it, and is reduced in place to bound 1 otherwise: at
+p ~ 2^26 a product of operand bounds up to 31 stays lazy (the CPVM, mask
+and cache-append products), from p ~ 2^29 on every product is reduced.
+Every reduction divides by p held as a 0-d int64 array
+(``Context.modulus``).  The op sequence, ids, budgets and counts do not
+depend on the bounds.
 
-A product of operands at bounds ka and kb (a plaintext counts 1) has
-raw slots below ka * kb * p^2, so bound ka * kb * p.  When ka * kb
-passes the product cap (2^63 - 1) // p^2 (2,047 at p ~ 2^26, 31 at
-p ~ 2^29, 2 at p ~ 2^31) the product could wrap int64, so the operand of
-the larger bound is reduced first and the other only if the product
-still could.  The product then stays unreduced while
-``LAZY_PRODUCT_HEADROOM`` products of its bound still sum under the add
-cap, which leaves room for the sums and folds that follow it; otherwise
-it is reduced in place and has bound 1.  The add cap is about 2^63 / p,
-so the room a p-bounded product leaves, about 2^63 / p^2 such terms,
-depends on p: at p ~ 2^26 (2,047 terms) a product of operand bounds up
-to 31 stays lazy (the CPVM, mask and cache-append products), while from
-p ~ 2^29 on (under 32 terms), where a 4,096-term CPVM sum of lazy
-products would keep taking the add-cap fallback, every product is
-reduced.  Every reduction divides by p held
-as a 0-d int64 array (``Context.modulus``), built once per context.
-``decrypt`` and the ``slots`` property give residues; ``encrypt`` and
-``load_ciphertext`` give bound 1.  The op sequence, ids, budgets and
-counts do not depend on the bounds.  A plaintext operand is a
-``Plaintext``, a read-only 2-tuple ``(slots, params)`` whose slots are
-already reduced mod p; only ``Context.plain`` and ``Context.plains`` make
-one, so a plaintext that is used many times (a weight diagonal, a mask)
-is checked and reduced once, when it is made.  The plaintext positions of
+A plaintext operand is a ``Plaintext``, a read-only 2-tuple ``(slots,
+params)`` whose slots are n residues mod p; only ``Context.plain`` and
+``Context.plains`` make one, the latter zero-padding rows shorter than n,
+so a plaintext that is used many times (a weight diagonal, a mask) is
+checked and reduced once, when it is made.  The plaintext positions of
 the operations (``encrypt``, ``add_plain``, ``mult_plain``,
 ``load_ciphertext``) take a ``Plaintext`` as is, after the params check,
 and pass any other vector through ``Context.plain`` first.
@@ -53,12 +48,9 @@ class at each call, so a tool can wrap them there.  At small slot counts
 the Python cost of each operation, not the slot arithmetic, sets the run
 time, which is why both records are plain tuples and five operations
 (``add``, ``rotate``, ``mult_plain``, ``add_plain``, ``mult_cipher``) do
-their checks inline.  ``rotate`` has two forms, picked by n when the
-context is made: up to 512 slots it gathers the slots through the index
-array of its shift, one of n built once per n and shared by every context
-(0.7 µs at n=64, against 2.0 µs for two slices), above that it
-concatenates two slices, which beat the gather from n=1024 on
-(``ROTATE_GATHER_MAX_SLOTS``).
+their checks inline.  ``rotate`` gathers through a per-shift index table
+shared by every context of its n up to ``ROTATE_GATHER_MAX_SLOTS`` slots,
+and concatenates two slices above.
 """
 
 from __future__ import annotations
@@ -100,11 +92,7 @@ MAX_PLAIN_MODULUS = 1 << 31
 #   gather  0.70  1.11  1.76  2.69  4.69  14.6
 ROTATE_GATHER_MAX_SLOTS = 512
 
-# a product stays unreduced only while this many products of its bound
-# still sum under the add cap, so the sums and folds after it rarely take
-# the add-cap fallback.  A p-bounded product leaves room for about
-# 2^63 / p^2 terms, so at p ~ 2^26 (2,047) a product of operand bounds up
-# to 31 stays lazy, and at p >= 2^29 (under 32) every product is reduced.  At 16, 64 and 256
+# the lazy-product headroom of the module docstring.  At 16, 64 and 256
 # alike, toy decode steps (n=64, p ~ 2^26) took 2-3% less time than with
 # every product reduced (in-process A/B of 100 interleaved steps, 2-core
 # x86-64 host).
@@ -261,22 +249,14 @@ class OpCounter:
     def delta(self, since: "OpCounter") -> dict:
         return {k: v - getattr(since, k) for k, v in self.as_dict().items()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
 
 class SlotCiphertext(tuple):
     """An n-slot vector over Z_p with a noise budget: a read-only 5-tuple
     ``(slots, noise_budget, id, params, bound)`` with named fields.
 
-    The tuple's first item holds the raw, possibly unreduced slot values,
-    with ``0 <= raw < bound * p``; the ``slots`` property gives them
-    reduced mod p.  A sum or rotation keeps its operands' bounds unreduced,
-    and so does a product while ``LAZY_PRODUCT_HEADROOM`` products of its
-    bound fit the add cap, which at p ~ 2^26 holds for operand bounds up to
-    31 and from p ~ 2^29 on for none (see the module docstring).
-    ``bound`` defaults to 1 (fully reduced), so a ciphertext built from
-    four fields, or unpickled from the 4-tuple form, is a reduced one.
+    The tuple's first item holds the raw slot values, with
+    ``0 <= raw < bound * p`` (lazy reduction, see the module docstring);
+    the ``slots`` property gives them reduced mod p.
 
     The raw array is made read-only on construction, and pickle and copy
     rebuild a ciphertext through ``__new__`` with its bound, so an
@@ -287,7 +267,7 @@ class SlotCiphertext(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, slots: np.ndarray, noise_budget: int, id: int, params: BackendParams, bound: int = 1):
+    def __new__(cls, slots: np.ndarray, noise_budget: int, id: int, params: BackendParams, bound: int):
         slots.setflags(False)
         return tuple.__new__(cls, (slots, noise_budget, id, params, bound))
 
@@ -393,12 +373,10 @@ class Context:
         self._add_cost, self._add_plain_cost = costs.add, costs.add_plain
         self._rotate_cost, self._mult_plain_cost = costs.rotate, costs.mult_plain
         self._mult_cipher_cost = costs.mult_cipher
-        # largest bound of a sum, and largest product of two bounds, whose
-        # raw slot values cannot wrap int64
+        # the add and product caps of the module docstring, and the largest
+        # product of operand bounds whose product stays unreduced
         self._add_cap = (2**63 - 1) // self._p - 1
         self._mult_cap = (2**63 - 1) // self._p**2
-        # largest product of operand bounds whose product stays unreduced:
-        # its bound times LAZY_PRODUCT_HEADROOM still fits the add cap
         self._lazy_cap = self._add_cap // LAZY_PRODUCT_HEADROOM // self._p
         # every reduction divides by p as a 0-d int64 array, which numpy
         # takes faster than a Python int (0.6-0.7 against 1.0 µs at n=64,
@@ -447,37 +425,29 @@ class Context:
         return _plaintext(arr % self._modulus, params)
 
     def plains(self, rows) -> list:
-        """Encode the rows of a k x n integer matrix, reduced mod p in one
-        numpy call; one ``Plaintext`` per row, each a view of its row.
+        """Encode the rows of a k x L integer matrix, L <= n, each
+        zero-padded to n slots and reduced mod p in one numpy call; one
+        ``Plaintext`` per row, each a view of its row.
 
-        A writable int64 array is reduced in place and made read-only, so
-        a matrix built for this call is never copied; any other input is
-        converted to a fresh int64 array first, as ``as_int64`` takes it.
+        A writable k x n int64 array is reduced in place and made
+        read-only, so a matrix built for this call is never copied; any
+        other input is converted to a fresh int64 array first, as
+        ``as_int64`` takes it.
         """
         M = as_int64(rows)
-        if M.ndim != 2 or M.shape[1] != self._n:
-            raise ParameterError(f"expected an integer matrix of {self._n} columns, got shape {M.shape}")
-        if not M.flags.writeable:
+        n = self._n
+        if M.ndim != 2 or M.shape[1] > n:
+            raise ParameterError(f"expected an integer matrix of at most {n} columns, got shape {M.shape}")
+        if M.shape[1] < n:
+            padded = np.zeros((M.shape[0], n), dtype=np.int64)
+            padded[:, : M.shape[1]] = M
+            M = padded
+        elif not M.flags.writeable:
             M = M.copy()
         np.remainder(M, self._modulus, M)
         M.setflags(False)
         params = self._params
         return [_new_tuple(Plaintext, (row, params)) for row in M]
-
-    def plain_from_dense(self, values) -> Plaintext:
-        """Zero-pad a short integer vector into the first slots and encode
-        it; any other input raises ParameterError, as in ``plain``."""
-        arr = as_int64(values)
-        if arr.ndim != 1:
-            raise ParameterError(f"expected an integer vector, got shape {arr.shape}")
-        if arr.shape[0] > self._n:
-            raise ParameterError("vector longer than slot count")
-        out = np.zeros(self._n, dtype=np.int64)
-        out[: arr.shape[0]] = arr
-        return _plaintext(np.remainder(out, self._modulus, out), self._params)
-
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.params.n_slots, dtype=np.int64)
 
     def block_mask(self, start: int, width: int) -> Plaintext:
         """The plaintext with ones in slots start..start+width-1 and zero
@@ -677,7 +647,12 @@ class Context:
         return SlotCiphertext(ct[0], budget, ct.id, ct.params, ct.bound)
 
     def load_ciphertext(self, values, budget: int) -> SlotCiphertext:
-        """Rehydrate a serialized ciphertext; not counted as an operation."""
+        """Rehydrate a serialized ciphertext; not counted as an operation.
+        A budget other than an int in [1, initial_noise_budget] raises
+        ParameterError."""
+        top = self._params.initial_noise_budget
+        if type(budget) is not int or not 1 <= budget <= top:
+            raise ParameterError(f"ciphertext budget {budget!r} is not an int in [1, {top}]")
         return self._emit(self.plain(values)[0], budget)
 
     # ------------------------------------------------------------------

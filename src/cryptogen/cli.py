@@ -86,7 +86,7 @@ def run_verification(model, params: BackendParams, seed: int) -> dict:
         Y = cpmm_outer_diagonal(encode(X, EncodingKind.OUTER, ctx), W, ctx)
         ok &= bool((decode(Y, ctx) == (X @ W) % p).all())
         x = rng.integers(0, p, d1)
-        xe = ctx.encrypt(ctx.plain_from_dense(x))
+        xe = ctx.encrypt(ctx.plains([x])[0])
         y = ctx.decrypt(cpvm_inner_diagonal(xe, W, ctx))[:d2]
         ok &= bool((y == (x @ W) % p).all())
     check("kernel_oracle_equivalence", ok)
@@ -296,8 +296,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        # an unknown level raises ValueError, a usage error like any other
-        logging.basicConfig(level=os.environ.get("CRYPTOGEN_LOG", "WARNING").upper())
+        try:
+            logging.basicConfig(level=os.environ.get("CRYPTOGEN_LOG", "WARNING").upper())
+        except ValueError as e:  # an unknown level
+            raise ParameterError(f"CRYPTOGEN_LOG: {e}") from e
         return args.fn(args)
     except (ParameterError, OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

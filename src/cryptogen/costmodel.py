@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -68,41 +69,18 @@ class CostTriple:
     ct: CostCell
 
 
-# prefill formulas per method: (mult, rot, ct) as functions of the dims
-_PREFILL_FORMULAS = {
-    "Gazelle": (
-        lambda m, d1, d2, n: m * d1,
-        lambda m, d1, d2, n: m * d1,
-        lambda m, d1, d2, n: m * d1 // d2,
-    ),
-    "IRON": (
-        lambda m, d1, d2, n: m * d1 * d2 // n,
-        lambda m, d1, d2, n: 0,
-        lambda m, d1, d2, n: round(math.sqrt(m * d1 * d2 / n)),
-    ),
-    "BOLT": (
-        lambda m, d1, d2, n: m * d1 * d2 // n,
-        lambda m, d1, d2, n: round(math.sqrt(m * m * d1 * d1 * d2 / (n * n))),
-        lambda m, d1, d2, n: -(-(m * (d1 + d2)) // n),
-    ),
-    "THOR": (
-        lambda m, d1, d2, n: m * d1 * d2 // n,
-        lambda m, d1, d2, n: d2 + m * d1 // n,
-        lambda m, d1, d2, n: -(-(m * d1) // n),
-    ),
-    "CryptoGen": (
-        lambda m, d1, d2, n: m * d1 * d2 // n,
-        lambda m, d1, d2, n: round(math.sqrt(m * m * d1 * d1 * d2 / (n * n))),
-        lambda m, d1, d2, n: -(-(m * d1) // n),
-    ),
-}
+def _prefill_costs(method: str, m: int, d1: int, d2: int, n: int) -> tuple:
+    """(mult, rot, ct) of one prefill pass of ``method`` at the dims."""
+    packed = m * d1 * d2 // n
+    bolt_rot = round(math.sqrt(m * m * d1 * d1 * d2 / (n * n)))
+    return {
+        "Gazelle": (m * d1, m * d1, m * d1 // d2),
+        "IRON": (packed, 0, round(math.sqrt(m * d1 * d2 / n))),
+        "BOLT": (packed, bolt_rot, -(-(m * (d1 + d2)) // n)),
+        "THOR": (packed, d2 + m * d1 // n, -(-(m * d1) // n)),
+        "CryptoGen": (packed, bolt_rot, -(-(m * d1) // n)),
+    }[method]
 
-# CryptoGen generates per token instead of re-running the prefill pass
-_CRYPTOGEN_GEN = (
-    lambda m, d1, d2, n, k: (d1 * d2 // n) * k,
-    lambda m, d1, d2, n, k: math.ceil(math.log2(d1)) * k,
-    lambda m, d1, d2, n, k: -(-d1 // n) * k,
-)
 
 # published constants at REFERENCE_DIMS: {method: {stage: (mult, rot, ct)}}
 _REPORTED = {
@@ -131,35 +109,18 @@ def predict_costs(
     if min(m, d1, d2, n) <= 0 or k < 0:
         raise ValueError("dimensions must be positive and k >= 0")
 
-    at_ref = (m, d1, d2, n, k) == tuple(REFERENCE_DIMS.values())
-    pre = [f(m, d1, d2, n) for f in _PREFILL_FORMULAS[method]]
-    if method == "CryptoGen":
-        gen = [f(m, d1, d2, n, k) for f in _CRYPTOGEN_GEN]
+    pre = _prefill_costs(method, m, d1, d2, n)
+    if method == "CryptoGen":  # generates per token instead of re-running the prefill pass
+        gen = ((d1 * d2 // n) * k, math.ceil(math.log2(d1)) * k, -(-d1 // n) * k)
     else:
-        gen = [v * k for v in pre]
-
-    def cells(values, stage_name):
-        rep = _REPORTED[method].get(stage_name) if at_ref else None
-        return [
-            CostCell(v, rep[i] if rep is not None else None)
-            for i, v in enumerate(values)
-        ]
-
-    if stage == "prefill":
-        cs = cells(pre, "prefill")
-    elif stage == "gen":
-        cs = cells(gen, "gen")
-    else:
-        pre_c = cells(pre, "prefill")
-        gen_c = cells(gen, "gen")
-        cs = [
-            CostCell(
-                p.formula_value + g.formula_value,
-                (p.reported + g.reported) if p.reported is not None else None,
-            )
-            for p, g in zip(pre_c, gen_c)
-        ]
-    return CostTriple(*cs)
+        gen = tuple(v * k for v in pre)
+    rep = _REPORTED[method] if (m, d1, d2, n, k) == tuple(REFERENCE_DIMS.values()) else None
+    values, reported = {
+        "prefill": (pre, rep and rep["prefill"]),
+        "gen": (gen, rep and rep["gen"]),
+        "total": (tuple(map(add, pre, gen)), rep and tuple(map(add, rep["prefill"], rep["gen"]))),
+    }[stage]
+    return CostTriple(*(CostCell(v, r) for v, r in zip(values, reported or (None,) * 3)))
 
 
 def reported_only(**dims) -> list[dict]:

@@ -151,8 +151,8 @@ def decode(P: PackedMatrix, ctx: Context) -> np.ndarray:
 
 def pack_token_inner(x, ctx: Context) -> SlotCiphertext:
     """Encrypt one integer row vector into slots 0..d-1 (inner layout);
-    any other input raises ParameterError, as in ``plain_from_dense``."""
-    return ctx.encrypt(ctx.plain_from_dense(x))
+    any other input raises ParameterError, as in ``Context.plains``."""
+    return ctx.encrypt(ctx.plains([x])[0])
 
 
 def tile_token(x_ct: SlotCiphertext, d: int, B: int, ctx: Context) -> SlotCiphertext:

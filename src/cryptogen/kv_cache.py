@@ -125,7 +125,7 @@ def _append_one(
     ct_new = ctx.mult_plain(rotated, mask)
     parts = list(seg.parts)
     if fresh:
-        parts.append(ctx.add(ctx.encrypt(ctx.zeros()), ct_new))
+        parts.append(ctx.add(ctx.encrypt(ctx.plains([[0]])[0]), ct_new))
     else:
         parts[-1] = ctx.add(parts[-1], ct_new)
     enc = replace(seg.encoding, rows=seg.encoding.rows + 1)

@@ -70,8 +70,8 @@ class ModelConfig:
             v = getattr(self, f.name)
             if type(v) is not int:
                 raise ParameterError(f"{f.name} must be an int, got {v!r}")
-        if min(self.layers, self.d1, self.heads, self.ffn_dim, self.vocab, self.max_seq) < 1:
-            raise ParameterError("all model dimensions must be positive")
+        if min(self.layers, self.d1, self.heads, self.ffn_dim, self.vocab, self.max_seq, self.f) < 1:
+            raise ParameterError("all model dimensions and f must be positive")
         if self.d1 % self.heads:
             raise ParameterError(f"d1 ={self.d1} must be divisible by heads ={self.heads}")
 
@@ -133,7 +133,7 @@ class Model:
         key = (name, ctx.params)
         bias = self._bias.get(key)
         if bias is None:
-            bias = self._bias[key] = ctx.plain_from_dense(self.weights[name] << self.config.f)
+            bias = self._bias[key] = ctx.plains([self.weights[name] << self.config.f])[0]
         return bias
 
     def fixed_point(self, ctx: Context) -> FixedPointParams:
@@ -220,6 +220,8 @@ def load_model(path) -> Model:
         shape = tuple(shape)
         if shape != spec[name][0]:
             raise ParameterError(f"{path}: {name} has shape {shape}, expected {spec[name][0]}")
+        if mat.size != np.prod(shape):
+            raise ParameterError(f"{path / file}: {mat.size} words do not fill {name}'s shape {shape}")
         weights[name] = mat.reshape(shape)
     return Model(config, weights)
 
@@ -344,12 +346,7 @@ def _inner_row(ct, cols: int) -> PackedMatrix:
 
 
 def _truncated(P: PackedMatrix, fp, ctx, mpc) -> PackedMatrix:
-    """Rescale by 2^f with the truncation protocol, one ciphertext at a time."""
-    parts = [
-        next(shares_to_he(truncate(he_to_shares([part], ctx, mpc, P.width), fp, ctx, mpc), ctx, mpc))
-        for part in P.parts
-    ]
-    return PackedMatrix(P.encoding, parts)
+    return PackedMatrix(P.encoding, truncate(P.parts, P.width, fp, ctx, mpc))
 
 
 def _roundtrip(P: PackedMatrix, fn, ctx, mpc) -> PackedMatrix:
@@ -388,9 +385,7 @@ class _Prefill:
         ``plains`` call."""
         bias = model.weights[name] << model.config.f
         rows = P.payloads(np.broadcast_to(bias, (P.rows, P.cols)))
-        padded = np.zeros((rows.shape[0], ctx.params.n_slots), dtype=np.int64)
-        padded[:, : rows.shape[1]] = rows
-        parts = [ctx.add_plain(part, v) for part, v in zip(P.parts, ctx.plains(padded))]
+        parts = [ctx.add_plain(part, v) for part, v in zip(P.parts, ctx.plains(rows))]
         return PackedMatrix(P.encoding, parts)
 
     @staticmethod

@@ -24,13 +24,14 @@ integer-divided into bytes):
   he_to_shares          n_slots words, one round, per ciphertext
   shares_to_he          n_slots words, one round, per ciphertext
   refresh               one of each: 2n words in 2 rounds
-  truncate              3 trips of L words per row of L values
+  truncate              its two conversions, plus 3 trips of L words,
+                        per ciphertext of L values
   attention_softmax     3 + RECIPROCAL_ITERS trips over all the scores
   LayerNorm, GELU       no rounds: evaluated on the shared values between
                         the two ciphertext transfers around them
 
 Three known gaps (ROADMAP item 5): 2 of truncate's 3 trips are entry/exit
-transfers that the ciphertext transfers around every call already charge;
+transfers that its own two conversions already charge;
 LayerNorm/GELU charge none of their protocol rounds; and the FFN outputs
 are rescaled on the shared values (``fp_truncate`` in ``model._layer``'s
 round trips) with no trips, while wq/wk/wv/wo and the attention outputs
@@ -177,12 +178,21 @@ def refresh(ct: SlotCiphertext, ctx: Context, ch: MpcChannel) -> SlotCiphertext:
     return out
 
 
-def truncate(values, fp: FixedPointParams, ctx: Context, ch: MpcChannel) -> np.ndarray:
-    """Fixed-point rescale of a k x L matrix of shared values: each is
-    floor-divided by 2^f, at 3 trips of L words per row."""
-    k, length = values.shape
-    ctx.counter.mpc_bytes += ch.transfer(length, trips=3 * k)
-    return fp_truncate(values, fp.f)
+def truncate(cts, length: int, fp: FixedPointParams, ctx: Context, ch: MpcChannel) -> list:
+    """Fixed-point rescale of ciphertexts: slots 0..length-1 of each are
+    converted to shares, floor-divided by 2^f and shared back (zeros
+    beyond), at 3 trips of ``length`` words besides the two conversions.
+
+    Each round trip finishes before the next ciphertext is drawn from
+    ``cts``, so the ops a generator spends making one interleave with the
+    round trips as in a hand-written loop.
+    """
+    out = []
+    for ct in cts:
+        values = fp_truncate(he_to_shares([ct], ctx, ch, length), fp.f)
+        ctx.counter.mpc_bytes += ch.transfer(length, trips=3)
+        out.append(next(shares_to_he(values, ctx, ch)))
+    return out
 
 
 def attention_softmax(

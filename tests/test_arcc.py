@@ -24,7 +24,7 @@ from cryptogen.nonlinear import MpcChannel
 
 
 def test_broadcast_examples(ctx16):
-    a = ctx16.encrypt(ctx16.plain_from_dense([7, 9]))
+    a = ctx16.encrypt(ctx16.plains([[7, 9]])[0])
     w1 = broadcast_slot(a, 1, 1, ctx16)
     vals = ctx16.decrypt(w1)
     assert vals[0] == 9 and not vals[1:].any()

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -73,32 +74,32 @@ def test_encrypt_decrypt_roundtrip(ctx16):
 
 
 def test_add_identity_and_values(ctx16):
-    a = ctx16.encrypt(ctx16.plain_from_dense([1, 2]))
-    b = ctx16.encrypt(ctx16.plain_from_dense([3, 4]))
-    z = ctx16.encrypt(ctx16.zeros())
+    a = ctx16.encrypt(ctx16.plains([[1, 2]])[0])
+    b = ctx16.encrypt(ctx16.plains([[3, 4]])[0])
+    z = ctx16.encrypt(np.zeros(16, dtype=np.int64))
     assert (ctx16.decrypt(ctx16.add(a, z)) == ctx16.decrypt(a)).all()
     assert (ctx16.decrypt(ctx16.add(a, b))[:2] == [4, 6]).all()
 
 
 def test_add_modular_wraparound(ctx16):
     p = ctx16.params.plain_modulus
-    a = ctx16.encrypt(ctx16.plain_from_dense([p - 1, 0]))
-    b = ctx16.encrypt(ctx16.plain_from_dense([2, 0]))
+    a = ctx16.encrypt(ctx16.plains([[p - 1, 0]])[0])
+    b = ctx16.encrypt(ctx16.plains([[2, 0]])[0])
     assert (ctx16.decrypt(ctx16.add(a, b))[:2] == [1, 0]).all()
 
 
 def test_mult_plain(ctx16):
-    a = ctx16.encrypt(ctx16.plain_from_dense([3, 5]))
+    a = ctx16.encrypt(ctx16.plains([[3, 5]])[0])
     ones = np.ones(16, dtype=np.int64)
     assert (ctx16.decrypt(ctx16.mult_plain(a, ones)) == ctx16.decrypt(a)).all()
-    assert not ctx16.decrypt(ctx16.mult_plain(a, ctx16.zeros())).any()
-    two = ctx16.plain_from_dense([2, 2])
+    assert not ctx16.decrypt(ctx16.mult_plain(a, np.zeros(16, dtype=np.int64))).any()
+    two = ctx16.plains([[2, 2]])[0]
     assert (ctx16.decrypt(ctx16.mult_plain(a, two))[:2] == [6, 10]).all()
 
 
 def test_mult_cipher_values_and_budget(ctx16):
-    a = ctx16.encrypt(ctx16.plain_from_dense([2, 3]))
-    b = ctx16.encrypt(ctx16.plain_from_dense([4, 5]))
+    a = ctx16.encrypt(ctx16.plains([[2, 3]])[0])
+    b = ctx16.encrypt(ctx16.plains([[4, 5]])[0])
     prod = ctx16.mult_cipher(a, b)
     assert (ctx16.decrypt(prod)[:2] == [8, 15]).all()
     assert prod.noise_budget == ctx16.params.initial_noise_budget - 40
@@ -111,7 +112,7 @@ def test_rotate_semantics(ctx16):
     ctx4 = Context(BackendParams(n_slots=4, plain_modulus=17), seed=0)
     full = ctx4.encrypt([1, 2, 3, 4])
     assert (ctx4.decrypt(ctx4.rotate(full, 1)) == [2, 3, 4, 1]).all()
-    a = ctx16.encrypt(ctx16.plain_from_dense([1, 2, 3, 4]))
+    a = ctx16.encrypt(ctx16.plains([[1, 2, 3, 4]])[0])
     # rotate by 0 keeps values but still counts
     before = ctx16.counter.rotate
     r0 = ctx16.rotate(a, 0)
@@ -317,10 +318,10 @@ def test_plain_encodes_or_rejects(data):
         ("plain", np.full(16, 2.0)),
         ("plain", np.ones(16, dtype=bool)),
         ("encrypt", [1.5] * 16),
-        ("plain_from_dense", [1.5, 2.5]),
-        ("plain_from_dense", [True, False]),
-        ("plain_from_dense", 5),
-        ("plain_from_dense", np.ones((2, 2), dtype=np.int64)),
+        ("plains", [[1.5, 2.5]]),
+        ("plains", [[True, False]]),
+        ("plains", 5),
+        ("plains", np.ones((2, 2, 2), dtype=np.int64)),
         ("encode", [[1.7, 2.9]]),
         ("shares_to_he", [[1.9, -2.5]]),
     ],
@@ -338,9 +339,10 @@ def test_plain_encodes_or_rejects(data):
     ],
 )
 def test_plain_rejects_what_plains_rejects(ctx16, method, value):
-    """plain, plain_from_dense, encode and shares_to_he take the rule of
-    plains: integers, never truncated from floats; a float, bool, scalar
-    or matrix input raises ParameterError without moving the counter."""
+    """plain, plains (of short rows), encode and shares_to_he take the
+    rule of ``as_int64``: integers, never truncated from floats; a float,
+    bool, scalar or wrong-rank input raises ParameterError without moving
+    the counter."""
     call = {
         "encode": lambda v: encode(v, EncodingKind.OUTER, ctx16),
         "shares_to_he": lambda v: shares_to_he(v, ctx16, MpcChannel(ctx16.params.plain_modulus, 0)),
@@ -355,7 +357,7 @@ def test_plain_rejects_what_plains_rejects(ctx16, method, value):
 _UINT64_ENTRIES = {
     "plain": lambda ctx, X, W: ctx.plain(W.ravel()),
     "plains": lambda ctx, X, W: ctx.plains(W.reshape(1, 16)),
-    "plain_from_dense": lambda ctx, X, W: ctx.plain_from_dense(W[0]),
+    "plains_short_rows": lambda ctx, X, W: ctx.plains(W),
     "encode": lambda ctx, X, W: encode(W, EncodingKind.OUTER, ctx),
     "shares_to_he": lambda ctx, X, W: shares_to_he(W, ctx, MpcChannel(97, 0)),
     "cpvm_weights": lambda ctx, X, W: cpvm_plaintexts(W, ctx),
@@ -439,9 +441,47 @@ def test_plains_reduces_a_matrix_once_and_wraps_its_rows(ctx16):
     assert all(np.shares_memory(pt.slots, M) and (pt.slots == row).all() for pt, row in zip(pts, want))
     rows = want.tolist()
     assert [pt.slots.tolist() for pt in ctx16.plains(rows)] == rows
-    for bad in (np.zeros(16, dtype=np.int64), np.zeros((2, 8), dtype=np.int64), np.zeros((2, 16))):
+    for bad in (np.zeros(16, dtype=np.int64), np.zeros((2, 17), dtype=np.int64), np.zeros((2, 16))):
         with pytest.raises(ParameterError):
             ctx16.plains(bad)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_plains_zero_pads_short_rows(data):
+    """plains of a k x L matrix, L <= n, of signed or uint64 values equals
+    plains of the same rows zero-padded to n, spending no op and drawing
+    no mask; a matrix of more than n columns raises ParameterError."""
+    ctx = Context(BackendParams(n_slots=16, plain_modulus=_P16), seed=0)
+    k, length = data.draw(st.integers(0, 4), label="k"), data.draw(st.integers(0, 20), label="L")
+    dtype, lo = data.draw(st.sampled_from([(np.int64, -(2**63)), (np.uint64, 0)]), label="dtype")
+    rows = data.draw(st.lists(st.lists(st.integers(lo, 2**63 - 1), min_size=length, max_size=length), min_size=k, max_size=k))
+    M = np.array(rows, dtype=dtype).reshape(k, length)
+    padded = np.zeros((k, max(length, 16)), dtype=dtype)
+    padded[:, :length] = M
+    before = ctx.counter.snapshot()
+    with mock.patch.object(MpcChannel, "sample_mask", side_effect=AssertionError("plains drew a mask")):
+        if length > 16:
+            with pytest.raises(ParameterError):
+                ctx.plains(M)
+        else:
+            got, want = ctx.plains(M), ctx.plains(padded)
+            assert all(type(pt) is Plaintext and not pt.slots.flags.writeable for pt in got)
+            assert [pt.slots.tolist() for pt in got] == [pt.slots.tolist() for pt in want]
+            assert [pt.slots.tolist() for pt in got] == [[x % _P16 for x in row] + [0] * (16 - length) for row in rows]
+    assert ctx.counter.delta(before) == OpCounter().as_dict()
+
+
+@pytest.mark.parametrize("budget", [10**6, 0, -5, 1.5, True], ids=["huge", "zero", "negative", "fractional", "bool"])
+def test_load_ciphertext_rejects_impossible_budgets(ctx16, budget):
+    """A budget other than an int in [1, initial_noise_budget] raises
+    ParameterError before an id is issued; both ends of the range load."""
+    next_id = ctx16.encrypt(np.arange(16)).id + 1
+    with pytest.raises(ParameterError, match="budget"):
+        ctx16.load_ciphertext(np.arange(16), budget)
+    top = ctx16.params.initial_noise_budget
+    cts = [ctx16.load_ciphertext(np.arange(16), b) for b in (1, top)]
+    assert [(ct.id, ct.noise_budget) for ct in cts] == [(next_id, 1), (next_id + 1, top)]
 
 
 @pytest.mark.parametrize(
@@ -470,7 +510,7 @@ def test_block_mask_is_encoded_once_per_context_family(ctx16):
 
 def test_budget_exhaustion_and_decrypt_failure(ctx16):
     params = ctx16.params
-    a = ctx16.encrypt(ctx16.plain_from_dense([1]))
+    a = ctx16.encrypt(ctx16.plains([[1]])[0])
     # spend the budget down to below one multiplication
     a = ctx16.with_budget(a, 39)
     with pytest.raises(NoiseBudgetExhausted):
@@ -479,14 +519,14 @@ def test_budget_exhaustion_and_decrypt_failure(ctx16):
     with pytest.raises(DecryptionFailure):
         ctx16.decrypt(dead)
     # budget may land exactly on zero without erroring
-    b = ctx16.with_budget(ctx16.encrypt(ctx16.zeros()), params.noise_costs.mult_plain)
+    b = ctx16.with_budget(ctx16.encrypt(np.zeros(16, dtype=np.int64)), params.noise_costs.mult_plain)
     out = ctx16.mult_plain(b, np.ones(16, dtype=np.int64))
     assert out.noise_budget == 0
 
 
 def test_budget_is_min_of_inputs_minus_cost(ctx16):
-    a = ctx16.with_budget(ctx16.encrypt(ctx16.zeros()), 100)
-    b = ctx16.with_budget(ctx16.encrypt(ctx16.zeros()), 80)
+    a = ctx16.with_budget(ctx16.encrypt(np.zeros(16, dtype=np.int64)), 100)
+    b = ctx16.with_budget(ctx16.encrypt(np.zeros(16, dtype=np.int64)), 80)
     assert ctx16.add(a, b).noise_budget == 80
     assert ctx16.mult_cipher(a, b).noise_budget == 40
 
@@ -507,7 +547,7 @@ def test_counters_match_invocations(ctx16, rng):
         elif op == "add":
             a = ctx16.add(a, b)
         else:
-            a = ctx16.add_plain(a, ctx16.zeros())
+            a = ctx16.add_plain(a, np.zeros(16, dtype=np.int64))
         a = ctx16.with_budget(a, 190)
         tally[op] += 1
     delta = ctx16.counter.delta(start)
@@ -548,8 +588,8 @@ def test_emulation_matches_plain_arithmetic(ctx16, rng):
 
 def test_counter_merge_and_fork(ctx16):
     child = ctx16.fork()
-    child.encrypt(child.zeros())
-    child.encrypt(child.zeros())
+    child.encrypt(np.zeros(16, dtype=np.int64))
+    child.encrypt(np.zeros(16, dtype=np.int64))
     base = ctx16.counter.encrypt
     ctx16.join(child)
     assert ctx16.counter.encrypt == base + 2
@@ -569,7 +609,7 @@ def test_forks_share_the_seed_sequence_and_never_repeat_a_spawn(ctx16):
 
 
 def test_ciphertexts_are_immutable(ctx16):
-    ct = ctx16.encrypt(ctx16.plain_from_dense([1, 2]))
+    ct = ctx16.encrypt(ctx16.plains([[1, 2]])[0])
     with pytest.raises(ValueError):
         ct.slots[0] = 5
 
@@ -619,14 +659,6 @@ def test_params_json_roundtrip():
     params = BackendParams(n_slots=16, plain_modulus=97, refresh_threshold=50)
     again = BackendParams.from_json(params.to_json())
     assert again == params
-
-
-def test_counter_json_export(ctx16):
-    ctx16.encrypt(ctx16.zeros())
-    import json
-
-    d = json.loads(ctx16.counter.to_json())
-    assert d["encrypt"] == 1 and d["mpc_bytes"] == 0
 
 
 # the toy and reference moduli and the largest prime below 2^31 that is
@@ -769,15 +801,3 @@ def test_ciphertext_copies_keep_the_bound(roundtrip):
     assert b.slots.tolist() == [_P_LARGEST - 1] * 64 and not b.slots.flags.writeable
     assert ctx.decrypt(b).tolist() == [_P_LARGEST - 1] * 64
     assert ctx.with_budget(b, 9).bound == 3
-
-
-def test_four_field_ciphertexts_are_reduced(ctx16, monkeypatch):
-    """The constructor's bound defaults to 1, and a pickle of the 4-tuple
-    form (no bound) loads as a reduced ciphertext."""
-    ct = SlotCiphertext(np.arange(16), 9, 1, ctx16.params)
-    assert ct.bound == 1 and len(ct) == 5
-    monkeypatch.setattr(SlotCiphertext, "__getnewargs__", lambda self: tuple(self)[:4])
-    data = pickle.dumps(ct)
-    monkeypatch.undo()
-    old = pickle.loads(data)
-    assert old.bound == 1 and (old.slots == np.arange(16)).all()

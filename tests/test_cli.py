@@ -183,7 +183,8 @@ def test_unknown_log_level_is_a_usage_error(tmp_path):
         timeout=600,
     )
     assert out.returncode == 2
-    assert out.stderr.startswith("error:") and len(out.stderr.splitlines()) == 1, out.stderr
+    assert out.stderr.startswith("error: CRYPTOGEN_LOG:") and len(out.stderr.splitlines()) == 1, out.stderr
+    assert "'FOO'" in out.stderr
     assert not (tmp_path / "c").exists()
 
 

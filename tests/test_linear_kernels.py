@@ -10,7 +10,7 @@ from cryptogen.linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal, f
 
 
 def test_fold_sum_block1_is_identity(ctx16):
-    ct = ctx16.encrypt(ctx16.plain_from_dense([5, 6]))
+    ct = ctx16.encrypt(ctx16.plains([[5, 6]])[0])
     start = ctx16.counter.snapshot()
     out = fold_sum(ct, 1, ctx16)
     assert ctx16.counter.delta(start)["rotate"] == 0
@@ -18,14 +18,14 @@ def test_fold_sum_block1_is_identity(ctx16):
 
 
 def test_fold_sum_examples(ctx16):
-    ct = ctx16.encrypt(ctx16.plain_from_dense([1, 2, 3, 4]))
+    ct = ctx16.encrypt(ctx16.plains([[1, 2, 3, 4]])[0])
     start = ctx16.counter.snapshot()
     out = fold_sum(ct, 4, ctx16)
     d = ctx16.counter.delta(start)
     assert d["rotate"] == 2 and d["add"] == 2
     assert ctx16.decrypt(out)[0] == 10
 
-    ct = ctx16.encrypt(ctx16.plain_from_dense([1, 1, 1, 1, 2, 2, 2, 2]))
+    ct = ctx16.encrypt(ctx16.plains([[1, 1, 1, 1, 2, 2, 2, 2]])[0])
     out = fold_sum(ct, 4, ctx16)
     vals = ctx16.decrypt(out)
     assert vals[0] == 4 and vals[4] == 8
@@ -40,7 +40,7 @@ def test_fold_sum_per_block_oracle(ctx16, rng):
 
 
 def test_fold_sum_rejects_bad_block(ctx16):
-    ct = ctx16.encrypt(ctx16.zeros())
+    ct = ctx16.encrypt(np.zeros(16, dtype=np.int64))
     for bad in (3, 32, 0):
         with pytest.raises(ParameterError):
             fold_sum(ct, bad, ctx16)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryptogen.backend import BackendParams, Context, ParameterError, default_plain_modulus
+from cryptogen.encodings import save_matrix
 from cryptogen.model import (
     ModelConfig,
     bolt_reference_generate,
@@ -51,6 +52,21 @@ def test_config_validation():
         ModelConfig(layers=2, d1=30, heads=4, ffn_dim=64, vocab=64, max_seq=32)
     cfg = toy_config()
     assert cfg.d2 == 8 and cfg.d1 == cfg.heads * cfg.d2
+
+
+@pytest.mark.parametrize("f", [0, -1])
+def test_config_rejects_nonpositive_f(f):
+    """f = 0 leaves no fraction bits and f < 0 a negative shift: both are
+    refused with the dimensions, before a weight is drawn."""
+    with pytest.raises(ParameterError, match="f must be positive"):
+        ModelConfig(layers=1, d1=8, heads=2, ffn_dim=8, vocab=8, max_seq=8, f=f)
+
+
+def test_load_model_names_a_weight_file_of_the_wrong_size(tmp_path, toy):
+    save_model(toy, tmp_path / "m")
+    save_matrix(tmp_path / "m" / "tok_emb.bin", np.ones((1, 16), dtype=np.int64), p=0)
+    with pytest.raises(ParameterError, match=r"tok_emb\.bin: 16 words do not fill tok_emb's shape \(64, 32\)"):
+        load_model(tmp_path / "m")
 
 
 def test_model_save_load_byte_identical(tmp_path, toy):

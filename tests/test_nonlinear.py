@@ -45,7 +45,7 @@ FP = FixedPointParams(11, P_BIG)
 
 
 def _ctx():
-    """A context to charge protocol bytes to; the protocols here read only its counter."""
+    """A 16-slot context at P_BIG for the protocols to run on."""
     return Context(BackendParams(n_slots=16, plain_modulus=P_BIG))
 
 
@@ -144,7 +144,7 @@ def test_zero_secret_shares_are_negations(ctx16):
     p = ctx16.params.plain_modulus
     ch = MpcChannel(p, seed=0)
     with _spied() as (_, masks, seen):
-        assert not he_to_shares([ctx16.encrypt(ctx16.zeros())], ctx16, ch).any()
+        assert not he_to_shares([ctx16.encrypt(np.zeros(16, dtype=np.int64))], ctx16, ch).any()
     (share,), (r,) = seen, masks
     assert (share == (p - r) % p).all()
 
@@ -174,7 +174,7 @@ def test_pooled_masks_never_reuse_a_word(lengths, seed):
 
 def test_channel_bytes_per_direction(ctx16):
     ch = MpcChannel(ctx16.params.plain_modulus, seed=0)
-    ct = ctx16.encrypt(ctx16.zeros())
+    ct = ctx16.encrypt(np.zeros(16, dtype=np.int64))
     per_ct = ch.vector_bytes(ctx16.params.n_slots)
     before = ctx16.counter.snapshot()
     vals = he_to_shares([ct, ct, ct], ctx16, ch, 4)
@@ -225,7 +225,7 @@ def test_conversions_spend_per_ciphertext_ops_in_list_order(slots, length, prefi
 
 def test_batch_forms_reject_bad_shapes(ctx16):
     ch = MpcChannel(ctx16.params.plain_modulus, seed=0)
-    ct = ctx16.encrypt(ctx16.zeros())
+    ct = ctx16.encrypt(np.zeros(16, dtype=np.int64))
     before = ctx16.counter.snapshot()
     for length in (0, 17):
         with pytest.raises(ParameterError, match="out of range"):
@@ -256,16 +256,21 @@ def test_refresh_resets_the_budget_at_four_ops(ctx16):
 
 
 def test_truncate_examples():
-    """Truncation rescales the shared values, charges 3 trips per row and
-    draws no mask: the conversion back into HE shares its result."""
+    """Truncation rescales each ciphertext's values between its two
+    conversions, at 3 trips of L words per ciphertext besides them, and
+    finishes each round trip before it draws the next ciphertext."""
     ch, ctx = MpcChannel(P_BIG, seed=0), _ctx()
     one, half = fp_encode(1.0, FP), fp_encode(0.5, FP)
+    pts = ctx.plains([[int(one) ** 2], [int(half) ** 2], [0]])
     with _spied() as (log, masks, _):
-        got = truncate(np.array([[int(one) ** 2], [int(half) ** 2], [0]]), FP, ctx, ch)[:, 0]
+        out = truncate((ctx.encrypt(pt) for pt in pts), 1, FP, ctx, ch)
+    got = [int(to_signed(ctx.decrypt(ct), P_BIG)[0]) for ct in out]
     assert got[0] == one and abs(got[1] - fp_encode(0.25, FP)) <= 1 and got[2] == 0
-    assert not log and not masks
-    assert ctx.counter.mpc_bytes == ch.bytes_sent == 3 * 3 * ch.vector_bytes(1)
-    assert ch.rounds == 9
+    assert [op for op, _ in log] == ["encrypt", "add_plain", "decrypt", "encrypt", "add_plain"] * 3
+    assert [m.size for m in masks] == [16, 1] * 3
+    conversions = 3 * 2 * ch.vector_bytes(16)
+    assert ctx.counter.mpc_bytes == ch.bytes_sent == conversions + 3 * 3 * ch.vector_bytes(1)
+    assert ch.rounds == 3 * 2 + 9
 
 
 def test_gelu_point_values():
@@ -340,7 +345,7 @@ def test_protocol_bytes_depend_only_on_shape(rng):
     for seed in (0, 1):
         ch, ctx = MpcChannel(P_BIG, seed=seed), _ctx()
         vals = rng.uniform(-2, 2, 16)
-        truncate(fp_encode(vals, FP).reshape(2, 8), FP, ctx, ch)
+        truncate([ctx.encrypt(pt) for pt in ctx.plains(fp_encode(vals, FP).reshape(2, 8))], 8, FP, ctx, ch)
         attention_softmax(_scores(vals, FP), 8, FP, ctx, ch)
         attention_softmax(_scores(vals, FP).reshape(4, 4), 8, FP, ctx, ch)
         totals.append((ch.bytes_sent, ch.rounds, ctx.counter.mpc_bytes))
@@ -354,9 +359,9 @@ def test_share_completeness_on_protocol_boundaries(rng):
     ch = MpcChannel(P_BIG, seed=9)
     vals = rng.uniform(-3, 3, 8)
     scores = _scores(vals, FP)
-    cts = [ctx.plain_from_dense(np.mod(row, P_BIG)) for row in (fp_encode(vals, FP), scores)]
-    x, s = he_to_shares([ctx.encrypt(pt) for pt in cts], ctx, ch, 8)
-    (out,) = shares_to_he(truncate(x[None], FP, ctx, ch), ctx, ch)
+    x, s = [ctx.encrypt(pt) for pt in ctx.plains([fp_encode(vals, FP), scores])]
+    (out,) = truncate([x], 8, FP, ctx, ch)
+    (s,) = he_to_shares([s], ctx, ch, 8)
     assert (to_signed(ctx.decrypt(out), P_BIG)[:8] == fp_truncate(fp_encode(vals, FP), FP.f)).all()
     assert (attention_softmax(s, 8, FP, ctx, ch) == attention_weights(scores, 8, FP)).all()
 
