@@ -5,6 +5,9 @@ Reals are encoded as round(v * 2^f) in Z_p with values >= p/2 standing for
 negatives.  Every function here operates on signed int64 numpy arrays (or
 Python ints) and is exactly deterministic, so the encrypted pipeline and
 the plaintext oracle share one implementation of each nonlinear step.
+Integer inputs are taken as ``backend.as_int64`` takes them (floats and
+uint64 values from 2^63 on raise ParameterError); only ``fp_encode`` and
+``fp_decode`` take reals.
 
 Polynomial coefficients below were produced by tools/fit_nonlinear_coeffs.py
 and are frozen; rerun the script to regenerate.
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import ParameterError
+from .backend import ParameterError, as_int64
 
 __all__ = [
     "CAUSAL_MASK_EXPONENT",
@@ -83,7 +86,7 @@ class FixedPointParams:
 
 def to_signed(v, p: int):
     """Map Z_p residues to signed representatives in (-p/2, p/2]."""
-    v = np.asarray(v, dtype=np.int64)
+    v = as_int64(v)
     return np.where(v > p // 2, v - p, v)
 
 
@@ -98,7 +101,7 @@ def fp_decode(v, fp: FixedPointParams) -> np.ndarray:
 
 def fp_truncate(v, f: int):
     """Floor-divide signed values by 2^f (arithmetic shift)."""
-    return np.asarray(v, dtype=np.int64) >> f
+    return as_int64(v) >> f
 
 
 def fp_gelu(x, fp: FixedPointParams) -> np.ndarray:
@@ -106,7 +109,7 @@ def fp_gelu(x, fp: FixedPointParams) -> np.ndarray:
     squarings, exact passthrough/zero outside, negative side by symmetry
     GELU(x) = x + GELU(-x)."""
     f = fp.f
-    x = np.asarray(x, dtype=np.int64)
+    x = as_int64(x)
     clip = fp.quantize(GELU_CLIP)
     c4 = fp.quantize(_G_C4)
     beta = fp.quantize(_G_BETA)
@@ -150,7 +153,7 @@ def fp_softmax(s, fp: FixedPointParams) -> np.ndarray:
     Newton reciprocal.  Output is scale f, summing to 2^f within L LSBs.
     """
     f = fp.f
-    s = np.asarray(s, dtype=np.int64)
+    s = as_int64(s)
     L = s.shape[0]
     if L == 0:
         raise ParameterError("softmax needs at least one score")
@@ -210,7 +213,7 @@ def causal_attention_weights(
 ) -> np.ndarray:
     """Prefill row: like attention_weights but positions beyond row_index
     get the additive causal mask, whose weight underflows to exactly zero."""
-    s1 = fp_truncate(np.asarray(row_2f, dtype=np.int64), fp.f)
+    s1 = fp_truncate(row_2f, fp.f)
     s2 = (s1 * fp.quantize(1.0 / math.sqrt(d2))) >> fp.f
     mask = np.zeros_like(s2)
     mask[row_index + 1 :] = -(1 << (fp.f + CAUSAL_MASK_EXPONENT))
@@ -223,9 +226,7 @@ def fp_layernorm(x, gain, bias, fp: FixedPointParams) -> np.ndarray:
     Zero variance falls back to the bias (gamma * 0 + beta).
     """
     f = fp.f
-    x = np.asarray(x, dtype=np.int64)
-    gain = np.asarray(gain, dtype=np.int64)
-    bias = np.asarray(bias, dtype=np.int64)
+    x, gain, bias = as_int64(x), as_int64(gain), as_int64(bias)
     d = x.shape[0]
     if d < 2:
         raise ParameterError("layernorm needs at least two values")

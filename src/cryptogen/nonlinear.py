@@ -71,7 +71,10 @@ class MpcChannel:
     conversation.  Only the protocols of this module call ``transfer``.
     ``transcript`` is always empty; it is kept for the benchmark harness
     alone, which identifies each channel's list when it pickles call
-    arguments."""
+    arguments.  Slotted, as ``Context`` is (see its layout note): every
+    conversion calls ``sample_mask`` and ``transfer``."""
+
+    __slots__ = ("p", "word_bits", "bytes_sent", "rounds", "rng", "transcript", "_masks", "_used")
 
     def __init__(self, p: int, seed=0):
         self.p = p
@@ -205,7 +208,7 @@ def attention_softmax(
     by row.  Either way the protocol is 3 + RECIPROCAL_ITERS trips over
     all the scores.
     """
-    S = np.asarray(scores_2f, dtype=np.int64)
+    S = as_int64(scores_2f)
     if S.ndim == 1:
         out = attention_weights(S, d2, fp)
     else:

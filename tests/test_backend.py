@@ -608,6 +608,72 @@ def test_forks_share_the_seed_sequence_and_never_repeat_a_spawn(ctx16):
     assert [s.spawn_key for s in seeds] == [(0,), (1,), (2,)]
 
 
+_CONTEXT_COPIES = {
+    "pickle": lambda ctx: pickle.loads(pickle.dumps(ctx)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("how", sorted(_CONTEXT_COPIES))
+def test_context_copies_keep_a_read_only_modulus(ctx16, how):
+    """An unpickled or copied context rebuilds its modulus from params,
+    read-only like the original's, and continues from the original's
+    counter and next id."""
+    ctx16.encrypt(np.arange(16))
+    b = _CONTEXT_COPIES[how](ctx16)
+    assert not b.modulus.flags.writeable and b.modulus == b.params.plain_modulus
+    with pytest.raises(ValueError):
+        b.modulus[()] = 7
+    assert b.counter == ctx16.counter and b.params == ctx16.params
+    a = b.encrypt(np.arange(16))
+    assert a.id == ctx16.encrypt(np.arange(16)).id
+    assert (b.decrypt(b.mult_plain(a, np.full(16, 3))) == 3 * np.arange(16)).all()
+
+
+def _fixed_layout_objects(ctx):
+    ch = MpcChannel(ctx.params.plain_modulus, seed=0)
+    ch.sample_mask(3)
+    return {
+        "context": ctx,
+        "fork": ctx.fork(),
+        "unpickled context": pickle.loads(pickle.dumps(ctx)),
+        "counter": ctx.counter,
+        "unpickled counter": pickle.loads(pickle.dumps(ctx.counter)),
+        "channel": ch,
+        "unpickled channel": pickle.loads(pickle.dumps(ch)),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["context", "fork", "unpickled context", "counter", "unpickled counter", "channel", "unpickled channel"]
+)
+def test_op_path_objects_have_a_fixed_layout(ctx16, name):
+    """Context, a fork, OpCounter and MpcChannel, fresh or unpickled, have
+    no __dict__, and an unknown attribute cannot be assigned."""
+    obj = _fixed_layout_objects(ctx16)[name]
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(AttributeError):
+        obj.not_a_field = 1
+
+
+def test_unpickled_channel_continues_its_mask_stream():
+    ch = MpcChannel(97, seed=5)
+    ch.sample_mask(3)
+    ch.transfer(16)
+    twin = pickle.loads(pickle.dumps(ch))
+    assert (twin.bytes_sent, twin.rounds, twin.transcript) == (ch.bytes_sent, ch.rounds, [])
+    assert (twin.sample_mask(5000) == ch.sample_mask(5000)).all()
+
+
+def test_fork_shares_params_masks_rotation_table_and_seed_sequence(ctx16):
+    child = ctx16.fork()
+    for name in ("params", "_masks", "_rotation", "_seed_seq"):
+        assert getattr(child, name) is getattr(ctx16, name), name
+    assert child.modulus == ctx16.modulus and not child.modulus.flags.writeable
+    assert child.counter is not ctx16.counter and child.counter == OpCounter()
+
+
 def test_ciphertexts_are_immutable(ctx16):
     ct = ctx16.encrypt(ctx16.plains([[1, 2]])[0])
     with pytest.raises(ValueError):

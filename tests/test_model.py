@@ -289,6 +289,24 @@ def test_generate_calls_keep_the_replay_conventions(toy, monkeypatch):
     assert len({id(t) for t in transcripts}) == len(transcripts)
 
 
+def test_decode_step_on_a_pickled_copy_matches_the_live_call(toy):
+    """(state, ctx, chans) pickled as one object, as a replay keeps a
+    call's arguments, give the live call's token, logits and counter delta
+    when decode_step runs on the unpickled copy."""
+    ctx = _ctx()
+    chans = _explicit_channels(toy.config, ctx.params.plain_modulus)
+    state = prefill(toy, [4, 8, 15, 16], ctx, chans)
+    twin = pickle.loads(pickle.dumps((state, ctx, chans)))
+    results = []
+    for s, c, ch in ((state, ctx, chans), twin):
+        before = c.counter.snapshot()
+        token, after = decode_step(toy, s, c, ch)
+        results.append((token, after.next_logits, c.counter.delta(before)))
+    (token, logits, delta), (twin_token, twin_logits, twin_delta) = results
+    assert twin_token == token and (twin_logits == logits).all() and twin_delta == delta
+    assert delta["mult_cipher"] > 0 and delta["mpc_bytes"] > 0
+
+
 def test_bare_package_import_binds_what_the_benchmark_reads():
     """A fresh ``import cryptogen`` binds every ``cg.<module>.<name>`` the
     benchmark harness in perfbench/ reads off the package, and every

@@ -399,3 +399,49 @@ def test_only_nonlinear_charges_mpc_traffic(monkeypatch):
     _, report = generate(generate_toy_model(toy_config(), seed=0), [3, 14, 15, 9, 26], 2, Context(params, seed=0))
     assert report["totals"]["refresh_events"] > 0
     assert callers == {"cryptogen.nonlinear"}
+
+
+# every fixed-point entry that takes integers, fed one length-8 vector
+_LN_X = np.arange(8, dtype=np.int64) * 300
+_ONES, _ZEROS = np.full(8, FP.scale, dtype=np.int64), np.zeros(8, dtype=np.int64)
+_INTEGER_ENTRIES = {
+    "to_signed": lambda v: to_signed(v, P_BIG),
+    "fp_truncate": lambda v: fp_truncate(v, 2),
+    "fp_gelu": lambda v: fp_gelu(v, FP),
+    "fp_softmax": lambda v: fp_softmax(v, FP),
+    "causal_attention_weights": lambda v: causal_attention_weights(v, 3, 8, FP),
+    "fp_layernorm.x": lambda v: fp_layernorm(v, _ONES, _ZEROS, FP),
+    "fp_layernorm.gain": lambda v: fp_layernorm(_LN_X, v, _ZEROS, FP),
+    "fp_layernorm.bias": lambda v: fp_layernorm(_LN_X, _ONES, v, FP),
+    "attention_softmax": lambda v: attention_softmax(v, 8, FP, _ctx(), MpcChannel(P_BIG, 0)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRIES))
+def test_fixed_point_inputs_take_the_one_integer_rule(entry, monkeypatch):
+    """Every integer input of the fixed-point functions goes through
+    ``as_int64``: floats, which int64 would truncate (1.7 -> 1), and uint64
+    values from 2^63 on, which it would wrap, raise ParameterError; an
+    int64 array is used as is, never copied."""
+    call = _INTEGER_ENTRIES[entry]
+    with pytest.raises(ParameterError, match="expected integers"):
+        call(np.array([1.7, -2.9, 96.9, 0.0, 1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(ParameterError, match="2\\^63"):
+        call(np.full(8, 2**64 - 1, dtype=np.uint64))
+    passed = []
+
+    def spy(module):
+        as_int64 = module.as_int64
+
+        def checked(values):
+            out = as_int64(values)
+            passed.append(out is values)
+            return out
+
+        monkeypatch.setattr(module, "as_int64", checked)
+
+    spy(sys.modules["cryptogen.fixedpoint"])
+    spy(sys.modules["cryptogen.nonlinear"])
+    v = np.arange(8, dtype=np.int64) * 500
+    call(v)
+    assert passed and all(passed)
