@@ -52,8 +52,8 @@ their checks inline.  ``rotate`` gathers through a per-shift index table
 shared by every context of its n up to ``ROTATE_GATHER_MAX_SLOTS`` slots,
 and concatenates two slices above.  The objects an op reads on every call
 have a fixed layout: ``Context`` and ``MpcChannel`` declare ``__slots__``
-and ``OpCounter`` is a slotted dataclass, so a forked, copied or unpickled
-one loads its fields as fast as a fresh one (the note at ``Context``).
+and ``OpCounter`` is a slotted dataclass, so a copied or unpickled one
+loads its fields as fast as a fresh one (the note at ``Context``).
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def _check_keys(d, cls, what: str) -> None:
 
 @dataclass(slots=True)
 class OpCounter:
-    """Monotone operation tallies; merge is field-wise sum."""
+    """Monotone operation tallies."""
 
     mult_plain: int = 0
     mult_cipher: int = 0
@@ -240,10 +240,6 @@ class OpCounter:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-    def merge(self, other: "OpCounter") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def snapshot(self) -> "OpCounter":
         return OpCounter(**self.as_dict())
@@ -339,23 +335,14 @@ def as_int64(values) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-class _RotationTable(tuple):
-    """The gather index of each shift k of rotate at n slots, k..k+n-1 mod
-    n: read-only views of one doubled arange.  Pickles as its n, so an
-    unpickled context shares the table of its process too."""
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return _rotation_table, (len(self),)
-
-
 @functools.cache
-def _rotation_table(n: int) -> _RotationTable:
-    """The rotate index table of every n-slot context, built on first use."""
+def _rotation_table(n: int) -> tuple:
+    """The rotate index table of every n-slot context, built on first use:
+    the gather index of each shift k, k..k+n-1 mod n, as read-only views of
+    one doubled arange."""
     doubled = np.tile(np.arange(n), 2)
     doubled.setflags(False)
-    return _RotationTable(doubled[k : k + n] for k in range(n))
+    return tuple(doubled[k : k + n] for k in range(n))
 
 
 def _plaintext(slots: np.ndarray, params: BackendParams) -> Plaintext:
@@ -368,11 +355,11 @@ class Context:
 
     # A fixed layout, because every op reads six to nine of these fields.
     # On CPython 3.11 an instance whose __dict__ is read or built whole, as
-    # copy.copy (on both sides) and pickle do, loads attributes 2-3x
-    # slower: four self.x loads took 50-87 ns fresh, 93-250 ns copied or
-    # unpickled and 74-82 ns with __slots__ (timeit, Python 3.11.7, 2-core
-    # x86-64 host).  A subclass must declare its own __slots__, empty if it
-    # adds no field, or it gets a __dict__ back.
+    # copy and pickle do, loads attributes 2-3x slower: four self.x loads
+    # took 50-87 ns fresh, 93-250 ns copied or unpickled and 74-82 ns with
+    # __slots__ (timeit, Python 3.11.7, 2-core x86-64 host).  A subclass
+    # must declare its own __slots__, empty if it adds no field, or it gets
+    # a __dict__ back.
     __slots__ = (
         "_params", "_p", "_n", "_add_cost", "_add_plain_cost", "_rotate_cost",
         "_mult_plain_cost", "_mult_cipher_cost", "_add_cap", "_mult_cap",
@@ -382,7 +369,7 @@ class Context:
 
     def __init__(self, params: BackendParams, seed=0):
         seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        # _masks: (start, width) -> Plaintext, shared with forks
+        # _masks: (start, width) -> Plaintext
         self.__setstate__((params, OpCounter(), seed_seq, next(_context_uid) * 1_000_000_000, {}))
 
     def __getstate__(self):
@@ -474,9 +461,7 @@ class Context:
     def block_mask(self, start: int, width: int) -> Plaintext:
         """The plaintext with ones in slots start..start+width-1 and zero
         elsewhere (a one-hot mask at width 1), encoded on first use and
-        kept for this context and its forks."""
-        # forks on threads that miss together each build the same mask;
-        # whichever is stored last is kept
+        kept for this context."""
         mask = self._masks.get((start, width))
         if mask is None:
             if not 0 <= start < start + width <= self._n:
@@ -489,19 +474,6 @@ class Context:
     def spawn_seed(self) -> np.random.SeedSequence:
         """A fresh child of this context's seed sequence (never repeats)."""
         return self._seed_seq.spawn(1)[0]
-
-    def fork(self) -> "Context":
-        """Child context sharing params, masks, the rotation table and the
-        seed sequence, with its own counter and ids; counters merge at the
-        join.  Seeds spawned from a context and its forks never repeat."""
-        child = object.__new__(type(self))
-        child.__setstate__(self.__getstate__())
-        child.counter = OpCounter()
-        child._next_id = next(_context_uid) * 1_000_000_000
-        return child
-
-    def join(self, child: "Context") -> None:
-        self.counter.merge(child.counter)
 
     def _emit(self, slots: np.ndarray, budget: int) -> SlotCiphertext:
         slots.setflags(False)

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from operator import add
 
-import numpy as np
-
 from .encodings import block_capacity
 
 __all__ = [
@@ -29,9 +27,7 @@ __all__ = [
     "CostTriple",
     "METHODS",
     "REFERENCE_DIMS",
-    "loglog_exponent",
     "predict_costs",
-    "quadratic_coefficient",
     "reported_only",
     "table1_rows",
     "table2_rows",
@@ -204,20 +200,6 @@ def render_csv(rows: list[dict]) -> str:
 # ----------------------------------------------------------------------
 # validation against instrumented runs
 # ----------------------------------------------------------------------
-
-
-def loglog_exponent(xs, ys) -> float:
-    """Least-squares slope of log y against log x."""
-    lx, ly = np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float))
-    return float(np.polyfit(lx, ly, 1)[0])
-
-
-def quadratic_coefficient(xs, ys) -> float:
-    """Quadratic coefficient of a degree-2 fit, relative to the data scale."""
-    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
-    c2 = np.polyfit(xs, ys, 2)[0]
-    scale = max(abs(ys).max() / max(xs.max() ** 2, 1.0), 1e-300)
-    return float(c2 / scale)
 
 
 def validate_against_counts(report: dict) -> dict:

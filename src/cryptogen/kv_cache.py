@@ -209,7 +209,16 @@ def cache_stats(cache: KVCache) -> dict:
 
 
 def save_cache(cache: KVCache, path, ctx: Context) -> None:
-    """Snapshot parts (binary matrix format) plus a JSON manifest."""
+    """Snapshot parts (binary matrix format) plus a JSON manifest.  The
+    slots are written as they are, with no decryption and no op counted; a
+    part of other params, or whose budget has run out, is refused before
+    any file is written."""
+    for name, seg in cache.segments():
+        for i, part in enumerate(seg.parts):
+            if part.params != ctx.params:
+                raise ParameterError(f"cache {name} part {i} is under other parameters than the context")
+            if part.noise_budget < 1:
+                raise ParameterError(f"cache {name} part {i} has noise budget {part.noise_budget}, below 1")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -223,18 +232,12 @@ def save_cache(cache: KVCache, path, ctx: Context) -> None:
         "refresh_log": [vars(e) for e in cache.refresh_log],
     }
     for name, seg in cache.segments():
-        budgets = []
         for i, part in enumerate(seg.parts):
-            save_matrix(
-                path / f"{name}_{i}.bin",
-                ctx.decrypt(part).reshape(1, -1),
-                ctx.params.plain_modulus,
-            )
-            budgets.append(part.noise_budget)
+            save_matrix(path / f"{name}_{i}.bin", part.slots.reshape(1, -1), ctx.params.plain_modulus)
         manifest["segments"][name] = {
             "rows": seg.encoding.rows,
             "parts": len(seg.parts),
-            "budgets": budgets,
+            "budgets": [part.noise_budget for part in seg.parts],
         }
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
@@ -244,6 +247,8 @@ def _check_manifest(manifest: dict, ctx: Context) -> None:
     ``append_token`` and the attention kernels assume."""
 
     def need(d: dict, keys, where: str) -> None:
+        if type(d) is not dict:
+            raise ParameterError(f"cache snapshot {where} is not a JSON object")
         missing = [k for k in keys if k not in d]
         if missing:
             raise ParameterError(f"cache snapshot {where} lacks {missing}")
@@ -255,6 +260,8 @@ def _check_manifest(manifest: dict, ctx: Context) -> None:
     if type(log) is not list or any(type(e) is not dict or e.keys() != keys for e in log):
         raise ParameterError(f"cache snapshot refresh_log is not a list of events with keys {sorted(keys)}")
     d2, B, m, t_auto = (manifest[k] for k in ("d2", "B", "m", "t_auto"))
+    if any(type(v) is not int for v in (d2, B, m, t_auto)):
+        raise ParameterError(f"cache snapshot d2, B, m and t_auto {(d2, B, m, t_auto)} are not all integers")
     if B != block_capacity(ctx.params.n_slots, d2):
         raise ParameterError(
             f"cache snapshot block capacity {B} is not {ctx.params.n_slots}/{d2}"
@@ -269,13 +276,15 @@ def _check_manifest(manifest: dict, ctx: Context) -> None:
         need(meta, ("rows", "parts", "budgets"), name)
         # prefill: one outer-packed column per part; auto: B rows per part
         rows, parts = (m, d2) if name in prefill else (t_auto, -(-t_auto // B))
+        if type(meta["budgets"]) is not list:
+            raise ParameterError(f"cache snapshot {name} budgets is not a list")
         got = (meta["rows"], meta["parts"], len(meta["budgets"]))
         if got != (rows, parts, parts):
             raise ParameterError(
                 f"cache snapshot {name} has (rows, parts, budgets) {got}, "
                 f"expected {(rows, parts, parts)}"
             )
-        # save_cache decrypts every part, so a saved budget is at least 1
+        # save_cache refuses a part whose budget is below 1
         top = ctx.params.initial_noise_budget
         bad = [b for b in meta["budgets"] if type(b) is not int or not 1 <= b <= top]
         if bad:

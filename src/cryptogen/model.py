@@ -17,7 +17,6 @@ Decoding is greedy; the argmax runs client-side on decrypted logits.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -455,41 +454,23 @@ def _check_length(c: ModelConfig, prompt: list, k: int) -> None:
         raise ParameterError("prompt + generation exceeds max_seq")
 
 
-def _run_heads(tasks, threads: int):
-    """Run per-head closures, optionally in a thread pool; order-stable."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda fn: fn(), tasks))
-    return [fn() for fn in tasks]
-
-
-def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, ctx, chans, threads):
+def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, ctx, chans):
     """One transformer layer on slab X: per-head projections and attention
-    (head h on a forked context and channel (l, h)), then wo, LN1, the FFN
-    and LN2 on the common channel.  Replaces caches[l] with the stage's
-    per-head caches."""
+    (heads run in order on the one context, head h on channel (l, h)),
+    then wo, LN1, the FFN and LN2 on the common channel.  Replaces
+    caches[l] with the stage's per-head caches."""
     c = model.config
     fp = model.fixed_point(ctx)
-
-    def head_task(h):
-        hctx = ctx.fork()
-
-        def run():
-            ch = chans[(l, h)]
-            q, k, v = [
-                _truncated(stage.linear(X, model, f"layer{l}.{name}", h, hctx), fp, hctx, ch)
-                for name in ("wq", "wk", "wv")
-            ]
-            out, cache = stage.attend(caches[l][h], q, k, v, fp, hctx, ch)
-            return hctx, out, cache
-
-        return run
-
-    results = _run_heads([head_task(h) for h in range(c.heads)], threads)
-    for h, (hctx, _, cache) in enumerate(results):
-        ctx.join(hctx)
-        caches[l][h] = cache
-    O = stage.concat([out for _, out, _ in results], ctx)
+    outs = []
+    for h in range(c.heads):
+        ch = chans[(l, h)]
+        q, k, v = [
+            _truncated(stage.linear(X, model, f"layer{l}.{name}", h, ctx), fp, ctx, ch)
+            for name in ("wq", "wk", "wv")
+        ]
+        out, caches[l][h] = stage.attend(caches[l][h], q, k, v, fp, ctx, ch)
+        outs.append(out)
+    O = stage.concat(outs, ctx)
 
     ch = chans["common"]
 
@@ -515,7 +496,11 @@ def _logits(model: Model, x_ct, ctx: Context) -> np.ndarray:
 def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int = 1):
     """Batched prompt pass: outer-diagonal CPMM projections, outer-outer
     attention, MPC nonlinears; leaves outer-packed K/V caches behind.
-    Without chans, fresh channels are seeded from the context."""
+    Without chans, fresh channels are seeded from the context.  threads
+    must be 1: heads run in order on one context, and it stays only as the
+    positional slot perfbench's replay passes back (ROADMAP item 7)."""
+    if threads != 1:
+        raise ParameterError(f"threads must be 1, got {threads!r}")
     c = model.config
     _check_length(c, prompt, 0)
     model.fixed_point(ctx)  # a modulus without fixed-point headroom fails before any op
@@ -526,7 +511,7 @@ def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int =
     X = encode(X, EncodingKind.OUTER, ctx)
     caches = [[None] * c.heads for _ in range(c.layers)]
     for l in range(c.layers):
-        X = _layer(model, l, X, _Prefill, caches, ctx, chans, threads)
+        X = _layer(model, l, X, _Prefill, caches, ctx, chans)
 
     # last-position logits via the decode-side kernel
     ch = chans["common"]
@@ -538,7 +523,10 @@ def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int =
 def decode_step(model: Model, state: GenerationState, ctx: Context, chans=None, threads: int = 1):
     """Select the next token greedily, then run one single-token pass:
     CPVM projections, refresh check, cache append, heterogeneous attention.
-    Without chans, fresh channels are seeded from the context."""
+    Without chans, fresh channels are seeded from the context; threads
+    must be 1, as in ``prefill``."""
+    if threads != 1:
+        raise ParameterError(f"threads must be 1, got {threads!r}")
     c = model.config
     chans = _channels(ctx, c, chans)
     token = int(np.argmax(state.next_logits))
@@ -554,23 +542,24 @@ def decode_step(model: Model, state: GenerationState, ctx: Context, chans=None, 
 
     X = encode(_embed(model, token, pos)[None, :], EncodingKind.INNER, ctx)
     for l in range(c.layers):
-        X = _layer(model, l, X, _Decode, caches, ctx, chans, threads)
+        X = _layer(model, l, X, _Decode, caches, ctx, chans)
 
     return token, GenerationState(caches=caches, next_logits=_logits(model, X.parts[0], ctx))
 
 
-def generate(model: Model, prompt: list, k: int, ctx: Context, seed: int = 0, threads: int = 1):
-    """Encrypted prefill + k greedy decode steps; returns (tokens, report)."""
+def generate(model: Model, prompt: list, k: int, ctx: Context, seed: int = 0):
+    """Encrypted prefill + k greedy decode steps; returns (tokens, report).
+    Each call passes threads=1 positionally, as a replay expects."""
     c = model.config
     _check_length(c, prompt, k)
     chans = _channels(ctx, c, root=np.random.SeedSequence([0x707, seed]))
-    state, prefill_counters = _charged(ctx, prefill, model, prompt, ctx, chans, threads)
+    state, prefill_counters = _charged(ctx, prefill, model, prompt, ctx, chans, 1)
 
     steps = []
     tokens = []
     for _ in range(k):
         # maybe_refresh counts each event it fires on the counter
-        (token, state), counters = _charged(ctx, decode_step, model, state, ctx, chans, threads)
+        (token, state), counters = _charged(ctx, decode_step, model, state, ctx, chans, 1)
         tokens.append(token)
         stats = cache_stats(state.caches[0][0])
         steps.append(

@@ -20,12 +20,7 @@ from cryptogen.backend import (
     NoiseCosts,
     default_plain_modulus,
 )
-from cryptogen.costmodel import (
-    loglog_exponent,
-    predict_costs,
-    quadratic_coefficient,
-    reported_only,
-)
+from cryptogen.costmodel import predict_costs, reported_only
 from cryptogen.encodings import EncodingKind, decode, encode, pack_token_inner
 from cryptogen.fixedpoint import FixedPointParams, fp_encode, fp_gelu, fp_softmax, fp_decode
 from cryptogen.kv_cache import append_token, cache_stats, init_cache, maybe_refresh
@@ -41,6 +36,7 @@ from cryptogen.model import (
     toy_config,
 )
 from cryptogen.nonlinear import MpcChannel
+from growth_fits import loglog_exponent, quadratic_coefficient
 
 P64 = default_plain_modulus(64, 26)
 HE_COUNTERS = ("mult_plain", "mult_cipher", "rotate", "add", "add_plain", "encrypt", "decrypt")

@@ -162,10 +162,8 @@ def test_rotate_property(data):
 def test_rotate_forms_match_roll(n):
     """Both forms of rotate, the index gather up to ROTATE_GATHER_MAX_SLOTS
     slots and the two slices above it, equal np.roll for every k in
-    [-n, 2n) (a fixed sample at n=8192), each in a fresh read-only array;
-    a forked context rotates identically."""
+    [-n, 2n) (a fixed sample at n=8192), each in a fresh read-only array."""
     ctx = Context(BackendParams(n_slots=n), seed=0)  # p = 1 mod 16384
-    child = ctx.fork()
     slots = np.random.default_rng(n).integers(0, ctx.params.plain_modulus, n)
     a = ctx.encrypt(slots)
     if n <= 1024:
@@ -177,7 +175,6 @@ def test_rotate_forms_match_roll(n):
         assert (out.slots == np.roll(slots, -k)).all()
         assert not out.slots.flags.writeable
         assert not np.shares_memory(out.slots, a.slots)
-        assert (child.rotate(a, k).slots == out.slots).all()
 
 
 def test_check_accepts_equal_params_and_rejects_unequal():
@@ -502,7 +499,7 @@ def test_plaintext_is_made_only_by_the_context(ctx16, roundtrip):
 def test_block_mask_is_encoded_once_per_context_family(ctx16):
     mask = ctx16.block_mask(3, 2)
     assert mask.slots.tolist() == [0, 0, 0, 1, 1] + [0] * 11
-    assert ctx16.block_mask(3, 2) is mask and ctx16.fork().block_mask(3, 2) is mask
+    assert ctx16.block_mask(3, 2) is mask
     for start, width in ((-1, 1), (15, 2), (0, 0), (0, 17)):
         with pytest.raises(ParameterError):
             ctx16.block_mask(start, width)
@@ -586,28 +583,6 @@ def test_emulation_matches_plain_arithmetic(ctx16, rng):
     assert (ctx16.decrypt(ct) == ref).all()
 
 
-def test_counter_merge_and_fork(ctx16):
-    child = ctx16.fork()
-    child.encrypt(np.zeros(16, dtype=np.int64))
-    child.encrypt(np.zeros(16, dtype=np.int64))
-    base = ctx16.counter.encrypt
-    ctx16.join(child)
-    assert ctx16.counter.encrypt == base + 2
-    merged = OpCounter(mult_plain=1)
-    merged.merge(OpCounter(mult_plain=2, rotate=5))
-    assert merged.mult_plain == 3 and merged.rotate == 5
-
-
-def test_forks_share_the_seed_sequence_and_never_repeat_a_spawn(ctx16):
-    """A fork spawns from its parent's seed sequence, so a parent and two
-    forks spawn three distinct seeds, and forking spawns none."""
-    first, second = ctx16.fork(), ctx16.fork()
-    seeds = [ctx.spawn_seed() for ctx in (ctx16, first, second)]
-    states = {tuple(s.generate_state(4)) for s in seeds}
-    assert len(states) == 3
-    assert [s.spawn_key for s in seeds] == [(0,), (1,), (2,)]
-
-
 _CONTEXT_COPIES = {
     "pickle": lambda ctx: pickle.loads(pickle.dumps(ctx)),
     "copy": copy.copy,
@@ -618,11 +593,12 @@ _CONTEXT_COPIES = {
 @pytest.mark.parametrize("how", sorted(_CONTEXT_COPIES))
 def test_context_copies_keep_a_read_only_modulus(ctx16, how):
     """An unpickled or copied context rebuilds its modulus from params,
-    read-only like the original's, and continues from the original's
-    counter and next id."""
+    read-only like the original's, shares the rotate index table of its
+    process, and continues from the original's counter and next id."""
     ctx16.encrypt(np.arange(16))
     b = _CONTEXT_COPIES[how](ctx16)
     assert not b.modulus.flags.writeable and b.modulus == b.params.plain_modulus
+    assert b._rotation is ctx16._rotation is not None
     with pytest.raises(ValueError):
         b.modulus[()] = 7
     assert b.counter == ctx16.counter and b.params == ctx16.params
@@ -636,7 +612,6 @@ def _fixed_layout_objects(ctx):
     ch.sample_mask(3)
     return {
         "context": ctx,
-        "fork": ctx.fork(),
         "unpickled context": pickle.loads(pickle.dumps(ctx)),
         "counter": ctx.counter,
         "unpickled counter": pickle.loads(pickle.dumps(ctx.counter)),
@@ -646,10 +621,10 @@ def _fixed_layout_objects(ctx):
 
 
 @pytest.mark.parametrize(
-    "name", ["context", "fork", "unpickled context", "counter", "unpickled counter", "channel", "unpickled channel"]
+    "name", ["context", "unpickled context", "counter", "unpickled counter", "channel", "unpickled channel"]
 )
 def test_op_path_objects_have_a_fixed_layout(ctx16, name):
-    """Context, a fork, OpCounter and MpcChannel, fresh or unpickled, have
+    """Context, OpCounter and MpcChannel, fresh or unpickled, have
     no __dict__, and an unknown attribute cannot be assigned."""
     obj = _fixed_layout_objects(ctx16)[name]
     assert not hasattr(obj, "__dict__")
@@ -664,14 +639,6 @@ def test_unpickled_channel_continues_its_mask_stream():
     twin = pickle.loads(pickle.dumps(ch))
     assert (twin.bytes_sent, twin.rounds, twin.transcript) == (ch.bytes_sent, ch.rounds, [])
     assert (twin.sample_mask(5000) == ch.sample_mask(5000)).all()
-
-
-def test_fork_shares_params_masks_rotation_table_and_seed_sequence(ctx16):
-    child = ctx16.fork()
-    for name in ("params", "_masks", "_rotation", "_seed_seq"):
-        assert getattr(child, name) is getattr(ctx16, name), name
-    assert child.modulus == ctx16.modulus and not child.modulus.flags.writeable
-    assert child.counter is not ctx16.counter and child.counter == OpCounter()
 
 
 def test_ciphertexts_are_immutable(ctx16):

@@ -1,15 +1,12 @@
 import dataclasses
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cryptogen.backend import BackendParams, Context
 from cryptogen.costmodel import (
     METHODS,
-    loglog_exponent,
     predict_costs,
-    quadratic_coefficient,
     reported_only,
     table1_rows,
     table2_rows,
@@ -98,13 +95,6 @@ def test_attention_orders():
         "gen_ctct": "O(k)",
     }
     assert rows["BOLT"]["gen_ctct"] == "O(k^2)"
-
-
-def test_regression_helpers():
-    ks = np.array([8, 16, 32, 64])
-    assert abs(loglog_exponent(ks, 3 * ks**2) - 2.0) < 1e-9
-    assert abs(loglog_exponent(ks, 5 * ks) - 1.0) < 1e-9
-    assert abs(quadratic_coefficient(ks, 7 * ks + 3)) < 1e-9
 
 
 def test_table_rendering():

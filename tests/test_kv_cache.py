@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -294,11 +295,15 @@ def test_cache_checkpoint_roundtrip(tmp_path, rng):
         (lambda m: m.update(refresh_log=None), "refresh_log"),
         (lambda m: m.update(refresh_log=[{"foo": 1}]), "refresh_log"),
         (lambda m: m.update(refresh_log=[{"step": 0}]), "refresh_log"),
+        (lambda m: m["segments"]["auto_K"].update(budgets=5), "budgets"),
+        (lambda m: m.update(d2="8"), "integers"),
+        (lambda m: m["segments"].update(auto_K=5), "auto_K is not a JSON object"),
     ],
     ids=[
         "B", "missing_d2", "missing_segment", "missing_rows", "auto_rows",
         "auto_parts", "prefill_parts", "half_prefill", "m", "t_auto",
         "log_int", "log_null", "log_unknown_key", "log_missing_keys",
+        "budgets_int", "d2_str", "segment_int",
     ],
 )
 def test_load_cache_rejects_tampered_manifest(tmp_path, edit, message):
@@ -317,6 +322,33 @@ def test_load_cache_rejects_tampered_manifest(tmp_path, edit, message):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ParameterError, match=message):
         load_cache(tmp_path, ctx)
+
+
+def test_save_cache_counts_no_op_and_refuses_a_dead_part(tmp_path):
+    """A snapshot writes each part's slots without decrypting, so saving
+    leaves the op counter as it was; a part with no budget left, or one
+    under other params, is refused before any file is written."""
+    ctx = Context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)
+    d2 = 8
+    Kp = encode(np.ones((2, d2), dtype=np.int64), EncodingKind.OUTER, ctx)
+    cache = init_cache(Kp, Kp, ctx)
+    for _ in range(5):
+        cache = append_token(cache, _tok(ctx, range(d2)), _tok(ctx, range(d2)), ctx)
+    before = ctx.counter.snapshot()
+    save_cache(cache, tmp_path / "snap", ctx)
+    assert not any(ctx.counter.delta(before).values())
+    loaded = load_cache(tmp_path / "snap", ctx)
+    for (_, seg), (_, got) in zip(cache.segments(), loaded.segments()):
+        assert all((a.slots == b.slots).all() for a, b in zip(got.parts, seg.parts))
+
+    dead = dataclasses.replace(cache.prefill_V, parts=list(cache.prefill_V.parts))
+    dead.parts[3] = ctx.with_budget(dead.parts[3], 0)
+    with pytest.raises(ParameterError, match="prefill_V part 3 "):
+        save_cache(dataclasses.replace(cache, prefill_V=dead), tmp_path / "dead", ctx)
+    other = Context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 24)), seed=0)
+    with pytest.raises(ParameterError, match="prefill_K part 0 "):
+        save_cache(cache, tmp_path / "dead", other)
+    assert not (tmp_path / "dead").exists()
 
 
 def test_load_cache_reads_snapshot_with_slot_period_key(tmp_path):

@@ -170,16 +170,6 @@ def test_prefill_counters_scale_with_prompt(toy):
     assert 1.6 <= r1 <= 2.4 and 1.6 <= r2 <= 2.4
 
 
-def test_threaded_execution_identical(toy):
-    prompt = [9, 8, 7, 6]
-    t_serial, rep_serial = generate(toy, prompt, 4, _ctx(), threads=1)
-    t_par, rep_par = generate(toy, prompt, 4, _ctx(), threads=4)
-    assert t_serial == t_par
-    assert rep_serial["totals"] == rep_par["totals"]
-    for a, b in zip(rep_serial["steps"], rep_par["steps"]):
-        assert a["counters"] == b["counters"]
-
-
 def test_cpvm_plaintexts_follow_their_model():
     """The CPVM plaintexts a model keeps are its own: two toy models of
     different weight seeds, each built, used and dropped in turn with a
@@ -451,8 +441,7 @@ def test_missing_channels_rejected_before_any_op(toy):
 )
 def test_every_call_charges_exactly_its_transfers(layers, heads, d1, m, k, threshold):
     """Driven call by call, each prefill and decode step's counter delta
-    carries exactly the bytes its channel transfers returned, and a thread
-    pool over the heads charges the same counters as serial execution."""
+    carries exactly the bytes its channel transfers returned."""
     config = ModelConfig(layers=layers, d1=d1, heads=heads, ffn_dim=8, vocab=16, max_seq=12)
     model = generate_toy_model(config, seed=0)
     params = BackendParams.from_json(PARAMS_TOY.read_text())
@@ -466,24 +455,35 @@ def test_every_call_charges_exactly_its_transfers(layers, heads, d1, m, k, thres
         moved.append(nbytes)
         return nbytes
 
-    def run(threads):
-        ctx = Context(params, seed=0)
-        calls = [lambda: (None, prefill(model, prompt, ctx, None, threads))]
-        calls += [lambda: decode_step(model, state, ctx, None, threads)] * k
-        tokens, counters = [], []
-        for call in calls:
-            moved.clear()
-            before = ctx.counter.snapshot()
-            token, state = call()
-            delta = ctx.counter.delta(before)
-            assert delta["mpc_bytes"] == sum(moved) > 0
-            tokens.append(token)
-            counters.append(delta)
-        return tokens, counters
+    ctx = Context(params, seed=0)
+
+    def charged(fn, *args):
+        moved.clear()
+        before = ctx.counter.snapshot()
+        out = fn(model, *args, ctx)
+        assert ctx.counter.delta(before)["mpc_bytes"] == sum(moved) > 0
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MpcChannel, "transfer", spy)
-        assert run(1) == run(2)
+        state = charged(prefill, prompt)
+        for _ in range(k):
+            _, state = charged(decode_step, state)
+
+
+def test_threads_other_than_one_is_refused_before_any_op(toy, monkeypatch):
+    """threads has one legal value, 1: prefill and decode_step refuse 2
+    before any HE op is counted or any share mask is drawn."""
+    ctx = _ctx()
+    state = prefill(toy, [1, 2, 3], ctx)
+    drawn = []
+    monkeypatch.setattr(MpcChannel, "sample_mask", lambda self, length: drawn.append(length))
+    before = ctx.counter.snapshot()
+    with pytest.raises(ParameterError, match="threads"):
+        prefill(toy, [1, 2, 3], ctx, None, 2)
+    with pytest.raises(ParameterError, match="threads"):
+        decode_step(toy, state, ctx, None, 2)
+    assert not any(ctx.counter.delta(before).values()) and not drawn
 
 
 def test_bolt_reference_same_tokens_more_work(toy):

@@ -134,8 +134,8 @@ class OpDigest:
 
     @contextmanager
     def installed(self, ctx_cls):
-        """Wrap the counted operations of ``ctx_cls`` (every instance,
-        forked children included) for the duration of the block."""
+        """Wrap the counted operations of ``ctx_cls`` (every instance) for
+        the duration of the block."""
         orig = {op: getattr(ctx_cls, op) for op in CT_OPERANDS}
 
         def spy(op, fn):
