@@ -14,7 +14,8 @@ Noise is handled lazily: before each decode step, any part whose budget has
 fallen to the refresh threshold is re-encrypted by ``nonlinear.refresh``
 (server subtracts a random mask r, client decrypts its share and
 re-encrypts it, server adds r back), which restores a full budget without
-revealing the payload.
+revealing the payload.  Each refreshed part is counted on the op counter
+and logged at INFO on ``cryptogen.kv_cache``; the cache keeps no record.
 
 Cache values are immutable; append and refresh return new cache objects.
 """
@@ -22,7 +23,8 @@ Cache values are immutable; append and refresh return new cache objects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+import logging
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .backend import Context, ParameterError, SlotCiphertext
@@ -38,7 +40,6 @@ from .nonlinear import MpcChannel, refresh
 
 __all__ = [
     "KVCache",
-    "RefreshEvent",
     "append_token",
     "cache_stats",
     "init_cache",
@@ -48,15 +49,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RefreshEvent:
-    step: int
-    segment: str  # "prefill_K" | "prefill_V" | "auto_K" | "auto_V"
-    part_index: int
-    part_id: int
-    budget_before: int
-    mpc_bytes: int
-    forced: bool = False
+log = logging.getLogger(__name__)
+SEGMENTS = ("prefill_K", "prefill_V", "auto_K", "auto_V")  # the KVCache fields
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,6 @@ class KVCache:
     prefill_V: PackedMatrix | None
     auto_K: PackedMatrix
     auto_V: PackedMatrix
-    refresh_log: tuple = field(default_factory=tuple)
 
     @property
     def d2(self) -> int:
@@ -84,8 +77,7 @@ class KVCache:
         return self.auto_K.rows
 
     def segments(self):
-        names = ("prefill_K", "prefill_V", "auto_K", "auto_V")
-        return [(name, getattr(self, name)) for name in names if getattr(self, name) is not None]
+        return [(name, getattr(self, name)) for name in SEGMENTS if getattr(self, name) is not None]
 
 
 def _empty_auto(d2: int, B: int) -> PackedMatrix:
@@ -164,7 +156,6 @@ def maybe_refresh(
     if not stale:
         return cache
     segments = {}
-    events = []
     for name, seg in stale:
         parts = list(seg.parts)
         for i, part in enumerate(parts):
@@ -172,24 +163,17 @@ def maybe_refresh(
                 sent = ctx.counter.mpc_bytes
                 parts[i] = refresh(part, ctx, ch)
                 ctx.counter.refresh_events += 1
-                events.append(
-                    RefreshEvent(
-                        step=cache.t_auto,
-                        segment=name,
-                        part_index=i,
-                        part_id=part.id,
-                        budget_before=part.noise_budget,
-                        mpc_bytes=ctx.counter.mpc_bytes - sent,
-                        forced=force and part.noise_budget > threshold,
-                    )
+                log.info(
+                    "refresh t_auto=%d segment=%s part=%d id=%d budget=%d threshold=%d bytes=%d forced=%s",
+                    cache.t_auto, name, i, part.id, part.noise_budget, threshold,
+                    ctx.counter.mpc_bytes - sent, part.noise_budget > threshold,
                 )
         segments[name] = PackedMatrix(seg.encoding, parts)
-    # segment names are the KVCache field names
-    return replace(cache, **segments, refresh_log=cache.refresh_log + tuple(events))
+    return replace(cache, **segments)
 
 
 def cache_stats(cache: KVCache) -> dict:
-    """Per-side ciphertext counts and bookkeeping totals (K side; V mirrors)."""
+    """Per-side ciphertext counts and the cache geometry (K side; V mirrors)."""
     prefill_cts = len(cache.prefill_K.parts) if cache.prefill_K is not None else 0
     return {
         "ct_count": prefill_cts + len(cache.auto_K.parts),
@@ -198,8 +182,6 @@ def cache_stats(cache: KVCache) -> dict:
         "m": cache.m,
         "t_auto": cache.t_auto,
         "B": cache.B,
-        "refresh_count": len(cache.refresh_log),
-        "refresh_bytes": sum(e.mpc_bytes for e in cache.refresh_log),
     }
 
 
@@ -229,7 +211,6 @@ def save_cache(cache: KVCache, path, ctx: Context) -> None:
         "n_slots": ctx.params.n_slots,
         "p": ctx.params.plain_modulus,
         "segments": {},
-        "refresh_log": [vars(e) for e in cache.refresh_log],
     }
     for name, seg in cache.segments():
         for i, part in enumerate(seg.parts):
@@ -253,12 +234,9 @@ def _check_manifest(manifest: dict, ctx: Context) -> None:
         if missing:
             raise ParameterError(f"cache snapshot {where} lacks {missing}")
 
-    need(manifest, ("d2", "B", "m", "t_auto", "n_slots", "p", "segments", "refresh_log"), "manifest")
+    need(manifest, ("d2", "B", "m", "t_auto", "n_slots", "p", "segments"), "manifest")
     if manifest["n_slots"] != ctx.params.n_slots or manifest["p"] != ctx.params.plain_modulus:
         raise ParameterError("cache snapshot was taken under different parameters")
-    log, keys = manifest["refresh_log"], {f.name for f in fields(RefreshEvent)}
-    if type(log) is not list or any(type(e) is not dict or e.keys() != keys for e in log):
-        raise ParameterError(f"cache snapshot refresh_log is not a list of events with keys {sorted(keys)}")
     d2, B, m, t_auto = (manifest[k] for k in ("d2", "B", "m", "t_auto"))
     if any(type(v) is not int for v in (d2, B, m, t_auto)):
         raise ParameterError(f"cache snapshot d2, B, m and t_auto {(d2, B, m, t_auto)} are not all integers")
@@ -292,28 +270,33 @@ def _check_manifest(manifest: dict, ctx: Context) -> None:
 
 
 def load_cache(path, ctx: Context) -> KVCache:
-    """Restore a snapshot written by ``save_cache``; a manifest that does
-    not match its own layout raises ParameterError."""
+    """Restore a snapshot written by ``save_cache``.  A manifest that does
+    not match its own layout, or a part file that is not one row of n words
+    in [0, p) under the context's p, raises ParameterError before any
+    ciphertext is issued.  Keys it does not read, such as the refresh
+    records older snapshots carry, are ignored."""
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
     _check_manifest(manifest, ctx)
-    d2, B = manifest["d2"], manifest["B"]
+    d2, B, segments = manifest["d2"], manifest["B"], manifest["segments"]
+    n, p = ctx.params.n_slots, ctx.params.plain_modulus
 
-    def load_segment(name: str, kind: EncodingKind, block: int | None) -> PackedMatrix | None:
-        meta = manifest["segments"].get(name)
-        if meta is None:
-            return None
-        parts = []
-        for i, budget in enumerate(meta["budgets"]):
-            vals, _ = load_matrix(path / f"{name}_{i}.bin")
-            parts.append(ctx.load_ciphertext(vals[0], budget))
-        enc = Encoding(kind, meta["rows"], d2, block=block)
-        return PackedMatrix(enc, parts)
+    def read(name: str, i: int):
+        file = path / f"{name}_{i}.bin"
+        vals, modulus = load_matrix(file)
+        if modulus != p or vals.shape != (1, n) or not ((vals >= 0) & (vals < p)).all():
+            raise ParameterError(
+                f"{file}: expected one row of {n} words in [0, {p}) under modulus {p}, "
+                f"got a {vals.shape} matrix under modulus {modulus}"
+            )
+        return vals[0]
 
-    return KVCache(
-        prefill_K=load_segment("prefill_K", EncodingKind.OUTER, None),
-        prefill_V=load_segment("prefill_V", EncodingKind.OUTER, None),
-        auto_K=load_segment("auto_K", EncodingKind.INNER_COMPACTED, B),
-        auto_V=load_segment("auto_V", EncodingKind.INNER_COMPACTED, B),
-        refresh_log=tuple(RefreshEvent(**e) for e in manifest["refresh_log"]),
-    )
+    present = [name for name in SEGMENTS if name in segments]
+    slots = {name: [read(name, i) for i in range(segments[name]["parts"])] for name in present}
+    kinds = {"prefill": (EncodingKind.OUTER, None), "auto": (EncodingKind.INNER_COMPACTED, B)}
+    loaded = dict.fromkeys(SEGMENTS)
+    for name, vals in slots.items():
+        meta, (kind, block) = segments[name], kinds[name.split("_")[0]]
+        parts = [ctx.load_ciphertext(v, budget) for v, budget in zip(vals, meta["budgets"])]
+        loaded[name] = PackedMatrix(Encoding(kind, meta["rows"], d2, block=block), parts)
+    return KVCache(**loaded)

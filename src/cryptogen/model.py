@@ -24,7 +24,7 @@ import numpy as np
 
 from .arcc import attention_step, prefill_attention
 from .backend import Context, ParameterError, Plaintext
-from .encodings import Encoding, EncodingKind, PackedMatrix, encode, load_matrix, save_matrix
+from .encodings import Encoding, EncodingKind, PackedMatrix, block_capacity, encode, load_matrix, save_matrix
 from .fixedpoint import (
     FixedPointParams,
     attention_weights,
@@ -73,6 +73,8 @@ class ModelConfig:
             raise ParameterError("all model dimensions and f must be positive")
         if self.d1 % self.heads:
             raise ParameterError(f"d1 ={self.d1} must be divisible by heads ={self.heads}")
+        if self.d1 < 2:
+            raise ParameterError(f"d1 ={self.d1}: LayerNorm needs at least two features")
 
     @property
     def d2(self) -> int:
@@ -504,6 +506,7 @@ def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int =
     c = model.config
     _check_length(c, prompt, 0)
     model.fixed_point(ctx)  # a modulus without fixed-point headroom fails before any op
+    block_capacity(ctx.params.n_slots, c.d2)  # so does a head width the cache blocks cannot tile
     chans = _channels(ctx, c, chans)
     m = len(prompt)
 

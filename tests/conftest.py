@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,23 @@ def ctx64(p64):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def refreshes(caplog):
+    """Captures ``cryptogen.kv_cache`` at INFO; calling the fixture returns
+    the refresh records logged so far, each as its key=value fields (ints,
+    a segment name, and forced as a bool)."""
+    caplog.set_level(logging.INFO, logger="cryptogen.kv_cache")
+
+    def records():
+        out = []
+        for record in caplog.records:
+            if record.name == "cryptogen.kv_cache" and record.getMessage().startswith("refresh "):
+                assert record.levelno == logging.INFO
+                fields = dict(kv.split("=") for kv in record.getMessage().split()[1:])
+                ints = {k: int(v) for k, v in fields.items() if k not in ("segment", "forced")}
+                out.append({**fields, **ints, "forced": {"True": True, "False": False}[fields["forced"]]})
+        return out
+
+    return records

@@ -188,6 +188,29 @@ def test_unknown_log_level_is_a_usage_error(tmp_path):
     assert not (tmp_path / "c").exists()
 
 
+def test_info_log_level_shows_refreshes_and_leaves_stdout_alone():
+    """CRYPTOGEN_LOG=INFO prints one record per refreshed cache part on
+    stderr (verify forces a refresh of every cache); the report on stdout
+    is byte-identical to a run at the default level."""
+    env = {k: v for k, v in os.environ.items() if k != "CRYPTOGEN_LOG"}
+    runs = {
+        level: subprocess.run(
+            [sys.executable, "-m", "cryptogen", "verify", "--seed", "7"],
+            capture_output=True,
+            text=True,
+            env={**env, "CRYPTOGEN_LOG": level} if level else env,
+            timeout=600,
+        )
+        for level in (None, "INFO")
+    }
+    assert all(run.returncode == 0 for run in runs.values())
+    assert runs["INFO"].stdout == runs[None].stdout and json.loads(runs["INFO"].stdout)["passed"]
+    assert runs[None].stderr == ""
+    records = runs["INFO"].stderr.splitlines()
+    assert records and all(r.startswith("INFO:cryptogen.kv_cache:refresh t_auto=0 ") for r in records)
+    assert all(r.endswith(" forced=True") for r in records)
+
+
 def test_costs_outputs_tables(tmp_path):
     out = run_cli("costs", "--out", str(tmp_path / "costs"))
     assert out.returncode == 0

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cryptogen.backend import (
     BackendParams,
@@ -11,7 +13,7 @@ from cryptogen.backend import (
     ParameterError,
     default_plain_modulus,
 )
-from cryptogen.encodings import EncodingKind, decode, encode, pack_token_inner
+from cryptogen.encodings import EncodingKind, decode, encode, pack_token_inner, save_matrix
 from cryptogen.kv_cache import (
     append_token,
     cache_stats,
@@ -110,17 +112,17 @@ def test_compaction_law(k):
     assert stats["t_auto"] == k
 
 
-def test_refresh_noop_when_healthy():
+def test_refresh_noop_when_healthy(refreshes):
     ctx = _ctx()
     ch = MpcChannel(ctx.params.plain_modulus, seed=0)
     cache = _empty(ctx, 4)
     cache = append_token(cache, _tok(ctx, [1, 2, 3, 4]), _tok(ctx, [1, 1, 1, 1]), ctx)
     out = maybe_refresh(cache, ctx, ch)
     assert out is cache
-    assert not out.refresh_log
+    assert ctx.counter.refresh_events == 0 and not refreshes()
 
 
-def test_refresh_restores_budget_and_values():
+def test_refresh_restores_budget_and_values(refreshes):
     ctx = _ctx()
     ch = MpcChannel(ctx.params.plain_modulus, seed=0)
     cache = _empty(ctx, 4)
@@ -134,18 +136,20 @@ def test_refresh_restores_budget_and_values():
     part = out.auto_K.parts[0]
     assert part.noise_budget == ctx.params.initial_noise_budget
     assert (part.slots == before_vals).all()
-    assert len(out.refresh_log) == 1
+    delta = ctx.counter.delta(before)
+    assert delta["refresh_events"] == 1 and len(refreshes()) == 1
     assert out.auto_V is cache.auto_V  # a segment with no part due is kept
-    ev = out.refresh_log[0]
-    assert ev.segment == "auto_K" and not ev.forced
-    assert ev.budget_before <= ctx.params.refresh_threshold
-    assert ev.mpc_bytes == 2 * ch.vector_bytes(ctx.params.n_slots)
-    assert ctx.counter.delta(before)["mpc_bytes"] == ev.mpc_bytes == ch.bytes_sent
+    [ev] = refreshes()
+    assert (ev["segment"], ev["part"], ev["id"], ev["t_auto"]) == ("auto_K", 0, weak.id, 1)
+    assert not ev["forced"]
+    assert ev["budget"] == 50 <= ev["threshold"] == ctx.params.refresh_threshold
+    assert ev["bytes"] == 2 * ch.vector_bytes(ctx.params.n_slots)
+    assert delta["mpc_bytes"] == ev["bytes"] == ch.bytes_sent
     # untouched parts keep their ids
     assert out.auto_V.parts[0].id == cache.auto_V.parts[0].id
 
 
-def test_refresh_is_attention_invisible(rng):
+def test_refresh_is_attention_invisible(rng, refreshes):
     from cryptogen.arcc import attention_step
     from cryptogen.fixedpoint import FixedPointParams, fp_encode
 
@@ -160,8 +164,11 @@ def test_refresh_is_attention_invisible(rng):
         cache = append_token(cache, _tok(ctx, kv), _tok(ctx, kv), ctx)
     q = pack_token_inner(np.mod(fp_encode(rng.uniform(-1, 1, d2), fp), p), ctx)
     out1 = ctx.decrypt(attention_step(q, cache, fp, ctx, MpcChannel(p, seed=1)))
+    before = ctx.counter.refresh_events
     refreshed = maybe_refresh(cache, ctx, ch, force=True)
-    assert len(refreshed.refresh_log) == len(cache.segments()) * 1 * 2 // 2
+    parts = sum(len(seg.parts) for _, seg in cache.segments())
+    assert ctx.counter.refresh_events - before == len(refreshes()) == parts == 2
+    assert all(ev["forced"] for ev in refreshes())
     out2 = ctx.decrypt(attention_step(q, refreshed, fp, ctx, MpcChannel(p, seed=2)))
     assert (out1 == out2).all()
 
@@ -192,7 +199,7 @@ def test_refresh_masking_is_uniform():
     assert chi2 < 60  # df=15; generous bound, deterministic seeds
 
 
-def test_refresh_count_matches_ledger_simulation():
+def test_refresh_count_matches_ledger_simulation(refreshes):
     """Stress costs make budgets cross the threshold; a plain ledger
     simulation predicts exactly which appends trigger refreshes."""
     costs = NoiseCosts(add=15)
@@ -209,7 +216,7 @@ def test_refresh_count_matches_ledger_simulation():
         cache = maybe_refresh(cache, ctx, ch)
         tok = _tok(ctx, [t] * 4)
         cache = append_token(cache, tok, tok, ctx)
-        observed.append(len(cache.refresh_log))
+        observed.append(ctx.counter.refresh_events)
 
     # independent ledger simulation of the same loop
     init, thr = params.initial_noise_budget, params.refresh_threshold
@@ -233,8 +240,47 @@ def test_refresh_count_matches_ledger_simulation():
         expected.append(events)
     assert observed == expected
     assert observed[-1] > 0  # the stress profile does trigger refreshes
-    for ev in cache.refresh_log:
-        assert ev.budget_before <= thr
+    assert len(refreshes()) == observed[-1]
+    for ev in refreshes():
+        assert ev["budget"] <= thr and not ev["forced"]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    costs=st.builds(
+        NoiseCosts, mult_plain=st.integers(0, 20), rotate=st.integers(0, 10), add=st.integers(0, 20)
+    ),
+    threshold=st.integers(20, 90),
+    forces=st.lists(st.booleans(), min_size=1, max_size=12),
+)
+def test_each_counted_refresh_logs_one_record(caplog, refreshes, costs, threshold, forces):
+    """Over stress costs and forced and lazy calls, every refresh the
+    counter counts logs exactly one INFO record, for the part that was due,
+    and the record says forced exactly when its budget was above the
+    threshold."""
+    caplog.clear()  # each example reports its own records
+    p = default_plain_modulus(16, 20)
+    params = BackendParams(
+        n_slots=16, plain_modulus=p, noise_costs=costs, initial_noise_budget=100, refresh_threshold=threshold
+    )
+    ctx = Context(params, seed=0)
+    ch = MpcChannel(p, seed=0)
+    Kp = encode(np.ones((2, 4), dtype=np.int64), EncodingKind.OUTER, ctx)
+    cache = init_cache(Kp, Kp, ctx)
+    for t, force in enumerate(forces):
+        budgets = {(name, i): part.noise_budget for name, seg in cache.segments() for i, part in enumerate(seg.parts)}
+        due = {key for key, b in budgets.items() if force or b <= threshold}
+        events, seen = ctx.counter.refresh_events, len(refreshes())
+        cache = maybe_refresh(cache, ctx, ch, force=force)
+        new = refreshes()[seen:]
+        assert len(new) == ctx.counter.refresh_events - events == len(due)
+        assert {(ev["segment"], ev["part"]) for ev in new} == due
+        for ev in new:
+            assert ev["budget"] == budgets[(ev["segment"], ev["part"])]
+            assert ev["forced"] == (ev["budget"] > threshold) and ev["threshold"] == threshold
+            assert ev["t_auto"] == t
+        tok = _tok(ctx, [t] * 4)
+        cache = append_token(cache, tok, tok, ctx)
 
 
 def test_stats_monotone_and_prefill_counts(rng):
@@ -245,7 +291,7 @@ def test_stats_monotone_and_prefill_counts(rng):
     cache = init_cache(Kp, Vp, ctx)
     stats = cache_stats(cache)
     assert stats["ct_count"] == len(Kp.parts)
-    assert stats["refresh_count"] == 0
+    assert ctx.counter.refresh_events == 0
     prev = stats
     for t in range(6):
         cache = append_token(cache, _tok(ctx, [t] * 4), _tok(ctx, [t] * 4), ctx)
@@ -291,19 +337,13 @@ def test_cache_checkpoint_roundtrip(tmp_path, rng):
         (lambda m: m["segments"].pop("prefill_V"), None),
         (lambda m: m.update(m=3), None),
         (lambda m: m.update(t_auto=9), None),
-        (lambda m: m.update(refresh_log=5), "refresh_log"),
-        (lambda m: m.update(refresh_log=None), "refresh_log"),
-        (lambda m: m.update(refresh_log=[{"foo": 1}]), "refresh_log"),
-        (lambda m: m.update(refresh_log=[{"step": 0}]), "refresh_log"),
         (lambda m: m["segments"]["auto_K"].update(budgets=5), "budgets"),
         (lambda m: m.update(d2="8"), "integers"),
         (lambda m: m["segments"].update(auto_K=5), "auto_K is not a JSON object"),
     ],
     ids=[
         "B", "missing_d2", "missing_segment", "missing_rows", "auto_rows",
-        "auto_parts", "prefill_parts", "half_prefill", "m", "t_auto",
-        "log_int", "log_null", "log_unknown_key", "log_missing_keys",
-        "budgets_int", "d2_str", "segment_int",
+        "auto_parts", "prefill_parts", "half_prefill", "m", "t_auto", "budgets_int", "d2_str", "segment_int",
     ],
 )
 def test_load_cache_rejects_tampered_manifest(tmp_path, edit, message):
@@ -390,3 +430,66 @@ def test_load_cache_rejects_impossible_budgets(tmp_path, budget):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ParameterError, match="budgets"):
         load_cache(tmp_path, ctx)
+
+
+def _snapshot(tmp_path):
+    """A context and a cache of a 2-row prefill and 5 tokens at d2=8, n=64,
+    saved to tmp_path."""
+    ctx = Context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)
+    Kp = encode(np.arange(16).reshape(2, 8), EncodingKind.OUTER, ctx)
+    cache = init_cache(Kp, Kp, ctx)
+    for _ in range(5):
+        cache = append_token(cache, _tok(ctx, range(8)), _tok(ctx, range(8)), ctx)
+    save_cache(cache, tmp_path, ctx)
+    return ctx, cache
+
+
+PARENT_EVENT = {
+    "step": 5, "segment": "auto_K", "part_index": 0, "part_id": 17,
+    "budget_before": 50, "mpc_bytes": 1024, "forced": False,
+}
+
+
+@pytest.mark.parametrize(
+    "log",
+    [[PARENT_EVENT], [], 5, None, [{"step": "x", "mpc_bytes": "lots"}]],
+    ids=["events", "empty", "int", "null", "malformed"],
+)
+def test_load_cache_ignores_a_refresh_log_key(tmp_path, log):
+    """Snapshots written before refreshes were logged carry a
+    ``refresh_log`` list; well-formed or not, it is ignored, and the
+    snapshot loads to the same slots and budgets."""
+    ctx, cache = _snapshot(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["refresh_log"] = log
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    loaded = load_cache(tmp_path, ctx)
+    assert cache_stats(loaded) == cache_stats(cache)
+    for (_, seg), (_, got) in zip(cache.segments(), loaded.segments(), strict=True):
+        assert got.encoding == seg.encoding
+        assert [c.noise_budget for c in got.parts] == [c.noise_budget for c in seg.parts]
+        assert all((a.slots == b.slots).all() for a, b in zip(got.parts, seg.parts))
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda slots, p: (slots[None], 12_345),
+        lambda slots, p: ((slots + p)[None], p),
+        lambda slots, p: (slots[None][:0], p),
+        lambda slots, p: (np.stack([slots, slots]), p),
+    ],
+    ids=["modulus", "word_above_p", "no_rows", "two_rows"],
+)
+def test_load_cache_rejects_a_tampered_part_file(tmp_path, tamper):
+    """A part file under another modulus, with a word outside [0, p), or
+    not exactly one row of n words is refused, naming the file, before any
+    ciphertext is issued."""
+    ctx, cache = _snapshot(tmp_path)
+    p = ctx.params.plain_modulus
+    file = tmp_path / "auto_V_0.bin"
+    save_matrix(file, *tamper(cache.auto_V.parts[0].slots, p))
+    probe = ctx.load_ciphertext(np.zeros(64, dtype=np.int64), 1).id
+    with pytest.raises(ParameterError, match=r"auto_V_0\.bin: expected one row of 64 words in \[0, "):
+        load_cache(tmp_path, ctx)
+    assert ctx.load_ciphertext(np.zeros(64, dtype=np.int64), 1).id == probe + 1

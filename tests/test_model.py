@@ -54,6 +54,14 @@ def test_config_validation():
     assert cfg.d2 == 8 and cfg.d1 == cfg.heads * cfg.d2
 
 
+def test_config_rejects_a_single_feature():
+    """d1 = 1 leaves LayerNorm one value to normalize; it is refused in the
+    config, where the oracle could not run it either."""
+    with pytest.raises(ParameterError, match="LayerNorm"):
+        ModelConfig(layers=1, d1=1, heads=1, ffn_dim=8, vocab=16, max_seq=8)
+    ModelConfig(layers=1, d1=2, heads=1, ffn_dim=8, vocab=16, max_seq=8)
+
+
 @pytest.mark.parametrize("f", [0, -1])
 def test_config_rejects_nonpositive_f(f):
     """f = 0 leaves no fraction bits and f < 0 a negative shift: both are
@@ -484,6 +492,21 @@ def test_threads_other_than_one_is_refused_before_any_op(toy, monkeypatch):
     with pytest.raises(ParameterError, match="threads"):
         decode_step(toy, state, ctx, None, 2)
     assert not any(ctx.counter.delta(before).values()) and not drawn
+
+
+@pytest.mark.parametrize("d1, heads", [(12, 4), (6, 1)], ids=["d2=3", "d2=6"])
+def test_head_width_that_does_not_divide_n_is_refused_before_any_op(d1, heads, monkeypatch):
+    """A head width d2 that does not divide the slot count cannot tile the
+    cache blocks; both entry points refuse it in prefill's preamble, before
+    any HE op is counted or any share mask is drawn."""
+    model = generate_toy_model(ModelConfig(layers=1, d1=d1, heads=heads, ffn_dim=8, vocab=16, max_seq=8), seed=0)
+    drawn = []
+    monkeypatch.setattr(MpcChannel, "sample_mask", lambda self, length: drawn.append(length))
+    for run in (generate, bolt_reference_generate):
+        ctx = _ctx()
+        with pytest.raises(ParameterError, match=f"block width {d1 // heads} must divide the slot count 64"):
+            run(model, [1, 2, 3], 2, ctx)
+        assert not any(ctx.counter.as_dict().values()) and not drawn, run.__name__
 
 
 def test_bolt_reference_same_tokens_more_work(toy):
