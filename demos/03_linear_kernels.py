@@ -13,7 +13,7 @@ the prompt was.  Both reduce with the rotate-and-accumulate folding sum.
 import numpy as np
 
 from cryptogen.backend import BackendParams, Context, default_plain_modulus
-from cryptogen.encodings import EncodingKind, decode, encode, pack_token_inner
+from cryptogen.encodings import EncodingKind, decode, encode
 from cryptogen.linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal, fold_sum
 
 ctx = Context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 26)), seed=0)
@@ -46,7 +46,7 @@ for m in (4, 8, 16):
 
 # CPVM: one token, prompt-independent cost
 x = rng.integers(0, p, 16)
-xc = pack_token_inner(x, ctx)
+xc = ctx.encrypt(ctx.plains([x])[0])
 start = ctx.counter.snapshot()
 y = cpvm_inner_diagonal(xc, W, ctx)
 d = ctx.counter.delta(start)

@@ -16,7 +16,7 @@ import logging
 import numpy as np
 
 from cryptogen.backend import BackendParams, Context, NoiseCosts, default_plain_modulus
-from cryptogen.encodings import decode, pack_token_inner
+from cryptogen.encodings import decode
 from cryptogen.kv_cache import append_token, cache_stats, init_cache, maybe_refresh
 from cryptogen.nonlinear import MpcChannel
 
@@ -28,7 +28,7 @@ d2 = 4
 cache = init_cache(None, None, ctx, d2=d2)
 print(f"B = n/d2 = {cache.B}")
 for t in range(9):
-    tok = pack_token_inner(np.full(d2, t + 1), ctx)
+    tok = ctx.encrypt(ctx.plains([np.full(d2, t + 1)])[0])
     cache = append_token(cache, tok, tok, ctx)
     s = cache_stats(cache)
     print(f"  append {t}: t_auto={s['t_auto']:2d} auto ciphertexts={s['auto_ct_count']}"
@@ -45,7 +45,7 @@ cache = init_cache(None, None, ctx, d2=d2)
 print(f"\nstress run (add costs 15 bits, threshold {stress.refresh_threshold}); refresh records:")
 for t in range(10):
     cache = maybe_refresh(cache, ctx, ch)
-    tok = pack_token_inner(np.full(d2, t + 1), ctx)
+    tok = ctx.encrypt(ctx.plains([np.full(d2, t + 1)])[0])
     cache = append_token(cache, tok, tok, ctx)
     budgets = [part.noise_budget for part in cache.auto_K.parts]
     print(f"  step {t}: K budgets {budgets} refreshes so far {ctx.counter.refresh_events}")

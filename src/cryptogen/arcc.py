@@ -29,8 +29,6 @@ surgery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .backend import Context, ParameterError, SlotCiphertext
@@ -41,27 +39,12 @@ from .linear_kernels import fold_sum
 from .nonlinear import MpcChannel, attention_softmax, he_to_shares, shares_to_he, truncate
 
 __all__ = [
-    "ScoreVector",
     "arcc_inner_inner",
     "arcc_inner_outer",
     "attention_step",
     "broadcast_slot",
-    "compact_scores",
     "prefill_attention",
 ]
-
-
-@dataclass
-class ScoreVector:
-    parts: list
-    valid_len: int
-    # None: scores contiguous in slots 0..valid_len-1; an int: block-aligned,
-    # one score at the start of each block of that width
-    block: int | None = None
-
-    @property
-    def ct(self) -> SlotCiphertext:
-        return self.parts[0]
 
 
 def broadcast_slot(
@@ -76,9 +59,7 @@ def broadcast_slot(
     return ctx.fold(ctx.rotate(ctx.mult_plain(a, ctx.block_mask(j, 1)), j), -1, width)
 
 
-def arcc_inner_inner(
-    coeffs: SlotCiphertext, basis: PackedMatrix, ctx: Context
-) -> ScoreVector:
+def arcc_inner_inner(coeffs: SlotCiphertext, basis: PackedMatrix, ctx: Context) -> SlotCiphertext:
     """Weighted sum of stored columns: sum_j coeffs[j] * column_j.
 
     The basis is outer-packed (one column per ciphertext): L broadcasts
@@ -90,21 +71,19 @@ def arcc_inner_inner(
         raise ParameterError(f"inner-inner does not accept a {kind} basis")
     if not basis.parts:
         raise ParameterError("empty basis")
-    acc = ctx.sum(
+    return ctx.sum(
         ctx.mult_cipher(broadcast_slot(coeffs, j, n, ctx), part)
         for j, part in enumerate(basis.parts)
     )
-    return ScoreVector([acc], basis.encoding.rows)
 
 
-def arcc_inner_outer(
-    v: SlotCiphertext, rows: PackedMatrix, ctx: Context
-) -> ScoreVector:
+def arcc_inner_outer(v: SlotCiphertext, rows: PackedMatrix, ctx: Context) -> list:
     """Per-row dot products <v, row_r>, one score per block boundary.
 
     The rows are compacted (B per ciphertext): v is tiled across the
     blocks, then one SIMD multiplication per cache ciphertext plus a
-    log2(d) fold.
+    log2(d) fold.  Returns one ciphertext per cache ciphertext: row r's
+    score sits at slot (r mod B)*d of part r // B.
     """
     kind = rows.encoding.kind
     if kind is not EncodingKind.INNER_COMPACTED:
@@ -113,27 +92,7 @@ def arcc_inner_outer(
         raise ParameterError("empty row set")
     d = rows.encoding.cols
     vt = tile_token(v, d, rows.encoding.block, ctx)
-    parts = [fold_sum(ctx.mult_cipher(vt, part), d, ctx) for part in rows.parts]
-    return ScoreVector(parts, rows.encoding.rows, block=d)
-
-
-def compact_scores(s: ScoreVector, ctx: Context) -> ScoreVector:
-    """Realign block-boundary scores into contiguous slots 0..valid_len-1."""
-    if s.block is None:
-        raise ParameterError("compact_scores expects a block-aligned input")
-    n = ctx.params.n_slots
-    if s.valid_len > n:
-        raise ParameterError("too many scores for one ciphertext")
-    per_ct = n // s.block
-
-    def piece(r: int) -> SlotCiphertext:
-        q, b = divmod(r, per_ct)
-        src = b * s.block
-        out = ctx.mult_plain(s.parts[q], ctx.block_mask(src, 1))
-        return ctx.rotate(out, src - r) if src != r else out
-
-    acc = ctx.sum(map(piece, range(s.valid_len)))
-    return ScoreVector([acc], s.valid_len)
+    return [fold_sum(ctx.mult_cipher(vt, part), d, ctx) for part in rows.parts]
 
 
 # ----------------------------------------------------------------------
@@ -222,13 +181,13 @@ def attention_step(
 
     pieces = []
     if m > 0:
-        sv = arcc_inner_inner(q, cache.prefill_K, ctx)
-        pieces.append(he_to_shares([sv.ct], ctx, mpc, m)[0])
+        scores = arcc_inner_inner(q, cache.prefill_K, ctx)
+        pieces.append(he_to_shares([scores], ctx, mpc, m)[0])
     if t > 0:
         # B * d2 = n: generated score r sits at slot r*d2 of the parts laid
         # end to end
-        sv = arcc_inner_outer(q, cache.auto_K, ctx)
-        pieces.append(he_to_shares(sv.parts, ctx, mpc).reshape(-1)[: t * d2 : d2])
+        scores = arcc_inner_outer(q, cache.auto_K, ctx)
+        pieces.append(he_to_shares(scores, ctx, mpc).reshape(-1)[: t * d2 : d2])
     a = attention_softmax(np.concatenate(pieces), d2, fp, ctx, mpc)
 
     halves = []

@@ -40,7 +40,6 @@ __all__ = [
     "encode",
     "load_matrix",
     "next_pow2",
-    "pack_token_inner",
     "save_matrix",
     "tile_token",
 ]
@@ -147,12 +146,6 @@ def decode(P: PackedMatrix, ctx: Context) -> np.ndarray:
         payload = vectors[q * B : (q + 1) * B]
         payload[...] = ctx.decrypt(part)[: payload.size].reshape(payload.shape)
     return A
-
-
-def pack_token_inner(x, ctx: Context) -> SlotCiphertext:
-    """Encrypt one integer row vector into slots 0..d-1 (inner layout);
-    any other input raises ParameterError, as in ``Context.plains``."""
-    return ctx.encrypt(ctx.plains([x])[0])
 
 
 def tile_token(x_ct: SlotCiphertext, d: int, B: int, ctx: Context) -> SlotCiphertext:

@@ -270,13 +270,16 @@ def _check_manifest(manifest: dict, ctx: Context) -> None:
 
 
 def load_cache(path, ctx: Context) -> KVCache:
-    """Restore a snapshot written by ``save_cache``.  A manifest that does
-    not match its own layout, or a part file that is not one row of n words
-    in [0, p) under the context's p, raises ParameterError before any
-    ciphertext is issued.  Keys it does not read, such as the refresh
-    records older snapshots carry, are ignored."""
+    """Restore a snapshot written by ``save_cache``.  A missing manifest,
+    one that is not JSON or does not match its own layout, or a part file
+    that is not one row of n words in [0, p) under the context's p, raises
+    ParameterError before any ciphertext is issued.  Keys it does not read,
+    such as the refresh records older snapshots carry, are ignored."""
     path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
+    try:
+        manifest = json.loads((path / "manifest.json").read_text())
+    except (OSError, ValueError) as e:  # no manifest, or one that is not JSON
+        raise ParameterError(f"{path}: no readable manifest.json ({e})") from e
     _check_manifest(manifest, ctx)
     d2, B, segments = manifest["d2"], manifest["B"], manifest["segments"]
     n, p = ctx.params.n_slots, ctx.params.plain_modulus

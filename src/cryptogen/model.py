@@ -456,6 +456,15 @@ def _check_length(c: ModelConfig, prompt: list, k: int) -> None:
         raise ParameterError("prompt + generation exceeds max_seq")
 
 
+def _check_widths(ctx: Context, **widths) -> None:
+    """Each named width fits the slot count: no packed row or column, and
+    no CPVM over one, can be wider than n."""
+    n = ctx.params.n_slots
+    for name, width in widths.items():
+        if width > n:
+            raise ParameterError(f"{name} = {width} exceeds the {n} slots")
+
+
 def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, ctx, chans):
     """One transformer layer on slab X: per-head projections and attention
     (heads run in order on the one context, head h on channel (l, h)),
@@ -507,6 +516,7 @@ def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int =
     _check_length(c, prompt, 0)
     model.fixed_point(ctx)  # a modulus without fixed-point headroom fails before any op
     block_capacity(ctx.params.n_slots, c.d2)  # so does a head width the cache blocks cannot tile
+    _check_widths(ctx, d1=c.d1, vocab=c.vocab)  # and a token or logit row wider than n
     chans = _channels(ctx, c, chans)
     m = len(prompt)
 
@@ -531,6 +541,7 @@ def decode_step(model: Model, state: GenerationState, ctx: Context, chans=None, 
     if threads != 1:
         raise ParameterError(f"threads must be 1, got {threads!r}")
     c = model.config
+    _check_widths(ctx, ffn_dim=c.ffn_dim)
     chans = _channels(ctx, c, chans)
     token = int(np.argmax(state.next_logits))
     pos = state.position
@@ -555,6 +566,8 @@ def generate(model: Model, prompt: list, k: int, ctx: Context, seed: int = 0):
     Each call passes threads=1 positionally, as a replay expects."""
     c = model.config
     _check_length(c, prompt, k)
+    if k:
+        _check_widths(ctx, ffn_dim=c.ffn_dim)  # decode's FFN CPVM, before the prefill runs
     chans = _channels(ctx, c, root=np.random.SeedSequence([0x707, seed]))
     state, prefill_counters = _charged(ctx, prefill, model, prompt, ctx, chans, 1)
 
@@ -597,6 +610,8 @@ def bolt_reference_generate(model: Model, prompt: list, k: int, ctx: Context, se
     kernels at every step (no KV reuse).  Same tokens, quadratic cost."""
     c = model.config
     _check_length(c, prompt, k)
+    if k:
+        _check_widths(ctx, prefix=len(prompt) + k - 1)  # the last prefill's outer packing
     chans = _channels(ctx, c, root=np.random.SeedSequence([0x707, seed]))
     tokens = []
     steps = []

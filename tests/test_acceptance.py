@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from cryptogen.arcc import arcc_inner_inner, arcc_inner_outer, compact_scores
+from cryptogen.arcc import arcc_inner_inner, arcc_inner_outer
 from cryptogen.backend import (
     BackendParams,
     Context,
@@ -21,7 +21,7 @@ from cryptogen.backend import (
     default_plain_modulus,
 )
 from cryptogen.costmodel import predict_costs, reported_only
-from cryptogen.encodings import EncodingKind, decode, encode, pack_token_inner
+from cryptogen.encodings import EncodingKind, decode, encode
 from cryptogen.fixedpoint import FixedPointParams, fp_encode, fp_gelu, fp_softmax, fp_decode
 from cryptogen.kv_cache import append_token, cache_stats, init_cache, maybe_refresh
 from cryptogen.linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal
@@ -40,6 +40,11 @@ from growth_fits import loglog_exponent, quadratic_coefficient
 
 P64 = default_plain_modulus(64, 26)
 HE_COUNTERS = ("mult_plain", "mult_cipher", "rotate", "add", "add_plain", "encrypt", "decrypt")
+
+
+def _row(x, ctx):
+    """One integer row, encrypted into slots 0..len(x)-1 (inner layout)."""
+    return ctx.encrypt(ctx.plains([x])[0])
 
 
 def _announce(n, detail):
@@ -76,26 +81,23 @@ def test_criterion_2_kernel_oracle_equivalence():
         assert (decode(Y, ctx) == (X @ W) % p).all()
 
         x = rng.integers(0, p, d1)
-        y = ctx.decrypt(cpvm_inner_diagonal(pack_token_inner(x, ctx), W, ctx))[:d2]
+        y = ctx.decrypt(cpvm_inner_diagonal(_row(x, ctx), W, ctx))[:d2]
         assert (y == (x @ W) % p).all()
 
         R, L = (int(v) for v in rng.integers(1, 17, 2))
         q = rng.integers(0, p, L)
         K = rng.integers(0, p, (R, L))
-        sv = arcc_inner_inner(
-            pack_token_inner(q, ctx), encode(K, EncodingKind.OUTER, ctx), ctx
-        )
-        assert (ctx.decrypt(sv.ct)[:R] == (K @ q) % p).all()
+        scores = arcc_inner_inner(_row(q, ctx), encode(K, EncodingKind.OUTER, ctx), ctx)
+        assert (ctx.decrypt(scores)[:R] == (K @ q) % p).all()
 
         d = int(2 ** rng.integers(0, 5))
         R2 = int(rng.integers(1, 17))
         M = rng.integers(0, p, (R2, d))
         v = rng.integers(0, p, d)
-        sv = arcc_inner_outer(
-            pack_token_inner(v, ctx), encode(M, EncodingKind.INNER_COMPACTED, ctx), ctx
-        )
-        flat = compact_scores(sv, ctx)
-        assert (ctx.decrypt(flat.ct)[:R2] == (M @ v) % p).all()
+        parts = arcc_inner_outer(_row(v, ctx), encode(M, EncodingKind.INNER_COMPACTED, ctx), ctx)
+        # row r's score at slot r*d of the parts laid end to end, as attention_step reads it
+        scores = np.concatenate([ctx.decrypt(part) for part in parts])[: R2 * d : d]
+        assert (scores == (M @ v) % p).all()
     elapsed = time.time() - t0
     assert elapsed < 30
     _announce(2, f"4 kernels x 200 instances exact in {elapsed:.1f}s")
@@ -203,7 +205,7 @@ def test_criterion_6_cache_compaction_law(n_slots, d2, min_bits):
     k = 0
     for target in targets:
         while k < target:
-            tok = pack_token_inner(np.full(d2, (k % 97) + 1), ctx)
+            tok = _row(np.full(d2, (k % 97) + 1), ctx)
             cache = append_token(cache, tok, tok, ctx)
             k += 1
         stats = cache_stats(cache)
@@ -267,7 +269,7 @@ def test_criterion_7_refresh_liveness_and_transparency(refreshes):
     observed = []
     for t in range(16):
         cache = maybe_refresh(cache, sctx, sch)
-        tok = pack_token_inner(np.full(4, t + 1), sctx)
+        tok = _row(np.full(4, t + 1), sctx)
         cache = append_token(cache, tok, tok, sctx)
         observed.append(sctx.counter.refresh_events)
     init, thr, costs, B = (

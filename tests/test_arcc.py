@@ -6,11 +6,10 @@ from cryptogen.arcc import (
     arcc_inner_outer,
     attention_step,
     broadcast_slot,
-    compact_scores,
     prefill_attention,
 )
-from cryptogen.backend import BackendParams, Context, ParameterError, default_plain_modulus
-from cryptogen.encodings import EncodingKind, decode, encode, pack_token_inner
+from cryptogen.backend import BackendParams, Context, ParameterError, SlotCiphertext, default_plain_modulus
+from cryptogen.encodings import EncodingKind, decode, encode
 from cryptogen.fixedpoint import (
     RECIPROCAL_ITERS,
     FixedPointParams,
@@ -21,6 +20,17 @@ from cryptogen.fixedpoint import (
 )
 from cryptogen.kv_cache import append_token, init_cache
 from cryptogen.nonlinear import MpcChannel
+
+
+def _row(x, ctx):
+    """One integer row, encrypted into slots 0..len(x)-1 (inner layout)."""
+    return ctx.encrypt(ctx.plains([x])[0])
+
+
+def _block_scores(parts, d, rows, ctx):
+    """Block-aligned scores read as ``attention_step`` reads them: the
+    parts decrypted end to end, then every d-th slot from slot 0."""
+    return np.concatenate([ctx.decrypt(part) for part in parts])[: rows * d : d]
 
 
 def test_broadcast_examples(ctx16):
@@ -38,24 +48,23 @@ def test_broadcast_examples(ctx16):
 
 
 def test_inner_inner_identity_keys(ctx16):
-    q = pack_token_inner([5, 9], ctx16)
+    q = _row([5, 9], ctx16)
     K = encode(np.eye(2, dtype=np.int64), EncodingKind.OUTER, ctx16)
-    sv = arcc_inner_inner(q, K, ctx16)
-    assert sv.block is None
-    assert (ctx16.decrypt(sv.ct)[:2] == [5, 9]).all()
+    scores = arcc_inner_inner(q, K, ctx16)
+    assert isinstance(scores, SlotCiphertext)
+    assert (ctx16.decrypt(scores)[:2] == [5, 9]).all()
 
 
 def test_inner_inner_hand_example(ctx16):
-    q = pack_token_inner([1, 2], ctx16)
+    q = _row([1, 2], ctx16)
     K = encode(np.array([[1, 2], [3, 4]]), EncodingKind.OUTER, ctx16)
-    sv = arcc_inner_inner(q, K, ctx16)
-    assert (ctx16.decrypt(sv.ct)[:2] == [5, 11]).all()
+    assert (ctx16.decrypt(arcc_inner_inner(q, K, ctx16))[:2] == [5, 11]).all()
 
 
 def test_inner_inner_zero_coeffs(ctx16, rng):
-    q = pack_token_inner([0, 0, 0], ctx16)
+    q = _row([0, 0, 0], ctx16)
     K = encode(rng.integers(0, 97, (4, 3)), EncodingKind.OUTER, ctx16)
-    assert not ctx16.decrypt(arcc_inner_inner(q, K, ctx16).ct).any()
+    assert not ctx16.decrypt(arcc_inner_inner(q, K, ctx16)).any()
 
 
 def test_inner_inner_random_oracle(ctx64, rng):
@@ -64,12 +73,12 @@ def test_inner_inner_random_oracle(ctx64, rng):
         R, L = (int(v) for v in rng.integers(1, 13, 2))
         q = rng.integers(0, p, L)
         K = rng.integers(0, p, (R, L))
-        sv = arcc_inner_inner(pack_token_inner(q, ctx64), encode(K, EncodingKind.OUTER, ctx64), ctx64)
-        assert (ctx64.decrypt(sv.ct)[:R] == (K @ q) % p).all()
+        scores = arcc_inner_inner(_row(q, ctx64), encode(K, EncodingKind.OUTER, ctx64), ctx64)
+        assert (ctx64.decrypt(scores)[:R] == (K @ q) % p).all()
 
 
 def test_inner_kernels_reject_other_layouts(ctx16):
-    q = pack_token_inner([1, 2], ctx16)
+    q = _row([1, 2], ctx16)
     M = np.array([[1, 2], [3, 4]])
     with pytest.raises(ParameterError):
         arcc_inner_inner(q, encode(M, EncodingKind.INNER_COMPACTED, ctx16), ctx16)
@@ -78,15 +87,17 @@ def test_inner_kernels_reject_other_layouts(ctx16):
 
 
 def test_inner_outer_hand_examples(ctx16):
-    v = pack_token_inner([1, 1], ctx16)
-    row = encode(np.array([[2, 3]]), EncodingKind.INNER_COMPACTED, ctx16)
-    sv = arcc_inner_outer(v, row, ctx16)
-    assert sv.block == 2
-    assert ctx16.decrypt(sv.parts[0])[0] == 5
+    """Row r's score sits at slot (r mod B)*d of part r // B: with d=2,
+    the second row's score is at slot 2."""
+    v = _row([1, 1], ctx16)
+    rows = encode(np.array([[2, 3], [4, 5]]), EncodingKind.INNER_COMPACTED, ctx16)
+    scores = arcc_inner_outer(v, rows, ctx16)
+    assert len(scores) == 1
+    assert (ctx16.decrypt(scores[0])[[0, 2]] == [5, 9]).all()
 
-    e0 = pack_token_inner([1, 0], ctx16)
-    sv = arcc_inner_outer(e0, row, ctx16)
-    assert ctx16.decrypt(sv.parts[0])[0] == 2
+    e0 = _row([1, 0], ctx16)
+    scores = arcc_inner_outer(e0, rows, ctx16)
+    assert (_block_scores(scores, 2, 2, ctx16) == [2, 4]).all()
 
 
 def test_inner_outer_random_oracle(ctx64, rng):
@@ -97,9 +108,8 @@ def test_inner_outer_random_oracle(ctx64, rng):
         M = rng.integers(0, p, (R, d))
         v = rng.integers(0, p, d)
         rows = encode(M, EncodingKind.INNER_COMPACTED, ctx64)
-        sv = arcc_inner_outer(pack_token_inner(v, ctx64), rows, ctx64)
-        flat = compact_scores(sv, ctx64)
-        assert (ctx64.decrypt(flat.ct)[:R] == (M @ v) % p).all()
+        scores = arcc_inner_outer(_row(v, ctx64), rows, ctx64)
+        assert (_block_scores(scores, d, R, ctx64) == (M @ v) % p).all()
 
 
 def test_inner_outer_compacted_mult_count():
@@ -109,31 +119,12 @@ def test_inner_outer_compacted_mult_count():
     rng = np.random.default_rng(1)
     M = rng.integers(0, 97, (300, 64))
     Mp = encode(M, EncodingKind.INNER_COMPACTED, ctx)
-    v = pack_token_inner(rng.integers(0, 97, 64), ctx)
-    start = ctx.counter.snapshot()
-    sv = arcc_inner_outer(v, Mp, ctx)
-    assert ctx.counter.delta(start)["mult_cipher"] == 3
-    assert sv.valid_len == 300 and len(sv.parts) == 3
-
-
-def test_compact_scores_examples():
-    params = BackendParams(n_slots=128, plain_modulus=default_plain_modulus(128, 22))
-    ctx = Context(params, seed=0)
-    rng = np.random.default_rng(2)
-    # scores at block starts {0, 64} with d2=64 land at slots {0, 1}
-    M = rng.integers(0, 97, (2, 64))
     v = rng.integers(0, 97, 64)
-    sv = arcc_inner_outer(pack_token_inner(v, ctx), encode(M, EncodingKind.INNER_COMPACTED, ctx), ctx)
-    raw = ctx.decrypt(sv.parts[0])
-    flat = compact_scores(sv, ctx)
-    assert (ctx.decrypt(flat.ct)[:2] == [raw[0], raw[64]]).all()
-    assert flat.valid_len == 2
-
-    single = arcc_inner_outer(
-        pack_token_inner(v, ctx), encode(M[:1], EncodingKind.INNER_COMPACTED, ctx), ctx
-    )
-    one = compact_scores(single, ctx)
-    assert ctx.decrypt(one.ct)[0] == ctx.decrypt(single.parts[0])[0]
+    start = ctx.counter.snapshot()
+    scores = arcc_inner_outer(_row(v, ctx), Mp, ctx)
+    assert ctx.counter.delta(start)["mult_cipher"] == 3
+    assert len(scores) == 3
+    assert (_block_scores(scores, 64, 300, ctx) == (M @ v) % ctx.params.plain_modulus).all()
 
 
 P64 = default_plain_modulus(64, 26)
@@ -164,8 +155,8 @@ def _cache_from_rows(Ks, Vs, split, ctx, d2):
     else:
         cache = init_cache(None, None, ctx, d2=d2)
     for kr, vr in zip(Ks[split:], Vs[split:]):
-        kc = pack_token_inner(np.mod(kr, ctx.params.plain_modulus), ctx)
-        vc = pack_token_inner(np.mod(vr, ctx.params.plain_modulus), ctx)
+        kc = _row(np.mod(kr, ctx.params.plain_modulus), ctx)
+        vc = _row(np.mod(vr, ctx.params.plain_modulus), ctx)
         cache = append_token(cache, kc, vc, ctx)
     return cache
 
@@ -176,22 +167,29 @@ def test_attention_step_single_token():
     v = fp_encode([0.5, -0.25, 1.0, 0.125], FP)
     k = fp_encode([0.3, 0.1, -0.2, 0.4], FP)
     cache = _cache_from_rows(np.array([k]), np.array([v]), 0, ctx, 4)
-    q = pack_token_inner(np.mod(fp_encode([1.0, 0.2, -0.3, 0.6], FP), P64), ctx)
+    q = _row(np.mod(fp_encode([1.0, 0.2, -0.3, 0.6], FP), P64), ctx)
     out = to_signed(ctx.decrypt(attention_step(q, cache, FP, ctx, ch))[:4], P64)
     # softmax of a single score is exactly one, so the output is v
     assert (out == v).all()
 
 
-@pytest.mark.parametrize("split", [0, 1, 2, 3])
-def test_attention_step_matches_oracle_any_segmentation(split, rng):
+@pytest.mark.parametrize(
+    "d2, t, split",
+    [(4, 3, 0), (4, 3, 1), (4, 3, 2), (4, 3, 3), (16, 6, 0), (16, 8, 2)],
+    ids=["0", "1", "2", "3", "seam_split0", "seam_split2"],
+)
+def test_attention_step_matches_oracle_any_segmentation(d2, t, split, rng):
+    """t rows, the first ``split`` of them prefill; at d2=16 (B=4) the six
+    generated rows span two cache parts, so the stride read of the
+    generated scores crosses a part boundary."""
     ctx = _fp_ctx(seed=split)
     ch = MpcChannel(P64, seed=split)
-    d2, t = 4, 3
     Ks = fp_encode(rng.uniform(-1, 1, (t, d2)), FP)
     Vs = fp_encode(rng.uniform(-1, 1, (t, d2)), FP)
     qv = fp_encode(rng.uniform(-1, 1, d2), FP)
     cache = _cache_from_rows(Ks, Vs, split, ctx, d2)
-    q = pack_token_inner(np.mod(qv, P64), ctx)
+    assert len(cache.auto_K.parts) == -(-(t - split) * d2 // 64)
+    q = _row(np.mod(qv, P64), ctx)
     got = to_signed(ctx.decrypt(attention_step(q, cache, FP, ctx, ch))[:d2], P64)
     want = _oracle_attention_step(qv, Ks, Vs, FP, P64)
     assert (got == want).all(), f"split={split}: {got} vs {want}"
@@ -206,7 +204,7 @@ def test_attention_step_rotation_count_prefix_independent(rng):
         Ks = fp_encode(rng.uniform(-1, 1, (m + 1, d2)), FP)
         Vs = fp_encode(rng.uniform(-1, 1, (m + 1, d2)), FP)
         cache = _cache_from_rows(Ks, Vs, m, ctx, d2)
-        q = pack_token_inner(np.mod(fp_encode(rng.uniform(-1, 1, d2), FP), P64), ctx)
+        q = _row(np.mod(fp_encode(rng.uniform(-1, 1, d2), FP), P64), ctx)
         start = ctx.counter.snapshot()
         attention_step(q, cache, FP, ctx, ch)
         deltas[m] = ctx.counter.delta(start)

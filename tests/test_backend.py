@@ -319,6 +319,7 @@ def test_plain_encodes_or_rejects(data):
         ("plains", [[True, False]]),
         ("plains", 5),
         ("plains", np.ones((2, 2, 2), dtype=np.int64)),
+        ("plains", [list(range(17))]),
         ("encode", [[1.7, 2.9]]),
         ("shares_to_he", [[1.9, -2.5]]),
     ],
@@ -331,6 +332,7 @@ def test_plain_encodes_or_rejects(data):
         "dense_bool",
         "dense_scalar",
         "dense_matrix",
+        "dense_too_wide",
         "encode_float",
         "shares_float",
     ],
@@ -338,8 +340,8 @@ def test_plain_encodes_or_rejects(data):
 def test_plain_rejects_what_plains_rejects(ctx16, method, value):
     """plain, plains (of short rows), encode and shares_to_he take the
     rule of ``as_int64``: integers, never truncated from floats; a float,
-    bool, scalar or wrong-rank input raises ParameterError without moving
-    the counter."""
+    bool, scalar or wrong-rank input, or a row wider than the slot count,
+    raises ParameterError without moving the counter."""
     call = {
         "encode": lambda v: encode(v, EncodingKind.OUTER, ctx16),
         "shares_to_he": lambda v: shares_to_he(v, ctx16, MpcChannel(ctx16.params.plain_modulus, 0)),

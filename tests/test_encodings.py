@@ -11,7 +11,6 @@ from cryptogen.encodings import (
     encode,
     load_matrix,
     next_pow2,
-    pack_token_inner,
     save_matrix,
     tile_token,
     MATRIX_MAGIC,
@@ -95,28 +94,15 @@ def test_transpose_duality(ctx16, rng):
         assert (ctx16.decrypt(a) == ctx16.decrypt(b)).all()
 
 
-def test_pack_token_inner(ctx16):
-    from cryptogen.backend import BackendParams, Context
-
-    ctx = Context(BackendParams(n_slots=8, plain_modulus=17), seed=0)
-    ct = pack_token_inner([1, 2, 3, 4], ctx)
-    assert (ctx.decrypt(ct) == [1, 2, 3, 4, 0, 0, 0, 0]).all()
-    zero = pack_token_inner([0, 0], ctx)
-    assert not ctx.decrypt(zero).any()
-    for bad in (list(range(9)), [1.5, 2.5, -0.7]):
-        with pytest.raises(ParameterError):
-            pack_token_inner(bad, ctx)
-
-
 def test_tile_token(ctx16):
-    ct = pack_token_inner([1, 2], ctx16)
+    ct = ctx16.encrypt(ctx16.plains([[1, 2]])[0])
     same = tile_token(ct, 2, 1, ctx16)
     assert (ctx16.decrypt(same) == ctx16.decrypt(ct)).all()
     tiled = tile_token(ct, 2, 8, ctx16)
     assert (ctx16.decrypt(tiled) == [1, 2] * 8).all()
     # rotation count is ceil(log2 B)
     start = ctx16.counter.snapshot()
-    tile_token(pack_token_inner([5, 6], ctx16), 2, 8, ctx16)
+    tile_token(ctx16.encrypt(ctx16.plains([[5, 6]])[0]), 2, 8, ctx16)
     assert ctx16.counter.delta(start)["rotate"] == 3
 
 
@@ -126,7 +112,7 @@ def test_dimension_errors(ctx16):
     with pytest.raises(ParameterError):
         encode(np.zeros((2, 17)), EncodingKind.INNER, ctx16)
     with pytest.raises(ParameterError):
-        tile_token(pack_token_inner([1], ctx16), 5, 4, ctx16)
+        tile_token(ctx16.encrypt(ctx16.plains([[1]])[0]), 5, 4, ctx16)
 
 
 def test_matrix_file_roundtrips(tmp_path, rng):

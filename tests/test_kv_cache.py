@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from cryptogen.backend import (
     ParameterError,
     default_plain_modulus,
 )
-from cryptogen.encodings import EncodingKind, decode, encode, pack_token_inner, save_matrix
+from cryptogen.encodings import EncodingKind, decode, encode, save_matrix
 from cryptogen.kv_cache import (
     append_token,
     cache_stats,
@@ -35,7 +36,7 @@ def _empty(ctx, d2):
 
 
 def _tok(ctx, vals):
-    return pack_token_inner(np.mod(np.asarray(vals), ctx.params.plain_modulus), ctx)
+    return ctx.encrypt(ctx.plains([np.mod(np.asarray(vals), ctx.params.plain_modulus)])[0])
 
 
 def test_block_capacity_formula():
@@ -162,7 +163,7 @@ def test_refresh_is_attention_invisible(rng, refreshes):
     for t in range(5):
         kv = np.mod(fp_encode(rng.uniform(-1, 1, d2), fp), p)
         cache = append_token(cache, _tok(ctx, kv), _tok(ctx, kv), ctx)
-    q = pack_token_inner(np.mod(fp_encode(rng.uniform(-1, 1, d2), fp), p), ctx)
+    q = _tok(ctx, fp_encode(rng.uniform(-1, 1, d2), fp))
     out1 = ctx.decrypt(attention_step(q, cache, fp, ctx, MpcChannel(p, seed=1)))
     before = ctx.counter.refresh_events
     refreshed = maybe_refresh(cache, ctx, ch, force=True)
@@ -318,7 +319,7 @@ def test_cache_checkpoint_roundtrip(tmp_path, rng):
     save_cache(cache, tmp_path / "snap", ctx)
     loaded = load_cache(tmp_path / "snap", ctx)
     assert cache_stats(loaded) == cache_stats(cache)
-    q = pack_token_inner(np.mod(fp_encode(rng.uniform(-1, 1, d2), fp), p), ctx)
+    q = _tok(ctx, fp_encode(rng.uniform(-1, 1, d2), fp))
     a = ctx.decrypt(attention_step(q, cache, fp, ctx, MpcChannel(p, seed=5)))
     b = ctx.decrypt(attention_step(q, loaded, fp, ctx, MpcChannel(p, seed=6)))
     assert (a == b).all()
@@ -491,5 +492,22 @@ def test_load_cache_rejects_a_tampered_part_file(tmp_path, tamper):
     save_matrix(file, *tamper(cache.auto_V.parts[0].slots, p))
     probe = ctx.load_ciphertext(np.zeros(64, dtype=np.int64), 1).id
     with pytest.raises(ParameterError, match=r"auto_V_0\.bin: expected one row of 64 words in \[0, "):
+        load_cache(tmp_path, ctx)
+    assert ctx.load_ciphertext(np.zeros(64, dtype=np.int64), 1).id == probe + 1
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda f: f.write_text("{not json"), lambda f: f.unlink()],
+    ids=["not_json", "missing"],
+)
+def test_load_cache_refuses_an_unreadable_manifest(tmp_path, damage):
+    """A manifest.json that is not JSON, or none at all, raises
+    ParameterError naming the snapshot directory before any ciphertext is
+    issued."""
+    ctx, _ = _snapshot(tmp_path)
+    damage(tmp_path / "manifest.json")
+    probe = ctx.load_ciphertext(np.zeros(64, dtype=np.int64), 1).id
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(tmp_path))}: no readable manifest.json"):
         load_cache(tmp_path, ctx)
     assert ctx.load_ciphertext(np.zeros(64, dtype=np.int64), 1).id == probe + 1

@@ -5,8 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cryptogen.backend import BackendParams, Context, ParameterError, default_plain_modulus
-from cryptogen.encodings import EncodingKind, decode, encode, pack_token_inner
+from cryptogen.encodings import EncodingKind, decode, encode
 from cryptogen.linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal, fold_sum
+
+
+def _row(x, ctx):
+    """One integer row, encrypted into slots 0..len(x)-1 (inner layout)."""
+    return ctx.encrypt(ctx.plains([x])[0])
 
 
 def test_fold_sum_block1_is_identity(ctx16):
@@ -109,7 +114,7 @@ def test_cpmm_accepts_more_weight_rows_than_slots(ctx16, rng):
 def test_kernels_reject_malformed_weights(ctx16, W):
     """Only a non-empty 2-D integer matrix is a weight; rejected before any op."""
     X = encode(np.ones((2, 4), dtype=np.int64), EncodingKind.OUTER, ctx16)
-    x = pack_token_inner([1, 2, 3, 4], ctx16)
+    x = _row([1, 2, 3, 4], ctx16)
     start = ctx16.counter.snapshot()
     with pytest.raises(ParameterError):
         cpmm_outer_diagonal(X, W, ctx16)
@@ -132,18 +137,18 @@ def test_kernels_match_signed_matmul_mod_p(p16, p64, data):
     ctx = Context(BackendParams(n_slots=n, plain_modulus=p), seed=0)
     want = (X @ W) % p
     assert (decode(cpmm_outer_diagonal(encode(X, EncodingKind.OUTER, ctx), W, ctx), ctx) == want).all()
-    y = ctx.decrypt(cpvm_inner_diagonal(pack_token_inner(X[-1], ctx), W, ctx))[:d2]
+    y = ctx.decrypt(cpvm_inner_diagonal(_row(X[-1], ctx), W, ctx))[:d2]
     assert (y == want[-1]).all()
 
 
 def test_cpvm_identity(ctx16):
     x = np.array([9, 4, 7, 1])
-    y = cpvm_inner_diagonal(pack_token_inner(x, ctx16), np.eye(4, dtype=np.int64), ctx16)
+    y = cpvm_inner_diagonal(_row(x, ctx16), np.eye(4, dtype=np.int64), ctx16)
     assert (ctx16.decrypt(y)[:4] == x).all()
 
 
 def test_cpvm_hand_example(ctx16):
-    y = cpvm_inner_diagonal(pack_token_inner([1, 2], ctx16), np.array([[5, 6], [7, 8]]), ctx16)
+    y = cpvm_inner_diagonal(_row([1, 2], ctx16), np.array([[5, 6], [7, 8]]), ctx16)
     assert (ctx16.decrypt(y)[:2] == [19, 22]).all()
 
 
@@ -153,7 +158,7 @@ def test_cpvm_random_oracle(ctx64, rng):
         d1, d2 = (int(v) for v in rng.integers(1, 17, 2))
         x = rng.integers(0, p, d1)
         W = rng.integers(0, p, (d1, d2))
-        y = cpvm_inner_diagonal(pack_token_inner(x, ctx64), W, ctx64)
+        y = cpvm_inner_diagonal(_row(x, ctx64), W, ctx64)
         assert (ctx64.decrypt(y)[:d2] == (x @ W) % p).all()
 
 
@@ -162,7 +167,7 @@ def test_cpvm_cost_depends_only_on_dims(ctx64, rng):
     W = rng.integers(0, 97, (8, 4))
     deltas = []
     for _ in range(3):
-        x = pack_token_inner(rng.integers(0, 97, 8), ctx64)
+        x = _row(rng.integers(0, 97, 8), ctx64)
         start = ctx64.counter.snapshot()
         cpvm_inner_diagonal(x, W, ctx64)
         deltas.append(ctx64.counter.delta(start))
@@ -177,7 +182,7 @@ def test_cpvm_rotation_growth_logarithmic(rng):
     rots = {}
     for d1 in (64, 128, 256, 512):
         xv = rng.integers(0, p, d1)
-        x = pack_token_inner(xv, ctx)
+        x = _row(xv, ctx)
         W = rng.integers(0, p, (d1, d2))
         start = ctx.counter.snapshot()
         y = cpvm_inner_diagonal(x, W, ctx)
@@ -188,7 +193,7 @@ def test_cpvm_rotation_growth_logarithmic(rng):
 
 
 def test_cpvm_single_output_ciphertext(ctx64, rng):
-    x = pack_token_inner(rng.integers(0, 97, 8), ctx64)
+    x = _row(rng.integers(0, 97, 8), ctx64)
     W = rng.integers(0, 97, (8, 4))
     y = cpvm_inner_diagonal(x, W, ctx64)
     assert y.n_slots == 64  # one ciphertext carries the whole projection
@@ -196,7 +201,7 @@ def test_cpvm_single_output_ciphertext(ctx64, rng):
 
 def test_cpvm_mult_count_is_padded_output_width(ctx64, rng):
     for d2, want in ((4, 4), (5, 8), (8, 8)):
-        x = pack_token_inner(rng.integers(0, 97, 8), ctx64)
+        x = _row(rng.integers(0, 97, 8), ctx64)
         W = rng.integers(0, 97, (8, d2))
         start = ctx64.counter.snapshot()
         cpvm_inner_diagonal(x, W, ctx64)

@@ -509,6 +509,64 @@ def test_head_width_that_does_not_divide_n_is_refused_before_any_op(d1, heads, m
         assert not any(ctx.counter.as_dict().values()) and not drawn, run.__name__
 
 
+def _narrow(**dims):
+    """A one-layer model at d1=8, 2 heads, ffn 8, vocab 16, max_seq 32,
+    with ``dims`` replaced."""
+    base = dict(layers=1, d1=8, heads=2, ffn_dim=8, vocab=16, max_seq=32)
+    return generate_toy_model(ModelConfig(**{**base, **dims}), seed=0)
+
+
+@pytest.mark.parametrize(
+    "dims, n, run, prompt, k, message",
+    [
+        (dict(vocab=64), 16, generate, [1, 2, 3], 2, "vocab = 64 exceeds the 16 slots"),
+        (dict(vocab=64), 16, bolt_reference_generate, [1, 2, 3], 2, "vocab = 64 exceeds the 16 slots"),
+        (dict(d1=64, heads=16), 32, generate, [1, 2, 3], 2, "d1 = 64 exceeds the 32 slots"),
+        (dict(d1=64, heads=16), 32, bolt_reference_generate, [1, 2, 3], 2, "d1 = 64 exceeds the 32 slots"),
+        (dict(ffn_dim=64), 32, generate, [1, 2, 3], 1, "ffn_dim = 64 exceeds the 32 slots"),
+        (dict(), 16, bolt_reference_generate, list(range(10)), 8, "prefix = 17 exceeds the 16 slots"),
+    ],
+    ids=["vocab", "vocab_bolt", "d1", "d1_bolt", "ffn", "bolt_prefix"],
+)
+def test_width_wider_than_n_is_refused_before_any_op(dims, n, run, prompt, k, message, monkeypatch):
+    """A token row (d1), logit row (vocab), decode FFN row (ffn_dim) or
+    stateless prefix wider than the slot count is refused, naming the
+    dimension and the slot count, before any HE op is counted or any share
+    mask is drawn."""
+    model = _narrow(**dims)
+    drawn = []
+    monkeypatch.setattr(MpcChannel, "sample_mask", lambda self, length: drawn.append(length))
+    ctx = _ctx(n=n)
+    with pytest.raises(ParameterError, match=message):
+        run(model, prompt, k, ctx)
+    assert not any(ctx.counter.as_dict().values()) and not drawn
+
+
+def test_decode_step_refuses_ffn_wider_than_n_before_any_op(monkeypatch):
+    """decode_step refuses ffn_dim > n on its own, before its refresh check
+    or any HE op, even given a state whose prefill ran."""
+    model = _narrow(ffn_dim=64)
+    ctx = _ctx(n=32)
+    state = prefill(model, [1, 2, 3], ctx)
+    drawn = []
+    monkeypatch.setattr(MpcChannel, "sample_mask", lambda self, length: drawn.append(length))
+    before = ctx.counter.snapshot()
+    with pytest.raises(ParameterError, match="ffn_dim = 64 exceeds the 32 slots"):
+        decode_step(model, state, ctx)
+    assert not any(ctx.counter.delta(before).values()) and not drawn
+
+
+def test_ffn_wider_than_n_runs_where_no_cpvm_spans_it():
+    """Prefill runs the FFN as a CPMM, never a CPVM over ffn_dim, so with
+    ffn 64 at n=32 the prefill-only runs stay token-exact."""
+    model = _narrow(ffn_dim=64)
+    p = _ctx(n=32).params.plain_modulus
+    want = oracle_generate(model, [1, 2, 3], 4, p)
+    assert bolt_reference_generate(model, [1, 2, 3], 4, _ctx(n=32))[0] == want
+    assert generate(model, [1, 2, 3], 0, _ctx(n=32))[0] == []
+    assert int(np.argmax(prefill(model, [1, 2, 3], _ctx(n=32)).next_logits)) == want[0]
+
+
 def test_bolt_reference_same_tokens_more_work(toy):
     prompt = [2, 4]
     ctx_a = _ctx()
