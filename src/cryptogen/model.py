@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .arcc import attention_step, prefill_attention
-from .backend import Context, ParameterError, Plaintext
+from .backend import BackendParams, Context, ParameterError, Plaintext
 from .encodings import Encoding, EncodingKind, PackedMatrix, block_capacity, encode, load_matrix, save_matrix
 from .fixedpoint import (
     FixedPointParams,
@@ -48,6 +48,7 @@ __all__ = [
     "generate_toy_model",
     "load_model",
     "oracle_generate",
+    "plan",
     "prefill",
     "save_model",
     "toy_config",
@@ -136,9 +137,6 @@ class Model:
         if bias is None:
             bias = self._bias[key] = ctx.plains([self.weights[name] << self.config.f])[0]
         return bias
-
-    def fixed_point(self, ctx: Context) -> FixedPointParams:
-        return FixedPointParams(self.config.f, ctx.params.plain_modulus)
 
 
 def _weight_spec(c: ModelConfig) -> dict:
@@ -232,12 +230,16 @@ def load_model(path) -> Model:
 # ----------------------------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _embed(model: Model, token: int, position: int) -> np.ndarray:
-    c = model.config
-    if not 0 <= token < c.vocab:
+    if not _is_int(token):
+        raise ParameterError(f"token {token!r} is not an integer")
+    if not 0 <= token < model.config.vocab:
         raise ParameterError(f"token {token} out of vocabulary")
-    if position >= c.max_seq:
-        raise ParameterError(f"position {position} beyond max_seq {c.max_seq}")
     return model.weights["tok_emb"][token] + model.weights["pos_emb"][position]
 
 
@@ -250,11 +252,6 @@ def _modmul(x: np.ndarray, W: np.ndarray, p: int) -> np.ndarray:
 class GenerationState:
     caches: list  # [layer][head] -> KVCache
     next_logits: np.ndarray
-
-    @property
-    def position(self) -> int:
-        """Tokens processed so far: the prompt plus every generated token."""
-        return self.caches[0][0].m + self.caches[0][0].t_auto
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +306,7 @@ def oracle_generate(model: Model, prompt: list, k: int, p: int) -> list:
     """Greedy generation in plain fixed-point arithmetic; ground truth for
     every equivalence test."""
     c = model.config
-    _check_length(c, prompt, k)
+    _check_length(c, len(prompt), k)
     fp = FixedPointParams(c.f, p)
     caches = [[_OracleCache() for _ in range(c.heads)] for _ in range(c.layers)]
 
@@ -446,32 +443,39 @@ def _charged(ctx, fn, *args):
     return fn(*args), ctx.counter.delta(before)
 
 
-def _check_length(c: ModelConfig, prompt: list, k: int) -> None:
-    """A prompt of at least one token and k >= 0 tokens after it fit max_seq."""
+def _check_length(c: ModelConfig, m: int, k: int) -> None:
+    """A prompt of m >= 1 tokens and an integer k >= 0 after it fit max_seq."""
+    if not _is_int(k):
+        raise ParameterError(f"k must be an integer, got {k!r}")
     if k < 0:
         raise ParameterError(f"cannot generate {k} tokens")
-    if len(prompt) < 1:
+    if m < 1:
         raise ParameterError("empty prompt")
-    if len(prompt) + k > c.max_seq:
+    if m + k > c.max_seq:
         raise ParameterError("prompt + generation exceeds max_seq")
 
 
-def _check_widths(ctx: Context, **widths) -> None:
-    """Each named width fits the slot count: no packed row or column, and
-    no CPVM over one, can be wider than n."""
-    n = ctx.params.n_slots
-    for name, width in widths.items():
+def plan(c: ModelConfig, params: BackendParams, m: int, k: int) -> FixedPointParams:
+    """Checks, before any op, every setup rule of a run with an m-token prompt
+    and k decode steps: the length rule, product headroom, a head width the
+    cache blocks tile, and no packed row or column, nor a CPVM over one (the
+    decode FFN's when k >= 1), wider than n.  Returns the run's FixedPointParams."""
+    _check_length(c, m, k)
+    fp = FixedPointParams(c.f, params.plain_modulus)
+    n = params.n_slots
+    block_capacity(n, c.d2)
+    for name, width in (("prefix", m), ("d1", c.d1), ("vocab", c.vocab), ("ffn_dim", c.ffn_dim if k else 0)):
         if width > n:
             raise ParameterError(f"{name} = {width} exceeds the {n} slots")
+    return fp
 
 
-def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, ctx, chans):
+def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, fp, ctx, chans):
     """One transformer layer on slab X: per-head projections and attention
     (heads run in order on the one context, head h on channel (l, h)),
     then wo, LN1, the FFN and LN2 on the common channel.  Replaces
     caches[l] with the stage's per-head caches."""
     c = model.config
-    fp = model.fixed_point(ctx)
     outs = []
     for h in range(c.heads):
         ch = chans[(l, h)]
@@ -513,10 +517,7 @@ def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int =
     if threads != 1:
         raise ParameterError(f"threads must be 1, got {threads!r}")
     c = model.config
-    _check_length(c, prompt, 0)
-    model.fixed_point(ctx)  # a modulus without fixed-point headroom fails before any op
-    block_capacity(ctx.params.n_slots, c.d2)  # so does a head width the cache blocks cannot tile
-    _check_widths(ctx, d1=c.d1, vocab=c.vocab)  # and a token or logit row wider than n
+    fp = plan(c, ctx.params, len(prompt), 0)
     chans = _channels(ctx, c, chans)
     m = len(prompt)
 
@@ -524,7 +525,7 @@ def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int =
     X = encode(X, EncodingKind.OUTER, ctx)
     caches = [[None] * c.heads for _ in range(c.layers)]
     for l in range(c.layers):
-        X = _layer(model, l, X, _Prefill, caches, ctx, chans)
+        X = _layer(model, l, X, _Prefill, caches, fp, ctx, chans)
 
     # last-position logits via the decode-side kernel
     ch = chans["common"]
@@ -541,12 +542,11 @@ def decode_step(model: Model, state: GenerationState, ctx: Context, chans=None, 
     if threads != 1:
         raise ParameterError(f"threads must be 1, got {threads!r}")
     c = model.config
-    _check_widths(ctx, ffn_dim=c.ffn_dim)
+    cache = state.caches[0][0]  # its prompt length and appended tokens place this step in its run
+    fp = plan(c, ctx.params, cache.m, cache.t_auto + 1)
     chans = _channels(ctx, c, chans)
     token = int(np.argmax(state.next_logits))
-    pos = state.position
-    if pos >= c.max_seq:
-        raise ParameterError("generation exceeded max_seq")
+    pos = cache.m + cache.t_auto
 
     # lazy refresh check before this step's appends
     caches = [
@@ -556,7 +556,7 @@ def decode_step(model: Model, state: GenerationState, ctx: Context, chans=None, 
 
     X = encode(_embed(model, token, pos)[None, :], EncodingKind.INNER, ctx)
     for l in range(c.layers):
-        X = _layer(model, l, X, _Decode, caches, ctx, chans)
+        X = _layer(model, l, X, _Decode, caches, fp, ctx, chans)
 
     return token, GenerationState(caches=caches, next_logits=_logits(model, X.parts[0], ctx))
 
@@ -565,9 +565,7 @@ def generate(model: Model, prompt: list, k: int, ctx: Context, seed: int = 0):
     """Encrypted prefill + k greedy decode steps; returns (tokens, report).
     Each call passes threads=1 positionally, as a replay expects."""
     c = model.config
-    _check_length(c, prompt, k)
-    if k:
-        _check_widths(ctx, ffn_dim=c.ffn_dim)  # decode's FFN CPVM, before the prefill runs
+    plan(c, ctx.params, len(prompt), k)
     chans = _channels(ctx, c, root=np.random.SeedSequence([0x707, seed]))
     state, prefill_counters = _charged(ctx, prefill, model, prompt, ctx, chans, 1)
 
@@ -609,9 +607,8 @@ def bolt_reference_generate(model: Model, prompt: list, k: int, ctx: Context, se
     """Stateless baseline: reprocess the full prefix with the prefill
     kernels at every step (no KV reuse).  Same tokens, quadratic cost."""
     c = model.config
-    _check_length(c, prompt, k)
-    if k:
-        _check_widths(ctx, prefix=len(prompt) + k - 1)  # the last prefill's outer packing
+    _check_length(c, len(prompt), k)
+    plan(c, ctx.params, len(prompt) + max(k - 1, 0), 0)  # its widest prefill; no CPVM spans ffn_dim
     chans = _channels(ctx, c, root=np.random.SeedSequence([0x707, seed]))
     tokens = []
     steps = []

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from cryptogen.backend import BackendParams, Context, ParameterError, default_plain_modulus
@@ -25,6 +25,7 @@ from cryptogen.model import (
     generate_toy_model,
     load_model,
     oracle_generate,
+    plan,
     prefill,
     save_model,
     toy_config,
@@ -502,11 +503,11 @@ def test_head_width_that_does_not_divide_n_is_refused_before_any_op(d1, heads, m
     model = generate_toy_model(ModelConfig(layers=1, d1=d1, heads=heads, ffn_dim=8, vocab=16, max_seq=8), seed=0)
     drawn = []
     monkeypatch.setattr(MpcChannel, "sample_mask", lambda self, length: drawn.append(length))
-    for run in (generate, bolt_reference_generate):
+    for run, k in ((generate, 2), (bolt_reference_generate, 2), (bolt_reference_generate, 0)):
         ctx = _ctx()
         with pytest.raises(ParameterError, match=f"block width {d1 // heads} must divide the slot count 64"):
-            run(model, [1, 2, 3], 2, ctx)
-        assert not any(ctx.counter.as_dict().values()) and not drawn, run.__name__
+            run(model, [1, 2, 3], k, ctx)
+        assert not any(ctx.counter.as_dict().values()) and not drawn, (run.__name__, k)
 
 
 def _narrow(**dims):
@@ -521,12 +522,13 @@ def _narrow(**dims):
     [
         (dict(vocab=64), 16, generate, [1, 2, 3], 2, "vocab = 64 exceeds the 16 slots"),
         (dict(vocab=64), 16, bolt_reference_generate, [1, 2, 3], 2, "vocab = 64 exceeds the 16 slots"),
+        (dict(vocab=64), 16, bolt_reference_generate, [1, 2, 3], 0, "vocab = 64 exceeds the 16 slots"),
         (dict(d1=64, heads=16), 32, generate, [1, 2, 3], 2, "d1 = 64 exceeds the 32 slots"),
         (dict(d1=64, heads=16), 32, bolt_reference_generate, [1, 2, 3], 2, "d1 = 64 exceeds the 32 slots"),
         (dict(ffn_dim=64), 32, generate, [1, 2, 3], 1, "ffn_dim = 64 exceeds the 32 slots"),
         (dict(), 16, bolt_reference_generate, list(range(10)), 8, "prefix = 17 exceeds the 16 slots"),
     ],
-    ids=["vocab", "vocab_bolt", "d1", "d1_bolt", "ffn", "bolt_prefix"],
+    ids=["vocab", "vocab_bolt", "vocab_bolt_k0", "d1", "d1_bolt", "ffn", "bolt_prefix"],
 )
 def test_width_wider_than_n_is_refused_before_any_op(dims, n, run, prompt, k, message, monkeypatch):
     """A token row (d1), logit row (vocab), decode FFN row (ffn_dim) or
@@ -552,6 +554,22 @@ def test_decode_step_refuses_ffn_wider_than_n_before_any_op(monkeypatch):
     monkeypatch.setattr(MpcChannel, "sample_mask", lambda self, length: drawn.append(length))
     before = ctx.counter.snapshot()
     with pytest.raises(ParameterError, match="ffn_dim = 64 exceeds the 32 slots"):
+        decode_step(model, state, ctx)
+    assert not any(ctx.counter.delta(before).values()) and not drawn
+
+
+def test_decode_step_past_max_seq_is_refused_before_any_op(monkeypatch):
+    """A state already at position max_seq has no room for another token:
+    decode_step refuses it, naming max_seq, before its refresh check or any
+    HE op."""
+    model = generate_toy_model(ModelConfig(layers=1, d1=8, heads=2, ffn_dim=8, vocab=16, max_seq=4), seed=0)
+    ctx = _ctx()
+    _, state = decode_step(model, prefill(model, [1, 2, 3], ctx), ctx)
+    assert state.caches[0][0].m + state.caches[0][0].t_auto == 4
+    drawn = []
+    monkeypatch.setattr(MpcChannel, "sample_mask", lambda self, length: drawn.append(length))
+    before = ctx.counter.snapshot()
+    with pytest.raises(ParameterError, match="max_seq"):
         decode_step(model, state, ctx)
     assert not any(ctx.counter.delta(before).values()) and not drawn
 
@@ -627,6 +645,7 @@ def test_fixed_point_headroom_rejected_before_any_op():
     runs = {
         "generate": lambda ctx: generate(model, [1, 2], 1, ctx),
         "bolt_reference_generate": lambda ctx: bolt_reference_generate(model, [1, 2], 1, ctx),
+        "bolt_reference_generate k=0": lambda ctx: bolt_reference_generate(model, [1, 2], 0, ctx),
         "prefill": lambda ctx: prefill(model, [1, 2], ctx),
     }
     for name, run in runs.items():
@@ -634,6 +653,104 @@ def test_fixed_point_headroom_rejected_before_any_op():
         with pytest.raises(ParameterError, match="headroom"):
             run(ctx)
         assert not any(ctx.counter.as_dict().values()), name
+
+
+_ENTRY_POINTS = {
+    "prefill": lambda model, prompt, k, ctx: prefill(model, prompt, ctx),
+    "generate": lambda model, prompt, k, ctx: generate(model, prompt, k, ctx),
+    "bolt_reference_generate": lambda model, prompt, k, ctx: bolt_reference_generate(model, prompt, k, ctx),
+    "oracle_generate": lambda model, prompt, k, ctx: oracle_generate(model, prompt, k, ctx.params.plain_modulus),
+}
+_NOT_INTEGERS = [
+    *(
+        pytest.param(run, [1, 2, 3], k, f"k must be an integer, got {re.escape(repr(k))}", id=f"{run}-k={k!r}")
+        for run in ("generate", "bolt_reference_generate", "oracle_generate")
+        for k in (2.0, 1.5, np.float64(2), "2", None, True)
+    ),
+    *(
+        pytest.param(run, [1, token, 3], 2, f"token {token!r} is not an integer", id=f"{run}-token={token!r}")
+        for run in _ENTRY_POINTS
+        for token in (2.0, True)
+    ),
+]
+
+
+@pytest.mark.parametrize("run, prompt, k, message", _NOT_INTEGERS)
+def test_non_integer_k_or_token_is_refused_before_any_op(toy, run, prompt, k, message, monkeypatch):
+    """k and every prompt token must be a Python or numpy integer, and not a
+    bool; anything else is refused, naming the value, before any HE op is
+    counted or any share mask is drawn (where a float k once ran the whole
+    prefill and a float token indexed the embedding)."""
+    drawn = []
+    monkeypatch.setattr(MpcChannel, "sample_mask", lambda self, length: drawn.append(length))
+    ctx = _ctx()
+    with pytest.raises(ParameterError, match=message):
+        _ENTRY_POINTS[run](toy, prompt, k, ctx)
+    assert not any(ctx.counter.as_dict().values()) and not drawn
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    layers=st.integers(1, 2),
+    heads=st.integers(1, 4),
+    # weighted toward shapes that fit, so that about a third of the draws generate
+    d2=st.sampled_from([1, 2, 2, 4, 4, 8, 16, 3, 5]),
+    ffn_dim=st.one_of(st.integers(1, 24), st.integers(1, 80)),
+    vocab=st.one_of(st.integers(1, 24), st.integers(1, 80)),
+    f=st.sampled_from([6, 8, 8, 8, 11]),
+    n=st.sampled_from([64, 64, 64, 32, 16, 8]),
+    bits=st.sampled_from([23, 26, 29]),
+    m=st.integers(1, 10),
+    k=st.integers(0, 3),
+    spare=st.sampled_from([0, 1, 1, 1, -1]),
+    integer=st.sampled_from([int, np.int64]),
+)
+def test_every_run_generates_token_exact_or_is_refused_before_any_op(
+    layers, heads, d2, ffn_dim, vocab, f, n, bits, m, k, spare, integer
+):
+    """Any config and backend either generate oracle-exact tokens or are
+    refused with a ParameterError before any HE op is counted or any share
+    mask is drawn; generate refuses exactly when ``plan`` does."""
+    assume(heads * d2 >= 2)
+    config = ModelConfig(
+        layers=layers, d1=heads * d2, heads=heads, ffn_dim=ffn_dim, vocab=vocab, max_seq=max(m + k + spare, 1), f=f
+    )
+    model = generate_toy_model(config, seed=0)
+    params = BackendParams(n_slots=n, plain_modulus=default_plain_modulus(n, bits))
+    prompt = [integer((5 * i + 3) % vocab) for i in range(m)]
+    k = integer(k)
+    try:
+        plan(config, params, m, k)
+        planned = True
+    except ParameterError:
+        planned = False
+    try:
+        want = oracle_generate(model, prompt, k, params.plain_modulus)
+    except ParameterError:
+        want = None
+
+    drawn = []
+    sample = MpcChannel.sample_mask
+
+    def spy(self, length):
+        drawn.append(length)
+        return sample(self, length)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MpcChannel, "sample_mask", spy)
+        for run in (generate, bolt_reference_generate):
+            drawn.clear()
+            ctx = Context(params, seed=0)
+            try:
+                tokens = run(model, prompt, k, ctx)[0]
+            except ParameterError:
+                tokens = None
+                assert not any(ctx.counter.as_dict().values()) and not drawn, run.__name__
+            else:
+                assert tokens == want, run.__name__
+            if run is generate:
+                assert (tokens is not None) == planned
+            event(f"{run.__name__} {'refused' if tokens is None else 'token-exact'}")
 
 
 def _float_reference_logits(model, prompt):
