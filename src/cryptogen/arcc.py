@@ -139,20 +139,20 @@ def prefill_attention(
     # each key column tiled to period w, so rotations stay inside a period
     k_cols = [tile_token(col, w, n // w, ctx) for col in K.parts]
 
-    # client role: assemble the score matrix from its diagonals, score
-    # (i, (i + r) mod w) at slot i of diagonal r
-    S = np.zeros((m, m), dtype=np.int64)
-    rows = np.arange(m)
+    # client role: diagonal r holds score (i, (i + r) mod w) at slot i
+    diagonals = []
     for r in range(w):
         acc = ctx.sum(
             ctx.mult_cipher(Q.parts[c], ctx.rotate(k_cols[c], r) if r else k_cols[c])
             for c in range(d2)
         )
-        cols = (rows + r) % w
-        inside = cols < m
-        S[rows[inside], cols[inside]] = he_to_shares([acc], ctx, mpc, m)[0][inside]
+        diagonals.append(he_to_shares([acc], ctx, mpc, m)[0])
+    # scattered in one assignment; columns m..w-1 hold the wrapped padding
+    S = np.empty((m, w), dtype=np.int64)
+    rows = np.arange(m)
+    S[rows, (rows + np.arange(w)[:, None]) % w] = diagonals
 
-    A = attention_softmax(S, d2, fp, ctx, mpc)
+    A = attention_softmax(S[:, :m], d2, fp, ctx, mpc)
     a_rows = list(shares_to_he(A, ctx, mpc))
 
     # each output column is rescaled before the next one is summed

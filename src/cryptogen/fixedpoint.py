@@ -9,6 +9,11 @@ Integer inputs are taken as ``backend.as_int64`` takes them (floats and
 uint64 values from 2^63 on raise ParameterError); only ``fp_encode`` and
 ``fp_decode`` take reals.
 
+The softmax and its reciprocal work row-wise over the last axis of an
+int64 array (a vector is one row), so the prompt pass scores each head's
+whole m x m matrix in one ``causal_attention_weights`` call; the oracle
+calls it one row at a time, so token-exact tests cross-check the two.
+
 Polynomial coefficients below were produced by tools/fit_nonlinear_coeffs.py
 and are frozen; rerun the script to regenerate.
 """
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import ParameterError, as_int64
+from .backend import MAX_PLAIN_MODULUS, ParameterError, as_int64
 
 __all__ = [
     "CAUSAL_MASK_EXPONENT",
@@ -75,6 +80,8 @@ class FixedPointParams:
             raise ParameterError(
                 f"need 2^(2f+6) < p for product headroom; f={self.f} p={self.p}"
             )
+        if self.p >= MAX_PLAIN_MODULUS:
+            raise ParameterError(f"p = {self.p} exceeds the int64-safe bound 2^31")
 
     @property
     def scale(self) -> int:
@@ -126,52 +133,62 @@ def fp_gelu(x, fp: FixedPointParams) -> np.ndarray:
     return np.where(np.abs(x) > clip, outside, inside)
 
 
-def fp_reciprocal(s: int, fp: FixedPointParams) -> tuple[int, int]:
-    """Newton reciprocal of a positive scale-f integer.
+def fp_reciprocal(s, fp: FixedPointParams) -> tuple[np.ndarray, int]:
+    """Newton reciprocal of positive scale-f integers, elementwise.
 
     Returns (y, q) with q = 2f and y ~ 2^(f+q)/s, i.e. a scale-q encoding
     of 1/s_real, after RECIPROCAL_ITERS steps.  The initial guess comes
     from the bit length of s (always a lower bound, so the iteration
     converges from below).
     """
-    if s <= 0:
+    s = as_int64(s)
+    if (s <= 0).any():
         raise ParameterError("reciprocal needs a positive input")
-    q = 2 * fp.f
-    y = 1 << max(0, fp.f + q - int(s).bit_length())
+    return _newton_reciprocal(s, fp.f), 2 * fp.f
+
+
+def _newton_reciprocal(s, f: int):
+    """fp_reciprocal's y for positive int64 s, taken unchecked."""
+    q = 2 * f
+    bits = np.frexp(s)[1]  # the bit length: s < 2^53 converts exactly
+    y = np.int64(1) << np.maximum(0, f + q - bits)
+    # Inside int64: FixedPointParams keeps 2^(2f+6) < p < 2^31, so f <= 12; for
+    # 1 <= s <= 2^(3f) (a softmax total is at most L*2^f) the iterate stays at or
+    # below 2^(3f), so 0 <= t < 2^(2f+1) and y*(2^(2f+1) - t) <= 2^(5f+1) <= 2^61.
     for _ in range(RECIPROCAL_ITERS):
-        t = (s * y) >> fp.f
+        t = (s * y) >> f
         y = (y * ((1 << (q + 1)) - t)) >> q
-    return y, q
+    return y
 
 
 def fp_softmax(s, fp: FixedPointParams) -> np.ndarray:
-    """Integer-only softmax on signed scale-f scores.
+    """Integer-only softmax on signed scale-f scores, row-wise over the last axis.
 
     After max subtraction each score is decomposed as (-ln2)*z + r with
     integer z and residual r in (-ln2, 0]; exp(r) comes from the frozen
     quadratic and is shifted right by z.  The final division uses the
-    Newton reciprocal.  Output is scale f, summing to 2^f within L LSBs.
+    Newton reciprocal of the row total.  Output is scale f, rows summing to 2^f within L LSBs.
     """
     f = fp.f
     s = as_int64(s)
-    L = s.shape[0]
+    L = s.shape[-1]
     if L == 0:
         raise ParameterError("softmax needs at least one score")
     if L == 1:
-        return np.array([fp.scale], dtype=np.int64)
+        return np.full(s.shape, fp.scale, dtype=np.int64)
     inv_ln2 = fp.quantize(1.0 / math.log(2.0))
     ln2 = fp.quantize(math.log(2.0))
     c2, c1, c0 = (fp.quantize(c) for c in (_E_C2, _E_C1, _E_C0))
 
-    x = s - s.max()
+    x = s - s.max(axis=-1, keepdims=True)
     z = ((-x) * inv_ln2) >> (2 * f)
     r = x + z * ln2
     er = ((c2 * ((r * r) >> f)) >> f) + ((c1 * r) >> f) + c0
     er = np.maximum(er, 0)
     e = er >> np.minimum(z, _Z_SHIFT_CAP)
-    total = int(e.sum())
-    rec, q = fp_reciprocal(total, fp)
-    return (e * rec + (1 << (q - 1))) >> q
+    # each row total holds its max's exp(0) = c0 > 0; a vector's is a scalar
+    rec = _newton_reciprocal(e.sum(axis=-1), f)
+    return (e * rec[..., None] + (1 << (2 * f - 1))) >> (2 * f)
 
 
 def _fp_inv_sqrt(var: int, f: int) -> int:
@@ -209,14 +226,15 @@ def attention_weights(scores_2f, d2: int, fp: FixedPointParams) -> np.ndarray:
 
 
 def causal_attention_weights(
-    row_2f, row_index: int, d2: int, fp: FixedPointParams
+    rows_2f, row_index: int, d2: int, fp: FixedPointParams
 ) -> np.ndarray:
-    """Prefill row: like attention_weights but positions beyond row_index
+    """Prefill rows: like attention_weights, on a matrix whose row j is query
+    position row_index + j (a vector is row row_index); keys past a row's query
     get the additive causal mask, whose weight underflows to exactly zero."""
-    s1 = fp_truncate(row_2f, fp.f)
+    s1 = fp_truncate(rows_2f, fp.f)
     s2 = (s1 * fp.quantize(1.0 / math.sqrt(d2))) >> fp.f
-    mask = np.zeros_like(s2)
-    mask[row_index + 1 :] = -(1 << (fp.f + CAUSAL_MASK_EXPONENT))
+    query = row_index + np.arange(s2.shape[0])[:, None] if s2.ndim == 2 else row_index
+    mask = np.where(np.arange(s2.shape[-1]) > query, -(1 << (fp.f + CAUSAL_MASK_EXPONENT)), 0)
     return fp_softmax(s2 + mask, fp)
 
 

@@ -609,6 +609,8 @@ def bolt_reference_generate(model: Model, prompt: list, k: int, ctx: Context, se
     c = model.config
     _check_length(c, len(prompt), k)
     plan(c, ctx.params, len(prompt) + max(k - 1, 0), 0)  # its widest prefill; no CPVM spans ffn_dim
+    for i, token in enumerate(prompt):  # the token rule, which k = 0 reaches through no prefill
+        _embed(model, token, i)
     chans = _channels(ctx, c, root=np.random.SeedSequence([0x707, seed]))
     tokens = []
     steps = []

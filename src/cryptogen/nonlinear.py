@@ -26,7 +26,9 @@ integer-divided into bytes):
   refresh               one of each: 2n words in 2 rounds
   truncate              its two conversions, plus 3 trips of L words,
                         per ciphertext of L values
-  attention_softmax     3 + RECIPROCAL_ITERS trips over all the scores
+  attention_softmax     3 + RECIPROCAL_ITERS trips over all the scores:
+                        one call per decode query, and one per head on the
+                        prompt pass, whose m x m scores it takes row-wise
   LayerNorm, GELU       no rounds: evaluated on the shared values between
                         the two ciphertext transfers around them
 
@@ -204,14 +206,17 @@ def attention_softmax(
     """Scale-f softmax weights of scale-2f attention scores.
 
     A score vector (one decode query) takes ``attention_weights``; an
-    m x m matrix (the prompt pass) takes ``causal_attention_weights`` row
-    by row.  Either way the protocol is 3 + RECIPROCAL_ITERS trips over
-    all the scores.
+    m x m matrix (the prompt pass, row i the query at position i) takes
+    one ``causal_attention_weights`` call, row-wise.  Either way the
+    protocol is 3 + RECIPROCAL_ITERS trips over all the scores.  Anything
+    but a non-empty vector or matrix, or d2 < 1, raises ParameterError
+    before a transfer is charged.
     """
     S = as_int64(scores_2f)
-    if S.ndim == 1:
-        out = attention_weights(S, d2, fp)
-    else:
-        out = np.stack([causal_attention_weights(row, i, d2, fp) for i, row in enumerate(S)])
+    if S.ndim not in (1, 2) or S.size == 0:
+        raise ParameterError(f"expected a non-empty score vector or matrix, got shape {S.shape}")
+    if d2 < 1:
+        raise ParameterError(f"head width d2 must be positive, got {d2}")
+    out = attention_weights(S, d2, fp) if S.ndim == 1 else causal_attention_weights(S, 0, d2, fp)
     ctx.counter.mpc_bytes += ch.transfer(S.size, trips=3 + RECIPROCAL_ITERS)
     return out

@@ -2,6 +2,7 @@
 benchmark is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -95,3 +96,28 @@ def test_progress_line_shows_each_end_to_end_value():
     # a failed run has no metrics: the line stops after its status
     failed = {"correct": False, "failed": 1, "metrics": {}, "error": "exit 1: boom"}
     assert bench_pairs.format_progress("w", 1, "parent", failed, END_TO_END) == "w seed 1 parent: correct=False failed=1"
+
+
+def test_first_seed_offsets_every_pair_and_keeps_the_alternation(tmp_path, monkeypatch, capsys):
+    """Pair i runs seed first_seed + i - 1, parent first in odd pairs; the
+    default first seed is 1."""
+    bench = {"command": ["run"], "run_seconds": 5, "workloads": [{"name": "w"}], "end_to_end": END_TO_END}
+    for tree in ("parent", "change"):
+        (tmp_path / tree).mkdir()
+        (tmp_path / tree / "BENCHMARK.json").write_text(json.dumps(bench))
+    calls = []
+
+    def fake(tree, command, workload, seed, seconds):
+        calls.append((tree.name, seed))
+        return _run(10, 100, 500)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake)
+    trees = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    assert bench_pairs.main([*trees, "--pairs", "3", "--first-seed", "11"]) == 0
+    assert calls == [
+        ("parent", 11), ("change", 11), ("change", 12), ("parent", 12), ("parent", 13), ("change", 13),
+    ]
+    assert "w seed 12 change" in capsys.readouterr().err
+    calls.clear()
+    assert bench_pairs.main([*trees, "--pairs", "2"]) == 0
+    assert calls == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]

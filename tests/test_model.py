@@ -672,6 +672,17 @@ _NOT_INTEGERS = [
         for run in _ENTRY_POINTS
         for token in (2.0, True)
     ),
+    # k=0: the reference runs no prefill, yet checks the prompt as generate does
+    *(
+        pytest.param(run, prompt, 0, message, id=f"{run}-k=0-prompt={prompt!r}")
+        for run in ("generate", "bolt_reference_generate")
+        for prompt, message in (
+            ([999], "token 999 out of vocabulary"),
+            ([-1], "token -1 out of vocabulary"),
+            ([1, 2.0], "token 2.0 is not an integer"),
+            ([True], "token True is not an integer"),
+        )
+    ),
 ]
 
 

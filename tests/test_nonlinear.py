@@ -15,7 +15,9 @@ from cryptogen.backend import (
     ParameterError,
     default_plain_modulus,
 )
+from cryptogen import fixedpoint
 from cryptogen.fixedpoint import (
+    CAUSAL_MASK_EXPONENT,
     RECIPROCAL_ITERS,
     FixedPointParams,
     attention_weights,
@@ -24,6 +26,7 @@ from cryptogen.fixedpoint import (
     fp_decode,
     fp_gelu,
     fp_layernorm,
+    fp_reciprocal,
     fp_softmax,
     fp_truncate,
     to_signed,
@@ -102,6 +105,8 @@ def _spied():
 def test_fixed_point_params_headroom():
     with pytest.raises(ParameterError):
         FixedPointParams(14, P_BIG)  # 2^(2f+6) >= p
+    with pytest.raises(ParameterError, match="2\\^31"):
+        FixedPointParams(20, (1 << 47) + 1)  # room for 2^(2f+6), not for int64 products
     assert FixedPointParams(11, P_BIG).scale == 2048
 
 
@@ -382,6 +387,110 @@ def test_attention_softmax_matches_fixedpoint_and_charges_all_scores(rng):
         assert (A[i] == causal_attention_weights(S[i], i, 8, FP)).all()
     assert (ch.bytes_sent, ch.rounds) == (trips * ch.vector_bytes(S.size), trips)
     assert ctx.counter.mpc_bytes == ch.bytes_sent
+
+
+@pytest.mark.parametrize(
+    "scores, d2, message",
+    [
+        (np.zeros((2, 3, 3), dtype=np.int64), 8, "shape \\(2, 3, 3\\)"),
+        (np.zeros((0, 0), dtype=np.int64), 8, "shape \\(0, 0\\)"),
+        (np.zeros((3, 0), dtype=np.int64), 8, "shape \\(3, 0\\)"),
+        (np.zeros(0, dtype=np.int64), 8, "shape \\(0,\\)"),
+        (np.int64(5), 8, "shape \\(\\)"),
+        (np.zeros(4, dtype=np.int64), 0, "d2 must be positive, got 0"),
+        (np.zeros((2, 2), dtype=np.int64), -1, "d2 must be positive, got -1"),
+    ],
+    ids=["3d", "0x0", "3x0", "empty", "0d", "d2=0", "d2=-1"],
+)
+def test_attention_softmax_refuses_what_it_cannot_mean_before_any_transfer(scores, d2, message):
+    """Only a non-empty score vector or matrix and a positive head width
+    have a softmax; anything else raises ParameterError and charges no
+    byte or round."""
+    ch, ctx = MpcChannel(P_BIG, seed=0), _ctx()
+    with pytest.raises(ParameterError, match=message):
+        attention_softmax(scores, d2, FP, ctx, ch)
+    assert (ch.bytes_sent, ch.rounds, ctx.counter.mpc_bytes) == (0, 0, 0)
+
+
+# The row-wise softmax checked against the one-row-at-a-time arithmetic it
+# replaced, written out here in Python integers so it shares no code with it.
+
+
+def _ref_reciprocal(s: int, fp) -> int:
+    q = 2 * fp.f
+    y = 1 << max(0, fp.f + q - int(s).bit_length())
+    for _ in range(RECIPROCAL_ITERS):
+        t = (s * y) >> fp.f
+        y = (y * ((1 << (q + 1)) - t)) >> q
+    return y
+
+
+def _ref_softmax(s, fp) -> np.ndarray:
+    f = fp.f
+    if s.shape[0] == 1:
+        return np.array([fp.scale], dtype=np.int64)
+    inv_ln2 = fp.quantize(1.0 / math.log(2.0))
+    ln2 = fp.quantize(math.log(2.0))
+    c2, c1, c0 = (fp.quantize(c) for c in (fixedpoint._E_C2, fixedpoint._E_C1, fixedpoint._E_C0))
+    x = s - s.max()
+    z = ((-x) * inv_ln2) >> (2 * f)
+    r = x + z * ln2
+    er = np.maximum(((c2 * ((r * r) >> f)) >> f) + ((c1 * r) >> f) + c0, 0)
+    e = er >> np.minimum(z, 48)
+    rec = _ref_reciprocal(int(e.sum()), fp)
+    return (e * rec + (1 << (2 * f - 1))) >> (2 * f)
+
+
+def _ref_causal_row(row_2f, query: int, d2: int, fp) -> np.ndarray:
+    s2 = ((row_2f >> fp.f) * fp.quantize(1.0 / math.sqrt(d2))) >> fp.f
+    mask = np.zeros_like(s2)
+    mask[query + 1 :] = -(1 << (fp.f + CAUSAL_MASK_EXPONENT))
+    return _ref_softmax(s2 + mask, fp)
+
+
+def _fp(f: int) -> FixedPointParams:
+    """Scale f over a modulus with room for it: f = 12 needs p > 2^30."""
+    return FixedPointParams(f, default_plain_modulus(64, 30) if f == 12 else P_BIG)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    f=st.integers(6, 12),
+    rows=st.integers(1, 40),
+    keys=st.integers(1, 64),
+    row_index=st.integers(0, 64),
+    bits=st.integers(0, 28),
+    d2=st.sampled_from([1, 2, 3, 4, 8, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_causal_weights_of_a_matrix_equal_the_per_row_reference(f, rows, keys, row_index, bits, d2, seed):
+    """Row j of a rows x keys score matrix is the query at row_index + j:
+    the one row-wise call equals the per-row reference bit for bit, whether
+    a row's causal mask covers some keys or none, and a vector is the
+    one-row case."""
+    fp = _fp(f)
+    scores = np.random.default_rng(seed).integers(-(1 << bits), (1 << bits) + 1, size=(rows, keys))
+    want = np.stack([_ref_causal_row(row, row_index + j, d2, fp) for j, row in enumerate(scores)])
+    got = causal_attention_weights(scores, row_index, d2, fp)
+    assert got.dtype == np.int64 and got.shape == (rows, keys)
+    assert (got == want).all()
+    assert (causal_attention_weights(scores[-1], row_index + rows - 1, d2, fp) == want[-1]).all()
+    assert (fp_softmax(scores[0] >> f, fp) == _ref_softmax(scores[0] >> f, fp)).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=st.integers(6, 12), data=st.data())
+def test_reciprocal_of_an_array_equals_its_scalar_form(f, data):
+    """Elementwise over any shape, for positive inputs up to 2^(3f) (a
+    softmax total is at most L * 2^f); a non-positive entry is refused."""
+    fp = _fp(f)
+    totals = data.draw(st.lists(st.integers(1, 1 << (3 * f)), min_size=1, max_size=40))
+    y, q = fp_reciprocal(np.array(totals)[:, None], fp)
+    assert q == 2 * f and y.dtype == np.int64 and y.shape == (len(totals), 1)
+    assert y[:, 0].tolist() == [_ref_reciprocal(s, fp) for s in totals]
+    for bad in (0, -1):
+        with pytest.raises(ParameterError, match="positive"):
+            fp_reciprocal(np.array([*totals, bad]), fp)
 
 
 def test_only_nonlinear_charges_mpc_traffic(monkeypatch):

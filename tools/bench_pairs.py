@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Run and tabulate alternating parent/change pairs of the benchmark.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --pairs 10
+    python3 tools/bench_pairs.py PARENT CHANGE --pairs 10 [--first-seed 1]
 
-PARENT and CHANGE are two checkouts of the repository.  Pair i (seed i,
-from 1) runs the command of ``BENCHMARK.json`` (``python3
-perfbench/run.py``) with ``--workload W --seed i --seconds S`` once in
-each tree, the parent first in odd pairs and the change first in even
-ones, for every workload W of CHANGE's ``BENCHMARK.json``, S being its
-``run_seconds``.  Each run's last line of standard output is its JSON
-result.
+PARENT and CHANGE are two checkouts of the repository.  Pair i (from 1)
+runs the command of ``BENCHMARK.json`` (``python3 perfbench/run.py``)
+with ``--workload W --seed F+i-1 --seconds S`` once in each tree, the
+parent first in odd pairs and the change first in even ones, for every
+workload W of CHANGE's ``BENCHMARK.json``, F being ``--first-seed``
+(default 1) and S the file's ``run_seconds``.  A gain found on the seeds
+used while a change was written can so be confirmed on seeds that were
+not.  Each run's last line of standard output is its JSON result.
 
 As each run ends, a progress line on standard error gives its workload,
 seed, side, correctness and the value of every end-to-end metric it
@@ -56,16 +57,17 @@ def run_once(tree: Path, command: list, workload: str, seed: int, seconds) -> di
     return result
 
 
-def run_pairs(parent: Path, change: Path, pairs: int, bench: dict) -> dict:
+def run_pairs(parent: Path, change: Path, pairs: int, bench: dict, first_seed: int = 1) -> dict:
     """workload -> {"parent": [result, ...], "change": [result, ...]}, in
-    pair order."""
+    pair order; pair i (from 1) runs seed first_seed + i - 1."""
     trees = dict(zip(SIDES, (parent, change)))
     runs = {}
     for w in bench["workloads"]:
         name = w["name"]
         runs[name] = {side: [] for side in SIDES}
-        for seed in range(1, pairs + 1):
-            order = SIDES if seed % 2 else SIDES[::-1]
+        for i in range(pairs):
+            seed = first_seed + i
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
                 r = run_once(trees[side], bench["command"], name, seed, bench["run_seconds"])
                 runs[name][side].append(r)
@@ -157,11 +159,12 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
     ap.add_argument("--pairs", type=int, required=True, help="number of alternating pairs per workload")
+    ap.add_argument("--first-seed", type=int, default=1, help="seed of the first pair (default 1)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    runs = run_pairs(args.parent.resolve(), args.change.resolve(), args.pairs, bench)
+    runs = run_pairs(args.parent.resolve(), args.change.resolve(), args.pairs, bench, args.first_seed)
     bad = bad_runs(runs)
     for w, side, i, r in bad:
         print(f"{w} pair {i + 1} {side}: correct={r.get('correct')} failed={r.get('failed')} {r.get('error', '')}")
