@@ -15,8 +15,9 @@ params = BackendParams(n_slots=16, plain_modulus=12289)  # 12289 = 1 mod 32
 ctx = Context(params, seed=0)
 print(f"context: n={params.n_slots} p={params.plain_modulus} budget={params.initial_noise_budget}")
 
-a = ctx.encrypt(np.arange(16))
-b = ctx.encrypt(np.arange(16)[::-1].copy())
+# operands are encoded once into plaintexts, then encrypted
+pa, pb = ctx.plains([np.arange(16), np.arange(16)[::-1]])
+a, b = ctx.encrypt(pa), ctx.encrypt(pb)
 print("a      :", ctx.decrypt(a)[:8], "... budget", a.noise_budget)
 
 # slot-wise arithmetic
@@ -34,8 +35,13 @@ dead = prod
 while dead.noise_budget >= params.noise_costs.mult_cipher:
     dead = ctx.mult_cipher(dead, b)
 print("worn-out budget:", dead.noise_budget)
+# each rotation costs its budget too: wear the rest down to exactly zero
+spent = 0
+while dead.noise_budget:
+    dead = ctx.rotate(dead, 1)
+    spent += 1
+print(f"after {spent} rotations:", dead.noise_budget)
 try:
-    dead = ctx.with_budget(dead, 0)
     ctx.decrypt(dead)
 except DecryptionFailure as e:
     print("decrypting at zero budget ->", e)

@@ -34,13 +34,13 @@ Every reduction divides by p held as a 0-d int64 array
 depend on the bounds.
 
 A plaintext operand is a ``Plaintext``, a read-only 2-tuple ``(slots,
-params)`` whose slots are n residues mod p; only ``Context.plain`` and
-``Context.plains`` make one, the latter zero-padding rows shorter than n,
-so a plaintext that is used many times (a weight diagonal, a mask) is
-checked and reduced once, when it is made.  The plaintext positions of
-the operations (``encrypt``, ``add_plain``, ``mult_plain``,
-``load_ciphertext``) take a ``Plaintext`` as is, after the params check,
-and pass any other vector through ``Context.plain`` first.
+params)`` whose slots are n residues mod p; only ``Context.plains`` makes
+one, zero-padding rows shorter than n, so a plaintext that is used many
+times (a weight diagonal, a mask) is checked and reduced once, when it is
+made.  The plaintext positions of the operations (``encrypt``,
+``add_plain``, ``mult_plain``) take only a ``Plaintext`` of the context's
+params and refuse any other operand, a raw vector included, with
+ParameterError before the op counts.
 
 A ``Context`` issues every ciphertext and counts every operation on it;
 the seven counted operations are ``Context`` methods, looked up on the
@@ -297,15 +297,15 @@ class Plaintext(tuple):
     params)`` with named fields, whose slots are a read-only int64 array
     of ``params.n_slots`` residues mod ``params.plain_modulus``.
 
-    Made only by ``Context.plain`` and ``Context.plains``; calling the
-    class raises ``TypeError``.  Pickle and copy rebuild the same record,
+    Made only by ``Context.plains``; calling the class raises
+    ``TypeError``.  Pickle and copy rebuild the same record,
     read-only.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        raise TypeError("a Plaintext is made by Context.plain or Context.plains")
+        raise TypeError("a Plaintext is made by Context.plains")
 
     def __reduce__(self):
         return _plaintext, tuple(self)
@@ -319,16 +319,22 @@ _new_tuple = tuple.__new__
 _INT64 = np.dtype(np.int64)
 _INCOMPATIBLE = "ciphertext belongs to an incompatible context"
 _INCOMPATIBLE_PLAIN = "plaintext belongs to an incompatible context"
+_NOT_PLAIN = "a %s was passed where a plaintext is expected: encode it with Context.plains"
 
 
 def as_int64(values) -> np.ndarray:
     """An integer array as int64, every value kept exactly: an int64 array
-    is returned as is.  Floats, bools and objects, and unsigned values
-    from 2^63 on, which int64 would wrap, raise ParameterError."""
-    arr = np.asarray(values)
+    is returned as is, an empty one (``[[]]`` reads as float) is taken.
+    Floats, bools and objects, unsigned values from 2^63 on (int64 would
+    wrap them) and what numpy cannot read as one rectangular array
+    (ragged rows, a ciphertext, a list of plaintexts) raise ParameterError."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise ParameterError(f"expected an integer array, got {type(values).__name__}") from None
     if arr.dtype is _INT64:
         return arr
-    if arr.dtype.kind not in "iu":
+    if arr.size and arr.dtype.kind not in "iu":
         raise ParameterError(f"expected integers, got {arr.dtype} of shape {arr.shape}")
     if arr.dtype.itemsize == 8 and arr.dtype.kind == "u" and arr.size and arr.max() >= 2**63:
         raise ParameterError("unsigned values from 2^63 on do not fit int64: reduce them mod p first")
@@ -414,25 +420,6 @@ class Context:
     # helpers
     # ------------------------------------------------------------------
 
-    def plain(self, v) -> Plaintext:
-        """Encode one n-slot integer vector (signed or residues): checked
-        and reduced mod p, in a fresh read-only array.  A ``Plaintext`` of
-        this context's params is returned as is; one of other params, a
-        ciphertext or a vector of the wrong shape raises ParameterError."""
-        params = self._params
-        if type(v) is Plaintext:
-            if v[1] is not params and v[1] != params:
-                raise ParameterError(_INCOMPATIBLE_PLAIN)
-            return v
-        if isinstance(v, SlotCiphertext):
-            raise ParameterError(
-                "a SlotCiphertext was passed where a plaintext vector is expected"
-            )
-        arr = as_int64(v)
-        if arr.ndim != 1 or arr.shape[0] != self._n:
-            raise ParameterError(f"expected an integer vector of length {self._n}, got shape {arr.shape}")
-        return _plaintext(arr % self._modulus, params)
-
     def plains(self, rows) -> list:
         """Encode the rows of a k x L integer matrix, L <= n, each
         zero-padded to n slots and reduced mod p in one numpy call; one
@@ -466,9 +453,7 @@ class Context:
         if mask is None:
             if not 0 <= start < start + width <= self._n:
                 raise ParameterError(f"mask of {width} slots from slot {start} does not fit {self._n} slots")
-            v = np.zeros(self._n, dtype=np.int64)
-            v[start : start + width] = 1
-            mask = self._masks[start, width] = self.plain(v)
+            mask = self._masks[start, width] = self.plains([[0] * start + [1] * width])[0]
         return mask
 
     def spawn_seed(self) -> np.random.SeedSequence:
@@ -476,16 +461,10 @@ class Context:
         return self._seed_seq.spawn(1)[0]
 
     def _emit(self, slots: np.ndarray, budget: int) -> SlotCiphertext:
-        slots.setflags(False)
+        # slots: a Plaintext's, read-only already
         ct = _new_tuple(SlotCiphertext, (slots, budget, self._next_id, self._params, 1))
         self._next_id += 1
         return ct
-
-    def _check(self, ct: SlotCiphertext) -> None:
-        # identity first: the field-wise comparison runs only for
-        # ciphertexts of another context (whose params may be equal)
-        if ct.params is not self._params and ct.params != self._params:
-            raise ParameterError(_INCOMPATIBLE)
 
     # ------------------------------------------------------------------
     # operations
@@ -494,17 +473,22 @@ class Context:
     # masks every share conversion and mult_cipher is every CT x CT
     # product, so each of them does the params check, the budget spend,
     # the count and the build of its result inline (the same steps as
-    # _check and _emit).
+    # decrypt's check and _emit).
     # ------------------------------------------------------------------
 
-    def encrypt(self, v) -> SlotCiphertext:
-        slots = self.plain(v)[0]
+    def encrypt(self, pt: Plaintext) -> SlotCiphertext:
+        if type(pt) is not Plaintext:
+            raise ParameterError(_NOT_PLAIN % type(pt).__name__)
+        slots, params = pt
+        if params is not self._params and params != self._params:
+            raise ParameterError(_INCOMPATIBLE_PLAIN)
         self.counter.encrypt += 1
         return self._emit(slots, self._params.initial_noise_budget)
 
     def decrypt(self, ct: SlotCiphertext) -> np.ndarray:
         """The slot values reduced mod p, in a fresh writable array."""
-        self._check(ct)
+        if ct[3] is not self._params and ct[3] != self._params:
+            raise ParameterError(_INCOMPATIBLE)
         if ct.noise_budget <= 0:
             raise DecryptionFailure(
                 "noise budget exhausted: decryption would be incorrect"
@@ -534,12 +518,14 @@ class Context:
         self._next_id += 1
         return ct
 
-    def add_plain(self, a: SlotCiphertext, v) -> SlotCiphertext:
+    def add_plain(self, a: SlotCiphertext, pt: Plaintext) -> SlotCiphertext:
         sa, have, _, pa, ka = a
         params = self._params
         if pa is not params and pa != params:
             raise ParameterError(_INCOMPATIBLE)
-        v, pv = v if type(v) is Plaintext else self.plain(v)
+        if type(pt) is not Plaintext:
+            raise ParameterError(_NOT_PLAIN % type(pt).__name__)
+        v, pv = pt
         if pv is not params and pv != params:
             raise ParameterError(_INCOMPATIBLE_PLAIN)
         cost = self._add_plain_cost
@@ -556,12 +542,14 @@ class Context:
         self._next_id += 1
         return ct
 
-    def mult_plain(self, a: SlotCiphertext, v) -> SlotCiphertext:
+    def mult_plain(self, a: SlotCiphertext, pt: Plaintext) -> SlotCiphertext:
         sa, have, _, pa, ka = a
         params = self._params
         if pa is not params and pa != params:
             raise ParameterError(_INCOMPATIBLE)
-        v, pv = v if type(v) is Plaintext else self.plain(v)
+        if type(pt) is not Plaintext:
+            raise ParameterError(_NOT_PLAIN % type(pt).__name__)
+        v, pv = pt
         if pv is not params and pv != params:
             raise ParameterError(_INCOMPATIBLE_PLAIN)
         cost = self._mult_plain_cost
@@ -636,19 +624,18 @@ class Context:
         self._next_id += 1
         return ct
 
-    def with_budget(self, ct: SlotCiphertext, budget: int) -> SlotCiphertext:
-        """Test hook: same values, explicit budget.  Not an HE operation."""
-        self._check(ct)
-        return SlotCiphertext(ct[0], budget, ct.id, ct.params, ct.bound)
-
     def load_ciphertext(self, values, budget: int) -> SlotCiphertext:
-        """Rehydrate a serialized ciphertext; not counted as an operation.
-        A budget other than an int in [1, initial_noise_budget] raises
+        """Rehydrate a serialized ciphertext, n integer slots encoded by
+        ``plains``; not counted as an operation.  Another length, or a
+        budget other than an int in [1, initial_noise_budget], raises
         ParameterError."""
         top = self._params.initial_noise_budget
         if type(budget) is not int or not 1 <= budget <= top:
             raise ParameterError(f"ciphertext budget {budget!r} is not an int in [1, {top}]")
-        return self._emit(self.plain(values)[0], budget)
+        v = as_int64(values)
+        if v.shape != (self._n,):
+            raise ParameterError(f"expected an integer vector of length {self._n}, got shape {v.shape}")
+        return self._emit(self.plains([v])[0][0], budget)
 
     # ------------------------------------------------------------------
     # composites (every step is one of the counted operations above)

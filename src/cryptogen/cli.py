@@ -30,7 +30,7 @@ from .costmodel import (
 )
 from .encodings import EncodingKind, decode, encode
 from .kv_cache import maybe_refresh
-from .linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal
+from .linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal, cpvm_plaintexts
 from .model import (
     decode_step,
     generate,
@@ -87,7 +87,7 @@ def run_verification(model, params: BackendParams, seed: int) -> dict:
         ok &= bool((decode(Y, ctx) == (X @ W) % p).all())
         x = rng.integers(0, p, d1)
         xe = ctx.encrypt(ctx.plains([x])[0])
-        y = ctx.decrypt(cpvm_inner_diagonal(xe, W, ctx))[:d2]
+        y = ctx.decrypt(cpvm_inner_diagonal(xe, cpvm_plaintexts(W, ctx), ctx))[:d2]
         ok &= bool((y == (x @ W) % p).all())
     check("kernel_oracle_equivalence", ok)
 

@@ -250,7 +250,7 @@ def fp_layernorm(x, gain, bias, fp: FixedPointParams) -> np.ndarray:
         raise ParameterError("layernorm needs at least two values")
     mu = _round_div(int(x.sum()), d)
     c = x - mu
-    var = _round_div(int((c * c).sum()), d)  # scale 2f
+    var = _round_div(sum(v * v for v in c.tolist()), d)  # scale 2f; in Python ints, as d * p^2 passes 2^63
     if var == 0:
         return bias.copy()
     inv_std = _fp_inv_sqrt(var, f)

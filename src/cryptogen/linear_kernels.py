@@ -1,15 +1,13 @@
 """CT x PT linear layers: batch CPMM for prefilling, per-token CPVM for
 decoding, and ``fold_sum``, the block sum the attention kernels use.
 
-Both kernels take the plaintext weights as a dense d1 x d2 integer matrix
-(signed or residues) and an encrypted activation operand, and each
-encodes the plaintexts its own algorithm multiplies by with one
-``Context.plains`` call, which reduces them mod p: per-group vectors for
-each output column of the CPMM, the wd2 generalized diagonals for the
-CPVM.  The CPVM also takes its diagonals prepared by ``cpvm_plaintexts``,
-so a caller that multiplies by the same weights every decode step (the
-server holds them) encodes them once; they take wd2 * n words per matrix,
-wd2 = next_pow2(d2).  The CPMM internally stacks
+The CPMM takes the plaintext weights as a dense d1 x d2 integer matrix
+(signed or residues) and encodes the per-group vectors of each output
+column with one ``Context.plains`` call, which reduces them mod p.  The
+CPVM takes only its wd2 generalized diagonals as ``cpvm_plaintexts``
+encodes them, so a caller that multiplies by the same weights every
+decode step (the server holds them) encodes them once; they take wd2 * n
+words per matrix, wd2 = next_pow2(d2).  The CPMM internally stacks
 floor(n / next_pow2(m)) activation columns into each working ciphertext so
 its plaintext-multiplication count follows m*d1*d2/n.  It needs
 zero-padded input columns (slots m.. zero, as ``encode`` and every share
@@ -147,19 +145,20 @@ def cpvm_plaintexts(W, ctx: Context) -> CpvmPlaintexts:
     return CpvmPlaintexts((d1, d2), wp, ctx.plains(D))
 
 
-def cpvm_inner_diagonal(x: SlotCiphertext, W, ctx: Context) -> SlotCiphertext:
+def cpvm_inner_diagonal(x: SlotCiphertext, W: CpvmPlaintexts, ctx: Context) -> SlotCiphertext:
     """Decode-phase vector product: inner-packed x (length d1) times
     plaintext W (d1 x d2), returning x.W in slots 0..d2-1.
 
-    W is a dense matrix or its ``cpvm_plaintexts``.  Halevi-Shoup style
-    evaluation over generalized diagonals of period
+    W is the ``cpvm_plaintexts`` of the weight matrix, encoded under ctx's
+    params; anything else raises ParameterError before any op.
+    Halevi-Shoup style evaluation over generalized diagonals of period
     wp = max(next_pow2(d1), next_pow2(d2)) with a single cyclic extension
     of x, next_pow2(d2) plaintext multiplications, and a log-depth fold.
     Cost is independent of any prefix length; slots beyond next_pow2(d2)
     may hold fold residue.
     """
     if not isinstance(W, CpvmPlaintexts):
-        W = cpvm_plaintexts(W, ctx)
+        raise ParameterError(f"expected the CpvmPlaintexts of a weight matrix, got {type(W).__name__}")
     wp, diagonals = W.period, W.diagonals
     params = diagonals[0].params
     if params is not ctx.params and params != ctx.params:

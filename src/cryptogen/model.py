@@ -470,6 +470,18 @@ def plan(c: ModelConfig, params: BackendParams, m: int, k: int) -> FixedPointPar
     return fp
 
 
+def _check_state(c: ModelConfig, state: GenerationState, params: BackendParams) -> None:
+    """A state decode_step can run under params: c.layers x c.heads caches
+    of width d2 whose ciphertexts were made under params.  One part per
+    segment is checked, as every part of a state comes from the context
+    that made it."""
+    if [[kv.d2 for kv in row] for row in state.caches] != [[c.d2] * c.heads] * c.layers:
+        raise ParameterError(f"the state's caches are not {c.layers} x {c.heads} caches of width {c.d2}")
+    parts = [seg.parts[0] for row in state.caches for kv in row for _, seg in kv.segments() if seg.parts]
+    if any(part.params is not params and part.params != params for part in parts):
+        raise ParameterError("the state's ciphertexts were made under other parameters")
+
+
 def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, fp, ctx, chans):
     """One transformer layer on slab X: per-head projections and attention
     (heads run in order on the one context, head h on channel (l, h)),
@@ -542,6 +554,7 @@ def decode_step(model: Model, state: GenerationState, ctx: Context, chans=None, 
     if threads != 1:
         raise ParameterError(f"threads must be 1, got {threads!r}")
     c = model.config
+    _check_state(c, state, ctx.params)
     cache = state.caches[0][0]  # its prompt length and appended tokens place this step in its run
     fp = plan(c, ctx.params, cache.m, cache.t_auto + 1)
     chans = _channels(ctx, c, chans)

@@ -178,7 +178,7 @@ def refresh(ct: SlotCiphertext, ctx: Context, ch: MpcChannel) -> SlotCiphertext:
     r = ch.sample_mask(ctx.params.n_slots)
     neg, pos = ctx.plains(np.stack((-r, r)))
     share = ctx.decrypt(ctx.add_plain(ct, neg))
-    out = ctx.add_plain(ctx.encrypt(share), pos)
+    out = ctx.add_plain(ctx.encrypt(ctx.plains(share[None])[0]), pos)
     ctx.counter.mpc_bytes += ch.transfer(r.shape[0], trips=2)
     return out
 

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from cryptogen.backend import BackendParams, Context, default_plain_modulus
+from cryptogen.backend import BackendParams, Context, SlotCiphertext, default_plain_modulus
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +49,15 @@ def refreshes(caplog):
         return out
 
     return records
+
+
+def plaintext(ctx, v):
+    """The Plaintext of one integer vector of at most n slots under ctx,
+    zero-padded to n: the one way these tests encode a raw operand."""
+    return ctx.plains([v])[0]
+
+
+def with_budget(ct, budget: int):
+    """A copy of ct (same slots, id, params and bound) at another noise
+    budget.  Not an HE operation: a test forges the budget it needs."""
+    return SlotCiphertext(ct[0], budget, ct.id, ct.params, ct.bound)

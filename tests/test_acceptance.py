@@ -24,7 +24,7 @@ from cryptogen.costmodel import predict_costs, reported_only
 from cryptogen.encodings import EncodingKind, decode, encode
 from cryptogen.fixedpoint import FixedPointParams, fp_encode, fp_gelu, fp_softmax, fp_decode
 from cryptogen.kv_cache import append_token, cache_stats, init_cache, maybe_refresh
-from cryptogen.linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal
+from cryptogen.linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal, cpvm_plaintexts
 from cryptogen.model import (
     ModelConfig,
     bolt_reference_generate,
@@ -81,7 +81,7 @@ def test_criterion_2_kernel_oracle_equivalence():
         assert (decode(Y, ctx) == (X @ W) % p).all()
 
         x = rng.integers(0, p, d1)
-        y = ctx.decrypt(cpvm_inner_diagonal(_row(x, ctx), W, ctx))[:d2]
+        y = ctx.decrypt(cpvm_inner_diagonal(_row(x, ctx), cpvm_plaintexts(W, ctx), ctx))[:d2]
         assert (y == (x @ W) % p).all()
 
         R, L = (int(v) for v in rng.integers(1, 17, 2))

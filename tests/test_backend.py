@@ -19,12 +19,14 @@ from cryptogen.backend import (
     ParameterError,
     Plaintext,
     SlotCiphertext,
+    as_int64,
     default_plain_modulus,
     is_prime,
 )
 from cryptogen.encodings import EncodingKind, encode
-from cryptogen.linear_kernels import cpmm_outer_diagonal, cpvm_plaintexts
+from cryptogen.linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal, cpvm_plaintexts
 from cryptogen.nonlinear import MpcChannel, shares_to_he
+from conftest import plaintext, with_budget
 
 
 def test_default_modulus_matches_batching_constraint():
@@ -66,17 +68,17 @@ def test_invalid_params_rejected(kwargs):
 
 def test_encrypt_decrypt_roundtrip(ctx16):
     v = np.arange(1, 17)
-    ct = ctx16.encrypt(v)
+    ct = ctx16.encrypt(plaintext(ctx16, v))
     assert ct.noise_budget == ctx16.params.initial_noise_budget
     assert (ctx16.decrypt(ct) == v).all()
-    zero = ctx16.encrypt(np.zeros(16, dtype=np.int64))
+    zero = ctx16.encrypt(plaintext(ctx16, np.zeros(16, dtype=np.int64)))
     assert not ctx16.decrypt(zero).any()
 
 
 def test_add_identity_and_values(ctx16):
     a = ctx16.encrypt(ctx16.plains([[1, 2]])[0])
     b = ctx16.encrypt(ctx16.plains([[3, 4]])[0])
-    z = ctx16.encrypt(np.zeros(16, dtype=np.int64))
+    z = ctx16.encrypt(plaintext(ctx16, np.zeros(16, dtype=np.int64)))
     assert (ctx16.decrypt(ctx16.add(a, z)) == ctx16.decrypt(a)).all()
     assert (ctx16.decrypt(ctx16.add(a, b))[:2] == [4, 6]).all()
 
@@ -91,8 +93,8 @@ def test_add_modular_wraparound(ctx16):
 def test_mult_plain(ctx16):
     a = ctx16.encrypt(ctx16.plains([[3, 5]])[0])
     ones = np.ones(16, dtype=np.int64)
-    assert (ctx16.decrypt(ctx16.mult_plain(a, ones)) == ctx16.decrypt(a)).all()
-    assert not ctx16.decrypt(ctx16.mult_plain(a, np.zeros(16, dtype=np.int64))).any()
+    assert (ctx16.decrypt(ctx16.mult_plain(a, plaintext(ctx16, ones))) == ctx16.decrypt(a)).all()
+    assert not ctx16.decrypt(ctx16.mult_plain(a, plaintext(ctx16, np.zeros(16, dtype=np.int64)))).any()
     two = ctx16.plains([[2, 2]])[0]
     assert (ctx16.decrypt(ctx16.mult_plain(a, two))[:2] == [6, 10]).all()
 
@@ -103,14 +105,14 @@ def test_mult_cipher_values_and_budget(ctx16):
     prod = ctx16.mult_cipher(a, b)
     assert (ctx16.decrypt(prod)[:2] == [8, 15]).all()
     assert prod.noise_budget == ctx16.params.initial_noise_budget - 40
-    ones = ctx16.encrypt(np.ones(16, dtype=np.int64))
+    ones = ctx16.encrypt(plaintext(ctx16, np.ones(16, dtype=np.int64)))
     again = ctx16.mult_cipher(a, ones)
     assert (ctx16.decrypt(again) == ctx16.decrypt(a)).all()
 
 
 def test_rotate_semantics(ctx16):
     ctx4 = Context(BackendParams(n_slots=4, plain_modulus=17), seed=0)
-    full = ctx4.encrypt([1, 2, 3, 4])
+    full = ctx4.encrypt(plaintext(ctx4, [1, 2, 3, 4]))
     assert (ctx4.decrypt(ctx4.rotate(full, 1)) == [2, 3, 4, 1]).all()
     a = ctx16.encrypt(ctx16.plains([[1, 2, 3, 4]])[0])
     # rotate by 0 keeps values but still counts
@@ -124,7 +126,7 @@ def test_rotate_semantics(ctx16):
 
 
 def test_rotate_composes_additively(ctx16, rng):
-    a = ctx16.encrypt(rng.integers(0, 97, 16))
+    a = ctx16.encrypt(plaintext(ctx16, rng.integers(0, 97, 16)))
     for _ in range(10):
         i, j = rng.integers(-20, 20, 2)
         two = ctx16.rotate(ctx16.rotate(a, int(i)), int(j))
@@ -148,7 +150,7 @@ def test_rotate_property(data):
     )
     ctx = Context(BackendParams(n_slots=n, plain_modulus=_P1024), seed=0)
     slots = np.asarray(data.draw(st.lists(st.integers(0, _P1024 - 1), min_size=n, max_size=n)))
-    a = ctx.encrypt(slots)
+    a = ctx.encrypt(plaintext(ctx, slots))
     before = ctx.counter.snapshot()
     out = ctx.rotate(a, k)
     assert (out.slots == np.roll(slots, -k)).all()
@@ -165,7 +167,7 @@ def test_rotate_forms_match_roll(n):
     [-n, 2n) (a fixed sample at n=8192), each in a fresh read-only array."""
     ctx = Context(BackendParams(n_slots=n), seed=0)  # p = 1 mod 16384
     slots = np.random.default_rng(n).integers(0, ctx.params.plain_modulus, n)
-    a = ctx.encrypt(slots)
+    a = ctx.encrypt(plaintext(ctx, slots))
     if n <= 1024:
         ks = range(-n, 2 * n)
     else:
@@ -184,12 +186,12 @@ def test_check_accepts_equal_params_and_rejects_unequal():
     ctx = Context(params, seed=0)
     twin = Context(BackendParams.from_json(params.to_json()), seed=1)
     assert twin.params is not params and twin.params == params
-    a, b = ctx.encrypt(np.arange(16)), twin.encrypt(np.arange(16) + 1)
+    a, b = ctx.encrypt(plaintext(ctx, np.arange(16))), twin.encrypt(plaintext(twin, np.arange(16) + 1))
     assert (ctx.decrypt(ctx.add(a, b)) == 2 * np.arange(16) + 1).all()
     assert (ctx.decrypt(ctx.mult_cipher(b, a)) == np.arange(16) * (np.arange(16) + 1)).all()
 
     other = Context(dataclasses.replace(params, refresh_threshold=params.refresh_threshold + 1), seed=2)
-    c = other.encrypt(np.arange(16))
+    c = other.encrypt(plaintext(other, np.arange(16)))
     before = ctx.counter.snapshot()
     for op in (lambda: ctx.add(a, c), lambda: ctx.mult_cipher(c, a), lambda: ctx.rotate(c, 1)):
         with pytest.raises(ParameterError, match="incompatible context"):
@@ -222,26 +224,26 @@ def test_op_contract(op, data):
     # op -> (call, number of ciphertext operands, noise cost, expected slots)
     p = _P16
     spec = {
-        "encrypt": (lambda: ctx.encrypt(y), 0, 0, y),
+        "encrypt": (lambda: ctx.encrypt(plaintext(ctx, y)), 0, 0, y),
         "decrypt": (lambda a: ctx.decrypt(a), 1, None, x),
         "add": (lambda a, b: ctx.add(a, b), 2, costs.add, (x + y) % p),
-        "add_plain": (lambda a: ctx.add_plain(a, y), 1, costs.add_plain, (x + y) % p),
-        "mult_plain": (lambda a: ctx.mult_plain(a, y), 1, costs.mult_plain, x * y % p),
+        "add_plain": (lambda a: ctx.add_plain(a, plaintext(ctx, y)), 1, costs.add_plain, (x + y) % p),
+        "mult_plain": (lambda a: ctx.mult_plain(a, plaintext(ctx, y)), 1, costs.mult_plain, x * y % p),
         "mult_cipher": (lambda a, b: ctx.mult_cipher(a, b), 2, costs.mult_cipher, x * y % p),
         "rotate": (lambda a: ctx.rotate(a, k), 1, costs.rotate, np.roll(x, -k)),
     }
     call, n_operands, cost, want = spec[op]
-    operands = [ctx.with_budget(ctx.encrypt(v), bud) for v, bud in zip((x, y), budgets)][:n_operands]
+    operands = [with_budget(ctx.encrypt(plaintext(ctx, v)), bud) for v, bud in zip((x, y), budgets)][:n_operands]
     foreign = data.draw(st.sampled_from([None, *range(n_operands)]), label="foreign position")
     if foreign is not None:
-        operands[foreign] = other.with_budget(other.encrypt(x), budgets[foreign])
-    next_id = ctx.encrypt(x).id + 1
+        operands[foreign] = with_budget(other.encrypt(plaintext(other, x)), budgets[foreign])
+    next_id = ctx.encrypt(plaintext(ctx, x)).id + 1
     before = ctx.counter.snapshot()
     nothing = OpCounter().as_dict()
 
     def untouched():
         assert ctx.counter.delta(before) == nothing
-        assert ctx.encrypt(x).id == next_id
+        assert ctx.encrypt(plaintext(ctx, x)).id == next_id
 
     if foreign is not None:
         with pytest.raises(ParameterError, match="incompatible context"):
@@ -254,7 +256,7 @@ def test_op_contract(op, data):
             return untouched()
         assert (call(*operands) == want).all()
         assert ctx.counter.delta(before) == {**nothing, "decrypt": 1}
-        assert ctx.encrypt(x).id == next_id
+        assert ctx.encrypt(plaintext(ctx, x)).id == next_id
         return
     budget = min((ct.noise_budget for ct in operands), default=params.initial_noise_budget)
     if budget < cost:
@@ -268,7 +270,7 @@ def test_op_contract(op, data):
     assert out.params is params
     assert (out.slots == want).all()
     assert ctx.counter.delta(before) == {**nothing, op: 1}
-    assert ctx.encrypt(x).id == next_id + 1
+    assert ctx.encrypt(plaintext(ctx, x)).id == next_id + 1
 
 
 _PLAIN_OPS = {
@@ -281,9 +283,10 @@ _PLAIN_OPS = {
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_plain_encodes_or_rejects(data):
-    """ctx.plain of a signed, unreduced, wrong-length or ciphertext input
-    either raises ParameterError or gives the residues mod p in a fresh
-    read-only int64 array, without moving the counter."""
+    """ctx.plains of one signed, unreduced, short, too long, matrix or
+    ciphertext row either raises ParameterError or gives its residues mod
+    p, zero-padded to n, in a fresh read-only int64 array, without moving
+    the counter."""
     ctx = Context(BackendParams(n_slots=16, plain_modulus=_P16), seed=0)
     kind = data.draw(st.sampled_from(["list", "array", "ciphertext", "matrix"]), label="kind")
     length = data.draw(st.sampled_from([16, 16, 0, 1, 15, 17, 32]), label="length")
@@ -291,35 +294,38 @@ def test_plain_encodes_or_rejects(data):
     v = {
         "list": vals,
         "array": np.array(vals, dtype=np.int64),
-        "ciphertext": ctx.encrypt(np.arange(16)),
+        "ciphertext": ctx.encrypt(plaintext(ctx, np.arange(16))),
         "matrix": np.array(vals, dtype=np.int64).reshape(1, -1),
     }[kind]
     before = ctx.counter.snapshot()
-    if kind in ("ciphertext", "matrix") or length != 16:
+    if kind in ("ciphertext", "matrix") or length > 16:
         with pytest.raises(ParameterError):
-            ctx.plain(v)
+            ctx.plains([v])
     else:
-        pt = ctx.plain(v)
+        (pt,) = ctx.plains([v])
         assert type(pt) is Plaintext and pt.params is ctx.params
         assert pt.slots.dtype == np.int64 and not pt.slots.flags.writeable
-        assert (pt.slots == np.mod(np.array(vals, dtype=np.int64), _P16)).all()
+        assert pt.slots.tolist() == [x % _P16 for x in vals] + [0] * (16 - length)
         assert not np.shares_memory(pt.slots, v)
-        assert ctx.plain(pt) is pt
     assert ctx.counter.delta(before) == OpCounter().as_dict()
 
 
 @pytest.mark.parametrize(
     "method, value",
     [
-        ("plain", [1.5] * 16),
-        ("plain", np.full(16, 2.0)),
-        ("plain", np.ones(16, dtype=bool)),
+        ("plains", [[1.5] * 16]),
+        ("plains", np.full((1, 16), 2.0)),
+        ("plains", np.ones((1, 16), dtype=bool)),
         ("encrypt", [1.5] * 16),
         ("plains", [[1.5, 2.5]]),
         ("plains", [[True, False]]),
         ("plains", 5),
         ("plains", np.ones((2, 2, 2), dtype=np.int64)),
         ("plains", [list(range(17))]),
+        ("plains", [[1, 2], [3]]),
+        ("plains", lambda ctx: ctx.encrypt(ctx.plains([[1, 2]])[0])),
+        ("plains", lambda ctx: ctx.plains([[1], [2]])),
+        ("as_int64", [[1, 2], [3]]),
         ("encode", [[1.7, 2.9]]),
         ("shares_to_he", [[1.9, -2.5]]),
     ],
@@ -333,16 +339,25 @@ def test_plain_encodes_or_rejects(data):
         "dense_scalar",
         "dense_matrix",
         "dense_too_wide",
+        "dense_ragged",
+        "dense_ciphertext",
+        "dense_plaintexts",
+        "as_int64_ragged",
         "encode_float",
         "shares_float",
     ],
 )
 def test_plain_rejects_what_plains_rejects(ctx16, method, value):
-    """plain, plains (of short rows), encode and shares_to_he take the
-    rule of ``as_int64``: integers, never truncated from floats; a float,
-    bool, scalar or wrong-rank input, or a row wider than the slot count,
-    raises ParameterError without moving the counter."""
+    """plains (of short rows), encode and shares_to_he take the rule of
+    ``as_int64``: integers, never truncated from floats; a float, bool,
+    scalar or wrong-rank input, ragged rows, a ciphertext or a list of
+    plaintexts, or a row wider than the slot count, raises ParameterError
+    (not numpy's ValueError) without moving the counter.  encrypt takes no
+    raw vector at all."""
+    if callable(value):  # an operand made under the context
+        value = value(ctx16)
     call = {
+        "as_int64": as_int64,
         "encode": lambda v: encode(v, EncodingKind.OUTER, ctx16),
         "shares_to_he": lambda v: shares_to_he(v, ctx16, MpcChannel(ctx16.params.plain_modulus, 0)),
     }.get(method) or getattr(ctx16, method)
@@ -354,7 +369,7 @@ def test_plain_rejects_what_plains_rejects(ctx16, method, value):
 
 # each takes a context, an outer-packed 4 x 4 activation and a 4 x 4 input
 _UINT64_ENTRIES = {
-    "plain": lambda ctx, X, W: ctx.plain(W.ravel()),
+    "load_ciphertext": lambda ctx, X, W: ctx.load_ciphertext(W.ravel(), 1),
     "plains": lambda ctx, X, W: ctx.plains(W.reshape(1, 16)),
     "plains_short_rows": lambda ctx, X, W: ctx.plains(W),
     "encode": lambda ctx, X, W: encode(W, EncodingKind.OUTER, ctx),
@@ -379,31 +394,6 @@ def test_uint64_input_is_exact_or_rejected(entry):
 
 
 @pytest.mark.parametrize("op", sorted(_PLAIN_OPS))
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_plaintext_operand_matches_raw_vector(op, data):
-    """encrypt, add_plain and mult_plain give the same slots, budget, id
-    and counts for a raw vector v and for ctx.plain(v), and raise the same
-    way when the budget is short."""
-    costs = NoiseCosts(**{f.name: data.draw(st.integers(0, 64), label=f.name) for f in dataclasses.fields(NoiseCosts)})
-    params = BackendParams(n_slots=16, plain_modulus=_P16, noise_costs=costs)
-    v = np.array(data.draw(st.lists(st.integers(-(2**40), 2**40), min_size=16, max_size=16), label="v"))
-    budget = data.draw(st.integers(0, params.initial_noise_budget), label="budget")
-    outcomes = []
-    for encoded in (False, True):
-        ctx = Context(params, seed=0)
-        a = ctx.with_budget(ctx.encrypt(np.arange(16) * 7919), budget)
-        operand = ctx.plain(v) if encoded else v
-        before = ctx.counter.snapshot()
-        try:
-            out = _PLAIN_OPS[op](ctx, a, operand)
-            outcomes.append((out.slots.tolist(), out.noise_budget, out.id - a.id, ctx.counter.delta(before)))
-        except NoiseBudgetExhausted as e:
-            outcomes.append((str(e), ctx.counter.delta(before)))
-    assert outcomes[0] == outcomes[1]
-
-
-@pytest.mark.parametrize("op", [*sorted(_PLAIN_OPS), "load_ciphertext", "plain"])
 def test_foreign_plaintext_rejected(op):
     """A Plaintext of a context with other params raises ParameterError in
     every plaintext position, before any count or id moves; one of a
@@ -412,19 +402,57 @@ def test_foreign_plaintext_rejected(op):
     ctx = Context(params, seed=0)
     other = Context(dataclasses.replace(params, refresh_threshold=params.refresh_threshold + 1), seed=1)
     twin = Context(BackendParams.from_json(params.to_json()), seed=2)
-    call = {
-        **_PLAIN_OPS,
-        "load_ciphertext": lambda ctx, a, v: ctx.load_ciphertext(v, 5),
-        "plain": lambda ctx, a, v: ctx.plain(v),
-    }[op]
-    a = ctx.encrypt(np.arange(16))
-    next_id = ctx.encrypt(np.arange(16)).id + 1
+    call = _PLAIN_OPS[op]
+    a = ctx.encrypt(plaintext(ctx, np.arange(16)))
+    next_id = ctx.encrypt(plaintext(ctx, np.arange(16))).id + 1
     before = ctx.counter.snapshot()
     with pytest.raises(ParameterError, match="plaintext belongs to an incompatible context"):
-        call(ctx, a, other.plain(np.arange(16)))
+        call(ctx, a, plaintext(other, np.arange(16)))
     assert ctx.counter.delta(before) == OpCounter().as_dict()
-    assert ctx.encrypt(np.arange(16)).id == next_id
-    call(ctx, a, twin.plain(np.arange(16)))
+    assert ctx.encrypt(plaintext(ctx, np.arange(16))).id == next_id
+    call(ctx, a, plaintext(twin, np.arange(16)))
+
+
+_PLAINTEXT_POSITIONS = {
+    **_PLAIN_OPS,
+    "cpvm_inner_diagonal": lambda ctx, a, v: cpvm_inner_diagonal(a, v, ctx),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_plaintext_positions_take_only_encoded_operands(data):
+    """encrypt, add_plain, mult_plain and cpvm_inner_diagonal take only an
+    operand encoded under the context (a Plaintext of ``plains``, the
+    ``cpvm_plaintexts`` of a weight matrix).  An int64 vector, a list, a
+    ciphertext, a Plaintext made under other params or a dense weight
+    matrix raises ParameterError, before the counter, the ciphertext
+    operand's budget or the context's next id moves."""
+    op = data.draw(st.sampled_from(sorted(_PLAINTEXT_POSITIONS)), label="op")
+    kind = data.draw(
+        st.sampled_from(["int64 vector", "list", "ciphertext", "foreign plaintext", "dense weights"]), label="operand"
+    )
+    params = BackendParams(n_slots=16, plain_modulus=_P16)
+    ctx = Context(params, seed=0)
+    other = Context(dataclasses.replace(params, refresh_threshold=params.refresh_threshold + 1), seed=1)
+    values = data.draw(st.lists(st.integers(-_P16, _P16), min_size=16, max_size=16), label="values")
+    budget = data.draw(st.integers(0, params.initial_noise_budget), label="budget")
+    a = with_budget(ctx.encrypt(plaintext(ctx, values)), budget)
+    operand = {
+        "int64 vector": np.array(values, dtype=np.int64),
+        "list": values,
+        "ciphertext": a,
+        "foreign plaintext": plaintext(other, values),
+        "dense weights": np.array(values, dtype=np.int64).reshape(4, 4),
+    }[kind]
+    probe = plaintext(ctx, values)
+    next_id = ctx.encrypt(probe).id + 1
+    before = ctx.counter.snapshot()
+    with pytest.raises(ParameterError):
+        _PLAINTEXT_POSITIONS[op](ctx, a, operand)
+    assert ctx.counter.delta(before) == OpCounter().as_dict()
+    assert a.noise_budget == budget
+    assert ctx.encrypt(probe).id == next_id
 
 
 def test_plains_reduces_a_matrix_once_and_wraps_its_rows(ctx16):
@@ -475,7 +503,7 @@ def test_plains_zero_pads_short_rows(data):
 def test_load_ciphertext_rejects_impossible_budgets(ctx16, budget):
     """A budget other than an int in [1, initial_noise_budget] raises
     ParameterError before an id is issued; both ends of the range load."""
-    next_id = ctx16.encrypt(np.arange(16)).id + 1
+    next_id = ctx16.encrypt(plaintext(ctx16, np.arange(16))).id + 1
     with pytest.raises(ParameterError, match="budget"):
         ctx16.load_ciphertext(np.arange(16), budget)
     top = ctx16.params.initial_noise_budget
@@ -490,7 +518,7 @@ def test_plaintext_is_made_only_by_the_context(ctx16, roundtrip):
     """The class cannot be called; a copy is an equal, read-only Plaintext."""
     with pytest.raises(TypeError):
         Plaintext((np.zeros(16, dtype=np.int64), ctx16.params))
-    pt = ctx16.plain(np.arange(16) - 8)
+    pt = plaintext(ctx16, np.arange(16) - 8)
     b = roundtrip(pt)
     assert type(b) is Plaintext and b.params == ctx16.params
     assert (b.slots == pt.slots).all() and not b.slots.flags.writeable
@@ -511,43 +539,43 @@ def test_budget_exhaustion_and_decrypt_failure(ctx16):
     params = ctx16.params
     a = ctx16.encrypt(ctx16.plains([[1]])[0])
     # spend the budget down to below one multiplication
-    a = ctx16.with_budget(a, 39)
+    a = with_budget(a, 39)
     with pytest.raises(NoiseBudgetExhausted):
         ctx16.mult_cipher(a, a)
-    dead = ctx16.with_budget(a, 0)
+    dead = with_budget(a, 0)
     with pytest.raises(DecryptionFailure):
         ctx16.decrypt(dead)
     # budget may land exactly on zero without erroring
-    b = ctx16.with_budget(ctx16.encrypt(np.zeros(16, dtype=np.int64)), params.noise_costs.mult_plain)
-    out = ctx16.mult_plain(b, np.ones(16, dtype=np.int64))
+    b = with_budget(ctx16.encrypt(plaintext(ctx16, np.zeros(16, dtype=np.int64))), params.noise_costs.mult_plain)
+    out = ctx16.mult_plain(b, plaintext(ctx16, np.ones(16, dtype=np.int64)))
     assert out.noise_budget == 0
 
 
 def test_budget_is_min_of_inputs_minus_cost(ctx16):
-    a = ctx16.with_budget(ctx16.encrypt(np.zeros(16, dtype=np.int64)), 100)
-    b = ctx16.with_budget(ctx16.encrypt(np.zeros(16, dtype=np.int64)), 80)
+    a = with_budget(ctx16.encrypt(plaintext(ctx16, np.zeros(16, dtype=np.int64))), 100)
+    b = with_budget(ctx16.encrypt(plaintext(ctx16, np.zeros(16, dtype=np.int64))), 80)
     assert ctx16.add(a, b).noise_budget == 80
     assert ctx16.mult_cipher(a, b).noise_budget == 40
 
 
 def test_counters_match_invocations(ctx16, rng):
     tally = {"mult_plain": 0, "mult_cipher": 0, "rotate": 0, "add": 0, "add_plain": 0}
-    a = ctx16.encrypt(rng.integers(0, 97, 16))
-    b = ctx16.encrypt(rng.integers(0, 97, 16))
+    a = ctx16.encrypt(plaintext(ctx16, rng.integers(0, 97, 16)))
+    b = ctx16.encrypt(plaintext(ctx16, rng.integers(0, 97, 16)))
     start = ctx16.counter.snapshot()
     for _ in range(100):
         op = rng.choice(list(tally))
         if op == "mult_plain":
-            a = ctx16.mult_plain(a, np.ones(16, dtype=np.int64))
+            a = ctx16.mult_plain(a, plaintext(ctx16, np.ones(16, dtype=np.int64)))
         elif op == "mult_cipher":
-            a = ctx16.with_budget(ctx16.mult_cipher(a, b), 190)
+            a = with_budget(ctx16.mult_cipher(a, b), 190)
         elif op == "rotate":
             a = ctx16.rotate(a, 3)
         elif op == "add":
             a = ctx16.add(a, b)
         else:
-            a = ctx16.add_plain(a, np.zeros(16, dtype=np.int64))
-        a = ctx16.with_budget(a, 190)
+            a = ctx16.add_plain(a, plaintext(ctx16, np.zeros(16, dtype=np.int64)))
+        a = with_budget(a, 190)
         tally[op] += 1
     delta = ctx16.counter.delta(start)
     for op, want in tally.items():
@@ -557,10 +585,10 @@ def test_counters_match_invocations(ctx16, rng):
 def test_emulation_matches_plain_arithmetic(ctx16, rng):
     """Any op sequence decrypts to the same sequence applied over Z_p."""
     p = ctx16.params.plain_modulus
-    ct = ctx16.encrypt(rng.integers(0, p, 16))
+    ct = ctx16.encrypt(plaintext(ctx16, rng.integers(0, p, 16)))
     ref = ctx16.decrypt(ct).copy()
     other = rng.integers(0, p, 16)
-    oct_ = ctx16.encrypt(other)
+    oct_ = ctx16.encrypt(plaintext(ctx16, other))
     for _ in range(200):
         op = rng.integers(0, 5)
         if op == 0:
@@ -568,11 +596,11 @@ def test_emulation_matches_plain_arithmetic(ctx16, rng):
             ref = (ref + other) % p
         elif op == 1:
             v = rng.integers(0, p, 16)
-            ct = ctx16.add_plain(ct, v)
+            ct = ctx16.add_plain(ct, plaintext(ctx16, v))
             ref = (ref + v) % p
         elif op == 2:
             v = rng.integers(0, p, 16)
-            ct = ctx16.mult_plain(ct, v)
+            ct = ctx16.mult_plain(ct, plaintext(ctx16, v))
             ref = (ref * v) % p
         elif op == 3:
             ct = ctx16.mult_cipher(ct, oct_)
@@ -581,7 +609,7 @@ def test_emulation_matches_plain_arithmetic(ctx16, rng):
             k = int(rng.integers(0, 16))
             ct = ctx16.rotate(ct, k)
             ref = np.roll(ref, -k)
-        ct = ctx16.with_budget(ct, 190)
+        ct = with_budget(ct, 190)
     assert (ctx16.decrypt(ct) == ref).all()
 
 
@@ -597,16 +625,16 @@ def test_context_copies_keep_a_read_only_modulus(ctx16, how):
     """An unpickled or copied context rebuilds its modulus from params,
     read-only like the original's, shares the rotate index table of its
     process, and continues from the original's counter and next id."""
-    ctx16.encrypt(np.arange(16))
+    ctx16.encrypt(plaintext(ctx16, np.arange(16)))
     b = _CONTEXT_COPIES[how](ctx16)
     assert not b.modulus.flags.writeable and b.modulus == b.params.plain_modulus
     assert b._rotation is ctx16._rotation is not None
     with pytest.raises(ValueError):
         b.modulus[()] = 7
     assert b.counter == ctx16.counter and b.params == ctx16.params
-    a = b.encrypt(np.arange(16))
-    assert a.id == ctx16.encrypt(np.arange(16)).id
-    assert (b.decrypt(b.mult_plain(a, np.full(16, 3))) == 3 * np.arange(16)).all()
+    a = b.encrypt(plaintext(b, np.arange(16)))
+    assert a.id == ctx16.encrypt(plaintext(ctx16, np.arange(16))).id
+    assert (b.decrypt(b.mult_plain(a, plaintext(b, np.full(16, 3)))) == 3 * np.arange(16)).all()
 
 
 def _fixed_layout_objects(ctx):
@@ -655,7 +683,7 @@ def test_ciphertexts_are_immutable(ctx16):
 def test_ciphertext_copies_stay_immutable(ctx16, roundtrip):
     """An unpickled or deep-copied ciphertext keeps its values, budget, id
     and params, and is as read-only as the original."""
-    ct = ctx16.with_budget(ctx16.encrypt(np.arange(16)), 77)
+    ct = with_budget(ctx16.encrypt(plaintext(ctx16, np.arange(16))), 77)
     b = roundtrip(ct)
     assert type(b) is SlotCiphertext
     assert (b.slots == np.arange(16)).all()
@@ -675,7 +703,7 @@ def test_ciphertext_rejected_as_plaintext(op, n):
     """A ciphertext where a plaintext vector belongs is a ParameterError
     naming the misuse, also when n equals the number of ciphertext fields."""
     ctx = Context(BackendParams(n_slots=n, plain_modulus=_P16), seed=0)
-    a = ctx.encrypt(np.arange(n))
+    a = ctx.encrypt(plaintext(ctx, np.arange(n)))
     call = {"encrypt": lambda: ctx.encrypt(a), "add_plain": lambda: ctx.add_plain(a, a), "mult_plain": lambda: ctx.mult_plain(a, a)}[op]
     before = ctx.counter.snapshot()
     with pytest.raises(ParameterError, match="SlotCiphertext was passed where a plaintext"):
@@ -747,7 +775,7 @@ def _bounded_operands(draw):
     a, b = operand("a"), operand("b")
     v = np.full(n, p - 1, dtype=np.int64)
     v[0] = draw(st.integers(0, p - 1))
-    return ctx, a, b, ctx.plain(v)
+    return ctx, a, b, plaintext(ctx, v)
 
 
 def _residues(ct) -> list:
@@ -835,4 +863,4 @@ def test_ciphertext_copies_keep_the_bound(roundtrip):
     assert type(b) is SlotCiphertext and b.bound == 3 and (b[0] == raw).all()
     assert b.slots.tolist() == [_P_LARGEST - 1] * 64 and not b.slots.flags.writeable
     assert ctx.decrypt(b).tolist() == [_P_LARGEST - 1] * 64
-    assert ctx.with_budget(b, 9).bound == 3
+    assert with_budget(b, 9).bound == 3

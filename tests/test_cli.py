@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from cryptogen.model import generate_toy_model, save_model, toy_config
+from conftest import plaintext
 
 PARAMS_TOY = Path(__file__).resolve().parents[1] / "configs" / "params_toy.json"
 
@@ -250,7 +251,7 @@ def test_verify_refresh_check_fails_on_a_corrupting_refresh(monkeypatch):
         out = maybe_refresh(cache, ctx, ch, force=force)
         if not force:
             return out
-        bump = ctx.plain(np.full(ctx.params.n_slots, 12345))
+        bump = plaintext(ctx, np.full(ctx.params.n_slots, 12345))
         return dataclasses.replace(
             out,
             **{

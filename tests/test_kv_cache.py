@@ -24,6 +24,7 @@ from cryptogen.kv_cache import (
     save_cache,
 )
 from cryptogen.nonlinear import MpcChannel
+from conftest import with_budget
 
 
 def _ctx(n=16, p=None, **kw):
@@ -129,7 +130,7 @@ def test_refresh_restores_budget_and_values(refreshes):
     cache = _empty(ctx, 4)
     cache = append_token(cache, _tok(ctx, [1, 2, 3, 4]), _tok(ctx, [9, 9, 9, 9]), ctx)
     # drain one part to just under the threshold
-    weak = ctx.with_budget(cache.auto_K.parts[0], 50)
+    weak = with_budget(cache.auto_K.parts[0], 50)
     cache.auto_K.parts[0] = weak
     before_vals = weak.slots.copy()
     before = ctx.counter.snapshot()
@@ -185,7 +186,7 @@ def test_refresh_masking_is_uniform():
         ch = MpcChannel(p, seed=seed)
         cache = _empty(ctx, 4)
         cache = append_token(cache, fixed, fixed, ctx)
-        weak = ctx.with_budget(cache.auto_K.parts[0], 10)
+        weak = with_budget(cache.auto_K.parts[0], 10)
         cache.auto_K.parts[0] = weak
         decrypts_before = ctx.counter.decrypt
         maybe_refresh(cache, ctx, ch)
@@ -383,7 +384,7 @@ def test_save_cache_counts_no_op_and_refuses_a_dead_part(tmp_path):
         assert all((a.slots == b.slots).all() for a, b in zip(got.parts, seg.parts))
 
     dead = dataclasses.replace(cache.prefill_V, parts=list(cache.prefill_V.parts))
-    dead.parts[3] = ctx.with_budget(dead.parts[3], 0)
+    dead.parts[3] = with_budget(dead.parts[3], 0)
     with pytest.raises(ParameterError, match="prefill_V part 3 "):
         save_cache(dataclasses.replace(cache, prefill_V=dead), tmp_path / "dead", ctx)
     other = Context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 24)), seed=0)

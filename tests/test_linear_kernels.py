@@ -6,7 +6,8 @@ from hypothesis.extra import numpy as hnp
 
 from cryptogen.backend import BackendParams, Context, ParameterError, default_plain_modulus
 from cryptogen.encodings import EncodingKind, decode, encode
-from cryptogen.linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal, fold_sum
+from cryptogen.linear_kernels import cpmm_outer_diagonal, cpvm_inner_diagonal, cpvm_plaintexts, fold_sum
+from conftest import plaintext
 
 
 def _row(x, ctx):
@@ -39,13 +40,13 @@ def test_fold_sum_examples(ctx16):
 def test_fold_sum_per_block_oracle(ctx16, rng):
     p = ctx16.params.plain_modulus
     v = rng.integers(0, p, 16)
-    out = ctx16.decrypt(fold_sum(ctx16.encrypt(v), 8, ctx16))
+    out = ctx16.decrypt(fold_sum(ctx16.encrypt(plaintext(ctx16, v)), 8, ctx16))
     for b in range(2):
         assert out[8 * b] == v[8 * b : 8 * b + 8].sum() % p
 
 
 def test_fold_sum_rejects_bad_block(ctx16):
-    ct = ctx16.encrypt(np.zeros(16, dtype=np.int64))
+    ct = ctx16.encrypt(plaintext(ctx16, np.zeros(16, dtype=np.int64)))
     for bad in (3, 32, 0):
         with pytest.raises(ParameterError):
             fold_sum(ct, bad, ctx16)
@@ -114,12 +115,11 @@ def test_cpmm_accepts_more_weight_rows_than_slots(ctx16, rng):
 def test_kernels_reject_malformed_weights(ctx16, W):
     """Only a non-empty 2-D integer matrix is a weight; rejected before any op."""
     X = encode(np.ones((2, 4), dtype=np.int64), EncodingKind.OUTER, ctx16)
-    x = _row([1, 2, 3, 4], ctx16)
     start = ctx16.counter.snapshot()
     with pytest.raises(ParameterError):
         cpmm_outer_diagonal(X, W, ctx16)
     with pytest.raises(ParameterError):
-        cpvm_inner_diagonal(x, W, ctx16)
+        cpvm_plaintexts(W, ctx16)
     assert not any(ctx16.counter.delta(start).values())
 
 
@@ -137,18 +137,18 @@ def test_kernels_match_signed_matmul_mod_p(p16, p64, data):
     ctx = Context(BackendParams(n_slots=n, plain_modulus=p), seed=0)
     want = (X @ W) % p
     assert (decode(cpmm_outer_diagonal(encode(X, EncodingKind.OUTER, ctx), W, ctx), ctx) == want).all()
-    y = ctx.decrypt(cpvm_inner_diagonal(_row(X[-1], ctx), W, ctx))[:d2]
+    y = ctx.decrypt(cpvm_inner_diagonal(_row(X[-1], ctx), cpvm_plaintexts(W, ctx), ctx))[:d2]
     assert (y == want[-1]).all()
 
 
 def test_cpvm_identity(ctx16):
     x = np.array([9, 4, 7, 1])
-    y = cpvm_inner_diagonal(_row(x, ctx16), np.eye(4, dtype=np.int64), ctx16)
+    y = cpvm_inner_diagonal(_row(x, ctx16), cpvm_plaintexts(np.eye(4, dtype=np.int64), ctx16), ctx16)
     assert (ctx16.decrypt(y)[:4] == x).all()
 
 
 def test_cpvm_hand_example(ctx16):
-    y = cpvm_inner_diagonal(_row([1, 2], ctx16), np.array([[5, 6], [7, 8]]), ctx16)
+    y = cpvm_inner_diagonal(_row([1, 2], ctx16), cpvm_plaintexts(np.array([[5, 6], [7, 8]]), ctx16), ctx16)
     assert (ctx16.decrypt(y)[:2] == [19, 22]).all()
 
 
@@ -158,7 +158,7 @@ def test_cpvm_random_oracle(ctx64, rng):
         d1, d2 = (int(v) for v in rng.integers(1, 17, 2))
         x = rng.integers(0, p, d1)
         W = rng.integers(0, p, (d1, d2))
-        y = cpvm_inner_diagonal(_row(x, ctx64), W, ctx64)
+        y = cpvm_inner_diagonal(_row(x, ctx64), cpvm_plaintexts(W, ctx64), ctx64)
         assert (ctx64.decrypt(y)[:d2] == (x @ W) % p).all()
 
 
@@ -169,7 +169,7 @@ def test_cpvm_cost_depends_only_on_dims(ctx64, rng):
     for _ in range(3):
         x = _row(rng.integers(0, 97, 8), ctx64)
         start = ctx64.counter.snapshot()
-        cpvm_inner_diagonal(x, W, ctx64)
+        cpvm_inner_diagonal(x, cpvm_plaintexts(W, ctx64), ctx64)
         deltas.append(ctx64.counter.delta(start))
     assert deltas[0] == deltas[1] == deltas[2]
 
@@ -185,7 +185,7 @@ def test_cpvm_rotation_growth_logarithmic(rng):
         x = _row(xv, ctx)
         W = rng.integers(0, p, (d1, d2))
         start = ctx.counter.snapshot()
-        y = cpvm_inner_diagonal(x, W, ctx)
+        y = cpvm_inner_diagonal(x, cpvm_plaintexts(W, ctx), ctx)
         rots[d1] = ctx.counter.delta(start)["rotate"]
         assert (ctx.decrypt(y)[:d2] == (xv @ W) % p).all()
     for lo, hi in ((64, 128), (128, 256), (256, 512)):
@@ -195,7 +195,7 @@ def test_cpvm_rotation_growth_logarithmic(rng):
 def test_cpvm_single_output_ciphertext(ctx64, rng):
     x = _row(rng.integers(0, 97, 8), ctx64)
     W = rng.integers(0, 97, (8, 4))
-    y = cpvm_inner_diagonal(x, W, ctx64)
+    y = cpvm_inner_diagonal(x, cpvm_plaintexts(W, ctx64), ctx64)
     assert y.n_slots == 64  # one ciphertext carries the whole projection
 
 
@@ -204,5 +204,5 @@ def test_cpvm_mult_count_is_padded_output_width(ctx64, rng):
         x = _row(rng.integers(0, 97, 8), ctx64)
         W = rng.integers(0, 97, (8, d2))
         start = ctx64.counter.snapshot()
-        cpvm_inner_diagonal(x, W, ctx64)
+        cpvm_inner_diagonal(x, cpvm_plaintexts(W, ctx64), ctx64)
         assert ctx64.counter.delta(start)["mult_plain"] == want

@@ -574,6 +574,31 @@ def test_decode_step_past_max_seq_is_refused_before_any_op(monkeypatch):
     assert not any(ctx.counter.delta(before).values()) and not drawn
 
 
+@pytest.mark.parametrize("case", ["other_params", "fewer_layers", "fewer_heads", "other_head_width"])
+def test_decode_step_refuses_a_state_it_cannot_run_before_any_op(monkeypatch, toy, case):
+    """A toy state prefilled under the toy params, run on a context at a
+    2^27 modulus, or a state whose caches do not match the model's layers,
+    heads or head width, is refused with ParameterError before the refresh
+    check, any HE op or any mask draw."""
+    ctx = _ctx()
+    state = prefill(toy, [1, 2, 3], ctx)
+    if case == "other_params":
+        ctx = Context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 27)), seed=0)
+    elif case == "fewer_layers":
+        state = dataclasses.replace(state, caches=state.caches[:1])
+    elif case == "fewer_heads":
+        state = dataclasses.replace(state, caches=[row[:-1] for row in state.caches])
+    else:
+        wide = generate_toy_model(dataclasses.replace(toy_config(), heads=2), seed=0)
+        state = prefill(wide, [1, 2, 3], ctx)
+    drawn = []
+    monkeypatch.setattr(MpcChannel, "sample_mask", lambda self, length: drawn.append(length))
+    before = ctx.counter.snapshot()
+    with pytest.raises(ParameterError):
+        decode_step(toy, state, ctx)
+    assert not any(ctx.counter.delta(before).values()) and not drawn
+
+
 def test_ffn_wider_than_n_runs_where_no_cpvm_spans_it():
     """Prefill runs the FFN as a CPMM, never a CPVM over ffn_dim, so with
     ffn 64 at n=32 the prefill-only runs stay token-exact."""

@@ -41,6 +41,7 @@ from cryptogen.nonlinear import (
     truncate,
 )
 from cryptogen.model import generate, generate_toy_model, toy_config
+from conftest import plaintext
 
 PARAMS_TOY = Path(__file__).resolve().parents[1] / "configs" / "params_toy.json"
 P_BIG = default_plain_modulus(8192, 29)
@@ -113,7 +114,7 @@ def test_fixed_point_params_headroom():
 def test_he_share_roundtrip(ctx16):
     ch = MpcChannel(ctx16.params.plain_modulus, seed=3)
     v = np.arange(16)
-    vals = he_to_shares([ctx16.encrypt(v), ctx16.encrypt(v[::-1])], ctx16, ch)
+    vals = he_to_shares([ctx16.encrypt(plaintext(ctx16, v)), ctx16.encrypt(plaintext(ctx16, v[::-1]))], ctx16, ch)
     assert (vals == [v, v[::-1]]).all()
     back = list(shares_to_he(vals, ctx16, ch))
     assert [list(ctx16.decrypt(ct)) for ct in back] == [list(v), list(v[::-1])]
@@ -135,7 +136,7 @@ def test_shares_differ_across_seeds_same_secret(ctx16):
     """The client decrypts a masked share: neither the slots nor the share
     another channel seed gives for the same ciphertext."""
     v = np.arange(16)
-    ct = ctx16.encrypt(v)
+    ct = ctx16.encrypt(plaintext(ctx16, v))
     with _spied() as (_, _, seen):
         for seed in (1, 2):
             assert (he_to_shares([ct], ctx16, MpcChannel(ctx16.params.plain_modulus, seed=seed)) == v).all()
@@ -149,7 +150,7 @@ def test_zero_secret_shares_are_negations(ctx16):
     p = ctx16.params.plain_modulus
     ch = MpcChannel(p, seed=0)
     with _spied() as (_, masks, seen):
-        assert not he_to_shares([ctx16.encrypt(np.zeros(16, dtype=np.int64))], ctx16, ch).any()
+        assert not he_to_shares([ctx16.encrypt(plaintext(ctx16, np.zeros(16, dtype=np.int64)))], ctx16, ch).any()
     (share,), (r,) = seen, masks
     assert (share == (p - r) % p).all()
 
@@ -179,7 +180,7 @@ def test_pooled_masks_never_reuse_a_word(lengths, seed):
 
 def test_channel_bytes_per_direction(ctx16):
     ch = MpcChannel(ctx16.params.plain_modulus, seed=0)
-    ct = ctx16.encrypt(np.zeros(16, dtype=np.int64))
+    ct = ctx16.encrypt(plaintext(ctx16, np.zeros(16, dtype=np.int64)))
     per_ct = ch.vector_bytes(ctx16.params.n_slots)
     before = ctx16.counter.snapshot()
     vals = he_to_shares([ct, ct, ct], ctx16, ch, 4)
@@ -204,7 +205,7 @@ def test_conversions_spend_per_ciphertext_ops_in_list_order(slots, length, prefi
     ``prefix`` places the masks anywhere in a block."""
     ctx = Context(BackendParams(n_slots=16, plain_modulus=P16), seed=1)
     ch = MpcChannel(P16, seed=2)
-    cts = [ctx.encrypt(v) for v in slots]
+    cts = [ctx.encrypt(plaintext(ctx, v)) for v in slots]
     k = len(cts)
     ch.sample_mask(prefix)
     with _spied() as (log, masks, _):
@@ -230,7 +231,7 @@ def test_conversions_spend_per_ciphertext_ops_in_list_order(slots, length, prefi
 
 def test_batch_forms_reject_bad_shapes(ctx16):
     ch = MpcChannel(ctx16.params.plain_modulus, seed=0)
-    ct = ctx16.encrypt(np.zeros(16, dtype=np.int64))
+    ct = ctx16.encrypt(plaintext(ctx16, np.zeros(16, dtype=np.int64)))
     before = ctx16.counter.snapshot()
     for length in (0, 17):
         with pytest.raises(ParameterError, match="out of range"):
@@ -247,7 +248,7 @@ def test_refresh_resets_the_budget_at_four_ops(ctx16):
     p, n = ctx16.params.plain_modulus, ctx16.params.n_slots
     ch = MpcChannel(p, seed=4)
     v = np.arange(n) * 7 % p
-    ct = ctx16.mult_plain(ctx16.encrypt(v), ctx16.plain(np.ones(n, dtype=np.int64)))
+    ct = ctx16.mult_plain(ctx16.encrypt(plaintext(ctx16, v)), plaintext(ctx16, np.ones(n, dtype=np.int64)))
     assert ct.noise_budget < ctx16.params.initial_noise_budget
     before = ctx16.counter.snapshot()
     with _spied() as (log, masks, _):
@@ -343,6 +344,45 @@ def test_layernorm_statistics(rng):
     out = fp_decode(fp_layernorm(x, gain, bias, FP), FP)
     assert abs(out.mean() - 0.25) <= 2.0 ** -(FP.f - 2)
     assert abs(out.var() - 1.5 ** 2) <= 0.05
+
+
+_P_REF = 536903681  # the reference plain modulus (n = 8192)
+
+
+def _round_div(a: int, d: int) -> int:
+    """Round-to-nearest integer division, ties away from zero."""
+    return (2 * a + d) // (2 * d) if a >= 0 else -((-2 * a + d) // (2 * d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_layernorm_is_exact_on_in_range_rows(data):
+    """At the reference p and f=8, fp_layernorm of any row of 2 to 768
+    entries in +-p//2, a drawn share of them at the extremes +-p//2, equals
+    the same steps in Python ints: the sum of squares, up to
+    768 * (p-1)^2 > 2^63, is exact."""
+    half = _P_REF // 2
+    d = data.draw(st.one_of(st.integers(2, 768), st.just(768)), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="values seed"))
+    share = data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]), label="share at the extremes")
+
+    def row():
+        v = rng.integers(-half, half, d, endpoint=True)
+        at_edge = rng.random(d) < share
+        v[at_edge] = rng.choice([-half, half], int(at_edge.sum()))
+        return v
+
+    x, gain, bias = row(), row(), row()
+    f = 8
+    mu = _round_div(sum(x.tolist()), d)
+    c = [v - mu for v in x.tolist()]
+    var = _round_div(sum(v * v for v in c), d)
+    if var == 0:
+        want = bias.tolist()
+    else:
+        inv_std = fixedpoint._fp_inv_sqrt(var, f)
+        want = [((g * ((v * inv_std) >> f)) >> f) + b for v, g, b in zip(c, gain.tolist(), bias.tolist())]
+    assert fp_layernorm(x, gain, bias, FixedPointParams(f, _P_REF)).tolist() == want
 
 
 def test_protocol_bytes_depend_only_on_shape(rng):
