@@ -153,7 +153,7 @@ def prefill_attention(
     S[rows, (rows + np.arange(w)[:, None]) % w] = diagonals
 
     A = attention_softmax(S[:, :m], d2, fp, ctx, mpc)
-    a_rows = list(shares_to_he(A, ctx, mpc))
+    a_rows = shares_to_he(A, ctx, mpc)
 
     # each output column is rescaled before the next one is summed
     cols = (ctx.sum(_dot_into_slot(a_rows[i], V.parts[c], i, ctx) for i in range(m)) for c in range(d2))
@@ -192,7 +192,7 @@ def attention_step(
 
     halves = []
     if m > 0:
-        a_pref = next(shares_to_he(a[None, :m], ctx, mpc))
+        (a_pref,) = shares_to_he(a[None, :m], ctx, mpc)
         halves.append(
             ctx.sum(
                 _dot_into_slot(a_pref, cache.prefill_V.parts[c], c, ctx)
@@ -205,9 +205,6 @@ def attention_step(
         parts = cache.auto_V.parts
         coeffs = np.zeros(len(parts) * n, dtype=np.int64)
         coeffs[: t * d2] = np.repeat(a[m:], d2)
-        # each coefficient ciphertext is made just before its product
-        acc = ctx.sum(
-            map(ctx.mult_cipher, shares_to_he(coeffs.reshape(-1, n), ctx, mpc), parts)
-        )
+        acc = ctx.sum(map(ctx.mult_cipher, shares_to_he(coeffs.reshape(-1, n), ctx, mpc), parts))
         halves.append(ctx.fold(acc, d2, n))
     return truncate([ctx.sum(halves)], d2, fp, ctx, mpc)[0]

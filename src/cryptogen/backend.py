@@ -663,9 +663,11 @@ class Context:
         """Left fold of ``add`` over an iterable of ciphertexts.
 
         The iterable is consumed lazily: each term is produced only after
-        the previous addition, so a generator whose terms spend operations
-        interleaves them with the additions exactly as a hand-written
-        accumulator loop would.
+        the previous addition, so a generator of terms that spend
+        operations holds one term at a time and interleaves its operations
+        with the additions as a hand-written accumulator loop would.  That
+        order moves only the ordered digest of ``tools/op_digest.py``, not
+        its dataflow digest.
         """
         it = iter(cts)
         acc = next(it, None)

@@ -20,6 +20,7 @@ and are frozen; rerun the script to regenerate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,7 +89,23 @@ class FixedPointParams:
         return 1 << self.f
 
     def quantize(self, v: float) -> int:
-        return int(round(v * self.scale))
+        return _quantize(v, self.f)
+
+
+def _quantize(v: float, f: int) -> int:
+    return int(round(v * (1 << f)))
+
+
+@functools.cache
+def _softmax_constants(f: int) -> tuple:
+    """fp_softmax's 1/ln2, ln2 and exp quadratic c2, c1, c0 at scale f."""
+    return tuple(_quantize(v, f) for v in (1.0 / math.log(2.0), math.log(2.0), _E_C2, _E_C1, _E_C0))
+
+
+@functools.cache
+def _inv_sqrt_width(d2: int, f: int) -> int:
+    """The attention rescale 1/sqrt(d2) at scale f."""
+    return _quantize(1.0 / math.sqrt(d2), f)
 
 
 def to_signed(v, p: int):
@@ -155,6 +172,7 @@ def _newton_reciprocal(s, f: int):
     # Inside int64: FixedPointParams keeps 2^(2f+6) < p < 2^31, so f <= 12; for
     # 1 <= s <= 2^(3f) (a softmax total is at most L*2^f) the iterate stays at or
     # below 2^(3f), so 0 <= t < 2^(2f+1) and y*(2^(2f+1) - t) <= 2^(5f+1) <= 2^61.
+    # A row of more than 2^(2f) keys can pass 2^(3f); model.plan refuses one.
     for _ in range(RECIPROCAL_ITERS):
         t = (s * y) >> f
         y = (y * ((1 << (q + 1)) - t)) >> q
@@ -176,9 +194,7 @@ def fp_softmax(s, fp: FixedPointParams) -> np.ndarray:
         raise ParameterError("softmax needs at least one score")
     if L == 1:
         return np.full(s.shape, fp.scale, dtype=np.int64)
-    inv_ln2 = fp.quantize(1.0 / math.log(2.0))
-    ln2 = fp.quantize(math.log(2.0))
-    c2, c1, c0 = (fp.quantize(c) for c in (_E_C2, _E_C1, _E_C0))
+    inv_ln2, ln2, c2, c1, c0 = _softmax_constants(f)
 
     x = s - s.max(axis=-1, keepdims=True)
     z = ((-x) * inv_ln2) >> (2 * f)
@@ -218,21 +234,22 @@ CAUSAL_MASK_EXPONENT = 6  # additive mask -2^(f+6): annihilated after softmax
 
 
 def attention_weights(scores_2f, d2: int, fp: FixedPointParams) -> np.ndarray:
-    """Scale-2f raw scores -> softmax weights at scale f: rescale, multiply
-    by the quantized 1/sqrt(d2), softmax."""
-    s1 = fp_truncate(scores_2f, fp.f)
-    s2 = (s1 * fp.quantize(1.0 / math.sqrt(d2))) >> fp.f
-    return fp_softmax(s2, fp)
+    """Scale-2f raw scores -> softmax weights at scale f: the last query's
+    case of causal_attention_weights, whose mask then covers no key."""
+    s = as_int64(scores_2f)
+    return causal_attention_weights(s, s.shape[-1] - 1, d2, fp)
 
 
 def causal_attention_weights(
     rows_2f, row_index: int, d2: int, fp: FixedPointParams
 ) -> np.ndarray:
-    """Prefill rows: like attention_weights, on a matrix whose row j is query
-    position row_index + j (a vector is row row_index); keys past a row's query
-    get the additive causal mask, whose weight underflows to exactly zero."""
+    """Scale-2f raw scores -> softmax weights at scale f, on a matrix whose
+    row j is query position row_index + j (a vector is row row_index):
+    rescale, multiply by the quantized 1/sqrt(d2), add the causal mask to
+    the keys past each row's query (their weight underflows to exactly
+    zero), softmax."""
     s1 = fp_truncate(rows_2f, fp.f)
-    s2 = (s1 * fp.quantize(1.0 / math.sqrt(d2))) >> fp.f
+    s2 = (s1 * _inv_sqrt_width(d2, fp.f)) >> fp.f
     query = row_index + np.arange(s2.shape[0])[:, None] if s2.ndim == 2 else row_index
     mask = np.where(np.arange(s2.shape[-1]) > query, -(1 << (fp.f + CAUSAL_MASK_EXPONENT)), 0)
     return fp_softmax(s2 + mask, fp)

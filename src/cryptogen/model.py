@@ -190,7 +190,9 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    """Load and schema-check a saved model directory."""
+    """Load and schema-check a saved model directory.  Every weight file
+    must be named by a bare file name, so only files in the directory are
+    read, and every entry is checked before the first is read."""
     path = Path(path)
     manifest_file = path / "manifest.json"
     if not manifest_file.exists():
@@ -210,11 +212,16 @@ def load_model(path) -> Model:
             f"{path}: weight set mismatch (missing {sorted(set(spec) - set(entries))[:3]}...)"
         )
 
-    weights = {}
     for name, meta in entries.items():
         file, shape = (meta.get("file"), meta.get("shape")) if isinstance(meta, dict) else (None, None)
         if not (isinstance(file, str) and isinstance(shape, list)):
             raise ParameterError(f"{path}: weight entry {name} is not an object with a file and a shape")
+        if file in ("", "..") or Path(file).name != file:
+            raise ParameterError(f"{path}: weight {name}'s file {file!r} is not a file name in the model directory")
+
+    weights = {}
+    for name, meta in entries.items():
+        file, shape = meta["file"], meta["shape"]
         mat, _ = load_matrix(path / file)
         shape = tuple(shape)
         if shape != spec[name][0]:
@@ -352,7 +359,7 @@ def _roundtrip(P: PackedMatrix, fn, ctx, mpc) -> PackedMatrix:
     signed scale-f ints -> same shape, row-wise), re-encrypt it."""
     vals = he_to_shares(P.parts, ctx, mpc, P.width)
     out = P.payloads(fn(P.payloads(vals)))
-    return PackedMatrix(P.encoding, list(shares_to_he(out, ctx, mpc)))
+    return PackedMatrix(P.encoding, shares_to_he(out, ctx, mpc))
 
 
 def _add(A: PackedMatrix, B: PackedMatrix, ctx) -> PackedMatrix:
@@ -457,11 +464,18 @@ def _check_length(c: ModelConfig, m: int, k: int) -> None:
 
 def plan(c: ModelConfig, params: BackendParams, m: int, k: int) -> FixedPointParams:
     """Checks, before any op, every setup rule of a run with an m-token prompt
-    and k decode steps: the length rule, product headroom, a head width the
-    cache blocks tile, and no packed row or column, nor a CPVM over one (the
-    decode FFN's when k >= 1), wider than n.  Returns the run's FixedPointParams."""
+    and k decode steps: the length rule, product headroom, softmax rows of at
+    most 2^(2f) keys (the Newton reciprocal's range), a head width the cache
+    blocks tile, and no packed row or column, nor a CPVM over one (the decode
+    FFN's when k >= 1), wider than n.  Returns the run's FixedPointParams."""
     _check_length(c, m, k)
     fp = FixedPointParams(c.f, params.plain_modulus)
+    keys = 1 << 2 * c.f
+    if m + k > keys:
+        raise ParameterError(
+            f"softmax rows of m + k = {m + k} keys exceed 2^(2f) = {keys} at f = {c.f}, "
+            "the row length the Newton reciprocal is exact for"
+        )
     n = params.n_slots
     block_capacity(n, c.d2)
     for name, width in (("prefix", m), ("d1", c.d1), ("vocab", c.vocab), ("ffn_dim", c.ffn_dim if k else 0)):
@@ -542,7 +556,7 @@ def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int =
     # last-position logits via the decode-side kernel
     ch = chans["common"]
     last = he_to_shares(X.parts, ctx, ch, m)[:, m - 1]
-    x_last = next(shares_to_he(last[None], ctx, ch))
+    (x_last,) = shares_to_he(last[None], ctx, ch)
     return GenerationState(caches=caches, next_logits=_logits(model, x_last, ctx))
 
 

@@ -6,10 +6,11 @@ client evaluates the shared fixed-point function on the values the shares
 add up to and re-shares the result under a fresh mask, so each share in
 isolation stays uniform.  There is one conversion each way, over a list:
 ``he_to_shares`` takes k ciphertexts to a k x length array of signed
-values, ``shares_to_he`` takes a k x L array back to k ciphertexts.  The
-masks and share arithmetic of the whole list are one numpy pass, while
-every HE op is still one ``Context`` call per ciphertext, in list order; a
-single ciphertext is a list of one.  A channel object is a mask source
+values, ``shares_to_he`` takes a k x L array back to a list of k
+ciphertexts.  Both spend all their HE ops during the call.  The masks and
+share arithmetic of the whole list are one numpy pass, while every HE op
+is still one ``Context`` call per ciphertext, in list order; a single
+ciphertext is a list of one.  A channel object is a mask source
 plus two tallies.  It draws the share masks: blocks of ``MASK_BLOCK``
 uniform words from its own generator, handed out as read-only slices,
 each word once.  It counts the bytes and rounds the real protocol would
@@ -138,18 +139,16 @@ def he_to_shares(cts, ctx: Context, ch: MpcChannel, length: int | None = None) -
     return values
 
 
-def shares_to_he(rows, ctx: Context, ch: MpcChannel):
+def shares_to_he(rows, ctx: Context, ch: MpcChannel) -> list:
     """Share each row of a k x L integer matrix (signed or residues; any
-    other input raises ParameterError, as in ``as_int64``) and return an
-    iterator of k ciphertexts: the client encrypts its share, the server
-    adds its own.  Each decrypts to its row in slots 0..L-1 (zeros beyond)
-    and carries a fresh noise budget.
+    other input raises ParameterError, as in ``as_int64``) and return its
+    k ciphertexts: the client encrypts its share, the server adds its own.
+    Each decrypts to its row in slots 0..L-1 (zeros beyond) and carries a
+    fresh noise budget.
 
-    The rows are shared at the call, under one draw of k*L mask words,
-    and both shares of every row are encoded in one ``plains`` call.  The
-    HE ops are spent lazily: each ciphertext is encrypted, unmasked and
-    charged one n-word transfer only when the iterator yields it, so a
-    consumer's own ops interleave with them.
+    The k*L mask words are one draw and both shares of every row are
+    encoded in one ``plains`` call; each row is then encrypted and
+    unmasked in row order, one n-word transfer each.
     """
     secret = as_int64(rows)
     n = ctx.params.n_slots
@@ -161,13 +160,9 @@ def shares_to_he(rows, ctx: Context, ch: MpcChannel):
     np.subtract(secret % ctx.modulus, r, out=shares[:k, :length])  # in (-p, p): no int64 wrap
     shares[k:, :length] = r
     encoded = ctx.plains(shares)
-
-    def unmask(client, server):
-        ct = ctx.add_plain(ctx.encrypt(client), server)
-        ctx.counter.mpc_bytes += ch.transfer(n)
-        return ct
-
-    return map(unmask, encoded[:k], encoded[k:])
+    out = [ctx.add_plain(ctx.encrypt(client), server) for client, server in zip(encoded[:k], encoded[k:])]
+    ctx.counter.mpc_bytes += ch.transfer(n, trips=k)
+    return out
 
 
 def refresh(ct: SlotCiphertext, ctx: Context, ch: MpcChannel) -> SlotCiphertext:
@@ -196,7 +191,7 @@ def truncate(cts, length: int, fp: FixedPointParams, ctx: Context, ch: MpcChanne
     for ct in cts:
         values = fp_truncate(he_to_shares([ct], ctx, ch, length), fp.f)
         ctx.counter.mpc_bytes += ch.transfer(length, trips=3)
-        out.append(next(shares_to_he(values, ctx, ch)))
+        out += shares_to_he(values, ctx, ch)
     return out
 
 

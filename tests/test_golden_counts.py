@@ -84,10 +84,21 @@ def test_golden_pipeline_counts(threshold):
 # sha256 of every counted op (name, operand ids, result id, result budget),
 # ids renumbered by first appearance (``tools/op_digest.py``), and the op
 # count: a change in which ciphertexts an operation reads or writes, or in
-# the noise it spends, moves the digest even where the counts above hold
+# the noise it spends, moves the digest even where the counts above hold.
+# Re-pinned when ``shares_to_he`` became eager: once the generated cache
+# has two parts, the value sum's coefficient ciphertexts are all made
+# before their products, a reorder the dataflow digest below does not see
 OP_SEQUENCE = {
-    None: ("3073d3ad5ef27ba51246892cecf9ad4ae94fcbf32ac23a459ba75e0e930b8897", 68481),
-    170: ("b89580b8613d7a9b31bc65fbaafb37e4021d7185f4838db51dc5e09b82b25385", 69057),
+    None: ("ea19d9616df37784ef7b3cf51ae706bfeb931d8918aee9ba300e9288293a1400", 68481),
+    170: ("971b4580924fcd89c87a964762e1281888aa80420f51eda8498618bf07507453", 69057),
+}
+
+# the dataflow digest of the same runs (``tools/op_digest.py``): the sorted
+# labels of every op, each hashing its operands' labels, so it moves with
+# the op graph but not with the order independent ops are called in
+OP_DATAFLOW = {
+    None: "44237dd86998cdfe36bed6195119eaef96235cae7be860d770992dfc70fcf8c7",
+    170: "887af6a785f8c62b8cd83f264d156b613be4ccffd33a3ebddc3fbcaa0b041ce5",
 }
 
 
@@ -108,9 +119,36 @@ def _toy_params(threshold):
 @pytest.mark.parametrize("threshold", [None, 170])
 def test_golden_op_sequence(threshold):
     model = generate_toy_model(toy_config(), seed=0)
-    digest, tokens, ops = _digest_tool().op_digest(model, PROMPT, len(TOKENS), _toy_params(threshold))
+    digest, tokens, ops, _, dataflow, _ = _digest_tool().digest_run(model, PROMPT, len(TOKENS), _toy_params(threshold))
     assert tokens == TOKENS
     assert (digest, ops) == OP_SEQUENCE[threshold]
+    assert dataflow == OP_DATAFLOW[threshold]
+
+
+def test_dataflow_digest_sees_the_op_graph_not_the_call_order():
+    """Two independent ops called in either order give the same dataflow
+    digest and different ordered digests; swapping the operands of one
+    mult_cipher moves the dataflow digest."""
+    tool = _digest_tool()
+
+    def digests(rotate_first, swap=False):
+        ctx = Context(_toy_params(None), seed=0)
+        with tool.OpDigest().installed(Context) as spy:
+            a_pt, b_pt, w = ctx.plains([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+            a, b = ctx.encrypt(a_pt), ctx.encrypt(b_pt)
+            if rotate_first:
+                r = ctx.rotate(a, 1)
+                m = ctx.mult_plain(b, w)
+            else:
+                m = ctx.mult_plain(b, w)
+                r = ctx.rotate(a, 1)
+            ctx.decrypt(ctx.mult_cipher(m, r) if swap else ctx.mult_cipher(r, m))
+        return spy.hexdigest(), spy.dataflow_hexdigest()
+
+    ordered, dataflow = digests(True)
+    reordered, reordered_dataflow = digests(False)
+    assert reordered_dataflow == dataflow and reordered != ordered
+    assert digests(True, swap=True)[1] != dataflow
 
 
 # sha256 of every mask word the channels hand out (int64 bytes in draw

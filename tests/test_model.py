@@ -104,6 +104,23 @@ def test_load_model_schema_errors(tmp_path, toy):
         load_model(tmp_path / "m3")
 
 
+@pytest.mark.parametrize("outside", ["../b/unembed.bin", "absolute"])
+def test_load_model_reads_only_files_in_its_directory(tmp_path, toy, outside, monkeypatch):
+    """A weight file named by a path, relative past the model directory or
+    absolute, is refused naming the weight, before any weight file is read."""
+    save_model(toy, tmp_path / "a")
+    save_model(toy, tmp_path / "b")
+    file = str(tmp_path / "b" / "unembed.bin") if outside == "absolute" else outside
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    manifest["weights"]["unembed"]["file"] = file
+    (tmp_path / "a" / "manifest.json").write_text(json.dumps(manifest))
+    read = []
+    monkeypatch.setattr(model_mod, "load_matrix", lambda path: read.append(path))
+    with pytest.raises(ParameterError, match=f"weight unembed's file {re.escape(repr(file))} is not a file name"):
+        load_model(tmp_path / "a")
+    assert not read
+
+
 def test_oracle_is_deterministic(toy):
     a = oracle_generate(toy, [1, 2, 3], 6, P64)
     b = oracle_generate(toy, [1, 2, 3], 6, P64)
@@ -527,14 +544,26 @@ def _narrow(**dims):
         (dict(d1=64, heads=16), 32, bolt_reference_generate, [1, 2, 3], 2, "d1 = 64 exceeds the 32 slots"),
         (dict(ffn_dim=64), 32, generate, [1, 2, 3], 1, "ffn_dim = 64 exceeds the 32 slots"),
         (dict(), 16, bolt_reference_generate, list(range(10)), 8, "prefix = 17 exceeds the 16 slots"),
+        # past 2^(2f+1) keys the Newton reciprocal of a row total goes wrong,
+        # in the oracle as in the pipeline (40 equal scores at f = 2 weigh
+        # -3,367 each); the stateless baseline's last prefill spans m + k - 1
+        (dict(f=1), 64, generate, [1, 2, 3], 2, re.escape("m + k = 5 keys exceed 2^(2f) = 4 at f = 1")),
+        (dict(f=2, max_seq=48), 64, generate, list(range(8)), 40, re.escape("m + k = 48 keys exceed 2^(2f) = 16")),
+        (dict(f=2), 64, bolt_reference_generate, list(range(8)), 10, re.escape("m + k = 17 keys exceed 2^(2f) = 16")),
+        (dict(f=3, max_seq=65), 64, generate, [1] * 65, 0, re.escape("m + k = 65 keys exceed 2^(2f) = 64 at f = 3")),
+        (dict(f=5, max_seq=1025), 64, generate, [1] * 1025, 0, re.escape("m + k = 1025 keys exceed 2^(2f) = 1024")),
     ],
-    ids=["vocab", "vocab_bolt", "vocab_bolt_k0", "d1", "d1_bolt", "ffn", "bolt_prefix"],
+    ids=[
+        "vocab", "vocab_bolt", "vocab_bolt_k0", "d1", "d1_bolt", "ffn", "bolt_prefix",
+        "softmax_f1", "softmax_f2", "softmax_f2_bolt", "softmax_f3_prompt", "softmax_f5_prompt",
+    ],
 )
 def test_width_wider_than_n_is_refused_before_any_op(dims, n, run, prompt, k, message, monkeypatch):
     """A token row (d1), logit row (vocab), decode FFN row (ffn_dim) or
     stateless prefix wider than the slot count is refused, naming the
-    dimension and the slot count, before any HE op is counted or any share
-    mask is drawn."""
+    dimension and the slot count, and so is a softmax row of more than
+    2^(2f) keys, naming that rule, before any HE op is counted or any
+    share mask is drawn."""
     model = _narrow(**dims)
     drawn = []
     monkeypatch.setattr(MpcChannel, "sample_mask", lambda self, length: drawn.append(length))
@@ -723,6 +752,21 @@ def test_non_integer_k_or_token_is_refused_before_any_op(toy, run, prompt, k, me
     with pytest.raises(ParameterError, match=message):
         _ENTRY_POINTS[run](toy, prompt, k, ctx)
     assert not any(ctx.counter.as_dict().values()) and not drawn
+
+
+def test_decode_step_past_the_reciprocal_range_is_refused_before_any_op(monkeypatch):
+    """At f = 1 a 4-token prompt fills the 2^(2f) keys its softmax rows may
+    hold; decode_step refuses the fifth key, naming the rule, before its
+    refresh check or any HE op."""
+    model = generate_toy_model(ModelConfig(layers=1, d1=8, heads=2, ffn_dim=8, vocab=16, max_seq=8, f=1), seed=0)
+    ctx = _ctx()
+    state = prefill(model, [1, 2, 3, 4], ctx)
+    drawn = []
+    monkeypatch.setattr(MpcChannel, "sample_mask", lambda self, length: drawn.append(length))
+    before = ctx.counter.snapshot()
+    with pytest.raises(ParameterError, match=re.escape("m + k = 5 keys exceed 2^(2f) = 4")):
+        decode_step(model, state, ctx)
+    assert not any(ctx.counter.delta(before).values()) and not drawn
 
 
 @settings(max_examples=200, deadline=None)

@@ -116,7 +116,7 @@ def test_he_share_roundtrip(ctx16):
     v = np.arange(16)
     vals = he_to_shares([ctx16.encrypt(plaintext(ctx16, v)), ctx16.encrypt(plaintext(ctx16, v[::-1]))], ctx16, ch)
     assert (vals == [v, v[::-1]]).all()
-    back = list(shares_to_he(vals, ctx16, ch))
+    back = shares_to_he(vals, ctx16, ch)
     assert [list(ctx16.decrypt(ct)) for ct in back] == [list(v), list(v[::-1])]
     assert all(ct.noise_budget == ctx16.params.initial_noise_budget for ct in back)
     assert (he_to_shares([back[0]], ctx16, ch, 5) == v[:5]).all()
@@ -185,7 +185,7 @@ def test_channel_bytes_per_direction(ctx16):
     before = ctx16.counter.snapshot()
     vals = he_to_shares([ct, ct, ct], ctx16, ch, 4)
     assert (ch.bytes_sent, ch.rounds) == (3 * per_ct, 3)
-    list(shares_to_he(vals[:2], ctx16, ch))
+    shares_to_he(vals[:2], ctx16, ch)
     assert (ch.bytes_sent, ch.rounds) == (5 * per_ct, 5)
     assert ctx16.counter.delta(before)["mpc_bytes"] == ch.bytes_sent
 
@@ -199,10 +199,9 @@ _rows = st.integers(1, 6).flatmap(
 @given(slots=_rows, length=st.integers(1, 16), prefix=st.integers(0, MASK_BLOCK))
 def test_conversions_spend_per_ciphertext_ops_in_list_order(slots, length, prefix):
     """he_to_shares masks and decrypts each ciphertext in list order under
-    one draw of k*n mask words; shares_to_he draws k*L words at the call
-    and spends no HE op until consumed, then encrypts and unmasks one
-    ciphertext per item, so a consumer's ops interleave with its own.
-    ``prefix`` places the masks anywhere in a block."""
+    one draw of k*n mask words; shares_to_he draws k*L words and encrypts
+    and unmasks each row in row order, all during the call, and returns
+    the list.  ``prefix`` places the masks anywhere in a block."""
     ctx = Context(BackendParams(n_slots=16, plain_modulus=P16), seed=1)
     ch = MpcChannel(P16, seed=2)
     cts = [ctx.encrypt(plaintext(ctx, v)) for v in slots]
@@ -214,13 +213,10 @@ def test_conversions_spend_per_ciphertext_ops_in_list_order(slots, length, prefi
         assert log == [rec for i in range(k) for rec in (("add_plain", (2 * i,)), ("decrypt", (2 * i + 1,)))]
         assert (vals == to_signed(np.array(slots)[:, :length], P16)).all()
         log.clear()
-        produced = shares_to_he(vals, ctx, ch)
-        assert not log and ch.rounds == k
-        back = []
-        for ct in produced:
-            back.append(ct)
-            ctx.rotate(ct, 1)
-    assert [op for op, _ in log] == ["encrypt", "add_plain", "rotate"] * k
+        back = shares_to_he(vals, ctx, ch)
+        # row i encrypted into 2k+i, which is unmasked
+        assert log == [rec for i in range(k) for rec in (("encrypt", ()), ("add_plain", (2 * k + i,)))]
+    assert type(back) is list and len(back) == k
     assert [m.size for m in masks] == [k * 16, k * length]
     assert not np.shares_memory(masks[0], masks[1])
     padded = np.zeros((k, 16), dtype=np.int64)
@@ -516,6 +512,22 @@ def test_causal_weights_of_a_matrix_equal_the_per_row_reference(f, rows, keys, r
     assert (got == want).all()
     assert (causal_attention_weights(scores[-1], row_index + rows - 1, d2, fp) == want[-1]).all()
     assert (fp_softmax(scores[0] >> f, fp) == _ref_softmax(scores[0] >> f, fp)).all()
+    assert (attention_weights(scores[0], d2, fp) == _ref_causal_row(scores[0], keys - 1, d2, fp)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=st.integers(1, 5), data=st.data(), equal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_softmax_rows_up_to_the_planned_length_are_weights(f, data, equal, seed):
+    """A row of L <= 2^(2f) scores, the most ``model.plan`` lets a run
+    score, gives weights in [0, 2^f] that sum to 2^f within L; equal
+    scores make the largest row total."""
+    fp = FixedPointParams(f, P_BIG)
+    L = data.draw(st.integers(1, 1 << (2 * f)))
+    rng = np.random.default_rng(seed)
+    scores = np.full(L, rng.integers(-(1 << 20), 1 << 20)) if equal else rng.integers(-(1 << 20), 1 << 20, L)
+    w = fp_softmax(scores, fp)
+    assert ((w >= 0) & (w <= fp.scale)).all()
+    assert abs(int(w.sum()) - fp.scale) <= L
 
 
 @settings(max_examples=150, deadline=None)

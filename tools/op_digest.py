@@ -1,25 +1,37 @@
 #!/usr/bin/env python3
-"""Fingerprint the homomorphic-operation sequence of one ``generate`` run.
+"""Fingerprint the homomorphic operations of one ``generate`` run, twice.
 
 Every call of the seven counted ``Context`` operations (encrypt, decrypt,
-add, add_plain, mult_plain, mult_cipher, rotate) is recorded as
-(op name, operand ciphertext ids, result id, result noise budget); decrypt
-has no result ciphertext and records ``None`` for both.  Ciphertext ids are
-renumbered in order of first appearance, so the digest does not depend on
-how many contexts the process created before the run.  The sha256 of the
-records is printed next to the tokens, the operation count and the run's
-total MPC bytes (``mpc_bytes`` of the op counter).  A second sha256 covers
-the mask stream: every array ``MpcChannel.sample_mask`` hands out, as int64
-bytes in draw order, with the number of draws and of words.  All of them
-are compared with the values pinned for the shape: the script exits 1
-when any of them differs.  The digest does not cover slot values, so the
-pinned tokens are the check that the values still decode to the same
-generation.
+add, add_plain, mult_plain, mult_cipher, rotate) is recorded.  Two digests
+are computed from the records:
 
-Two changes that keep the digest compute the same operations on the same
-ciphertexts in the same order and spend the same noise, so the digest is
-the check that a performance change moved no operation; the mask stream
-is the check that it moved no mask word.
+* The ordered digest pins the operations and the order they are called
+  in.  It is the sha256 of one record per op, (op name, operand
+  ciphertext ids, result id, result noise budget), in call order; decrypt
+  has no result ciphertext and records ``None`` for both.  Ciphertext ids
+  are renumbered in order of first appearance, so the digest does not
+  depend on how many contexts the process created before the run.
+* The dataflow digest pins the dependency graph of the operations, not
+  their order.  Each result ciphertext gets a label: the sha256 of the op
+  name, its ciphertext operands' labels in operand order, its rotation
+  amount (mod n) or the sha256 of its plaintext operand's slots, and its
+  result noise budget.  A decrypt's label hashes its operand's label.  The
+  digest is the sha256 of all labels, sorted, so every order of the same
+  graph gives the same value.
+
+Both are printed next to the tokens, the operation count and the run's
+total MPC bytes (``mpc_bytes`` of the op counter).  A further sha256
+covers the mask stream: every array ``MpcChannel.sample_mask`` hands out,
+as int64 bytes in draw order, with the number of draws and of words.  All
+of them are compared with the values pinned for the shape: the script
+exits 1 when any of them differs.  Neither op digest covers ciphertext
+slot values, so the pinned tokens are the check that the values still
+decode to the same generation.
+
+A change that keeps the dataflow digest computes the same operations on
+the same operands and spends the same noise; if it moves the ordered
+digest, it only reordered independent operations, and it says why when it
+re-pins it.  The mask stream is the check that it moved no mask word.
 
     python3 tools/op_digest.py --shape decode_long     # n=64, prompt 8, k=144
     python3 tools/op_digest.py --shape refresh_churn   # threshold 170, prompt 32, k=112
@@ -62,19 +74,20 @@ class Shape(NamedTuple):
     threshold: int | None  # refresh threshold in place of the file's
     prompt: tuple
     k: int  # tokens generated
-    # pinned: op sequence sha256, op count, tokens, MPC bytes, and the mask
-    # stream (sha256, draws, words)
+    # pinned: op sequence sha256, op count, tokens, MPC bytes, dataflow
+    # sha256, and the mask stream (sha256, draws, words)
     digest: str
     ops: int
     tokens: list
     mpc_bytes: int
+    dataflow: str
     masks: tuple
 
 
 SHAPES = {
     "decode_long": Shape(
         None, "params_toy.json", None, TOY_PROMPT[:8], 144,
-        "cffddb9c279b3c14c7088ce9939dee4172520dcbb473f6f66211c155132258f1", 743_073,
+        "80668cd81375daccdba9f004c49985f03245b8715df0bf2915c31a27b773bb34", 743_073,
         [
             28, 9, 15, 12, 58, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 26, 63, 34, 58, 27, 27, 27, 15, 12,
             10, 55, 27, 27, 27, 55, 11, 63, 23, 44, 58, 27, 27, 27, 27, 27, 27, 55, 55, 12, 58, 27, 55, 47,
@@ -84,11 +97,12 @@ SHAPES = {
             55, 27, 27, 55, 27, 58, 27, 27, 27, 55, 43, 58, 27, 55, 27, 27, 55, 63, 12, 58, 58, 27, 44, 33,
         ],
         10_841_400,
+        "3c91f930891b2c9faaea2d729a35083554495567e4300831cf7b2bba4835e6e2",
         ("979e79db51392ce4677c9e238979b0174c6712b2c3e2cd8cae360176aa9c47bf", 17_434, 2_015_776),
     ),
     "refresh_churn": Shape(
         None, "params_toy.json", 170, TOY_PROMPT, 112,
-        "6ec7e354cfff2a6955c9653f5e9c62d1df5ba92343feaf713627a4f1ae83642d", 612_129,
+        "61bac2ea9a0c96c3c93853e2b016a89b1570b0bf9bc9a122772a62e2c31fd10e", 612_129,
         [
             55, 27, 27, 27, 27, 55, 11, 63, 29, 56, 60, 44, 9, 46, 12, 14, 49, 60, 26, 12, 58, 27, 55, 47,
             11, 63, 57, 27, 27, 27, 55, 11, 63, 55, 27, 27, 55, 11, 63, 34, 58, 27, 27, 27, 55, 27, 27, 27,
@@ -97,6 +111,7 @@ SHAPES = {
             55, 27, 27, 55, 27, 58, 27, 27, 27, 55, 43, 58, 27, 55, 27, 27,
         ],
         9_014_392,
+        "cbca8767cba682e4abcc1c336dc2c51c93eddcd6da5960c50284e7c7b5100246",
         ("ab8188fa04a847bbc9844f26c7ebda41c0b36cc77de572369ba96f4896704fef", 15_690, 1_520_672),
     ),
     "paper1": Shape(
@@ -104,23 +119,29 @@ SHAPES = {
         "bdc8347c9405b7bdeef13d37d7219c1def127ea777e17a5cecbc904cfdef65c1", 544_491,
         [49, 39],
         602_533_200,
+        "24ddb950f0cf8fd1bbb8787e87daeb1c2b0c3aa5c584a64b9330975516ec94a5",
         ("9602d7fe67228d8cc6ba09533ff17a0ac1070b0a74b76a14f14abbc01c40adae", 8_058, 83_696_672),
     ),
 }
 
 
 class OpDigest:
-    """sha256 over the counted-op records seen while installed."""
+    """The ordered and the dataflow digest of the counted ops seen while
+    installed.  Every ciphertext operand must come from an op seen while
+    installed, as in a run on a fresh context."""
 
     def __init__(self):
         self._hash = hashlib.sha256()
         self._ids: dict[int, int] = {}
+        self._labels: dict[int, bytes] = {}  # ciphertext id -> dataflow label
+        self._nodes: list[bytes] = []  # every op's label, decrypts included
         self.ops = 0
 
     def _rename(self, ct_id: int) -> int:
         return self._ids.setdefault(ct_id, len(self._ids))
 
-    def record(self, op: str, operands, result) -> None:
+    def record(self, op: str, args, result) -> None:
+        operands = args[: CT_OPERANDS[op]]
         ins = tuple(self._rename(ct.id) for ct in operands)
         if op == "decrypt":
             out = (None, None)
@@ -129,8 +150,25 @@ class OpDigest:
         self._hash.update(repr((op, ins) + out).encode() + b"\n")
         self.ops += 1
 
+        node = hashlib.sha256(op.encode())
+        for ct in operands:
+            node.update(self._labels[ct.id])
+        if op == "rotate":
+            node.update(b"by %d" % (args[1] % operands[0].n_slots))
+        elif op in ("encrypt", "add_plain", "mult_plain"):
+            node.update(hashlib.sha256(args[-1].slots).digest())
+        if op != "decrypt":
+            node.update(b"budget %d" % result.noise_budget)
+            self._labels[result.id] = node.digest()
+        self._nodes.append(node.digest())
+
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
+
+    def dataflow_hexdigest(self) -> str:
+        """sha256 of the sorted labels: the same for every order of the
+        same dependency graph."""
+        return hashlib.sha256(b"".join(sorted(self._nodes))).hexdigest()
 
     @contextmanager
     def installed(self, ctx_cls):
@@ -139,9 +177,9 @@ class OpDigest:
         orig = {op: getattr(ctx_cls, op) for op in CT_OPERANDS}
 
         def spy(op, fn):
-            def wrapped(self_, *args, **kwargs):
-                out = fn(self_, *args, **kwargs)
-                self.record(op, args[: CT_OPERANDS[op]], out)
+            def wrapped(self_, *args):
+                out = fn(self_, *args)
+                self.record(op, args, out)
                 return out
 
             return wrapped
@@ -186,8 +224,8 @@ class MaskStream:
 
 
 def digest_run(model, prompt, k: int, params):
-    """(hex digest, tokens, op count, MPC bytes, mask stream fingerprint)
-    of ``generate`` on a fresh Context."""
+    """(ordered digest, tokens, op count, MPC bytes, dataflow digest, mask
+    stream fingerprint) of ``generate`` on a fresh Context."""
     from cryptogen.backend import Context
     from cryptogen.model import generate
     from cryptogen.nonlinear import MpcChannel
@@ -195,12 +233,8 @@ def digest_run(model, prompt, k: int, params):
     spy, masks = OpDigest(), MaskStream()
     with spy.installed(Context), masks.installed(MpcChannel):
         tokens, report = generate(model, prompt, k, Context(params, seed=0), seed=0)
-    return spy.hexdigest(), tokens, spy.ops, report["totals"]["mpc_bytes"], masks.fingerprint()
-
-
-def op_digest(model, prompt, k: int, params):
-    """(hex digest, tokens, op count) of ``generate`` on a fresh Context."""
-    return digest_run(model, prompt, k, params)[:3]
+    mpc_bytes = report["totals"]["mpc_bytes"]
+    return spy.hexdigest(), tokens, spy.ops, mpc_bytes, spy.dataflow_hexdigest(), masks.fingerprint()
 
 
 def main(argv=None) -> int:
@@ -218,20 +252,23 @@ def main(argv=None) -> int:
         params = dataclasses.replace(params, refresh_threshold=shape.threshold)
     config = toy_config() if shape.model is None else ModelConfig(**shape.model)
     model = generate_toy_model(config, seed=0)
-    digest, tokens, ops, mpc_bytes, masks = digest_run(model, list(shape.prompt), shape.k, params)
+    digest, tokens, ops, mpc_bytes, dataflow, masks = digest_run(model, list(shape.prompt), shape.k, params)
     print(f"shape {args.shape}  ops {ops}  mpc_bytes {mpc_bytes}")
     print(f"tokens {tokens}")
     print(f"sha256 {digest}")
+    print(f"dataflow sha256 {dataflow}")
     print(f"mask stream sha256 {masks[0]}  draws {masks[1]}  words {masks[2]}")
     match = (digest, ops) == (shape.digest, shape.ops)
     print(f"matches pinned digest: {'yes' if match else f'no (want {shape.digest}, {shape.ops} ops)'}")
+    same_dataflow = dataflow == shape.dataflow
+    print(f"matches pinned dataflow digest: {'yes' if same_dataflow else f'no (want {shape.dataflow})'}")
     same_tokens = tokens == shape.tokens
     print(f"matches pinned tokens: {'yes' if same_tokens else f'no (want {shape.tokens})'}")
     same_bytes = mpc_bytes == shape.mpc_bytes
     print(f"matches pinned MPC bytes: {'yes' if same_bytes else f'no (want {shape.mpc_bytes})'}")
     same_masks = masks == shape.masks
     print(f"matches pinned mask stream: {'yes' if same_masks else f'no (want {shape.masks})'}")
-    return 0 if match and same_tokens and same_bytes and same_masks else 1
+    return 0 if match and same_dataflow and same_tokens and same_bytes and same_masks else 1
 
 
 if __name__ == "__main__":
