@@ -33,12 +33,14 @@ __all__ = [
     "table2_rows",
     "render_csv",
     "render_markdown",
+    "decode_prefix_independent",
     "validate_against_counts",
 ]
 
 METHODS = ("Gazelle", "IRON", "BOLT", "THOR", "CryptoGen")
 STAGES = ("prefill", "gen", "total")
 REFERENCE_DIMS = {"m": 128, "d1": 768, "d2": 64, "n": 8192, "k": 5}
+HE_COUNTERS = ("mult_plain", "mult_cipher", "rotate", "add", "add_plain", "encrypt", "decrypt")
 
 
 @dataclass(frozen=True)
@@ -240,3 +242,9 @@ def validate_against_counts(report: dict) -> dict:
         law("cache_compaction_law", f"ceil(step/{B})", lambda s: s["cache_auto_cts"] == -(-s["step"] // B)),
     ]
     return {"checks": checks, "passed": all(c["passed"] for c in checks)}
+
+
+def decode_prefix_independent(reports: list) -> bool:
+    """Whether generate reports of one k count the same HE ops at every decode step."""
+    steps = [[{op: s["counters"][op] for op in HE_COUNTERS} for s in r["steps"]] for r in reports]
+    return all(run == steps[0] for run in steps)

@@ -183,7 +183,10 @@ def save_matrix(path, A, p: int) -> None:
 def load_matrix(path) -> tuple[np.ndarray, int]:
     """Read a matrix written by save_matrix; returns (matrix, modulus)."""
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as e:  # missing, a directory, or unreadable
+        raise ParameterError(f"{path}: cannot read the matrix file ({e.strerror})") from e
     if len(raw) < 64:
         raise ParameterError(f"{path}: truncated matrix file")
     magic, m, dcols, p, *_ = struct.unpack("<8Q", raw[:64])

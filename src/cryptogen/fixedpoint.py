@@ -103,6 +103,12 @@ def _softmax_constants(f: int) -> tuple:
 
 
 @functools.cache
+def _gelu_constants(f: int) -> tuple:
+    """fp_gelu's clip and quartic c4, beta, c2', c1 at scale f."""
+    return tuple(_quantize(v, f) for v in (GELU_CLIP, _G_C4, _G_BETA, _G_C2P, _G_C1))
+
+
+@functools.cache
 def _inv_sqrt_width(d2: int, f: int) -> int:
     """The attention rescale 1/sqrt(d2) at scale f."""
     return _quantize(1.0 / math.sqrt(d2), f)
@@ -134,11 +140,7 @@ def fp_gelu(x, fp: FixedPointParams) -> np.ndarray:
     GELU(x) = x + GELU(-x)."""
     f = fp.f
     x = as_int64(x)
-    clip = fp.quantize(GELU_CLIP)
-    c4 = fp.quantize(_G_C4)
-    beta = fp.quantize(_G_BETA)
-    c2p = fp.quantize(_G_C2P)
-    c1 = fp.quantize(_G_C1)
+    clip, c4, beta, c2p, c1 = _gelu_constants(f)
 
     ax = np.minimum(np.abs(x), clip)
     m1 = (ax * ax) >> f

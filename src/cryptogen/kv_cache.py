@@ -8,7 +8,9 @@ ciphertext is opened only every B tokens.
 
 A cache is its four segments: its geometry (d2, B, the prompt length m and
 the generated count t_auto) is read off their encodings, never stored
-beside them.
+beside them.  A snapshot's manifest is the ``_layout`` that d2, m and
+t_auto give, which ``save_cache`` writes and ``load_cache`` requires, plus
+each part's budget.
 
 Noise is handled lazily: before each decode step, any part whose budget has
 fallen to the refresh threshold is re-encrypted by ``nonlinear.refresh``
@@ -27,7 +29,7 @@ import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .backend import Context, ParameterError, SlotCiphertext
+from .backend import BackendParams, Context, ParameterError, SlotCiphertext
 from .encodings import (
     Encoding,
     EncodingKind,
@@ -80,11 +82,6 @@ class KVCache:
         return [(name, getattr(self, name)) for name in SEGMENTS if getattr(self, name) is not None]
 
 
-def _empty_auto(d2: int, B: int) -> PackedMatrix:
-    enc = Encoding(EncodingKind.INNER_COMPACTED, 0, d2, block=B)
-    return PackedMatrix(enc, [])
-
-
 def init_cache(
     K_pref: PackedMatrix | None,
     V_pref: PackedMatrix | None,
@@ -106,8 +103,8 @@ def init_cache(
         d2 = K_pref.cols
     elif d2 is None:
         raise ParameterError("an empty cache needs an explicit d2")
-    B = block_capacity(ctx.params.n_slots, d2)
-    return KVCache(K_pref, V_pref, _empty_auto(d2, B), _empty_auto(d2, B))
+    auto = Encoding(EncodingKind.INNER_COMPACTED, 0, d2, block=block_capacity(ctx.params.n_slots, d2))
+    return KVCache(K_pref, V_pref, PackedMatrix(auto, []), PackedMatrix(auto, []))
 
 
 def _append_one(
@@ -190,11 +187,46 @@ def cache_stats(cache: KVCache) -> dict:
 # ----------------------------------------------------------------------
 
 
+def _layout(d2: int, m: int, t_auto: int, prefill: bool, params: BackendParams) -> dict:
+    """The manifest ``save_cache`` writes, less the budgets, for a cache of
+    width d2, t_auto appended tokens and, when ``prefill``, an m-row
+    prefill: one outer-packed column per prefill part, B rows per auto part."""
+    B = block_capacity(params.n_slots, d2)
+    segments = {name: {"rows": m, "parts": d2} for name in SEGMENTS[:2] if prefill}
+    segments |= {name: {"rows": t_auto, "parts": -(-t_auto // B)} for name in SEGMENTS[2:]}
+    return {
+        "d2": d2,
+        "B": B,
+        "m": m,
+        "t_auto": t_auto,
+        "n_slots": params.n_slots,
+        "p": params.plain_modulus,
+        "segments": segments,
+    }
+
+
+def _check_layout(stored, want, where: str, field: str = "") -> None:
+    """Raise ParameterError naming the first field of ``want``, a JSON
+    object, that ``stored`` lacks or holds another value in.  Keys of
+    ``stored`` that ``want`` lacks are not compared."""
+    if isinstance(want, dict):
+        if not isinstance(stored, dict):
+            raise ParameterError(f"{where} field {field} is not a JSON object")
+        for key, value in want.items():
+            name = f"{field}.{key}" if field else key
+            if key not in stored:
+                raise ParameterError(f"{where} field {name} is missing")
+            _check_layout(stored[key], value, where, name)
+    elif json.dumps(stored) != json.dumps(want):
+        raise ParameterError(f"{where} field {field} is {json.dumps(stored)}, expected {json.dumps(want)}")
+
+
 def save_cache(cache: KVCache, path, ctx: Context) -> None:
-    """Snapshot parts (binary matrix format) plus a JSON manifest.  The
-    slots are written as they are, with no decryption and no op counted; a
-    part of other params, or whose budget has run out, is refused before
-    any file is written."""
+    """Snapshot parts (binary matrix format) plus a JSON manifest, the
+    cache's ``_layout`` with each segment's budgets.  The slots are written
+    as they are, with no decryption and no op counted; a part of other
+    params, or whose budget has run out, is refused before any file is
+    written."""
     for name, seg in cache.segments():
         for i, part in enumerate(seg.parts):
             if part.params != ctx.params:
@@ -203,85 +235,45 @@ def save_cache(cache: KVCache, path, ctx: Context) -> None:
                 raise ParameterError(f"cache {name} part {i} has noise budget {part.noise_budget}, below 1")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "d2": cache.d2,
-        "B": cache.B,
-        "m": cache.m,
-        "t_auto": cache.t_auto,
-        "n_slots": ctx.params.n_slots,
-        "p": ctx.params.plain_modulus,
-        "segments": {},
-    }
+    manifest = _layout(cache.d2, cache.m, cache.t_auto, cache.prefill_K is not None, ctx.params)
     for name, seg in cache.segments():
         for i, part in enumerate(seg.parts):
             save_matrix(path / f"{name}_{i}.bin", part.slots.reshape(1, -1), ctx.params.plain_modulus)
-        manifest["segments"][name] = {
-            "rows": seg.encoding.rows,
-            "parts": len(seg.parts),
-            "budgets": [part.noise_budget for part in seg.parts],
-        }
+        manifest["segments"][name]["budgets"] = [part.noise_budget for part in seg.parts]
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
-def _check_manifest(manifest: dict, ctx: Context) -> None:
-    """Reject a snapshot whose bookkeeping disagrees with the layout that
-    ``append_token`` and the attention kernels assume."""
-
-    def need(d: dict, keys, where: str) -> None:
-        if type(d) is not dict:
-            raise ParameterError(f"cache snapshot {where} is not a JSON object")
-        missing = [k for k in keys if k not in d]
-        if missing:
-            raise ParameterError(f"cache snapshot {where} lacks {missing}")
-
-    need(manifest, ("d2", "B", "m", "t_auto", "n_slots", "p", "segments"), "manifest")
-    if manifest["n_slots"] != ctx.params.n_slots or manifest["p"] != ctx.params.plain_modulus:
-        raise ParameterError("cache snapshot was taken under different parameters")
-    d2, B, m, t_auto = (manifest[k] for k in ("d2", "B", "m", "t_auto"))
-    if any(type(v) is not int for v in (d2, B, m, t_auto)):
-        raise ParameterError(f"cache snapshot d2, B, m and t_auto {(d2, B, m, t_auto)} are not all integers")
-    if B != block_capacity(ctx.params.n_slots, d2):
-        raise ParameterError(
-            f"cache snapshot block capacity {B} is not {ctx.params.n_slots}/{d2}"
-        )
-    segments = manifest["segments"]
-    need(segments, ("auto_K", "auto_V"), "segments")
-    prefill = [name for name in ("prefill_K", "prefill_V") if name in segments]
-    if len(prefill) == 1 or (not prefill and m != 0):
-        raise ParameterError(f"cache snapshot has prefill segments {prefill} but m={m}")
-    for name in prefill + ["auto_K", "auto_V"]:
-        meta = segments[name]
-        need(meta, ("rows", "parts", "budgets"), name)
-        # prefill: one outer-packed column per part; auto: B rows per part
-        rows, parts = (m, d2) if name in prefill else (t_auto, -(-t_auto // B))
-        if type(meta["budgets"]) is not list:
-            raise ParameterError(f"cache snapshot {name} budgets is not a list")
-        got = (meta["rows"], meta["parts"], len(meta["budgets"]))
-        if got != (rows, parts, parts):
-            raise ParameterError(
-                f"cache snapshot {name} has (rows, parts, budgets) {got}, "
-                f"expected {(rows, parts, parts)}"
-            )
-        # save_cache refuses a part whose budget is below 1
-        top = ctx.params.initial_noise_budget
-        bad = [b for b in meta["budgets"] if type(b) is not int or not 1 <= b <= top]
-        if bad:
-            raise ParameterError(f"cache snapshot {name} has budgets {bad} outside [1, {top}]")
-
-
 def load_cache(path, ctx: Context) -> KVCache:
-    """Restore a snapshot written by ``save_cache``.  A missing manifest,
-    one that is not JSON or does not match its own layout, or a part file
-    that is not one row of n words in [0, p) under the context's p, raises
-    ParameterError before any ciphertext is issued.  Keys it does not read,
-    such as the refresh records older snapshots carry, are ignored."""
+    """Restore a snapshot written by ``save_cache``: its manifest must be the
+    ``_layout`` of its own d2, m and t_auto (integers >= 0) with a budget in
+    [1, initial budget] per part, and each part file one row of n words in
+    [0, p), or ParameterError is raised before any ciphertext is issued.
+    Keys the layout does not name, such as the refresh records older
+    snapshots carry, are ignored."""
     path = Path(path)
     try:
         manifest = json.loads((path / "manifest.json").read_text())
     except (OSError, ValueError) as e:  # no manifest, or one that is not JSON
         raise ParameterError(f"{path}: no readable manifest.json ({e})") from e
-    _check_manifest(manifest, ctx)
-    d2, B, segments = manifest["d2"], manifest["B"], manifest["segments"]
+    if type(manifest) is not dict:
+        raise ParameterError(f"{path}: cache snapshot manifest is not a JSON object")
+    d2, m, t_auto = geometry = [manifest.get(k) for k in ("d2", "m", "t_auto")]
+    if any(type(v) is not int or v < 0 for v in geometry):
+        raise ParameterError(f"{path}: cache snapshot d2, m and t_auto {geometry} are not all integers >= 0")
+    segments = manifest.get("segments")
+    # a prefill segment may hold no rows; either one present needs both
+    prefill = m > 0 or isinstance(segments, dict) and not segments.keys().isdisjoint(SEGMENTS[:2])
+    layout = _layout(d2, m, t_auto, prefill, ctx.params)
+    _check_layout(manifest, layout, f"{path}: cache snapshot")
+    top = ctx.params.initial_noise_budget
+    for name, meta in layout["segments"].items():
+        budgets = segments[name].get("budgets")
+        if type(budgets) is not list or len(budgets) != meta["parts"] or not all(
+            type(b) is int and 1 <= b <= top for b in budgets
+        ):
+            raise ParameterError(
+                f"{path}: cache snapshot {name} budgets {budgets} are not {meta['parts']} integers in [1, {top}]"
+            )
     n, p = ctx.params.n_slots, ctx.params.plain_modulus
 
     def read(name: str, i: int):
@@ -294,12 +286,10 @@ def load_cache(path, ctx: Context) -> KVCache:
             )
         return vals[0]
 
-    present = [name for name in SEGMENTS if name in segments]
-    slots = {name: [read(name, i) for i in range(segments[name]["parts"])] for name in present}
-    kinds = {"prefill": (EncodingKind.OUTER, None), "auto": (EncodingKind.INNER_COMPACTED, B)}
+    slots = {name: [read(name, i) for i in range(meta["parts"])] for name, meta in layout["segments"].items()}
+    auto = Encoding(EncodingKind.INNER_COMPACTED, t_auto, d2, block=layout["B"])
     loaded = dict.fromkeys(SEGMENTS)
     for name, vals in slots.items():
-        meta, (kind, block) = segments[name], kinds[name.split("_")[0]]
-        parts = [ctx.load_ciphertext(v, budget) for v, budget in zip(vals, meta["budgets"])]
-        loaded[name] = PackedMatrix(Encoding(kind, meta["rows"], d2, block=block), parts)
+        enc = auto if name in SEGMENTS[2:] else Encoding(EncodingKind.OUTER, m, d2)
+        loaded[name] = PackedMatrix(enc, [ctx.load_ciphertext(v, b) for v, b in zip(vals, segments[name]["budgets"])])
     return KVCache(**loaded)

@@ -11,7 +11,9 @@ encrypted pipeline and the oracle share the arithmetic in ``fixedpoint``
 (one implementation of truncation, GELU, softmax, layernorm), which is what
 makes token-exact equivalence checkable.
 
-Decoding is greedy; the argmax runs client-side on decrypted logits.
+Decoding is greedy; the argmax runs client-side on decrypted logits.  A
+model directory's manifest is the config and its ``_weight_table``, which
+``save_model`` writes and ``load_model`` requires.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .fixedpoint import (
     fp_truncate,
     to_signed,
 )
-from .kv_cache import append_token, cache_stats, init_cache, maybe_refresh
+from .kv_cache import _check_layout, append_token, cache_stats, init_cache, maybe_refresh
 from .linear_kernels import CpvmPlaintexts, cpmm_outer_diagonal, cpvm_inner_diagonal, cpvm_plaintexts
 from .nonlinear import MpcChannel, he_to_shares, shares_to_he, truncate
 
@@ -174,60 +176,47 @@ def generate_toy_model(config: ModelConfig, seed: int = 0) -> Model:
     )
 
 
+def _weight_table(c: ModelConfig) -> dict:
+    """The weights of a model directory's manifest: every weight's file,
+    a bare name in the directory, and shape."""
+    return {
+        name: {"file": name.replace(".", "_") + ".bin", "shape": list(shape)}
+        for name, (shape, _, _) in _weight_spec(c).items()
+    }
+
+
 def save_model(model: Model, path) -> None:
-    """Manifest JSON plus one binary matrix file per weight (p=0 marks
-    signed fixed-point payloads)."""
+    """Manifest JSON (the config and its ``_weight_table``) plus one binary
+    matrix file per weight (p=0 marks signed fixed-point payloads)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    files = {}
-    for name, mat in model.weights.items():
-        fname = name.replace(".", "_") + ".bin"
-        arr = mat if mat.ndim == 2 else mat.reshape(1, -1)
-        save_matrix(path / fname, arr, p=0)
-        files[name] = {"file": fname, "shape": list(mat.shape)}
-    manifest = {"config": model.config.as_dict(), "weights": files}
+    table = _weight_table(model.config)
+    for name, entry in table.items():
+        W = model.weights[name]
+        save_matrix(path / entry["file"], W.reshape(-1, W.shape[-1]), p=0)
+    manifest = {"config": model.config.as_dict(), "weights": table}
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def load_model(path) -> Model:
-    """Load and schema-check a saved model directory.  Every weight file
-    must be named by a bare file name, so only files in the directory are
-    read, and every entry is checked before the first is read."""
+    """Load a saved model directory.  Its manifest's weights must be the
+    ``_weight_table`` of its config, checked before any weight file is
+    read, so only files in the directory are read; each file must then
+    hold its weight's words."""
     path = Path(path)
-    manifest_file = path / "manifest.json"
-    if not manifest_file.exists():
-        raise ParameterError(f"{path}: no manifest.json")
     try:
-        manifest = json.loads(manifest_file.read_text())
+        manifest = json.loads((path / "manifest.json").read_text())
         config = ModelConfig(**manifest["config"])
-        entries = manifest["weights"]
-        if not isinstance(entries, dict):
-            raise TypeError("weights is not an object")
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParameterError(f"{path}: malformed manifest ({e})") from e
-
-    spec = _weight_spec(config)
-    if set(entries) != set(spec):
-        raise ParameterError(
-            f"{path}: weight set mismatch (missing {sorted(set(spec) - set(entries))[:3]}...)"
-        )
-
-    for name, meta in entries.items():
-        file, shape = (meta.get("file"), meta.get("shape")) if isinstance(meta, dict) else (None, None)
-        if not (isinstance(file, str) and isinstance(shape, list)):
-            raise ParameterError(f"{path}: weight entry {name} is not an object with a file and a shape")
-        if file in ("", "..") or Path(file).name != file:
-            raise ParameterError(f"{path}: weight {name}'s file {file!r} is not a file name in the model directory")
-
+    except (OSError, KeyError, TypeError, ValueError) as e:  # no manifest, not JSON, or no config
+        raise ParameterError(f"{path}: no readable manifest.json with a config ({e!r})") from e
+    table = _weight_table(config)
+    _check_layout(manifest, {"weights": table}, f"{path}: manifest")
     weights = {}
-    for name, meta in entries.items():
-        file, shape = meta["file"], meta["shape"]
-        mat, _ = load_matrix(path / file)
-        shape = tuple(shape)
-        if shape != spec[name][0]:
-            raise ParameterError(f"{path}: {name} has shape {shape}, expected {spec[name][0]}")
+    for name, entry in table.items():
+        file, shape = path / entry["file"], tuple(entry["shape"])
+        mat, _ = load_matrix(file)
         if mat.size != np.prod(shape):
-            raise ParameterError(f"{path / file}: {mat.size} words do not fill {name}'s shape {shape}")
+            raise ParameterError(f"{file}: {mat.size} words do not fill {name}'s shape {shape}")
         weights[name] = mat.reshape(shape)
     return Model(config, weights)
 
@@ -313,8 +302,7 @@ def oracle_generate(model: Model, prompt: list, k: int, p: int) -> list:
     """Greedy generation in plain fixed-point arithmetic; ground truth for
     every equivalence test."""
     c = model.config
-    _check_length(c, len(prompt), k)
-    fp = FixedPointParams(c.f, p)
+    fp = _check_arithmetic(c, p, len(prompt), k)
     caches = [[_OracleCache() for _ in range(c.heads)] for _ in range(c.layers)]
 
     X = np.stack([_embed(model, t, i) for i, t in enumerate(prompt)])
@@ -462,20 +450,27 @@ def _check_length(c: ModelConfig, m: int, k: int) -> None:
         raise ParameterError("prompt + generation exceeds max_seq")
 
 
-def plan(c: ModelConfig, params: BackendParams, m: int, k: int) -> FixedPointParams:
-    """Checks, before any op, every setup rule of a run with an m-token prompt
-    and k decode steps: the length rule, product headroom, softmax rows of at
-    most 2^(2f) keys (the Newton reciprocal's range), a head width the cache
-    blocks tile, and no packed row or column, nor a CPVM over one (the decode
-    FFN's when k >= 1), wider than n.  Returns the run's FixedPointParams."""
+def _check_arithmetic(c: ModelConfig, p: int, m: int, k: int) -> FixedPointParams:
+    """The rules of a run with an m-token prompt and k decode steps that no
+    slot count enters: the length rule, product headroom under modulus p and
+    softmax rows of at most 2^(2f) keys.  Returns the run's FixedPointParams."""
     _check_length(c, m, k)
-    fp = FixedPointParams(c.f, params.plain_modulus)
+    fp = FixedPointParams(c.f, p)
     keys = 1 << 2 * c.f
     if m + k > keys:
         raise ParameterError(
             f"softmax rows of m + k = {m + k} keys exceed 2^(2f) = {keys} at f = {c.f}, "
             "the row length the Newton reciprocal is exact for"
         )
+    return fp
+
+
+def plan(c: ModelConfig, params: BackendParams, m: int, k: int) -> FixedPointParams:
+    """Checks, before any op, every setup rule of a run with an m-token prompt
+    and k decode steps: ``_check_arithmetic``'s, a head width the cache blocks
+    tile, and no packed row or column, nor a CPVM over one (the decode FFN's
+    when k >= 1), wider than n.  Returns the run's FixedPointParams."""
+    fp = _check_arithmetic(c, params.plain_modulus, m, k)
     n = params.n_slots
     block_capacity(n, c.d2)
     for name, width in (("prefix", m), ("d1", c.d1), ("vocab", c.vocab), ("ffn_dim", c.ffn_dim if k else 0)):

@@ -71,6 +71,25 @@ def test_no_regression_rule_is_the_bound_on_the_parent_median():
     assert not rows["ops"]["no_regression"]
 
 
+def test_no_regression_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # parent step_ms IQR 4.5 over a median of 14.5 (31%) against a 25% bound
+    parent = [_run(10 + i, 100, 500) for i in range(10)]
+    same = [_run(10 + i, 100, 500) for i in reversed(range(10))]
+    worse = [_run(11 + i, 100, 500) for i in range(10)]
+    better = [_run(9.5 - 0.1 * i, 100, 500) for i in range(10)]  # each run below the parent's 10
+    for change, resolved in ((same, False), (worse, False), (better, True)):
+        rows = _rows(parent, change)
+        assert rows["step_ms"]["resolved"] is resolved
+        assert rows["tokens_per_s"]["resolved"] and rows["ops"]["resolved"]  # no spread
+        verdict = bench_pairs.format_table("w", list(rows.values())).splitlines()[4].split("|")[-2].strip()
+        assert verdict == ("yes" if resolved else "unresolved")
+    # a spread inside the bound is resolved either way
+    narrow = [_run(14 + 0.1 * i, 100, 500) for i in range(10)]  # IQR 0.45 over 14.45
+    assert _rows(narrow, worse)["step_ms"]["resolved"]
+    table = bench_pairs.format_table("w", bench_pairs.summarize(narrow, [_run(20, 100, 500)] * 10, END_TO_END))
+    assert table.splitlines()[4].endswith("| NO |")
+
+
 def test_incorrect_or_failed_runs_are_reported():
     good = _run(10, 100, 500)
     runs = {

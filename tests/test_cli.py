@@ -175,6 +175,26 @@ def test_bench_exits_1_when_a_law_fails(tmp_path, monkeypatch, capsys, sweep):
         assert checks["cache_compaction_law"]["passed"]
 
 
+def test_bench_sweep_exits_1_when_one_decode_count_moves_with_m(tmp_path, monkeypatch, capsys):
+    """Decode cost constant in m means every HE counter at every step: an
+    m=32 run whose step 2 has one rotation more fails the sweep, though
+    each run's own laws hold."""
+    from cryptogen import cli
+
+    def generate_one_extra_rotation(model, prompt, *args, **kwargs):
+        tokens, report = cli_generate(model, prompt, *args, **kwargs)
+        if len(prompt) == 32:
+            report["steps"][1]["counters"]["rotate"] += 1
+        return tokens, report
+
+    cli_generate = cli.generate
+    monkeypatch.setattr(cli, "generate", generate_one_extra_rotation)
+    assert cli.main(["bench", "--sweep", "--prefill", "2", "--gen", "2", "--out", str(tmp_path / "b")]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["decode_cost_constant_in_m"] is False
+    assert all(run["laws_hold"] for run in [*summary["k_sweep"].values(), *summary["m_sweep"].values()])
+
+
 def test_unknown_log_level_is_a_usage_error(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "cryptogen", "costs", "--out", str(tmp_path / "c")],

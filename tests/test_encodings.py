@@ -149,6 +149,11 @@ def test_matrix_file_errors(tmp_path):
     wrong_magic.write_bytes(b"\x01" * 64)
     with pytest.raises(ParameterError):
         load_matrix(wrong_magic)
+    # a file that cannot be read is refused the same way, naming it
+    (tmp_path / "dir.bin").mkdir()
+    for unreadable in ("missing.bin", "dir.bin"):
+        with pytest.raises(ParameterError, match=f"{unreadable}: cannot read the matrix file"):
+            load_matrix(tmp_path / unreadable)
 
 
 def test_next_pow2():

@@ -329,7 +329,7 @@ def test_cache_checkpoint_roundtrip(tmp_path, rng):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda m: m.update(B=4), r"block capacity 4 is not 64/8$"),
+        (lambda m: m.update(B=4), r"field B is 4, expected 8$"),
         (lambda m: m.pop("d2"), None),
         (lambda m: m["segments"].pop("auto_V"), None),
         (lambda m: m["segments"]["auto_K"].pop("rows"), None),
@@ -493,6 +493,20 @@ def test_load_cache_rejects_a_tampered_part_file(tmp_path, tamper):
     save_matrix(file, *tamper(cache.auto_V.parts[0].slots, p))
     probe = ctx.load_ciphertext(np.zeros(64, dtype=np.int64), 1).id
     with pytest.raises(ParameterError, match=r"auto_V_0\.bin: expected one row of 64 words in \[0, "):
+        load_cache(tmp_path, ctx)
+    assert ctx.load_ciphertext(np.zeros(64, dtype=np.int64), 1).id == probe + 1
+
+
+@pytest.mark.parametrize(
+    "damage", [lambda f: f.unlink(), lambda f: f.unlink() or f.mkdir()], ids=["missing", "directory"]
+)
+def test_load_cache_refuses_an_unreadable_part_file(tmp_path, damage):
+    """A part file that is gone, or is a directory, is refused naming the
+    file, like a malformed one, before any ciphertext is issued."""
+    ctx, _ = _snapshot(tmp_path)
+    damage(tmp_path / "auto_K_0.bin")
+    probe = ctx.load_ciphertext(np.zeros(64, dtype=np.int64), 1).id
+    with pytest.raises(ParameterError, match=r"auto_K_0\.bin: cannot read the matrix file"):
         load_cache(tmp_path, ctx)
     assert ctx.load_ciphertext(np.zeros(64, dtype=np.int64), 1).id == probe + 1
 

@@ -102,6 +102,9 @@ def test_load_model_schema_errors(tmp_path, toy):
     (tmp_path / "m3" / "unembed.bin").write_bytes(b"\x00" * 80)
     with pytest.raises(ParameterError):
         load_model(tmp_path / "m3")
+    (tmp_path / "m3" / "unembed.bin").unlink()
+    with pytest.raises(ParameterError, match=r"unembed\.bin: cannot read the matrix file"):
+        load_model(tmp_path / "m3")
 
 
 @pytest.mark.parametrize("outside", ["../b/unembed.bin", "absolute"])
@@ -116,7 +119,7 @@ def test_load_model_reads_only_files_in_its_directory(tmp_path, toy, outside, mo
     (tmp_path / "a" / "manifest.json").write_text(json.dumps(manifest))
     read = []
     monkeypatch.setattr(model_mod, "load_matrix", lambda path: read.append(path))
-    with pytest.raises(ParameterError, match=f"weight unembed's file {re.escape(repr(file))} is not a file name"):
+    with pytest.raises(ParameterError, match=re.escape(f'field weights.unembed.file is "{file}", expected "unembed.bin"')):
         load_model(tmp_path / "a")
     assert not read
 
@@ -534,6 +537,11 @@ def _narrow(**dims):
     return generate_toy_model(ModelConfig(**{**base, **dims}), seed=0)
 
 
+def _oracle(model, prompt, k, ctx):
+    """oracle_generate under the context's modulus, called as a pipeline run is."""
+    return oracle_generate(model, prompt, k, ctx.params.plain_modulus)
+
+
 @pytest.mark.parametrize(
     "dims, n, run, prompt, k, message",
     [
@@ -549,13 +557,14 @@ def _narrow(**dims):
         # -3,367 each); the stateless baseline's last prefill spans m + k - 1
         (dict(f=1), 64, generate, [1, 2, 3], 2, re.escape("m + k = 5 keys exceed 2^(2f) = 4 at f = 1")),
         (dict(f=2, max_seq=48), 64, generate, list(range(8)), 40, re.escape("m + k = 48 keys exceed 2^(2f) = 16")),
+        (dict(f=2, max_seq=48), 64, _oracle, list(range(8)), 40, re.escape("m + k = 48 keys exceed 2^(2f) = 16")),
         (dict(f=2), 64, bolt_reference_generate, list(range(8)), 10, re.escape("m + k = 17 keys exceed 2^(2f) = 16")),
         (dict(f=3, max_seq=65), 64, generate, [1] * 65, 0, re.escape("m + k = 65 keys exceed 2^(2f) = 64 at f = 3")),
         (dict(f=5, max_seq=1025), 64, generate, [1] * 1025, 0, re.escape("m + k = 1025 keys exceed 2^(2f) = 1024")),
     ],
     ids=[
         "vocab", "vocab_bolt", "vocab_bolt_k0", "d1", "d1_bolt", "ffn", "bolt_prefix",
-        "softmax_f1", "softmax_f2", "softmax_f2_bolt", "softmax_f3_prompt", "softmax_f5_prompt",
+        "softmax_f1", "softmax_f2", "softmax_f2_oracle", "softmax_f2_bolt", "softmax_f3_prompt", "softmax_f5_prompt",
     ],
 )
 def test_width_wider_than_n_is_refused_before_any_op(dims, n, run, prompt, k, message, monkeypatch):

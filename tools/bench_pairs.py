@@ -23,7 +23,10 @@ change wins at least nine pairs in ten and its median differs from the
 parent's by more than the parent's interquartile range) and whether the
 no-regression rule holds (the change's median is not worse than the
 parent's by more than the metric's ``bound``, a fraction of the parent's
-median).  A run that reports ``correct: false`` or ``failed > 0``, or
+median).  Where the parent's interquartile range is wider than that
+bound, the runs spread too widely to tell, and the no-regression column
+reads ``unresolved`` unless every change run is better than every parent
+run.  A run that reports ``correct: false`` or ``failed > 0``, or
 that gives no result, is printed instead of its workload's table, and
 the tool exits 1.
 """
@@ -107,7 +110,8 @@ def _quartiles(values) -> tuple:
 def summarize(parent_runs: list, change_runs: list, end_to_end: list) -> list:
     """One row per end-to-end metric over paired runs (pair i is
     ``parent_runs[i]`` and ``change_runs[i]``): each side's median and
-    quartiles, the change in %, the pairs won and the two rules."""
+    quartiles, the change in %, the pairs won, the two rules and whether
+    the no-regression rule is resolved."""
     rows = []
     for m in end_to_end:
         name, lower = m["name"], m["better"] == "lower"
@@ -117,6 +121,7 @@ def summarize(parent_runs: list, change_runs: list, end_to_end: list) -> list:
         wins = sum(cv < pv if lower else cv > pv for pv, cv in zip(p, c))
         improved = cm < pm if lower else cm > pm
         limit = pm * (1 + m["bound"]) if lower else pm * (1 - m["bound"])
+        all_better = max(c) < min(p) if lower else min(c) > max(p)
         rows.append({
             "metric": name,
             "unit": m["unit"],
@@ -127,6 +132,7 @@ def summarize(parent_runs: list, change_runs: list, end_to_end: list) -> list:
             "pairs": len(p),
             "gain": improved and 10 * wins >= 9 * len(p) and abs(cm - pm) > pq3 - pq1,
             "no_regression": cm <= limit if lower else cm >= limit,
+            "resolved": pq3 - pq1 <= m["bound"] * abs(pm) or all_better,
         })
     return rows
 
@@ -146,10 +152,11 @@ def format_table(workload: str, rows: list) -> str:
     ]
     for r in rows:
         pct = "n/a" if r["pct"] is None else f"{r['pct']:+.1f}%"
+        verdict = ("yes" if r["no_regression"] else "NO") if r["resolved"] else "unresolved"
         out.append(
             f"| `{r['metric']}` ({r['unit']}) | {cell(r['parent'])} | {cell(r['change'])} | {pct} "
             f"| {r['wins']}/{r['pairs']} | {'yes' if r['gain'] else 'no'} "
-            f"| {'yes' if r['no_regression'] else 'NO'} |"
+            f"| {verdict} |"
         )
     return "\n".join(out)
 
