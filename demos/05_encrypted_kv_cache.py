@@ -44,7 +44,7 @@ ch = MpcChannel(p, seed=0)
 cache = init_cache(None, None, ctx, d2=d2)
 print(f"\nstress run (add costs 15 bits, threshold {stress.refresh_threshold}); refresh records:")
 for t in range(10):
-    cache = maybe_refresh(cache, ctx, ch)
+    (cache,) = maybe_refresh([(cache, ch)], ctx)
     tok = ctx.encrypt(ctx.plains([np.full(d2, t + 1)])[0])
     cache = append_token(cache, tok, tok, ctx)
     budgets = [part.noise_budget for part in cache.auto_K.parts]

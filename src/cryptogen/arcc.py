@@ -21,20 +21,23 @@ Slot reductions and broadcasts inside the decode path always run at full
 slot width so per-step rotation counts do not depend on the prefill length.
 
 Softmax, the 1/sqrt(d2) scaling, and the causal mask all run in the
-MPC-emulation domain as one ``nonlinear.attention_softmax`` call per
-attention, which charges its rounds; score segments are concatenated in
-that domain as well (client-side reassembly), never by ciphertext slot
-surgery.
+MPC-emulation domain, which charges their rounds: one
+``nonlinear.attention_softmax`` call per head on the prompt pass, and per
+decode step one for all heads of a layer, whose every share-domain stage
+is one grouped call of head-channel groups.  Score segments are
+concatenated in that domain (client-side reassembly), never by ciphertext
+slot surgery.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
 from .backend import Context, ParameterError, SlotCiphertext
 from .encodings import EncodingKind, PackedMatrix, next_pow2, tile_token
 from .fixedpoint import FixedPointParams
-from .kv_cache import KVCache
 from .linear_kernels import fold_sum
 from .nonlinear import MpcChannel, attention_softmax, he_to_shares, shares_to_he, truncate
 
@@ -120,12 +123,13 @@ def prefill_attention(
     ctx: Context,
     mpc: MpcChannel,
 ) -> PackedMatrix:
-    """Batched attention over outer-packed projections.
+    """Batched attention of one head over outer-packed projections.
 
     Score diagonals come from outer-outer CTxCT products against rotated
-    key columns; softmax (with the additive causal mask) runs on shares;
-    the weight rows return encrypted and aggregate the values with
-    dot-product reductions.  Output is outer-packed at scale f.
+    key columns and go to the share domain in one grouped conversion;
+    softmax (with the additive causal mask) runs on shares; the weight
+    rows return encrypted and aggregate the values with dot-product
+    reductions.  Output is outer-packed at scale f.
     """
     for name, P in (("Q", Q), ("K", K), ("V", V)):
         if P.encoding.kind is not EncodingKind.OUTER:
@@ -139,72 +143,68 @@ def prefill_attention(
     # each key column tiled to period w, so rotations stay inside a period
     k_cols = [tile_token(col, w, n // w, ctx) for col in K.parts]
 
-    # client role: diagonal r holds score (i, (i + r) mod w) at slot i
-    diagonals = []
-    for r in range(w):
-        acc = ctx.sum(
-            ctx.mult_cipher(Q.parts[c], ctx.rotate(k_cols[c], r) if r else k_cols[c])
-            for c in range(d2)
-        )
-        diagonals.append(he_to_shares([acc], ctx, mpc, m)[0])
+    # client role: diagonal r, one group, holds score (i, (i + r) mod w) at slot i
+    diagonals = [
+        ctx.sum(ctx.mult_cipher(Q.parts[c], ctx.rotate(k_cols[c], r) if r else k_cols[c]) for c in range(d2))
+        for r in range(w)
+    ]
     # scattered in one assignment; columns m..w-1 hold the wrapped padding
     S = np.empty((m, w), dtype=np.int64)
     rows = np.arange(m)
-    S[rows, (rows + np.arange(w)[:, None]) % w] = diagonals
+    S[rows, (rows + np.arange(w)[:, None]) % w] = he_to_shares([([acc], mpc) for acc in diagonals], ctx, m)
 
-    A = attention_softmax(S[:, :m], d2, fp, ctx, mpc)
-    a_rows = shares_to_he(A, ctx, mpc)
-
-    # each output column is rescaled before the next one is summed
-    cols = (ctx.sum(_dot_into_slot(a_rows[i], V.parts[c], i, ctx) for i in range(m)) for c in range(d2))
-    return PackedMatrix(Q.encoding, truncate(cols, m, fp, ctx, mpc))
+    A = attention_softmax([(S[:, :m], mpc)], 0, d2, fp, ctx)
+    a_rows = shares_to_he([(A, mpc)], ctx)
+    cols = [ctx.sum(_dot_into_slot(a_rows[i], V.parts[c], i, ctx) for i in range(m)) for c in range(d2)]
+    return PackedMatrix(Q.encoding, truncate([(cols, mpc)], m, fp, ctx))
 
 
-def attention_step(
-    q: SlotCiphertext,
-    cache: KVCache,
-    fp: FixedPointParams,
-    ctx: Context,
-    mpc: MpcChannel,
-) -> SlotCiphertext:
-    """One decode-step attention over the heterogeneous cache.
+def attention_step(qs: list, caches: list, fp: FixedPointParams, ctx: Context, chans: list) -> list:
+    """One decode-step attention for a layer's heads: query qs[i] over
+    caches[i] (all of one m, t_auto and d2) on channel chans[i].
 
-    Prefill scores via inner-inner broadcasts, generated scores via
-    inner-outer folding; segments concatenate in the share domain, softmax
-    runs there, and the weights return split per segment for value
-    aggregation.  Output is inner-packed, length d2, scale f.
-    """
-    m, t, d2 = cache.m, cache.t_auto, cache.d2
+    Prefill scores via inner-inner broadcasts and generated scores via
+    inner-outer folding for every head, then one conversion of them all (a
+    head's two segments are two groups on its channel), one heads x (m + t)
+    softmax, one conversion of all prefill weights and value coefficients,
+    value aggregation and one truncate: one inner-packed ciphertext per
+    head, length d2, scale f."""
+    m, t, d2 = caches[0].m, caches[0].t_auto, caches[0].d2
     n = ctx.params.n_slots
+    if any((kv.m, kv.t_auto, kv.d2) != (m, t, d2) for kv in caches):
+        raise ParameterError("the heads' caches disagree on m, t_auto or d2")
     if m + t == 0:
         raise ParameterError("attention over an empty cache")
 
-    pieces = []
-    if m > 0:
-        scores = arcc_inner_inner(q, cache.prefill_K, ctx)
-        pieces.append(he_to_shares([scores], ctx, mpc, m)[0])
-    if t > 0:
-        # B * d2 = n: generated score r sits at slot r*d2 of the parts laid
-        # end to end
-        scores = arcc_inner_outer(q, cache.auto_K, ctx)
-        pieces.append(he_to_shares(scores, ctx, mpc).reshape(-1)[: t * d2 : d2])
-    a = attention_softmax(np.concatenate(pieces), d2, fp, ctx, mpc)
+    groups = []
+    for q, kv, ch in zip(qs, caches, chans):
+        if m > 0:
+            groups.append(([arcc_inner_inner(q, kv.prefill_K, ctx)], ch))
+        if t > 0:
+            groups.append((arcc_inner_outer(q, kv.auto_K, ctx), ch))
+    # a head's row: its prefill scores in slots 0..m-1 of its first n, then,
+    # as B * d2 = n, generated score r at slot r*d2 of its parts laid end to end
+    V = he_to_shares(groups, ctx).reshape(len(qs), -1)
+    S = np.concatenate((V[:, :m], V[:, n if m else 0 :][:, : t * d2 : d2]), axis=1)
+    A = attention_softmax([(S[i : i + 1], ch) for i, ch in enumerate(chans)], m + t - 1, d2, fp, ctx)
 
-    halves = []
-    if m > 0:
-        (a_pref,) = shares_to_he(a[None, :m], ctx, mpc)
-        halves.append(
-            ctx.sum(
-                _dot_into_slot(a_pref, cache.prefill_V.parts[c], c, ctx)
-                for c in range(d2)
-            )
-        )
-    if t > 0:
-        # B * d2 = n: generated weight r covers slots r*d2.. of the whole
-        # segment, so row q of `coeffs` is the coefficient vector of part q
-        parts = cache.auto_V.parts
-        coeffs = np.zeros(len(parts) * n, dtype=np.int64)
-        coeffs[: t * d2] = np.repeat(a[m:], d2)
-        acc = ctx.sum(map(ctx.mult_cipher, shares_to_he(coeffs.reshape(-1, n), ctx, mpc), parts))
-        halves.append(ctx.fold(acc, d2, n))
-    return truncate([ctx.sum(halves)], d2, fp, ctx, mpc)[0]
+    # generated weight r covers slots r*d2.. of the segment, so row q of a
+    # head's coefficients is the coefficient vector of its part q
+    P = len(caches[0].auto_V.parts)
+    coeffs = np.zeros((len(qs), P * n), dtype=np.int64)
+    coeffs[:, : t * d2] = np.repeat(A[:, m:], d2, axis=1)
+    # a head's prefill weights, then its coefficients; an empty segment drops out
+    groups = [(r, ch) for a, c, ch in zip(A, coeffs, chans) for r in (a[None, :m], c.reshape(P, n)) if r.size]
+    weights = iter(shares_to_he(groups, ctx))
+
+    outs = []
+    for kv in caches:
+        halves = []
+        if m > 0:
+            a_pref = next(weights)
+            halves.append(ctx.sum(_dot_into_slot(a_pref, kv.prefill_V.parts[c], c, ctx) for c in range(d2)))
+        if t > 0:
+            acc = ctx.sum(map(ctx.mult_cipher, islice(weights, P), kv.auto_V.parts))
+            halves.append(ctx.fold(acc, d2, n))
+        outs.append(ctx.sum(halves))
+    return truncate([([o], ch) for o, ch in zip(outs, chans)], d2, fp, ctx)

@@ -113,7 +113,8 @@ def run_verification(model, params: BackendParams, seed: int) -> dict:
     ctx = Context(params, seed=seed)
     state = prefill(model, prompt, ctx)
     ch = MpcChannel(p, seed)
-    refreshed = [[maybe_refresh(cache, ctx, ch, force=True) for cache in row] for row in state.caches]
+    fresh = maybe_refresh([(cache, ch) for row in state.caches for cache in row], ctx, force=True)
+    refreshed = [fresh[i : i + cfg.heads] for i in range(0, len(fresh), cfg.heads)]
     _, base = decode_step(model, state, ctx)
     _, fresh = decode_step(model, replace(state, caches=refreshed), ctx)
     t1, t2 = (int(np.argmax(s.next_logits)) for s in (base, fresh))

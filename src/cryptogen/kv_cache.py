@@ -12,12 +12,12 @@ beside them.  A snapshot's manifest is the ``_layout`` that d2, m and
 t_auto give, which ``save_cache`` writes and ``load_cache`` requires, plus
 each part's budget.
 
-Noise is handled lazily: before each decode step, any part whose budget has
-fallen to the refresh threshold is re-encrypted by ``nonlinear.refresh``
-(server subtracts a random mask r, client decrypts its share and
-re-encrypts it, server adds r back), which restores a full budget without
-revealing the payload.  Each refreshed part is counted on the op counter
-and logged at INFO on ``cryptogen.kv_cache``; the cache keeps no record.
+Noise is handled lazily: before each decode step, every part of every cache
+whose budget has fallen to the refresh threshold is re-encrypted in one
+``nonlinear.refresh`` pass (server subtracts a random mask r, client decrypts
+its share and re-encrypts it, server adds r back), restoring a full budget
+without revealing the payload.  Each refreshed part is counted on the op
+counter and logged at INFO on ``cryptogen.kv_cache``; the cache keeps no record.
 
 Cache values are immutable; append and refresh return new cache objects.
 """
@@ -38,7 +38,7 @@ from .encodings import (
     load_matrix,
     save_matrix,
 )
-from .nonlinear import MpcChannel, refresh
+from .nonlinear import refresh
 
 __all__ = [
     "KVCache",
@@ -138,35 +138,34 @@ def append_token(
     return replace(cache, auto_K=auto_K, auto_V=auto_V)
 
 
-def maybe_refresh(
-    cache: KVCache, ctx: Context, ch: MpcChannel, force: bool = False
-) -> KVCache:
+def maybe_refresh(caches, ctx: Context, force: bool = False) -> list:
     """Round-trip every part at or below the refresh threshold (all parts
-    when forced).  Decoded values are unchanged; budgets reset to full.
-    A cache with no such part is returned as is."""
+    when forced) of the caches of (cache, channel) pairs, in one
+    ``refresh`` pass: each cache's due parts are one group on its channel,
+    in segment and part order.  Decoded values are unchanged; budgets reset
+    to full.  Returns the caches in order, one with no such part as is."""
     threshold = ctx.params.refresh_threshold
-
-    def due(part) -> bool:
-        return force or part.noise_budget <= threshold
-
-    stale = [(name, seg) for name, seg in cache.segments() if any(map(due, seg.parts))]
-    if not stale:
-        return cache
-    segments = {}
-    for name, seg in stale:
-        parts = list(seg.parts)
-        for i, part in enumerate(parts):
-            if due(part):
-                sent = ctx.counter.mpc_bytes
-                parts[i] = refresh(part, ctx, ch)
-                ctx.counter.refresh_events += 1
-                log.info(
-                    "refresh t_auto=%d segment=%s part=%d id=%d budget=%d threshold=%d bytes=%d forced=%s",
-                    cache.t_auto, name, i, part.id, part.noise_budget, threshold,
-                    ctx.counter.mpc_bytes - sent, part.noise_budget > threshold,
-                )
-        segments[name] = PackedMatrix(seg.encoding, parts)
-    return replace(cache, **segments)
+    due = [
+        [(name, i, part) for name, seg in cache.segments() for i, part in enumerate(seg.parts)
+         if force or part.noise_budget <= threshold]
+        for cache, _ in caches
+    ]
+    groups = [([part for *_, part in parts], ch) for parts, (_, ch) in zip(due, caches) if parts]
+    fresh = iter(refresh(groups, ctx) if groups else ())
+    out = []
+    for (cache, ch), parts in zip(caches, due):
+        segments = {name: list(getattr(cache, name).parts) for name, *_ in parts}
+        for name, i, part in parts:
+            segments[name][i] = next(fresh)
+            ctx.counter.refresh_events += 1
+            log.info(
+                "refresh t_auto=%d segment=%s part=%d id=%d budget=%d threshold=%d bytes=%d forced=%s",
+                cache.t_auto, name, i, part.id, part.noise_budget, threshold,
+                2 * ch.vector_bytes(ctx.params.n_slots), part.noise_budget > threshold,
+            )
+        fields = {name: PackedMatrix(getattr(cache, name).encoding, new) for name, new in segments.items()}
+        out.append(replace(cache, **fields) if parts else cache)
+    return out
 
 
 def cache_stats(cache: KVCache) -> dict:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -339,15 +340,15 @@ def _inner_row(ct, cols: int) -> PackedMatrix:
 
 
 def _truncated(P: PackedMatrix, fp, ctx, mpc) -> PackedMatrix:
-    return PackedMatrix(P.encoding, truncate(P.parts, P.width, fp, ctx, mpc))
+    return PackedMatrix(P.encoding, truncate([(P.parts, mpc)], P.width, fp, ctx))
 
 
 def _roundtrip(P: PackedMatrix, fn, ctx, mpc) -> PackedMatrix:
     """Pull the slab into the share domain, apply fn (rows x cols array of
     signed scale-f ints -> same shape, row-wise), re-encrypt it."""
-    vals = he_to_shares(P.parts, ctx, mpc, P.width)
+    vals = he_to_shares([(P.parts, mpc)], ctx, P.width)
     out = P.payloads(fn(P.payloads(vals)))
-    return PackedMatrix(P.encoding, shares_to_he(out, ctx, mpc))
+    return PackedMatrix(P.encoding, shares_to_he([(out, mpc)], ctx))
 
 
 def _add(A: PackedMatrix, B: PackedMatrix, ctx) -> PackedMatrix:
@@ -361,15 +362,21 @@ def _layernorm_rows(model: Model, l: int, name: str, fp):
 
 class _Prefill:
     """Prompt slab, outer-packed: CPMM projections, outer-outer attention,
-    and the outer-packed K/V it leaves behind as each head's cache."""
+    and the outer-packed K/V it leaves behind as each head's cache.  One
+    head per pass, so no share-domain pass spans more than one head's
+    prompt columns."""
+
+    one_head_per_pass = True
 
     @staticmethod
     def linear(X, model, name, head, ctx):
         return cpmm_outer_diagonal(X, model.weight(name, head), ctx)
 
     @staticmethod
-    def attend(cache, q, k, v, fp, ctx, mpc):
-        return prefill_attention(q, k, v, fp, ctx, mpc), init_cache(k, v, ctx)
+    def attend(caches, heads, q, k, v, fp, ctx, chs):
+        (h,), (q,), (k,), (v,), (ch,) = heads, q, k, v, chs
+        caches[h] = init_cache(k, v, ctx)
+        return [prefill_attention(q, k, v, fp, ctx, ch)]
 
     @staticmethod
     def bias(P, model, name, ctx):
@@ -388,8 +395,11 @@ class _Prefill:
 
 
 class _Decode:
-    """One token, inner-packed: CPVM projections, a cache append, and
-    attention over the heterogeneous cache; heads concatenate by rotation."""
+    """One token, inner-packed: CPVM projections, cache appends, and one
+    attention over the heterogeneous caches of all heads in one pass;
+    heads concatenate by rotation."""
+
+    one_head_per_pass = False
 
     @staticmethod
     def linear(x, model, name, head, ctx):
@@ -397,9 +407,11 @@ class _Decode:
         return _inner_row(cpvm_inner_diagonal(x.parts[0], W, ctx), W.shape[1])
 
     @staticmethod
-    def attend(cache, q, k, v, fp, ctx, mpc):
-        cache = append_token(cache, k.parts[0], v.parts[0], ctx)
-        return _inner_row(attention_step(q.parts[0], cache, fp, ctx, mpc), q.cols), cache
+    def attend(caches, heads, q, k, v, fp, ctx, chs):
+        for h, kh, vh in zip(heads, k, v):
+            caches[h] = append_token(caches[h], kh.parts[0], vh.parts[0], ctx)
+        outs = attention_step([x.parts[0] for x in q], [caches[h] for h in heads], fp, ctx, chs)
+        return [_inner_row(o, q[0].cols) for o in outs]
 
     @staticmethod
     def bias(x, model, name, ctx):
@@ -491,22 +503,25 @@ def _check_state(c: ModelConfig, state: GenerationState, params: BackendParams) 
         raise ParameterError("the state's ciphertexts were made under other parameters")
 
 
+def _heads(model: Model, l: int, X: PackedMatrix, stage, heads, caches, fp, ctx, chans) -> list:
+    """Layer l's attention over ``heads`` in one pass, stage by stage, head h
+    on channel (l, h): projections, one truncate of all q/k/v, attention.
+    Returns the outputs; the rest is dropped before the next pass starts."""
+    chs = [chans[(l, h)] for h in heads]
+    proj = [[stage.linear(X, model, f"layer{l}.{name}", h, ctx) for name in ("wq", "wk", "wv")] for h in heads]
+    groups = [([ct for P in qkv for ct in P.parts], ch) for qkv, ch in zip(proj, chs)]
+    cts = iter(truncate(groups, proj[0][0].width, fp, ctx))
+    q, k, v = zip(*[[PackedMatrix(P.encoding, list(islice(cts, len(P.parts)))) for P in qkv] for qkv in proj])
+    return stage.attend(caches[l], heads, q, k, v, fp, ctx, chs)
+
+
 def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, fp, ctx, chans):
-    """One transformer layer on slab X: per-head projections and attention
-    (heads run in order on the one context, head h on channel (l, h)),
-    then wo, LN1, the FFN and LN2 on the common channel.  Replaces
-    caches[l] with the stage's per-head caches."""
+    """One transformer layer on slab X: ``_heads`` passes (all heads in one,
+    or one head each), then wo, LN1, the FFN and LN2 on the common
+    channel.  Replaces caches[l] with the stage's per-head caches."""
     c = model.config
-    outs = []
-    for h in range(c.heads):
-        ch = chans[(l, h)]
-        q, k, v = [
-            _truncated(stage.linear(X, model, f"layer{l}.{name}", h, ctx), fp, ctx, ch)
-            for name in ("wq", "wk", "wv")
-        ]
-        out, caches[l][h] = stage.attend(caches[l][h], q, k, v, fp, ctx, ch)
-        outs.append(out)
-    O = stage.concat(outs, ctx)
+    passes = [[h] for h in range(c.heads)] if stage.one_head_per_pass else [range(c.heads)]
+    O = stage.concat([o for heads in passes for o in _heads(model, l, X, stage, heads, caches, fp, ctx, chans)], ctx)
 
     ch = chans["common"]
 
@@ -550,8 +565,8 @@ def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int =
 
     # last-position logits via the decode-side kernel
     ch = chans["common"]
-    last = he_to_shares(X.parts, ctx, ch, m)[:, m - 1]
-    (x_last,) = shares_to_he(last[None], ctx, ch)
+    last = he_to_shares([(X.parts, ch)], ctx, m)[:, m - 1]
+    (x_last,) = shares_to_he([(last[None], ch)], ctx)
     return GenerationState(caches=caches, next_logits=_logits(model, x_last, ctx))
 
 
@@ -570,11 +585,9 @@ def decode_step(model: Model, state: GenerationState, ctx: Context, chans=None, 
     token = int(np.argmax(state.next_logits))
     pos = cache.m + cache.t_auto
 
-    # lazy refresh check before this step's appends
-    caches = [
-        [maybe_refresh(state.caches[l][h], ctx, chans[(l, h)]) for h in range(c.heads)]
-        for l in range(c.layers)
-    ]
+    pairs = [(kv, chans[l, h]) for l, kvs in enumerate(state.caches) for h, kv in enumerate(kvs)]
+    fresh = iter(maybe_refresh(pairs, ctx))  # every cache in one pass, before this step's appends
+    caches = [[next(fresh) for _ in row] for row in state.caches]
 
     X = encode(_embed(model, token, pos)[None, :], EncodingKind.INNER, ctx)
     for l in range(c.layers):

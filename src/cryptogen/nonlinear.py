@@ -4,20 +4,25 @@ that sizes and charges MPC traffic.
 HE ciphertexts convert to additive shares by server-side masking; the
 client evaluates the shared fixed-point function on the values the shares
 add up to and re-shares the result under a fresh mask, so each share in
-isolation stays uniform.  There is one conversion each way, over a list:
-``he_to_shares`` takes k ciphertexts to a k x length array of signed
-values, ``shares_to_he`` takes a k x L array back to a list of k
-ciphertexts.  Both spend all their HE ops during the call.  The masks and
-share arithmetic of the whole list are one numpy pass, while every HE op
-is still one ``Context`` call per ciphertext, in list order; a single
-ciphertext is a list of one.  A channel object is a mask source
-plus two tallies.  It draws the share masks: blocks of ``MASK_BLOCK``
-uniform words from its own generator, handed out as read-only slices,
-each word once.  It counts the bytes and rounds the real protocol would
-move in ``bytes_sent`` and ``rounds``, which depend only on shapes, never
-on values; it keeps no per-transfer record.  Each protocol also charges
-the bytes of its transfers to ``ctx.counter.mpc_bytes`` of the context it
-runs on, so every call's counter delta carries its traffic.
+isolation stays uniform.  ``he_to_shares`` takes ciphertexts to a k x
+length array of signed values, ``shares_to_he`` takes k x L arrays back
+to ciphertexts; ``refresh`` and ``truncate`` round-trip ciphertexts.
+
+Each protocol is one pass over groups of (ciphertexts or rows, channel),
+so a layer stage converts every head's items in one call.  A group draws
+exactly the mask words one call on its items alone would draw: the same
+sizes, in group order, from its own channel (a channel may own several
+groups), and is charged its own bytes and rounds there.  The masks and
+share arithmetic of the whole pass are one numpy pass, while every HE op
+is still one ``Context`` call per ciphertext, in group order, all spent
+during the call.  A channel object is a mask source plus two tallies.  It
+draws the share masks: blocks of ``MASK_BLOCK`` uniform words from its
+own generator, handed out as read-only slices, each word once.  It counts
+the bytes and rounds the real protocol would move in ``bytes_sent`` and
+``rounds``, which depend only on shapes, never on values; it keeps no
+per-transfer record.  Each protocol also charges the bytes of its
+transfers to ``ctx.counter.mpc_bytes`` of the context it runs on, so
+every call's counter delta carries its traffic.
 
 Byte model, as the pipeline charges it (elements are modulus-bit words,
 integer-divided into bytes):
@@ -27,9 +32,9 @@ integer-divided into bytes):
   refresh               one of each: 2n words in 2 rounds
   truncate              its two conversions, plus 3 trips of L words,
                         per ciphertext of L values
-  attention_softmax     3 + RECIPROCAL_ITERS trips over all the scores:
-                        one call per decode query, and one per head on the
-                        prompt pass, whose m x m scores it takes row-wise
+  attention_softmax     3 + RECIPROCAL_ITERS trips over a group's scores:
+                        one row per head in a decode step, one head's
+                        m x m scores on the prompt pass
   LayerNorm, GELU       no rounds: evaluated on the shared values between
                         the two ciphertext transfers around them
 
@@ -45,14 +50,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import Context, ParameterError, SlotCiphertext, as_int64
-from .fixedpoint import (
-    RECIPROCAL_ITERS,
-    FixedPointParams,
-    attention_weights,
-    causal_attention_weights,
-    fp_truncate,
-)
+from .backend import Context, ParameterError, as_int64
+from .fixedpoint import RECIPROCAL_ITERS, FixedPointParams, causal_attention_weights, fp_truncate
 
 __all__ = [
     "MASK_BLOCK",
@@ -106,112 +105,140 @@ class MpcChannel:
         start = self._used
         if start + length > self._masks.shape[0]:
             self._masks = self.rng.integers(0, self.p, size=max(length, MASK_BLOCK), dtype=np.int64)
+            self._masks.setflags(False)  # and so every slice of it
             start = 0
         self._used = start + length
-        mask = self._masks[start : start + length]
-        mask.setflags(False)
-        return mask
+        return self._masks[start : start + length]
 
 
-def he_to_shares(cts, ctx: Context, ch: MpcChannel, length: int | None = None) -> np.ndarray:
-    """Server masks each ciphertext of a list and ships it; the client
-    decrypts its share.  Returns the signed values of their slots
-    0..length-1, as a k x length array.
-
-    The k masks are one draw of k*n words, negated and encoded in one
-    ``plains`` call; each ciphertext is then masked and decrypted in list
-    order, one n-word transfer each.
-    """
-    n = ctx.params.n_slots
-    length = n if length is None else length
-    if not 0 < length <= n:
+def _share_length(length, ctx: Context) -> int:
+    length = ctx.params.n_slots if length is None else length
+    if not 0 < length <= ctx.params.n_slots:
         raise ParameterError(f"share length {length} out of range")
-    p = ctx.params.plain_modulus
-    r = ch.sample_mask(len(cts) * n).reshape(-1, n)
+    return length
+
+
+def _open(cts, r: np.ndarray, length: int, ctx: Context) -> np.ndarray:
+    """Mask ciphertext i with row i of the k x n masks r, in list order, and
+    decrypt it: the signed values of slots 0..length-1, as a k x length array."""
+    # each decrypted vector is copied into its row and dropped at once
+    shares = (ctx.decrypt(ctx.add_plain(ct, neg))[:length] for ct, neg in zip(cts, ctx.plains(-r)))
+    values = np.fromiter(shares, dtype=(np.int64, length), count=len(r))
     # share + r + half, reduced mod p, less half: the signed value, p odd
-    half = p // 2
-    values = r[:, :length] + half
-    for i, (ct, neg) in enumerate(zip(cts, ctx.plains(-r))):
-        values[i] += ctx.decrypt(ctx.add_plain(ct, neg))[:length]
-    ctx.counter.mpc_bytes += ch.transfer(n, trips=len(cts))
+    half = ctx.params.plain_modulus // 2
+    values += r[:, :length]
+    values += half
     np.remainder(values, ctx.modulus, values)
     values -= half
     return values
 
 
-def shares_to_he(rows, ctx: Context, ch: MpcChannel) -> list:
-    """Share each row of a k x L integer matrix (signed or residues; any
-    other input raises ParameterError, as in ``as_int64``) and return its
-    k ciphertexts: the client encrypts its share, the server adds its own.
-    Each decrypts to its row in slots 0..L-1 (zeros beyond) and carries a
-    fresh noise budget.
-
-    The k*L mask words are one draw and both shares of every row are
-    encoded in one ``plains`` call; each row is then encrypted and
-    unmasked in row order, one n-word transfer each.
-    """
-    secret = as_int64(rows)
-    n = ctx.params.n_slots
-    if secret.ndim != 2 or secret.shape[1] > n:
-        raise ParameterError(f"expected a matrix of at most {n} columns, got shape {secret.shape}")
-    k, length = secret.shape
-    r = ch.sample_mask(k * length).reshape(k, length)
-    shares = np.zeros((2 * k, n), dtype=np.int64)
-    np.subtract(secret % ctx.modulus, r, out=shares[:k, :length])  # in (-p, p): no int64 wrap
-    shares[k:, :length] = r
+def _seal(pairs, ctx: Context) -> list:
+    """Ciphertexts of the rows of (secret, r) pairs of k x L matrices: the client
+    encrypts its share secret - r, the server adds r; one ``plains`` call."""
+    k = sum(len(secret) for secret, _ in pairs)
+    shares = np.zeros((2 * k, ctx.params.n_slots), dtype=np.int64)
+    i = 0
+    for secret, r in pairs:
+        j, width = i + len(secret), secret.shape[1]
+        np.subtract(secret % ctx.modulus, r, out=shares[i:j, :width])  # in (-p, p): no int64 wrap
+        shares[k + i : k + j, :width] = r
+        i = j
     encoded = ctx.plains(shares)
-    out = [ctx.add_plain(ctx.encrypt(client), server) for client, server in zip(encoded[:k], encoded[k:])]
-    ctx.counter.mpc_bytes += ch.transfer(n, trips=k)
-    return out
+    return [ctx.add_plain(ctx.encrypt(client), server) for client, server in zip(encoded[:k], encoded[k:])]
 
 
-def refresh(ct: SlotCiphertext, ctx: Context, ch: MpcChannel) -> SlotCiphertext:
-    """A fresh encryption of the ciphertext's slots: the server masks it
-    with r, the client decrypts its share and re-encrypts it, the server
-    adds r back.  Four HE ops, one n-word transfer each way, n mask words;
-    -r and r are encoded in one ``plains`` call."""
-    r = ch.sample_mask(ctx.params.n_slots)
-    neg, pos = ctx.plains(np.stack((-r, r)))
-    share = ctx.decrypt(ctx.add_plain(ct, neg))
-    out = ctx.add_plain(ctx.encrypt(ctx.plains(share[None])[0]), pos)
-    ctx.counter.mpc_bytes += ch.transfer(r.shape[0], trips=2)
-    return out
+def _charge(groups, ctx: Context, *transfers) -> None:
+    """Charge each group's channel and the context every (words, trips) transfer per item."""
+    for items, ch in groups:
+        for words, trips in transfers:
+            ctx.counter.mpc_bytes += ch.transfer(words, trips=trips * len(items))
 
 
-def truncate(cts, length: int, fp: FixedPointParams, ctx: Context, ch: MpcChannel) -> list:
-    """Fixed-point rescale of ciphertexts: slots 0..length-1 of each are
-    converted to shares, floor-divided by 2^f and shared back (zeros
-    beyond), at 3 trips of ``length`` words besides the two conversions.
-
-    Each round trip finishes before the next ciphertext is drawn from
-    ``cts``, so the ops a generator spends making one interleave with the
-    round trips as in a hand-written loop.
+def he_to_shares(groups, ctx: Context, length: int | None = None) -> np.ndarray:
+    """Server masks each ciphertext of (ciphertexts, channel) groups and
+    ships it; the client decrypts its share.  Returns the signed values of
+    slots 0..length-1 of every ciphertext, group after group, as one
+    K x length array.  A group of k draws k*n mask words in one draw and is
+    charged one n-word transfer per ciphertext.
     """
-    out = []
-    for ct in cts:
-        values = fp_truncate(he_to_shares([ct], ctx, ch, length), fp.f)
-        ctx.counter.mpc_bytes += ch.transfer(length, trips=3)
-        out += shares_to_he(values, ctx, ch)
+    length = _share_length(length, ctx)
+    n = ctx.params.n_slots
+    groups = [(list(cts), ch) for cts, ch in groups]
+    masks = [ch.sample_mask(len(cts) * n) for cts, ch in groups] or [np.empty(0, dtype=np.int64)]
+    r = (masks[0] if len(masks) == 1 else np.concatenate(masks)).reshape(-1, n)  # one group's block uncopied
+    values = _open([ct for cts, _ in groups for ct in cts], r, length, ctx)
+    _charge(groups, ctx, (n, 1))
+    return values
+
+
+def shares_to_he(groups, ctx: Context) -> list:
+    """Share each row of the k x L integer matrices of (rows, channel)
+    groups (signed or residues; any other input raises ParameterError, as
+    in ``as_int64``) and return their ciphertexts, group after group: the
+    client encrypts its share, the server adds its own.  Each decrypts to
+    its row in slots 0..L-1 (zeros beyond) and carries a fresh noise
+    budget.  A group draws k*L mask words in one draw and is charged one
+    n-word transfer per row; groups may differ in L.
+    """
+    n = ctx.params.n_slots
+    groups = [(as_int64(rows), ch) for rows, ch in groups]
+    for rows, _ in groups:
+        if rows.ndim != 2 or rows.shape[1] > n:
+            raise ParameterError(f"expected a matrix of at most {n} columns, got shape {rows.shape}")
+    out = _seal([(rows, ch.sample_mask(rows.size).reshape(rows.shape)) for rows, ch in groups], ctx)
+    _charge(groups, ctx, (n, 1))
     return out
 
 
-def attention_softmax(
-    scores_2f: np.ndarray, d2: int, fp: FixedPointParams, ctx: Context, ch: MpcChannel
-) -> np.ndarray:
-    """Scale-f softmax weights of scale-2f attention scores.
+def refresh(groups, ctx: Context) -> list:
+    """A fresh encryption of the ciphertexts of (ciphertexts, channel) groups:
+    the server masks each with r, the client decrypts its share and re-encrypts
+    it, the server adds r back.  Per ciphertext: n mask words, four HE ops."""
+    n = ctx.params.n_slots
+    groups = [(list(cts), ch) for cts, ch in groups]
+    r = np.array([ch.sample_mask(n) for cts, ch in groups for _ in cts], dtype=np.int64).reshape(-1, n)
+    out = _seal([(_open([ct for cts, _ in groups for ct in cts], r, n, ctx), r)], ctx)
+    _charge(groups, ctx, (n, 2))
+    return out
 
-    A score vector (one decode query) takes ``attention_weights``; an
-    m x m matrix (the prompt pass, row i the query at position i) takes
-    one ``causal_attention_weights`` call, row-wise.  Either way the
-    protocol is 3 + RECIPROCAL_ITERS trips over all the scores.  Anything
-    but a non-empty vector or matrix, or d2 < 1, raises ParameterError
-    before a transfer is charged.
+
+def truncate(groups, length: int, fp: FixedPointParams, ctx: Context) -> list:
+    """Fixed-point rescale of the ciphertexts of (ciphertexts, channel)
+    groups: slots 0..length-1 of each are converted to shares,
+    floor-divided by 2^f and shared back (zeros beyond), at 3 trips of
+    ``length`` words besides the two conversions.  Each ciphertext draws
+    its n-word entry mask and then its length-word exit mask, as one round
+    trip per ciphertext would; the HE ops of all entries come first.
     """
-    S = as_int64(scores_2f)
-    if S.ndim not in (1, 2) or S.size == 0:
-        raise ParameterError(f"expected a non-empty score vector or matrix, got shape {S.shape}")
+    length = _share_length(length, ctx)
+    n = ctx.params.n_slots
+    groups = [(list(cts), ch) for cts, ch in groups]
+    masks = [(ch.sample_mask(n), ch.sample_mask(length)) for cts, ch in groups for _ in cts]
+    entry = np.array([r for r, _ in masks], dtype=np.int64).reshape(-1, n)
+    exit_ = np.array([r for _, r in masks], dtype=np.int64).reshape(-1, length)
+    values = _open([ct for cts, _ in groups for ct in cts], entry, length, ctx)
+    out = _seal([(fp_truncate(values, fp.f), exit_)], ctx)
+    _charge(groups, ctx, (n, 2), (length, 3))
+    return out
+
+
+def attention_softmax(groups, query: int, d2: int, fp: FixedPointParams, ctx: Context) -> np.ndarray:
+    """Scale-f softmax weights of the scale-2f scores of (score rows,
+    channel) groups: their matrices, stacked, take one row-wise
+    ``causal_attention_weights`` call whose first row is query position
+    ``query``.  The prompt pass gives one head's m x m matrix at query 0, a
+    decode step one row per head at m + t - 1, where no row masks a key.
+    Anything but non-empty matrices of one width, or d2 < 1, raises
+    ParameterError before a transfer is charged.
+    """
+    groups = [(as_int64(rows), ch) for rows, ch in groups]
+    for rows, _ in groups:
+        if rows.ndim != 2 or rows.size == 0 or rows.shape[1] != groups[0][0].shape[1]:
+            raise ParameterError(f"expected non-empty score matrices of one width, got shape {rows.shape}")
     if d2 < 1:
         raise ParameterError(f"head width d2 must be positive, got {d2}")
-    out = attention_weights(S, d2, fp) if S.ndim == 1 else causal_attention_weights(S, 0, d2, fp)
-    ctx.counter.mpc_bytes += ch.transfer(S.size, trips=3 + RECIPROCAL_ITERS)
+    out = causal_attention_weights(np.concatenate([rows for rows, _ in groups]), query, d2, fp)
+    for rows, ch in groups:
+        ctx.counter.mpc_bytes += ch.transfer(rows.size, trips=3 + RECIPROCAL_ITERS)
     return out

@@ -247,7 +247,7 @@ def test_criterion_7_refresh_liveness_and_transparency(refreshes):
     for step in range(24):
         if step == 12:
             state_b.caches = [
-                [maybe_refresh(c, ctx_b, ch, force=True) for c in row]
+                [maybe_refresh([(c, ch)], ctx_b, force=True)[0] for c in row]
                 for row in state_b.caches
             ]
         tok, state_b = decode_step(model, state_b, ctx_b)
@@ -268,7 +268,7 @@ def test_criterion_7_refresh_liveness_and_transparency(refreshes):
     cache = init_cache(None, None, sctx, d2=4)
     observed = []
     for t in range(16):
-        cache = maybe_refresh(cache, sctx, sch)
+        cache = maybe_refresh([(cache, sch)], sctx)[0]
         tok = _row(np.full(4, t + 1), sctx)
         cache = append_token(cache, tok, tok, sctx)
         observed.append(sctx.counter.refresh_events)

@@ -168,7 +168,7 @@ def test_attention_step_single_token():
     k = fp_encode([0.3, 0.1, -0.2, 0.4], FP)
     cache = _cache_from_rows(np.array([k]), np.array([v]), 0, ctx, 4)
     q = _row(np.mod(fp_encode([1.0, 0.2, -0.3, 0.6], FP), P64), ctx)
-    out = to_signed(ctx.decrypt(attention_step(q, cache, FP, ctx, ch))[:4], P64)
+    out = to_signed(ctx.decrypt(attention_step([q], [cache], FP, ctx, [ch])[0])[:4], P64)
     # softmax of a single score is exactly one, so the output is v
     assert (out == v).all()
 
@@ -190,7 +190,7 @@ def test_attention_step_matches_oracle_any_segmentation(d2, t, split, rng):
     cache = _cache_from_rows(Ks, Vs, split, ctx, d2)
     assert len(cache.auto_K.parts) == -(-(t - split) * d2 // 64)
     q = _row(np.mod(qv, P64), ctx)
-    got = to_signed(ctx.decrypt(attention_step(q, cache, FP, ctx, ch))[:d2], P64)
+    got = to_signed(ctx.decrypt(attention_step([q], [cache], FP, ctx, [ch])[0])[:d2], P64)
     want = _oracle_attention_step(qv, Ks, Vs, FP, P64)
     assert (got == want).all(), f"split={split}: {got} vs {want}"
 
@@ -206,7 +206,7 @@ def test_attention_step_rotation_count_prefix_independent(rng):
         cache = _cache_from_rows(Ks, Vs, m, ctx, d2)
         q = _row(np.mod(fp_encode(rng.uniform(-1, 1, d2), FP), P64), ctx)
         start = ctx.counter.snapshot()
-        attention_step(q, cache, FP, ctx, ch)
+        attention_step([q], [cache], FP, ctx, [ch])[0]
         deltas[m] = ctx.counter.delta(start)
         softmax[m] = (3 + RECIPROCAL_ITERS) * ch.vector_bytes(m + 1)  # over the m + 1 scores
     he_ops = ("mult_plain", "mult_cipher", "rotate", "add", "add_plain", "encrypt", "decrypt")

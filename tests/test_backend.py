@@ -359,7 +359,7 @@ def test_plain_rejects_what_plains_rejects(ctx16, method, value):
     call = {
         "as_int64": as_int64,
         "encode": lambda v: encode(v, EncodingKind.OUTER, ctx16),
-        "shares_to_he": lambda v: shares_to_he(v, ctx16, MpcChannel(ctx16.params.plain_modulus, 0)),
+        "shares_to_he": lambda v: shares_to_he([(v, MpcChannel(ctx16.params.plain_modulus, 0))], ctx16),
     }.get(method) or getattr(ctx16, method)
     before = ctx16.counter.snapshot()
     with pytest.raises(ParameterError):
@@ -373,7 +373,7 @@ _UINT64_ENTRIES = {
     "plains": lambda ctx, X, W: ctx.plains(W.reshape(1, 16)),
     "plains_short_rows": lambda ctx, X, W: ctx.plains(W),
     "encode": lambda ctx, X, W: encode(W, EncodingKind.OUTER, ctx),
-    "shares_to_he": lambda ctx, X, W: shares_to_he(W, ctx, MpcChannel(97, 0)),
+    "shares_to_he": lambda ctx, X, W: shares_to_he([(W, MpcChannel(97, 0))], ctx),
     "cpvm_weights": lambda ctx, X, W: cpvm_plaintexts(W, ctx),
     "cpmm_weights": lambda ctx, X, W: cpmm_outer_diagonal(X, W, ctx),
 }

@@ -267,18 +267,21 @@ def test_verify_refresh_check_fails_on_a_corrupting_refresh(monkeypatch):
     from cryptogen.encodings import PackedMatrix
     from cryptogen.kv_cache import maybe_refresh
 
-    def corrupting(cache, ctx, ch, force=False):
-        out = maybe_refresh(cache, ctx, ch, force=force)
+    def corrupting(caches, ctx, force=False):
+        out = maybe_refresh(caches, ctx, force=force)
         if not force:
             return out
         bump = plaintext(ctx, np.full(ctx.params.n_slots, 12345))
-        return dataclasses.replace(
-            out,
-            **{
-                name: PackedMatrix(seg.encoding, [ctx.add_plain(part, bump) for part in seg.parts])
-                for name, seg in out.segments()
-            },
-        )
+        return [
+            dataclasses.replace(
+                cache,
+                **{
+                    name: PackedMatrix(seg.encoding, [ctx.add_plain(part, bump) for part in seg.parts])
+                    for name, seg in cache.segments()
+                },
+            )
+            for cache in out
+        ]
 
     monkeypatch.setattr(cli, "maybe_refresh", corrupting)
     params = BackendParams.from_json(PARAMS_TOY.read_text())

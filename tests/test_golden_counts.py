@@ -12,8 +12,10 @@ import dataclasses
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cryptogen.model as model_module
 from cryptogen.backend import BackendParams, Context
 from cryptogen.model import generate, generate_toy_model, oracle_generate, toy_config
 
@@ -85,12 +87,13 @@ def test_golden_pipeline_counts(threshold):
 # ids renumbered by first appearance (``tools/op_digest.py``), and the op
 # count: a change in which ciphertexts an operation reads or writes, or in
 # the noise it spends, moves the digest even where the counts above hold.
-# Re-pinned when ``shares_to_he`` became eager: once the generated cache
-# has two parts, the value sum's coefficient ciphertexts are all made
-# before their products, a reorder the dataflow digest below does not see
+# Re-pinned when each layer stage got one share-domain pass over its heads:
+# every head's projections, scores, weights and outputs are made before the
+# one conversion of that stage, and a conversion's ops run entries first,
+# then exits, a reorder the dataflow digest below does not see
 OP_SEQUENCE = {
-    None: ("ea19d9616df37784ef7b3cf51ae706bfeb931d8918aee9ba300e9288293a1400", 68481),
-    170: ("971b4580924fcd89c87a964762e1281888aa80420f51eda8498618bf07507453", 69057),
+    None: ("c62a2ea59c472ae47a2faeae25454f0065240dcb49d365f4af7670b2ca8db930", 68481),
+    170: ("28e47dc889c795a38ceee25e941b1e1ed29aac05ba55a37f6d10e7399567c5d7", 69057),
 }
 
 # the dataflow digest of the same runs (``tools/op_digest.py``): the sorted
@@ -151,20 +154,63 @@ def test_dataflow_digest_sees_the_op_graph_not_the_call_order():
     assert digests(True, swap=True)[1] != dataflow
 
 
-# sha256 of every mask word the channels hand out (int64 bytes in draw
-# order, ``tools/op_digest.py``), the number of draws and of words: a change
-# that moves, adds or drops a mask word moves it
+# per channel, sha256 of every mask word it hands out (int64 bytes in its
+# own draw order, ``tools/op_digest.py``); the sha256 of those digests,
+# sorted, with the number of draws and of words over all channels: a change
+# that moves, adds or drops a mask word on any channel moves it, and one
+# that only interleaves the channels' draws differently does not
 MASK_STREAM = {
-    None: ("e76f36c9dae6d21f98d8eb58f2ff182d45fc9d11b5eccde75484b8efd9ab7baf", 1890, 101624),
-    170: ("e168cdfa248d9d7d224b8b8d87b164acbc95909c9a9a7d7f56471d437d6adba2", 2034, 110840),
+    None: ("74e0ec880bebb53a171346c9445df1879606d142892b0fc63ce46c80f5645928", 1890, 101624),
+    170: ("b12ea32a488a69a76dcaa297463f15bdb6f94f52ac3dcbe3e6f88b07e22e702d", 2034, 110840),
 }
+
+# (bytes_sent, rounds) of each channel after the run: every head's channel
+# alike, and the common channel.  The total ``mpc_bytes`` would not see one
+# head's bytes charged to another head's channel.
+HEAD_TALLY = {None: (51230, 494), 170: (59006, 530)}
+COMMON_TALLY = (225768, 1253)
 
 
 @pytest.mark.parametrize("threshold", [None, 170])
-def test_golden_mask_stream(threshold):
+def test_golden_mask_stream(threshold, monkeypatch):
+    made = []
+    channels = model_module._channels
+    monkeypatch.setattr(model_module, "_channels", lambda *a, **kw: made.append(channels(*a, **kw)) or made[-1])
     model = generate_toy_model(toy_config(), seed=0)
     *_, masks = _digest_tool().digest_run(model, PROMPT, len(TOKENS), _toy_params(threshold))
     assert masks == MASK_STREAM[threshold]
+    chans = made[0]  # generate's; prefill and decode_step check and return it
+    c = toy_config()
+    want = {(l, h): HEAD_TALLY[threshold] for l in range(c.layers) for h in range(c.heads)} | {"common": COMMON_TALLY}
+    assert {key: (ch.bytes_sent, ch.rounds) for key, ch in chans.items()} == want
+
+
+def test_mask_fingerprint_sees_each_channel_order_not_the_interleaving():
+    """Swapping two draws of one channel moves the fingerprint; the same
+    draws per channel with the channels interleaved otherwise do not."""
+    tool = _digest_tool()
+
+    class Scripted:
+        """A channel that hands out the masks it was given, in order."""
+
+        def __init__(self, *masks):
+            self.masks = [np.array(m, dtype=np.int64) for m in masks]
+
+        def sample_mask(self, length):
+            return self.masks.pop(0)
+
+    def fingerprint(a, b, order):
+        chans = [Scripted(*a), Scripted(*b)]
+        with tool.MaskStream().installed(Scripted) as masks:
+            for i in order:
+                chans[i].sample_mask(None)
+        return masks.fingerprint()
+
+    a, b = ([1, 2], [3]), ([4, 5, 6], [7])
+    base = fingerprint(a, b, [0, 1, 0, 1])
+    assert fingerprint(a, b, [1, 1, 0, 0]) == base
+    assert fingerprint(a[::-1], b, [0, 1, 0, 1]) != base
+    assert base[1:] == (4, 7)
 
 
 # the toy model at the reference modulus (n=8192, p = 536,903,681), where

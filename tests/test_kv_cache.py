@@ -96,7 +96,7 @@ def test_value_transparency_random_interleaving(rng):
         rows.append(kr)
         cache = append_token(cache, _tok(ctx, kr), _tok(ctx, kr[::-1].copy()), ctx)
         if t % 3 == 2:
-            cache = maybe_refresh(cache, ctx, ch, force=True)
+            cache = maybe_refresh([(cache, ch)], ctx, force=True)[0]
     K = decode(cache.auto_K, ctx)
     V = decode(cache.auto_V, ctx)
     assert (K == np.stack(rows)).all()
@@ -119,7 +119,7 @@ def test_refresh_noop_when_healthy(refreshes):
     ch = MpcChannel(ctx.params.plain_modulus, seed=0)
     cache = _empty(ctx, 4)
     cache = append_token(cache, _tok(ctx, [1, 2, 3, 4]), _tok(ctx, [1, 1, 1, 1]), ctx)
-    out = maybe_refresh(cache, ctx, ch)
+    out = maybe_refresh([(cache, ch)], ctx)[0]
     assert out is cache
     assert ctx.counter.refresh_events == 0 and not refreshes()
 
@@ -134,7 +134,7 @@ def test_refresh_restores_budget_and_values(refreshes):
     cache.auto_K.parts[0] = weak
     before_vals = weak.slots.copy()
     before = ctx.counter.snapshot()
-    out = maybe_refresh(cache, ctx, ch)
+    out = maybe_refresh([(cache, ch)], ctx)[0]
     part = out.auto_K.parts[0]
     assert part.noise_budget == ctx.params.initial_noise_budget
     assert (part.slots == before_vals).all()
@@ -165,13 +165,13 @@ def test_refresh_is_attention_invisible(rng, refreshes):
         kv = np.mod(fp_encode(rng.uniform(-1, 1, d2), fp), p)
         cache = append_token(cache, _tok(ctx, kv), _tok(ctx, kv), ctx)
     q = _tok(ctx, fp_encode(rng.uniform(-1, 1, d2), fp))
-    out1 = ctx.decrypt(attention_step(q, cache, fp, ctx, MpcChannel(p, seed=1)))
+    out1 = ctx.decrypt(attention_step([q], [cache], fp, ctx, [MpcChannel(p, seed=1)])[0])
     before = ctx.counter.refresh_events
-    refreshed = maybe_refresh(cache, ctx, ch, force=True)
+    refreshed = maybe_refresh([(cache, ch)], ctx, force=True)[0]
     parts = sum(len(seg.parts) for _, seg in cache.segments())
     assert ctx.counter.refresh_events - before == len(refreshes()) == parts == 2
     assert all(ev["forced"] for ev in refreshes())
-    out2 = ctx.decrypt(attention_step(q, refreshed, fp, ctx, MpcChannel(p, seed=2)))
+    out2 = ctx.decrypt(attention_step([q], [refreshed], fp, ctx, [MpcChannel(p, seed=2)])[0])
     assert (out1 == out2).all()
 
 
@@ -189,7 +189,7 @@ def test_refresh_masking_is_uniform():
         weak = with_budget(cache.auto_K.parts[0], 10)
         cache.auto_K.parts[0] = weak
         decrypts_before = ctx.counter.decrypt
-        maybe_refresh(cache, ctx, ch)
+        maybe_refresh([(cache, ch)], ctx)[0]
         assert ctx.counter.decrypt == decrypts_before + 1
         # reproduce the client view: masked = value - r
         r = MpcChannel(p, seed=seed).sample_mask(16)
@@ -215,7 +215,7 @@ def test_refresh_count_matches_ledger_simulation(refreshes):
     B, steps = 4, 14
     observed = []
     for t in range(steps):
-        cache = maybe_refresh(cache, ctx, ch)
+        cache = maybe_refresh([(cache, ch)], ctx)[0]
         tok = _tok(ctx, [t] * 4)
         cache = append_token(cache, tok, tok, ctx)
         observed.append(ctx.counter.refresh_events)
@@ -273,7 +273,7 @@ def test_each_counted_refresh_logs_one_record(caplog, refreshes, costs, threshol
         budgets = {(name, i): part.noise_budget for name, seg in cache.segments() for i, part in enumerate(seg.parts)}
         due = {key for key, b in budgets.items() if force or b <= threshold}
         events, seen = ctx.counter.refresh_events, len(refreshes())
-        cache = maybe_refresh(cache, ctx, ch, force=force)
+        cache = maybe_refresh([(cache, ch)], ctx, force=force)[0]
         new = refreshes()[seen:]
         assert len(new) == ctx.counter.refresh_events - events == len(due)
         assert {(ev["segment"], ev["part"]) for ev in new} == due
@@ -321,8 +321,8 @@ def test_cache_checkpoint_roundtrip(tmp_path, rng):
     loaded = load_cache(tmp_path / "snap", ctx)
     assert cache_stats(loaded) == cache_stats(cache)
     q = _tok(ctx, fp_encode(rng.uniform(-1, 1, d2), fp))
-    a = ctx.decrypt(attention_step(q, cache, fp, ctx, MpcChannel(p, seed=5)))
-    b = ctx.decrypt(attention_step(q, loaded, fp, ctx, MpcChannel(p, seed=6)))
+    a = ctx.decrypt(attention_step([q], [cache], fp, ctx, [MpcChannel(p, seed=5)])[0])
+    b = ctx.decrypt(attention_step([q], [loaded], fp, ctx, [MpcChannel(p, seed=6)])[0])
     assert (a == b).all()
 
 

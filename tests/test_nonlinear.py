@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import math
 import sys
 from contextlib import contextmanager
@@ -44,6 +45,13 @@ from cryptogen.model import generate, generate_toy_model, toy_config
 from conftest import plaintext
 
 PARAMS_TOY = Path(__file__).resolve().parents[1] / "configs" / "params_toy.json"
+
+
+def _op_digest_tool():
+    spec = importlib.util.spec_from_file_location("op_digest", PARAMS_TOY.parents[1] / "tools" / "op_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 P_BIG = default_plain_modulus(8192, 29)
 FP = FixedPointParams(11, P_BIG)
 
@@ -114,12 +122,12 @@ def test_fixed_point_params_headroom():
 def test_he_share_roundtrip(ctx16):
     ch = MpcChannel(ctx16.params.plain_modulus, seed=3)
     v = np.arange(16)
-    vals = he_to_shares([ctx16.encrypt(plaintext(ctx16, v)), ctx16.encrypt(plaintext(ctx16, v[::-1]))], ctx16, ch)
+    vals = he_to_shares([([ctx16.encrypt(plaintext(ctx16, v)), ctx16.encrypt(plaintext(ctx16, v[::-1]))], ch)], ctx16)
     assert (vals == [v, v[::-1]]).all()
-    back = shares_to_he(vals, ctx16, ch)
+    back = shares_to_he([(vals, ch)], ctx16)
     assert [list(ctx16.decrypt(ct)) for ct in back] == [list(v), list(v[::-1])]
     assert all(ct.noise_budget == ctx16.params.initial_noise_budget for ct in back)
-    assert (he_to_shares([back[0]], ctx16, ch, 5) == v[:5]).all()
+    assert (he_to_shares([([back[0]], ch)], ctx16, 5) == v[:5]).all()
 
 
 def test_shares_to_he_reduces_before_masking_near_int64_min():
@@ -128,7 +136,7 @@ def test_shares_to_he_reduces_before_masking_near_int64_min():
     p = 97
     ctx = Context(BackendParams(n_slots=4, plain_modulus=p))
     low = np.iinfo(np.int64).min
-    (ct,) = shares_to_he([[low, low + 1, low + 96, -1]], ctx, MpcChannel(p, seed=0))
+    (ct,) = shares_to_he([([[low, low + 1, low + 96, -1]], MpcChannel(p, seed=0))], ctx)
     assert list(ctx.decrypt(ct)) == [low % p, (low + 1) % p, (low + 96) % p, p - 1] == [18, 19, 17, 96]
 
 
@@ -139,7 +147,7 @@ def test_shares_differ_across_seeds_same_secret(ctx16):
     ct = ctx16.encrypt(plaintext(ctx16, v))
     with _spied() as (_, _, seen):
         for seed in (1, 2):
-            assert (he_to_shares([ct], ctx16, MpcChannel(ctx16.params.plain_modulus, seed=seed)) == v).all()
+            assert (he_to_shares([([ct], MpcChannel(ctx16.params.plain_modulus, seed=seed))], ctx16) == v).all()
     assert len(seen) == 2
     assert (seen[0] != v).any() and (seen[1] != v).any()
     assert (seen[0] != seen[1]).any()
@@ -150,7 +158,7 @@ def test_zero_secret_shares_are_negations(ctx16):
     p = ctx16.params.plain_modulus
     ch = MpcChannel(p, seed=0)
     with _spied() as (_, masks, seen):
-        assert not he_to_shares([ctx16.encrypt(plaintext(ctx16, np.zeros(16, dtype=np.int64)))], ctx16, ch).any()
+        assert not he_to_shares([([ctx16.encrypt(plaintext(ctx16, np.zeros(16, dtype=np.int64)))], ch)], ctx16).any()
     (share,), (r,) = seen, masks
     assert (share == (p - r) % p).all()
 
@@ -183,9 +191,9 @@ def test_channel_bytes_per_direction(ctx16):
     ct = ctx16.encrypt(plaintext(ctx16, np.zeros(16, dtype=np.int64)))
     per_ct = ch.vector_bytes(ctx16.params.n_slots)
     before = ctx16.counter.snapshot()
-    vals = he_to_shares([ct, ct, ct], ctx16, ch, 4)
+    vals = he_to_shares([([ct, ct, ct], ch)], ctx16, 4)
     assert (ch.bytes_sent, ch.rounds) == (3 * per_ct, 3)
-    shares_to_he(vals[:2], ctx16, ch)
+    shares_to_he([(vals[:2], ch)], ctx16)
     assert (ch.bytes_sent, ch.rounds) == (5 * per_ct, 5)
     assert ctx16.counter.delta(before)["mpc_bytes"] == ch.bytes_sent
 
@@ -208,12 +216,12 @@ def test_conversions_spend_per_ciphertext_ops_in_list_order(slots, length, prefi
     k = len(cts)
     ch.sample_mask(prefix)
     with _spied() as (log, masks, _):
-        vals = he_to_shares(cts, ctx, ch, length)
+        vals = he_to_shares([(cts, ch)], ctx, length)
         # ciphertext i masked into 2i+1, which is decrypted
         assert log == [rec for i in range(k) for rec in (("add_plain", (2 * i,)), ("decrypt", (2 * i + 1,)))]
         assert (vals == to_signed(np.array(slots)[:, :length], P16)).all()
         log.clear()
-        back = shares_to_he(vals, ctx, ch)
+        back = shares_to_he([(vals, ch)], ctx)
         # row i encrypted into 2k+i, which is unmasked
         assert log == [rec for i in range(k) for rec in (("encrypt", ()), ("add_plain", (2 * k + i,)))]
     assert type(back) is list and len(back) == k
@@ -225,16 +233,148 @@ def test_conversions_spend_per_ciphertext_ops_in_list_order(slots, length, prefi
     assert ch.rounds == 2 * k and ch.bytes_sent == 2 * k * ch.vector_bytes(16)
 
 
+# One channel's conversions as they ran one call per group, before the
+# grouped forms: the per-group reference the grouped passes are checked
+# against.
+
+
+def _one_he_to_shares(cts, ctx, ch, length):
+    n, p = ctx.params.n_slots, ctx.params.plain_modulus
+    r = ch.sample_mask(len(cts) * n).reshape(-1, n)
+    half = p // 2
+    values = r[:, :length] + half
+    for i, (ct, neg) in enumerate(zip(cts, ctx.plains(-r))):
+        values[i] += ctx.decrypt(ctx.add_plain(ct, neg))[:length]
+    ctx.counter.mpc_bytes += ch.transfer(n, trips=len(cts))
+    np.remainder(values, ctx.modulus, values)
+    return values - half
+
+
+def _one_shares_to_he(rows, ctx, ch):
+    secret = np.asarray(rows, dtype=np.int64)
+    (k, length), n = secret.shape, ctx.params.n_slots
+    r = ch.sample_mask(k * length).reshape(k, length)
+    shares = np.zeros((2 * k, n), dtype=np.int64)
+    np.subtract(secret % ctx.modulus, r, out=shares[:k, :length])
+    shares[k:, :length] = r
+    encoded = ctx.plains(shares)
+    out = [ctx.add_plain(ctx.encrypt(client), server) for client, server in zip(encoded[:k], encoded[k:])]
+    ctx.counter.mpc_bytes += ch.transfer(n, trips=k)
+    return out
+
+
+def _one_truncate(cts, length, fp, ctx, ch):
+    out = []
+    for ct in cts:
+        values = fp_truncate(_one_he_to_shares([ct], ctx, ch, length), fp.f)
+        ctx.counter.mpc_bytes += ch.transfer(length, trips=3)
+        out += _one_shares_to_he(values, ctx, ch)
+    return out
+
+
+def _one_refresh(cts, ctx, ch):
+    out = []
+    for ct in cts:
+        r = ch.sample_mask(ctx.params.n_slots)
+        neg, pos = ctx.plains(np.stack((-r, r)))
+        share = ctx.decrypt(ctx.add_plain(ct, neg))
+        out.append(ctx.add_plain(ctx.encrypt(ctx.plains(share[None])[0]), pos))
+        ctx.counter.mpc_bytes += ch.transfer(r.shape[0], trips=2)
+    return out
+
+
+_GROUPED = {
+    "he_to_shares": (
+        lambda groups, ctx, length: he_to_shares(groups, ctx, length),
+        lambda items, ctx, ch, length: _one_he_to_shares(items, ctx, ch, length),
+    ),
+    "shares_to_he": (
+        lambda groups, ctx, length: shares_to_he(groups, ctx),
+        lambda items, ctx, ch, length: _one_shares_to_he(items, ctx, ch),
+    ),
+    "truncate": (
+        lambda groups, ctx, length: truncate(groups, length, _FP16, ctx),
+        lambda items, ctx, ch, length: _one_truncate(items, length, _FP16, ctx, ch),
+    ),
+    "refresh": (
+        lambda groups, ctx, length: refresh(groups, ctx),
+        lambda items, ctx, ch, length: _one_refresh(items, ctx, ch),
+    ),
+}
+_FP16 = FixedPointParams(4, P16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    protocol=st.sampled_from(sorted(_GROUPED)),
+    # (channel, ciphertexts or rows, row length): channels repeat within a pass
+    groups=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3), st.integers(1, 16)), min_size=1, max_size=6),
+    length=st.integers(1, 16),
+    prefixes=st.lists(st.integers(0, MASK_BLOCK), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grouped_pass_equals_one_call_per_group(protocol, groups, length, prefixes, seed):
+    """A grouped conversion, refresh or truncate returns exactly what one
+    call per group returns, draws the same mask words in the same sizes and
+    order on each channel, charges each channel the same bytes and rounds,
+    and spends the same op graph (dataflow digest), so every ciphertext
+    takes the same ops in the same order.  The prefixes place each
+    channel's masks anywhere in a block; shares_to_he's groups differ in
+    row length."""
+    grouped, one = _GROUPED[protocol]
+    tool = _op_digest_tool()
+    rng = np.random.default_rng(seed)
+    rows = [rng.integers(-P16, P16, (k, width)) for _, k, width in groups]
+
+    def run(batched):
+        ctx = Context(BackendParams(n_slots=16, plain_modulus=P16), seed=1)
+        chans = [MpcChannel(P16, seed=seed + i) for i in range(3)]
+        for ch, prefix in zip(chans, prefixes):
+            ch.sample_mask(prefix)
+        drawn = {id(ch): [] for ch in chans}
+        sample = MpcChannel.sample_mask
+
+        def spied(ch, size):
+            mask = sample(ch, size)
+            drawn[id(ch)].append(mask.copy())
+            return mask
+
+        with tool.OpDigest().installed(Context) as spy:
+            MpcChannel.sample_mask = spied
+            try:
+                if protocol == "shares_to_he":
+                    items = rows
+                else:
+                    items = [[ctx.encrypt(pt) for pt in ctx.plains(np.mod(r, P16))] for r in rows]
+                pairs = [(item, chans[c]) for item, (c, _, _) in zip(items, groups)]
+                if batched:
+                    out = grouped(pairs, ctx, length)
+                else:
+                    outs = [one(item, ctx, ch, length) for item, ch in pairs]
+                    out = np.concatenate(outs) if protocol == "he_to_shares" else [ct for o in outs for ct in o]
+            finally:
+                MpcChannel.sample_mask = sample
+        if protocol != "he_to_shares":
+            out = [(ct.slots.tolist(), ct.noise_budget) for ct in out]
+        else:
+            out = out.tolist()
+        tallies = [(ch.bytes_sent, ch.rounds) for ch in chans]
+        words = [[m.tolist() for m in drawn[id(ch)]] for ch in chans]
+        return out, words, tallies, ctx.counter.as_dict(), spy.ops, spy.dataflow_hexdigest()
+
+    assert run(True) == run(False)
+
+
 def test_batch_forms_reject_bad_shapes(ctx16):
     ch = MpcChannel(ctx16.params.plain_modulus, seed=0)
     ct = ctx16.encrypt(plaintext(ctx16, np.zeros(16, dtype=np.int64)))
     before = ctx16.counter.snapshot()
     for length in (0, 17):
         with pytest.raises(ParameterError, match="out of range"):
-            he_to_shares([ct], ctx16, ch, length)
+            he_to_shares([([ct], ch)], ctx16, length)
     for rows in (np.zeros(4, dtype=np.int64), np.zeros((2, 17), dtype=np.int64)):
         with pytest.raises(ParameterError, match="16 columns"):
-            shares_to_he(rows, ctx16, ch)
+            shares_to_he([(rows, ch)], ctx16)
     assert not any(ctx16.counter.delta(before).values()) and ch.bytes_sent == 0
 
 
@@ -248,7 +388,7 @@ def test_refresh_resets_the_budget_at_four_ops(ctx16):
     assert ct.noise_budget < ctx16.params.initial_noise_budget
     before = ctx16.counter.snapshot()
     with _spied() as (log, masks, _):
-        out = refresh(ct, ctx16, ch)
+        (out,) = refresh([([ct], ch)], ctx16)
     assert [op for op, _ in log] == ["add_plain", "decrypt", "encrypt", "add_plain"]
     assert [m.size for m in masks] == [n]
     assert (ctx16.decrypt(out) == v).all()
@@ -259,16 +399,17 @@ def test_refresh_resets_the_budget_at_four_ops(ctx16):
 
 def test_truncate_examples():
     """Truncation rescales each ciphertext's values between its two
-    conversions, at 3 trips of L words per ciphertext besides them, and
-    finishes each round trip before it draws the next ciphertext."""
+    conversions, at 3 trips of L words per ciphertext besides them.  It
+    draws each ciphertext's entry mask and then its exit mask, and runs
+    every entry's HE ops before every exit's."""
     ch, ctx = MpcChannel(P_BIG, seed=0), _ctx()
     one, half = fp_encode(1.0, FP), fp_encode(0.5, FP)
     pts = ctx.plains([[int(one) ** 2], [int(half) ** 2], [0]])
     with _spied() as (log, masks, _):
-        out = truncate((ctx.encrypt(pt) for pt in pts), 1, FP, ctx, ch)
+        out = truncate([((ctx.encrypt(pt) for pt in pts), ch)], 1, FP, ctx)
     got = [int(to_signed(ctx.decrypt(ct), P_BIG)[0]) for ct in out]
     assert got[0] == one and abs(got[1] - fp_encode(0.25, FP)) <= 1 and got[2] == 0
-    assert [op for op, _ in log] == ["encrypt", "add_plain", "decrypt", "encrypt", "add_plain"] * 3
+    assert [op for op, _ in log] == ["encrypt"] * 3 + ["add_plain", "decrypt"] * 3 + ["encrypt", "add_plain"] * 3
     assert [m.size for m in masks] == [16, 1] * 3
     conversions = 3 * 2 * ch.vector_bytes(16)
     assert ctx.counter.mpc_bytes == ch.bytes_sent == conversions + 3 * 3 * ch.vector_bytes(1)
@@ -386,9 +527,9 @@ def test_protocol_bytes_depend_only_on_shape(rng):
     for seed in (0, 1):
         ch, ctx = MpcChannel(P_BIG, seed=seed), _ctx()
         vals = rng.uniform(-2, 2, 16)
-        truncate([ctx.encrypt(pt) for pt in ctx.plains(fp_encode(vals, FP).reshape(2, 8))], 8, FP, ctx, ch)
-        attention_softmax(_scores(vals, FP), 8, FP, ctx, ch)
-        attention_softmax(_scores(vals, FP).reshape(4, 4), 8, FP, ctx, ch)
+        truncate([([ctx.encrypt(pt) for pt in ctx.plains(fp_encode(vals, FP).reshape(2, 8))], ch)], 8, FP, ctx)
+        attention_softmax([(_scores(vals, FP)[None], ch)], 15, 8, FP, ctx)
+        attention_softmax([(_scores(vals, FP).reshape(4, 4), ch)], 0, 8, FP, ctx)
         totals.append((ch.bytes_sent, ch.rounds, ctx.counter.mpc_bytes))
     assert totals[0] == totals[1]
 
@@ -401,23 +542,23 @@ def test_share_completeness_on_protocol_boundaries(rng):
     vals = rng.uniform(-3, 3, 8)
     scores = _scores(vals, FP)
     x, s = [ctx.encrypt(pt) for pt in ctx.plains([fp_encode(vals, FP), scores])]
-    (out,) = truncate([x], 8, FP, ctx, ch)
-    (s,) = he_to_shares([s], ctx, ch, 8)
+    (out,) = truncate([([x], ch)], 8, FP, ctx)
+    s = he_to_shares([([s], ch)], ctx, 8)
     assert (to_signed(ctx.decrypt(out), P_BIG)[:8] == fp_truncate(fp_encode(vals, FP), FP.f)).all()
-    assert (attention_softmax(s, 8, FP, ctx, ch) == attention_weights(scores, 8, FP)).all()
+    assert (attention_softmax([(s, ch)], 7, 8, FP, ctx)[0] == attention_weights(scores, 8, FP)).all()
 
 
 def test_attention_softmax_matches_fixedpoint_and_charges_all_scores(rng):
     trips = 3 + RECIPROCAL_ITERS
     vec = _scores(rng.uniform(-3, 3, 5), FP)
     ch, ctx = MpcChannel(P_BIG, seed=0), _ctx()
-    assert (attention_softmax(vec, 8, FP, ctx, ch) == attention_weights(vec, 8, FP)).all()
+    assert (attention_softmax([(vec[None], ch)], 4, 8, FP, ctx)[0] == attention_weights(vec, 8, FP)).all()
     assert (ch.bytes_sent, ch.rounds) == (trips * ch.vector_bytes(vec.size), trips)
     assert ctx.counter.mpc_bytes == ch.bytes_sent
 
     S = _scores(rng.uniform(-3, 3, 16), FP).reshape(4, 4)
     ch, ctx = MpcChannel(P_BIG, seed=0), _ctx()
-    A = attention_softmax(S, 8, FP, ctx, ch)
+    A = attention_softmax([(S, ch)], 0, 8, FP, ctx)
     assert A.shape == (4, 4)
     for i in range(4):
         assert (A[i] == causal_attention_weights(S[i], i, 8, FP)).all()
@@ -433,18 +574,18 @@ def test_attention_softmax_matches_fixedpoint_and_charges_all_scores(rng):
         (np.zeros((3, 0), dtype=np.int64), 8, "shape \\(3, 0\\)"),
         (np.zeros(0, dtype=np.int64), 8, "shape \\(0,\\)"),
         (np.int64(5), 8, "shape \\(\\)"),
-        (np.zeros(4, dtype=np.int64), 0, "d2 must be positive, got 0"),
+        (np.zeros((1, 4), dtype=np.int64), 0, "d2 must be positive, got 0"),
         (np.zeros((2, 2), dtype=np.int64), -1, "d2 must be positive, got -1"),
     ],
     ids=["3d", "0x0", "3x0", "empty", "0d", "d2=0", "d2=-1"],
 )
 def test_attention_softmax_refuses_what_it_cannot_mean_before_any_transfer(scores, d2, message):
-    """Only a non-empty score vector or matrix and a positive head width
-    have a softmax; anything else raises ParameterError and charges no
-    byte or round."""
+    """Only a non-empty score matrix and a positive head width have a
+    softmax; anything else raises ParameterError and charges no byte or
+    round."""
     ch, ctx = MpcChannel(P_BIG, seed=0), _ctx()
     with pytest.raises(ParameterError, match=message):
-        attention_softmax(scores, d2, FP, ctx, ch)
+        attention_softmax([(scores, ch)], 0, d2, FP, ctx)
     assert (ch.bytes_sent, ch.rounds, ctx.counter.mpc_bytes) == (0, 0, 0)
 
 
@@ -574,7 +715,7 @@ _INTEGER_ENTRIES = {
     "fp_layernorm.x": lambda v: fp_layernorm(v, _ONES, _ZEROS, FP),
     "fp_layernorm.gain": lambda v: fp_layernorm(_LN_X, v, _ZEROS, FP),
     "fp_layernorm.bias": lambda v: fp_layernorm(_LN_X, _ONES, v, FP),
-    "attention_softmax": lambda v: attention_softmax(v, 8, FP, _ctx(), MpcChannel(P_BIG, 0)),
+    "attention_softmax": lambda v: attention_softmax([(v[None], MpcChannel(P_BIG, 0))], 7, 8, FP, _ctx()),
 }
 
 

@@ -21,10 +21,12 @@ are computed from the records:
 
 Both are printed next to the tokens, the operation count and the run's
 total MPC bytes (``mpc_bytes`` of the op counter).  A further sha256
-covers the mask stream: every array ``MpcChannel.sample_mask`` hands out,
-as int64 bytes in draw order, with the number of draws and of words.  All
-of them are compared with the values pinned for the shape: the script
-exits 1 when any of them differs.  Neither op digest covers ciphertext
+covers the mask streams: each channel's masks, as int64 bytes in that
+channel's own draw order, are hashed apart, and the stream fingerprint is
+the sha256 of the sorted per-channel digests, with the total number of
+draws and of words.  A channel's words are the protocol; how the draws of
+different channels interleave is not.  All of them are compared with the
+values pinned for the shape: the script exits 1 when any of them differs.  Neither op digest covers ciphertext
 slot values, so the pinned tokens are the check that the values still
 decode to the same generation.
 
@@ -75,7 +77,7 @@ class Shape(NamedTuple):
     prompt: tuple
     k: int  # tokens generated
     # pinned: op sequence sha256, op count, tokens, MPC bytes, dataflow
-    # sha256, and the mask stream (sha256, draws, words)
+    # sha256, and the mask streams (sha256 of the per-channel digests, draws, words)
     digest: str
     ops: int
     tokens: list
@@ -87,7 +89,7 @@ class Shape(NamedTuple):
 SHAPES = {
     "decode_long": Shape(
         None, "params_toy.json", None, TOY_PROMPT[:8], 144,
-        "80668cd81375daccdba9f004c49985f03245b8715df0bf2915c31a27b773bb34", 743_073,
+        "be02548122b1e9c155609d94a6065eb27bff95dd0aca84c2e175147db3b60b0e", 743_073,
         [
             28, 9, 15, 12, 58, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 26, 63, 34, 58, 27, 27, 27, 15, 12,
             10, 55, 27, 27, 27, 55, 11, 63, 23, 44, 58, 27, 27, 27, 27, 27, 27, 55, 55, 12, 58, 27, 55, 47,
@@ -98,11 +100,11 @@ SHAPES = {
         ],
         10_841_400,
         "3c91f930891b2c9faaea2d729a35083554495567e4300831cf7b2bba4835e6e2",
-        ("979e79db51392ce4677c9e238979b0174c6712b2c3e2cd8cae360176aa9c47bf", 17_434, 2_015_776),
+        ("d73dc9d90c63f50a665c7acab275423d4b3e2026e516016b3359760929e46510", 17_434, 2_015_776),
     ),
     "refresh_churn": Shape(
         None, "params_toy.json", 170, TOY_PROMPT, 112,
-        "61bac2ea9a0c96c3c93853e2b016a89b1570b0bf9bc9a122772a62e2c31fd10e", 612_129,
+        "8a27d784a62edb934ff6b0628029b7f3c8be240c05bafd7dc24dea727a0e546e", 612_129,
         [
             55, 27, 27, 27, 27, 55, 11, 63, 29, 56, 60, 44, 9, 46, 12, 14, 49, 60, 26, 12, 58, 27, 55, 47,
             11, 63, 57, 27, 27, 27, 55, 11, 63, 55, 27, 27, 55, 11, 63, 34, 58, 27, 27, 27, 55, 27, 27, 27,
@@ -112,15 +114,15 @@ SHAPES = {
         ],
         9_014_392,
         "cbca8767cba682e4abcc1c336dc2c51c93eddcd6da5960c50284e7c7b5100246",
-        ("ab8188fa04a847bbc9844f26c7ebda41c0b36cc77de572369ba96f4896704fef", 15_690, 1_520_672),
+        ("5f3ef9db91162f1ccbf106ef28ec8657f5438e80771f9e013b9f3747fbb26a4d", 15_690, 1_520_672),
     ),
     "paper1": Shape(
         PAPER1_MODEL, "params_reference.json", None, (1, 2, 3, 4), 2,
-        "bdc8347c9405b7bdeef13d37d7219c1def127ea777e17a5cecbc904cfdef65c1", 544_491,
+        "242ec32c862e5bd75599f275b92b194c95648b0d73680e90e43ac71d68e1c41e", 544_491,
         [49, 39],
         602_533_200,
         "24ddb950f0cf8fd1bbb8787e87daeb1c2b0c3aa5c584a64b9330975516ec94a5",
-        ("9602d7fe67228d8cc6ba09533ff17a0ac1070b0a74b76a14f14abbc01c40adae", 8_058, 83_696_672),
+        ("4b7c4a868c18bf059710e3ed1ac9241d72b7131e770cab423b2910d69e40fd43", 8_058, 83_696_672),
     ),
 }
 
@@ -194,16 +196,19 @@ class OpDigest:
 
 
 class MaskStream:
-    """sha256 over the int64 bytes of every mask a channel hands out while
-    installed, in draw order, plus the number of draws and of words."""
+    """Per channel, a sha256 over the int64 bytes of every mask it hands out
+    while installed, in its own draw order; plus the number of draws and of
+    words over all channels."""
 
     def __init__(self):
-        self._hash = hashlib.sha256()
+        self._hashes = {}  # channel -> its sha256; the key keeps the channel alive
         self.draws = 0
         self.words = 0
 
     def fingerprint(self) -> tuple:
-        return self._hash.hexdigest(), self.draws, self.words
+        """(sha256 of the sorted per-channel digests, draws, words)."""
+        digests = sorted(h.digest() for h in self._hashes.values())
+        return hashlib.sha256(b"".join(digests)).hexdigest(), self.draws, self.words
 
     @contextmanager
     def installed(self, ch_cls):
@@ -211,7 +216,7 @@ class MaskStream:
 
         def wrapped(ch, length):
             mask = sample(ch, length)
-            self._hash.update(mask.tobytes())
+            self._hashes.setdefault(ch, hashlib.sha256()).update(mask.tobytes())
             self.draws += 1
             self.words += mask.size
             return mask
