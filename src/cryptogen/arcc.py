@@ -143,7 +143,7 @@ def prefill_attention(
     # each key column tiled to period w, so rotations stay inside a period
     k_cols = [tile_token(col, w, n // w, ctx) for col in K.parts]
 
-    # client role: diagonal r, one group, holds score (i, (i + r) mod w) at slot i
+    # client role: diagonal r holds score (i, (i + r) mod w) at slot i; all w are one group
     diagonals = [
         ctx.sum(ctx.mult_cipher(Q.parts[c], ctx.rotate(k_cols[c], r) if r else k_cols[c]) for c in range(d2))
         for r in range(w)
@@ -151,7 +151,7 @@ def prefill_attention(
     # scattered in one assignment; columns m..w-1 hold the wrapped padding
     S = np.empty((m, w), dtype=np.int64)
     rows = np.arange(m)
-    S[rows, (rows + np.arange(w)[:, None]) % w] = he_to_shares([([acc], mpc) for acc in diagonals], ctx, m)
+    S[rows, (rows + np.arange(w)[:, None]) % w] = he_to_shares([(diagonals, mpc)], ctx, m)
 
     A = attention_softmax([(S[:, :m], mpc)], 0, d2, fp, ctx)
     a_rows = shares_to_he([(A, mpc)], ctx)
@@ -165,7 +165,7 @@ def attention_step(qs: list, caches: list, fp: FixedPointParams, ctx: Context, c
 
     Prefill scores via inner-inner broadcasts and generated scores via
     inner-outer folding for every head, then one conversion of them all (a
-    head's two segments are two groups on its channel), one heads x (m + t)
+    head's two segments are one group on its channel), one heads x (m + t)
     softmax, one conversion of all prefill weights and value coefficients,
     value aggregation and one truncate: one inner-packed ciphertext per
     head, length d2, scale f."""
@@ -178,10 +178,8 @@ def attention_step(qs: list, caches: list, fp: FixedPointParams, ctx: Context, c
 
     groups = []
     for q, kv, ch in zip(qs, caches, chans):
-        if m > 0:
-            groups.append(([arcc_inner_inner(q, kv.prefill_K, ctx)], ch))
-        if t > 0:
-            groups.append((arcc_inner_outer(q, kv.auto_K, ctx), ch))
+        prefill = [arcc_inner_inner(q, kv.prefill_K, ctx)] if m else []
+        groups.append((prefill + (arcc_inner_outer(q, kv.auto_K, ctx) if t else []), ch))
     # a head's row: its prefill scores in slots 0..m-1 of its first n, then,
     # as B * d2 = n, generated score r at slot r*d2 of its parts laid end to end
     V = he_to_shares(groups, ctx).reshape(len(qs), -1)

@@ -15,7 +15,7 @@ each part's budget.
 Noise is handled lazily: before each decode step, every part of every cache
 whose budget has fallen to the refresh threshold is re-encrypted in one
 ``nonlinear.refresh`` pass (server subtracts a random mask r, client decrypts
-its share and re-encrypts it, server adds r back), restoring a full budget
+its share and re-shares the value under a fresh mask), restoring a full budget
 without revealing the payload.  Each refreshed part is counted on the op
 counter and logged at INFO on ``cryptogen.kv_cache``; the cache keeps no record.
 

@@ -39,7 +39,7 @@ from .fixedpoint import (
 )
 from .kv_cache import _check_layout, append_token, cache_stats, init_cache, maybe_refresh
 from .linear_kernels import CpvmPlaintexts, cpmm_outer_diagonal, cpvm_inner_diagonal, cpvm_plaintexts
-from .nonlinear import MpcChannel, he_to_shares, shares_to_he, truncate
+from .nonlinear import MpcChannel, he_to_shares, roundtrip, shares_to_he, truncate
 
 __all__ = [
     "GenerationState",
@@ -344,11 +344,10 @@ def _truncated(P: PackedMatrix, fp, ctx, mpc) -> PackedMatrix:
 
 
 def _roundtrip(P: PackedMatrix, fn, ctx, mpc) -> PackedMatrix:
-    """Pull the slab into the share domain, apply fn (rows x cols array of
-    signed scale-f ints -> same shape, row-wise), re-encrypt it."""
-    vals = he_to_shares([(P.parts, mpc)], ctx, P.width)
-    out = P.payloads(fn(P.payloads(vals)))
-    return PackedMatrix(P.encoding, shares_to_he([(out, mpc)], ctx))
+    """The slab's ``roundtrip`` through fn (rows x cols array of signed
+    scale-f ints -> same shape, row-wise)."""
+    parts = roundtrip([(P.parts, mpc)], P.width, lambda V: P.payloads(fn(P.payloads(V))), ctx)
+    return PackedMatrix(P.encoding, parts)
 
 
 def _add(A: PackedMatrix, B: PackedMatrix, ctx) -> PackedMatrix:

@@ -6,13 +6,16 @@ client evaluates the shared fixed-point function on the values the shares
 add up to and re-shares the result under a fresh mask, so each share in
 isolation stays uniform.  ``he_to_shares`` takes ciphertexts to a k x
 length array of signed values, ``shares_to_he`` takes k x L arrays back
-to ciphertexts; ``refresh`` and ``truncate`` round-trip ciphertexts.
+to ciphertexts, and ``roundtrip`` is the one client round trip between
+them: ``truncate`` is its rescale, ``refresh`` its identity, and the
+layer's LayerNorm, GELU and FFN rescale are its other functions.
 
 Each protocol is one pass over groups of (ciphertexts or rows, channel),
-so a layer stage converts every head's items in one call.  A group draws
-exactly the mask words one call on its items alone would draw: the same
-sizes, in group order, from its own channel (a channel may own several
-groups), and is charged its own bytes and rounds there.  The masks and
+so a layer stage converts every head's items in one call.  One draw rule
+holds per group and direction: a group of k ciphertexts draws one entry
+block of k*n mask words, a group of rows one exit block of its rows'
+words, each from its own channel (a channel may own several groups) in
+group order, and is charged its own bytes and rounds there.  The masks and
 share arithmetic of the whole pass are one numpy pass, while every HE op
 is still one ``Context`` call per ciphertext, in group order, all spent
 during the call.  A channel object is a mask source plus two tallies.  It
@@ -48,6 +51,8 @@ charge truncate's 3.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .backend import Context, ParameterError, as_int64
@@ -59,6 +64,7 @@ __all__ = [
     "attention_softmax",
     "he_to_shares",
     "refresh",
+    "roundtrip",
     "shares_to_he",
     "truncate",
 ]
@@ -111,48 +117,10 @@ class MpcChannel:
         return self._masks[start : start + length]
 
 
-def _share_length(length, ctx: Context) -> int:
-    length = ctx.params.n_slots if length is None else length
-    if not 0 < length <= ctx.params.n_slots:
-        raise ParameterError(f"share length {length} out of range")
-    return length
-
-
-def _open(cts, r: np.ndarray, length: int, ctx: Context) -> np.ndarray:
-    """Mask ciphertext i with row i of the k x n masks r, in list order, and
-    decrypt it: the signed values of slots 0..length-1, as a k x length array."""
-    # each decrypted vector is copied into its row and dropped at once
-    shares = (ctx.decrypt(ctx.add_plain(ct, neg))[:length] for ct, neg in zip(cts, ctx.plains(-r)))
-    values = np.fromiter(shares, dtype=(np.int64, length), count=len(r))
-    # share + r + half, reduced mod p, less half: the signed value, p odd
-    half = ctx.params.plain_modulus // 2
-    values += r[:, :length]
-    values += half
-    np.remainder(values, ctx.modulus, values)
-    values -= half
-    return values
-
-
-def _seal(pairs, ctx: Context) -> list:
-    """Ciphertexts of the rows of (secret, r) pairs of k x L matrices: the client
-    encrypts its share secret - r, the server adds r; one ``plains`` call."""
-    k = sum(len(secret) for secret, _ in pairs)
-    shares = np.zeros((2 * k, ctx.params.n_slots), dtype=np.int64)
-    i = 0
-    for secret, r in pairs:
-        j, width = i + len(secret), secret.shape[1]
-        np.subtract(secret % ctx.modulus, r, out=shares[i:j, :width])  # in (-p, p): no int64 wrap
-        shares[k + i : k + j, :width] = r
-        i = j
-    encoded = ctx.plains(shares)
-    return [ctx.add_plain(ctx.encrypt(client), server) for client, server in zip(encoded[:k], encoded[k:])]
-
-
-def _charge(groups, ctx: Context, *transfers) -> None:
-    """Charge each group's channel and the context every (words, trips) transfer per item."""
+def _charge(groups, ctx: Context, words: int, trips: int = 1) -> None:
+    """Charge each group's channel and the context ``trips`` transfers of ``words`` per item."""
     for items, ch in groups:
-        for words, trips in transfers:
-            ctx.counter.mpc_bytes += ch.transfer(words, trips=trips * len(items))
+        ctx.counter.mpc_bytes += ch.transfer(words, trips=trips * len(items))
 
 
 def he_to_shares(groups, ctx: Context, length: int | None = None) -> np.ndarray:
@@ -162,13 +130,21 @@ def he_to_shares(groups, ctx: Context, length: int | None = None) -> np.ndarray:
     K x length array.  A group of k draws k*n mask words in one draw and is
     charged one n-word transfer per ciphertext.
     """
-    length = _share_length(length, ctx)
     n = ctx.params.n_slots
+    length = n if length is None else length
+    if not 0 < length <= n:
+        raise ParameterError(f"share length {length} out of range")
     groups = [(list(cts), ch) for cts, ch in groups]
     masks = [ch.sample_mask(len(cts) * n) for cts, ch in groups] or [np.empty(0, dtype=np.int64)]
     r = (masks[0] if len(masks) == 1 else np.concatenate(masks)).reshape(-1, n)  # one group's block uncopied
-    values = _open([ct for cts, _ in groups for ct in cts], r, length, ctx)
-    _charge(groups, ctx, (n, 1))
+    # each decrypted vector is copied into its row and dropped at once
+    flat = (ct for cts, _ in groups for ct in cts)
+    shares = (ctx.decrypt(ctx.add_plain(ct, neg))[:length] for ct, neg in zip(flat, ctx.plains(-r)))
+    values = np.fromiter(shares, dtype=(np.int64, length), count=len(r))
+    # share + r + half, reduced mod p, less half: the signed value, p odd
+    half = ctx.params.plain_modulus // 2
+    values = (values + r[:, :length] + half) % ctx.modulus - half
+    _charge(groups, ctx, n)
     return values
 
 
@@ -176,8 +152,8 @@ def shares_to_he(groups, ctx: Context) -> list:
     """Share each row of the k x L integer matrices of (rows, channel)
     groups (signed or residues; any other input raises ParameterError, as
     in ``as_int64``) and return their ciphertexts, group after group: the
-    client encrypts its share, the server adds its own.  Each decrypts to
-    its row in slots 0..L-1 (zeros beyond) and carries a fresh noise
+    client encrypts its share secret - r, the server adds r.  Each decrypts
+    to its row in slots 0..L-1 (zeros beyond) and carries a fresh noise
     budget.  A group draws k*L mask words in one draw and is charged one
     n-word transfer per row; groups may differ in L.
     """
@@ -186,40 +162,49 @@ def shares_to_he(groups, ctx: Context) -> list:
     for rows, _ in groups:
         if rows.ndim != 2 or rows.shape[1] > n:
             raise ParameterError(f"expected a matrix of at most {n} columns, got shape {rows.shape}")
-    out = _seal([(rows, ch.sample_mask(rows.size).reshape(rows.shape)) for rows, ch in groups], ctx)
-    _charge(groups, ctx, (n, 1))
+    k = sum(len(rows) for rows, _ in groups)
+    shares = np.zeros((2 * k, n), dtype=np.int64)  # the client's k rows, then the server's
+    for (rows, ch), j in zip(groups, accumulate(len(rows) for rows, _ in groups)):
+        i, width, r = j - len(rows), rows.shape[1], ch.sample_mask(rows.size).reshape(rows.shape)
+        np.subtract(rows % ctx.modulus, r, out=shares[i:j, :width])  # in (-p, p): no int64 wrap
+        shares[k + i : k + j, :width] = r
+    encoded = ctx.plains(shares)
+    out = [ctx.add_plain(ctx.encrypt(client), server) for client, server in zip(encoded[:k], encoded[k:])]
+    _charge(groups, ctx, n)
     return out
+
+
+def roundtrip(groups, length: int, fn, ctx: Context) -> list:
+    """The client round trip of (ciphertexts, channel) groups: one
+    ``he_to_shares`` of slots 0..length-1 of every ciphertext, ``fn`` on
+    the K x length signed values, one ``shares_to_he`` of each group's rows
+    of its K-row result on that group's channel.  A result of another row
+    count raises ParameterError before any exit op or draw.
+    """
+    groups = [(list(cts), ch) for cts, ch in groups]
+    values = he_to_shares(groups, ctx, length)
+    out = as_int64(fn(values))
+    if out.shape[:1] != values.shape[:1]:
+        raise ParameterError(f"fn must return {len(values)} rows, got shape {out.shape}")
+    ends = accumulate(len(cts) for cts, _ in groups)
+    return shares_to_he([(out[j - len(cts) : j], ch) for (cts, ch), j in zip(groups, ends)], ctx)
 
 
 def refresh(groups, ctx: Context) -> list:
-    """A fresh encryption of the ciphertexts of (ciphertexts, channel) groups:
-    the server masks each with r, the client decrypts its share and re-encrypts
-    it, the server adds r back.  Per ciphertext: n mask words, four HE ops."""
-    n = ctx.params.n_slots
-    groups = [(list(cts), ch) for cts, ch in groups]
-    r = np.array([ch.sample_mask(n) for cts, ch in groups for _ in cts], dtype=np.int64).reshape(-1, n)
-    out = _seal([(_open([ct for cts, _ in groups for ct in cts], r, n, ctx), r)], ctx)
-    _charge(groups, ctx, (n, 2))
-    return out
+    """A fresh encryption of the ciphertexts of (ciphertexts, channel)
+    groups: the identity ``roundtrip`` over all n slots, four HE ops and
+    2n mask words per ciphertext."""
+    return roundtrip(groups, ctx.params.n_slots, lambda values: values, ctx)
 
 
 def truncate(groups, length: int, fp: FixedPointParams, ctx: Context) -> list:
     """Fixed-point rescale of the ciphertexts of (ciphertexts, channel)
-    groups: slots 0..length-1 of each are converted to shares,
-    floor-divided by 2^f and shared back (zeros beyond), at 3 trips of
-    ``length`` words besides the two conversions.  Each ciphertext draws
-    its n-word entry mask and then its length-word exit mask, as one round
-    trip per ciphertext would; the HE ops of all entries come first.
-    """
-    length = _share_length(length, ctx)
-    n = ctx.params.n_slots
+    groups: the ``roundtrip`` of slots 0..length-1 through ``fp_truncate``
+    (floor division by 2^f; zeros beyond), charged 3 trips of ``length``
+    words per ciphertext besides its two conversions."""
     groups = [(list(cts), ch) for cts, ch in groups]
-    masks = [(ch.sample_mask(n), ch.sample_mask(length)) for cts, ch in groups for _ in cts]
-    entry = np.array([r for r, _ in masks], dtype=np.int64).reshape(-1, n)
-    exit_ = np.array([r for _, r in masks], dtype=np.int64).reshape(-1, length)
-    values = _open([ct for cts, _ in groups for ct in cts], entry, length, ctx)
-    out = _seal([(fp_truncate(values, fp.f), exit_)], ctx)
-    _charge(groups, ctx, (n, 2), (length, 3))
+    out = roundtrip(groups, length, lambda values: fp_truncate(values, fp.f), ctx)
+    _charge(groups, ctx, length, 3)
     return out
 
 
@@ -233,6 +218,8 @@ def attention_softmax(groups, query: int, d2: int, fp: FixedPointParams, ctx: Co
     ParameterError before a transfer is charged.
     """
     groups = [(as_int64(rows), ch) for rows, ch in groups]
+    if not groups:
+        raise ParameterError("expected at least one score matrix, got an empty pass")
     for rows, _ in groups:
         if rows.ndim != 2 or rows.size == 0 or rows.shape[1] != groups[0][0].shape[1]:
             raise ParameterError(f"expected non-empty score matrices of one width, got shape {rows.shape}")

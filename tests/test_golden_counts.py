@@ -18,6 +18,7 @@ import pytest
 import cryptogen.model as model_module
 from cryptogen.backend import BackendParams, Context
 from cryptogen.model import generate, generate_toy_model, oracle_generate, toy_config
+from cryptogen.nonlinear import MpcChannel, refresh
 
 PARAMS_TOY = Path(__file__).resolve().parents[1] / "configs" / "params_toy.json"
 PROMPT = [3, 14, 15, 9, 26]
@@ -98,10 +99,14 @@ OP_SEQUENCE = {
 
 # the dataflow digest of the same runs (``tools/op_digest.py``): the sorted
 # labels of every op, each hashing its operands' labels, so it moves with
-# the op graph but not with the order independent ops are called in
+# the op graph but not with the order independent ops are called in.
+# Re-pinned when every client function became one round trip whose groups
+# draw one entry and one exit mask block: a label hashes a plaintext's slots,
+# and a conversion's plaintexts hold mask words.  The share-blind dataflow
+# digest, which labels those plaintexts by their slot count, did not move
 OP_DATAFLOW = {
-    None: "44237dd86998cdfe36bed6195119eaef96235cae7be860d770992dfc70fcf8c7",
-    170: "887af6a785f8c62b8cd83f264d156b613be4ccffd33a3ebddc3fbcaa0b041ce5",
+    None: "47df3d7a88f522ea73eb82f86414bd288832bc49be663168ae85dc630318734c",
+    170: "4526530b720f28c92d85a8b25f92be8d1f26a3c95db1959df9ec7d9bc8a70bd9",
 }
 
 
@@ -122,7 +127,7 @@ def _toy_params(threshold):
 @pytest.mark.parametrize("threshold", [None, 170])
 def test_golden_op_sequence(threshold):
     model = generate_toy_model(toy_config(), seed=0)
-    digest, tokens, ops, _, dataflow, _ = _digest_tool().digest_run(model, PROMPT, len(TOKENS), _toy_params(threshold))
+    digest, tokens, ops, _, dataflow, *_ = _digest_tool().digest_run(model, PROMPT, len(TOKENS), _toy_params(threshold))
     assert tokens == TOKENS
     assert (digest, ops) == OP_SEQUENCE[threshold]
     assert dataflow == OP_DATAFLOW[threshold]
@@ -154,14 +159,36 @@ def test_dataflow_digest_sees_the_op_graph_not_the_call_order():
     assert digests(True, swap=True)[1] != dataflow
 
 
+def test_share_blind_digest_ignores_only_the_mask_words_of_conversions():
+    """A refresh under channels of two seeds gives two dataflow digests and
+    one share-blind digest; the plaintext encrypted outside ``nonlinear``
+    is still labelled by its slots there."""
+    tool = _digest_tool()
+
+    def digests(seed, value):
+        ctx = Context(_toy_params(None), seed=0)
+        with tool.OpDigest().installed(Context) as spy:
+            (pt,) = ctx.plains([[value]])
+            refresh([([ctx.encrypt(pt)], MpcChannel(ctx.params.plain_modulus, seed))], ctx)
+        return spy.dataflow_hexdigest(), spy.dataflow_hexdigest(blind=True)
+
+    dataflow, blind = digests(0, 1)
+    other_dataflow, other_blind = digests(1, 1)
+    assert other_dataflow != dataflow and other_blind == blind
+    assert digests(0, 2)[1] != blind
+
+
 # per channel, sha256 of every mask word it hands out (int64 bytes in its
 # own draw order, ``tools/op_digest.py``); the sha256 of those digests,
 # sorted, with the number of draws and of words over all channels: a change
 # that moves, adds or drops a mask word on any channel moves it, and one
-# that only interleaves the channels' draws differently does not
+# that only interleaves the channels' draws differently does not.
+# Re-pinned with the dataflow digests: each group now draws one entry block
+# and one exit block, and refresh draws a fresh exit mask (n more words per
+# refreshed part)
 MASK_STREAM = {
-    None: ("74e0ec880bebb53a171346c9445df1879606d142892b0fc63ce46c80f5645928", 1890, 101624),
-    170: ("b12ea32a488a69a76dcaa297463f15bdb6f94f52ac3dcbe3e6f88b07e22e702d", 2034, 110840),
+    None: ("f1e672c193d95bed89f75f23e82ce7915c24378b8757902abce6c5d1db1f7c68", 830, 101624),
+    170: ("67ca158a0c01608f63bd163bedce3687057836fd97f71457149d3602fb11bdb2", 974, 120056),
 }
 
 # (bytes_sent, rounds) of each channel after the run: every head's channel

@@ -38,6 +38,7 @@ from cryptogen.nonlinear import (
     attention_softmax,
     he_to_shares,
     refresh,
+    roundtrip,
     shares_to_he,
     truncate,
 )
@@ -234,7 +235,7 @@ def test_conversions_spend_per_ciphertext_ops_in_list_order(slots, length, prefi
 
 
 # One channel's conversions as they ran one call per group, before the
-# grouped forms: the per-group reference the grouped passes are checked
+# grouped forms: the per-group reference the grouped conversions are checked
 # against.
 
 
@@ -263,45 +264,46 @@ def _one_shares_to_he(rows, ctx, ch):
     return out
 
 
-def _one_truncate(cts, length, fp, ctx, ch):
-    out = []
-    for ct in cts:
-        values = fp_truncate(_one_he_to_shares([ct], ctx, ch, length), fp.f)
-        ctx.counter.mpc_bytes += ch.transfer(length, trips=3)
-        out += _one_shares_to_he(values, ctx, ch)
-    return out
+def _composed(fn, trips=0, width=None):
+    """The client round trip spelled out: ``he_to_shares`` of the groups'
+    slots 0..width-1 (the drawn length if width is None), fn, one
+    ``shares_to_he`` of each group's rows on its channel, then ``trips``
+    transfers of that many words per ciphertext."""
+
+    def run(pairs, ctx, length):
+        w = width or length
+        values = fn(he_to_shares(pairs, ctx, w))
+        ends = np.cumsum([len(cts) for cts, _ in pairs])
+        out = shares_to_he([(values[j - len(cts) : j], ch) for (cts, ch), j in zip(pairs, ends)], ctx)
+        for cts, ch in pairs:
+            ctx.counter.mpc_bytes += ch.transfer(w, trips=trips * len(cts))
+        return out
+
+    return run
 
 
-def _one_refresh(cts, ctx, ch):
-    out = []
-    for ct in cts:
-        r = ch.sample_mask(ctx.params.n_slots)
-        neg, pos = ctx.plains(np.stack((-r, r)))
-        share = ctx.decrypt(ctx.add_plain(ct, neg))
-        out.append(ctx.add_plain(ctx.encrypt(ctx.plains(share[None])[0]), pos))
-        ctx.counter.mpc_bytes += ch.transfer(r.shape[0], trips=2)
-    return out
+def _reversed(values):
+    return values[:, ::-1] * 3
 
 
+_FP16 = FixedPointParams(4, P16)
+# protocol -> (grouped pass, reference), both called as (groups, ctx, length)
 _GROUPED = {
     "he_to_shares": (
-        lambda groups, ctx, length: he_to_shares(groups, ctx, length),
-        lambda items, ctx, ch, length: _one_he_to_shares(items, ctx, ch, length),
+        he_to_shares,
+        lambda pairs, ctx, length: np.concatenate([_one_he_to_shares(cts, ctx, ch, length) for cts, ch in pairs]),
     ),
     "shares_to_he": (
-        lambda groups, ctx, length: shares_to_he(groups, ctx),
-        lambda items, ctx, ch, length: _one_shares_to_he(items, ctx, ch),
+        lambda pairs, ctx, length: shares_to_he(pairs, ctx),
+        lambda pairs, ctx, length: [ct for rows, ch in pairs for ct in _one_shares_to_he(rows, ctx, ch)],
     ),
     "truncate": (
-        lambda groups, ctx, length: truncate(groups, length, _FP16, ctx),
-        lambda items, ctx, ch, length: _one_truncate(items, length, _FP16, ctx, ch),
+        lambda pairs, ctx, length: truncate(pairs, length, _FP16, ctx),
+        _composed(lambda values: fp_truncate(values, _FP16.f), trips=3),
     ),
-    "refresh": (
-        lambda groups, ctx, length: refresh(groups, ctx),
-        lambda items, ctx, ch, length: _one_refresh(items, ctx, ch),
-    ),
+    "refresh": (lambda pairs, ctx, length: refresh(pairs, ctx), _composed(lambda values: values, width=16)),
+    "roundtrip": (lambda pairs, ctx, length: roundtrip(pairs, length, _reversed, ctx), _composed(_reversed)),
 }
-_FP16 = FixedPointParams(4, P16)
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,19 +316,22 @@ _FP16 = FixedPointParams(4, P16)
     seed=st.integers(0, 2**32 - 1),
 )
 def test_grouped_pass_equals_one_call_per_group(protocol, groups, length, prefixes, seed):
-    """A grouped conversion, refresh or truncate returns exactly what one
-    call per group returns, draws the same mask words in the same sizes and
-    order on each channel, charges each channel the same bytes and rounds,
-    and spends the same op graph (dataflow digest), so every ciphertext
-    takes the same ops in the same order.  The prefixes place each
+    """A grouped conversion returns exactly what one call per group
+    returns, and truncate, refresh and roundtrip exactly what
+    ``he_to_shares`` -> fn -> ``shares_to_he`` on the same groups returns:
+    the same values or output slots and budgets, the same mask words in
+    the same sizes and order on each channel, the same bytes and rounds per
+    channel, the same counter deltas and the same op graph (dataflow
+    digest).  A round trip's group of k draws one entry block of k*n words
+    and one exit block of its rows' words.  The prefixes place each
     channel's masks anywhere in a block; shares_to_he's groups differ in
     row length."""
-    grouped, one = _GROUPED[protocol]
+    grouped, reference = _GROUPED[protocol]
     tool = _op_digest_tool()
     rng = np.random.default_rng(seed)
     rows = [rng.integers(-P16, P16, (k, width)) for _, k, width in groups]
 
-    def run(batched):
+    def run(protocol_fn):
         ctx = Context(BackendParams(n_slots=16, plain_modulus=P16), seed=1)
         chans = [MpcChannel(P16, seed=seed + i) for i in range(3)]
         for ch, prefix in zip(chans, prefixes):
@@ -346,12 +351,7 @@ def test_grouped_pass_equals_one_call_per_group(protocol, groups, length, prefix
                     items = rows
                 else:
                     items = [[ctx.encrypt(pt) for pt in ctx.plains(np.mod(r, P16))] for r in rows]
-                pairs = [(item, chans[c]) for item, (c, _, _) in zip(items, groups)]
-                if batched:
-                    out = grouped(pairs, ctx, length)
-                else:
-                    outs = [one(item, ctx, ch, length) for item, ch in pairs]
-                    out = np.concatenate(outs) if protocol == "he_to_shares" else [ct for o in outs for ct in o]
+                out = protocol_fn([(item, chans[c]) for item, (c, _, _) in zip(items, groups)], ctx, length)
             finally:
                 MpcChannel.sample_mask = sample
         if protocol != "he_to_shares":
@@ -362,7 +362,39 @@ def test_grouped_pass_equals_one_call_per_group(protocol, groups, length, prefix
         words = [[m.tolist() for m in drawn[id(ch)]] for ch in chans]
         return out, words, tallies, ctx.counter.as_dict(), spy.ops, spy.dataflow_hexdigest()
 
-    assert run(True) == run(False)
+    got = run(grouped)
+    assert got == run(reference)
+    if protocol in ("truncate", "refresh", "roundtrip"):
+        exit_width = 16 if protocol == "refresh" else length
+        for c, words in enumerate(got[1]):
+            ks = [k for ch, k, _ in groups if ch == c]
+            assert [len(w) for w in words] == [k * 16 for k in ks] + [k * exit_width for k in ks]
+
+
+def test_round_trips_of_an_empty_pass_are_empty_and_charge_nothing(ctx16):
+    with _spied() as (log, masks, _):
+        assert roundtrip([], 16, lambda values: values, ctx16) == []
+        assert truncate([], 4, FixedPointParams(4, ctx16.params.plain_modulus), ctx16) == []
+        assert refresh([], ctx16) == []
+    assert log == [] and masks == []
+    assert not any(ctx16.counter.as_dict().values())
+
+
+@pytest.mark.parametrize(
+    "fn", [lambda V: V[:1], lambda V: np.concatenate([V, V]), lambda V: V[0]], ids=["fewer", "more", "1d"]
+)
+def test_roundtrip_refuses_a_result_of_another_row_count_before_any_exit(fn, ctx16):
+    """fn must return one row per ciphertext: otherwise ParameterError after
+    the entry conversion, before any exit op, mask draw or transfer."""
+    n = ctx16.params.n_slots
+    ch = MpcChannel(ctx16.params.plain_modulus, seed=0)
+    cts = [ctx16.encrypt(pt) for pt in ctx16.plains(np.arange(2 * n).reshape(2, n))]
+    with _spied() as (log, masks, _):
+        with pytest.raises(ParameterError, match="must return 2 rows"):
+            roundtrip([(cts, ch)], n, fn, ctx16)
+    assert [op for op, _ in log] == ["add_plain", "decrypt"] * 2
+    assert [m.size for m in masks] == [2 * n]
+    assert (ch.rounds, ch.bytes_sent) == (2, 2 * ch.vector_bytes(n))
 
 
 def test_batch_forms_reject_bad_shapes(ctx16):
@@ -380,7 +412,8 @@ def test_batch_forms_reject_bad_shapes(ctx16):
 
 def test_refresh_resets_the_budget_at_four_ops(ctx16):
     """A refresh keeps the slots, restores the full budget and spends four
-    HE ops, one n-word transfer each way and one n-word mask."""
+    HE ops, one n-word transfer each way, an n-word entry mask and a fresh
+    n-word exit mask."""
     p, n = ctx16.params.plain_modulus, ctx16.params.n_slots
     ch = MpcChannel(p, seed=4)
     v = np.arange(n) * 7 % p
@@ -390,7 +423,7 @@ def test_refresh_resets_the_budget_at_four_ops(ctx16):
     with _spied() as (log, masks, _):
         (out,) = refresh([([ct], ch)], ctx16)
     assert [op for op, _ in log] == ["add_plain", "decrypt", "encrypt", "add_plain"]
-    assert [m.size for m in masks] == [n]
+    assert [m.size for m in masks] == [n, n]
     assert (ctx16.decrypt(out) == v).all()
     assert out.noise_budget == ctx16.params.initial_noise_budget - ctx16.params.noise_costs.add_plain
     assert (ch.rounds, ch.bytes_sent) == (2, 2 * ch.vector_bytes(n))
@@ -400,8 +433,8 @@ def test_refresh_resets_the_budget_at_four_ops(ctx16):
 def test_truncate_examples():
     """Truncation rescales each ciphertext's values between its two
     conversions, at 3 trips of L words per ciphertext besides them.  It
-    draws each ciphertext's entry mask and then its exit mask, and runs
-    every entry's HE ops before every exit's."""
+    draws one entry block of 3n words, then one exit block of 3 words, and
+    runs every entry's HE ops before every exit's."""
     ch, ctx = MpcChannel(P_BIG, seed=0), _ctx()
     one, half = fp_encode(1.0, FP), fp_encode(0.5, FP)
     pts = ctx.plains([[int(one) ** 2], [int(half) ** 2], [0]])
@@ -410,7 +443,7 @@ def test_truncate_examples():
     got = [int(to_signed(ctx.decrypt(ct), P_BIG)[0]) for ct in out]
     assert got[0] == one and abs(got[1] - fp_encode(0.25, FP)) <= 1 and got[2] == 0
     assert [op for op, _ in log] == ["encrypt"] * 3 + ["add_plain", "decrypt"] * 3 + ["encrypt", "add_plain"] * 3
-    assert [m.size for m in masks] == [16, 1] * 3
+    assert [m.size for m in masks] == [48, 3]
     conversions = 3 * 2 * ch.vector_bytes(16)
     assert ctx.counter.mpc_bytes == ch.bytes_sent == conversions + 3 * 3 * ch.vector_bytes(1)
     assert ch.rounds == 3 * 2 + 9
@@ -576,16 +609,17 @@ def test_attention_softmax_matches_fixedpoint_and_charges_all_scores(rng):
         (np.int64(5), 8, "shape \\(\\)"),
         (np.zeros((1, 4), dtype=np.int64), 0, "d2 must be positive, got 0"),
         (np.zeros((2, 2), dtype=np.int64), -1, "d2 must be positive, got -1"),
+        (None, 8, "at least one score matrix"),
     ],
-    ids=["3d", "0x0", "3x0", "empty", "0d", "d2=0", "d2=-1"],
+    ids=["3d", "0x0", "3x0", "empty", "0d", "d2=0", "d2=-1", "no-groups"],
 )
 def test_attention_softmax_refuses_what_it_cannot_mean_before_any_transfer(scores, d2, message):
     """Only a non-empty score matrix and a positive head width have a
-    softmax; anything else raises ParameterError and charges no byte or
-    round."""
+    softmax; anything else, a pass of no groups included (scores None),
+    raises ParameterError and charges no byte or round."""
     ch, ctx = MpcChannel(P_BIG, seed=0), _ctx()
     with pytest.raises(ParameterError, match=message):
-        attention_softmax([(scores, ch)], 0, d2, FP, ctx)
+        attention_softmax([] if scores is None else [(scores, ch)], 0, d2, FP, ctx)
     assert (ch.bytes_sent, ch.rounds, ctx.counter.mpc_bytes) == (0, 0, 0)
 
 

@@ -18,8 +18,13 @@ are computed from the records:
   result noise budget.  A decrypt's label hashes its operand's label.  The
   digest is the sha256 of all labels, sorted, so every order of the same
   graph gives the same value.
+* The share-blind dataflow digest is the dataflow digest with every
+  plaintext that ``Context.plains`` made inside ``cryptogen/nonlinear.py``
+  labelled by its slot count instead of its slots.  Those plaintexts hold
+  share masks, so it sees the op graph of a run and not which mask words
+  its conversions drew.  It is printed, not pinned.
 
-Both are printed next to the tokens, the operation count and the run's
+All three are printed next to the tokens, the operation count and the run's
 total MPC bytes (``mpc_bytes`` of the op counter).  A further sha256
 covers the mask streams: each channel's masks, as int64 bytes in that
 channel's own draw order, are hashed apart, and the stream fingerprint is
@@ -99,8 +104,8 @@ SHAPES = {
             55, 27, 27, 55, 27, 58, 27, 27, 27, 55, 43, 58, 27, 55, 27, 27, 55, 63, 12, 58, 58, 27, 44, 33,
         ],
         10_841_400,
-        "3c91f930891b2c9faaea2d729a35083554495567e4300831cf7b2bba4835e6e2",
-        ("d73dc9d90c63f50a665c7acab275423d4b3e2026e516016b3359760929e46510", 17_434, 2_015_776),
+        "838418c0b56445c0155d4248281ebc1d28a98fcc8999bf3b40cef955125ec4c9",
+        ("d9be6127b556d5bc41a1a77942f2510f1dd3d2296ff0e75fd36e926488d29ce5", 11_014, 2_015_776),
     ),
     "refresh_churn": Shape(
         None, "params_toy.json", 170, TOY_PROMPT, 112,
@@ -113,30 +118,32 @@ SHAPES = {
             55, 27, 27, 55, 27, 58, 27, 27, 27, 55, 43, 58, 27, 55, 27, 27,
         ],
         9_014_392,
-        "cbca8767cba682e4abcc1c336dc2c51c93eddcd6da5960c50284e7c7b5100246",
-        ("5f3ef9db91162f1ccbf106ef28ec8657f5438e80771f9e013b9f3747fbb26a4d", 15_690, 1_520_672),
+        "097d2dc9327b64e7568701f1dbecf8644c7c8c8098959564d20c30c533f33c5b",
+        ("29dca381ae30b12a935b8253d37f7c6f69ab5e15dfbc7b77f579b668f9b4a98f", 10_358, 1_634_336),
     ),
     "paper1": Shape(
         PAPER1_MODEL, "params_reference.json", None, (1, 2, 3, 4), 2,
         "242ec32c862e5bd75599f275b92b194c95648b0d73680e90e43ac71d68e1c41e", 544_491,
         [49, 39],
         602_533_200,
-        "24ddb950f0cf8fd1bbb8787e87daeb1c2b0c3aa5c584a64b9330975516ec94a5",
-        ("4b7c4a868c18bf059710e3ed1ac9241d72b7131e770cab423b2910d69e40fd43", 8_058, 83_696_672),
+        "1a4e9e7e0bec3b2183eb4112c080ba1dd5b0c6bd8252dcc670ad93dc2bbde083",
+        ("f65be8864098ba3c68b8236d8060d593b2d30232bb9d347d550617b142bb45b9", 272, 83_696_672),
     ),
 }
 
 
 class OpDigest:
-    """The ordered and the dataflow digest of the counted ops seen while
-    installed.  Every ciphertext operand must come from an op seen while
-    installed, as in a run on a fresh context."""
+    """The ordered, the dataflow and the share-blind dataflow digest of the
+    counted ops seen while installed.  Every ciphertext operand must come
+    from an op seen while installed, as in a run on a fresh context."""
 
     def __init__(self):
         self._hash = hashlib.sha256()
         self._ids: dict[int, int] = {}
-        self._labels: dict[int, bytes] = {}  # ciphertext id -> dataflow label
-        self._nodes: list[bytes] = []  # every op's label, decrypts included
+        # ciphertext id -> label, and every op's label, decrypts included:
+        # one pair for the dataflow digest, one for the share-blind one
+        self._graphs = (({}, []), ({}, []))
+        self._masked: dict[int, object] = {}  # id -> plaintext made in nonlinear, held until used
         self.ops = 0
 
     def _rename(self, ct_id: int) -> int:
@@ -152,31 +159,38 @@ class OpDigest:
         self._hash.update(repr((op, ins) + out).encode() + b"\n")
         self.ops += 1
 
-        node = hashlib.sha256(op.encode())
-        for ct in operands:
-            node.update(self._labels[ct.id])
+        arg = blind = b""
         if op == "rotate":
-            node.update(b"by %d" % (args[1] % operands[0].n_slots))
+            arg = blind = b"by %d" % (args[1] % operands[0].n_slots)
         elif op in ("encrypt", "add_plain", "mult_plain"):
-            node.update(hashlib.sha256(args[-1].slots).digest())
-        if op != "decrypt":
-            node.update(b"budget %d" % result.noise_budget)
-            self._labels[result.id] = node.digest()
-        self._nodes.append(node.digest())
+            pt = args[-1]
+            arg = blind = hashlib.sha256(pt.slots).digest()
+            if self._masked.pop(id(pt), None) is not None:
+                blind = b"%d slots" % pt.slots.size
+        for (labels, nodes), extra in zip(self._graphs, (arg, blind)):
+            node = hashlib.sha256(op.encode())
+            for ct in operands:
+                node.update(labels[ct.id])
+            node.update(extra)
+            if op != "decrypt":
+                node.update(b"budget %d" % result.noise_budget)
+                labels[result.id] = node.digest()
+            nodes.append(node.digest())
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
 
-    def dataflow_hexdigest(self) -> str:
+    def dataflow_hexdigest(self, blind: bool = False) -> str:
         """sha256 of the sorted labels: the same for every order of the
-        same dependency graph."""
-        return hashlib.sha256(b"".join(sorted(self._nodes))).hexdigest()
+        same dependency graph; share-blind if ``blind``."""
+        _, nodes = self._graphs[blind]
+        return hashlib.sha256(b"".join(sorted(nodes))).hexdigest()
 
     @contextmanager
     def installed(self, ctx_cls):
-        """Wrap the counted operations of ``ctx_cls`` (every instance) for
-        the duration of the block."""
-        orig = {op: getattr(ctx_cls, op) for op in CT_OPERANDS}
+        """Wrap the counted operations and ``plains`` of ``ctx_cls`` (every
+        instance) for the duration of the block."""
+        orig = {op: getattr(ctx_cls, op) for op in (*CT_OPERANDS, "plains")}
 
         def spy(op, fn):
             def wrapped(self_, *args):
@@ -186,8 +200,15 @@ class OpDigest:
 
             return wrapped
 
-        for op, fn in orig.items():
-            setattr(ctx_cls, op, spy(op, fn))
+        def plains(self_, rows):
+            out = orig["plains"](self_, rows)
+            if sys._getframe(1).f_globals.get("__name__") == "cryptogen.nonlinear":
+                self._masked.update((id(pt), pt) for pt in out)
+            return out
+
+        for op in CT_OPERANDS:
+            setattr(ctx_cls, op, spy(op, orig[op]))
+        ctx_cls.plains = plains
         try:
             yield self
         finally:
@@ -229,8 +250,9 @@ class MaskStream:
 
 
 def digest_run(model, prompt, k: int, params):
-    """(ordered digest, tokens, op count, MPC bytes, dataflow digest, mask
-    stream fingerprint) of ``generate`` on a fresh Context."""
+    """(ordered digest, tokens, op count, MPC bytes, dataflow digest,
+    share-blind dataflow digest, mask stream fingerprint) of ``generate``
+    on a fresh Context."""
     from cryptogen.backend import Context
     from cryptogen.model import generate
     from cryptogen.nonlinear import MpcChannel
@@ -239,7 +261,8 @@ def digest_run(model, prompt, k: int, params):
     with spy.installed(Context), masks.installed(MpcChannel):
         tokens, report = generate(model, prompt, k, Context(params, seed=0), seed=0)
     mpc_bytes = report["totals"]["mpc_bytes"]
-    return spy.hexdigest(), tokens, spy.ops, mpc_bytes, spy.dataflow_hexdigest(), masks.fingerprint()
+    dataflow, blind = spy.dataflow_hexdigest(), spy.dataflow_hexdigest(blind=True)
+    return spy.hexdigest(), tokens, spy.ops, mpc_bytes, dataflow, blind, masks.fingerprint()
 
 
 def main(argv=None) -> int:
@@ -257,11 +280,12 @@ def main(argv=None) -> int:
         params = dataclasses.replace(params, refresh_threshold=shape.threshold)
     config = toy_config() if shape.model is None else ModelConfig(**shape.model)
     model = generate_toy_model(config, seed=0)
-    digest, tokens, ops, mpc_bytes, dataflow, masks = digest_run(model, list(shape.prompt), shape.k, params)
+    digest, tokens, ops, mpc_bytes, dataflow, blind, masks = digest_run(model, list(shape.prompt), shape.k, params)
     print(f"shape {args.shape}  ops {ops}  mpc_bytes {mpc_bytes}")
     print(f"tokens {tokens}")
     print(f"sha256 {digest}")
     print(f"dataflow sha256 {dataflow}")
+    print(f"share-blind dataflow sha256 {blind}")
     print(f"mask stream sha256 {masks[0]}  draws {masks[1]}  words {masks[2]}")
     match = (digest, ops) == (shape.digest, shape.ops)
     print(f"matches pinned digest: {'yes' if match else f'no (want {shape.digest}, {shape.ops} ops)'}")
