@@ -21,17 +21,16 @@ Slot reductions and broadcasts inside the decode path always run at full
 slot width so per-step rotation counts do not depend on the prefill length.
 
 Softmax, the 1/sqrt(d2) scaling, and the causal mask all run in the
-MPC-emulation domain, which charges their rounds: one
-``nonlinear.attention_softmax`` call per head on the prompt pass, and per
-decode step one for all heads of a layer, whose every share-domain stage
-is one grouped call of head-channel groups.  Score segments are
-concatenated in that domain (client-side reassembly), never by ciphertext
-slot surgery.
+MPC-emulation domain, which charges their rounds.  Both phases take a
+layer's heads in one pass: one ``nonlinear.attention_softmax`` call for
+all of them, and every share-domain stage one grouped call of
+head-channel groups.  Score segments are concatenated in that domain
+(client-side reassembly), never by ciphertext slot surgery.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .backend import Context, ParameterError, SlotCiphertext
 from .encodings import EncodingKind, PackedMatrix, next_pow2, tile_token
 from .fixedpoint import FixedPointParams
 from .linear_kernels import fold_sum
-from .nonlinear import MpcChannel, attention_softmax, he_to_shares, shares_to_he, truncate
+from .nonlinear import attention_softmax, he_to_shares, shares_to_he, truncate
 
 __all__ = [
     "arcc_inner_inner",
@@ -115,48 +114,50 @@ def _dot_into_slot(
     return ctx.mult_plain(total, ctx.block_mask(slot, 1))
 
 
-def prefill_attention(
-    Q: PackedMatrix,
-    K: PackedMatrix,
-    V: PackedMatrix,
-    fp: FixedPointParams,
-    ctx: Context,
-    mpc: MpcChannel,
-) -> PackedMatrix:
-    """Batched attention of one head over outer-packed projections.
+def prefill_attention(Qs: list, Ks: list, Vs: list, fp: FixedPointParams, ctx: Context, chans: list) -> list:
+    """Batched attention of a layer's heads over outer-packed projections:
+    head i's Qs[i], Ks[i], Vs[i] (all of one encoding) on channel chans[i].
 
-    Score diagonals come from outer-outer CTxCT products against rotated
-    key columns and go to the share domain in one grouped conversion;
-    softmax (with the additive causal mask) runs on shares; the weight
-    rows return encrypted and aggregate the values with dot-product
-    reductions.  Output is outer-packed at scale f.
+    Each head's score diagonals come from outer-outer CTxCT products
+    against rotated key columns; one conversion takes every head's
+    diagonals to the share domain (a head's are one group on its channel),
+    one softmax (with the additive causal mask) runs on all heads' scores,
+    one conversion returns every head's weight rows, which aggregate its
+    values with dot-product reductions, and one truncate rescales all
+    outputs.  Returns one outer-packed matrix per head, at scale f.
     """
-    for name, P in (("Q", Q), ("K", K), ("V", V)):
-        if P.encoding.kind is not EncodingKind.OUTER:
-            raise ParameterError(f"{name} must be an outer packing")
-    if not (Q.encoding == K.encoding == V.encoding):
-        raise ParameterError("Q, K, V disagree on dimensions")
-    m, d2 = Q.encoding.rows, Q.encoding.cols
+    if not len(Qs) == len(Ks) == len(Vs) == len(chans) > 0:
+        raise ParameterError("expected one Q, K, V and channel for each of at least one head")
+    enc = Qs[0].encoding
+    if enc.kind is not EncodingKind.OUTER or any(P.encoding != enc for P in chain(Qs, Ks, Vs)):
+        raise ParameterError("the heads' Q, K and V must be outer packings of one shape")
+    H, m, d2 = len(chans), enc.rows, enc.cols
     n = ctx.params.n_slots
     w = next_pow2(m)
 
-    # each key column tiled to period w, so rotations stay inside a period
-    k_cols = [tile_token(col, w, n // w, ctx) for col in K.parts]
-
-    # client role: diagonal r holds score (i, (i + r) mod w) at slot i; all w are one group
-    diagonals = [
-        ctx.sum(ctx.mult_cipher(Q.parts[c], ctx.rotate(k_cols[c], r) if r else k_cols[c]) for c in range(d2))
-        for r in range(w)
-    ]
+    groups = []
+    for Q, K, ch in zip(Qs, Ks, chans):
+        # each key column tiled to period w, so rotations stay inside a period
+        k_cols = [tile_token(col, w, n // w, ctx) for col in K.parts]
+        # client role: diagonal r holds score (i, (i + r) mod w) at slot i
+        diagonals = [
+            ctx.sum(ctx.mult_cipher(Q.parts[c], ctx.rotate(k_cols[c], r) if r else k_cols[c]) for c in range(d2))
+            for r in range(w)
+        ]
+        groups.append((diagonals, ch))
     # scattered in one assignment; columns m..w-1 hold the wrapped padding
-    S = np.empty((m, w), dtype=np.int64)
+    S = np.empty((H, m, w), dtype=np.int64)
     rows = np.arange(m)
-    S[rows, (rows + np.arange(w)[:, None]) % w] = he_to_shares([(diagonals, mpc)], ctx, m)
+    S[:, rows, (rows + np.arange(w)[:, None]) % w] = he_to_shares(groups, ctx, m).reshape(H, w, m)
 
-    A = attention_softmax([(S[:, :m], mpc)], 0, d2, fp, ctx)
-    a_rows = shares_to_he([(A, mpc)], ctx)
-    cols = [ctx.sum(_dot_into_slot(a_rows[i], V.parts[c], i, ctx) for i in range(m)) for c in range(d2)]
-    return PackedMatrix(Q.encoding, truncate([(cols, mpc)], m, fp, ctx))
+    A = attention_softmax([(s[:, :m], ch) for s, ch in zip(S, chans)], d2, fp, ctx)
+    a_rows = shares_to_he(list(zip(A.reshape(H, m, m), chans)), ctx)
+    outs = [
+        ([ctx.sum(_dot_into_slot(a_rows[h * m + i], V.parts[c], i, ctx) for i in range(m)) for c in range(d2)], ch)
+        for h, (V, ch) in enumerate(zip(Vs, chans))
+    ]
+    cols = truncate(outs, m, fp, ctx)
+    return [PackedMatrix(enc, cols[h * d2 : (h + 1) * d2]) for h in range(H)]
 
 
 def attention_step(qs: list, caches: list, fp: FixedPointParams, ctx: Context, chans: list) -> list:
@@ -184,7 +185,7 @@ def attention_step(qs: list, caches: list, fp: FixedPointParams, ctx: Context, c
     # as B * d2 = n, generated score r at slot r*d2 of its parts laid end to end
     V = he_to_shares(groups, ctx).reshape(len(qs), -1)
     S = np.concatenate((V[:, :m], V[:, n if m else 0 :][:, : t * d2 : d2]), axis=1)
-    A = attention_softmax([(S[i : i + 1], ch) for i, ch in enumerate(chans)], m + t - 1, d2, fp, ctx)
+    A = attention_softmax([(S[i : i + 1], ch) for i, ch in enumerate(chans)], d2, fp, ctx)
 
     # generated weight r covers slots r*d2.. of the segment, so row q of a
     # head's coefficients is the coefficient vector of its part q

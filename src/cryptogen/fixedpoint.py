@@ -10,9 +10,9 @@ uint64 values from 2^63 on raise ParameterError); only ``fp_encode`` and
 ``fp_decode`` take reals.
 
 The softmax and its reciprocal work row-wise over the last axis of an
-int64 array (a vector is one row), so the prompt pass scores each head's
-whole m x m matrix in one ``causal_attention_weights`` call; the oracle
-calls it one row at a time, so token-exact tests cross-check the two.
+int64 array (a vector is one row), so an attention pass scores every
+head's whole score matrix in one ``causal_attention_weights`` call; the
+oracle calls it one row at a time, so token-exact tests cross-check the two.
 
 Polynomial coefficients below were produced by tools/fit_nonlinear_coeffs.py
 and are frozen; rerun the script to regenerate.
@@ -245,14 +245,15 @@ def attention_weights(scores_2f, d2: int, fp: FixedPointParams) -> np.ndarray:
 def causal_attention_weights(
     rows_2f, row_index: int, d2: int, fp: FixedPointParams
 ) -> np.ndarray:
-    """Scale-2f raw scores -> softmax weights at scale f, on a matrix whose
-    row j is query position row_index + j (a vector is row row_index):
-    rescale, multiply by the quantized 1/sqrt(d2), add the causal mask to
-    the keys past each row's query (their weight underflows to exactly
-    zero), softmax."""
+    """Scale-2f raw scores -> softmax weights at scale f, on scores whose
+    row j along axis -2 is query position row_index + j (a vector is row
+    row_index; each leading index is a matrix of its own): rescale,
+    multiply by the quantized 1/sqrt(d2), add the causal mask to the keys
+    past each row's query (their weight underflows to exactly zero),
+    softmax."""
     s1 = fp_truncate(rows_2f, fp.f)
     s2 = (s1 * _inv_sqrt_width(d2, fp.f)) >> fp.f
-    query = row_index + np.arange(s2.shape[0])[:, None] if s2.ndim == 2 else row_index
+    query = row_index + np.arange(s2.shape[-2])[:, None] if s2.ndim >= 2 else row_index
     mask = np.where(np.arange(s2.shape[-1]) > query, -(1 << (fp.f + CAUSAL_MASK_EXPONENT)), 0)
     return fp_softmax(s2 + mask, fp)
 

@@ -203,7 +203,7 @@ def load_model(path) -> Model:
     """Load a saved model directory.  Its manifest's weights must be the
     ``_weight_table`` of its config, checked before any weight file is
     read, so only files in the directory are read; each file must then
-    hold its weight's words."""
+    hold its weight's words under the p = 0 marker ``save_model`` writes."""
     path = Path(path)
     try:
         manifest = json.loads((path / "manifest.json").read_text())
@@ -215,7 +215,9 @@ def load_model(path) -> Model:
     weights = {}
     for name, entry in table.items():
         file, shape = path / entry["file"], tuple(entry["shape"])
-        mat, _ = load_matrix(file)
+        mat, modulus = load_matrix(file)
+        if modulus != 0:
+            raise ParameterError(f"{file}: header modulus {modulus}, not the p = 0 of signed weights")
         if mat.size != np.prod(shape):
             raise ParameterError(f"{file}: {mat.size} words do not fill {name}'s shape {shape}")
         weights[name] = mat.reshape(shape)
@@ -360,22 +362,18 @@ def _layernorm_rows(model: Model, l: int, name: str, fp):
 
 
 class _Prefill:
-    """Prompt slab, outer-packed: CPMM projections, outer-outer attention,
-    and the outer-packed K/V it leaves behind as each head's cache.  One
-    head per pass, so no share-domain pass spans more than one head's
-    prompt columns."""
-
-    one_head_per_pass = True
+    """Prompt slab, outer-packed: CPMM projections, the outer-packed K/V it
+    leaves behind as each head's cache, and one outer-outer attention over
+    all heads."""
 
     @staticmethod
     def linear(X, model, name, head, ctx):
         return cpmm_outer_diagonal(X, model.weight(name, head), ctx)
 
     @staticmethod
-    def attend(caches, heads, q, k, v, fp, ctx, chs):
-        (h,), (q,), (k,), (v,), (ch,) = heads, q, k, v, chs
-        caches[h] = init_cache(k, v, ctx)
-        return [prefill_attention(q, k, v, fp, ctx, ch)]
+    def attend(caches, q, k, v, fp, ctx, chs):
+        caches[:] = [init_cache(kh, vh, ctx) for kh, vh in zip(k, v)]
+        return prefill_attention(q, k, v, fp, ctx, chs)
 
     @staticmethod
     def bias(P, model, name, ctx):
@@ -395,10 +393,8 @@ class _Prefill:
 
 class _Decode:
     """One token, inner-packed: CPVM projections, cache appends, and one
-    attention over the heterogeneous caches of all heads in one pass;
+    attention over the heterogeneous caches of all heads;
     heads concatenate by rotation."""
-
-    one_head_per_pass = False
 
     @staticmethod
     def linear(x, model, name, head, ctx):
@@ -406,10 +402,9 @@ class _Decode:
         return _inner_row(cpvm_inner_diagonal(x.parts[0], W, ctx), W.shape[1])
 
     @staticmethod
-    def attend(caches, heads, q, k, v, fp, ctx, chs):
-        for h, kh, vh in zip(heads, k, v):
-            caches[h] = append_token(caches[h], kh.parts[0], vh.parts[0], ctx)
-        outs = attention_step([x.parts[0] for x in q], [caches[h] for h in heads], fp, ctx, chs)
+    def attend(caches, q, k, v, fp, ctx, chs):
+        caches[:] = [append_token(kv, kh.parts[0], vh.parts[0], ctx) for kv, kh, vh in zip(caches, k, v)]
+        outs = attention_step([x.parts[0] for x in q], caches, fp, ctx, chs)
         return [_inner_row(o, q[0].cols) for o in outs]
 
     @staticmethod
@@ -502,25 +497,24 @@ def _check_state(c: ModelConfig, state: GenerationState, params: BackendParams) 
         raise ParameterError("the state's ciphertexts were made under other parameters")
 
 
-def _heads(model: Model, l: int, X: PackedMatrix, stage, heads, caches, fp, ctx, chans) -> list:
-    """Layer l's attention over ``heads`` in one pass, stage by stage, head h
-    on channel (l, h): projections, one truncate of all q/k/v, attention.
-    Returns the outputs; the rest is dropped before the next pass starts."""
+def _heads(model: Model, l: int, X: PackedMatrix, stage, caches, fp, ctx, chans) -> list:
+    """Layer l's attention over all heads in one pass, stage by stage, head
+    h on channel (l, h): projections, one truncate of all q/k/v, attention.
+    Returns the outputs; the rest is dropped before the layer goes on."""
+    heads = range(model.config.heads)
     chs = [chans[(l, h)] for h in heads]
     proj = [[stage.linear(X, model, f"layer{l}.{name}", h, ctx) for name in ("wq", "wk", "wv")] for h in heads]
     groups = [([ct for P in qkv for ct in P.parts], ch) for qkv, ch in zip(proj, chs)]
     cts = iter(truncate(groups, proj[0][0].width, fp, ctx))
     q, k, v = zip(*[[PackedMatrix(P.encoding, list(islice(cts, len(P.parts)))) for P in qkv] for qkv in proj])
-    return stage.attend(caches[l], heads, q, k, v, fp, ctx, chs)
+    return stage.attend(caches[l], q, k, v, fp, ctx, chs)
 
 
 def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, fp, ctx, chans):
-    """One transformer layer on slab X: ``_heads`` passes (all heads in one,
-    or one head each), then wo, LN1, the FFN and LN2 on the common
-    channel.  Replaces caches[l] with the stage's per-head caches."""
-    c = model.config
-    passes = [[h] for h in range(c.heads)] if stage.one_head_per_pass else [range(c.heads)]
-    O = stage.concat([o for heads in passes for o in _heads(model, l, X, stage, heads, caches, fp, ctx, chans)], ctx)
+    """One transformer layer on slab X: one ``_heads`` pass, then wo, LN1,
+    the FFN and LN2 on the common channel.  Replaces caches[l] with the
+    stage's per-head caches."""
+    O = stage.concat(_heads(model, l, X, stage, caches, fp, ctx, chans), ctx)
 
     ch = chans["common"]
 

@@ -36,8 +36,8 @@ integer-divided into bytes):
   truncate              its two conversions, plus 3 trips of L words,
                         per ciphertext of L values
   attention_softmax     3 + RECIPROCAL_ITERS trips over a group's scores:
-                        one row per head in a decode step, one head's
-                        m x m scores on the prompt pass
+                        one head's m x m scores on the prompt pass, its
+                        one row in a decode step
   LayerNorm, GELU       no rounds: evaluated on the shared values between
                         the two ciphertext transfers around them
 
@@ -208,24 +208,27 @@ def truncate(groups, length: int, fp: FixedPointParams, ctx: Context) -> list:
     return out
 
 
-def attention_softmax(groups, query: int, d2: int, fp: FixedPointParams, ctx: Context) -> np.ndarray:
+def attention_softmax(groups, d2: int, fp: FixedPointParams, ctx: Context) -> np.ndarray:
     """Scale-f softmax weights of the scale-2f scores of (score rows,
-    channel) groups: their matrices, stacked, take one row-wise
-    ``causal_attention_weights`` call whose first row is query position
-    ``query``.  The prompt pass gives one head's m x m matrix at query 0, a
-    decode step one row per head at m + t - 1, where no row masks a key.
-    Anything but non-empty matrices of one width, or d2 < 1, raises
+    channel) groups, group after group: matrices of one shape, r rows over
+    c keys, whose row j is query position c - r + j (the prompt's m x m
+    from 0, a decode row at m + t - 1), scored in one
+    ``causal_attention_weights`` call on their stack.  Anything but
+    non-empty matrices of one shape with r <= c, or d2 < 1, raises
     ParameterError before a transfer is charged.
     """
     groups = [(as_int64(rows), ch) for rows, ch in groups]
     if not groups:
         raise ParameterError("expected at least one score matrix, got an empty pass")
     for rows, _ in groups:
-        if rows.ndim != 2 or rows.size == 0 or rows.shape[1] != groups[0][0].shape[1]:
-            raise ParameterError(f"expected non-empty score matrices of one width, got shape {rows.shape}")
+        if rows.ndim != 2 or rows.size == 0 or rows.shape != groups[0][0].shape:
+            raise ParameterError(f"expected non-empty score matrices of one shape, got shape {rows.shape}")
+    r, c = groups[0][0].shape
+    if r > c:
+        raise ParameterError(f"{r} query rows over {c} keys: more queries than keys")
     if d2 < 1:
         raise ParameterError(f"head width d2 must be positive, got {d2}")
-    out = causal_attention_weights(np.concatenate([rows for rows, _ in groups]), query, d2, fp)
+    out = causal_attention_weights(np.stack([rows for rows, _ in groups]), c - r, d2, fp)
     for rows, ch in groups:
         ctx.counter.mpc_bytes += ch.transfer(rows.size, trips=3 + RECIPROCAL_ITERS)
-    return out
+    return out.reshape(-1, c)

@@ -1,9 +1,30 @@
+import importlib.util
 import logging
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cryptogen.backend import BackendParams, Context, SlotCiphertext, default_plain_modulus
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env() -> dict:
+    """A copy of os.environ with the checkout's src/ first on PYTHONPATH,
+    so a child python finds cryptogen without an install."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def op_digest_tool():
+    """tools/op_digest.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("op_digest", ROOT / "tools" / "op_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryptogen.arcc import (
     arcc_inner_inner,
@@ -20,6 +22,7 @@ from cryptogen.fixedpoint import (
 )
 from cryptogen.kv_cache import append_token, init_cache
 from cryptogen.nonlinear import MpcChannel
+from conftest import op_digest_tool
 
 
 def _row(x, ctx):
@@ -224,13 +227,13 @@ def test_prefill_attention_single_row(rng):
     Q = fp_encode(rng.uniform(-1, 1, (1, d2)), FP)
     K = fp_encode(rng.uniform(-1, 1, (1, d2)), FP)
     V = fp_encode(rng.uniform(-1, 1, (1, d2)), FP)
-    out = prefill_attention(
-        encode(np.mod(Q, P64), EncodingKind.OUTER, ctx),
-        encode(np.mod(K, P64), EncodingKind.OUTER, ctx),
-        encode(np.mod(V, P64), EncodingKind.OUTER, ctx),
+    (out,) = prefill_attention(
+        [encode(np.mod(Q, P64), EncodingKind.OUTER, ctx)],
+        [encode(np.mod(K, P64), EncodingKind.OUTER, ctx)],
+        [encode(np.mod(V, P64), EncodingKind.OUTER, ctx)],
         FP,
         ctx,
-        ch,
+        [ch],
     )
     got = to_signed(decode(out, ctx), P64)
     assert (got == V).all()
@@ -256,16 +259,67 @@ def test_prefill_attention_matches_oracle(m, rng):
     Q = fp_encode(rng.uniform(-1, 1, (m, d2)), FP)
     K = fp_encode(rng.uniform(-1, 1, (m, d2)), FP)
     V = fp_encode(rng.uniform(-1, 1, (m, d2)), FP)
-    out = prefill_attention(
-        encode(np.mod(Q, P64), EncodingKind.OUTER, ctx),
-        encode(np.mod(K, P64), EncodingKind.OUTER, ctx),
-        encode(np.mod(V, P64), EncodingKind.OUTER, ctx),
+    (out,) = prefill_attention(
+        [encode(np.mod(Q, P64), EncodingKind.OUTER, ctx)],
+        [encode(np.mod(K, P64), EncodingKind.OUTER, ctx)],
+        [encode(np.mod(V, P64), EncodingKind.OUTER, ctx)],
         FP,
         ctx,
-        ch,
+        [ch],
     )
     got = to_signed(decode(out, ctx), P64)
     assert (got == _oracle_prefill_attention(Q, K, V, FP, P64)).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    heads=st.integers(1, 4),
+    m=st.integers(1, 9),
+    d2=st.sampled_from([1, 2, 4, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prefill_attention_over_heads_equals_one_call_per_head(heads, m, d2, seed):
+    """One ``prefill_attention`` call over H heads, each on its own channel,
+    returns what H one-head calls return: the same decrypted outputs, the
+    same mask words in the same draw sizes and order on each channel, the
+    same bytes and rounds per channel, the same counter delta and the same
+    op graph (dataflow digest).  m runs across powers of two, so most
+    prompts leave wrapped padding diagonals (m < w)."""
+    tool = op_digest_tool()
+    rng = np.random.default_rng(seed)
+    Q, K, V = fp_encode(rng.uniform(-1, 1, (3, heads, m, d2)), FP)
+
+    def run(attend):
+        ctx = _fp_ctx(seed=1)
+        chans = [MpcChannel(P64, seed=seed + h) for h in range(heads)]
+        drawn = {id(ch): [] for ch in chans}
+        sample = MpcChannel.sample_mask
+
+        def spied(ch, size):
+            mask = sample(ch, size)
+            drawn[id(ch)].append(mask.copy())
+            return mask
+
+        with tool.OpDigest().installed(Context) as spy:
+            MpcChannel.sample_mask = spied
+            try:
+                packed = [[encode(np.mod(X, P64), EncodingKind.OUTER, ctx) for X in XS] for XS in (Q, K, V)]
+                outs = attend(*packed, ctx, chans)
+            finally:
+                MpcChannel.sample_mask = sample
+        words = [[w.tolist() for w in drawn[id(ch)]] for ch in chans]
+        tallies = [(ch.bytes_sent, ch.rounds) for ch in chans]
+        counters, dataflow = ctx.counter.as_dict(), spy.dataflow_hexdigest()
+        return [to_signed(decode(O, ctx), P64).tolist() for O in outs], words, tallies, counters, dataflow
+
+    got = run(lambda Qs, Ks, Vs, ctx, chans: prefill_attention(Qs, Ks, Vs, FP, ctx, chans))
+    one_each = run(
+        lambda Qs, Ks, Vs, ctx, chans: [
+            prefill_attention([q], [k], [v], FP, ctx, [ch])[0] for q, k, v, ch in zip(Qs, Ks, Vs, chans)
+        ]
+    )
+    assert got == one_each
+    assert len(got[0]) == heads and np.shape(got[0][0]) == (m, d2)
 
 
 def test_prefill_causal_mask_annihilates_future(rng):

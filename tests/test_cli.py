@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from cryptogen.model import generate_toy_model, save_model, toy_config
-from conftest import plaintext
+from conftest import plaintext, src_env
 
 PARAMS_TOY = Path(__file__).resolve().parents[1] / "configs" / "params_toy.json"
 
@@ -18,6 +17,7 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=src_env(),
         timeout=600,
     )
 
@@ -200,7 +200,7 @@ def test_unknown_log_level_is_a_usage_error(tmp_path):
         [sys.executable, "-m", "cryptogen", "costs", "--out", str(tmp_path / "c")],
         capture_output=True,
         text=True,
-        env={**os.environ, "CRYPTOGEN_LOG": "foo"},
+        env={**src_env(), "CRYPTOGEN_LOG": "foo"},
         timeout=600,
     )
     assert out.returncode == 2
@@ -213,7 +213,7 @@ def test_info_log_level_shows_refreshes_and_leaves_stdout_alone():
     """CRYPTOGEN_LOG=INFO prints one record per refreshed cache part on
     stderr (verify forces a refresh of every cache); the report on stdout
     is byte-identical to a run at the default level."""
-    env = {k: v for k, v in os.environ.items() if k != "CRYPTOGEN_LOG"}
+    env = {k: v for k, v in src_env().items() if k != "CRYPTOGEN_LOG"}
     runs = {
         level: subprocess.run(
             [sys.executable, "-m", "cryptogen", "verify", "--seed", "7"],

@@ -9,7 +9,6 @@ one of these numbers.
 """
 
 import dataclasses
-import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,7 @@ import cryptogen.model as model_module
 from cryptogen.backend import BackendParams, Context
 from cryptogen.model import generate, generate_toy_model, oracle_generate, toy_config
 from cryptogen.nonlinear import MpcChannel, refresh
+from conftest import op_digest_tool
 
 PARAMS_TOY = Path(__file__).resolve().parents[1] / "configs" / "params_toy.json"
 PROMPT = [3, 14, 15, 9, 26]
@@ -91,10 +91,13 @@ def test_golden_pipeline_counts(threshold):
 # Re-pinned when each layer stage got one share-domain pass over its heads:
 # every head's projections, scores, weights and outputs are made before the
 # one conversion of that stage, and a conversion's ops run entries first,
-# then exits, a reorder the dataflow digest below does not see
+# then exits, a reorder the dataflow digest below does not see.  Re-pinned
+# again when the prompt pass joined that rule: every head's prompt-pass
+# projections, diagonals, weights and outputs are made before the one
+# conversion of their stage
 OP_SEQUENCE = {
-    None: ("c62a2ea59c472ae47a2faeae25454f0065240dcb49d365f4af7670b2ca8db930", 68481),
-    170: ("28e47dc889c795a38ceee25e941b1e1ed29aac05ba55a37f6d10e7399567c5d7", 69057),
+    None: ("901b1b4230895e7795cc7c4f7f778d643207c2804911dfe5e1b735d50518605e", 68481),
+    170: ("9298316091b3d9fcec0c28371e869b9e6e6fa073af9901526c4cb2cf739d9156", 69057),
 }
 
 # the dataflow digest of the same runs (``tools/op_digest.py``): the sorted
@@ -110,13 +113,6 @@ OP_DATAFLOW = {
 }
 
 
-def _digest_tool():
-    spec = importlib.util.spec_from_file_location("op_digest", PARAMS_TOY.parents[1] / "tools" / "op_digest.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
-
-
 def _toy_params(threshold):
     params = BackendParams.from_json(PARAMS_TOY.read_text())
     if threshold is not None:
@@ -127,7 +123,7 @@ def _toy_params(threshold):
 @pytest.mark.parametrize("threshold", [None, 170])
 def test_golden_op_sequence(threshold):
     model = generate_toy_model(toy_config(), seed=0)
-    digest, tokens, ops, _, dataflow, *_ = _digest_tool().digest_run(model, PROMPT, len(TOKENS), _toy_params(threshold))
+    digest, tokens, ops, _, dataflow, *_ = op_digest_tool().digest_run(model, PROMPT, len(TOKENS), _toy_params(threshold))
     assert tokens == TOKENS
     assert (digest, ops) == OP_SEQUENCE[threshold]
     assert dataflow == OP_DATAFLOW[threshold]
@@ -137,7 +133,7 @@ def test_dataflow_digest_sees_the_op_graph_not_the_call_order():
     """Two independent ops called in either order give the same dataflow
     digest and different ordered digests; swapping the operands of one
     mult_cipher moves the dataflow digest."""
-    tool = _digest_tool()
+    tool = op_digest_tool()
 
     def digests(rotate_first, swap=False):
         ctx = Context(_toy_params(None), seed=0)
@@ -163,7 +159,7 @@ def test_share_blind_digest_ignores_only_the_mask_words_of_conversions():
     """A refresh under channels of two seeds gives two dataflow digests and
     one share-blind digest; the plaintext encrypted outside ``nonlinear``
     is still labelled by its slots there."""
-    tool = _digest_tool()
+    tool = op_digest_tool()
 
     def digests(seed, value):
         ctx = Context(_toy_params(None), seed=0)
@@ -204,7 +200,7 @@ def test_golden_mask_stream(threshold, monkeypatch):
     channels = model_module._channels
     monkeypatch.setattr(model_module, "_channels", lambda *a, **kw: made.append(channels(*a, **kw)) or made[-1])
     model = generate_toy_model(toy_config(), seed=0)
-    *_, masks = _digest_tool().digest_run(model, PROMPT, len(TOKENS), _toy_params(threshold))
+    *_, masks = op_digest_tool().digest_run(model, PROMPT, len(TOKENS), _toy_params(threshold))
     assert masks == MASK_STREAM[threshold]
     chans = made[0]  # generate's; prefill and decode_step check and return it
     c = toy_config()
@@ -215,7 +211,7 @@ def test_golden_mask_stream(threshold, monkeypatch):
 def test_mask_fingerprint_sees_each_channel_order_not_the_interleaving():
     """Swapping two draws of one channel moves the fingerprint; the same
     draws per channel with the channels interleaved otherwise do not."""
-    tool = _digest_tool()
+    tool = op_digest_tool()
 
     class Scripted:
         """A channel that hands out the masks it was given, in order."""

@@ -3,7 +3,6 @@ import dataclasses
 import gc
 import importlib.util
 import json
-import os
 import pickle
 import re
 import subprocess
@@ -32,6 +31,7 @@ from cryptogen.model import (
 )
 from cryptogen import model as model_mod
 from cryptogen.nonlinear import MpcChannel
+from conftest import src_env
 
 P64 = default_plain_modulus(64, 26)
 ROOT = Path(__file__).resolve().parents[1]
@@ -105,6 +105,12 @@ def test_load_model_schema_errors(tmp_path, toy):
     (tmp_path / "m3" / "unembed.bin").unlink()
     with pytest.raises(ParameterError, match=r"unembed\.bin: cannot read the matrix file"):
         load_model(tmp_path / "m3")
+    # a weight rewritten as residues under a modulus would load as weights up to p - 1
+    save_model(toy, tmp_path / "m4")
+    p = 67_109_633
+    save_matrix(tmp_path / "m4" / "layer0_wq.bin", np.mod(toy.weights["layer0.wq"], p), p=p)
+    with pytest.raises(ParameterError, match=r"layer0_wq\.bin: header modulus 67109633, not the p = 0"):
+        load_model(tmp_path / "m4")
 
 
 @pytest.mark.parametrize("outside", ["../b/unembed.bin", "absolute"])
@@ -339,9 +345,7 @@ def test_bare_package_import_binds_what_the_benchmark_reads():
         names.update(re.findall(r"\bcg\.(\w+\.\w+)", path.read_text()))
     assert {"backend.Context", "model.generate", "nonlinear.MpcChannel"} <= names
     code = f"import operator, cryptogen; operator.attrgetter(*{sorted(names)!r})(cryptogen)"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import math
 import sys
 from contextlib import contextmanager
@@ -43,16 +42,11 @@ from cryptogen.nonlinear import (
     truncate,
 )
 from cryptogen.model import generate, generate_toy_model, toy_config
-from conftest import plaintext
+from conftest import op_digest_tool, plaintext
 
 PARAMS_TOY = Path(__file__).resolve().parents[1] / "configs" / "params_toy.json"
 
 
-def _op_digest_tool():
-    spec = importlib.util.spec_from_file_location("op_digest", PARAMS_TOY.parents[1] / "tools" / "op_digest.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
 P_BIG = default_plain_modulus(8192, 29)
 FP = FixedPointParams(11, P_BIG)
 
@@ -327,7 +321,7 @@ def test_grouped_pass_equals_one_call_per_group(protocol, groups, length, prefix
     channel's masks anywhere in a block; shares_to_he's groups differ in
     row length."""
     grouped, reference = _GROUPED[protocol]
-    tool = _op_digest_tool()
+    tool = op_digest_tool()
     rng = np.random.default_rng(seed)
     rows = [rng.integers(-P16, P16, (k, width)) for _, k, width in groups]
 
@@ -561,8 +555,8 @@ def test_protocol_bytes_depend_only_on_shape(rng):
         ch, ctx = MpcChannel(P_BIG, seed=seed), _ctx()
         vals = rng.uniform(-2, 2, 16)
         truncate([([ctx.encrypt(pt) for pt in ctx.plains(fp_encode(vals, FP).reshape(2, 8))], ch)], 8, FP, ctx)
-        attention_softmax([(_scores(vals, FP)[None], ch)], 15, 8, FP, ctx)
-        attention_softmax([(_scores(vals, FP).reshape(4, 4), ch)], 0, 8, FP, ctx)
+        attention_softmax([(_scores(vals, FP)[None], ch)], 8, FP, ctx)
+        attention_softmax([(_scores(vals, FP).reshape(4, 4), ch)], 8, FP, ctx)
         totals.append((ch.bytes_sent, ch.rounds, ctx.counter.mpc_bytes))
     assert totals[0] == totals[1]
 
@@ -578,20 +572,20 @@ def test_share_completeness_on_protocol_boundaries(rng):
     (out,) = truncate([([x], ch)], 8, FP, ctx)
     s = he_to_shares([([s], ch)], ctx, 8)
     assert (to_signed(ctx.decrypt(out), P_BIG)[:8] == fp_truncate(fp_encode(vals, FP), FP.f)).all()
-    assert (attention_softmax([(s, ch)], 7, 8, FP, ctx)[0] == attention_weights(scores, 8, FP)).all()
+    assert (attention_softmax([(s, ch)], 8, FP, ctx)[0] == attention_weights(scores, 8, FP)).all()
 
 
 def test_attention_softmax_matches_fixedpoint_and_charges_all_scores(rng):
     trips = 3 + RECIPROCAL_ITERS
     vec = _scores(rng.uniform(-3, 3, 5), FP)
     ch, ctx = MpcChannel(P_BIG, seed=0), _ctx()
-    assert (attention_softmax([(vec[None], ch)], 4, 8, FP, ctx)[0] == attention_weights(vec, 8, FP)).all()
+    assert (attention_softmax([(vec[None], ch)], 8, FP, ctx)[0] == attention_weights(vec, 8, FP)).all()
     assert (ch.bytes_sent, ch.rounds) == (trips * ch.vector_bytes(vec.size), trips)
     assert ctx.counter.mpc_bytes == ch.bytes_sent
 
     S = _scores(rng.uniform(-3, 3, 16), FP).reshape(4, 4)
     ch, ctx = MpcChannel(P_BIG, seed=0), _ctx()
-    A = attention_softmax([(S, ch)], 0, 8, FP, ctx)
+    A = attention_softmax([(S, ch)], 8, FP, ctx)
     assert A.shape == (4, 4)
     for i in range(4):
         assert (A[i] == causal_attention_weights(S[i], i, 8, FP)).all()
@@ -610,17 +604,40 @@ def test_attention_softmax_matches_fixedpoint_and_charges_all_scores(rng):
         (np.zeros((1, 4), dtype=np.int64), 0, "d2 must be positive, got 0"),
         (np.zeros((2, 2), dtype=np.int64), -1, "d2 must be positive, got -1"),
         (None, 8, "at least one score matrix"),
+        ([np.zeros((2, 4), dtype=np.int64), np.zeros((1, 4), dtype=np.int64)], 8, "one shape, got shape \\(1, 4\\)"),
+        (np.zeros((3, 2), dtype=np.int64), 8, "3 query rows over 2 keys"),
     ],
-    ids=["3d", "0x0", "3x0", "empty", "0d", "d2=0", "d2=-1", "no-groups"],
+    ids=["3d", "0x0", "3x0", "empty", "0d", "d2=0", "d2=-1", "no-groups", "unequal-shapes", "rows>keys"],
 )
 def test_attention_softmax_refuses_what_it_cannot_mean_before_any_transfer(scores, d2, message):
-    """Only a non-empty score matrix and a positive head width have a
-    softmax; anything else, a pass of no groups included (scores None),
-    raises ParameterError and charges no byte or round."""
+    """Only non-empty score matrices of one shape, with no more query rows
+    than keys, and a positive head width have a softmax; anything else, a
+    pass of no groups included (scores None), raises ParameterError and
+    charges no byte or round.  A list of scores is a pass of one group each."""
     ch, ctx = MpcChannel(P_BIG, seed=0), _ctx()
+    groups = [] if scores is None else [(rows, ch) for rows in (scores if isinstance(scores, list) else [scores])]
     with pytest.raises(ParameterError, match=message):
-        attention_softmax([] if scores is None else [(scores, ch)], 0, d2, FP, ctx)
+        attention_softmax(groups, d2, FP, ctx)
     assert (ch.bytes_sent, ch.rounds, ctx.counter.mpc_bytes) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("r, c", [(4, 4), (1, 6), (3, 7)], ids=["prompt", "decode", "chunk"])
+def test_attention_softmax_reads_query_positions_off_the_score_shape(r, c, rng):
+    """Row j of every group's r x c matrix is query position c - r + j: a
+    prompt's m x m from query 0, a decode row at its last key, a chunk's
+    r < c rows after c - r earlier keys, each group from its own first
+    query; every channel is charged its own group's scores."""
+    trips = 3 + RECIPROCAL_ITERS
+    chans, ctx = [MpcChannel(P_BIG, seed=i) for i in range(3)], _ctx()
+    S = [_scores(rng.uniform(-3, 3, (r, c)), FP) for _ in chans]
+    A = attention_softmax(list(zip(S, chans)), 8, FP, ctx)
+    assert A.shape == (len(chans) * r, c)
+    for g, scores in enumerate(S):
+        for j, row in enumerate(scores):
+            assert (A[g * r + j] == causal_attention_weights(row, c - r + j, 8, FP)).all()
+            assert not A[g * r + j, c - r + j + 1 :].any() and A[g * r + j].sum() > 0
+    assert all((ch.bytes_sent, ch.rounds) == (trips * ch.vector_bytes(r * c), trips) for ch in chans)
+    assert ctx.counter.mpc_bytes == sum(ch.bytes_sent for ch in chans)
 
 
 # The row-wise softmax checked against the one-row-at-a-time arithmetic it
@@ -749,7 +766,7 @@ _INTEGER_ENTRIES = {
     "fp_layernorm.x": lambda v: fp_layernorm(v, _ONES, _ZEROS, FP),
     "fp_layernorm.gain": lambda v: fp_layernorm(_LN_X, v, _ZEROS, FP),
     "fp_layernorm.bias": lambda v: fp_layernorm(_LN_X, _ONES, v, FP),
-    "attention_softmax": lambda v: attention_softmax([(v[None], MpcChannel(P_BIG, 0))], 7, 8, FP, _ctx()),
+    "attention_softmax": lambda v: attention_softmax([(v[None], MpcChannel(P_BIG, 0))], 8, FP, _ctx()),
 }
 
 

@@ -91,10 +91,14 @@ class Shape(NamedTuple):
     masks: tuple
 
 
+# The ordered digests were last re-pinned when the prompt pass took all of
+# a layer's heads in one attention pass: every head's prompt-pass
+# projections, score diagonals, weights and outputs are made before the one
+# conversion of their stage.  The dataflow digests and mask streams held.
 SHAPES = {
     "decode_long": Shape(
         None, "params_toy.json", None, TOY_PROMPT[:8], 144,
-        "be02548122b1e9c155609d94a6065eb27bff95dd0aca84c2e175147db3b60b0e", 743_073,
+        "a75175fa40cc822888c7d3ef79cbfd37ef02de96320d682805236e8f5c112662", 743_073,
         [
             28, 9, 15, 12, 58, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 26, 63, 34, 58, 27, 27, 27, 15, 12,
             10, 55, 27, 27, 27, 55, 11, 63, 23, 44, 58, 27, 27, 27, 27, 27, 27, 55, 55, 12, 58, 27, 55, 47,
@@ -109,7 +113,7 @@ SHAPES = {
     ),
     "refresh_churn": Shape(
         None, "params_toy.json", 170, TOY_PROMPT, 112,
-        "8a27d784a62edb934ff6b0628029b7f3c8be240c05bafd7dc24dea727a0e546e", 612_129,
+        "63d5ec71678297c3b5872b8f8fe67f974e612b76a08e4571db130f444890862f", 612_129,
         [
             55, 27, 27, 27, 27, 55, 11, 63, 29, 56, 60, 44, 9, 46, 12, 14, 49, 60, 26, 12, 58, 27, 55, 47,
             11, 63, 57, 27, 27, 27, 55, 11, 63, 55, 27, 27, 55, 11, 63, 34, 58, 27, 27, 27, 55, 27, 27, 27,
@@ -123,7 +127,7 @@ SHAPES = {
     ),
     "paper1": Shape(
         PAPER1_MODEL, "params_reference.json", None, (1, 2, 3, 4), 2,
-        "242ec32c862e5bd75599f275b92b194c95648b0d73680e90e43ac71d68e1c41e", 544_491,
+        "df269288c9d2500054faca6df194ddf4f0343cae4e64ac4db4cda5f4888b517f", 544_491,
         [49, 39],
         602_533_200,
         "1a4e9e7e0bec3b2183eb4112c080ba1dd5b0c6bd8252dcc670ad93dc2bbde083",
