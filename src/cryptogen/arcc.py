@@ -22,10 +22,11 @@ slot width so per-step rotation counts do not depend on the prefill length.
 
 Softmax, the 1/sqrt(d2) scaling, and the causal mask all run in the
 MPC-emulation domain, which charges their rounds.  Both phases take a
-layer's heads in one pass: one ``nonlinear.attention_softmax`` call for
-all of them, and every share-domain stage one grouped call of
-head-channel groups.  Score segments are concatenated in that domain
-(client-side reassembly), never by ciphertext slot surgery.
+layer's heads in one pass with one output truncate; a decode step
+converts and scores every head in one grouped call per stage, the prompt
+pass head by head (a head's are w diagonals, m x m scores and m rows).
+Score segments are concatenated in that domain (client-side reassembly),
+never by ciphertext slot surgery.
 """
 
 from __future__ import annotations
@@ -118,13 +119,13 @@ def prefill_attention(Qs: list, Ks: list, Vs: list, fp: FixedPointParams, ctx: C
     """Batched attention of a layer's heads over outer-packed projections:
     head i's Qs[i], Ks[i], Vs[i] (all of one encoding) on channel chans[i].
 
-    Each head's score diagonals come from outer-outer CTxCT products
-    against rotated key columns; one conversion takes every head's
-    diagonals to the share domain (a head's are one group on its channel),
-    one softmax (with the additive causal mask) runs on all heads' scores,
-    one conversion returns every head's weight rows, which aggregate its
-    values with dot-product reductions, and one truncate rescales all
-    outputs.  Returns one outer-packed matrix per head, at scale f.
+    A head's score diagonals come from outer-outer CTxCT products against
+    rotated key columns and go to the share domain, where the softmax
+    (with the additive causal mask) runs; its weight rows come back and
+    aggregate its values with dot-product reductions.  All but the one
+    truncate of every head's outputs runs head by head on the head's
+    channel, so one head's w diagonals, m x m scores and m weight rows are
+    held at a time.  Returns one outer-packed matrix per head, at scale f.
     """
     if not len(Qs) == len(Ks) == len(Vs) == len(chans) > 0:
         raise ParameterError("expected one Q, K, V and channel for each of at least one head")
@@ -133,10 +134,9 @@ def prefill_attention(Qs: list, Ks: list, Vs: list, fp: FixedPointParams, ctx: C
         raise ParameterError("the heads' Q, K and V must be outer packings of one shape")
     H, m, d2 = len(chans), enc.rows, enc.cols
     n = ctx.params.n_slots
-    w = next_pow2(m)
+    w, rows = next_pow2(m), np.arange(m)
 
-    groups = []
-    for Q, K, ch in zip(Qs, Ks, chans):
+    def attend(Q, K, V, ch):
         # each key column tiled to period w, so rotations stay inside a period
         k_cols = [tile_token(col, w, n // w, ctx) for col in K.parts]
         # client role: diagonal r holds score (i, (i + r) mod w) at slot i
@@ -144,19 +144,13 @@ def prefill_attention(Qs: list, Ks: list, Vs: list, fp: FixedPointParams, ctx: C
             ctx.sum(ctx.mult_cipher(Q.parts[c], ctx.rotate(k_cols[c], r) if r else k_cols[c]) for c in range(d2))
             for r in range(w)
         ]
-        groups.append((diagonals, ch))
-    # scattered in one assignment; columns m..w-1 hold the wrapped padding
-    S = np.empty((H, m, w), dtype=np.int64)
-    rows = np.arange(m)
-    S[:, rows, (rows + np.arange(w)[:, None]) % w] = he_to_shares(groups, ctx, m).reshape(H, w, m)
+        # scattered in one assignment; columns m..w-1 hold the wrapped padding
+        S = np.empty((m, w), dtype=np.int64)
+        S[rows, (rows + np.arange(w)[:, None]) % w] = he_to_shares([(diagonals, ch)], ctx, m)
+        a_rows = shares_to_he([(attention_softmax([(S[:, :m], ch)], d2, fp, ctx), ch)], ctx)
+        return [ctx.sum(_dot_into_slot(a_rows[i], V.parts[c], i, ctx) for i in range(m)) for c in range(d2)]
 
-    A = attention_softmax([(s[:, :m], ch) for s, ch in zip(S, chans)], d2, fp, ctx)
-    a_rows = shares_to_he(list(zip(A.reshape(H, m, m), chans)), ctx)
-    outs = [
-        ([ctx.sum(_dot_into_slot(a_rows[h * m + i], V.parts[c], i, ctx) for i in range(m)) for c in range(d2)], ch)
-        for h, (V, ch) in enumerate(zip(Vs, chans))
-    ]
-    cols = truncate(outs, m, fp, ctx)
+    cols = truncate([(attend(*qkv, ch), ch) for *qkv, ch in zip(Qs, Ks, Vs, chans)], m, fp, ctx)
     return [PackedMatrix(enc, cols[h * d2 : (h + 1) * d2]) for h in range(H)]
 
 

@@ -10,9 +10,10 @@ uint64 values from 2^63 on raise ParameterError); only ``fp_encode`` and
 ``fp_decode`` take reals.
 
 The softmax and its reciprocal work row-wise over the last axis of an
-int64 array (a vector is one row), so an attention pass scores every
-head's whole score matrix in one ``causal_attention_weights`` call; the
-oracle calls it one row at a time, so token-exact tests cross-check the two.
+int64 array (a vector is one row), so a decode step scores every head's
+row, and the prompt pass a head's whole m x m matrix, in one
+``causal_attention_weights`` call; the oracle calls it one row at a time,
+so token-exact tests cross-check the two.
 
 Polynomial coefficients below were produced by tools/fit_nonlinear_coeffs.py
 and are frozen; rerun the script to regenerate.

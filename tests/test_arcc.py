@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,6 +322,33 @@ def test_prefill_attention_over_heads_equals_one_call_per_head(heads, m, d2, see
     )
     assert got == one_each
     assert len(got[0]) == heads and np.shape(got[0][0]) == (m, d2)
+
+
+@pytest.mark.parametrize("n, m", [(2048, 16), (256, 256)], ids=["diagonals", "softmax"])
+def test_prefill_attention_holds_one_head_of_scores_at_a_time(n, m):
+    """The prompt pass runs each head's scores, softmax and weights in
+    turn, so the traced peak of a call over 8 heads stays near one head's:
+    a head's w score diagonals and their w x n masks (which dominate at
+    m << n), its m x m softmax arrays (at m = n) and its m weight rows are
+    dropped before the next head's are made.  All heads' at once would
+    hold 8 times as many."""
+    d2 = 2
+    p = default_plain_modulus(n, 26)
+    fp, rng = FixedPointParams(8, p), np.random.default_rng(0)
+
+    def peak(heads):
+        ctx = Context(BackendParams(n_slots=n, plain_modulus=p))
+        X = fp_encode(rng.uniform(-1, 1, (3, heads, m, d2)), fp)
+        Qs, Ks, Vs = ([encode(np.mod(M, p), EncodingKind.OUTER, ctx) for M in XS] for XS in X)
+        chans = [MpcChannel(p, seed=h) for h in range(heads)]
+        tracemalloc.start()
+        try:
+            prefill_attention(Qs, Ks, Vs, fp, ctx, chans)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) < 2.5 * peak(1)
 
 
 def test_prefill_causal_mask_annihilates_future(rng):

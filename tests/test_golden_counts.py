@@ -92,12 +92,13 @@ def test_golden_pipeline_counts(threshold):
 # every head's projections, scores, weights and outputs are made before the
 # one conversion of that stage, and a conversion's ops run entries first,
 # then exits, a reorder the dataflow digest below does not see.  Re-pinned
-# again when the prompt pass joined that rule: every head's prompt-pass
-# projections, diagonals, weights and outputs are made before the one
-# conversion of their stage
+# again when the prompt pass took all heads in one attention pass: every
+# head's prompt-pass projections and outputs are made before the one
+# truncate of their stage, while each head's scores, softmax and weights
+# run head by head
 OP_SEQUENCE = {
-    None: ("901b1b4230895e7795cc7c4f7f778d643207c2804911dfe5e1b735d50518605e", 68481),
-    170: ("9298316091b3d9fcec0c28371e869b9e6e6fa073af9901526c4cb2cf739d9156", 69057),
+    None: ("c7ec457c2df815dee3c2b519e41faed9f3a5a54ed0e4e1710471d08d7ecf2c86", 68481),
+    170: ("fa6099155733946a5ab0d69125d5c4643b1ec6f2422deedc25b712eaf37189a1", 69057),
 }
 
 # the dataflow digest of the same runs (``tools/op_digest.py``): the sorted

@@ -93,12 +93,13 @@ class Shape(NamedTuple):
 
 # The ordered digests were last re-pinned when the prompt pass took all of
 # a layer's heads in one attention pass: every head's prompt-pass
-# projections, score diagonals, weights and outputs are made before the one
-# conversion of their stage.  The dataflow digests and mask streams held.
+# projections and outputs are made before the one truncate of their
+# stage, while each head's scores, softmax and weights run head by head.
+# The dataflow digests and mask streams held.
 SHAPES = {
     "decode_long": Shape(
         None, "params_toy.json", None, TOY_PROMPT[:8], 144,
-        "a75175fa40cc822888c7d3ef79cbfd37ef02de96320d682805236e8f5c112662", 743_073,
+        "39764197dcde7ae1143de11804d38809f258ec1b53f1498d6040847704d8629c", 743_073,
         [
             28, 9, 15, 12, 58, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 26, 63, 34, 58, 27, 27, 27, 15, 12,
             10, 55, 27, 27, 27, 55, 11, 63, 23, 44, 58, 27, 27, 27, 27, 27, 27, 55, 55, 12, 58, 27, 55, 47,
@@ -113,7 +114,7 @@ SHAPES = {
     ),
     "refresh_churn": Shape(
         None, "params_toy.json", 170, TOY_PROMPT, 112,
-        "63d5ec71678297c3b5872b8f8fe67f974e612b76a08e4571db130f444890862f", 612_129,
+        "c2e3ae3407dcad27ea31fc16246292c69db389e1ee64b6197ba89f675d5cd864", 612_129,
         [
             55, 27, 27, 27, 27, 55, 11, 63, 29, 56, 60, 44, 9, 46, 12, 14, 49, 60, 26, 12, 58, 27, 55, 47,
             11, 63, 57, 27, 27, 27, 55, 11, 63, 55, 27, 27, 55, 11, 63, 34, 58, 27, 27, 27, 55, 27, 27, 27,
@@ -127,7 +128,7 @@ SHAPES = {
     ),
     "paper1": Shape(
         PAPER1_MODEL, "params_reference.json", None, (1, 2, 3, 4), 2,
-        "df269288c9d2500054faca6df194ddf4f0343cae4e64ac4db4cda5f4888b517f", 544_491,
+        "7a005397152ac3d135afbe367d492055fc0f3d0d7e1b971e9db3deabbda625bc", 544_491,
         [49, 39],
         602_533_200,
         "1a4e9e7e0bec3b2183eb4112c080ba1dd5b0c6bd8252dcc670ad93dc2bbde083",
