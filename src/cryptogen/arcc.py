@@ -175,19 +175,18 @@ def attention_step(qs: list, caches: list, fp: FixedPointParams, ctx: Context, c
     for q, kv, ch in zip(qs, caches, chans):
         prefill = [arcc_inner_inner(q, kv.prefill_K, ctx)] if m else []
         groups.append((prefill + (arcc_inner_outer(q, kv.auto_K, ctx) if t else []), ch))
-    # a head's row: its prefill scores in slots 0..m-1 of its first n, then,
-    # as B * d2 = n, generated score r at slot r*d2 of its parts laid end to end
-    V = he_to_shares(groups, ctx).reshape(len(qs), -1)
-    S = np.concatenate((V[:, :m], V[:, n if m else 0 :][:, : t * d2 : d2]), axis=1)
+    # a head's rows: its prefill scores in slots 0..m-1 of the first if m > 0,
+    # then its generated parts, score r in the first slot of compacted row r
+    auto = caches[0].auto_K
+    V = he_to_shares(groups, ctx).reshape(len(qs), -1, n)
+    S = np.concatenate((V[:, 0, :m], auto.unpack(V[:, 1 if m else 0 :])[..., 0]), axis=1)
     A = attention_softmax([(S[i : i + 1], ch) for i, ch in enumerate(chans)], d2, fp, ctx)
 
-    # generated weight r covers slots r*d2.. of the segment, so row q of a
-    # head's coefficients is the coefficient vector of its part q
-    P = len(caches[0].auto_V.parts)
-    coeffs = np.zeros((len(qs), P * n), dtype=np.int64)
-    coeffs[:, : t * d2] = np.repeat(A[:, m:], d2, axis=1)
+    # generated weight r fills compacted row r, so a head's coefficients
+    # are one vector per auto part
+    coeffs = auto.pack(np.repeat(A[:, m:, None], d2, axis=2))
     # a head's prefill weights, then its coefficients; an empty segment drops out
-    groups = [(r, ch) for a, c, ch in zip(A, coeffs, chans) for r in (a[None, :m], c.reshape(P, n)) if r.size]
+    groups = [(r, ch) for a, c, ch in zip(A, coeffs, chans) for r in (a[None, :m], c) if r.size]
     weights = iter(shares_to_he(groups, ctx))
 
     outs = []
@@ -197,7 +196,7 @@ def attention_step(qs: list, caches: list, fp: FixedPointParams, ctx: Context, c
             a_pref = next(weights)
             halves.append(ctx.sum(_dot_into_slot(a_pref, kv.prefill_V.parts[c], c, ctx) for c in range(d2)))
         if t > 0:
-            acc = ctx.sum(map(ctx.mult_cipher, islice(weights, P), kv.auto_V.parts))
+            acc = ctx.sum(map(ctx.mult_cipher, islice(weights, len(kv.auto_V.parts)), kv.auto_V.parts))
             halves.append(ctx.fold(acc, d2, n))
         outs.append(ctx.sum(halves))
     return truncate([([o], ch) for o, ch in zip(outs, chans)], d2, fp, ctx)

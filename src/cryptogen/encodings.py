@@ -9,13 +9,13 @@ Three layouts of encrypted matrices:
 Plaintext weights are not packed here: the linear kernels take them as
 dense matrices and build the plaintext vectors their algorithms need.
 
-Each layout is one geometry: a payload vector (a column if outer-packed,
-a row otherwise) is ``width`` slots wide and ``per_part`` of them sit side
-by side in each ciphertext, so ``encode`` and ``decode`` are one loop over
-payload vectors.  ``encode`` leaves every slot outside the payload zero.
-Kernel outputs may carry other values there (the CPMM leaves cyclic copies
-of period next_pow2(m)); ``decode`` reads only the payload slots, so any
-padding decodes identically.
+Each layout is one slot map: ``per_part`` payload vectors (columns if
+outer-packed, rows otherwise) of ``width`` slots side by side from slot 0
+of each ciphertext.  ``PackedMatrix.pack``/``unpack`` carry a matrix, with
+any leading axes, to and from one slot row per ciphertext for every
+share-domain caller, ``encode``/``decode`` included.  ``pack`` zeroes every
+slot outside the payload; kernel outputs may carry other values there (the
+CPMM's cyclic copies), and ``unpack`` reads only the payload slots.
 
 Also houses the flat binary matrix file format (little-endian 64-bit
 words, row-major, 8-word header: magic, m, d, p).
@@ -98,11 +98,31 @@ class PackedMatrix:
         """Payload vectors per ciphertext: the block capacity if compacted."""
         return self.encoding.block or 1
 
-    def payloads(self, M: np.ndarray) -> np.ndarray:
-        """A rows x cols array as its payload vectors (its columns if
-        outer-packed, its rows otherwise), and back: the map is its own
-        inverse and returns a view."""
-        return M.T if self.encoding.kind is EncodingKind.OUTER else M
+    def pack(self, M: np.ndarray) -> np.ndarray:
+        """A (..., rows, cols) array as (..., parts, per_part * width): row
+        q holds part q's payload vectors side by side from slot 0, zero
+        where no vector falls.  With one payload per part it is a
+        read-only view of M (its transpose if outer-packed)."""
+        V = np.swapaxes(M, -1, -2) if self.encoding.kind is EncodingKind.OUTER else M
+        B = self.per_part
+        if B == 1:
+            V = V.view()
+            V.setflags(write=False)
+            return V
+        *lead, k, w = V.shape
+        S = np.zeros((*lead, -(-k // B) * B, w), dtype=V.dtype)
+        S[..., :k, :] = V
+        return S.reshape(*lead, S.shape[-2] // B, B * w)
+
+    def unpack(self, S: np.ndarray) -> np.ndarray:
+        """The inverse of ``pack``: a (..., parts, L) array of slot rows,
+        L at least per_part * width, as the (..., rows, cols) matrix its
+        payload slots hold; no other slot is read."""
+        B, w = self.per_part, self.width
+        outer = self.encoding.kind is EncodingKind.OUTER
+        *lead, parts, _ = S.shape
+        V = S[..., : B * w].reshape(*lead, parts * B, w)[..., : self.cols if outer else self.rows, :]
+        return np.swapaxes(V, -1, -2) if outer else V
 
 
 def block_capacity(n_slots: int, d: int) -> int:
@@ -129,23 +149,14 @@ def encode(A, kind: EncodingKind, ctx: Context) -> PackedMatrix:
     P = PackedMatrix(Encoding(kind, m, d, block=block), [])
     if P.width > n:
         raise ParameterError(f"{kind.value} packing needs width {P.width} <= n_slots {n}")
-    vectors, B = P.payloads(A), P.per_part
-    plain = np.zeros((-(-len(vectors) // B), n), dtype=np.int64)
-    for q, vec in enumerate(plain):
-        payload = vectors[q * B : (q + 1) * B].ravel()
-        vec[: payload.size] = payload
-    P.parts.extend(ctx.encrypt(pt) for pt in ctx.plains(plain))
+    P.parts.extend(ctx.encrypt(pt) for pt in ctx.plains(P.pack(A)))
     return P
 
 
 def decode(P: PackedMatrix, ctx: Context) -> np.ndarray:
     """Exact inverse of encode; reads only payload slots."""
-    A = np.zeros((P.rows, P.cols), dtype=np.int64)
-    vectors, B = P.payloads(A), P.per_part  # a view: filling it fills A
-    for q, part in enumerate(P.parts):
-        payload = vectors[q * B : (q + 1) * B]
-        payload[...] = ctx.decrypt(part)[: payload.size].reshape(payload.shape)
-    return A
+    n = ctx.params.n_slots
+    return P.unpack(np.fromiter(map(ctx.decrypt, P.parts), dtype=(np.int64, n), count=len(P.parts)))
 
 
 def tile_token(x_ct: SlotCiphertext, d: int, B: int, ctx: Context) -> SlotCiphertext:

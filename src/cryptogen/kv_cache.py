@@ -88,7 +88,7 @@ def init_cache(
     ctx: Context,
     d2: int | None = None,
 ) -> KVCache:
-    """Start a cache from outer-packed prefill projections (or empty)."""
+    """Start a cache from outer-packed prefill projections of at least one row (or empty)."""
     if (K_pref is None) != (V_pref is None):
         raise ParameterError("prefill K and V must both be present or both absent")
     if K_pref is not None:
@@ -98,6 +98,8 @@ def init_cache(
             raise ParameterError(
                 f"prefill K {K_pref.encoding} and V {V_pref.encoding} disagree"
             )
+        if K_pref.rows == 0:
+            raise ParameterError("prefill K and V hold no rows: pass None, None and d2 for a cache with no prefill")
         if d2 is not None and d2 != K_pref.cols:
             raise ParameterError(f"d2 {d2} does not match prefill width {K_pref.cols}")
         d2 = K_pref.cols
@@ -186,12 +188,12 @@ def cache_stats(cache: KVCache) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _layout(d2: int, m: int, t_auto: int, prefill: bool, params: BackendParams) -> dict:
+def _layout(d2: int, m: int, t_auto: int, params: BackendParams) -> dict:
     """The manifest ``save_cache`` writes, less the budgets, for a cache of
-    width d2, t_auto appended tokens and, when ``prefill``, an m-row
-    prefill: one outer-packed column per prefill part, B rows per auto part."""
+    width d2, t_auto appended tokens and an m-row prefill (segments iff
+    m > 0): one outer-packed column per prefill part, B rows per auto part."""
     B = block_capacity(params.n_slots, d2)
-    segments = {name: {"rows": m, "parts": d2} for name in SEGMENTS[:2] if prefill}
+    segments = {name: {"rows": m, "parts": d2} for name in SEGMENTS[:2] if m}
     segments |= {name: {"rows": t_auto, "parts": -(-t_auto // B)} for name in SEGMENTS[2:]}
     return {
         "d2": d2,
@@ -234,7 +236,7 @@ def save_cache(cache: KVCache, path, ctx: Context) -> None:
                 raise ParameterError(f"cache {name} part {i} has noise budget {part.noise_budget}, below 1")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    manifest = _layout(cache.d2, cache.m, cache.t_auto, cache.prefill_K is not None, ctx.params)
+    manifest = _layout(cache.d2, cache.m, cache.t_auto, ctx.params)
     for name, seg in cache.segments():
         for i, part in enumerate(seg.parts):
             save_matrix(path / f"{name}_{i}.bin", part.slots.reshape(1, -1), ctx.params.plain_modulus)
@@ -247,8 +249,8 @@ def load_cache(path, ctx: Context) -> KVCache:
     ``_layout`` of its own d2, m and t_auto (integers >= 0) with a budget in
     [1, initial budget] per part, and each part file one row of n words in
     [0, p), or ParameterError is raised before any ciphertext is issued.
-    Keys the layout does not name, such as the refresh records older
-    snapshots carry, are ignored."""
+    Keys the layout does not name, such as older snapshots' refresh records
+    or their empty prefill segments at m = 0, are ignored."""
     path = Path(path)
     try:
         manifest = json.loads((path / "manifest.json").read_text())
@@ -259,11 +261,9 @@ def load_cache(path, ctx: Context) -> KVCache:
     d2, m, t_auto = geometry = [manifest.get(k) for k in ("d2", "m", "t_auto")]
     if any(type(v) is not int or v < 0 for v in geometry):
         raise ParameterError(f"{path}: cache snapshot d2, m and t_auto {geometry} are not all integers >= 0")
-    segments = manifest.get("segments")
-    # a prefill segment may hold no rows; either one present needs both
-    prefill = m > 0 or isinstance(segments, dict) and not segments.keys().isdisjoint(SEGMENTS[:2])
-    layout = _layout(d2, m, t_auto, prefill, ctx.params)
+    layout = _layout(d2, m, t_auto, ctx.params)
     _check_layout(manifest, layout, f"{path}: cache snapshot")
+    segments = manifest["segments"]
     top = ctx.params.initial_noise_budget
     for name, meta in layout["segments"].items():
         budgets = segments[name].get("budgets")

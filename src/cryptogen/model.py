@@ -4,12 +4,12 @@ plaintext fixed-point oracle it is verified against.
 Weights are stored as signed scale-f integers in read-only arrays, so a
 model is independent of the backend modulus; the linear kernels reduce
 them mod p.  A model keeps the CPVM plaintexts of each weight it has
-multiplied by during decoding, and the plaintext of each bias it has added
-to a decoded token, per backend parameters, and reuses them for every
-later token, as a server holding the weights would.  The
-encrypted pipeline and the oracle share the arithmetic in ``fixedpoint``
-(one implementation of truncation, GELU, softmax, layernorm), which is what
-makes token-exact equivalence checkable.
+multiplied by during decoding, per backend parameters, and reuses them
+for every later token, as a server holding the weights would; a bias is
+encoded per call, in either phase.  The encrypted pipeline and the oracle
+share the arithmetic in ``fixedpoint`` (one implementation of truncation,
+GELU, softmax, layernorm), which is what makes token-exact equivalence
+checkable.
 
 Decoding is greedy; the argmax runs client-side on decrypted logits.  A
 model directory's manifest is the config and its ``_weight_table``, which
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .arcc import attention_step, prefill_attention
-from .backend import BackendParams, Context, ParameterError, Plaintext
+from .backend import BackendParams, Context, ParameterError
 from .encodings import Encoding, EncodingKind, PackedMatrix, block_capacity, encode, load_matrix, save_matrix
 from .fixedpoint import (
     FixedPointParams,
@@ -107,8 +107,6 @@ class Model:
             W.setflags(False)
         # (weight name, head or None, BackendParams) -> CpvmPlaintexts
         self._cpvm: dict = {}
-        # (bias name, BackendParams) -> Plaintext
-        self._bias: dict = {}
 
     def __getstate__(self):
         return {"config": self.config, "weights": self.weights}
@@ -130,16 +128,6 @@ class Model:
         if prepared is None:
             prepared = self._cpvm[key] = cpvm_plaintexts(self.weight(name, head), ctx)
         return prepared
-
-    def token_bias(self, name: str, ctx: Context) -> Plaintext:
-        """Bias row ``name`` at scale 2f, in the first slots of a plaintext
-        under ctx's params, as an inner-packed token's projection takes it;
-        encoded on first use and kept for every later call."""
-        key = (name, ctx.params)
-        bias = self._bias.get(key)
-        if bias is None:
-            bias = self._bias[key] = ctx.plains([self.weights[name] << self.config.f])[0]
-        return bias
 
 
 def _weight_spec(c: ModelConfig) -> dict:
@@ -334,7 +322,9 @@ def oracle_generate(model: Model, prompt: list, k: int, p: int) -> list:
 # m x d prompt slab outer-packed (one ciphertext per column, m payload
 # slots), decode on a 1 x d token inner-packed (one ciphertext, d payload
 # slots).  The layer body below is written once over slabs; a stage
-# supplies the four steps that depend on the packing.
+# supplies the three steps that depend on the packing (linear, attend,
+# concat), and the rest, bias adds and round trips alike, reaches the
+# slab's slots through its ``pack``/``unpack``.
 
 
 def _inner_row(ct, cols: int) -> PackedMatrix:
@@ -348,8 +338,17 @@ def _truncated(P: PackedMatrix, fp, ctx, mpc) -> PackedMatrix:
 def _roundtrip(P: PackedMatrix, fn, ctx, mpc) -> PackedMatrix:
     """The slab's ``roundtrip`` through fn (rows x cols array of signed
     scale-f ints -> same shape, row-wise)."""
-    parts = roundtrip([(P.parts, mpc)], P.width, lambda V: P.payloads(fn(P.payloads(V))), ctx)
+    parts = roundtrip([(P.parts, mpc)], P.width, lambda V: P.pack(fn(P.unpack(V))), ctx)
     return PackedMatrix(P.encoding, parts)
+
+
+def _add_bias(P: PackedMatrix, model: Model, name: str, ctx) -> PackedMatrix:
+    """Add bias row ``name``, at scale 2f, to every row of the slab: one
+    plaintext per part, every part's encoded per call in one ``plains``
+    call."""
+    bias = model.weights[name] << model.config.f
+    rows = ctx.plains(P.pack(np.broadcast_to(bias, (P.rows, P.cols))))
+    return PackedMatrix(P.encoding, [ctx.add_plain(part, v) for part, v in zip(P.parts, rows)])
 
 
 def _add(A: PackedMatrix, B: PackedMatrix, ctx) -> PackedMatrix:
@@ -376,16 +375,6 @@ class _Prefill:
         return prefill_attention(q, k, v, fp, ctx, chs)
 
     @staticmethod
-    def bias(P, model, name, ctx):
-        """Add bias row ``name`` to every row of the slab.  The payloads
-        depend on m, so they are encoded per call, every part's in one
-        ``plains`` call."""
-        bias = model.weights[name] << model.config.f
-        rows = P.payloads(np.broadcast_to(bias, (P.rows, P.cols)))
-        parts = [ctx.add_plain(part, v) for part, v in zip(P.parts, ctx.plains(rows))]
-        return PackedMatrix(P.encoding, parts)
-
-    @staticmethod
     def concat(heads, ctx):
         parts = [part for O in heads for part in O.parts]
         return PackedMatrix(replace(heads[0].encoding, cols=len(parts)), parts)
@@ -406,10 +395,6 @@ class _Decode:
         caches[:] = [append_token(kv, kh.parts[0], vh.parts[0], ctx) for kv, kh, vh in zip(caches, k, v)]
         outs = attention_step([x.parts[0] for x in q], caches, fp, ctx, chs)
         return [_inner_row(o, q[0].cols) for o in outs]
-
-    @staticmethod
-    def bias(x, model, name, ctx):
-        return _inner_row(ctx.add_plain(x.parts[0], model.token_bias(name, ctx)), x.cols)
 
     @staticmethod
     def concat(heads, ctx):
@@ -511,9 +496,10 @@ def _heads(model: Model, l: int, X: PackedMatrix, stage, caches, fp, ctx, chans)
 
 
 def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, fp, ctx, chans):
-    """One transformer layer on slab X: one ``_heads`` pass, then wo, LN1,
-    the FFN and LN2 on the common channel.  Replaces caches[l] with the
-    stage's per-head caches."""
+    """One transformer layer on slab X through the stage's three steps:
+    one ``_heads`` pass, then wo, LN1, the FFN (its biases added by
+    ``_add_bias``) and LN2 on the common channel.  Replaces caches[l] with
+    the stage's per-head caches."""
     O = stage.concat(_heads(model, l, X, stage, caches, fp, ctx, chans), ctx)
 
     ch = chans["common"]
@@ -523,9 +509,9 @@ def _layer(model: Model, l: int, X: PackedMatrix, stage, caches, fp, ctx, chans)
 
     attn = _truncated(dense(O, "wo"), fp, ctx, ch)
     X = _roundtrip(_add(X, attn, ctx), _layernorm_rows(model, l, "ln1", fp), ctx, ch)
-    H = stage.bias(dense(X, "w1"), model, f"layer{l}.b1", ctx)
+    H = _add_bias(dense(X, "w1"), model, f"layer{l}.b1", ctx)
     H = _roundtrip(H, lambda M: fp_gelu(fp_truncate(M, fp.f), fp), ctx, ch)
-    H = stage.bias(dense(H, "w2"), model, f"layer{l}.b2", ctx)
+    H = _add_bias(dense(H, "w2"), model, f"layer{l}.b2", ctx)
     H = _roundtrip(H, lambda M: fp_truncate(M, fp.f), ctx, ch)
     return _roundtrip(_add(X, H, ctx), _layernorm_rows(model, l, "ln2", fp), ctx, ch)
 
@@ -558,7 +544,7 @@ def prefill(model: Model, prompt: list, ctx: Context, chans=None, threads: int =
 
     # last-position logits via the decode-side kernel
     ch = chans["common"]
-    last = he_to_shares([(X.parts, ch)], ctx, m)[:, m - 1]
+    last = X.unpack(he_to_shares([(X.parts, ch)], ctx, m))[m - 1]
     (x_last,) = shares_to_he([(last[None], ch)], ctx)
     return GenerationState(caches=caches, next_logits=_logits(model, x_last, ctx))
 

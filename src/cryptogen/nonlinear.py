@@ -113,8 +113,10 @@ class MpcChannel:
             self._masks = self.rng.integers(0, self.p, size=max(length, MASK_BLOCK), dtype=np.int64)
             self._masks.setflags(False)  # and so every slice of it
             start = 0
-        self._used = start + length
-        return self._masks[start : start + length]
+        mask, self._used = self._masks[start : start + length], start + length
+        if self._used == self._masks.shape[0]:  # spent: only the callers' slices keep it alive
+            self._masks, self._used = np.empty(0, dtype=np.int64), 0
+        return mask
 
 
 def _charge(groups, ctx: Context, words: int, trips: int = 1) -> None:

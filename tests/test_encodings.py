@@ -6,7 +6,9 @@ from hypothesis.extra import numpy as hnp
 
 from cryptogen.backend import BackendParams, Context, ParameterError, default_plain_modulus
 from cryptogen.encodings import (
+    Encoding,
     EncodingKind,
+    PackedMatrix,
     decode,
     encode,
     load_matrix,
@@ -41,7 +43,8 @@ _CTX = {
 def test_roundtrip_all_kinds(kind, data):
     """decode(encode(A)) == A mod p with one encrypt per part, ceil(m/B)
     parts (B = 1 unless compacted; d parts if outer) and zero slots outside
-    the payload, for every kind, m in 0..8 and every d that fits n."""
+    the payload, for every kind, m in 0..8 and every d that fits n; A
+    itself is left as it was."""
     n = data.draw(st.sampled_from(sorted(_CTX)), label="n")
     ctx = _CTX[n]
     p = ctx.params.plain_modulus
@@ -51,9 +54,11 @@ def test_roundtrip_all_kinds(kind, data):
     else:
         d = data.draw(st.integers(1, n), label="d")
     A = data.draw(hnp.arrays(np.int64, (m, d), elements=st.integers(-p, 2 * p)), label="A")
+    given = A.copy()
     start = ctx.counter.snapshot()
     P = encode(A, kind, ctx)
     assert ctx.counter.delta(start)["encrypt"] == len(P.parts)
+    assert (A == given).all()  # the caller's matrix is not reduced in place
     B = n // d if kind is EncodingKind.INNER_COMPACTED else 1
     assert len(P.parts) == (d if kind is EncodingKind.OUTER else -(-m // B))
     # payload slots of each part: the columns (outer) or B d-wide rows (inner)
@@ -61,6 +66,48 @@ def test_roundtrip_all_kinds(kind, data):
         filled = m if kind is EncodingKind.OUTER else min(B, m - q * B) * d
         assert not ctx.decrypt(part)[filled:].any()
     assert (decode(P, ctx) == np.mod(A, p)).all()
+
+
+@pytest.mark.parametrize("kind", list(EncodingKind))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_pack_unpack_all_kinds(kind, data):
+    """pack lays a matrix, with or without a leading axis of 0-3 heads, out
+    as ceil(vectors / per_part) slot rows of per_part * width slots, zero
+    outside the payload; unpack inverts it and reads no other slot; a
+    compacted row r is flat slots r*d..r*d+d-1 of the rows laid end to end.
+    Covers m = 0 and the zero-part pack of an empty compacted matrix."""
+    n = data.draw(st.sampled_from([16, 64]), label="n")
+    m = data.draw(st.integers(0, 8), label="m")
+    compacted, outer = kind is EncodingKind.INNER_COMPACTED, kind is EncodingKind.OUTER
+    if compacted:
+        d = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]), label="d")
+    else:
+        d = data.draw(st.integers(1, n), label="d")
+    lead = data.draw(st.sampled_from([(), (0,), (1,), (2,), (3,)]), label="heads")
+    P = PackedMatrix(Encoding(kind, m, d, block=n // d if compacted else None), [])
+    M = data.draw(hnp.arrays(np.int64, (*lead, m, d), elements=st.integers(-(2**40), 2**40)), label="M")
+
+    S = P.pack(M)
+    B, width, vectors = (n // d if compacted else 1), (m if outer else d), (d if outer else m)
+    parts = -(-vectors // B)
+    assert S.shape == (*lead, parts, B * width)
+    payload = np.zeros((parts * B, width), dtype=bool)
+    payload[:vectors] = True
+    payload = payload.reshape(parts, B * width)
+    assert not S[..., ~payload].any()
+    assert (P.unpack(S) == M).all() and P.unpack(S).shape == M.shape
+    if B == 1:
+        assert not S.flags.writeable and (M.size == 0 or np.shares_memory(S, M))
+
+    junk = data.draw(hnp.arrays(np.int64, (*lead, parts, n), elements=st.integers(1, 99)), label="junk")
+    junk[..., : B * width] = np.where(payload, S, junk[..., : B * width])
+    assert (P.unpack(junk) == M).all()
+
+    if compacted:
+        flat = S.reshape(*lead, parts * n)
+        for r in range(m):
+            assert (flat[..., r * d : r * d + d] == M[..., r, :]).all()
 
 
 def test_inner_compacted_block_layout():

@@ -47,6 +47,18 @@ def test_block_capacity_formula():
     assert init_cache(None, None, ctx8, d2=2).B == 4
 
 
+def test_init_cache_refuses_a_prefill_of_no_rows():
+    """A cache with no prompt rows has one form, (None, None) with d2 and
+    no ciphertext: 0-row prefill K/V are refused before any op."""
+    ctx = _ctx(64)
+    P = encode(np.zeros((0, 8), dtype=np.int64), EncodingKind.OUTER, ctx)
+    before = ctx.counter.snapshot()
+    with pytest.raises(ParameterError, match="no rows"):
+        init_cache(P, P, ctx)
+    assert not any(ctx.counter.delta(before).values())
+    assert cache_stats(init_cache(None, None, ctx, d2=8))["ct_count"] == 0
+
+
 def test_first_append_opens_fresh_ciphertext():
     ctx = _ctx()
     cache = _empty(ctx, 4)
@@ -411,6 +423,31 @@ def test_load_cache_reads_snapshot_with_slot_period_key(tmp_path):
     assert cache_stats(loaded) == cache_stats(cache)
     for (_, seg), (_, got) in zip(cache.segments(), loaded.segments()):
         assert got.encoding == seg.encoding
+        assert [c.noise_budget for c in got.parts] == [c.noise_budget for c in seg.parts]
+        assert all((a.slots == b.slots).all() for a, b in zip(got.parts, seg.parts))
+
+
+def test_load_cache_reads_a_zero_row_prefill_snapshot_as_no_prefill(tmp_path):
+    """Older versions saved an m = 0 cache with two empty prefill segments
+    of d2 encrypted zero parts each; such a snapshot loads as the cache
+    with no prefill, to the same auto slots and budgets."""
+    ctx = _ctx(64)
+    d2, n, p = 8, 64, ctx.params.plain_modulus
+    cache = _empty(ctx, d2)
+    for t in range(3):
+        cache = append_token(cache, _tok(ctx, [t] * d2), _tok(ctx, [t] * d2), ctx)
+    save_cache(cache, tmp_path, ctx)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["m"] == 0 and set(manifest["segments"]) == {"auto_K", "auto_V"}
+    for name in ("prefill_K", "prefill_V"):
+        manifest["segments"][name] = {"rows": 0, "parts": d2, "budgets": [ctx.params.initial_noise_budget] * d2}
+        for i in range(d2):
+            save_matrix(tmp_path / f"{name}_{i}.bin", np.zeros((1, n), dtype=np.int64), p)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    loaded = load_cache(tmp_path, ctx)
+    assert loaded.prefill_K is None and loaded.prefill_V is None
+    assert cache_stats(loaded) == cache_stats(cache) and cache_stats(loaded)["ct_count"] == 1
+    for (_, seg), (_, got) in zip(cache.segments(), loaded.segments(), strict=True):
         assert [c.noise_budget for c in got.parts] == [c.noise_budget for c in seg.parts]
         assert all((a.slots == b.slots).all() for a, b in zip(got.parts, seg.parts))
 

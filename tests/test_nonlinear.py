@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import sys
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -179,6 +181,22 @@ def test_pooled_masks_never_reuse_a_word(lengths, seed):
     for i, a in enumerate(masks):
         assert not any(np.shares_memory(a, b) for b in masks[i + 1 :])
     assert (np.concatenate(masks) != np.concatenate([other.sample_mask(n) for n in lengths])).any()
+
+
+def test_a_spent_mask_block_is_freed_with_its_last_slice():
+    """A draw that hands out a block's last word drops the channel's
+    reference to it, so the block lives only as long as the caller's slice;
+    the next draw opens a fresh block, as it would have anyway."""
+    p = P_BIG
+    ch = MpcChannel(p, seed=7)
+    mask = ch.sample_mask(3 * MASK_BLOCK)
+    block = weakref.ref(mask.base)
+    rng = np.random.default_rng(7)
+    assert (mask == rng.integers(0, p, size=3 * MASK_BLOCK, dtype=np.int64)).all()
+    del mask
+    gc.collect()
+    assert block() is None
+    assert (ch.sample_mask(5) == rng.integers(0, p, size=MASK_BLOCK, dtype=np.int64)[:5]).all()
 
 
 def test_channel_bytes_per_direction(ctx16):

@@ -22,7 +22,8 @@ are computed from the records:
   plaintext that ``Context.plains`` made inside ``cryptogen/nonlinear.py``
   labelled by its slot count instead of its slots.  Those plaintexts hold
   share masks, so it sees the op graph of a run and not which mask words
-  its conversions drew.  It is printed, not pinned.
+  its conversions drew, and it holds when a change moves mask words but
+  no op.
 
 All three are printed next to the tokens, the operation count and the run's
 total MPC bytes (``mpc_bytes`` of the op counter).  A further sha256
@@ -82,13 +83,15 @@ class Shape(NamedTuple):
     prompt: tuple
     k: int  # tokens generated
     # pinned: op sequence sha256, op count, tokens, MPC bytes, dataflow
-    # sha256, and the mask streams (sha256 of the per-channel digests, draws, words)
+    # sha256, the mask streams (sha256 of the per-channel digests, draws,
+    # words) and the share-blind dataflow sha256
     digest: str
     ops: int
     tokens: list
     mpc_bytes: int
     dataflow: str
     masks: tuple
+    blind: str
 
 
 # The ordered digests were last re-pinned when the prompt pass took all of
@@ -111,6 +114,7 @@ SHAPES = {
         10_841_400,
         "838418c0b56445c0155d4248281ebc1d28a98fcc8999bf3b40cef955125ec4c9",
         ("d9be6127b556d5bc41a1a77942f2510f1dd3d2296ff0e75fd36e926488d29ce5", 11_014, 2_015_776),
+        "3ec4dfb4b11c3984371507963660a89ad2266c8061f3b1b74609bf5db9c97dd1",
     ),
     "refresh_churn": Shape(
         None, "params_toy.json", 170, TOY_PROMPT, 112,
@@ -125,6 +129,7 @@ SHAPES = {
         9_014_392,
         "097d2dc9327b64e7568701f1dbecf8644c7c8c8098959564d20c30c533f33c5b",
         ("29dca381ae30b12a935b8253d37f7c6f69ab5e15dfbc7b77f579b668f9b4a98f", 10_358, 1_634_336),
+        "431fb86710868e2ed40ae259de3b8264d14ae2e2a0c359ce2b0939756ece85dc",
     ),
     "paper1": Shape(
         PAPER1_MODEL, "params_reference.json", None, (1, 2, 3, 4), 2,
@@ -133,6 +138,7 @@ SHAPES = {
         602_533_200,
         "1a4e9e7e0bec3b2183eb4112c080ba1dd5b0c6bd8252dcc670ad93dc2bbde083",
         ("f65be8864098ba3c68b8236d8060d593b2d30232bb9d347d550617b142bb45b9", 272, 83_696_672),
+        "7f5d4b8dc94b39b9d03329d2fb8e35b230028e26cc1073419c6cbc6f9c5346c8",
     ),
 }
 
@@ -302,7 +308,9 @@ def main(argv=None) -> int:
     print(f"matches pinned MPC bytes: {'yes' if same_bytes else f'no (want {shape.mpc_bytes})'}")
     same_masks = masks == shape.masks
     print(f"matches pinned mask stream: {'yes' if same_masks else f'no (want {shape.masks})'}")
-    return 0 if match and same_dataflow and same_tokens and same_bytes and same_masks else 1
+    same_blind = blind == shape.blind
+    print(f"matches pinned share-blind digest: {'yes' if same_blind else f'no (want {shape.blind})'}")
+    return 0 if match and same_dataflow and same_tokens and same_bytes and same_masks and same_blind else 1
 
 
 if __name__ == "__main__":
