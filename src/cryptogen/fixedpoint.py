@@ -13,7 +13,8 @@ The softmax and its reciprocal work row-wise over the last axis of an
 int64 array (a vector is one row), so a decode step scores every head's
 row, and the prompt pass a head's whole m x m matrix, in one
 ``causal_attention_weights`` call; the oracle calls it one row at a time,
-so token-exact tests cross-check the two.
+row i of a block of r at query position len(K) - r + i in the cache the
+block extends, so token-exact tests cross-check the two.
 
 Polynomial coefficients below were produced by tools/fit_nonlinear_coeffs.py
 and are frozen; rerun the script to regenerate.

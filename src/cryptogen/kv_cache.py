@@ -6,18 +6,19 @@ ciphertexts holding B = n/d2 tokens each.  Appends are slot-aware:
 the incoming token is rotated to its block, masked, and added, so a fresh
 ciphertext is opened only every B tokens.
 
-A cache is its four segments: its geometry (d2, B, the prompt length m and
-the generated count t_auto) is read off their encodings, never stored
-beside them.  A snapshot's manifest is the ``_layout`` that d2, m and
-t_auto give, which ``save_cache`` writes and ``load_cache`` requires, plus
-each part's budget.
+A cache is its four segments, in one form that every construction checks:
+its geometry (d2, B, the prompt length m and the generated count t_auto) is
+read off their encodings, never stored beside them.  A snapshot's manifest
+is the ``_layout`` that d2, m and t_auto give, which ``save_cache`` writes
+and ``load_cache`` requires, plus each part's budget.
 
 Noise is handled lazily: before each decode step, every part of every cache
 whose budget has fallen to the refresh threshold is re-encrypted in one
 ``nonlinear.refresh`` pass (server subtracts a random mask r, client decrypts
 its share and re-shares the value under a fresh mask), restoring a full budget
 without revealing the payload.  Each refreshed part is counted on the op
-counter and logged at INFO on ``cryptogen.kv_cache``; the cache keeps no record.
+counter and logged at INFO on ``cryptogen.kv_cache`` with its share of the
+pass's charged bytes; the cache keeps no record.
 
 Cache values are immutable; append and refresh return new cache objects.
 """
@@ -62,6 +63,23 @@ class KVCache:
     auto_K: PackedMatrix
     auto_V: PackedMatrix
 
+    def __post_init__(self):
+        """The one form of a cache, checked on every construction (each
+        ``replace`` too) by encoding compares and part counts alone."""
+        auto, K, V = self.auto_K.encoding, self.prefill_K, self.prefill_V
+        if auto.kind is not EncodingKind.INNER_COMPACTED or self.auto_V.encoding != auto:
+            raise ParameterError(f"auto K {auto} and V {self.auto_V.encoding} are not one compacted encoding")
+        if not len(self.auto_K.parts) == len(self.auto_V.parts) == -(-auto.rows // auto.block):
+            raise ParameterError(f"auto K and V do not hold ceil({auto.rows}/{auto.block}) parts each")
+        if (K is None) != (V is None):
+            raise ParameterError("prefill K and V must both be present or both absent")
+        if K is not None and (K.encoding.kind is not EncodingKind.OUTER or V.encoding != K.encoding):
+            raise ParameterError(f"prefill K {K.encoding} and V {V.encoding} are not one outer packing")
+        if K is not None and K.rows == 0:
+            raise ParameterError("prefill K and V hold no rows: pass None, None and d2 for a cache with no prefill")
+        if K is not None and not len(K.parts) == len(V.parts) == K.cols == auto.cols:
+            raise ParameterError(f"prefill K and V are not one part per column at the cache's width {auto.cols}")
+
     @property
     def d2(self) -> int:
         return self.auto_K.cols
@@ -88,23 +106,13 @@ def init_cache(
     ctx: Context,
     d2: int | None = None,
 ) -> KVCache:
-    """Start a cache from outer-packed prefill projections of at least one row (or empty)."""
-    if (K_pref is None) != (V_pref is None):
-        raise ParameterError("prefill K and V must both be present or both absent")
-    if K_pref is not None:
-        if K_pref.encoding.kind is not EncodingKind.OUTER:
-            raise ParameterError("prefill segments must be outer packings")
-        if K_pref.encoding != V_pref.encoding:
-            raise ParameterError(
-                f"prefill K {K_pref.encoding} and V {V_pref.encoding} disagree"
-            )
-        if K_pref.rows == 0:
-            raise ParameterError("prefill K and V hold no rows: pass None, None and d2 for a cache with no prefill")
-        if d2 is not None and d2 != K_pref.cols:
-            raise ParameterError(f"d2 {d2} does not match prefill width {K_pref.cols}")
+    """Start a cache from outer-packed prefill projections of at least one
+    row, or from none at width d2: the width sets B = n/d2, and ``KVCache``
+    checks the rest."""
+    if d2 is None:
+        if K_pref is None:
+            raise ParameterError("a cache with no prefill needs an explicit d2")
         d2 = K_pref.cols
-    elif d2 is None:
-        raise ParameterError("an empty cache needs an explicit d2")
     auto = Encoding(EncodingKind.INNER_COMPACTED, 0, d2, block=block_capacity(ctx.params.n_slots, d2))
     return KVCache(K_pref, V_pref, PackedMatrix(auto, []), PackedMatrix(auto, []))
 
@@ -153,9 +161,11 @@ def maybe_refresh(caches, ctx: Context, force: bool = False) -> list:
         for cache, _ in caches
     ]
     groups = [([part for *_, part in parts], ch) for parts, (_, ch) in zip(due, caches) if parts]
-    fresh = iter(refresh(groups, ctx) if groups else ())
+    before = ctx.counter.mpc_bytes
+    fresh = iter(refresh(groups, ctx))
+    part_bytes = (ctx.counter.mpc_bytes - before) // max(1, sum(map(len, due)))  # every part costs the same
     out = []
-    for (cache, ch), parts in zip(caches, due):
+    for (cache, _), parts in zip(caches, due):
         segments = {name: list(getattr(cache, name).parts) for name, *_ in parts}
         for name, i, part in parts:
             segments[name][i] = next(fresh)
@@ -163,7 +173,7 @@ def maybe_refresh(caches, ctx: Context, force: bool = False) -> list:
             log.info(
                 "refresh t_auto=%d segment=%s part=%d id=%d budget=%d threshold=%d bytes=%d forced=%s",
                 cache.t_auto, name, i, part.id, part.noise_budget, threshold,
-                2 * ch.vector_bytes(ctx.params.n_slots), part.noise_budget > threshold,
+                part_bytes, part.noise_budget > threshold,
             )
         fields = {name: PackedMatrix(getattr(cache, name).encoding, new) for name, new in segments.items()}
         out.append(replace(cache, **fields) if parts else cache)

@@ -30,7 +30,6 @@ from .backend import BackendParams, Context, ParameterError
 from .encodings import Encoding, EncodingKind, PackedMatrix, block_capacity, encode, load_matrix, save_matrix
 from .fixedpoint import (
     FixedPointParams,
-    attention_weights,
     causal_attention_weights,
     fp_gelu,
     fp_layernorm,
@@ -95,14 +94,21 @@ def toy_config() -> ModelConfig:
 
 @dataclass
 class Model:
-    """A model's config and weights.  The weight arrays are made read-only
-    here, so the plaintexts memoized from them can never go stale; a copy
-    or an unpickled model is made the same way, with no memo."""
+    """A model's config and weights, the names and shapes of its
+    ``_weight_spec``.  The arrays are made read-only, so the plaintexts
+    memoized from them can never go stale; a copy or an unpickled model
+    is made the same way, with no memo."""
 
     config: ModelConfig
     weights: dict  # name -> signed int64 array at scale f
 
     def __post_init__(self):
+        want = {name: shape for name, (shape, _, _) in _weight_spec(self.config).items()}
+        have = {name: W.shape for name, W in self.weights.items()}
+        if have != want:
+            name = next(name for name in [*want, *have] if have.get(name) != want.get(name))
+            got, spec = have.get(name, "absent"), want.get(name, "absent")
+            raise ParameterError(f"weight {name!r}: shape {got}, config spec {spec}")
         for W in self.weights.values():
             W.setflags(False)
         # (weight name, head or None, BackendParams) -> CpvmPlaintexts
@@ -246,72 +252,54 @@ class GenerationState:
 # ----------------------------------------------------------------------
 
 
-class _OracleCache:
-    def __init__(self):
-        self.K: list = []
-        self.V: list = []
-
-
-def _oracle_block(model, l, X, fp, p, caches, causal_rows):
-    """One transformer layer on an m x d1 slab; appends K/V to the caches.
-
-    Prefill rows (causal_rows=True) use the additive-mask softmax over all
-    cached positions, exactly as the encrypted prefill kernel does; the
-    mask annihilates future positions in integer arithmetic.
-    """
+def _oracle_block(model, l, X, fp, p, caches):
+    """One layer on the r x d1 rows X that follow the positions held in
+    caches[l], a (K, V) pair of row lists per head, which gain the rows.
+    Row i is scored at query position len(K) - r + i, one
+    ``causal_attention_weights`` call per row per head, as the encrypted
+    softmax reads a row's position off its scores."""
     c = model.config
     prefix = f"layer{l}."
     W = {name.removeprefix(prefix): w for name, w in model.weights.items() if name.startswith(prefix)}
+    r = X.shape[0]
     heads_out = []
-    for h in range(c.heads):
+    for h, (Kc, Vc) in enumerate(caches[l]):
         Q, K, V = (
             fp_truncate(_modmul(X, model.weight(prefix + name, h), p), fp.f) for name in ("wq", "wk", "wv")
         )
-        caches[l][h].K.extend(K)
-        caches[l][h].V.extend(V)
-        Kall = np.asarray(caches[l][h].K)
-        Vall = np.asarray(caches[l][h].V)
-        O = np.zeros((X.shape[0], c.d2), dtype=np.int64)
-        for i in range(X.shape[0]):
+        Kc.extend(K)
+        Vc.extend(V)
+        Kall, Vall = np.asarray(Kc), np.asarray(Vc)
+        O = np.zeros((r, c.d2), dtype=np.int64)
+        for i in range(r):
             s = to_signed(np.mod(Q[i] @ Kall.T, p), p)
-            if causal_rows:
-                a = causal_attention_weights(s, i, c.d2, fp)
-            else:
-                a = attention_weights(s, c.d2, fp)
+            a = causal_attention_weights(s, len(Kall) - r + i, c.d2, fp)
             O[i] = fp_truncate(to_signed(np.mod(a @ Vall, p), p), fp.f)
         heads_out.append(O)
     attn = fp_truncate(_modmul(np.concatenate(heads_out, axis=1), W["wo"], p), fp.f)
-    X = np.stack([fp_layernorm(X[i] + attn[i], W["ln1_g"], W["ln1_b"], fp) for i in range(X.shape[0])])
+    X = np.stack([fp_layernorm(X[i] + attn[i], W["ln1_g"], W["ln1_b"], fp) for i in range(r)])
     h1 = _modmul(X, W["w1"], p) + (W["b1"] << fp.f)
     hact = fp_gelu(fp_truncate(h1, fp.f), fp)
-    h2 = _modmul(hact, W["w2"], p) + (W["b2"] << fp.f)
-    h2 = fp_truncate(h2, fp.f)
-    return np.stack([fp_layernorm(X[i] + h2[i], W["ln2_g"], W["ln2_b"], fp) for i in range(X.shape[0])])
+    h2 = fp_truncate(_modmul(hact, W["w2"], p) + (W["b2"] << fp.f), fp.f)
+    return np.stack([fp_layernorm(X[i] + h2[i], W["ln2_g"], W["ln2_b"], fp) for i in range(r)])
 
 
 def oracle_generate(model: Model, prompt: list, k: int, p: int) -> list:
-    """Greedy generation in plain fixed-point arithmetic; ground truth for
-    every equivalence test."""
+    """Greedy generation in plain fixed-point arithmetic, ground truth for
+    every equivalence test: the prompt's rows, then each chosen token's."""
     c = model.config
     fp = _check_arithmetic(c, p, len(prompt), k)
-    caches = [[_OracleCache() for _ in range(c.heads)] for _ in range(c.layers)]
-
-    X = np.stack([_embed(model, t, i) for i, t in enumerate(prompt)])
-    for l in range(c.layers):
-        X = _oracle_block(model, l, X, fp, p, caches, causal_rows=True)
-    logits = fp_truncate(_modmul(X[-1:], model.weights["unembed"], p)[0], fp.f)
-
-    out = []
-    pos = len(prompt)
-    for _ in range(k):
-        token = int(np.argmax(logits))
-        out.append(token)
-        x = _embed(model, token, pos)[None, :]
+    caches = [[([], []) for _ in range(c.heads)] for _ in range(c.layers)]
+    seq, fed = list(prompt), 0
+    while True:
+        X = np.stack([_embed(model, t, i) for i, t in enumerate(seq[fed:], fed)])
         for l in range(c.layers):
-            x = _oracle_block(model, l, x, fp, p, caches, causal_rows=False)
-        logits = fp_truncate(_modmul(x, model.weights["unembed"], p)[0], fp.f)
-        pos += 1
-    return out
+            X = _oracle_block(model, l, X, fp, p, caches)
+        fed = len(seq)
+        if fed == len(prompt) + k:
+            return seq[len(prompt) :]
+        logits = fp_truncate(_modmul(X[-1:], model.weights["unembed"], p)[0], fp.f)
+        seq.append(int(np.argmax(logits)))
 
 
 # ----------------------------------------------------------------------

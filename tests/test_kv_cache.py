@@ -14,8 +14,9 @@ from cryptogen.backend import (
     ParameterError,
     default_plain_modulus,
 )
-from cryptogen.encodings import EncodingKind, decode, encode, save_matrix
+from cryptogen.encodings import EncodingKind, PackedMatrix, decode, encode, save_matrix
 from cryptogen.kv_cache import (
+    KVCache,
     append_token,
     cache_stats,
     init_cache,
@@ -57,6 +58,55 @@ def test_init_cache_refuses_a_prefill_of_no_rows():
         init_cache(P, P, ctx)
     assert not any(ctx.counter.delta(before).values())
     assert cache_stats(init_cache(None, None, ctx, d2=8))["ct_count"] == 0
+
+
+def _malformed(ctx):
+    """Forms no cache may take, as KVCache arguments, each with the words
+    of its refusal: the prefill pair, then the auto pair."""
+    P0, P3, P4, narrow = (
+        encode(np.zeros((m, d), dtype=np.int64), EncodingKind.OUTER, ctx) for m, d in ((0, 8), (3, 8), (4, 8), (3, 4))
+    )
+    auto = _empty(ctx, 8).auto_K
+    grown = append_token(_empty(ctx, 8), _tok(ctx, [1] * 8), _tok(ctx, [2] * 8), ctx).auto_K
+    inner = encode(np.zeros((3, 8), dtype=np.int64), EncodingKind.INNER, ctx)
+    short = PackedMatrix(P3.encoding, P3.parts[:-1])
+    return {
+        "zero-row prefill": ((P0, P0, auto, auto), "no rows"),
+        "K and V of other rows": ((P3, P4, auto, auto), "not one outer packing"),
+        "K without V": ((P3, None, auto, auto), "both be present or both absent"),
+        "inner prefill": ((inner, inner, auto, auto), "not one outer packing"),
+        "prefill of another width": ((narrow, narrow, auto, auto), "one part per column at the cache's width 8"),
+        "prefill part missing": ((P3, short, auto, auto), "one part per column"),
+        "auto rows without parts": ((None, None, PackedMatrix(grown.encoding, []), grown), "parts each"),
+        "auto K and V of other rows": ((None, None, auto, grown), "not one compacted encoding"),
+        "outer auto": ((None, None, P3, P3), "not one compacted encoding"),
+    }
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        "zero-row prefill",
+        "K and V of other rows",
+        "K without V",
+        "inner prefill",
+        "prefill of another width",
+        "prefill part missing",
+        "auto rows without parts",
+        "auto K and V of other rows",
+        "outer auto",
+    ],
+)
+def test_kv_cache_refuses_a_malformed_form_at_construction(form):
+    """A cache holds its one form whoever builds it: each malformed one is
+    refused when it is made, before any op, so no kernel runs over it and
+    save_cache never writes a part of it."""
+    ctx = _ctx(64)
+    args, message = _malformed(ctx)[form]
+    before = ctx.counter.snapshot()
+    with pytest.raises(ParameterError, match=message):
+        KVCache(*args)
+    assert not any(ctx.counter.delta(before).values())
 
 
 def test_first_append_opens_fresh_ciphertext():

@@ -130,6 +130,67 @@ def test_load_model_reads_only_files_in_its_directory(tmp_path, toy, outside, mo
     assert not read
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda w: w.pop("unembed"), r"weight 'unembed': shape absent, config spec \(32, 64\)"),
+        (
+            lambda w: w.update({"layer0.wq": np.zeros((3, 3), dtype=np.int64)}),
+            r"weight 'layer0.wq': shape \(3, 3\), config spec \(32, 32\)",
+        ),
+        (
+            lambda w: w.update({"layer2.wq": np.zeros((32, 32), dtype=np.int64)}),
+            r"weight 'layer2.wq': shape \(32, 32\), config spec absent",
+        ),
+    ],
+    ids=["missing", "misshapen", "unnamed"],
+)
+def test_model_refuses_weights_its_config_does_not_give(tmp_path, toy, edit, message):
+    """A model's weights are its config's names and shapes, checked when it
+    is made, so save_model never writes a directory load_model refuses."""
+    weights = dict(toy.weights)
+    edit(weights)
+    with pytest.raises(ParameterError, match=message):
+        save_model(model_mod.Model(toy.config, weights), tmp_path / "m")
+    assert not (tmp_path / "m").exists()
+
+
+def _oracle_blocks(model, prompt, cuts):
+    """The prompt fed through the oracle's layers in the blocks that the cut
+    points make; returns the per-head (K, V) caches and the last row's logits."""
+    from cryptogen.fixedpoint import FixedPointParams, fp_truncate
+    from cryptogen.model import _embed, _modmul, _oracle_block
+
+    c = model.config
+    fp = FixedPointParams(c.f, P64)
+    caches = [[([], []) for _ in range(c.heads)] for _ in range(c.layers)]
+    for a, b in zip([0, *cuts], [*cuts, len(prompt)]):
+        X = np.stack([_embed(model, t, i) for i, t in enumerate(prompt[a:b], a)])
+        for l in range(c.layers):
+            X = _oracle_block(model, l, X, fp, P64, caches)
+    return caches, fp_truncate(_modmul(X[-1:], model.weights["unembed"], P64)[0], fp.f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    prompt=st.lists(st.integers(0, 63), min_size=1, max_size=20),
+    cut=st.one_of(st.just(True), st.lists(st.booleans(), min_size=19, max_size=19)),
+)
+def test_oracle_layer_takes_a_block_at_any_position(toy, prompt, cut):
+    """Any split of a prompt into blocks, token by token included, leaves
+    the one-block run's per-head K/V and last-row logits: each row's query
+    position comes from the cache it extends."""
+    cuts = [i for i in range(1, len(prompt)) if cut is True or cut[i - 1]]
+    event(f"{len(cuts) + 1} blocks")
+    whole, logits = _oracle_blocks(toy, prompt, [])
+    split, split_logits = _oracle_blocks(toy, prompt, cuts)
+    assert (split_logits == logits).all()
+    for heads, split_heads in zip(whole, split, strict=True):
+        for kv, split_kv in zip(heads, split_heads, strict=True):
+            for rows, split_rows in zip(kv, split_kv, strict=True):
+                assert np.array_equal(np.asarray(split_rows), np.asarray(rows))
+
+
 def test_oracle_is_deterministic(toy):
     a = oracle_generate(toy, [1, 2, 3], 6, P64)
     b = oracle_generate(toy, [1, 2, 3], 6, P64)
@@ -890,15 +951,15 @@ def test_oracle_drift_vs_float_reference(toy):
     """The integer oracle tracks a float reference of the same pipeline;
     the gap is quantization-sized, measured and bounded here."""
     from cryptogen.fixedpoint import FixedPointParams, fp_truncate
-    from cryptogen.model import _embed, _modmul, _oracle_block, _OracleCache
+    from cryptogen.model import _embed, _modmul, _oracle_block
 
     prompt = [3, 14, 15, 9, 26, 5, 35, 41]
     cfg = toy.config
-    caches = [[_OracleCache() for _ in range(cfg.heads)] for _ in range(cfg.layers)]
+    caches = [[([], []) for _ in range(cfg.heads)] for _ in range(cfg.layers)]
     fp = FixedPointParams(cfg.f, P64)
     X = np.stack([_embed(toy, t, i) for i, t in enumerate(prompt)])
     for l in range(cfg.layers):
-        X = _oracle_block(toy, l, X, fp, P64, caches, causal_rows=True)
+        X = _oracle_block(toy, l, X, fp, P64, caches)
     logits_int = fp_truncate(_modmul(X[-1:], toy.weights["unembed"], P64)[0], fp.f)
 
     ref = _float_reference_logits(toy, prompt)
