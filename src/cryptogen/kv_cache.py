@@ -117,35 +117,28 @@ def init_cache(
     return KVCache(K_pref, V_pref, PackedMatrix(auto, []), PackedMatrix(auto, []))
 
 
-def _append_one(
-    seg: PackedMatrix, token: SlotCiphertext, pos: int, mask, ctx: Context, fresh: bool
-) -> PackedMatrix:
-    rotated = ctx.rotate(token, -pos) if pos else token
-    ct_new = ctx.mult_plain(rotated, mask)
+def _append(seg: PackedMatrix, token: SlotCiphertext, ctx: Context) -> PackedMatrix:
+    """The compacted segment with token's row appended as row ``seg.rows``:
+    rotated to its block's slot offset (rows mod B) * cols, masked, and added
+    to the last part, or to an encrypted zero opening a part at offset 0."""
+    offset = seg.rows % seg.per_part * seg.cols
+    mask = ctx.block_mask(offset, seg.cols)
+    ct_new = ctx.mult_plain(ctx.rotate(token, -offset) if offset else token, mask)
     parts = list(seg.parts)
-    if fresh:
-        parts.append(ctx.add(ctx.encrypt(ctx.plains([[0]])[0]), ct_new))
-    else:
+    if offset:
         parts[-1] = ctx.add(parts[-1], ct_new)
-    enc = replace(seg.encoding, rows=seg.encoding.rows + 1)
-    return PackedMatrix(enc, parts)
+    else:
+        parts.append(ctx.add(ctx.encrypt(ctx.plains([[0]])[0]), ct_new))
+    return PackedMatrix(replace(seg.encoding, rows=seg.rows + 1), parts)
 
 
 def append_token(
     cache: KVCache, k_new: SlotCiphertext, v_new: SlotCiphertext, ctx: Context
 ) -> KVCache:
-    """Write one generated token at slot offset (t_auto mod B) * d2.
-
-    Exactly 2 mult_plain + 2 add (K and V); one rotation each when the
-    offset is nonzero; a fresh ciphertext opens only when t_auto mod B = 0.
-    """
-    b = cache.t_auto % cache.B
-    pos = b * cache.d2
-    fresh = b == 0
-    mask = ctx.block_mask(pos, cache.d2)
-    auto_K = _append_one(cache.auto_K, k_new, pos, mask, ctx, fresh)
-    auto_V = _append_one(cache.auto_V, v_new, pos, mask, ctx, fresh)
-    return replace(cache, auto_K=auto_K, auto_V=auto_V)
+    """Append one generated token's K and V rows (``_append``): exactly
+    2 mult_plain + 2 add; one rotation each when the offset is nonzero; a
+    fresh ciphertext opens only when t_auto mod B = 0."""
+    return replace(cache, auto_K=_append(cache.auto_K, k_new, ctx), auto_V=_append(cache.auto_V, v_new, ctx))
 
 
 def maybe_refresh(caches, ctx: Context, force: bool = False) -> list:

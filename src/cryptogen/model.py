@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cache
 from itertools import islice
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -136,8 +138,9 @@ class Model:
         return prepared
 
 
-def _weight_spec(c: ModelConfig) -> dict:
-    """Every weight in draw order: name -> (shape, mean, std) of its normal."""
+@cache
+def _weight_spec(c: ModelConfig) -> MappingProxyType:
+    """Every weight in draw order, read-only and built once per config: name -> (shape, mean, std) of its normal."""
     vec, gain = ((c.d1,), 0.0, 0.05), ((c.d1,), 1.0, 0.05)
     layer = {
         **dict.fromkeys(("wq", "wk", "wv", "wo"), ((c.d1, c.d1), 0.0, 0.9 / np.sqrt(c.d1))),
@@ -150,13 +153,13 @@ def _weight_spec(c: ModelConfig) -> dict:
         "ln2_g": gain,
         "ln2_b": vec,
     }
-    return {
+    return MappingProxyType({
         "tok_emb": ((c.vocab, c.d1), 0.0, 0.8),
         "pos_emb": ((c.max_seq, c.d1), 0.0, 0.8),
         **{f"layer{l}.{k}": v for l in range(c.layers) for k, v in layer.items()},
         # untied unembedding keeps greedy streams from locking onto one token
         "unembed": ((c.d1, c.vocab), 0.0, 0.6),
-    }
+    })
 
 
 def generate_toy_model(config: ModelConfig, seed: int = 0) -> Model:
@@ -458,16 +461,19 @@ def plan(c: ModelConfig, params: BackendParams, m: int, k: int) -> FixedPointPar
     return fp
 
 
-def _check_state(c: ModelConfig, state: GenerationState, params: BackendParams) -> None:
-    """A state decode_step can run under params: c.layers x c.heads caches
-    of width d2 whose ciphertexts were made under params.  One part per
-    segment is checked, as every part of a state comes from the context
-    that made it."""
-    if [[kv.d2 for kv in row] for row in state.caches] != [[c.d2] * c.heads] * c.layers:
-        raise ParameterError(f"the state's caches are not {c.layers} x {c.heads} caches of width {c.d2}")
+def _check_state(c: ModelConfig, state: GenerationState, params: BackendParams) -> tuple:
+    """The (m, t_auto) of a state decode_step can run under params: c.layers
+    x c.heads caches of width d2, all at that (m, t_auto), whose ciphertexts
+    were made under params.  One part per segment is checked, as every part
+    of a state comes from the context that made it."""
+    geometry = [[(kv.d2, kv.m, kv.t_auto) for kv in row] for row in state.caches]
+    _, m, t_auto = next((g for row in geometry for g in row), (c.d2, 0, 0))
+    if geometry != [[(c.d2, m, t_auto)] * c.heads] * c.layers:
+        raise ParameterError(f"the state's caches are not {c.layers} x {c.heads} caches of width {c.d2} at one place")
     parts = [seg.parts[0] for row in state.caches for kv in row for _, seg in kv.segments() if seg.parts]
     if any(part.params is not params and part.params != params for part in parts):
         raise ParameterError("the state's ciphertexts were made under other parameters")
+    return m, t_auto
 
 
 def _heads(model: Model, l: int, X: PackedMatrix, stage, caches, fp, ctx, chans) -> list:
@@ -545,18 +551,16 @@ def decode_step(model: Model, state: GenerationState, ctx: Context, chans=None, 
     if threads != 1:
         raise ParameterError(f"threads must be 1, got {threads!r}")
     c = model.config
-    _check_state(c, state, ctx.params)
-    cache = state.caches[0][0]  # its prompt length and appended tokens place this step in its run
-    fp = plan(c, ctx.params, cache.m, cache.t_auto + 1)
+    m, t_auto = _check_state(c, state, ctx.params)
+    fp = plan(c, ctx.params, m, t_auto + 1)
     chans = _channels(ctx, c, chans)
     token = int(np.argmax(state.next_logits))
-    pos = cache.m + cache.t_auto
 
     pairs = [(kv, chans[l, h]) for l, kvs in enumerate(state.caches) for h, kv in enumerate(kvs)]
     fresh = iter(maybe_refresh(pairs, ctx))  # every cache in one pass, before this step's appends
     caches = [[next(fresh) for _ in row] for row in state.caches]
 
-    X = encode(_embed(model, token, pos)[None, :], EncodingKind.INNER, ctx)
+    X = encode(_embed(model, token, m + t_auto)[None, :], EncodingKind.INNER, ctx)
     for l in range(c.layers):
         X = _layer(model, l, X, _Decode, caches, fp, ctx, chans)
 

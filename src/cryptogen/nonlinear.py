@@ -6,9 +6,10 @@ client evaluates the shared fixed-point function on the values the shares
 add up to and re-shares the result under a fresh mask, so each share in
 isolation stays uniform.  ``he_to_shares`` takes ciphertexts to a k x
 length array of signed values, ``shares_to_he`` takes k x L arrays back
-to ciphertexts, and ``roundtrip`` is the one client round trip between
-them: ``truncate`` is its rescale, ``refresh`` its identity, and the
-layer's LayerNorm, GELU and FFN rescale are its other functions.
+to ciphertexts.  ``roundtrip`` joins them when the exit has the entry's
+rows: ``truncate``, ``refresh`` and the layer's LayerNorm, GELU and FFN
+rescale; attention's two share passes and the prompt pass's last-row
+read change the row count, so they call the two directly.
 
 Each protocol is one pass over groups of (ciphertexts or rows, channel),
 so a layer stage converts every head's items in one call.  One draw rule
@@ -184,6 +185,8 @@ def roundtrip(groups, length: int, fn, ctx: Context) -> list:
     count raises ParameterError before any exit op or draw.
     """
     groups = [(list(cts), ch) for cts, ch in groups]
+    if not groups:  # an empty pass: no set-up, no plaintext
+        return []
     values = he_to_shares(groups, ctx, length)
     out = as_int64(fn(values))
     if out.shape[:1] != values.shape[:1]:

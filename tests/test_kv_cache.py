@@ -147,13 +147,16 @@ def test_append_op_counts():
     assert (d["mult_plain"], d["add"], d["rotate"], d["encrypt"]) == (2, 2, 2, 0)
 
 
-def test_value_transparency_random_interleaving(rng):
-    ctx = _ctx()
+@pytest.mark.parametrize("n, d2", [(16, 4), (16, 16), (16, 1), (64, 8)])
+def test_value_transparency_random_interleaving(rng, n, d2):
+    """2B + 3 random rows appended (11 at B = 4), with a forced refresh
+    after every third, decode as written, at B = 4, 1 (every row opens a
+    part), 16 = n and 8."""
+    ctx = _ctx(n)
     ch = MpcChannel(ctx.params.plain_modulus, seed=4)
-    d2 = 4
     cache = _empty(ctx, d2)
     rows = []
-    for t in range(11):
+    for t in range(2 * cache.B + 3):
         kr = rng.integers(0, ctx.params.plain_modulus, d2)
         rows.append(kr)
         cache = append_token(cache, _tok(ctx, kr), _tok(ctx, kr[::-1].copy()), ctx)

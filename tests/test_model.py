@@ -155,6 +155,18 @@ def test_model_refuses_weights_its_config_does_not_give(tmp_path, toy, edit, mes
     assert not (tmp_path / "m").exists()
 
 
+def test_weight_spec_is_built_once_per_config_and_read_only():
+    """Equal configs share one spec, which no caller can change."""
+    spec = model_mod._weight_spec(toy_config())
+    assert model_mod._weight_spec(toy_config()) is spec
+    assert model_mod._weight_spec(dataclasses.replace(toy_config(), vocab=32)) is not spec
+    with pytest.raises(TypeError):
+        spec["unembed"] = ((1, 1), 0.0, 1.0)
+    with pytest.raises(TypeError):
+        del spec["tok_emb"]
+    assert spec["unembed"] == ((32, 64), 0.0, 0.6)
+
+
 def _oracle_blocks(model, prompt, cuts):
     """The prompt fed through the oracle's layers in the blocks that the cut
     points make; returns the per-head (K, V) caches and the last row's logits."""
@@ -677,23 +689,37 @@ def test_decode_step_past_max_seq_is_refused_before_any_op(monkeypatch):
     assert not any(ctx.counter.delta(before).values()) and not drawn
 
 
-@pytest.mark.parametrize("case", ["other_params", "fewer_layers", "fewer_heads", "other_head_width"])
+@pytest.mark.parametrize(
+    "case",
+    ["other_params", "fewer_layers", "fewer_heads", "other_head_width", "mixed_layers", "mixed_heads", "mixed_prompts"],
+)
 def test_decode_step_refuses_a_state_it_cannot_run_before_any_op(monkeypatch, toy, case):
     """A toy state prefilled under the toy params, run on a context at a
-    2^27 modulus, or a state whose caches do not match the model's layers,
-    heads or head width, is refused with ParameterError before the refresh
-    check, any HE op or any mask draw."""
+    2^27 modulus, a state whose caches do not match the model's layers,
+    heads or head width, or one whose caches are not all at one place (a
+    layer or a head two tokens ahead, or layers from prompts of 4 and 3
+    tokens) is refused with ParameterError before the refresh check, any
+    HE op or any mask draw."""
     ctx = _ctx()
-    state = prefill(toy, [1, 2, 3], ctx)
+    state = prefill(toy, [1, 2, 3, 4], ctx)
     if case == "other_params":
         ctx = Context(BackendParams(n_slots=64, plain_modulus=default_plain_modulus(64, 27)), seed=0)
     elif case == "fewer_layers":
         state = dataclasses.replace(state, caches=state.caches[:1])
     elif case == "fewer_heads":
         state = dataclasses.replace(state, caches=[row[:-1] for row in state.caches])
-    else:
+    elif case == "other_head_width":
         wide = generate_toy_model(dataclasses.replace(toy_config(), heads=2), seed=0)
-        state = prefill(wide, [1, 2, 3], ctx)
+        state = prefill(wide, [1, 2, 3, 4], ctx)
+    elif case == "mixed_prompts":
+        state = dataclasses.replace(state, caches=[state.caches[0], prefill(toy, [1, 2, 3], ctx).caches[1]])
+    else:
+        ahead = decode_step(toy, decode_step(toy, state, ctx)[1], ctx)[1]
+        if case == "mixed_layers":
+            caches = [ahead.caches[0], state.caches[1]]
+        else:
+            caches = [[ahead.caches[0][0], *state.caches[0][1:]], state.caches[1]]
+        state = dataclasses.replace(ahead, caches=caches)
     drawn = []
     monkeypatch.setattr(MpcChannel, "sample_mask", lambda self, length: drawn.append(length))
     before = ctx.counter.snapshot()

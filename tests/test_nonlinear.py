@@ -383,12 +383,17 @@ def test_grouped_pass_equals_one_call_per_group(protocol, groups, length, prefix
             assert [len(w) for w in words] == [k * 16 for k in ks] + [k * exit_width for k in ks]
 
 
-def test_round_trips_of_an_empty_pass_are_empty_and_charge_nothing(ctx16):
+def test_round_trips_of_an_empty_pass_are_empty_and_charge_nothing(ctx16, monkeypatch):
+    """An empty pass returns at once: no op, draw or charge, and no
+    plaintext encoded either (``maybe_refresh`` runs one on every decode
+    step with no part due)."""
+    plains, encoded = Context.plains, []
+    monkeypatch.setattr(Context, "plains", lambda self, rows: encoded.append(len(rows)) or plains(self, rows))
     with _spied() as (log, masks, _):
         assert roundtrip([], 16, lambda values: values, ctx16) == []
         assert truncate([], 4, FixedPointParams(4, ctx16.params.plain_modulus), ctx16) == []
         assert refresh([], ctx16) == []
-    assert log == [] and masks == []
+    assert log == [] and masks == [] and encoded == []
     assert not any(ctx16.counter.as_dict().values())
 
 

@@ -61,6 +61,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import string
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -93,6 +94,17 @@ class Shape(NamedTuple):
     masks: tuple
     blind: str
 
+
+# One line per check: its name, and the text of the pinned values it wants,
+# whose fields are the Shape fields it compares; every pinned field is in one.
+CHECKS = {
+    "digest": "{digest}, {ops} ops",
+    "dataflow digest": "{dataflow}",
+    "tokens": "{tokens}",
+    "MPC bytes": "{mpc_bytes}",
+    "mask stream": "{masks}",
+    "share-blind digest": "{blind}",
+}
 
 # The ordered digests were last re-pinned when the prompt pass took all of
 # a layer's heads in one attention pass: every head's prompt-pass
@@ -298,19 +310,15 @@ def main(argv=None) -> int:
     print(f"dataflow sha256 {dataflow}")
     print(f"share-blind dataflow sha256 {blind}")
     print(f"mask stream sha256 {masks[0]}  draws {masks[1]}  words {masks[2]}")
-    match = (digest, ops) == (shape.digest, shape.ops)
-    print(f"matches pinned digest: {'yes' if match else f'no (want {shape.digest}, {shape.ops} ops)'}")
-    same_dataflow = dataflow == shape.dataflow
-    print(f"matches pinned dataflow digest: {'yes' if same_dataflow else f'no (want {shape.dataflow})'}")
-    same_tokens = tokens == shape.tokens
-    print(f"matches pinned tokens: {'yes' if same_tokens else f'no (want {shape.tokens})'}")
-    same_bytes = mpc_bytes == shape.mpc_bytes
-    print(f"matches pinned MPC bytes: {'yes' if same_bytes else f'no (want {shape.mpc_bytes})'}")
-    same_masks = masks == shape.masks
-    print(f"matches pinned mask stream: {'yes' if same_masks else f'no (want {shape.masks})'}")
-    same_blind = blind == shape.blind
-    print(f"matches pinned share-blind digest: {'yes' if same_blind else f'no (want {shape.blind})'}")
-    return 0 if match and same_dataflow and same_tokens and same_bytes and same_masks and same_blind else 1
+    run = {"digest": digest, "ops": ops, "tokens": tokens, "mpc_bytes": mpc_bytes, "dataflow": dataflow,
+           "masks": masks, "blind": blind}
+    same = True
+    for name, want in CHECKS.items():
+        fields = [field for _, field, _, _ in string.Formatter().parse(want) if field]
+        ok = all(run[field] == getattr(shape, field) for field in fields)
+        print(f"matches pinned {name}: {'yes' if ok else f'no (want {want.format(**shape._asdict())})'}")
+        same &= ok
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
